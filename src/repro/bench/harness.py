@@ -36,7 +36,7 @@ from ..graphs.datasets import DATASETS
 from ..hardware import get_machine
 from ..mpi import MPIStats, run_world
 from ..hardware.nvme import NVMeDevice
-from ..storage import CFFReader, PFFReader, VirtualFS
+from ..storage import CFFReader, PFFReader, SampleStats, VirtualFS
 from ..storage.staging import stage_to_nvme
 from ..storage.formats import _cff_index_path, _cff_subfile_path, _pff_path, CFFIndex
 
@@ -300,9 +300,18 @@ def _warm_caches(world, root: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes]):
+def _build_model(cfg: ExperimentConfig, blobs: list[bytes]) -> HydraGNN:
+    s0 = SampleStats.from_blob(blobs[0])
+    model_cfg = HydraGNNConfig(
+        feature_dim=s0.feature_dim,
+        head_dims=(DATASETS[cfg.dataset].output_dim,),
+        hidden_dim=cfg.hidden_dim,
+    )
+    return HydraGNN(model_cfg, seed=cfg.seed)
+
+
+def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None):
     machine = ctx.world.machine
-    spec = DATASETS[cfg.dataset]
     vfs = ctx.world.vfs
     root = f"{cfg.dataset}-{cfg.method}"
 
@@ -370,16 +379,11 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes]):
     preload_time = ctx.now - t_setup
 
     # -- model + trainer ------------------------------------------------------
-    sample0 = blobs[0]
-    from ..storage import SampleStats
-
-    s0 = SampleStats.from_blob(sample0)
-    model_cfg = HydraGNNConfig(
-        feature_dim=s0.feature_dim,
-        head_dims=(spec.output_dim,),
-        hidden_dim=cfg.hidden_dim,
-    )
-    model = HydraGNN(model_cfg, seed=cfg.seed)
+    # Performance mode never reads a weight — only ``n_params()`` for the
+    # modelled allreduce volume — so its ranks share one model and skip
+    # the optimizer's moment buffers.
+    model = shared_model if shared_model is not None else _build_model(cfg, blobs)
+    optimizer = None if cfg.stats_only else AdamW(model.params(), lr=1e-3)
     dmodel = DistributedModel(model, ctx.comm)
     if not cfg.stats_only:
         yield from dmodel.broadcast_parameters()
@@ -391,8 +395,14 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes]):
         seed=cfg.seed,
         steps_per_epoch=cfg.steps_per_epoch,
     )
-    optimizer = AdamW(model.params(), lr=1e-3)
-    trainer = Trainer(ctx, dmodel, loader, optimizer, real_compute=not cfg.stats_only)
+    trainer = Trainer(
+        ctx,
+        dmodel,
+        loader,
+        optimizer,
+        real_compute=not cfg.stats_only,
+        epochs=cfg.epochs,
+    )
 
     # Elastic width control: hook the coordinator between epochs.  Off by
     # default — when disabled the loop below is untouched (no coordinator,
@@ -476,6 +486,7 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         _rank_main,
         cfg,
         blobs,
+        _build_model(cfg, blobs) if cfg.stats_only else None,
         seed=cfg.seed,
         jitter_sigma=cfg.jitter_sigma,
         world=world,

@@ -6,8 +6,10 @@ every rank holds identical numbers, (2) asks the
 :class:`~.controller.ElasticWidthController` for a verdict, and (3) when
 the verdict is a new width, actuates it live:
 
-* drains the trainer's prefetch pipeline (no batch load may race the
-  old store's teardown),
+* drains the trainer's prefetch pipeline — between epochs that is the
+  window *carried* into the next epoch, whose head wave is already in
+  flight — so no batch load races the old store's teardown; the drain
+  rewinds the window, which then refills against the new generation,
 * drives the bulk memory-to-memory reshard — through
   :meth:`~repro.serving.StoreService.reshard` when a serving layer owns
   the store (which also quiesces and migrates every tenant session), or
@@ -54,8 +56,9 @@ class ElasticCoordinator:
         The loader feeding the trainer; its dataset is repointed at the
         new store after each reshard.
     trainer : Trainer, optional
-        When given, its live prefetch pipeline is drained before the
-        width change (the reshard fence).
+        When given, its live prefetch pipeline (carried window included)
+        is drained and rewound before the width change (the reshard
+        fence).
     service : StoreService, optional
         When the store is serving multiple tenants, reshard through the
         service so every other tenant's session migrates atomically too.

@@ -116,8 +116,10 @@ class DDStoreDataset:
     ) -> Generator:
         """Coroutine: wave-prefetch upcoming batches into the store cache.
 
-        ``window`` (a :class:`~repro.dataplane.nodeagg.WaveWindow`) marks
-        the wave as node-aggregatable; ``None`` keeps the per-rank path.
+        ``window`` (a :class:`~repro.dataplane.nodeagg.WaveWindow`) names
+        the wave — its epoch and batch span — which is what makes it
+        node-aggregatable under ``node_fetch``; ``None`` is an anonymous
+        per-rank wave.
         """
         fetched = yield from self.store.prefetch_wave(
             batch_indices, n_workers=self.n_workers, window=window

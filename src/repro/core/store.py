@@ -1249,7 +1249,10 @@ class DDStore:
         ``window`` (a :class:`~repro.dataplane.nodeagg.WaveWindow` from
         the scheduler), the wave is aggregated at *node* scope instead:
         overlapping remote ranges across the node's ranks are fetched
-        once by a per-target leader and fanned out intra-node.
+        once by a per-target leader and fanned out intra-node.  Without
+        ``node_fetch`` the window only names the wave: its epoch — the
+        one the wave *serves*, which a carried wave is fetched ahead of —
+        tags the ``store.prefetch_wave`` span.
         """
         if self._closed:
             raise StoreClosedError(
@@ -1415,6 +1418,7 @@ class DDStore:
                 n_reads=plan.n_reads if plan is not None else 0,
                 nbytes=wire_bytes,
                 n_batches=len(groups),
+                **({"epoch": window.epoch} if window is not None else {}),
                 **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
             )
         return n_parked
@@ -1765,6 +1769,7 @@ class DDStore:
                 nbytes=wire_bytes,
                 n_batches=len(batch_indices),
                 nodeagg=1,
+                epoch=window.epoch,
                 **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
             )
         return n_parked

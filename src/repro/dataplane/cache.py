@@ -12,7 +12,8 @@ Two eviction policies:
 * ``"lru"`` (default) — least-recently-used, the seed behaviour,
 * ``"belady"`` — farthest-reuse: because ``DataLoader.epoch_batches``
   returns the whole epoch permutation up front, the epoch-ahead scheduler
-  can hand the cache its *future* access sequence (:meth:`set_future`)
+  can hand the cache its *future* access sequence (:meth:`set_future`,
+  rolled forward one epoch at a time by :meth:`extend_future`)
   and advance a logical clock (:meth:`advance_to`) as batches are
   consumed.  The victim is then the resident entry whose next use lies
   farthest in the future (entries with no future use at all go first) —
@@ -162,20 +163,43 @@ class SampleCache:
         return key in self._entries
 
     # -- future-knowledge plumbing (belady) --------------------------------
-    def set_future(self, sequence: Iterable[int]) -> None:
+    def set_future(self, sequence: Iterable[int], start: int = 0) -> None:
         """Install the known future access sequence (epoch-ahead schedule).
 
         ``sequence`` lists sample ids in the order they will be accessed;
-        position 0 is "now".  Replaces any previous future and resets the
-        logical clock.  A no-op for the LRU policy.
+        its first access sits at absolute position ``start``, which is
+        "now".  Replaces any previous future and sets the logical clock
+        to ``start``.  A no-op for the LRU policy.
         """
         if self.policy != "belady":
             return
-        future: dict[int, deque] = {}
-        for pos, key in enumerate(sequence):
-            future.setdefault(int(key), deque()).append(pos)
-        self._future = future
-        self._clock = 0
+        self._future = {}
+        self._clock = int(start)
+        self.extend_future(sequence, start)
+
+    def extend_future(self, sequence: Iterable[int], start: int) -> None:
+        """Append accesses at positions ``start, start + 1, ...`` to the
+        installed future — the rolling horizon of a run-long schedule.
+
+        The clock and every not-yet-consumed access stay as they are, so
+        the current epoch's unconsumed tail keeps its (nearer) next-use
+        distances when the next epoch's accesses arrive; replacing the
+        future instead would make that tail read as "never used" and
+        evict it first.  ``start`` must not precede any installed
+        position (per-key queues stay sorted).  A no-op for LRU.
+        """
+        if self.policy != "belady":
+            return
+        future = self._future
+        clock = self._clock
+        for pos, key in enumerate(sequence, int(start)):
+            key = int(key)
+            q = future.get(key)
+            if q is None:
+                q = future[key] = deque()
+            while q and q[0] < clock:
+                q.popleft()  # consumed accesses: keeps a run-long queue bounded
+            q.append(pos)
 
     def advance_to(self, position: int) -> None:
         """Move the logical clock: accesses before ``position`` are past."""
@@ -438,11 +462,17 @@ class TieredCache:
             return True
         return self.nvme is not None and key in self.nvme
 
-    def set_future(self, sequence: Iterable[int]) -> None:
+    def set_future(self, sequence: Iterable[int], start: int = 0) -> None:
         seq = [int(k) for k in sequence]
         if self.gpu is not None:
-            self.gpu.set_future(seq)
-        self.dram.set_future(seq)
+            self.gpu.set_future(seq, start)
+        self.dram.set_future(seq, start)
+
+    def extend_future(self, sequence: Iterable[int], start: int) -> None:
+        seq = [int(k) for k in sequence]
+        if self.gpu is not None:
+            self.gpu.extend_future(seq, start)
+        self.dram.extend_future(seq, start)
 
     def advance_to(self, position: int) -> None:
         if self.gpu is not None:
@@ -698,8 +728,8 @@ class TieredCache:
             and self.dram._future
             and self.dram._next_use(key) == _NEVER
         ):
-            # Belady says this entry is never referenced again this
-            # epoch: an NVMe write would be pure waste.
+            # Belady says this entry is never referenced again inside
+            # the known horizon: an NVMe write would be pure waste.
             ts.evictions += 1
             self.stats.evictions += 1
             self.stats.evicted_bytes += nbytes

@@ -101,12 +101,18 @@ class Trainer:
         *,
         real_compute: bool = True,
         output_dim: Optional[int] = None,
+        epochs: Optional[int] = None,
     ) -> None:
         self.ctx = ctx
         self.dmodel = dmodel
         self.loader = loader
         self.optimizer = optimizer
         self.real_compute = real_compute
+        # Run length, when the caller knows it: epochs 0 .. epochs-1 run in
+        # order, which lets a wave-scheduled prefetch window slide across
+        # epoch boundaries (nothing is fetched for epoch >= epochs).  None
+        # keeps the per-epoch window.
+        self.epochs = epochs
         self.gpu = GpuModel(ctx.world.machine.gpu)
         cfg = dmodel.model.config
         self._feature_dim = cfg.feature_dim
@@ -114,9 +120,10 @@ class Trainer:
         self._hidden = cfg.hidden_dim
         self._n_conv = cfg.n_conv_layers
         self._n_fc = cfg.n_fc_layers
-        # Live prefetch pipeline of the epoch currently running (None
-        # between epochs).  The elastic coordinator drains it before a
-        # mid-training reshard so no batch load races the store teardown.
+        # Live prefetch window: the running epoch's, or between epochs the
+        # one carried into the next epoch (None when it ended with its
+        # epoch).  The elastic coordinator drains it before a mid-training
+        # reshard so no batch load races the store teardown.
         self._sched: Optional[EpochScheduler] = None
 
     # ------------------------------------------------------------------
@@ -140,7 +147,6 @@ class Trainer:
         track = ctx.rank
         phases = PhaseTimes()
         t_epoch = engine.now
-        batches = self.loader.epoch_batches(epoch)
         losses: list[float] = []
         latencies: list[np.ndarray] = []
         n_samples = 0
@@ -163,11 +169,27 @@ class Trainer:
 
         # Prefetch pipeline: the epoch-ahead scheduler keeps up to
         # ``prefetch_depth`` batch loads in flight while batch k computes
-        # (depth 1 — the default — is the seed pipeline, bit-for-bit).
-        sched = EpochScheduler(
-            self.loader, batches, engine=engine, obs=obs, track=track, epoch=epoch
-        )
+        # (depth 1 — the default — is the seed pipeline, bit-for-bit).  A
+        # window carried over from the previous epoch already holds this
+        # epoch's head wave.
+        sched = self._sched
+        if sched is not None and sched.epoch != epoch:
+            # Epochs ran out of order: the carried window prefetched for
+            # an epoch that is not the one running now.
+            yield from sched.drain()
+            sched = None
+        if sched is None:
+            sched = EpochScheduler(
+                self.loader,
+                self.loader.epoch_batches(epoch),
+                engine=engine,
+                obs=obs,
+                track=track,
+                epoch=epoch,
+                epochs=self.epochs,
+            )
         self._sched = sched
+        batches = sched.batches
         sched.start()
         data_wait_s = 0.0
         load_total_s = 0.0
@@ -232,8 +254,7 @@ class Trainer:
             loaded.release()
 
         elapsed = engine.now - t_epoch
-        sched.finish()
-        self._sched = None
+        self._sched = sched if sched.finish() else None
         # Overlap efficiency: how much of the loading pipeline's own time
         # the compute phases hid.  ``data_wait`` is the honest stall (the
         # pipeline-fill load of batch 0 is inherently exposed).
@@ -287,10 +308,11 @@ class Trainer:
     def drain_pipeline(self) -> Generator:
         """Await the live prefetch window (reshard fence; collective-free).
 
-        Returns the number of in-flight loads awaited; 0 when no epoch is
-        running.  The scheduler's window bookkeeping stays valid, so a
-        paused epoch resumes its normal ``event``/``advance`` protocol
-        afterwards — against whatever store the loader then points at.
+        Returns the number of in-flight launches awaited; 0 when no window
+        is live.  The window — a carried one between epochs included — is
+        rewound to the consumed point, so the next epoch (or a paused
+        one's ``event``/``advance`` protocol) refills it against whatever
+        store the loader then points at.
         """
         if self._sched is None:
             return 0
@@ -307,6 +329,9 @@ class Trainer:
         """
         if not self.real_compute:
             raise RuntimeError("evaluate() requires real_compute=True")
+        # One window per cache at a time: a carried training window is
+        # rewound and refills when training resumes.
+        yield from self.drain_pipeline()
         engine = self.ctx.engine
         bs = batch_size or self.loader.batch_size
         chunks = [

@@ -17,7 +17,6 @@ from repro.control import Decision, ElasticCoordinator, ElasticWidthController, 
 from repro.core import (
     DataLoader,
     DataPlaneOptions,
-    DDStore,
     ElasticOptions,
     GeneratorSource,
 )
@@ -250,52 +249,86 @@ def test_coordinator_decisions_identical_on_every_rank():
 
 
 # ---------------------------------------------------------------------------
-# the reshard fence: draining a live epoch scheduler mid-wave
+# the reshard fence: draining a live scheduler mid-wave, then with a carried
+# window live between epochs
 # ---------------------------------------------------------------------------
 
-def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly():
-    n = 32
+@pytest.mark.parametrize("node_fetch", [False, True])
+def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
+    n = 64
     gen = IsingGenerator(n, seed=0)
 
     def main(ctx):
-        from repro.core import DDStoreDataset
         from repro.dataplane.scheduler import EpochScheduler
 
-        store = yield from DDStore.create(
+        session = yield from client.connect(
             ctx.comm,
             _source(ctx, n=n),
             dataplane=DataPlaneOptions(
-                cache_bytes=1 << 20, prefetch_depth=4, scheduler=True
+                cache_bytes=1 << 20,
+                prefetch_depth=4,
+                scheduler=True,
+                node_fetch=node_fetch,
             ),
+            elastic=ElasticOptions(enabled=True),
         )
-        dataset = DDStoreDataset(store, stats_only=False)
+        dataset = session.dataset()
         loader = DataLoader(dataset, ctx, batch_size=4, shuffle="global", seed=0)
-        batches = loader.epoch_batches(0)
-        sched = EpochScheduler(loader, batches, engine=ctx.engine)
+        sched = EpochScheduler(
+            loader, loader.epoch_batches(0), engine=ctx.engine, epoch=0, epochs=2
+        )
+        drained = []
+
+        def drain():
+            drained.append((yield from sched.drain()))
+
         sched.start()
         # Consume one batch, leaving the rest of the wave (and deeper
         # launches) in flight...
         first = yield sched.event(0)
         sched.advance(0)
         # ...then fence and reshard mid-wave.
-        drained = yield from sched.drain()
-        new = yield from store.reshard(width=2)
-        dataset.store = new
+        yield from drain()
+        session.store = yield from session.store.reshard(width=2)
+        dataset.store = session.store
         got = [first]
-        for step in range(1, len(batches)):
+        for step in range(1, len(sched.batches)):
             loaded = yield sched.event(step)
             sched.advance(step)
             got.append(loaded)
-        ok = all(
+        # Between epochs the window is carried: epoch 1's head is already
+        # launched when the coordinator decides to narrow again.
+        carried = sched.finish()
+        coord = ElasticCoordinator(
+            ctx, session, loader, trainer=SimpleNamespace(drain_pipeline=drain)
+        )
+        waves_before = session.store.stats.n_prefetch_waves
+        width = yield from coord.after_epoch(_report(elapsed=1.0, wait=0.5))
+        # The window was rewound and refills against the new generation.
+        sched.start()
+        for step in range(len(sched.batches)):
+            loaded = yield sched.event(step)
+            sched.advance(step)
+            got.append(loaded)
+        schedule = loader.epoch_batches(0) + loader.epoch_batches(1)
+        ok = len(got) == len(schedule) and all(
             loaded.batch.graph(j).allclose(gen.make(int(i)))
-            for loaded, idx in zip(got, batches)
+            for loaded, idx in zip(got, schedule)
             for j, i in enumerate(idx)
         )
-        yield from new.shutdown()
-        return drained, len(got), ok
+        store = session.store
+        refilled = store.stats.n_prefetch_waves - waves_before
+        done = not sched.finish()
+        yield from store.shutdown()
+        return drained, carried, width, store.generation, refilled, done, ok
 
     job = run(main)
-    for drained, n_batches, ok in job.results:
-        assert drained > 0  # the fence had something to await
-        assert n_batches > 1
-        assert ok  # every sample bit-identical across the width change
+    for drained, carried, width, generation, refilled, done, ok in job.results:
+        assert len(drained) == 2 and all(d > 0 for d in drained)  # both fences had launches to await
+        assert carried  # ...the second one only carried ones
+        assert width == 1 and generation == 2
+        assert refilled > 0  # epoch 1's waves were re-opened on the new store
+        assert done  # the window ends with the run
+        assert ok  # every sample bit-identical across both width changes
+    for coord in job.world.__dict__.get("_node_fetch_coords", {}).values():
+        assert not coord.entries

@@ -285,6 +285,51 @@ def test_resilience_trace_shows_retry_attempts():
     assert m.total("faults.n_perturbed") > 0
 
 
+def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
+    """A carried wave is fetched inside epoch e's span but tagged with the
+    epoch it serves (e+1); the trainer stages still tile every epoch."""
+    from repro.bench.harness import ExperimentConfig
+
+    run = run_traced(
+        "carried",
+        config=ExperimentConfig(
+            machine="perlmutter",
+            n_nodes=1,
+            dataset="ising",
+            batch_size=4,
+            steps_per_epoch=3,
+            epochs=3,
+            prefetch_depth=2,
+            scheduler=True,
+            cache_bytes=1 << 20,
+            cache_policy="belady",
+        ),
+    )
+    assert run.report.ok and run.report.max_rel_residual <= 1e-9
+    spans = run.observer.tracer.spans
+    for track in run.observer.tracer.tracks():
+        epochs = {
+            dict(s.args)["epoch"]: s
+            for s in spans
+            if s.cat == "trainer.epoch" and s.track == track
+        }
+        if not epochs:
+            continue
+        assert stage_spans_contiguous(spans, track=track)
+        served = [
+            dict(s.args)["epoch"]
+            for s in spans
+            if s.name == "store.prefetch_wave"
+            and s.track == track
+            and s.start < epochs[dict(s.args)["epoch"]].start
+        ]
+        assert served and min(served) >= 1  # fetched ahead of the epoch served
+    m = run.observer.metrics
+    assert set(m.sum_by("sched.carried_launches", "epoch")) == {1, 2}
+    assert set(m.sum_by("sched.waves", "epoch")) == {0, 1, 2}
+    assert m.total("sched.launches") == run.result.config.n_ranks * 9
+
+
 def test_run_traced_rejects_unknown_name():
     with pytest.raises(KeyError, match="unknown traceable"):
         run_traced("not-an-experiment", TINY)

@@ -2,13 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import DataPlaneOptions, DDStore, GeneratorSource
+from repro.core import (
+    CacheOptions,
+    DataLoader,
+    DataPlaneOptions,
+    DDStore,
+    DDStoreDataset,
+    GeneratorSource,
+    ResilienceOptions,
+)
 from repro.dataplane import EpochScheduler, SampleCache
+from repro.faults import FaultPlan, SlowRank, install_faults
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
+from repro.mpi.comm import World
+from repro.obs import Observer
 from repro.sim import Engine
+
+from .test_node_fetch import _digest
 
 
 def run(fn, n_nodes=2, **kw):
@@ -260,3 +274,198 @@ def test_wave_scheduled_training_is_deterministic():
     assert a.data_wait == b.data_wait
     assert a.overlap_efficiency == b.overlap_efficiency
     assert a.fetch_counters == b.fetch_counters
+
+
+# ---------------------------------------------------------------------------
+# the run-long window: carried across epoch boundaries vs refilled per epoch
+# ---------------------------------------------------------------------------
+
+
+def test_belady_future_extends_without_orphaning_the_unconsumed_tail():
+    """The next epoch's accesses are appended on the same absolute clock:
+    the current epoch's unconsumed tail keeps its nearer next use, where a
+    replaced future would read it as never-used and evict it first."""
+    pay = np.zeros(8, dtype=np.uint8)
+    c = SampleCache(16, policy="belady")
+    c.set_future([1, 2])  # this epoch: 1 at position 0, 2 at position 1
+    c.put(2, pay)  # the unconsumed tail
+    c.advance_to(1)
+    c.extend_future([3, 4], start=2)  # next epoch arrives mid-epoch
+    c.put(4, pay)
+    c.put(3, pay)  # full: evicts 4 (used at 3), keeps 2 (used at 1)
+    assert 2 in c and 3 in c and 4 not in c
+
+    r = SampleCache(16, policy="belady")
+    r.put(2, pay)
+    r.set_future([3, 4])  # replacing instead orphans key 2
+    r.put(4, pay)
+    r.put(3, pay)
+    assert 2 not in r
+
+
+class _SpyLoader(DataLoader):
+    """Records which epochs' schedules anyone asked for."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.asked: set[int] = set()
+
+    def epoch_batches(self, epoch):
+        self.asked.add(epoch)
+        return super().epoch_batches(epoch)
+
+    def peer_epoch_batches(self, epoch, peer_rank):
+        self.asked.add(epoch)
+        return super().peer_epoch_batches(epoch, peer_rank)
+
+
+def _run_epochs(ctx, carried, *, columnar, policy, tiered, node_fetch, depth,
+                steps, epochs, resilience):
+    """The trainer's fetch loop minus the GPU, over a whole run: one
+    run-long scheduler when ``carried``, a fresh one per epoch otherwise."""
+    if tiered:
+        cache_kw = dict(cache=CacheOptions.parse("gpu:8k+dram:16k+nvme:4m", policy=policy))
+    else:
+        cache_kw = dict(cache_bytes=1 << 20, cache_policy=policy)
+    store = yield from DDStore.create(
+        ctx.comm,
+        _source(ctx, n=64),
+        width=2,  # two replica groups: gives the ladder a failover target
+        dataplane=DataPlaneOptions(
+            scheduler=True,
+            prefetch_depth=depth,
+            columnar=columnar,
+            node_fetch=node_fetch,
+            **cache_kw,
+        ),
+        resilience=resilience,
+    )
+    dataset = DDStoreDataset(store)
+    loader = _SpyLoader(
+        dataset, ctx, batch_size=4, shuffle="global", seed=0, steps_per_epoch=steps
+    )
+    digests = []
+    epoch_ends = []
+    sched = None
+    for epoch in range(epochs):
+        if sched is None:
+            sched = EpochScheduler(
+                loader,
+                loader.epoch_batches(epoch),
+                engine=ctx.engine,
+                obs=ctx.world.obs,
+                track=ctx.rank,
+                epoch=epoch,
+                epochs=epochs if carried else None,
+            )
+        assert sched.epoch == epoch
+        sched.start()
+        for step in range(len(sched.batches)):
+            loaded = yield sched.event(step)
+            sched.advance(step)
+            digests.append(_digest(loaded.batch))
+            yield ctx.engine.timeout(2e-4)  # "compute" the carried head hides under
+            loaded.release()
+        if not sched.finish():
+            sched = None
+        epoch_ends.append(ctx.engine.now)
+    pool = dataset.arena_pool
+    return dict(
+        digests=digests,
+        epoch_ends=epoch_ends,
+        window_live=sched is not None,
+        arenas=(pool.created, len(pool._free)) if pool is not None else None,
+        asked=max(loader.asked),
+    )
+
+
+@given(
+    columnar=st.booleans(),
+    policy=st.sampled_from(["lru", "belady"]),
+    tiered=st.booleans(),
+    node_fetch=st.booleans(),
+    depth=st.sampled_from([1, 2, 8]),
+    steps=st.sampled_from([1, 2, 3]),
+    epochs=st.sampled_from([1, 3]),
+    straggler=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_carried_window_delivers_identical_batches_and_leaves_nothing_behind(
+    columnar, policy, tiered, node_fetch, depth, steps, epochs, straggler
+):
+    def job(carried):
+        world = World(TESTBOX, 2, seed=0)
+        resilience = None
+        if straggler:
+            install_faults(world, FaultPlan("t", (SlowRank(rank=2, multiplier=50.0),)))
+            resilience = ResilienceOptions(timeout_s=2e-3, max_retries=3, backoff_s=1e-5)
+        launched = []
+        spawn = world.engine.process
+
+        def process(gen, name=""):
+            proc = spawn(gen, name=name)
+            if name.startswith("prefetch"):
+                launched.append(proc)
+            return proc
+
+        world.engine.process = process
+        out = run(
+            lambda c: _run_epochs(
+                c, carried, columnar=columnar, policy=policy, tiered=tiered,
+                node_fetch=node_fetch, depth=depth, steps=steps, epochs=epochs,
+                resilience=resilience,
+            ),
+            world=world,
+        )
+        return out, world, launched
+
+    base, _, _ = job(False)
+    carry, world, launched = job(True)
+    for rank, (b, c) in enumerate(zip(base.results, carry.results)):
+        assert b["digests"] == c["digests"], f"rank {rank}: batches diverge"
+        assert len(c["digests"]) == steps * epochs
+        assert not c["window_live"]  # the window ends with the run
+        assert c["asked"] == epochs - 1  # nothing scheduled past the run
+        if c["arenas"] is not None:
+            assert c["arenas"][0] == c["arenas"][1]  # every arena back in its pool
+    assert launched and all(p.triggered for p in launched)  # nothing in flight
+    for coord in world.__dict__.get("_node_fetch_coords", {}).values():
+        assert not coord.entries  # every node rendezvous closed
+
+
+def test_carried_window_fetches_the_next_epoch_head_under_tail_compute():
+    """The structural claim: with a known run length the next epoch's step
+    0 is launched (and its wave fetched) before the current epoch's last
+    batch is done computing, so only the run's first step is a cold fill."""
+
+    def traced(carried):
+        world = World(TESTBOX, 2, seed=0)
+        obs = Observer(trace=True)
+        world.attach_observer(obs)
+        job = run(
+            lambda c: _run_epochs(
+                c, carried, columnar=False, policy="belady", tiered=False,
+                node_fetch=False, depth=2, steps=3, epochs=3, resilience=None,
+            ),
+            world=world,
+        )
+        waves = [s for s in obs.tracer.spans if s.name == "store.prefetch_wave"]
+        carried_launches = obs.metrics.sum_by("sched.carried_launches", "epoch")
+        return job.results, waves, carried_launches
+
+    results, waves, carried_launches = traced(True)
+    assert set(carried_launches) == {1, 2}  # counted under the epoch they serve
+    for rank, out in enumerate(results):
+        for epoch in (1, 2):
+            head = min(
+                w.start
+                for w in waves
+                if w.track == rank and dict(w.args)["epoch"] == epoch
+            )
+            assert head < out["epoch_ends"][epoch - 1]  # fetched under the tail
+    results, waves, carried_launches = traced(False)
+    assert not carried_launches  # the per-epoch window never crosses a boundary
+    for rank, out in enumerate(results):
+        for w in waves:
+            if w.track == rank and dict(w.args)["epoch"] > 0:
+                assert w.start >= out["epoch_ends"][dict(w.args)["epoch"] - 1]

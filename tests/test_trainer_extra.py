@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import DataLoader, DDStore, DDStoreDataset, GeneratorSource
+from repro.core import (
+    DataLoader,
+    DataPlaneOptions,
+    DDStore,
+    DDStoreDataset,
+    GeneratorSource,
+)
 from repro.gnn import AdamW, DistributedModel, HydraGNN, HydraGNNConfig, Trainer
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
@@ -107,3 +113,83 @@ def test_workers_speed_up_ddstore_fetch_without_changing_data():
     t4, ids4 = run_world(TESTBOX, 2, lambda c: main(c, 4), seed=5).results[0]
     assert ids1 == ids4 == list(range(16))
     assert t4 < t1  # parallel issue + parallel decode
+
+
+# ---------------------------------------------------------------------------
+# wave-scheduled pipeline: stall accounting and the run-long window
+# ---------------------------------------------------------------------------
+
+
+def _wave_setup(ctx, epochs=None, real=False):
+    src = GeneratorSource(IsingGenerator(64, seed=0), ctx.world.machine)
+    store = yield from DDStore.create(
+        ctx.comm,
+        src,
+        dataplane=DataPlaneOptions(
+            cache_bytes=1 << 20, scheduler=True, prefetch_depth=4, cache_policy="belady"
+        ),
+    )
+    model = HydraGNN(
+        HydraGNNConfig(feature_dim=1, head_dims=(1,), hidden_dim=8, n_conv_layers=1),
+        seed=0,
+    )
+    loader = DataLoader(DDStoreDataset(store), ctx, batch_size=4, seed=0)
+    optimizer = AdamW(model.params()) if real else None
+    return Trainer(
+        ctx,
+        DistributedModel(model, ctx.comm),
+        loader,
+        optimizer,
+        real_compute=real,
+        epochs=epochs,
+    )
+
+
+@pytest.mark.parametrize("epochs", [None, 3])
+def test_wave_stall_never_exceeds_the_load_it_stalled_on(epochs):
+    """A chained load's wait behind its wave fetch is booked into the
+    batch's load time, so per rank and per epoch ``data_wait`` is bounded
+    by the loading pipeline's own cost (it used to exceed it, clamping
+    the overlap efficiency to zero on cache-hot wave cells)."""
+
+    def main(ctx):
+        trainer = yield from _wave_setup(ctx, epochs=epochs)
+        reports = []
+        for epoch in range(3):
+            reports.append((yield from trainer.train_epoch(epoch)))
+        return reports
+
+    for reports in run_world(TESTBOX, 2, main).results:
+        assert reports[0].data_wait > 0.0  # the run's first step is a cold fill
+        for r in reports:
+            load_total = r.phases.seconds["cpu_loading"] + r.phases.seconds["cpu_batching"]
+            assert r.data_wait <= load_total
+            assert r.overlap_efficiency == pytest.approx(1.0 - r.data_wait / load_total)
+
+
+def test_trainer_carries_the_window_only_inside_a_known_run_length():
+    def main(ctx, epochs):
+        trainer = yield from _wave_setup(ctx, epochs=epochs, real=True)
+        live = []
+        r0 = yield from trainer.train_epoch(0)
+        live.append(trainer._sched is not None)
+        # An eval pass in the seam rewinds the carried window (one window
+        # per cache at a time); training then refills it.
+        loss = yield from trainer.evaluate(np.arange(16))
+        live.append(trainer._sched is not None)
+        r1 = yield from trainer.train_epoch(1)
+        live.append(trainer._sched is not None)
+        # Out of order: the carried window (epoch 2's head) is discarded.
+        again = yield from trainer.train_epoch(1)
+        live.append(trainer._sched is not None)
+        r2 = yield from trainer.train_epoch(2)
+        live.append(trainer._sched is not None)
+        pending = yield from trainer.drain_pipeline()
+        return live, pending, np.isfinite(loss), [r.n_samples for r in (r0, r1, again, r2)]
+
+    for epochs, expect in ((None, [False] * 5), (3, [True, True, True, True, False])):
+        for live, pending, finite, n_samples in run_world(TESTBOX, 2, main, epochs).results:
+            assert live == expect
+            assert pending == 0  # nothing launched past the final epoch
+            assert finite
+            assert n_samples == [16, 16, 16, 16]
