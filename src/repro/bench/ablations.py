@@ -353,7 +353,7 @@ def ablation_columnar(profile: Optional[ScaleProfile] = None):
     *is* the row loader), the same pair under global shuffle (the wire
     path dilutes the win), and columnar composed with depth-4 wave
     scheduling (arena scatter fed from cache-parked wave payloads).  The
-    returned data carries four checks the CI smoke step asserts on:
+    returned data carries five checks (``--check`` exits nonzero on any):
 
     * ``deterministic`` — the global columnar cell, run twice from
       scratch, reproduces elapsed/stall/overlap and every fetch counter;
@@ -363,7 +363,9 @@ def ablation_columnar(profile: Optional[ScaleProfile] = None):
       *zero* per-sample ndarray allocations (neither the local- nor the
       wire-scatter arm ever materialises a sample);
     * ``row_path_allocates`` — the instrumented row run does allocate
-      (the counter itself is live, so the zero above is meaningful).
+      (the counter itself is live, so the zero above is meaningful);
+    * ``decode_iff_row`` — the "decode" stage is charged on exactly the
+      row cells (arena scatter replaces it, never runs beside it).
     """
     profile = profile or current_profile()
     rows = []
@@ -435,6 +437,10 @@ def ablation_columnar(profile: Optional[ScaleProfile] = None):
         "columnar_2x": bool(columnar > 0 and baseline / columnar >= 2.0),
         "zero_scatter_allocs": bool(columnar_allocs == 0),
         "row_path_allocates": bool(row_allocs > 0),
+        "decode_iff_row": all(
+            (cell["stages"].get("decode", 0.0) == 0.0) == label.startswith("columnar")
+            for label, cell in data["cells"].items()
+        ),
     }
     data["speedup_columnar"] = baseline / columnar if columnar > 0 else float("inf")
     data["speedup_columnar_global"] = (
@@ -1086,7 +1092,9 @@ def ablation_nodeagg(profile: Optional[ScaleProfile] = None):
       actually delivered bytes;
     * ``deterministic`` — a fresh from-scratch rerun of the aggregated
       cell reproduces elapsed/stall, every fetch counter, and the
-      per-node NIC byte roll-up exactly.
+      per-node NIC byte roll-up exactly;
+    * ``node_waves_ran`` — the aggregated cell really took the node path
+      (node waves counted, bytes delivered over the fan-out).
     """
     profile = profile or current_profile()
     rows = []
@@ -1154,6 +1162,10 @@ def ablation_nodeagg(profile: Optional[ScaleProfile] = None):
         "dedup_on_reuse": bool(dedup > 1.0 and rc.get("bytes_fanout", 0) > 0),
         "deterministic": bool(
             fingerprint(fresh) == fingerprint(cached_experiment(agg_cfg))
+        ),
+        "node_waves_ran": bool(
+            agg.fetch_counters.get("n_node_waves", 0) > 0
+            and agg.fetch_counters.get("bytes_fanout", 0) > 0
         ),
     }
     data["speedup"] = agg.throughput / base.throughput

@@ -12,46 +12,42 @@ Construction (collective, via :meth:`DDStore.create`):
    resolved from ``config.framework`` (the paper's ``mpi-rma`` exposes
    the buffer through an RMA window).
 
-Training-time fetch (:meth:`DDStore.get_samples`): look the requested
-global ids up in the registry, copy local ones straight out of the own
-buffer, serve repeat remote ids from the optional hot-sample cache, and
-hand the rest to the :class:`~repro.dataplane.FetchPlanner`, which groups
-them by owner and coalesces adjacent byte ranges into the wire reads the
-transport executes — never touching the filesystem.  Reads normally stay
-inside the replica group; with :class:`~.config.ResilienceOptions`
-enabled, a read that times out is retried with exponential backoff
-(:mod:`repro.dataplane.retry`) and — since chunk contents are identical
-across replica groups — can *fail over* to the same chunk's owner in
-another group, so one straggling or dark peer degrades throughput instead
-of stalling every consumer.
-
-The store itself holds *no* communication code: transports live in
-:mod:`repro.dataplane` and anything registered there is a valid
-``framework`` value.
+This module is layout + lifecycle: create/preload, tier assembly,
+session views, failover topology, shutdown/close and reshard.  **The
+store holds no fetch code** and no communication code.  Training-time
+fetch — :meth:`DDStore.get_samples`, :meth:`~DDStore.get_batch_arena`,
+:meth:`~DDStore.prefetch_wave` — is three thin entry points into the one
+``resolve → plan → fetch → sink`` pipeline of
+:mod:`repro.dataplane.pipeline`, which reads the per-handle state wired
+here (registry, planner, cache, transport, lane, stats).  Reads normally
+stay inside the replica group; with :class:`~.config.ResilienceOptions`
+enabled a timed-out read is retried and — since chunk contents are
+identical across replica groups — can *fail over* to the same chunk's
+owner in another group (:meth:`DDStore._reroute` supplies that topology).
+Transports live in :mod:`repro.dataplane`; anything registered there is
+a valid ``framework`` value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from ..dataplane import (
+    FETCH_STAGES,
     FetchPlanner,
-    FetchTimeoutError,
+    FetchStats,
     PlannedRead,
-    RetryPolicy,
     SampleCache,
     TieredCache,
-    fetch_with_retry,
     get_transport,
-    node_coordinator,
+    pipeline,
 )
 from ..dataplane.transport import Transport
-from ..graphs import SAMPLE_ALLOCATIONS, AtomicGraph, BatchArena
+from ..graphs import BatchArena
 from ..mpi import Comm
-from ..storage import SampleStats, decode_time, peek_header, scatter_time, unpack_graph
+from ..storage import peek_header
 from .chunking import ChunkLayout
 from .config import (
     DataPlaneOptions,
@@ -65,123 +61,8 @@ from .registry import ChunkRegistry, ShapeTable
 
 __all__ = ["DDStore", "FetchStats", "FETCH_STAGES", "StoreClosedError"]
 
-#: The instrumented stages of one ``get_samples`` call, in pipeline order
-#: ("queue" is the multi-tenant serving layer's DRR/admission wait before
-#: wire issue — zero on single-tenant stores; "retry" charges the backoff
-#: waits between fetch re-issues; "promote" is the tiered cache's
-#: NVMe→DRAM batched-read wall time; "scatter" is the columnar path's
-#: arena assembly, which replaces "decode"; "fanout" is the node-fetch
-#: intra-node copy of leader-read payloads into subscriber caches).
-FETCH_STAGES = ("plan", "queue", "lock", "get", "retry", "copy", "cache", "promote", "decode", "scatter", "fanout")
-
-
 class StoreClosedError(RuntimeError):
     """Raised when a closed/shut-down DDStore handle is asked for samples."""
-
-# Modelled CPU cost of building a fetch plan (numpy sort + merge sweep).
-_PLAN_BASE_S = 1.0e-6
-_PLAN_S_PER_REQ = 1.0e-8
-
-
-@dataclass
-class FetchStats:
-    """Cumulative fetch accounting of one DDStore handle."""
-
-    n_local: int = 0
-    n_remote: int = 0
-    bytes_local: int = 0
-    bytes_remote: int = 0
-    fetch_time: float = 0.0
-    decode_time: float = 0.0
-    latencies: list[float] = field(default_factory=list)
-    # data-plane counters
-    n_get_calls: int = 0  # wire reads issued (== n_remote when not coalescing)
-    bytes_transferred: int = 0  # deduplicated wire bytes actually moved
-    n_cache_hits: int = 0
-    n_cache_misses: int = 0
-    n_cache_evictions: int = 0
-    bytes_cache_hits: int = 0
-    # resilience counters (all zero unless ResilienceOptions are enabled)
-    n_timeouts: int = 0  # wire reads that blew their deadline
-    n_retries: int = 0  # wire reads re-issued after a timeout
-    n_failovers: int = 0  # retries re-routed to another replica group
-    # epoch-ahead scheduler counters (zero unless scheduler waves run)
-    n_prefetch_waves: int = 0  # prefetch_wave calls that hit the wire
-    n_prefetched: int = 0  # distinct samples parked in the cache by waves
-    bytes_prefetched: int = 0  # deduplicated wire bytes moved by waves
-    # node-aggregated fetch counters (zero unless node_fetch waves run)
-    n_node_waves: int = 0  # node-aggregated prefetch_wave calls
-    n_fanout: int = 0  # samples received over the intra-node fan-out
-    bytes_fanout: int = 0  # payload bytes fanned in from node leaders
-    bytes_node_requested: int = 0  # this rank's plan-time remote demand
-    bytes_node_wire: int = 0  # bytes this rank wire-read as a leader
-    # virtual seconds spent per fetch stage (keys from FETCH_STAGES)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    # wave-prefetch stage seconds, kept apart from the demand-fetch path:
-    # wave time overlaps compute, so folding it into stage_seconds would
-    # double-charge the breakdown figures.
-    prefetch_stage_seconds: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def n_total(self) -> int:
-        return self.n_local + self.n_remote + self.n_cache_hits
-
-    def add_stage(self, stage: str, seconds: float) -> None:
-        if seconds:
-            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def add_prefetch_stage(self, stage: str, seconds: float) -> None:
-        if seconds:
-            self.prefetch_stage_seconds[stage] = (
-                self.prefetch_stage_seconds.get(stage, 0.0) + seconds
-            )
-
-    def counters(self) -> dict[str, int]:
-        """The integer counters as a dict (for the bench layer)."""
-        return dict(
-            n_local=self.n_local,
-            n_remote=self.n_remote,
-            bytes_local=self.bytes_local,
-            bytes_remote=self.bytes_remote,
-            n_get_calls=self.n_get_calls,
-            bytes_transferred=self.bytes_transferred,
-            n_cache_hits=self.n_cache_hits,
-            n_cache_misses=self.n_cache_misses,
-            n_cache_evictions=self.n_cache_evictions,
-            bytes_cache_hits=self.bytes_cache_hits,
-            n_timeouts=self.n_timeouts,
-            n_retries=self.n_retries,
-            n_failovers=self.n_failovers,
-            n_prefetch_waves=self.n_prefetch_waves,
-            n_prefetched=self.n_prefetched,
-            bytes_prefetched=self.bytes_prefetched,
-            n_node_waves=self.n_node_waves,
-            n_fanout=self.n_fanout,
-            bytes_fanout=self.bytes_fanout,
-            bytes_node_requested=self.bytes_node_requested,
-            bytes_node_wire=self.bytes_node_wire,
-        )
-
-    def latency_array(self) -> np.ndarray:
-        return np.asarray(self.latencies, dtype=np.float64)
-
-    def merge_from(self, other: "FetchStats") -> None:
-        """Fold another handle's cumulative accounting into this one.
-
-        The reshard stats-continuity path: a new-generation store starts
-        from the old generation's totals, so bench roll-ups and monotone
-        cumulative counters survive a width change (the same discipline as
-        the delta-accumulated cache counters).
-        """
-        for name, val in other.counters().items():
-            setattr(self, name, getattr(self, name) + val)
-        self.fetch_time += other.fetch_time
-        self.decode_time += other.decode_time
-        self.latencies.extend(other.latencies)
-        for stage, seconds in other.stage_seconds.items():
-            self.add_stage(stage, seconds)
-        for stage, seconds in other.prefetch_stage_seconds.items():
-            self.add_prefetch_stage(stage, seconds)
 
 
 class DDStore:
@@ -248,7 +129,7 @@ class DDStore:
         # tenant identity, which keeps the whole serving layer off the
         # single-job fetch path (bit-identical defaults).  Session views
         # built by ``session_view`` carry a TenantLane (the DRR/admission
-        # gate consulted in ``_fetch_reads``) and a tenant/qos label pair
+        # gate the pipeline's fetch stage consults) and a tenant/qos label pair
         # for the ``ddstore.tenant`` metric family.
         self._lane = None
         self._tenant: Optional[str] = None
@@ -304,21 +185,6 @@ class DDStore:
             dram_hit_Bps=self._local_copy_bw,
             now_fn=lambda: engine.now,
         )
-
-    def _publish_tier_metrics(self, m, track: int) -> None:
-        """Publish per-tier counter deltas to the ``ddstore.tier`` family
-        (labels: tier, counter, rank), snapshot-style like the cache stats."""
-        if not self._tiered:
-            return
-        counters = self.cache.tier_counters()
-        for key, value in counters.items():
-            delta = value - self._tier_base.get(key, 0)
-            if delta:
-                tier, counter = key.split(".", 1)
-                m.counter(
-                    "ddstore.tier", tier=tier, counter=counter, rank=track
-                ).inc(delta)
-        self._tier_base = counters
 
     # ------------------------------------------------------------------
     # construction
@@ -547,12 +413,16 @@ class DDStore:
         _, _, sizes = self.registry.locate_batch(idx)
         return int(sizes.sum())
 
-    def _local_buffer_view(self) -> np.ndarray:
-        return self.transport.local_buffer()
-
     # ------------------------------------------------------------------
     # the data loader hot path
     # ------------------------------------------------------------------
+    def _check_open(self, doing: str) -> None:
+        if self._closed:
+            raise StoreClosedError(
+                "this DDStore handle has been closed/shut down; create a new "
+                f"store (or reshard) before {doing} samples"
+            )
+
     def get_samples(
         self, indices: Sequence[int], decode: bool = True, n_workers: int = 1
     ) -> Generator:
@@ -569,325 +439,18 @@ class DDStore:
         performance sweeps), or raw packed ``np.uint8`` payloads when
         ``decode="raw"`` (no deserialisation charged; the resharding path).
         """
-        if self._closed:
-            raise StoreClosedError(
-                "this DDStore handle has been closed/shut down; create a new "
-                "store (or reshard) before fetching samples"
-            )
+        self._check_open("fetching")
         idx = np.asarray(list(indices), dtype=np.int64)
         if idx.size == 0:
             return []
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
-        # Per-call stage accounting: with depth-k prefetch several
-        # get_samples coroutines interleave, so metric deltas must come
-        # from this call's own charges, not a snapshot of the shared dict.
-        call_stages: dict[str, float] = {}
-
-        def charge(stage: str, seconds: float) -> None:
-            if seconds:
-                stats.add_stage(stage, seconds)
-                call_stages[stage] = call_stages.get(stage, 0.0) + seconds
-
-        t_start = engine.now
-        owners, offsets, sizes = self.registry.locate_batch(idx)
-        me = self.group_comm.rank
-        local_mask = owners == me
-
-        blobs: list[Optional[np.ndarray]] = [None] * idx.size
-        latencies = np.zeros(idx.size, dtype=np.float64)
-
-        # -- local samples: straight memcpy out of the own buffer ----------
-        local_positions = np.nonzero(local_mask)[0]
-        local_time = 0.0
-        if local_positions.size:
-            buf = self.transport.local_buffer()
-            for p in local_positions:
-                off, nb = int(offsets[p]), int(sizes[p])
-                blobs[p] = buf[off : off + nb].copy()
-            SAMPLE_ALLOCATIONS.bump(int(local_positions.size))
-            copy_times = self._local_copy_base + sizes[local_positions] / self._local_copy_bw
-            latencies[local_positions] = copy_times
-            local_time = float(copy_times.sum())
-
-        # -- remote samples: cache probe, then plan + transport fetch -------
-        remote_positions = np.nonzero(~local_mask)[0]
-        fetch_positions = remote_positions
-        cache_time = 0.0
-        promote_keys: list[int] = []
-        promote_positions: list[int] = []
-        if self.cache.enabled and remote_positions.size:
-            missed = []
-            if self._tiered:
-                for p in remote_positions:
-                    key = int(idx[p])
-                    hit = self.cache.fast_get(key, column=False)
-                    if hit is not None:
-                        payload, _, hit_cost = hit
-                        blobs[p] = payload.copy()
-                        SAMPLE_ALLOCATIONS.bump()
-                        latencies[p] = hit_cost
-                        cache_time += hit_cost
-                    elif self.cache.nvme_resident(key, column=False):
-                        promote_keys.append(key)
-                        promote_positions.append(int(p))
-                    else:
-                        self.cache.count_miss(column=False)
-                        missed.append(p)
-            else:
-                for p in remote_positions:
-                    entry = self.cache.get(int(idx[p]))
-                    if entry is None:
-                        missed.append(p)
-                        continue
-                    blobs[p] = entry.copy()
-                    SAMPLE_ALLOCATIONS.bump()
-                    # A hit still costs the DRAM copy out of the cache.
-                    hit_cost = self._local_copy_base + entry.nbytes / self._local_copy_bw
-                    latencies[p] = hit_cost
-                    cache_time += hit_cost
-            fetch_positions = np.asarray(missed, dtype=np.int64)
-
-        # -- tiered cache: batched NVMe→DRAM demand promotion ----------------
-        if promote_keys:
-            t_promote = engine.now
-            results, promote_wall = self.cache.promote_batch(
-                promote_keys, engine.now, column=False
-            )
-            if promote_wall:
-                yield engine.timeout(promote_wall)
-            charge("promote", promote_wall)
-            for key, p in zip(promote_keys, promote_positions):
-                payload, _ = results[key]
-                blobs[p] = payload.copy()
-                SAMPLE_ALLOCATIONS.bump()
-                latencies[p] = promote_wall
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.promote",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_promote,
-                    end=engine.now,
-                    n=len(promote_keys),
-                )
-
-        # Zero-size samples need no bytes on the wire, but they are still
-        # remote samples this call served — count them as such.
-        n_zero = 0
-        if fetch_positions.size:
-            empty = fetch_positions[sizes[fetch_positions] == 0]
-            for p in empty:
-                blobs[p] = np.zeros(0, dtype=np.uint8)
-            if empty.size:
-                n_zero = int(empty.size)
-                fetch_positions = fetch_positions[sizes[fetch_positions] > 0]
-
-        plan = None
-        d_timeouts = d_retries = d_failovers = 0
-        if fetch_positions.size:
-            plan = self.planner.plan(
-                owners[fetch_positions] + self._group_base,
-                offsets[fetch_positions],
-                sizes[fetch_positions],
-                positions=fetch_positions,
-            )
-            plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * int(fetch_positions.size)
-            t_plan = engine.now
-            yield engine.timeout(plan_s)
-            charge("plan", plan_s)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.plan",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_plan,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                )
-            t_fetch = engine.now
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                plan.reads, n_streams=max(1, n_workers)
-            )
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.fetch",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_fetch,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                    nbytes=plan.total_bytes,
-                )
-            self._scatter(plan, outcome, blobs, latencies)
-            for stage, seconds in outcome.stage_seconds.items():
-                charge(stage, seconds)
-            if self.cache.enabled:
-                for p in fetch_positions:
-                    self.cache.put(int(idx[p]), blobs[p])
-
-        if local_time:
-            local_wait = local_time / max(1, n_workers)
-            t_copy = engine.now
-            yield engine.timeout(local_wait)
-            charge("copy", local_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.copy",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_copy,
-                    end=engine.now,
-                    n=int(local_positions.size),
-                )
-        if cache_time:
-            cache_wait = cache_time / max(1, n_workers)
-            t_cache = engine.now
-            yield engine.timeout(cache_wait)
-            charge("cache", cache_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.cache",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_cache,
-                    end=engine.now,
-                )
-
-        # -- deserialise (CPU) ----------------------------------------------
-        if decode == "raw":
-            dec = np.zeros(idx.size)
-            graphs = blobs
-        else:
-            dec = np.fromiter(
-                (decode_time(self._machine, int(s)) for s in sizes),
-                dtype=np.float64,
-                count=idx.size,
-            )
-            decode_wait = float(dec.sum()) / max(1, n_workers)
-            t_decode = engine.now
-            yield engine.timeout(decode_wait)
-            charge("decode", decode_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.decode",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_decode,
-                    end=engine.now,
-                    n=int(idx.size),
-                )
-            latencies += dec
-            if decode:
-                graphs = [unpack_graph(b) for b in blobs]
-                SAMPLE_ALLOCATIONS.bump(len(blobs))
-            else:
-                graphs = [SampleStats.from_blob(b) for b in blobs]
-
-        # -- bookkeeping ------------------------------------------------------
-        n_fetched = int(fetch_positions.size) if plan is not None else 0
-        n_remote_served = n_fetched + n_zero
-        bytes_local = int(sizes[local_positions].sum()) if local_positions.size else 0
-        bytes_remote = int(sizes[fetch_positions].sum()) if n_fetched else 0
-        stats.n_local += int(local_positions.size)
-        stats.n_remote += n_remote_served
-        stats.bytes_local += bytes_local
-        stats.bytes_remote += bytes_remote
-        if plan is not None:
-            stats.n_get_calls += plan.n_reads
-            stats.bytes_transferred += plan.total_bytes
-        # Cache counters accumulate as deltas against the last snapshot: the
-        # cache's own stats are cumulative and shared across stats resets.
-        cs = self.cache.stats.as_dict()
-        base = self._cache_base
-        d_hits = cs["hits"] - base["hits"]
-        d_misses = cs["misses"] - base["misses"]
-        d_evictions = cs["evictions"] - base["evictions"]
-        d_hit_bytes = cs["hit_bytes"] - base["hit_bytes"]
-        stats.n_cache_hits += d_hits
-        stats.n_cache_misses += d_misses
-        stats.n_cache_evictions += d_evictions
-        stats.bytes_cache_hits += d_hit_bytes
-        self._cache_base = cs
-        stats.fetch_time += engine.now - t_start - float(dec.sum())
-        stats.decode_time += float(dec.sum())
-        if self.record_latencies:
-            stats.latencies.extend(latencies.tolist())
-
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_local", int(local_positions.size)),
-                ("n_remote", n_remote_served),
-                ("bytes_local", bytes_local),
-                ("bytes_remote", bytes_remote),
-                ("n_get_calls", plan.n_reads if plan is not None else 0),
-                ("bytes_transferred", plan.total_bytes if plan is not None else 0),
-                ("n_cache_hits", d_hits),
-                ("n_cache_misses", d_misses),
-                ("n_cache_evictions", d_evictions),
-                ("bytes_cache_hits", d_hit_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.fetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            for stage, seconds in call_stages.items():
-                m.counter(
-                    "ddstore.stage_seconds",
-                    stage=stage,
-                    rank=track,
-                    generation=self.generation,
-                ).inc(seconds)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m,
-                track,
-                int(idx.size),
-                engine.now - t_start,
-                plan.total_bytes if plan is not None else 0,
-                call_stages.get("queue", 0.0),
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.get_samples",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=int(idx.size),
-                n_local=int(local_positions.size),
-                n_remote=n_remote_served,
-                n_cache_hits=d_hits,
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
-        return graphs
+        return (yield from pipeline.get_rows(self, idx, decode, n_workers))
 
     def get_batch_arena(
         self, indices: Sequence[int], arena: BatchArena, n_workers: int = 1
     ) -> Generator:
         """Fetch ``indices`` scattering payload bytes straight into ``arena``.
 
-        The columnar hot path: scatter destinations — ``(field, offset)``
-        pairs inside the arena's preallocated buffers — are computed from
-        the registry's shape index *before* any bytes move, so local
-        copies, cache hits, and wire payloads all land directly in their
-        final batch position.  No per-sample ndarray is ever allocated and
+        The columnar hot path: no per-sample ndarray is ever allocated and
         the "decode" stage disappears; in its place one vectorised
         "scatter" pass (segment copies + the edge-index shift) is charged
         via :func:`~repro.storage.scatter_time`.  Requires the columnar
@@ -896,332 +459,14 @@ class DDStore:
         array; the batch itself is read out of ``arena``
         (``collate(arena=...)``).
         """
-        if self._closed:
-            raise StoreClosedError(
-                "this DDStore handle has been closed/shut down; create a new "
-                "store (or reshard) before fetching samples"
-            )
+        self._check_open("fetching")
         if self.registry.shapes is None:
             raise ValueError(
                 "get_batch_arena needs the columnar data plane: create the "
                 "store with DataPlaneOptions(columnar=True)"
             )
         idx = np.asarray(list(indices), dtype=np.int64)
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
-        call_stages: dict[str, float] = {}
-
-        def charge(stage: str, seconds: float) -> None:
-            if seconds:
-                stats.add_stage(stage, seconds)
-                call_stages[stage] = call_stages.get(stage, 0.0) + seconds
-
-        t_start = engine.now
-        shapes = self.registry.shapes
-        sids, nn, ne = self.registry.shape_batch(idx)
-        arena.reset(nn, ne, shapes.feature_dim, shapes.output_dim, sids)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        owners, offsets, sizes = self.registry.locate_batch(idx)
-        me = self.group_comm.rank
-        local_mask = owners == me
-        smap = self.planner.plan_arena(nn, ne, shapes.feature_dim, shapes.output_dim)
-        fields = tuple(arena.field_bytes[name] for name in BatchArena._FIELDS)
-        latencies = np.zeros(idx.size, dtype=np.float64)
-
-        # -- local samples: scatter straight out of the own buffer ----------
-        local_positions = np.nonzero(local_mask)[0]
-        local_time = 0.0
-        if local_positions.size:
-            buf = self.transport.local_buffer()
-            for p in local_positions:
-                off, nb = int(offsets[p]), int(sizes[p])
-                smap.scatter(int(p), 0, nb, buf[off : off + nb], fields)
-            copy_times = self._local_copy_base + sizes[local_positions] / self._local_copy_bw
-            latencies[local_positions] = copy_times
-            local_time = float(copy_times.sum())
-
-        # -- remote samples: column-cache probe, then plan + fetch ----------
-        remote_positions = np.nonzero(~local_mask)[0]
-        fetch_positions = remote_positions
-        cache_time = 0.0
-        promote_keys: list[int] = []
-        promote_positions: list[int] = []
-        if self.cache.enabled and remote_positions.size:
-            missed = []
-            if self._tiered:
-                for p in remote_positions:
-                    key = int(idx[p])
-                    hit = self.cache.fast_get(key, column=True)
-                    if hit is not None:
-                        entry, has_header, hit_cost = hit
-                        if has_header:
-                            # Whole blob: scatter from byte 0 (the map
-                            # skips the header bytes itself).
-                            smap.scatter(int(p), 0, int(entry.nbytes), entry, fields)
-                        else:
-                            smap.scatter(
-                                int(p), 32, 32 + int(entry.nbytes), entry, fields
-                            )
-                        latencies[p] = hit_cost
-                        cache_time += hit_cost
-                    elif self.cache.nvme_resident(key, column=True):
-                        promote_keys.append(key)
-                        promote_positions.append(int(p))
-                    else:
-                        self.cache.count_miss(column=True)
-                        missed.append(p)
-            else:
-                for p in remote_positions:
-                    entry = self.cache.get_columns(int(idx[p]))
-                    if entry is None:
-                        missed.append(p)
-                        continue
-                    # Cached column payloads are header-stripped: their bytes
-                    # start at sample offset 32 (the AGRF record header).
-                    smap.scatter(int(p), 32, 32 + int(entry.nbytes), entry, fields)
-                    hit_cost = self._local_copy_base + entry.nbytes / self._local_copy_bw
-                    latencies[p] = hit_cost
-                    cache_time += hit_cost
-            fetch_positions = np.asarray(missed, dtype=np.int64)
-
-        # -- tiered cache: batched NVMe promotion, scattered zero-copy ------
-        if promote_keys:
-            t_promote = engine.now
-            results, promote_wall = self.cache.promote_batch(
-                promote_keys, engine.now, column=True
-            )
-            if promote_wall:
-                yield engine.timeout(promote_wall)
-            charge("promote", promote_wall)
-            for key, p in zip(promote_keys, promote_positions):
-                payload, has_header = results[key]
-                # NVMe shards scatter straight into the arena buffers —
-                # no per-sample ndarray is ever allocated on this path.
-                if has_header:
-                    smap.scatter(p, 0, int(payload.nbytes), payload, fields)
-                else:
-                    smap.scatter(p, 32, 32 + int(payload.nbytes), payload, fields)
-                latencies[p] = promote_wall
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.promote",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_promote,
-                    end=engine.now,
-                    n=len(promote_keys),
-                )
-
-        n_zero = 0
-        if fetch_positions.size:
-            empty = fetch_positions[sizes[fetch_positions] == 0]
-            if empty.size:
-                n_zero = int(empty.size)
-                fetch_positions = fetch_positions[sizes[fetch_positions] > 0]
-
-        plan = None
-        d_timeouts = d_retries = d_failovers = 0
-        if fetch_positions.size:
-            plan = self.planner.plan(
-                owners[fetch_positions] + self._group_base,
-                offsets[fetch_positions],
-                sizes[fetch_positions],
-                positions=fetch_positions,
-            )
-            plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * int(fetch_positions.size)
-            t_plan = engine.now
-            yield engine.timeout(plan_s)
-            charge("plan", plan_s)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.plan",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_plan,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                )
-            t_fetch = engine.now
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                plan.reads, n_streams=max(1, n_workers)
-            )
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.fetch",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_fetch,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                    nbytes=plan.total_bytes,
-                )
-            read_lat = outcome.latencies
-            for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
-                lat = float(read_lat[r]) if read_lat is not None else 0.0
-                for sl in read.slices:
-                    piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
-                    smap.scatter(
-                        sl.position,
-                        sl.sample_offset,
-                        sl.sample_offset + sl.nbytes,
-                        piece,
-                        fields,
-                    )
-                    latencies[sl.position] = max(latencies[sl.position], lat)
-                    if (
-                        self.cache.enabled
-                        and sl.sample_offset == 0
-                        and sl.nbytes == int(sizes[sl.position])
-                    ):
-                        # Whole sample in one slice: park its column bytes
-                        # (header stripped) for future arena batches.
-                        self.cache.put_columns(
-                            int(idx[sl.position]),
-                            payload[sl.read_offset + 32 : sl.read_offset + sl.nbytes],
-                        )
-            for stage, seconds in outcome.stage_seconds.items():
-                charge(stage, seconds)
-
-        if local_time:
-            local_wait = local_time / max(1, n_workers)
-            t_copy = engine.now
-            yield engine.timeout(local_wait)
-            charge("copy", local_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.copy",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_copy,
-                    end=engine.now,
-                    n=int(local_positions.size),
-                )
-        if cache_time:
-            cache_wait = cache_time / max(1, n_workers)
-            t_cache = engine.now
-            yield engine.timeout(cache_wait)
-            charge("cache", cache_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.cache",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_cache,
-                    end=engine.now,
-                )
-
-        # -- arena assembly (replaces per-sample decode) --------------------
-        arena.shift_edges()
-        scatter_nbytes = int(sizes.sum()) + int(arena.edge_index.nbytes)
-        scatter_wait = scatter_time(
-            self._machine, scatter_nbytes, smap.n_segments
-        ) / max(1, n_workers)
-        t_scatter = engine.now
-        yield engine.timeout(scatter_wait)
-        charge("scatter", scatter_wait)
-        if obs.tracing:
-            obs.tracer.record(
-                "store.scatter",
-                cat="store.stage",
-                track=track,
-                lane=1,
-                start=t_scatter,
-                end=engine.now,
-                n=int(idx.size),
-                n_segments=smap.n_segments,
-            )
-        latencies += scatter_wait / idx.size
-
-        # -- bookkeeping ----------------------------------------------------
-        n_fetched = int(fetch_positions.size) if plan is not None else 0
-        n_remote_served = n_fetched + n_zero
-        bytes_local = int(sizes[local_positions].sum()) if local_positions.size else 0
-        bytes_remote = int(sizes[fetch_positions].sum()) if n_fetched else 0
-        stats.n_local += int(local_positions.size)
-        stats.n_remote += n_remote_served
-        stats.bytes_local += bytes_local
-        stats.bytes_remote += bytes_remote
-        if plan is not None:
-            stats.n_get_calls += plan.n_reads
-            stats.bytes_transferred += plan.total_bytes
-        cs = self.cache.stats.as_dict()
-        base = self._cache_base
-        d_hits = cs["hits"] - base["hits"]
-        d_misses = cs["misses"] - base["misses"]
-        d_evictions = cs["evictions"] - base["evictions"]
-        d_hit_bytes = cs["hit_bytes"] - base["hit_bytes"]
-        stats.n_cache_hits += d_hits
-        stats.n_cache_misses += d_misses
-        stats.n_cache_evictions += d_evictions
-        stats.bytes_cache_hits += d_hit_bytes
-        self._cache_base = cs
-        stats.fetch_time += engine.now - t_start
-        if self.record_latencies:
-            stats.latencies.extend(latencies.tolist())
-
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_local", int(local_positions.size)),
-                ("n_remote", n_remote_served),
-                ("bytes_local", bytes_local),
-                ("bytes_remote", bytes_remote),
-                ("n_get_calls", plan.n_reads if plan is not None else 0),
-                ("bytes_transferred", plan.total_bytes if plan is not None else 0),
-                ("n_cache_hits", d_hits),
-                ("n_cache_misses", d_misses),
-                ("n_cache_evictions", d_evictions),
-                ("bytes_cache_hits", d_hit_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.fetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            for stage, seconds in call_stages.items():
-                m.counter(
-                    "ddstore.stage_seconds",
-                    stage=stage,
-                    rank=track,
-                    generation=self.generation,
-                ).inc(seconds)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m,
-                track,
-                int(idx.size),
-                engine.now - t_start,
-                plan.total_bytes if plan is not None else 0,
-                call_stages.get("queue", 0.0),
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.get_batch",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=int(idx.size),
-                n_local=int(local_positions.size),
-                n_remote=n_remote_served,
-                n_cache_hits=d_hits,
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
-        return latencies
+        return (yield from pipeline.get_arena(self, idx, arena, n_workers))
 
     def prefetch_wave(
         self,
@@ -1254,196 +499,8 @@ class DDStore:
         one the wave *serves*, which a carried wave is fetched ahead of —
         tags the ``store.prefetch_wave`` span.
         """
-        if self._closed:
-            raise StoreClosedError(
-                "this DDStore handle has been closed/shut down; create a new "
-                "store (or reshard) before prefetching samples"
-            )
-        if not self.cache.enabled:
-            return 0
-        if (
-            window is not None
-            and self.config.dataplane.node_fetch
-            and self.transport.supports_coalescing
-        ):
-            n = yield from self._prefetch_wave_nodeagg(
-                batch_indices, n_workers, window
-            )
-            return n
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
-        me = self.group_comm.rank
-        t_start = engine.now
-
-        groups = []
-        keys: list[int] = []
-        stage_keys: list[int] = []
-        seen: set[int] = set()
-        columnar = self.config.dataplane.columnar
-        tiered = self._tiered
-        for batch in batch_indices:
-            idx = np.asarray(list(batch), dtype=np.int64)
-            if idx.size == 0:
-                continue
-            owners, offsets, sizes = self.registry.locate_batch(idx)
-            want = []
-            for p in range(idx.size):
-                key = int(idx[p])
-                if owners[p] == me or sizes[p] == 0 or key in seen:
-                    continue
-                if tiered:
-                    if self.cache.fast_resident(key):
-                        continue
-                    if self.cache.nvme_resident(key, column=columnar):
-                        # Resident one tier down: no wire read needed —
-                        # stage the bytes upward ahead of demand instead.
-                        seen.add(key)
-                        stage_keys.append(key)
-                        continue
-                elif key in self.cache:
-                    continue
-                seen.add(key)
-                want.append(p)
-                keys.append(key)
-            if want:
-                w = np.asarray(want, dtype=np.int64)
-                groups.append(
-                    (owners[w] + self._group_base, offsets[w], sizes[w])
-                )
-        if not groups and not stage_keys:
-            return 0
-
-        # -- tier-aware staging: lift NVMe-resident future samples ----------
-        n_promoted = 0
-        if stage_keys:
-            t_stage = engine.now
-            n_promoted, stage_wall = self.cache.stage_up(
-                stage_keys, engine.now, column=columnar
-            )
-            if stage_wall:
-                yield engine.timeout(stage_wall)
-                stats.add_prefetch_stage("promote", stage_wall)
-            if obs.tracing and n_promoted:
-                obs.tracer.record(
-                    "store.promote",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_stage,
-                    end=engine.now,
-                    n=n_promoted,
-                )
-
-        plan = None
-        d_timeouts = d_retries = d_failovers = 0
-        wave_queue_wait = 0.0
-        if groups:
-            plan = self.planner.plan_batches(groups)
-            plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * plan.n_requests
-            yield engine.timeout(plan_s)
-            stats.add_prefetch_stage("plan", plan_s)
-
-            # One issuing stream per wave batch (times the per-batch worker
-            # count): the wave replaces that many concurrent ``get_samples``
-            # pipelines, so it gets the same software-path concurrency.
-            n_streams = max(1, n_workers) * len(groups)
-
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                plan.reads, n_streams=n_streams
-            )
-            wave_queue_wait = outcome.stage_seconds.get("queue", 0.0)
-            for stage, seconds in outcome.stage_seconds.items():
-                stats.add_prefetch_stage(stage, seconds)
-
-            blobs: list[Optional[np.ndarray]] = [None] * plan.n_requests
-            lat = np.zeros(plan.n_requests, dtype=np.float64)
-            self._scatter(plan, outcome, blobs, lat)
-            for key, blob in zip(keys, blobs):
-                if columnar:
-                    # Arena-mode consumers scatter cache hits straight into
-                    # field buffers, so park the header-stripped column bytes.
-                    self.cache.put_columns(key, blob[32:])
-                else:
-                    self.cache.put(key, blob)
-            stats.n_get_calls += plan.n_reads
-            stats.bytes_transferred += plan.total_bytes
-
-        n_wired = plan.n_requests if plan is not None else 0
-        wire_bytes = plan.total_bytes if plan is not None else 0
-        n_parked = n_wired + n_promoted
-        stats.n_prefetch_waves += 1
-        stats.n_prefetched += n_parked
-        stats.bytes_prefetched += wire_bytes
-
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_prefetch_waves", 1),
-                ("n_prefetched", n_parked),
-                ("n_promoted", n_promoted),
-                ("bytes_prefetched", wire_bytes),
-                ("n_get_calls", plan.n_reads if plan is not None else 0),
-                ("bytes_transferred", wire_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.prefetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m,
-                track,
-                n_parked,
-                engine.now - t_start,
-                wire_bytes,
-                wave_queue_wait,
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.prefetch_wave",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=n_parked,
-                n_reads=plan.n_reads if plan is not None else 0,
-                nbytes=wire_bytes,
-                n_batches=len(groups),
-                **({"epoch": window.epoch} if window is not None else {}),
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
-        return n_parked
-
-    # -- node-aggregated wave fetch -----------------------------------------
-    def _node_coordinator(self):
-        """The node-local wave rendezvous shared with this node's peers
-        (per tenant — sessions of one tenant share leader reads, tenants
-        never share entries)."""
-        world = self.comm.communicator.world
-        node = self._node_index
-        machine = self._machine
-        participants = tuple(
-            r
-            for r in range(self.comm.size)
-            if machine.node_of_rank(r) == node
-        )
-        return node_coordinator(
-            world,
-            node,
-            self._store_seq,
-            self._tenant,
-            self.comm.engine,
-            participants,
-        )
+        self._check_open("prefetching")
+        return (yield from pipeline.wave(self, batch_indices, n_workers, window))
 
     def nodeagg_abort(self) -> None:
         """Force-wake node-fetch subscribers of this store's coordinator
@@ -1457,423 +514,6 @@ class DDStore:
         coord = table.get(key)
         if coord is not None:
             coord.abort()
-
-    def _peer_wave_demand(self, peer: int, window):
-        """A node peer's remote nonzero demand for one wave, recomputed
-        locally from the shared deterministic schedule (zero
-        communication).  Deliberately ignores all cache state — the plan
-        must be a pure function of (schedule, layout) so every rank
-        derives the identical node plan."""
-        peer_group_rank = self.config.group_rank(peer)
-        seen: set[int] = set()
-        keys: list[int] = []
-        members: list[int] = []
-        offs: list[int] = []
-        szs: list[int] = []
-        for batch in window.peer_batches(peer):
-            idx = np.asarray(list(batch), dtype=np.int64)
-            if idx.size == 0:
-                continue
-            owners, offsets, sizes = self.registry.locate_batch(idx)
-            for p in range(idx.size):
-                key = int(idx[p])
-                if owners[p] == peer_group_rank or sizes[p] == 0 or key in seen:
-                    continue
-                seen.add(key)
-                keys.append(key)
-                members.append(int(owners[p]))
-                offs.append(int(offsets[p]))
-                szs.append(int(sizes[p]))
-        return (
-            np.asarray(keys, np.int64),
-            np.asarray(members, np.int64),
-            np.asarray(offs, np.int64),
-            np.asarray(szs, np.int64),
-        )
-
-    def _peek_cached_payload(self, key: int, columnar: bool):
-        """Wire-format payload for ``key`` from a fast tier, or None.
-
-        A stats-silent peek (no hit/miss accounting, no recency touch):
-        leader duty serves resident samples to node peers without
-        perturbing the demand-path cache counters.  Columnar mode wants
-        header-stripped column bytes (a resident whole blob serves by
-        stripping); row mode needs the whole blob, header included.
-        """
-        cache = self.cache
-        tiers = (cache.gpu, cache.dram) if self._tiered else (cache,)
-        for tier in tiers:
-            if tier is None:
-                continue
-            entry = tier._entries.get(key)
-            if entry is None:
-                continue
-            is_col = key in tier._column_keys
-            if columnar:
-                return entry if is_col else entry[32:]
-            if not is_col:
-                return entry
-        return None
-
-    def _park_payload(self, key: int, blob, columnar: bool) -> None:
-        if columnar:
-            self.cache.put_columns(key, blob)
-        else:
-            self.cache.put(key, blob)
-
-    def _prefetch_wave_nodeagg(
-        self, batch_indices, n_workers: int, window
-    ) -> Generator:
-        """One rank's share of a node-aggregated wave fetch.
-
-        Protocol (deadlock-free by construction — leader duty never waits
-        on another rank, and subscribers only wait on leaders whose
-        publish depends on no one):
-
-        1. first arrival builds the node plan from the peers'
-           deterministic schedules; every rank pays the modelled plan CPU
-           (real deployments recompute it locally),
-        2. leader duty: wire-read the led samples this rank cannot serve
-           from its fast tiers or the node-shared NVMe tier (one
-           coalesced read per target, riding the retry/failover ladder),
-           publish the payloads, and trigger this rank's leader event,
-        3. subscribe: wait for the other leaders this rank's own demand
-           needs, then copy their payloads over the intra-node path into
-           the local cache — the ``"fanout"`` stage,
-        4. if the wave was aborted mid-wait (live-reshard drain), fetch
-           the unpublished residue over the normal per-rank wire path.
-        """
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
-        rank = self.comm.rank
-        t_start = engine.now
-        columnar = self.config.dataplane.columnar
-        coord = self._node_coordinator()
-        key = (self.generation, window.epoch, window.wave)
-        entry = coord.lookup(key, rank)
-        if entry is None:
-            demands = {
-                p: self._peer_wave_demand(p, window) for p in coord.participants
-            }
-            plan = self.planner.plan_node_wave(
-                demands,
-                coord.participants,
-                width=self.config.width,
-                node_of=self._machine.node_of_rank,
-                node=self._node_index,
-            )
-            entry = coord.register(key, plan, rank)
-        plan = entry.plan
-        # Modelled CPU of the node-scope merge: every rank recomputes the
-        # full plan locally (that is what makes it communication-free).
-        plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * max(1, plan.n_union)
-        yield engine.timeout(plan_s)
-        stats.add_prefetch_stage("plan", plan_s)
-
-        # -- leader duty -----------------------------------------------------
-        led = plan.led.get(rank, ())
-        publish: dict[int, np.ndarray] = {}
-        wire_keys: list[int] = []
-        for k in led:
-            blob = self._peek_cached_payload(k, columnar)
-            if blob is not None:
-                publish[k] = blob
-            else:
-                wire_keys.append(k)
-        n_promoted = 0
-        if wire_keys and self._tiered:
-            stage_keys = [
-                k for k in wire_keys if self.cache.nvme_resident(k, column=columnar)
-            ]
-            if stage_keys:
-                n_promoted, stage_wall = self.cache.stage_up(
-                    stage_keys, engine.now, column=columnar
-                )
-                if stage_wall:
-                    yield engine.timeout(stage_wall)
-                    stats.add_prefetch_stage("promote", stage_wall)
-                still = []
-                for k in wire_keys:
-                    blob = self._peek_cached_payload(k, columnar)
-                    if blob is not None:
-                        publish[k] = blob
-                    else:
-                        still.append(k)
-                wire_keys = still
-        d_timeouts = d_retries = d_failovers = 0
-        wire_bytes = 0
-        n_reads = 0
-        if wire_keys:
-            arr = np.asarray(wire_keys, np.int64)
-            owners, offsets, sizes = self.registry.locate_batch(arr)
-            wplan = self.planner.plan_batches(
-                [(owners + self._group_base, offsets, sizes)]
-            )
-            n_streams = max(1, n_workers) * max(1, len(batch_indices))
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                wplan.reads, n_streams=n_streams
-            )
-            for stage, seconds in outcome.stage_seconds.items():
-                stats.add_prefetch_stage(stage, seconds)
-            blobs: list[Optional[np.ndarray]] = [None] * wplan.n_requests
-            self._scatter(wplan, outcome, blobs, np.zeros(wplan.n_requests))
-            for k, blob in zip(wire_keys, blobs):
-                publish[k] = blob[32:] if columnar else blob
-            wire_bytes = wplan.total_bytes
-            n_reads = wplan.n_reads
-            stats.n_get_calls += n_reads
-            stats.bytes_transferred += wire_bytes
-        coord.publish(key, rank, publish)
-        led_bytes = sum(int(b.nbytes) for b in publish.values())
-
-        # -- subscribe + fan in ---------------------------------------------
-        my_demand = plan.demand.get(rank, ())
-        need = [k for k in my_demand if not self._wave_resident(k)]
-        n_parked = 0
-        for k in need:
-            if plan.leader_of[k] == rank and k in publish:
-                self._park_payload(k, publish[k], columnar)
-                n_parked += 1
-        sub = [k for k in need if plan.leader_of[k] != rank]
-        for leader in dict.fromkeys(plan.leader_of[k] for k in sub):
-            ev = entry.events.get(leader)
-            if ev is not None and not ev.triggered:
-                yield ev
-        fan_keys = [k for k in sub if k in entry.blobs]
-        residue = [k for k in sub if k not in entry.blobs]
-        fan_bytes = 0
-        if fan_keys:
-            t_fan = engine.now
-            fan_bytes = sum(int(entry.blobs[k].nbytes) for k in fan_keys)
-            fan_s = self._local_copy_base + fan_bytes / self._local_copy_bw
-            yield engine.timeout(fan_s)
-            stats.add_prefetch_stage("fanout", fan_s)
-            for k in fan_keys:
-                self._park_payload(k, entry.blobs[k], columnar)
-            n_parked += len(fan_keys)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.fanout",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_fan,
-                    end=engine.now,
-                    n=len(fan_keys),
-                    nbytes=fan_bytes,
-                    **(
-                        {"tenant": self._tenant, "qos": self._qos}
-                        if self._tenant
-                        else {}
-                    ),
-                )
-        if residue:
-            # Aborted leaders (drain fence): self-fetch over the normal
-            # per-rank path — correct bytes, just without the savings.
-            arr = np.asarray(residue, np.int64)
-            owners, offsets, sizes = self.registry.locate_batch(arr)
-            rplan = self.planner.plan_batches(
-                [(owners + self._group_base, offsets, sizes)]
-            )
-            outcome, r_t, r_r, r_f = yield from self._fetch_reads(
-                rplan.reads, n_streams=max(1, n_workers)
-            )
-            d_timeouts += r_t
-            d_retries += r_r
-            d_failovers += r_f
-            for stage, seconds in outcome.stage_seconds.items():
-                stats.add_prefetch_stage(stage, seconds)
-            blobs = [None] * rplan.n_requests
-            self._scatter(rplan, outcome, blobs, np.zeros(rplan.n_requests))
-            for k, blob in zip(residue, blobs):
-                self._park_payload(k, blob[32:] if columnar else blob, columnar)
-            n_parked += len(residue)
-            wire_bytes += rplan.total_bytes
-            n_reads += rplan.n_reads
-            stats.n_get_calls += rplan.n_reads
-            stats.bytes_transferred += rplan.total_bytes
-        coord.finish(key, rank)
-
-        # -- accounting ------------------------------------------------------
-        requested = plan.demand_bytes.get(rank, 0)
-        stats.n_prefetch_waves += 1
-        stats.n_prefetched += n_parked
-        stats.bytes_prefetched += wire_bytes
-        stats.n_node_waves += 1
-        stats.n_fanout += len(fan_keys)
-        stats.bytes_fanout += fan_bytes
-        stats.bytes_node_requested += requested
-        stats.bytes_node_wire += wire_bytes
-
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_prefetch_waves", 1),
-                ("n_prefetched", n_parked),
-                ("n_promoted", n_promoted),
-                ("bytes_prefetched", wire_bytes),
-                ("n_get_calls", n_reads),
-                ("bytes_transferred", wire_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-                # FetchStats-named node counters, so the harness roll-up
-                # (which sums the fetch/prefetch families) sees them.
-                ("n_node_waves", 1),
-                ("n_fanout", len(fan_keys)),
-                ("bytes_fanout", fan_bytes),
-                ("bytes_node_requested", requested),
-                ("bytes_node_wire", wire_bytes),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.prefetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            for cname, val in (
-                ("n_node_waves", 1),
-                ("requested_bytes", requested),
-                ("wire_bytes", wire_bytes),
-                ("wire_bytes_saved", fan_bytes),
-                ("fanout_bytes", fan_bytes),
-                ("n_fanout", len(fan_keys)),
-                ("n_leader_reads", n_reads),
-                ("led_bytes", led_bytes),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.node",
-                        counter=cname,
-                        rank=track,
-                        node=self._node_index,
-                        generation=self.generation,
-                    ).inc(val)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m, track, n_parked, engine.now - t_start, wire_bytes, 0.0
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.prefetch_wave",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=n_parked,
-                n_reads=n_reads,
-                nbytes=wire_bytes,
-                n_batches=len(batch_indices),
-                nodeagg=1,
-                epoch=window.epoch,
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
-        return n_parked
-
-    def _wave_resident(self, key: int) -> bool:
-        """Is ``key`` already servable from this rank's fast tiers (the
-        wave-prefetch skip test — no stats side effects)?"""
-        if self._tiered:
-            return self.cache.fast_resident(key)
-        return key in self.cache
-
-    def _fetch_reads(self, reads, n_streams: int) -> Generator:
-        """Execute planned reads through the configured resilience ladder.
-
-        The single wire-issue point shared by the demand path, the wave
-        prefetcher, and the arena path: with resilience enabled reads ride
-        the timeout/retry/failover machinery, otherwise they go straight
-        to the transport.  Session-scoped handles additionally pass the
-        reads through their :class:`~repro.serving.TenantLane` first —
-        the per-target DRR grant plus the per-tenant in-flight byte cap —
-        and charge the wait to the ``"queue"`` stage.  Returns
-        ``(outcome, n_timeouts, n_retries, n_failovers)`` with the
-        cumulative stats counters already updated.
-        """
-        lane = self._lane
-        queue_wait = 0.0
-        if lane is not None:
-            engine = self.comm.engine
-            t_queue = engine.now
-            yield from lane.acquire(reads)
-            queue_wait = engine.now - t_queue
-            if queue_wait:
-                obs = self.comm.communicator.world.obs
-                if obs.tracing:
-                    obs.tracer.record(
-                        "store.queue",
-                        cat="store.stage",
-                        track=self.comm.world_rank,
-                        lane=1,
-                        start=t_queue,
-                        end=engine.now,
-                        tenant=self._tenant,
-                    )
-        try:
-            res = self.config.resilience
-            if res.enabled:
-                reroute = (
-                    self._reroute if res.failover and self.n_replicas > 1 else None
-                )
-                retry_out = yield from fetch_with_retry(
-                    self.transport,
-                    reads,
-                    policy=RetryPolicy.from_options(res),
-                    engine=self.comm.engine,
-                    n_streams=n_streams,
-                    reroute=reroute,
-                    obs=self.comm.communicator.world.obs,
-                    track=self.comm.world_rank,
-                )
-                self.stats.n_timeouts += retry_out.n_timeouts
-                self.stats.n_retries += retry_out.n_retries
-                self.stats.n_failovers += retry_out.n_failovers
-                outcome = retry_out.outcome
-                counters = (
-                    retry_out.n_timeouts,
-                    retry_out.n_retries,
-                    retry_out.n_failovers,
-                )
-            else:
-                outcome = yield from self.transport.fetch(reads, n_streams=n_streams)
-                counters = (0, 0, 0)
-        finally:
-            if lane is not None:
-                lane.release(reads)
-        if queue_wait:
-            outcome.stage_seconds["queue"] = (
-                outcome.stage_seconds.get("queue", 0.0) + queue_wait
-            )
-        return (outcome,) + counters
-
-    @staticmethod
-    def _scatter(plan, outcome, blobs, latencies) -> None:
-        """Reassemble per-sample payloads out of the reads' payloads."""
-        read_lat = outcome.latencies
-        totals: dict[int, int] = {}
-        for read in plan.reads:
-            for sl in read.slices:
-                end = sl.sample_offset + sl.nbytes
-                if end > totals.get(sl.position, 0):
-                    totals[sl.position] = end
-        for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
-            lat = float(read_lat[r]) if read_lat is not None else 0.0
-            for sl in read.slices:
-                p = sl.position
-                piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
-                if sl.sample_offset == 0 and sl.nbytes == totals[p]:
-                    blobs[p] = piece.copy()  # whole sample in one slice
-                    SAMPLE_ALLOCATIONS.bump()
-                else:
-                    if blobs[p] is None:
-                        blobs[p] = np.empty(totals[p], dtype=np.uint8)
-                        SAMPLE_ALLOCATIONS.bump()
-                    blobs[p][sl.sample_offset : sl.sample_offset + sl.nbytes] = piece
-                latencies[p] = max(latencies[p], lat)
 
     def _reroute(self, read: PlannedRead, attempt: int) -> Optional[int]:
         """Failover target for a timed-out read: the same chunk's owner in
@@ -1931,8 +571,8 @@ class DDStore:
         everything a concurrent tenant must not share: its
         :class:`FetchStats`, its partition of the sample cache
         (``cache``), and its :class:`~repro.serving.TenantLane` (``lane``,
-        the DRR/in-flight-byte gate ``_fetch_reads`` consults before wire
-        issue).  Closing a view never releases the parent's DRAM
+        the DRR/in-flight-byte gate the pipeline's fetch stage consults
+        before wire issue).  Closing a view never releases the parent's DRAM
         accounting; closing the parent store invalidates every view's
         wire path the usual way (the transport is shared).
 
@@ -1979,29 +619,6 @@ class DDStore:
                 fair_interleave=True,
             )
         return clone
-
-    def _publish_tenant(
-        self, m, track: int, n_samples: int, seconds: float,
-        wire_bytes: int, queue_seconds: float,
-    ) -> None:
-        """Roll this call up into the ``ddstore.tenant`` metric family
-        (labels: tenant, qos, counter, rank).  No-op on plain stores."""
-        if self._tenant is None:
-            return
-        for cname, val in (
-            ("n_samples", n_samples),
-            ("fetch_seconds", seconds),
-            ("wire_bytes", wire_bytes),
-            ("queue_seconds", queue_seconds),
-        ):
-            if val:
-                m.counter(
-                    "ddstore.tenant",
-                    tenant=self._tenant,
-                    qos=self._qos or "default",
-                    counter=cname,
-                    rank=track,
-                ).inc(val)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -2191,43 +808,15 @@ class _StoreSource:
                         slices=(),
                     )
                 )
-        # The bulk reads go through the same resilience ladder as the
-        # training-time fetch path: a reshard under a straggler/dark peer
-        # retries and fails over instead of silently stitching None
-        # payloads into the new chunk.
+        # The bulk reads go through the same fetch stage as training-time
+        # reads: a reshard under a straggler/dark peer retries and fails
+        # over (or, without resilience, raises) instead of silently
+        # stitching None payloads into the new chunk.
         payloads: list = []
         if remote_reads:
-            res = store.config.resilience
-            if res.enabled:
-                reroute = (
-                    store._reroute
-                    if res.failover and store.n_replicas > 1
-                    else None
-                )
-                retry_out = yield from fetch_with_retry(
-                    store.transport,
-                    remote_reads,
-                    policy=RetryPolicy.from_options(res),
-                    engine=engine,
-                    n_streams=self.n_workers,
-                    reroute=reroute,
-                    obs=store.comm.communicator.world.obs,
-                    track=store.comm.world_rank,
-                )
-                outcome = retry_out.outcome
-                store.stats.n_timeouts += retry_out.n_timeouts
-                store.stats.n_retries += retry_out.n_retries
-                store.stats.n_failovers += retry_out.n_failovers
-            else:
-                outcome = yield from store.transport.fetch(
-                    remote_reads, n_streams=self.n_workers
-                )
-                timed_out = outcome.timed_out
-                if timed_out is not None and timed_out.any():
-                    raise FetchTimeoutError(
-                        f"{int(timed_out.sum())} bulk reshard read(s) timed "
-                        "out (resilience disabled; no retry budget)"
-                    )
+            outcome, ladder = yield from pipeline.fetch(store, remote_reads, self.n_workers)
+            for name, n in ladder.items():
+                setattr(store.stats, name, getattr(store.stats, name) + n)
             payloads = outcome.payloads
         by_owner = dict(local_parts)
         by_owner.update({o: p for o, p in zip(remote_owners, payloads)})

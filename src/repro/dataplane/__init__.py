@@ -16,11 +16,15 @@ caches can be added without touching :class:`~repro.core.store.DDStore`:
 * :class:`SampleCache` — an optional per-rank byte-budgeted cache sitting
   in front of the transport (LRU or future-fed Belady eviction), with
   hit/miss/eviction counters.
+* :mod:`.pipeline` — the one ``resolve → plan → fetch → sink`` fetch
+  path every ``DDStore`` entry point runs, with its per-call accounting
+  (:class:`FetchStats`, stage spans, the ``ddstore.*`` metric families).
 * :class:`EpochScheduler` — epoch-ahead scheduling of the trainer's batch
   loads: depth-k prefetch under an in-flight byte budget, cross-batch
   wave fetches, and the Belady cache's future feed.
 """
 
+from . import pipeline
 from .cache import CacheStats, SampleCache, TieredCache, TierStats
 from .nodeagg import NodeFetchCoordinator, WaveWindow, node_coordinator
 from .planner import (
@@ -40,6 +44,7 @@ from .registry import (
     unregister_transport,
 )
 from .retry import FetchTimeoutError, RetryOutcome, RetryPolicy, fetch_with_retry
+from .stats import FETCH_STAGES, FetchStats
 from .transport import FetchOutcome, P2PTransport, RmaTransport, Transport
 
 __all__ = [
@@ -62,6 +67,9 @@ __all__ = [
     "CacheStats",
     "TierStats",
     "EpochScheduler",
+    "pipeline",
+    "FETCH_STAGES",
+    "FetchStats",
     "RetryPolicy",
     "RetryOutcome",
     "FetchTimeoutError",

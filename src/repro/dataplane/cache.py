@@ -33,6 +33,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from ..storage.serialization import HEADER_NBYTES
+
 __all__ = [
     "CacheStats",
     "TierStats",
@@ -248,6 +250,18 @@ class SampleCache:
         self.stats.hit_bytes += int(entry.nbytes)
         return entry
 
+    def peek(self, key: int) -> Optional[tuple[np.ndarray, bool]]:
+        """``(payload, is_column)`` for a resident ``key``, else None.
+
+        Stats-silent and recency-neutral: residency probes (the tiered
+        cache's tier walk, node-leader duty) must not perturb the
+        demand-path hit/miss counters or the eviction order.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        return entry, key in self._column_keys
+
     def get_columns(self, key: int) -> Optional[np.ndarray]:
         """Header-stripped column payload for ``key``, or None on a miss.
 
@@ -354,11 +368,6 @@ class SampleCache:
         self.used_bytes = 0
         self._future = {}
         self._clock = 0
-
-
-#: AGRF/AGRC per-record header size; NVMe-staged whole blobs carry it,
-#: column payloads demoted from the arena path do not.
-_HEADER_NBYTES = 32
 
 
 class TieredCache:
@@ -516,10 +525,10 @@ class TieredCache:
             cache = self.gpu if name == "gpu" else self.dram
             if cache is None:
                 continue
-            entry = cache._entries.get(key)
-            if entry is None:
+            got = cache.peek(key)
+            if got is None:
                 continue
-            is_col = key in cache._column_keys
+            entry, is_col = got
             if not column and is_col:
                 continue  # stripped payload cannot serve the row path
             cache._entries.move_to_end(key)
@@ -601,7 +610,7 @@ class TieredCache:
             else:
                 self.stats.row_hits += 1
             results[k] = (payload, has_header)
-            park = payload[_HEADER_NBYTES:] if (column and has_header) else payload
+            park = payload[HEADER_NBYTES:] if (column and has_header) else payload
             if self._admit_ok(self.dram, k, int(park.nbytes)):
                 self.dram.put_owned(k, park, column=column)
         return results, wall
@@ -629,7 +638,7 @@ class TieredCache:
             if not self.nvme.resident(k, column):
                 continue
             payload, has_header = self.nvme.get(k)
-            park = payload[_HEADER_NBYTES:] if (column and has_header) else payload
+            park = payload[HEADER_NBYTES:] if (column and has_header) else payload
             if not self._admit_ok(self.dram, k, int(park.nbytes)):
                 continue
             picked.append((k, payload, park))

@@ -1,0 +1,796 @@
+"""The fetch pipeline: resolve → plan → fetch → sink, written once.
+
+The paper's fetch is one short path — registry lookup, local memcpy,
+``MPI_Win_lock``/``MPI_Get``/unlock for the rest (§3).  Every way this
+repo moves sample bytes is that path with a different last step
+(diagram and the stage × entry-point table: DESIGN.md §4c):
+
+* **resolve** looks ids up in the registry and sorts them into local /
+  fast-tier hit / NVMe-promote / wire / zero-size (:class:`_CacheProbe`
+  is the only code that tells a flat cache from a tiered one),
+* **plan** is one :class:`~.planner.FetchPlanner` entry point,
+* **fetch** (:func:`fetch`) is the only wire-issue point in ``src/``,
+* a **sink** takes whole batches of payloads to where the caller wants
+  them: :class:`_RowSink` (``get_samples``), :class:`_ArenaSink`
+  (``get_batch_arena``), :class:`_ParkSink` (``prefetch_wave``) and
+  :class:`_NodeSink` (node-aggregated waves).
+
+:class:`_Call` owns one call's accounting: it is the only place that
+charges a stage, records its ``store.stage`` span, and publishes
+:class:`~.stats.FetchStats` and the ``ddstore.*`` metric families.
+
+Entry points take the *handle* they were invoked on (a ``DDStore`` or a
+``session_view`` clone of one) and read its per-handle state — stats,
+cache, lane, planner, transport, tenant labels, generation — so session
+views need no second pipeline type.  Nothing here imports ``repro.core``.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from typing import Generator, Optional
+
+import numpy as np
+
+from ..graphs import SAMPLE_ALLOCATIONS, BatchArena
+from ..storage import HEADER_NBYTES, SampleStats, decode_time, scatter_time, unpack_graph
+from .nodeagg import node_coordinator
+from .retry import FetchTimeoutError, RetryPolicy, fetch_with_retry
+
+__all__ = ["assemble", "fetch", "get_rows", "get_arena", "wave"]
+
+# Modelled CPU cost of building a fetch plan (numpy sort + merge sweep).
+_PLAN_BASE_S = 1.0e-6
+_PLAN_S_PER_REQ = 1.0e-8
+
+
+def _plan_seconds(n_requests: int) -> float:
+    return _PLAN_BASE_S + _PLAN_S_PER_REQ * n_requests
+
+
+def _record(h, name: str, cat: str, start: float, **args) -> None:
+    """Record a data-plane span on ``h``'s rank, ending now."""
+    obs = h.comm.communicator.world.obs
+    if obs.tracing:
+        track, end = h.comm.world_rank, h.comm.engine.now
+        obs.tracer.record(name, cat=cat, track=track, lane=1, start=start, end=end, **args)
+
+
+# -- fetch: the one wire-issue point -----------------------------------------
+def fetch(h, reads, n_streams: int) -> Generator:
+    """Execute planned reads: tenant lane → retry/failover ladder → transport.
+
+    Every wire read in ``src/`` is issued here.  Session-scoped handles
+    pass the reads through their :class:`~repro.serving.TenantLane` first
+    — the per-target DRR grant plus the per-tenant in-flight byte cap —
+    and the wait is reported as the outcome's ``"queue"`` stage.  With
+    resilience enabled the reads ride the timeout/retry/failover ladder;
+    otherwise they go straight to the transport and a read the transport
+    reports as timed out is an error (there is no retry budget).  Returns
+    ``(outcome, ladder)`` — ``ladder`` maps the resilience counters
+    (``n_timeouts``/``n_retries``/``n_failovers``) to what this batch
+    added; booking them is the caller's job.
+    """
+    engine = h.comm.engine
+    lane = h._lane
+    queue_wait = 0.0
+    if lane is not None:
+        t_queue = engine.now
+        yield from lane.acquire(reads)
+        queue_wait = engine.now - t_queue
+        if queue_wait:
+            _record(h, "store.queue", "store.stage", t_queue, tenant=h._tenant)
+    try:
+        res = h.config.resilience
+        if res.enabled:
+            out = yield from fetch_with_retry(
+                h.transport,
+                reads,
+                policy=RetryPolicy.from_options(res),
+                engine=engine,
+                n_streams=n_streams,
+                reroute=h._reroute if res.failover and h.n_replicas > 1 else None,
+                obs=h.comm.communicator.world.obs,
+                track=h.comm.world_rank,
+            )
+            outcome = out.outcome
+            ladder = {k: getattr(out, k) for k in ("n_timeouts", "n_retries", "n_failovers")}
+        else:
+            outcome = yield from h.transport.fetch(reads, n_streams=n_streams)
+            ladder = {}
+            timed_out = outcome.timed_out
+            if timed_out is not None and timed_out.any():
+                raise FetchTimeoutError(
+                    f"{int(timed_out.sum())} read(s) timed out "
+                    "(resilience disabled; no retry budget)"
+                )
+    finally:
+        if lane is not None:
+            lane.release(reads)
+    if queue_wait:
+        outcome.stage_seconds["queue"] = outcome.stage_seconds.get("queue", 0.0) + queue_wait
+    return outcome, ladder
+
+
+def assemble(plan, outcome, blobs, latencies) -> None:
+    """Reassemble per-sample payloads out of the reads' payloads."""
+    read_lat = outcome.latencies
+    totals: dict[int, int] = {}
+    for read in plan.reads:
+        for sl in read.slices:
+            end = sl.sample_offset + sl.nbytes
+            if end > totals.get(sl.position, 0):
+                totals[sl.position] = end
+    for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
+        lat = float(read_lat[r]) if read_lat is not None else 0.0
+        for sl in read.slices:
+            p = sl.position
+            piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
+            if sl.sample_offset == 0 and sl.nbytes == totals[p]:
+                blobs[p] = piece.copy()  # whole sample in one slice
+                SAMPLE_ALLOCATIONS.bump()
+            else:
+                if blobs[p] is None:
+                    blobs[p] = np.empty(totals[p], dtype=np.uint8)
+                    SAMPLE_ALLOCATIONS.bump()
+                blobs[p][sl.sample_offset : sl.sample_offset + sl.nbytes] = piece
+            latencies[p] = max(latencies[p], lat)
+
+
+def _strip_header(blob: np.ndarray) -> np.ndarray:
+    """A packed row's column bytes — what columnar stores park, publish
+    and scatter from (the arena map addresses them from ``HEADER_NBYTES``)."""
+    return blob[HEADER_NBYTES:]
+
+
+# -- accounting: one call's stages, spans, stats and metrics -----------------
+#: ``CacheStats`` field → the ``FetchStats`` counter its delta lands in.
+_CACHE_COUNTERS = {
+    "hits": "n_cache_hits", "misses": "n_cache_misses",
+    "evictions": "n_cache_evictions", "hit_bytes": "bytes_cache_hits",
+}
+
+
+class _Call:
+    """Accounting of one pipeline call on handle ``h``.
+
+    With depth-k prefetch several calls interleave on one handle, so
+    metric deltas come from this call's own charges (``stages``) and
+    counts (``counts``), never from a snapshot of the shared
+    :class:`~.stats.FetchStats`.  ``wave`` calls book stage time to
+    ``prefetch_stage_seconds`` and publish to ``ddstore.prefetch`` — wave
+    time overlaps compute, so it stays out of the demand breakdown.
+    """
+
+    def __init__(self, h, wave: bool = False) -> None:
+        self.h = h
+        self.stats = h.stats
+        self.engine = h.comm.engine
+        self.metrics = h.comm.communicator.world.obs.metrics
+        self.track = h.comm.world_rank
+        self.t_start = self.engine.now
+        self.wave = wave
+        self.stages: dict[str, float] = {}
+        self.counts: dict[str, int] = {}
+        self.labels = {"tenant": h._tenant, "qos": h._qos} if h._tenant else {}
+
+    def charge(self, stage: str, seconds: float) -> None:
+        if seconds:
+            book = self.stats.add_prefetch_stage if self.wave else self.stats.add_stage
+            book(stage, seconds)
+            self.stages[stage] = self.stages.get(stage, 0.0) + seconds
+
+    def count(self, name: str, n: int) -> None:
+        """Add ``n`` to this call's ``name`` counter, and to the handle's
+        ``FetchStats`` when it has that field (``n_promoted`` is
+        metrics-only)."""
+        if n:
+            self.counts[name] = self.counts.get(name, 0) + n
+            fields = self.stats.__dict__
+            if name in fields:
+                fields[name] += n
+
+    def spend(self, stage: str, seconds: float, **args) -> Generator:
+        """Wait out ``seconds`` of ``stage`` work, charge it, and record its
+        ``store.stage`` span — the only place that does either."""
+        t0 = self.engine.now
+        yield self.engine.timeout(seconds)
+        self.charge(stage, seconds)
+        _record(self.h, f"store.{stage}", "store.stage", t0, **args)
+
+    def fetch(self, plan, n_streams: int) -> Generator:
+        """The fetch stage for one plan: wire-issue, count, charge, trace."""
+        t0 = self.engine.now
+        outcome, ladder = yield from fetch(self.h, plan.reads, n_streams)
+        _record(
+            self.h, "store.fetch", "store.stage", t0, n_reads=plan.n_reads, nbytes=plan.total_bytes
+        )
+        self.count("n_get_calls", plan.n_reads)
+        self.count("bytes_transferred", plan.total_bytes)
+        for name, n in ladder.items():
+            self.count(name, n)
+        for stage, seconds in outcome.stage_seconds.items():
+            self.charge(stage, seconds)
+        return outcome
+
+    def publish(self, family: str, counters, **labels) -> None:
+        if self.metrics.enabled:
+            for cname, val in counters:
+                if val:
+                    self.metrics.counter(family, counter=cname, rank=self.track, **labels).inc(val)
+
+    def finish(self, span: str, n_samples: int, **span_args) -> None:
+        """Close the call: publish its counts (``ddstore.fetch`` |
+        ``ddstore.prefetch``), the tier deltas (``ddstore.tier``), the
+        tenant roll-up (``ddstore.tenant``) and the call-level span."""
+        h, m = self.h, self.metrics
+        family = "ddstore.prefetch" if self.wave else "ddstore.fetch"
+        self.publish(family, self.counts.items(), generation=h.generation)
+        if m.enabled and h._tiered:
+            tiers = h.cache.tier_counters()
+            for key, value in tiers.items():
+                delta = value - h._tier_base.get(key, 0)
+                if delta:
+                    tier, name = key.split(".", 1)
+                    m.counter("ddstore.tier", tier=tier, counter=name, rank=self.track).inc(delta)
+            h._tier_base = tiers
+        if h._tenant is not None:
+            rollup = dict(
+                n_samples=n_samples,
+                fetch_seconds=self.engine.now - self.t_start,
+                wire_bytes=self.counts.get("bytes_transferred", 0),
+                queue_seconds=self.stages.get("queue", 0.0),
+            )
+            qos = h._qos or "default"
+            self.publish("ddstore.tenant", rollup.items(), tenant=h._tenant, qos=qos)
+        _record(h, span, "store", self.t_start, n=n_samples, **span_args, **self.labels)
+
+    def finish_demand(self, span: str, latencies, decode_s: float) -> None:
+        """Book a demand call (its n_local/n_remote/bytes_* already counted)."""
+        h, stats = self.h, self.stats
+        # Cache counters accumulate as deltas against the last snapshot: the
+        # cache's own stats are cumulative and shared across stats resets.
+        cs = h.cache.stats.as_dict()
+        for src, name in _CACHE_COUNTERS.items():
+            self.count(name, cs[src] - h._cache_base[src])
+        h._cache_base = cs
+        stats.fetch_time += self.engine.now - self.t_start - decode_s
+        stats.decode_time += decode_s
+        if h.record_latencies:
+            stats.latencies.extend(latencies.tolist())
+        if self.metrics.enabled:
+            for stage, seconds in self.stages.items():
+                self.metrics.counter(
+                    "ddstore.stage_seconds", stage=stage, rank=self.track, generation=h.generation
+                ).inc(seconds)
+        got = self.counts.get
+        self.finish(
+            span, int(latencies.size), n_local=got("n_local", 0),
+            n_remote=got("n_remote", 0), n_cache_hits=got("n_cache_hits", 0),
+        )
+
+    def finish_wave(self, n_parked: int, n_promoted: int, n_batches: int, **span_args) -> None:
+        self.count("n_prefetch_waves", 1)
+        self.count("n_prefetched", n_parked)
+        self.count("n_promoted", n_promoted)
+        wire = self.counts.get("bytes_transferred", 0)
+        self.count("bytes_prefetched", wire)
+        self.finish(
+            "store.prefetch_wave", n_parked, n_reads=self.counts.get("n_get_calls", 0),
+            nbytes=wire, n_batches=n_batches, **span_args,
+        )
+
+
+# -- resolve -----------------------------------------------------------------
+class _CacheProbe:
+    """Residency questions resolve asks of the handle's cache — the only
+    code that tells a flat :class:`~.cache.SampleCache` (its own single
+    fast tier, nothing below) from a :class:`~.cache.TieredCache`."""
+
+    def __init__(self, h, column: bool) -> None:
+        cache = h.cache
+        self.cache, self.column, self.tiered = cache, column, h._tiered
+        # Bound once so per-sample loops pay no wrapper: ``hit(key)`` → the
+        # counted demand probe, ``(payload, has_header, cost)`` or None;
+        # ``resident(key)`` → in a per-rank tier (stats-silent); ``on_nvme``.
+        if self.tiered:
+            self.fast = [t for t in (cache.gpu, cache.dram) if t is not None]
+            self.hit = partial(cache.fast_get, column=column)
+            self.resident = cache.fast_resident
+            self.on_nvme = partial(cache.nvme_resident, column=column)
+        else:
+            self.fast = [cache]
+            self.resident = cache.__contains__
+            self.on_nvme = lambda key: False  # a flat cache has nothing below
+            get = cache.get_columns if column else cache.get
+            base, bw = h._local_copy_base, h._local_copy_bw
+
+            def hit(key: int):
+                entry = get(key)
+                if entry is None:
+                    return None
+                # A hit still costs the DRAM copy out of the cache.
+                return entry, not column, base + entry.nbytes / bw
+
+            self.hit = hit
+
+    def peek(self, key: int) -> Optional[np.ndarray]:
+        """Wire-format payload for ``key`` from a fast tier, or None —
+        stats-silent, so leader duty can serve node peers without touching
+        the demand-path counters.  Columnar stores want column bytes (a
+        resident whole blob serves by stripping); row stores need the
+        whole blob, header included."""
+        for tier in self.fast:
+            got = tier.peek(key)
+            if got is None:
+                continue
+            entry, is_column = got
+            if self.column:
+                return entry if is_column else _strip_header(entry)
+            if not is_column:
+                return entry
+        return None
+
+    def demand(self, idx, remote, latencies):
+        """Sort a demand call's remote positions into fast-tier hits
+        (``(position, payload, has_header)`` triples, plus their summed
+        cost), NVMe promotions (``keys, positions``) and full misses."""
+        cache, column, tiered = self.cache, self.column, self.tiered
+        hit_of, on_nvme = self.hit, self.on_nvme
+        hits: list[tuple] = []
+        promote: tuple[list, list] = ([], [])
+        missed = []
+        cache_time = 0.0
+        for p in remote:
+            key = int(idx[p])
+            hit = hit_of(key)
+            if hit is not None:
+                payload, has_header, cost = hit
+                hits.append((int(p), payload, has_header))
+                latencies[p] = cost
+                cache_time += cost
+            elif not tiered:
+                missed.append(p)  # a flat cache's get() counted the miss
+            elif on_nvme(key):
+                promote[0].append(key)
+                promote[1].append(int(p))
+            else:
+                cache.count_miss(column=column)
+                missed.append(p)
+        return hits, cache_time, promote, np.asarray(missed, dtype=np.int64)
+
+
+def _remote_demand(h, batches, group_rank: int):
+    """Per non-empty batch, the ``(keys, owners, offsets, sizes)`` of the
+    samples group member ``group_rank`` must fetch: not its own, not
+    zero-size, each id once across the whole wave (first occurrence)."""
+    seen: set[int] = set()
+    for batch in batches:
+        idx = np.asarray(list(batch), dtype=np.int64)
+        if idx.size == 0:
+            continue
+        owners, offsets, sizes = h.registry.locate_batch(idx)
+        keep = []
+        for p in np.flatnonzero((owners != group_rank) & (sizes != 0)).tolist():
+            key = int(idx[p])
+            if key not in seen:
+                seen.add(key)
+                keep.append(p)
+        yield idx[keep], owners[keep], offsets[keep], sizes[keep]
+
+
+# -- sinks -------------------------------------------------------------------
+class _RowSink:
+    """Row decode: per-sample blobs, deserialised at the end
+    (``decode=False`` → header-only :class:`SampleStats`, ``"raw"`` → the
+    packed bytes with no decode charged)."""
+
+    column = False
+
+    def __init__(self, h, idx, decode) -> None:
+        self.h, self.idx, self.decode = h, idx, decode
+        self.blobs: list[Optional[np.ndarray]] = [None] * idx.size
+        self.sizes = None  # set by the demand driver once the batch is located
+
+    def local(self, positions, buf, offsets) -> None:
+        sizes, blobs = self.sizes, self.blobs
+        for p in positions:
+            off = int(offsets[p])
+            blobs[p] = buf[off : off + int(sizes[p])].copy()
+        SAMPLE_ALLOCATIONS.bump(int(positions.size))
+
+    def place(self, found) -> None:
+        for p, payload, _has_header in found:
+            self.blobs[p] = payload.copy()
+        SAMPLE_ALLOCATIONS.bump(len(found))
+
+    def empty(self, positions) -> None:
+        for p in positions:
+            self.blobs[p] = np.zeros(0, dtype=np.uint8)
+
+    def wire(self, plan, outcome, latencies, positions) -> None:
+        assemble(plan, outcome, self.blobs, latencies)
+        cache = self.h.cache
+        if cache.enabled:
+            for p in positions:
+                cache.put(int(self.idx[p]), self.blobs[p])
+
+    def finish(self, call: _Call, latencies, workers: int) -> Generator:
+        if self.decode == "raw":
+            return self.blobs, 0.0
+        machine = self.h._machine
+        sizes = self.sizes
+        dec = np.fromiter((decode_time(machine, int(s)) for s in sizes), np.float64, sizes.size)
+        decode_s = float(dec.sum())
+        yield from call.spend("decode", decode_s / workers, n=int(self.idx.size))
+        latencies += dec
+        if self.decode:
+            SAMPLE_ALLOCATIONS.bump(len(self.blobs))
+            return [unpack_graph(b) for b in self.blobs], decode_s
+        return [SampleStats.from_blob(b) for b in self.blobs], decode_s
+
+
+class _ArenaSink:
+    """Arena scatter: scatter destinations — ``(field, offset)`` pairs in
+    the arena's preallocated buffers — derive from the registry's shape
+    index *before* any bytes move, so local copies, cache hits, promoted
+    shards and wire payloads all land directly in their final batch
+    position.  No per-sample ndarray is ever allocated."""
+
+    column = True
+
+    def __init__(self, h, idx, arena: BatchArena) -> None:
+        shapes = h.registry.shapes
+        sids, nn, ne = h.registry.shape_batch(idx)
+        arena.reset(nn, ne, shapes.feature_dim, shapes.output_dim, sids)
+        self.h, self.idx, self.arena = h, idx, arena
+        self.smap = h.planner.plan_arena(nn, ne, shapes.feature_dim, shapes.output_dim)
+        self.fields = tuple(arena.field_bytes[name] for name in BatchArena._FIELDS)
+        self.sizes = None  # set by the demand driver once the batch is located
+
+    def local(self, positions, buf, offsets) -> None:
+        scatter, fields, sizes = self.smap.scatter, self.fields, self.sizes
+        for p in positions:
+            off, nb = int(offsets[p]), int(sizes[p])
+            scatter(int(p), 0, nb, buf[off : off + nb], fields)
+
+    def place(self, found) -> None:
+        # A whole blob scatters from byte 0 (the map skips the header
+        # itself); column payloads start where the header would end.
+        scatter, fields = self.smap.scatter, self.fields
+        for p, payload, whole in found:
+            lo = 0 if whole else HEADER_NBYTES
+            scatter(p, lo, lo + int(payload.nbytes), payload, fields)
+
+    def empty(self, positions) -> None:
+        pass
+
+    def wire(self, plan, outcome, latencies, positions) -> None:
+        scatter, fields, sizes = self.smap.scatter, self.fields, self.sizes
+        cache = self.h.cache
+        park = cache.enabled
+        read_lat = outcome.latencies
+        for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
+            lat = float(read_lat[r]) if read_lat is not None else 0.0
+            for sl in read.slices:
+                p = sl.position
+                piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
+                scatter(p, sl.sample_offset, sl.sample_offset + sl.nbytes, piece, fields)
+                latencies[p] = max(latencies[p], lat)
+                if park and sl.sample_offset == 0 and sl.nbytes == int(sizes[p]):
+                    # Whole sample in one slice: park its column bytes
+                    # for future arena batches.
+                    cache.put_columns(int(self.idx[p]), _strip_header(piece))
+
+    def finish(self, call: _Call, latencies, workers: int) -> Generator:
+        arena, smap, n = self.arena, self.smap, self.idx.size
+        arena.shift_edges()
+        nbytes = int(self.sizes.sum()) + int(arena.edge_index.nbytes)
+        wait = scatter_time(self.h._machine, nbytes, smap.n_segments) / workers
+        yield from call.spend("scatter", wait, n=int(n), n_segments=smap.n_segments)
+        latencies += wait / n
+        return latencies, 0.0
+
+
+class _ParkSink:
+    """Cache park: wave payloads land in the handle's cache in the format
+    its demand path reads back — whole blobs on row stores,
+    header-stripped column bytes on columnar ones."""
+
+    def __init__(self, h) -> None:
+        self.h = h
+        self.columnar = h.config.dataplane.columnar
+        self.n_parked = 0
+
+    def stage_up(self, call: _Call, keys) -> Generator:
+        """Lift NVMe-resident ``keys`` into the fast tiers ahead of demand
+        (the wave paths' "promote" stage).  Returns how many moved."""
+        n, wall = self.h.cache.stage_up(keys, call.engine.now, column=self.columnar)
+        if wall:
+            yield from call.spend("promote", wall, n=n)
+        return n
+
+    def payloads(self, plan, outcome) -> list:
+        blobs: list = [None] * plan.n_requests
+        assemble(plan, outcome, blobs, np.zeros(plan.n_requests))
+        return [_strip_header(b) for b in blobs] if self.columnar else blobs
+
+    def park(self, keys, payloads) -> None:
+        cache = self.h.cache
+        put = cache.put_columns if self.columnar else cache.put
+        for key, payload in zip(keys, payloads):
+            put(key, payload)
+        self.n_parked += len(keys)
+
+    def wire(self, keys, plan, outcome) -> None:
+        self.park(keys, self.payloads(plan, outcome))
+
+
+class _NodeSink(_ParkSink):
+    """Node publish + fan-in: a leader's payloads go to the node
+    rendezvous instead of its own cache; subscribers park what other
+    leaders published, at the intra-node copy rate."""
+
+    def __init__(self, h, coord, key, entry) -> None:
+        super().__init__(h)
+        self.coord, self.key, self.entry = coord, key, entry
+        self.published: dict[int, np.ndarray] = {}
+
+    def offer(self, keys, probe: _CacheProbe) -> list:
+        """Publish what this rank's fast tiers already hold; return the rest."""
+        rest = []
+        for k in keys:
+            blob = probe.peek(k)
+            if blob is None:
+                rest.append(k)
+            else:
+                self.published[k] = blob
+        return rest
+
+    def lead(self, keys, plan, outcome) -> None:
+        self.published.update(zip(keys, self.payloads(plan, outcome)))
+
+    def publish(self) -> int:
+        """Leader duty done: wake subscribers.  Returns the bytes led."""
+        self.coord.publish(self.key, self.h.comm.rank, self.published)
+        return sum(int(b.nbytes) for b in self.published.values())
+
+    def fan_in(self, call: _Call, keys) -> Generator:
+        """Copy other leaders' payloads for ``keys`` into the local cache
+        (the ``"fanout"`` stage).  Returns the bytes copied."""
+        blobs = self.entry.blobs
+        nbytes = sum(int(blobs[k].nbytes) for k in keys)
+        seconds = self.h._local_copy_base + nbytes / self.h._local_copy_bw
+        yield from call.spend("fanout", seconds, n=len(keys), nbytes=nbytes, **call.labels)
+        self.park(keys, [blobs[k] for k in keys])
+        return nbytes
+
+
+# -- entry points ------------------------------------------------------------
+def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
+    """One demand call: promote → plan → fetch → copy → cache → decode|scatter."""
+    call = _Call(h)
+    workers = max(1, n_workers)
+    owners, offsets, sizes = h.registry.locate_batch(idx)
+    sink.sizes = sizes
+    local_mask = owners == h.group_comm.rank
+    latencies = np.zeros(idx.size, dtype=np.float64)
+
+    # -- local samples: straight memcpy out of the own buffer --------------
+    local = np.nonzero(local_mask)[0]
+    local_time = 0.0
+    if local.size:
+        sink.local(local, h.transport.local_buffer(), offsets)
+        copy_times = h._local_copy_base + sizes[local] / h._local_copy_bw
+        latencies[local] = copy_times
+        local_time = float(copy_times.sum())
+
+    # -- remote samples: resolve against the cache -------------------------
+    wanted = np.nonzero(~local_mask)[0]
+    cache_time = 0.0
+    if h.cache.enabled and wanted.size:
+        probe = _CacheProbe(h, sink.column)
+        hits, cache_time, (promote_keys, promote_at), wanted = probe.demand(idx, wanted, latencies)
+        if hits:
+            sink.place(hits)
+        if promote_keys:
+            # Tiered cache: one batched NVMe→DRAM read for the whole call.
+            results, wall = h.cache.promote_batch(promote_keys, call.engine.now, column=sink.column)
+            if wall:
+                yield from call.spend("promote", wall, n=len(promote_keys))
+            sink.place([(p, *results[k]) for p, k in zip(promote_at, promote_keys)])
+            latencies[promote_at] = wall
+
+    # Zero-size samples need no bytes on the wire, but they are still
+    # remote samples this call served — count them as such.
+    n_zero = 0
+    if wanted.size:
+        zero = sizes[wanted] == 0
+        if zero.any():
+            sink.empty(wanted[zero])
+            n_zero = int(zero.sum())
+            wanted = wanted[~zero]
+
+    if wanted.size:
+        plan = h.planner.plan(
+            owners[wanted] + h._group_base, offsets[wanted], sizes[wanted], positions=wanted
+        )
+        yield from call.spend("plan", _plan_seconds(int(wanted.size)), n_reads=plan.n_reads)
+        outcome = yield from call.fetch(plan, workers)
+        sink.wire(plan, outcome, latencies, wanted)
+
+    if local_time:
+        yield from call.spend("copy", local_time / workers, n=int(local.size))
+    if cache_time:
+        yield from call.spend("cache", cache_time / workers)
+    result, decode_s = yield from sink.finish(call, latencies, workers)
+    call.count("n_local", int(local.size))
+    call.count("n_remote", int(wanted.size) + n_zero)
+    call.count("bytes_local", int(sizes[local].sum()))
+    call.count("bytes_remote", int(sizes[wanted].sum()))
+    call.finish_demand(span, latencies, decode_s)
+    return result
+
+
+def get_rows(h, idx, decode, n_workers: int) -> Generator:
+    """``DDStore.get_samples`` for a non-empty id array."""
+    return (yield from _demand(h, idx, _RowSink(h, idx, decode), n_workers, "store.get_samples"))
+
+
+def get_arena(h, idx, arena: BatchArena, n_workers: int) -> Generator:
+    """``DDStore.get_batch_arena``: resets ``arena`` to the batch's shape,
+    fills it, returns the per-sample latency array."""
+    sink = _ArenaSink(h, idx, arena)
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    return (yield from _demand(h, idx, sink, n_workers, "store.get_batch"))
+
+
+def wave(h, batch_indices, n_workers: int, window) -> Generator:
+    """``DDStore.prefetch_wave``: promote → plan → fetch → park."""
+    if not h.cache.enabled:
+        return 0
+    if window is not None and h.config.dataplane.node_fetch and h.transport.supports_coalescing:
+        return (yield from _node_wave(h, batch_indices, n_workers, window))
+    call = _Call(h, wave=True)
+    sink = _ParkSink(h)
+    probe = _CacheProbe(h, sink.columnar)
+    groups, keys, stage_keys = [], [], []
+    for ids, owners, offsets, sizes in _remote_demand(h, batch_indices, h.group_comm.rank):
+        want = []
+        for i, key in enumerate(ids.tolist()):
+            if probe.resident(key):
+                continue
+            if probe.tiered and probe.on_nvme(key):
+                # Resident one tier down: no wire read needed — stage the
+                # bytes upward ahead of demand instead.
+                stage_keys.append(key)
+                continue
+            want.append(i)
+            keys.append(key)
+        if want:
+            groups.append((owners[want] + h._group_base, offsets[want], sizes[want]))
+    if not groups and not stage_keys:
+        return 0
+
+    n_promoted = 0
+    if stage_keys:
+        n_promoted = yield from sink.stage_up(call, stage_keys)
+    if groups:
+        plan = h.planner.plan_batches(groups)
+        yield from call.spend("plan", _plan_seconds(plan.n_requests), n_reads=plan.n_reads)
+        # One issuing stream per wave batch (times the per-batch worker
+        # count): the wave replaces that many concurrent ``get_samples``
+        # pipelines, so it gets the same software-path concurrency.
+        outcome = yield from call.fetch(plan, max(1, n_workers) * len(groups))
+        sink.wire(keys, plan, outcome)
+    n_parked = sink.n_parked + n_promoted
+    span_args = {"epoch": window.epoch} if window is not None else {}
+    call.finish_wave(n_parked, n_promoted, len(groups), **span_args)
+    return n_parked
+
+
+def _node_wave(h, batch_indices, n_workers: int, window) -> Generator:
+    """One rank's share of a node-aggregated wave:
+    plan → promote → leader fetch → publish → wait → fanout → residue.
+
+    The first arrival builds the node plan from the peers' deterministic
+    schedules (every rank pays the modelled plan CPU — real deployments
+    recompute it locally).  Each rank then does its leader duty — wire-read
+    what it leads and cannot serve from its own tiers, publish — *before*
+    it subscribes to other leaders, so the wait graph is acyclic.  A wave
+    aborted mid-wait (live-reshard drain) self-fetches the unpublished
+    residue over the normal per-rank path.
+    """
+    call = _Call(h, wave=True)
+    rank = h.comm.rank
+    machine = h._machine
+    coord = node_coordinator(
+        h.comm.communicator.world, h._node_index, h._store_seq, h._tenant, call.engine,
+        tuple(r for r in range(h.comm.size) if machine.node_of_rank(r) == h._node_index),
+    )
+    key = (h.generation, window.epoch, window.wave)
+    entry = coord.lookup(key, rank)
+    if entry is None:
+        # Peer demand is recomputed locally from the shared deterministic
+        # schedule and ignores all cache state: the plan must be a pure
+        # function of (schedule, layout) so every rank derives it alike.
+        demands = {}
+        for peer in coord.participants:
+            parts = list(_remote_demand(h, window.peer_batches(peer), h.config.group_rank(peer)))
+            demands[peer] = (
+                tuple(np.concatenate(col) for col in zip(*parts))
+                if parts
+                else (np.zeros(0, np.int64),) * 4
+            )
+        plan = h.planner.plan_node_wave(
+            demands, coord.participants, width=h.config.width,
+            node_of=machine.node_of_rank, node=h._node_index,
+        )
+        entry = coord.register(key, plan, rank)
+    plan = entry.plan
+    yield from call.spend("plan", _plan_seconds(max(1, plan.n_union)), n_union=plan.n_union)
+
+    sink = _NodeSink(h, coord, key, entry)
+    probe = _CacheProbe(h, sink.columnar)
+
+    def fetch_keys(keys, n_streams: int) -> Generator:
+        """plan → fetch for explicit ids; returns ``(keys, plan, outcome)``."""
+        owners, offsets, sizes = h.registry.locate_batch(np.asarray(keys, np.int64))
+        wplan = h.planner.plan_batches([(owners + h._group_base, offsets, sizes)])
+        return keys, wplan, (yield from call.fetch(wplan, n_streams))
+
+    # -- leader duty ---------------------------------------------------------
+    wire_keys = sink.offer(plan.led.get(rank, ()), probe)
+    n_promoted = 0
+    stage_keys = [k for k in wire_keys if probe.on_nvme(k)]
+    if stage_keys:
+        n_promoted = yield from sink.stage_up(call, stage_keys)
+        wire_keys = sink.offer(wire_keys, probe)
+    if wire_keys:
+        n_streams = max(1, n_workers) * max(1, len(batch_indices))
+        sink.lead(*(yield from fetch_keys(wire_keys, n_streams)))
+    led_bytes = sink.publish()
+
+    # -- subscribe + fan in --------------------------------------------------
+    need = [k for k in plan.demand.get(rank, ()) if not probe.resident(k)]
+    own = [k for k in need if plan.leader_of[k] == rank and k in sink.published]
+    sink.park(own, [sink.published[k] for k in own])
+    sub = [k for k in need if plan.leader_of[k] != rank]
+    for leader in dict.fromkeys(plan.leader_of[k] for k in sub):
+        ev = entry.events.get(leader)
+        if ev is not None and not ev.triggered:
+            yield ev
+    fan_keys = [k for k in sub if k in entry.blobs]
+    residue = [k for k in sub if k not in entry.blobs]
+    fan_bytes = 0
+    if fan_keys:
+        fan_bytes = yield from sink.fan_in(call, fan_keys)
+    if residue:
+        # Aborted leaders (drain fence): self-fetch over the normal
+        # per-rank path — correct bytes, just without the savings.
+        sink.wire(*(yield from fetch_keys(residue, max(1, n_workers))))
+    coord.finish(key, rank)
+
+    requested = plan.demand_bytes.get(rank, 0)
+    wire = call.counts.get("bytes_transferred", 0)
+    # FetchStats-named node counters ride the prefetch family too, so the
+    # harness roll-up (which sums fetch + prefetch) sees them.
+    call.count("n_node_waves", 1)
+    call.count("n_fanout", len(fan_keys))
+    call.count("bytes_fanout", fan_bytes)
+    call.count("bytes_node_requested", requested)
+    call.count("bytes_node_wire", wire)
+    node = dict(
+        n_node_waves=1,
+        requested_bytes=requested,
+        wire_bytes=wire,
+        wire_bytes_saved=fan_bytes,
+        fanout_bytes=fan_bytes,
+        n_fanout=len(fan_keys),
+        n_leader_reads=call.counts.get("n_get_calls", 0),
+        led_bytes=led_bytes,
+    )
+    call.publish("ddstore.node", node.items(), node=h._node_index, generation=h.generation)
+    call.finish_wave(sink.n_parked, n_promoted, len(batch_indices), nodeagg=1, epoch=window.epoch)
+    return sink.n_parked

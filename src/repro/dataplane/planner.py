@@ -24,6 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..storage.serialization import HEADER_NBYTES
+
 __all__ = [
     "ReadSlice",
     "PlannedRead",
@@ -434,7 +436,6 @@ class FetchPlanner:
         edge_counts: Sequence[int] | np.ndarray,
         feature_dim: int,
         output_dim: int,
-        header_nbytes: int = 32,
     ) -> ArenaScatterMap:
         """Compute per-position arena scatter destinations for one batch.
 
@@ -461,7 +462,7 @@ class FetchPlanner:
         feat_nb = 4 * feature_dim * nn
         edge_nb = 4 * ne
         y_nb = 4 * output_dim
-        lo0 = np.full(P, header_nbytes, np.int64)
+        lo0 = np.full(P, HEADER_NBYTES, np.int64)
         lo1 = lo0 + pos_nb
         lo2 = lo1 + feat_nb
         lo3 = lo2 + edge_nb

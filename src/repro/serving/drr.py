@@ -1,8 +1,9 @@
 """Deficit-round-robin fairness for the multi-tenant serving layer.
 
 Two cooperating gates sit between a tenant session's fetch plan and the
-wire (both consulted from :meth:`DDStore._fetch_reads` through the
-session's :class:`TenantLane`):
+wire (both consulted from the pipeline's fetch stage,
+:func:`repro.dataplane.pipeline.fetch`, through the session's
+:class:`TenantLane`):
 
 * :class:`DrrArbiter` — one per RMA *target*, shared by every session of
   one service (across ranks: all rank coroutines run in the same engine,

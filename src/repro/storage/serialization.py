@@ -28,11 +28,21 @@ import numpy as np
 
 from ..graphs import AtomicGraph
 
-__all__ = ["pack_graph", "unpack_graph", "packed_size", "peek_header", "CodecError"]
+__all__ = [
+    "pack_graph",
+    "unpack_graph",
+    "packed_size",
+    "peek_header",
+    "CodecError",
+    "HEADER_NBYTES",
+]
 
 MAGIC = b"AGRF"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHqIIII")
+#: Size of the AGRF record header every packed row starts with — the one
+#: owner of that number (column payloads are rows with it stripped).
+HEADER_NBYTES = _HEADER.size
 
 
 class CodecError(ValueError):

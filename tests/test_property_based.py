@@ -399,8 +399,8 @@ def fetch_requests(draw):
 @given(fetch_requests(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_planner_scatter_roundtrip_byte_identical(case, coalesce):
-    from repro.core.store import DDStore
     from repro.dataplane import FetchOutcome, FetchPlanner
+    from repro.dataplane.pipeline import assemble
 
     buffers, requests, max_read = case
     targets = [r[0] for r in requests]
@@ -426,7 +426,7 @@ def test_planner_scatter_roundtrip_byte_identical(case, coalesce):
     )
     blobs = [None] * len(requests)
     latencies = [0.0] * len(requests)
-    DDStore._scatter(plan, outcome, blobs, latencies)
+    assemble(plan, outcome, blobs, latencies)
     for i, (t, off, size) in enumerate(requests):
         if size == 0:
             assert blobs[i] is None  # zero-size ids never reach the plan
