@@ -74,8 +74,10 @@ class ReaderSource:
         bulk = getattr(self.reader, "read_chunk_raw", None)
         if bulk is not None and indices and indices == list(range(indices[0], indices[-1] + 1)):
             blobs, t = bulk(indices[0], indices[-1] + 1, node_index, engine.now)
+            result = _pack_result(blobs)
+            del blobs  # every rank waits here at once: hold the chunk, not the spans too
             yield engine.timeout(max(0.0, t - engine.now))
-            return _pack_result(blobs)
+            return result
         blobs: list[bytes] = []
         for k, i in enumerate(indices):
             blob, t = self.reader.read_sample_raw(int(i), node_index, engine.now)
@@ -102,10 +104,10 @@ class GeneratorSource:
         return _pack_result(blobs)
 
 
-def _pack_result(blobs: list[bytes]) -> PreloadResult:
+def _pack_result(blobs: list) -> PreloadResult:
+    """Lay packed samples (any ``B``-format buffers) back to back: one copy
+    each, into a buffer ``np.concatenate`` sizes up front."""
     sizes = np.fromiter((len(b) for b in blobs), dtype=np.int64, count=len(blobs))
-    if blobs:
-        buffer = np.frombuffer(b"".join(blobs), dtype=np.uint8).copy()
-    else:
-        buffer = np.zeros(0, dtype=np.uint8)
+    pieces = [np.frombuffer(b, dtype=np.uint8) for b in blobs]
+    buffer = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
     return PreloadResult(buffer=buffer, sizes=sizes)

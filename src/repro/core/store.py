@@ -316,6 +316,7 @@ class DDStore:
         n = int(source.n_samples)
         blobs, t = bulk(0, n, node_index, engine.now)
         done = shard.stage(list(range(n)), blobs, t)
+        del blobs  # staged entries are copies; free the read spans before waiting
         if done > engine.now:
             yield engine.timeout(done - engine.now)
 

@@ -18,6 +18,9 @@ keeping per-sample byte sizes faithful to Table 1.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from ..sim.rng import stream
@@ -29,6 +32,8 @@ __all__ = ["SpectrumGenerator", "dftb_surrogate_spectrum", "gaussian_smooth_spec
 N_PEAKS = 50
 ENERGY_MIN_EV = 1.0
 ENERGY_MAX_EV = 8.0
+# np.exp(-0.5 * z * z) is exactly 0.0 in float64 for |z| beyond this
+_ZERO_BEYOND_SIGMAS = math.sqrt(2 * 745.14)
 
 
 def dftb_surrogate_spectrum(graph: AtomicGraph, n_peaks: int = N_PEAKS) -> tuple[np.ndarray, np.ndarray]:
@@ -66,16 +71,54 @@ def dftb_surrogate_spectrum(graph: AtomicGraph, n_peaks: int = N_PEAKS) -> tuple
     return peaks[order].astype(np.float32), intens[order].astype(np.float32)
 
 
+@functools.lru_cache(maxsize=8)
+def _energy_grid(grid_size: int) -> np.ndarray:
+    grid = np.linspace(ENERGY_MIN_EV, ENERGY_MAX_EV, grid_size)
+    grid.flags.writeable = False  # shared by every later call of this size
+    return grid
+
+
 def gaussian_smooth_spectrum(
     peaks: np.ndarray,
     intensities: np.ndarray,
     grid_size: int,
     sigma_ev: float = 0.15,
 ) -> np.ndarray:
-    """Broaden discrete peaks onto a regular energy grid (the 'smooth' set)."""
-    grid = np.linspace(ENERGY_MIN_EV, ENERGY_MAX_EV, grid_size)
-    diff = grid[None, :] - peaks[:, None].astype(np.float64)
-    spectrum = (intensities[:, None] * np.exp(-0.5 * (diff / sigma_ev) ** 2)).sum(axis=0)
+    """Broaden discrete peaks onto a regular energy grid (the 'smooth' set).
+
+    Bit-identical to the dense float64 formula
+    ``(w[:, None] * exp(-0.5 * ((grid - p[:, None]) / sigma) ** 2)).sum(axis=0)``:
+    same operations, peaks summed in the same (ascending) order, but one
+    peak at a time in one row buffer, and only over the grid window outside
+    which that peak's term is exactly zero (DESIGN.md, "Spectrum kernel").
+    """
+    p = np.asarray(peaks, dtype=np.float64)
+    w = np.asarray(intensities, dtype=np.float64)
+    sigma = float(sigma_ev)
+    if p.ndim != 1 or p.shape != w.shape:
+        raise ValueError(
+            f"peaks and intensities must be 1-D and the same length, got {p.shape} and {w.shape}"
+        )
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma_ev must be positive and finite, got {sigma_ev}")
+    if not (np.isfinite(p).all() and np.isfinite(w).all()):
+        raise ValueError("peaks and intensities must be finite")
+    grid = _energy_grid(grid_size)
+    reach = sigma * _ZERO_BEYOND_SIGMAS
+    lo = np.searchsorted(grid, p - reach, side="left").tolist()
+    hi = np.searchsorted(grid, p + reach, side="right").tolist()
+    spectrum = np.zeros(grid_size)  # +0.0, np.sum's start value: never turns into -0.0
+    row = np.empty(grid_size)
+    for p_k, w_k, a, b in zip(p.tolist(), w.tolist(), lo, hi):
+        term = np.subtract(grid[a:b], p_k, out=row[a:b])
+        term /= sigma
+        np.square(term, out=term)
+        term *= -0.5
+        np.exp(term, out=term)
+        term *= w_k
+        np.add(spectrum[a:b], term, out=spectrum[a:b])
     return spectrum.astype(np.float32)
 
 

@@ -305,16 +305,18 @@ class CFFReader:
 
     def read_chunk_raw(
         self, lo: int, hi: int, node_index: int, arrival: float
-    ) -> tuple[list[bytes], float]:
+    ) -> tuple[list[memoryview], float]:
         """Bulk sequential read of samples [lo, hi) — the preload fast path.
 
         Round-robin placement makes a contiguous id range occupy one
         contiguous byte span per subfile, so the whole chunk streams in
         ``n_subfiles`` large sequential reads instead of per-sample ones.
+        Samples come back as read-only views into those spans (no
+        per-sample copy); each view keeps its span alive.
         """
         if not 0 <= lo <= hi <= self.n_samples:
             raise IndexError(f"chunk [{lo}, {hi}) out of range")
-        blobs: dict[int, bytes] = {}
+        blobs: dict[int, memoryview] = {}
         t = arrival
         ids = np.arange(lo, hi)
         for k in np.unique(self.index.subfile[lo:hi]) if hi > lo else []:
@@ -328,8 +330,9 @@ class CFFReader:
                 f, node_index, span_lo, span_hi - span_lo, t, sequential=True
             )
             t = timing.completion + self._software_time()
-            for i, off, size in zip(sel, offs, sizes):
-                blobs[int(i)] = data[off - span_lo : off - span_lo + size]
+            span = memoryview(data)
+            for i, off, size in zip(sel.tolist(), (offs - span_lo).tolist(), sizes.tolist()):
+                blobs[i] = span[off : off + size]
         return [blobs[i] for i in range(lo, hi)], t
 
     def read_sample(

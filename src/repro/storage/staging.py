@@ -33,7 +33,7 @@ class NVMeStagedReader:
 
     def __init__(
         self,
-        blobs: list[bytes],
+        blobs: list,  # bytes, or the read-only views CFFReader.read_chunk_raw hands out
         device: NVMeDevice,
         machine: MachineSpec,
     ) -> None:
@@ -139,6 +139,8 @@ class NVMeShardStore:
         for key, blob in zip(keys, blobs):
             if key in self._entries:
                 continue
+            # bytes() detaches a bulk-read view from its span, so the part of
+            # the span that does not fit the tier is freed, not pinned.
             stored = np.frombuffer(bytes(blob), dtype=np.uint8)
             nbytes = int(stored.nbytes)
             if nbytes > self.free_bytes:

@@ -137,7 +137,10 @@ class VirtualFS:
                 f"read [{offset}, {offset + nbytes}) out of range for "
                 f"{f.path!r} ({f.size} bytes)"
             )
-        data = bytes(f.data[offset : offset + nbytes])
+        # One copy, and the view is gone before returning: the caller gets
+        # immutable bytes and the file stays appendable.
+        with memoryview(f.data) as view:
+            data = bytes(view[offset : offset + nbytes])
         logical_offset = int(offset * f.logical_scale)
         timing = self.pfs.read(
             node_index,
@@ -156,12 +159,11 @@ class VirtualFS:
         f, t_open = self.open_timed(path, arrival)
         chunk = 8 * 2**20
         t = t_open
-        out = bytearray()
-        for off in range(0, max(f.size, 1), chunk):
-            n = min(chunk, f.size - off)
-            if n <= 0:
-                break
-            data, timing = self.read_timed(f, node_index, off, n, t, sequential=True)
-            out.extend(data)
+        parts = []
+        for off in range(0, f.size, chunk):
+            data, timing = self.read_timed(
+                f, node_index, off, min(chunk, f.size - off), t, sequential=True
+            )
+            parts.append(data)
             t = timing.completion
-        return bytes(out), t
+        return (parts[0] if len(parts) == 1 else b"".join(parts)), t

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
-from repro.storage import CFFReader, CFFWriter, PFFReader, PFFWriter
+from repro.storage import CFFReader, CFFWriter, PFFReader, PFFWriter, pack_graph
 
 
 def run(fn, n_nodes=2, **kw):
@@ -213,6 +213,35 @@ def test_preload_from_cff():
     main, _gen = _with_files("cff")
     job = run(main)
     assert all(r == [3, 12] for r in job.results)
+
+
+@pytest.mark.parametrize("fmt", ["pff", "cff", "generator"])
+def test_preloaded_chunk_is_the_packed_samples_back_to_back(fmt):
+    gen = MoleculeGenerator(16, seed=4)  # variable sample sizes
+    packed = [pack_graph(gen.make(i)) for i in range(16)]
+
+    def main(ctx):
+        vfs = ctx.world.vfs
+        if ctx.rank == 0:
+            PFFWriter.write(vfs, "p", gen)
+            CFFWriter.write(vfs, "c", gen, n_subfiles=3)
+        yield from ctx.comm.barrier()
+        source = {
+            "pff": lambda: ReaderSource(PFFReader(vfs, "p", 16, ctx.world.machine)),
+            "cff": lambda: ReaderSource(CFFReader(vfs, "c", ctx.world.machine)),
+            "generator": lambda: GeneratorSource(gen, ctx.world.machine),
+        }[fmt]()
+        lo, hi = 3 * ctx.rank, 3 * ctx.rank + 5
+        result = yield from source.load_chunk(range(lo, hi), ctx.node_index, ctx.engine)
+        empty = yield from source.load_chunk(range(0), ctx.node_index, ctx.engine)
+        return lo, hi, result, empty
+
+    for lo, hi, result, empty in run(main).results:
+        assert result.buffer.dtype == np.uint8 and result.buffer.flags.writeable
+        assert result.buffer.tobytes() == b"".join(packed[lo:hi])
+        assert result.sizes.dtype == np.int64
+        assert result.sizes.tolist() == [len(b) for b in packed[lo:hi]]
+        assert empty.buffer.size == 0 and empty.sizes.size == 0
 
 
 def test_preload_takes_nonzero_time():

@@ -1,7 +1,10 @@
 """Tests for graph structures, collation, and dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
     AtomicGraph,
@@ -13,9 +16,11 @@ from repro.graphs import (
     collate,
     compute_stats,
     ising_energy,
+    gaussian_smooth_spectrum,
     make_generator,
 )
 from repro.graphs.ising import _lattice_topology
+from repro.storage import pack_graph
 
 
 def _tiny_graph(n=4, out_dim=2, sample_id=7):
@@ -242,6 +247,119 @@ def test_smooth_bytes_dominated_by_target():
     small = SpectrumGenerator(3, mode="smooth", grid_size=351, seed=0).make(0)
     big = SpectrumGenerator(3, mode="smooth", grid_size=37500, seed=0).make(0)
     assert big.nbytes > 20 * small.nbytes  # paper: smooth ~20x discrete files
+
+
+# ---------------------------------------------------------------------------
+# spectrum broadening kernel
+# ---------------------------------------------------------------------------
+
+def _dense_smooth_spectrum(peaks, intensities, grid_size, sigma_ev=0.15):
+    """The reference: every peak against every grid point, in float64."""
+    grid = np.linspace(1.0, 8.0, grid_size)
+    diff = grid[None, :] - peaks[:, None].astype(np.float64)
+    spectrum = (intensities[:, None] * np.exp(-0.5 * (diff / sigma_ev) ** 2)).sum(axis=0)
+    return spectrum.astype(np.float32)
+
+
+# Peaks at both ends of the window (a peak at 1.0 is > 5.79 eV from the
+# top of the grid, so part of the grid is skipped for it), duplicates,
+# mid-window, just outside and far outside [1, 8].
+_PEAK_EV = st.one_of(
+    st.sampled_from([1.0, 1.0, 8.0, 8.0, 1.2, 2.2, 4.5, 6.8, 7.9, 0.5, 9.3, -6.0, 15.0]),
+    st.floats(min_value=0.0, max_value=9.0, width=32),
+)
+_INTENSITY = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -0.5]),
+    st.floats(min_value=-2.0, max_value=2.0, width=32),
+)
+
+
+@given(
+    st.sampled_from([1, 2, 50]).flatmap(
+        lambda n: st.tuples(
+            st.lists(_PEAK_EV, min_size=n, max_size=n), st.lists(_INTENSITY, min_size=n, max_size=n)
+        )
+    ),
+    st.sampled_from([2, 351, 701, 37500]),
+    st.sampled_from([0.05, 0.15, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_smooth_spectrum_is_bit_identical_to_the_dense_formula(peaks_intens, grid_size, sigma_ev):
+    peaks = np.array(peaks_intens[0], dtype=np.float32)
+    intens = np.array(peaks_intens[1], dtype=np.float32)
+    got = gaussian_smooth_spectrum(peaks, intens, grid_size, sigma_ev)
+    want = _dense_smooth_spectrum(peaks, intens, grid_size, sigma_ev)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from +0.0
+
+
+def test_smooth_spectrum_skips_part_of_the_grid_and_stays_identical():
+    # One peak at each end: each leaves > 1 eV of the grid untouched.
+    peaks = np.array([1.0, 8.0], dtype=np.float32)
+    for intens in (np.array([0.7, 0.3], np.float32), np.array([-0.7, -0.3], np.float32)):
+        got = gaussian_smooth_spectrum(peaks, intens, 37500)
+        assert got.tobytes() == _dense_smooth_spectrum(peaks, intens, 37500).tobytes()
+    middle = gaussian_smooth_spectrum(peaks[:1], np.ones(1, np.float32), 37500)
+    assert middle[0] == 1.0 and not middle[-5000:].any()
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(sigma_ev=0.0), "sigma_ev"),
+        (dict(sigma_ev=-0.15), "sigma_ev"),
+        (dict(sigma_ev=float("nan")), "sigma_ev"),
+        (dict(grid_size=1), "grid_size"),
+        (dict(grid_size=0), "grid_size"),
+        (dict(intensities=np.ones(1, np.float32)), "same length"),
+        (dict(peaks=np.ones((3, 1), np.float32)), "1-D"),
+        (dict(peaks=np.array([1.0, np.nan, 2.0], np.float32)), "finite"),
+        (dict(intensities=np.array([1.0, np.inf, 2.0], np.float32)), "finite"),
+    ],
+)
+def test_smooth_spectrum_rejects_bad_input(kwargs, match):
+    args = dict(
+        peaks=np.array([2.0, 3.0, 4.0], np.float32),
+        intensities=np.ones(3, np.float32),
+        grid_size=351,
+    )
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        gaussian_smooth_spectrum(**args)
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: every registry dataset, packed, at two seeds
+# ---------------------------------------------------------------------------
+
+# sha256 over the concatenated pack_graph() output of the first n samples,
+# recorded at the commit before the spectrum kernel and the preload copy
+# chain were rewritten (4798b5e).  Any change to these bytes moves every
+# virtual-time metric and trace hash downstream.
+_GOLDEN_PREFIX = {"ising": 8, "aisd": 8, "aisd-ex-discrete": 8, "aisd-ex-smooth": 4,
+                  "aisd-ex-smooth-small": 8}
+_GOLDEN_SHA256 = {
+    ("ising", 0): "ad9fad67cbc13a340b034e01d34e56ae4d85a4b5c21a531687475f8a0d6809ee",
+    ("ising", 1): "7baaf2769a09794c10128a327ae051e5fa17eb42059318a4a9b98645a9661392",
+    ("aisd", 0): "97ac7c9ab0a3acba29c72e2364b2c1188dc9ef0dd12be385dc5f83ef73c530ad",
+    ("aisd", 1): "755210e0c029753cec9d36a7a11b85162d1c46969e3cca905aa9a84f6cb7ee10",
+    ("aisd-ex-discrete", 0): "efd198dccbdf5388cfa9b2e6bccad8f50a229791446ec56741a3d35a0646ffae",
+    ("aisd-ex-discrete", 1): "c2a69c26445a4a284405ba7d634d7b604b5098960ca38bf9dfb293ce665e3465",
+    ("aisd-ex-smooth", 0): "36422ace928210b5109566b0ecf1d7e665ac9915b1bc2e98f944935a9ac6a89d",
+    ("aisd-ex-smooth", 1): "0a69e2fb0b43e24b277b3d2e10b28c123ab9a9ec7b19917f028330221d9c4eb2",
+    ("aisd-ex-smooth-small", 0): "9b38302a5d13fbdca3000a87cddbeb2b391a0f61c04c23146a602bf2eb36499f",
+    ("aisd-ex-smooth-small", 1): "b26b33815870df8c840be6ba174f13853a50a831f6653953a57509f03c7bb467",
+}
+
+
+@pytest.mark.parametrize("dataset, seed", sorted(_GOLDEN_SHA256))
+def test_packed_dataset_bytes_match_golden_hashes(dataset, seed):
+    n = _GOLDEN_PREFIX[dataset]
+    gen = DATASETS[dataset].make(n, seed)
+    digest = hashlib.sha256()
+    for i in range(n):
+        digest.update(pack_graph(gen.make(i)))
+    assert digest.hexdigest() == _GOLDEN_SHA256[dataset, seed]
 
 
 # ---------------------------------------------------------------------------

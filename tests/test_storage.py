@@ -137,6 +137,31 @@ def test_vfs_read_whole_timed(vfs):
     assert done > 0
 
 
+def test_vfs_read_whole_timed_spans_chunks(vfs):
+    payload = bytes(np.random.default_rng(1).integers(0, 256, 17 * 2**20 + 5, dtype=np.uint8))
+    vfs.create("huge3", payload)  # three 8 MiB chunks
+    data, _ = vfs.read_whole_timed("huge3", 0, arrival=0.0)
+    assert isinstance(data, bytes) and data == payload
+    vfs.create("empty", b"")
+    assert vfs.read_whole_timed("empty", 0, arrival=0.0)[0] == b""
+
+
+@pytest.mark.parametrize("whole", [False, True])
+def test_vfs_reads_are_snapshots_and_leave_file_appendable(vfs, whole):
+    vfs.create("log", b"abcdef")
+    if whole:
+        data, _ = vfs.read_whole_timed("log", 0, arrival=0.0)
+    else:
+        data, _ = vfs.read_timed("log", 0, 0, 6, arrival=0.0)
+    assert type(data) is bytes
+    # A returned view of the bytearray would make this raise BufferError
+    # (or show the new contents through the old handle).
+    assert vfs.append("log", b"ghi" * 4096) == 6
+    vfs.stat("log").data[0:3] = b"XYZ"
+    assert data == b"abcdef"
+    assert vfs.read_timed("log", 0, 0, 9, arrival=0.0)[0] == b"XYZdefghi"
+
+
 def test_vfs_logical_scale_validation(vfs):
     with pytest.raises(ValueError):
         vfs.create("s", b"x", logical_scale=0.5)
@@ -287,7 +312,12 @@ def test_cff_read_chunk_raw_bulk_matches_per_sample(vfs):
     assert len(blobs) == 9
     for k, i in enumerate(range(2, 11)):
         expected, _ = reader.read_sample_raw(i, 0, 0.0)
+        assert type(expected) is bytes
         assert blobs[k] == expected
+        assert blobs[k].readonly and blobs[k].format == "B"
+    # pieces outlive an append to the container they were read from
+    vfs.append("bulk/data.0.bin", b"tail")
+    assert blobs[0] == reader.read_sample_raw(2, 0, 0.0)[0]
 
 
 def test_cff_read_chunk_raw_bounds(vfs):
