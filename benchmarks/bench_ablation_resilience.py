@@ -1,12 +1,14 @@
 """Ablation — fetch resilience under an injected 10x straggler rank.
 
 Three cells on a width-2 DDStore (N/2 replica groups, several per node):
-fault-free baseline, straggler with failover off (timeout + retry keep
-hammering the slow peer), and straggler with failover on (retries
-re-route to the nearest healthy replica's owner, normally on the same
-node).  Checks the acceptance bar: failover recovers at least
-half of the throughput the straggler cost, reruns are bit-deterministic,
-and the fetched byte counts match the fault-free run.
+fault-free baseline, straggler with failover off (nowhere else to go, so
+every read to the slow peer is waited out unbounded — no timeouts), and
+straggler with failover on (the peer is marked suspect at the first
+timeout and reads are steered to the nearest healthy replica's owner,
+normally on the same node).  Checks the acceptance bar: failover cuts the latency tail the
+straggler grew and recovers at least half of any throughput it cost,
+reruns are bit-deterministic, and the fetched byte counts match the
+fault-free run.
 """
 
 from conftest import run_once
@@ -23,10 +25,15 @@ def test_ablation_resilience(benchmark, profile):
     off = data["straggler, failover off"]
     on = data["straggler, failover on"]
 
-    # The straggler must actually hurt, and the resilience path must fire.
-    assert off["throughput"] < base["throughput"]
-    assert off["counters"]["n_timeouts"] > 0
-    assert on["counters"]["n_failovers"] > 0
+    # The straggler must actually hurt — the tail always, throughput where
+    # prefetch cannot hide it — and the resilience path must fire, only
+    # where a read has somewhere better to go.
+    assert off["p99"] > 2 * base["p99"]
+    assert off["throughput"] <= base["throughput"]
+    assert on["p99"] < off["p99"]  # failover cuts the tail the straggler grew
+    assert off["counters"]["n_timeouts"] == 0
+    assert on["counters"]["n_timeouts"] > 0
+    assert on["counters"]["n_failovers"] >= on["counters"]["n_retries"]  # + steered reads
 
     # Failover recovers >= 50% of the throughput the straggler cost.
     assert data["recovered_fraction"] >= 0.5

@@ -688,10 +688,13 @@ def ablation_resilience(profile: Optional[ScaleProfile] = None):
 
     Three cells on a width-2 store (the paper's Table 3 sweet spot —
     every chunk has an owner in N/2 replica groups, several per node): a
-    fault-free baseline, a 10x straggler rank with failover *off*
-    (timeout + retry only — retried reads keep hammering the slow peer),
-    and the same straggler with failover *on* (retries re-route to the
-    nearest healthy replica's owner, normally on the same node).
+    fault-free baseline, a 10x straggler rank with failover *off* (a read
+    with nowhere else to go is never abandoned: every read to the slow
+    peer is waited out, unbounded — the straggler's full cost, zero
+    timeouts), and the same straggler with failover *on* (the first
+    timeout marks the peer suspect; reads are steered to the nearest
+    healthy replica's owner, normally on the same node, and the peer is
+    re-probed one read at a time).
     DESIGN.md's extension list and the RapidGNN/Atompack arguments both
     say this is where a peer-serving store wins or loses; the paper never
     tests it.

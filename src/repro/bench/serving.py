@@ -16,14 +16,17 @@ batches).  Three configurations of identical per-tenant work:
   serving layer forces: the same jobs run back to back.
 
 ``ablation_serving`` reports per-tenant p99 fetch latency and aggregate
-throughput, and carries three checks the CI smoke step asserts on:
+throughput, and carries the checks ``--check`` (the CI smoke step) turns
+into an exit code:
 
 * ``qos_isolation`` — interactive p99 under full concurrency is within
   1.2x of its solo run;
 * ``aggregate_2x`` — concurrent aggregate throughput is >= 2x the
   serialized baseline (tenant compute overlaps other tenants' fetches);
 * ``deterministic`` — the concurrent cell, re-run from scratch,
-  reproduces every latency, byte count, and queue second exactly.
+  reproduces every latency, byte count, and queue second exactly;
+* ``tenants_on_wire`` — every tenant of the concurrent cell moved wire
+  bytes (its ``ddstore.tenant`` roll-up is fed).
 """
 
 from __future__ import annotations
@@ -235,6 +238,7 @@ def ablation_serving(profile: Optional[ScaleProfile] = None):
         "qos_isolation": p99_conc <= 1.2 * p99_solo,
         "aggregate_2x": concurrent["throughput"] >= 2.0 * serialized["throughput"],
         "deterministic": _fingerprint(concurrent) == _fingerprint(rerun),
+        "tenants_on_wire": all(t["wire_bytes"] > 0 for t in concurrent["tenants"].values()),
     }
     data = dict(
         cells=dict(solo=solo, concurrent=concurrent, serialized=serialized),

@@ -312,14 +312,20 @@ class ResilienceOptions:
     """How a fetch behaves when a replica-group peer is slow or dark.
 
     ``timeout_s=None`` (the default) disables the whole subsystem and
-    preserves seed fetch behaviour bit-for-bit.  With a timeout set, a
+    preserves seed fetch behaviour bit-for-bit.  With a timeout set and
+    ``failover=True`` (width permitting: more than one replica group), a
     wire read that has not completed within ``timeout_s`` virtual seconds
-    of being issued is abandoned and retried after exponential backoff
-    (``backoff_s * backoff_factor**k``).  With ``failover=True`` each
-    retry re-routes the read to the same chunk's owner in the next
-    replica group (width permitting); the final permitted attempt always
-    runs without a timeout so a degraded-but-alive peer cannot stall a
-    read forever.
+    of being issued is abandoned, marks its target suspect, and is
+    re-issued to the same chunk's owner in the nearest healthy replica
+    group; while the mark lasts — ``timeout_s * backoff_factor**k`` after
+    the k-th consecutive timeout, scaled up to what the discovery cost —
+    first attempts are steered around the slow peer.  A read with nowhere
+    else to go (failover off, a single replica, every replica suspect) is
+    never abandoned: it is issued once, without a deadline, as is the
+    final permitted attempt of any read, so a degraded-but-alive peer
+    cannot stall a read forever.  The exponential backoff
+    (``backoff_s * backoff_factor**k``) is waited out only before
+    re-issuing to the *same* rank.
     """
 
     timeout_s: Optional[float] = None
@@ -645,8 +651,9 @@ class DDStoreConfig:
                     f"ElasticOptions [min_width={e.min_width}, max_width={hi}] "
                     f"admits no divisor of n_ranks={self.n_ranks}"
                 )
-        # failover=True with a single replica degrades to plain retry:
-        # "width permitting" is part of the ResilienceOptions contract.
+        # failover=True with a single replica has nowhere to fail over to
+        # (reads are issued unbounded): "width permitting" is part of the
+        # ResilienceOptions contract.
 
     # -- flat back-compat views (read-only) --------------------------------
     @property

@@ -19,11 +19,13 @@ fetch — :meth:`DDStore.get_samples`, :meth:`~DDStore.get_batch_arena`,
 :meth:`~DDStore.prefetch_wave` — is three thin entry points into the one
 ``resolve → plan → fetch → sink`` pipeline of
 :mod:`repro.dataplane.pipeline`, which reads the per-handle state wired
-here (registry, planner, cache, transport, lane, stats).  Reads normally
-stay inside the replica group; with :class:`~.config.ResilienceOptions`
-enabled a timed-out read is retried and — since chunk contents are
-identical across replica groups — can *fail over* to the same chunk's
-owner in another group (:meth:`DDStore._reroute` supplies that topology).
+here (registry, planner, cache, transport, lane, stats, retry policy and
+target-health table).  Reads normally stay inside the replica group;
+with :class:`~.config.ResilienceOptions` failover enabled — and chunk
+contents being identical across replica groups — a read whose owner
+recently timed out is steered, and a read that times out is *failed
+over*, to the same chunk's owner in another group
+(:meth:`DDStore._reroute` supplies that topology).
 Transports live in :mod:`repro.dataplane`; anything registered there is
 a valid ``framework`` value.
 """
@@ -44,6 +46,7 @@ from ..dataplane import (
     get_transport,
     pipeline,
 )
+from ..dataplane.retry import RetryPolicy, TargetHealth
 from ..dataplane.transport import Transport
 from ..graphs import BatchArena
 from ..mpi import Comm
@@ -112,7 +115,19 @@ class DDStore:
         # plan targets are comm ranks: group rank + this group's base.
         self._my_group = config.group_of_rank(comm.rank)
         self._group_base = self._my_group * config.effective_width
-        self._failover_order: dict[int, list[int]] = {}
+        self._replica_order: dict[int, list[int]] = {}
+        # The fetch stage's resilience state, built once per store
+        # generation and shared by every session view (a reshard builds a
+        # new store, which starts with a clean table): the retry schedule,
+        # and — only when a read has somewhere else to go — which ranks
+        # recently timed out.
+        res = config.resilience
+        self._retry_policy = RetryPolicy.from_options(res) if res.enabled else None
+        self._health = (
+            TargetHealth(self._retry_policy)
+            if res.enabled and res.failover and config.n_replicas > 1
+            else None
+        )
         # Snapshot of the cache's cumulative counters at the last
         # get_samples sync — FetchStats accumulates *deltas* against it, so
         # resetting ``store.stats`` mid-run cannot resurrect old cache hits.
@@ -516,27 +531,31 @@ class DDStore:
         if coord is not None:
             coord.abort()
 
-    def _reroute(self, read: PlannedRead, attempt: int) -> Optional[int]:
-        """Failover target for a timed-out read: the same chunk's owner in
-        another replica group, nearest first.
-
-        Returns ``None`` when there is nowhere else to go (single replica).
-        Chunk layouts and contents are identical across replica groups, so
-        the rerouted read returns byte-identical payloads.
+    def _reroute(self, read: PlannedRead) -> Optional[int]:
+        """Where else ``read`` can be served right now: the nearest owner of
+        the same chunk, other than its current target, that the health
+        table does not hold suspect.  ``None`` when there is nowhere better
+        to go (every other replica suspect).  Only wired into the fetch
+        stage when failover is on and the layout has replicas
+        (``_health`` is not None).  Chunk layouts and contents are
+        identical across replica groups, so a rerouted read returns
+        byte-identical payloads.
         """
-        if self.n_replicas < 2:
-            return None
-        ranks = self._failover_ranks(read.target % self.width)
-        return ranks[(attempt - 1) % len(ranks)]
+        now = self.comm.engine.now
+        suspect = self._health.suspect
+        for rank in self._replica_ranks(read.target % self.width):
+            if rank != read.target and not suspect(rank, now):
+                return rank
+        return None
 
-    def _failover_ranks(self, member: int) -> list[int]:
-        """Owners of replica-group member ``member``'s window outside this
-        rank's own group, ordered nearest first: same-node owners (the
+    def _replica_ranks(self, member: int) -> list[int]:
+        """Every owner of replica-group member ``member``'s window, this
+        rank's own group first, then nearest first: same-node owners (the
         shared-memory get path is ~7x cheaper than a cross-node one, the
         same locality Table 3's width sweep exploits), then by ring
         distance from this rank's group.  Deterministic for a fixed layout.
         """
-        cached = self._failover_order.get(member)
+        cached = self._replica_order.get(member)
         if cached is not None:
             return cached
         c = self.comm.communicator
@@ -544,13 +563,16 @@ class DDStore:
         my_node = machine.node_of_rank(c.world_rank(self.comm.rank))
         w, r = self.width, self.n_replicas
 
-        def distance(group: int) -> tuple[int, int]:
+        def distance(group: int) -> tuple[int, int, int]:
             owner_node = machine.node_of_rank(c.world_rank(group * w + member))
-            return (0 if owner_node == my_node else 1, (group - self._my_group) % r)
+            return (
+                group != self._my_group,
+                0 if owner_node == my_node else 1,
+                (group - self._my_group) % r,
+            )
 
-        groups = sorted((g for g in range(r) if g != self._my_group), key=distance)
-        ranks = [g * w + member for g in groups]
-        self._failover_order[member] = ranks
+        ranks = [g * w + member for g in sorted(range(r), key=distance)]
+        self._replica_order[member] = ranks
         return ranks
 
     # ------------------------------------------------------------------
@@ -592,7 +614,6 @@ class DDStore:
         clone._tenant = tenant
         clone._qos = qos
         clone._charged_bytes = 0  # the parent owns the DRAM accounting
-        clone._failover_order = dict(self._failover_order)
         if record_latencies is not None:
             clone.record_latencies = record_latencies
         if lane is not None:
@@ -647,6 +668,25 @@ class DDStore:
         yield from self.comm.barrier()
         self._shutdown_collectives += 1
         self.close()
+        self._assert_no_leaked_grants()
+
+    def _assert_no_leaked_grants(self) -> None:
+        """Past the shutdown barrier the job's data plane is quiet, so a DRR
+        grant, a queued waiter or an active fetch still found on one of the
+        job's serving arbiters (the per-target registry the serving layer
+        keeps on the world) or on this view's lane has leaked — raise
+        naming it instead of passing silently."""
+        c = self.comm.communicator
+        arbiters = c.world.__dict__.get("_serving_arbiters", {}).get(id(c), {})
+        leaks = [
+            f"target {target}: {what}"
+            for target, arbiter in sorted(arbiters.items())
+            for what in arbiter.leaks()
+        ]
+        if self._lane is not None:
+            leaks += self._lane.leaks()
+        if leaks:
+            raise RuntimeError("DDStore shut down with leaked grants: " + "; ".join(leaks))
 
     def close(self) -> None:
         """Release this rank's DRAM accounting and mark the handle closed.

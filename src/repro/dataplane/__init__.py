@@ -43,7 +43,13 @@ from .registry import (
     register_transport,
     unregister_transport,
 )
-from .retry import FetchTimeoutError, RetryOutcome, RetryPolicy, fetch_with_retry
+from .retry import (
+    FetchTimeoutError,
+    RetryOutcome,
+    RetryPolicy,
+    TargetHealth,
+    fetch_with_retry,
+)
 from .stats import FETCH_STAGES, FetchStats
 from .transport import FetchOutcome, P2PTransport, RmaTransport, Transport
 
@@ -72,6 +78,7 @@ __all__ = [
     "FetchStats",
     "RetryPolicy",
     "RetryOutcome",
+    "TargetHealth",
     "FetchTimeoutError",
     "fetch_with_retry",
     "register_transport",

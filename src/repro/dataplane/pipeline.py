@@ -27,6 +27,7 @@ views need no second pipeline type.  Nothing here imports ``repro.core``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Generator, Optional
 
@@ -35,7 +36,8 @@ import numpy as np
 from ..graphs import SAMPLE_ALLOCATIONS, BatchArena
 from ..storage import HEADER_NBYTES, SampleStats, decode_time, scatter_time, unpack_graph
 from .nodeagg import node_coordinator
-from .retry import FetchTimeoutError, RetryPolicy, fetch_with_retry
+from .retry import FetchTimeoutError, fetch_with_retry
+from .transport import FetchOutcome
 
 __all__ = ["assemble", "fetch", "get_rows", "get_arena", "wave"]
 
@@ -58,58 +60,131 @@ def _record(h, name: str, cat: str, start: float, **args) -> None:
 
 # -- fetch: the one wire-issue point -----------------------------------------
 def fetch(h, reads, n_streams: int) -> Generator:
-    """Execute planned reads: tenant lane → retry/failover ladder → transport.
+    """Execute planned reads: (steer → tenant lane → ladder → transport)*.
 
-    Every wire read in ``src/`` is issued here.  Session-scoped handles
-    pass the reads through their :class:`~repro.serving.TenantLane` first
-    — the per-target DRR grant plus the per-tenant in-flight byte cap —
-    and the wait is reported as the outcome's ``"queue"`` stage.  With
-    resilience enabled the reads ride the timeout/retry/failover ladder;
-    otherwise they go straight to the transport and a read the transport
-    reports as timed out is an error (there is no retry budget).  Returns
-    ``(outcome, ladder)`` — ``ladder`` maps the resilience counters
-    (``n_timeouts``/``n_retries``/``n_failovers``) to what this batch
-    added; booking them is the caller's job.
+    Every wire read in ``src/`` is issued here, by one loop: take
+    *whatever targets of the plan are grantable right now*, issue exactly
+    those reads as one sub-fetch (one lock epoch, one ``get_batch``),
+    release their grants when it lands, repeat until the plan is done.
+    A handle without a :class:`~repro.serving.TenantLane` is the same loop
+    with everything grantable — one transport call per plan, the reads in
+    plan order.  A session handle blocks only when *nothing* is grantable,
+    inside ``lane.acquire`` and holding no grant; that wait is reported as
+    the outcome's ``"queue"`` stage, one ``store.queue`` span per wait.
+
+    With failover available and some rank marked (``h._health``), reads
+    not yet issued are steered off the ranks to avoid before every grant
+    round (a mark may land while the session queues), so grants are taken
+    on the ranks that will actually serve.
+    Returns ``(outcome, ladder)`` — ``ladder`` maps the resilience
+    counters (``n_timeouts``/``n_retries``/``n_failovers``) to what this
+    plan added; booking them is the caller's job.
     """
     engine = h.comm.engine
-    lane = h._lane
+    lane, health = h._lane, h._health
+    ladder: dict[str, int] = {}
     queue_wait = 0.0
+    parts = []  # (positions in ``reads``, sub-fetch outcome)
+    left = range(len(reads))
     if lane is not None:
-        t_queue = engine.now
-        yield from lane.acquire(reads)
-        queue_wait = engine.now - t_queue
-        if queue_wait:
-            _record(h, "store.queue", "store.stage", t_queue, tenant=h._tenant)
+        lane.enter()
     try:
-        res = h.config.resilience
-        if res.enabled:
-            out = yield from fetch_with_retry(
-                h.transport,
-                reads,
-                policy=RetryPolicy.from_options(res),
-                engine=engine,
-                n_streams=n_streams,
-                reroute=h._reroute if res.failover and h.n_replicas > 1 else None,
-                obs=h.comm.communicator.world.obs,
-                track=h.comm.world_rank,
-            )
-            outcome = out.outcome
-            ladder = {k: getattr(out, k) for k in ("n_timeouts", "n_retries", "n_failovers")}
-        else:
-            outcome = yield from h.transport.fetch(reads, n_streams=n_streams)
-            ladder = {}
-            timed_out = outcome.timed_out
-            if timed_out is not None and timed_out.any():
-                raise FetchTimeoutError(
-                    f"{int(timed_out.sum())} read(s) timed out "
-                    "(resilience disabled; no retry budget)"
-                )
+        while left:
+            if health:
+                reads = _steer(h, reads, left, ladder)
+            if lane is None:
+                at, left = left, ()
+            else:
+                want: dict[int, int] = {}  # target -> bytes still to issue
+                for i in left:
+                    read = reads[i]
+                    want[read.target] = want.get(read.target, 0) + read.nbytes
+                t_queue = engine.now
+                granted = yield from lane.acquire(dict(sorted(want.items())))
+                if engine.now > t_queue:
+                    queue_wait += engine.now - t_queue
+                    _record(h, "store.queue", "store.stage", t_queue, tenant=h._tenant)
+                at = [i for i in left if reads[i].target in granted]
+                left = [i for i in left if reads[i].target not in granted]
+            if at:
+                try:
+                    sub = reads if len(at) == len(reads) else [reads[i] for i in at]
+                    parts.append((at, (yield from _issue(h, sub, n_streams, ladder))))
+                finally:
+                    if lane is not None:
+                        lane.release(granted)
     finally:
         if lane is not None:
-            lane.release(reads)
+            lane.leave()
+    if len(parts) == 1:
+        outcome = parts[0][1]
+    else:
+        outcome = FetchOutcome(
+            payloads=[None] * len(reads),
+            latencies=np.zeros(len(reads), dtype=np.float64),
+        )
+        for at, part in parts:
+            for i, payload in zip(at, part.payloads):
+                outcome.payloads[i] = payload
+            if part.latencies is not None:
+                outcome.latencies[at] = part.latencies
+            for stage, seconds in part.stage_seconds.items():
+                outcome.stage_seconds[stage] = outcome.stage_seconds.get(stage, 0.0) + seconds
     if queue_wait:
         outcome.stage_seconds["queue"] = outcome.stage_seconds.get("queue", 0.0) + queue_wait
     return outcome, ladder
+
+
+def _steer(h, reads, left, ladder):
+    """Reads go where they will be served: each not-yet-issued read
+    (positions ``left``) the health table says to avoid moves to the
+    nearest healthy replica (none → it stays put, and the ladder will issue
+    it unbounded).  Asked per read, because on probation exactly one read
+    is let through as the probe.  Counted as failovers."""
+    now = h.comm.engine.now
+    avoid = h._health.avoid
+    steered = None
+    for i in left:
+        read = reads[i]
+        if avoid(read.target, now):
+            target = h._reroute(read)
+            if target is not None:
+                if steered is None:
+                    steered = list(reads)
+                steered[i] = replace(read, target=target)
+                ladder["n_failovers"] = ladder.get("n_failovers", 0) + 1
+    return reads if steered is None else steered
+
+
+def _issue(h, reads, n_streams: int, ladder: dict) -> Generator:
+    """One sub-fetch: through the retry/failover ladder when resilience is
+    enabled (its counters added to ``ladder``), else straight to the
+    transport — where a read reported as timed out is an error (there is
+    no retry budget)."""
+    policy = h._retry_policy
+    if policy is None:
+        outcome = yield from h.transport.fetch(reads, n_streams=n_streams)
+        timed_out = outcome.timed_out
+        if timed_out is not None and timed_out.any():
+            raise FetchTimeoutError(
+                f"{int(timed_out.sum())} read(s) timed out "
+                "(resilience disabled; no retry budget)"
+            )
+        return outcome
+    out = yield from fetch_with_retry(
+        h.transport,
+        reads,
+        policy=policy,
+        engine=h.comm.engine,
+        n_streams=n_streams,
+        reroute=h._reroute if h._health is not None else None,
+        health=h._health,
+        obs=h.comm.communicator.world.obs,
+        track=h.comm.world_rank,
+    )
+    for name in ("n_timeouts", "n_retries", "n_failovers"):
+        ladder[name] = ladder.get(name, 0) + getattr(out, name)
+    return out.outcome
 
 
 def assemble(plan, outcome, blobs, latencies) -> None:

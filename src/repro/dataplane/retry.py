@@ -1,19 +1,30 @@
-"""Fetch retry: timeouts, exponential backoff, and read re-routing.
+"""Fetch retry: bounded attempts, read re-routing, and target health.
 
 DDStore's fetch path assumes every replica-group peer answers promptly —
 one straggling or dark rank stalls every peer that routes a read to it.
-This module wraps any :class:`~.transport.Transport` with a deterministic
-retry ladder:
+Replica groups are what make that survivable (every chunk has an owner in
+each group), and this module is how the fetch stage uses them:
 
-1. issue the batch with a per-read virtual-time timeout,
-2. reads that blow the deadline wait out an exponential backoff
-   (``backoff_s * backoff_factor**k`` — no jitter, so reruns are
-   bit-identical) and are re-issued,
-3. an optional ``reroute`` hook re-targets each retried read before it is
-   re-issued — :class:`~repro.core.store.DDStore` uses it to fail a read
-   over to the same chunk's owner in another replica group,
-4. the final permitted attempt runs without a timeout, so a slow-but-alive
-   peer degrades throughput instead of failing the batch.
+* :func:`fetch_with_retry` wraps any :class:`~.transport.Transport` with a
+  deterministic ladder whose rule is **abandon a read only when it has
+  somewhere better to go**.  A read carries the ``RetryPolicy.timeout_s``
+  deadline only while the ``reroute`` hook can move it to a *different*
+  rank (per read: a mixed batch goes out with one bound per read); reads
+  that blow the deadline move there and are re-issued at once.  A read
+  with no alternative — single replica, failover off, every other replica
+  suspect — is issued once, unbounded: abandoning it only to restart the
+  same slow peer's latency from zero is strictly worse than waiting it
+  out, which is what the ladder's own last (unbounded) attempt always
+  conceded.  The exponential backoff (``backoff_s * backoff_factor**k``
+  — no jitter, so reruns are bit-identical) is waited out only before
+  hitting the *same* rank again.
+
+* :class:`TargetHealth` remembers which ranks recently timed out, so the
+  next batch does not pay the discovery again: the store steers first
+  attempts away from a suspect rank while its mark lasts and re-probes it
+  when the mark expires.  The suspicion window is derived from the retry
+  schedule itself (:meth:`RetryPolicy.suspect_window`) — there is no
+  separate option for it.
 
 Every attempt, timeout, and failover is counted in the returned
 :class:`RetryOutcome` for :class:`~repro.core.store.FetchStats`.
@@ -21,7 +32,7 @@ Every attempt, timeout, and failover is counted in the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -29,7 +40,13 @@ import numpy as np
 from .planner import PlannedRead
 from .transport import FetchOutcome, Transport
 
-__all__ = ["FetchTimeoutError", "RetryPolicy", "RetryOutcome", "fetch_with_retry"]
+__all__ = [
+    "FetchTimeoutError",
+    "RetryPolicy",
+    "RetryOutcome",
+    "TargetHealth",
+    "fetch_with_retry",
+]
 
 
 class FetchTimeoutError(RuntimeError):
@@ -72,17 +89,104 @@ class RetryPolicy:
         at 16 doublings so virtual time cannot overflow."""
         return self.backoff_s * self.backoff_factor ** min(max(attempt - 1, 0), 16)
 
+    def suspect_window(self, strikes: int, cost_s: float = 0.0) -> float:
+        """How long a rank stays suspect after its ``strikes``-th
+        consecutive timeout.  Finding out cost the struck fetch ``cost_s``
+        (never less than one ``timeout_s``), so the k-th strike buys
+        ``backoff_factor**k`` times that of routing around the rank
+        (capped like :meth:`backoff`) — a mark always outlasts the cadence
+        of the fetches that would otherwise re-discover it."""
+        return max(self.timeout_s, cost_s) * self.backoff_factor ** min(strikes, 16)
+
+
+class _Mark:
+    """One rank's entry in the health table."""
+
+    __slots__ = ("strikes", "until", "probing")
+
+    def __init__(self, now: float) -> None:
+        self.strikes = 0  # consecutive timeouts not yet worked off
+        self.until = now  # suspect while now < until
+        self.probing = False  # a probe read is out (until is its lease)
+
+
+class TargetHealth:
+    """Per-rank suspect marks: which targets recently timed out.
+
+    One table per store generation, shared by the store's session views.
+    A read that blows its deadline *strikes* its target: the rank is
+    suspect for :meth:`RetryPolicy.suspect_window` seconds and first
+    attempts are steered around it.  When the mark expires the rank is on
+    probation: one read at a time is let through as a probe (``avoid``)
+    while every other read still goes around.  A probe that times out is
+    the next consecutive strike, with a longer window; one that comes back
+    in time (``ok``) takes a strike off, and the rank whose strikes are
+    all worked off is forgotten.
+    """
+
+    __slots__ = ("policy", "_marks")
+
+    def __init__(self, policy: RetryPolicy) -> None:
+        self.policy = policy
+        self._marks: dict[int, _Mark] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self._marks)
+
+    def suspect(self, rank: int, now: float) -> bool:
+        """Is ``rank`` marked right now?  (Pure — for scanning candidates.)"""
+        mark = self._marks.get(rank)
+        return mark is not None and now < mark.until
+
+    def avoid(self, rank: int, now: float) -> bool:
+        """Should this first-attempt read go around ``rank``?
+
+        True while the mark lasts.  On probation the read asking *is* the
+        probe: it goes through, and the mark is re-armed for one
+        ``timeout_s`` — just long enough for the probe to report — so an
+        outage is re-discovered by one read, not by a whole batch from
+        every session of the rank at once.
+        """
+        mark = self._marks.get(rank)
+        if mark is None:
+            return False
+        if now < mark.until:
+            return True
+        mark.until, mark.probing = now + self.policy.timeout_s, True
+        return False
+
+    def strike(self, rank: int, now: float, cost_s: float = 0.0) -> None:
+        """A read to ``rank`` blew its deadline; its fetch found out at
+        ``now``, ``cost_s`` after it was issued."""
+        mark = self._marks.get(rank)
+        if mark is None:
+            mark = self._marks[rank] = _Mark(now)
+        if now < mark.until:
+            return  # a straggler of the batch that already struck it
+        mark.strikes += 1
+        mark.until = now + self.policy.suspect_window(mark.strikes, cost_s)
+        mark.probing = False
+
+    def ok(self, rank: int, now: float) -> None:
+        """A read to ``rank`` came back inside its deadline at ``now``."""
+        mark = self._marks.get(rank)
+        if mark is not None and mark.probing:
+            mark.strikes -= 1
+            if mark.strikes:
+                mark.until, mark.probing = now, False  # next read probes
+            else:
+                del self._marks[rank]
+
 
 @dataclass
 class RetryOutcome:
     """A merged :class:`FetchOutcome` plus the retry ladder's accounting."""
 
     outcome: FetchOutcome
-    n_timeouts: int = 0  # individual read timeouts observed (all attempts)
+    n_timeouts: int = 0  # individual read timeouts observed (bounded attempts)
     n_retries: int = 0  # read re-issues (a read retried twice counts twice)
     n_failovers: int = 0  # retries that were re-routed to another replica
     attempts: int = 1  # transport.fetch round trips issued
-    retry_targets: dict = field(default_factory=dict)  # read index -> final target
 
 
 def fetch_with_retry(
@@ -92,16 +196,25 @@ def fetch_with_retry(
     policy: RetryPolicy,
     engine,
     n_streams: int = 1,
-    reroute: Optional[Callable[[PlannedRead, int], Optional[int]]] = None,
+    reroute: Optional[Callable[[PlannedRead], Optional[int]]] = None,
+    health: Optional[TargetHealth] = None,
     obs=None,
     track: int = 0,
 ) -> Generator:
     """Execute ``reads`` through ``transport`` under ``policy``.
 
     Coroutine; returns a :class:`RetryOutcome` whose ``outcome`` has one
-    payload per input read, in input order.  ``reroute(read, attempt)``
-    (attempt is 1-based) may return a replacement target rank for a read
-    being retried, or ``None`` to keep its current target.
+    payload per input read, in input order.  ``reroute(read)`` names a
+    different rank that can serve ``read`` right now, or ``None`` when
+    there is none.  A read carries
+    ``policy.timeout_s`` only while retries remain *and* ``reroute`` can
+    move it (the transport gets one number when that is every read of the
+    attempt, one bound per read — ``inf`` for the rest — when it is only
+    some, and no ``timeout_s`` at all when it is none: with no ``reroute``
+    that is one plain transport call).  A read that blows its deadline
+    strikes its target in ``health`` (when given) and is re-issued to
+    wherever ``reroute`` then sends it — at once if that is another rank,
+    after the policy's backoff if it has to stay.
 
     ``obs`` is an optional :class:`repro.obs.Observer`: every transport
     round trip is recorded as a ``fetch.attempt`` span on ``track``'s
@@ -123,30 +236,44 @@ def fetch_with_retry(
         return result
 
     merged = result.outcome
-    t_first = engine.now
     pending: list[tuple[int, PlannedRead]] = list(enumerate(reads))
+    stayed = False  # did a timed-out read have to stay on its rank?
     for attempt in range(policy.max_retries + 1):
-        if attempt > 0:
+        if stayed:
+            # Back off only before hitting the same rank again; a read that
+            # moved to another rank goes at once.
             delay = policy.backoff(attempt)
             if delay > 0:
                 yield engine.timeout(delay)
                 merged.stage_seconds["retry"] = (
                     merged.stage_seconds.get("retry", 0.0) + delay
                 )
-        # The final permitted attempt runs unbounded: a degraded peer slows
-        # the batch down rather than failing it.
-        timeout = policy.timeout_s if attempt < policy.max_retries else None
+                for orig, _ in pending:
+                    merged.latencies[orig] += delay
         batch = [read for _, read in pending]
+        # Abandon only with somewhere to go: a read carries the deadline
+        # while a retry remains and it has another rank to move to.
+        limits = None
+        if reroute is not None and attempt < policy.max_retries:
+            can_move: dict[int, bool] = {}  # by target, for this attempt
+            for read in batch:
+                if read.target not in can_move:
+                    new_target = reroute(read)
+                    can_move[read.target] = new_target is not None and new_target != read.target
+            if all(can_move.values()):
+                limits = policy.timeout_s
+            elif any(can_move.values()):
+                limits = np.array(
+                    [policy.timeout_s if can_move[read.target] else np.inf for read in batch]
+                )
         t_attempt = engine.now
-        if timeout is None:
+        if limits is None:
             outcome = yield from transport.fetch(batch, n_streams=n_streams)
         else:
-            outcome = yield from transport.fetch(
-                batch, n_streams=n_streams, timeout_s=timeout
-            )
+            outcome = yield from transport.fetch(batch, n_streams=n_streams, timeout_s=limits)
         result.attempts += 1
+        timed_out = outcome.timed_out
         if obs is not None and obs.tracing:
-            t_o = outcome.timed_out
             obs.tracer.record(
                 "fetch.attempt",
                 cat="dataplane",
@@ -156,52 +283,55 @@ def fetch_with_retry(
                 end=engine.now,
                 attempt=attempt + 1,
                 n_reads=len(batch),
-                n_timeouts=int(t_o.sum()) if t_o is not None else 0,
+                n_timeouts=int(timed_out.sum()) if timed_out is not None else 0,
                 n_failovers=result.n_failovers,
             )
         for stage, seconds in outcome.stage_seconds.items():
             merged.stage_seconds[stage] = (
                 merged.stage_seconds.get(stage, 0.0) + seconds
             )
-        timed_out = outcome.timed_out
+        # A read's observed latency is what it spent waiting, like any
+        # first-attempt read's: each attempt's own wire latency (a blown
+        # attempt costs exactly its deadline) plus the backoffs between.
+        waited = outcome.latencies
         still_pending: list[tuple[int, PlannedRead]] = []
         for slot, (orig, read) in enumerate(pending):
+            merged.latencies[orig] += (
+                float(waited[slot]) if waited is not None else engine.now - t_attempt
+            )
             if timed_out is not None and timed_out[slot]:
                 still_pending.append((orig, read))
                 continue
             merged.payloads[orig] = outcome.payloads[slot]
-            if attempt == 0 and outcome.latencies is not None:
-                merged.latencies[orig] = float(outcome.latencies[slot])
-            else:
-                # A retried read's observed latency is everything since the
-                # batch was first issued — the tail the resilience knobs
-                # exist to cut.
-                merged.latencies[orig] = engine.now - t_first
-        if not still_pending:
-            pending = []
-            break
-        result.n_timeouts += len(still_pending)
-        if attempt >= policy.max_retries:
-            pending = still_pending
-            break
-        result.n_retries += len(still_pending)
-        if reroute is not None:
-            rerouted = []
-            for orig, read in still_pending:
-                new_target = reroute(read, attempt + 1)
-                if new_target is not None and new_target != read.target:
-                    read = replace(read, target=new_target)
-                    result.n_failovers += 1
-                    result.retry_targets[orig] = new_target
-                rerouted.append((orig, read))
-            still_pending = rerouted
+            if limits is not None and health and can_move[read.target]:
+                health.ok(read.target, engine.now)  # back inside its deadline
         pending = still_pending
+        if not pending:
+            break
+        result.n_timeouts += len(pending)
+        if limits is None:
+            break  # a transport that reports timeouts without a deadline
+        result.n_retries += len(pending)
+        if health is not None:
+            # Strike first, re-route after: a read must not fail over to a
+            # rank another read of this very batch just timed out on.
+            for _, read in pending:
+                health.strike(read.target, engine.now, engine.now - t_attempt)
+        stayed = False
+        for i, (orig, read) in enumerate(pending):
+            new_target = reroute(read)
+            if new_target is not None and new_target != read.target:
+                pending[i] = (orig, replace(read, target=new_target))
+                result.n_failovers += 1
+            else:
+                stayed = True
 
     if pending:
-        # Unreachable through DDStore (the last attempt is unbounded), but a
-        # third-party transport could report timeouts without one.
+        # Unreachable through DDStore's own transports (an unbounded attempt
+        # never times out), but a third-party transport could report
+        # timeouts without one.
         raise FetchTimeoutError(
             f"{len(pending)} read(s) still incomplete after "
-            f"{policy.max_retries + 1} attempts (timeout_s={policy.timeout_s})"
+            f"{result.attempts} attempt(s) (timeout_s={policy.timeout_s})"
         )
     return result

@@ -15,7 +15,7 @@ __all__ = ["FETCH_STAGES", "FetchStats"]
 #: The instrumented stages of one fetch call, in pipeline order
 #: ("queue" is the multi-tenant serving layer's DRR/admission wait before
 #: wire issue — zero on single-tenant stores; "retry" charges the backoff
-#: waits between fetch re-issues; "promote" is the tiered cache's
+#: waits before re-issues to the same rank; "promote" is the tiered cache's
 #: NVMe→DRAM batched-read wall time; "scatter" is the columnar path's
 #: arena assembly, which replaces "decode"; "fanout" is the node-fetch
 #: intra-node copy of leader-read payloads into subscriber caches).
@@ -43,7 +43,7 @@ class FetchStats:
     # resilience counters (all zero unless ResilienceOptions are enabled)
     n_timeouts: int = 0  # wire reads that blew their deadline
     n_retries: int = 0  # wire reads re-issued after a timeout
-    n_failovers: int = 0  # retries re-routed to another replica group
+    n_failovers: int = 0  # reads steered or re-routed to another replica group
     # epoch-ahead scheduler counters (zero unless scheduler waves run)
     n_prefetch_waves: int = 0  # prefetch_wave calls that hit the wire
     n_prefetched: int = 0  # distinct samples parked in the cache by waves

@@ -71,17 +71,20 @@ class Transport(abc.ABC):
         self,
         reads: Sequence[PlannedRead],
         n_streams: int = 1,
-        timeout_s: Optional[float] = None,
+        timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
         """Coroutine executing remote reads; returns a :class:`FetchOutcome`.
 
         ``timeout_s`` (when the transport honours it) bounds each read's
         wait: reads still incomplete after that many virtual seconds come
         back with a ``None`` payload and their ``timed_out`` flag set, so
-        the retry layer (:mod:`.retry`) can re-issue or fail them over.
-        The retry layer only passes ``timeout_s`` when resilience is
-        enabled, so transports with the pre-resilience two-argument
-        signature keep working in the default configuration.
+        the retry layer (:mod:`.retry`) can fail them over.  It is one
+        number when every read of the batch is bounded alike, or an array
+        with one bound per read when only some are (``inf`` = wait this
+        read out: it has nowhere better to go).  The retry layer only
+        passes ``timeout_s`` when a read can fail over, so transports with
+        the pre-resilience two-argument signature keep working in the
+        default configuration.
         """
 
     @abc.abstractmethod
@@ -177,7 +180,7 @@ class RmaTransport(Transport):
         self,
         reads: Sequence[PlannedRead],
         n_streams: int = 1,
-        timeout_s: Optional[float] = None,
+        timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
         if not reads:
             return FetchOutcome(payloads=[])
@@ -245,7 +248,7 @@ class P2PTransport(Transport):
         self,
         reads: Sequence[PlannedRead],
         n_streams: int = 1,
-        timeout_s: Optional[float] = None,
+        timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
         if not reads:
             return FetchOutcome(payloads=[])
@@ -263,16 +266,23 @@ class P2PTransport(Transport):
             payloads = yield from waitall(reply_reqs)
             timed_out = None
         else:
-            # Wait for all replies or the deadline, whichever first.  Reply
+            # Wait for all replies or the deadline, whichever first; a read
+            # that carries no deadline (``inf``) is then waited out.  Reply
             # tags are unique per request, so a stale reply to an abandoned
             # request just satisfies its orphaned irecv — no cross-talk
             # with the retry's fresh requests.
-            yield engine.any_of([engine.all_of(reply_reqs), engine.timeout(timeout_s)])
+            limits = np.broadcast_to(np.asarray(timeout_s, dtype=np.float64), len(reads))
+            bounded = np.isfinite(limits)
+            deadline = engine.timeout(float(limits[bounded].max()))
+            yield engine.any_of([engine.all_of(reply_reqs), deadline])
             timed_out = np.fromiter(
-                (not req.triggered for req in reply_reqs), dtype=bool, count=len(reads)
+                (b and not req.triggered for req, b in zip(reply_reqs, bounded)),
+                dtype=bool,
+                count=len(reads),
             )
+            yield engine.all_of([req for req, b in zip(reply_reqs, bounded) if not b])
             payloads = [
-                req.value if req.triggered else None for req in reply_reqs
+                None if late else req.value for req, late in zip(reply_reqs, timed_out)
             ]
         done = engine.now
         latencies = np.full(len(reads), (done - issue) / max(len(reads), 1))

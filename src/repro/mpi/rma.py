@@ -153,7 +153,7 @@ class WinHandle:
         self,
         requests: Sequence[tuple[int, int, int]],
         n_streams: int = 1,
-        timeout_s: Optional[float] = None,
+        timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
         """Issue many gets back-to-back; wait for all (DDStore hot path).
 
@@ -167,6 +167,8 @@ class WinHandle:
         abandoned — its payload slot comes back ``None`` and its flag in
         ``last_timeouts`` is set.  The origin only waits for the
         non-abandoned gets (plus the timeout window of abandoned ones).
+        One value bounds every get alike; an array gives each get its own
+        bound (``inf`` = wait this one out).
         """
         if not requests:
             self.last_timeouts = None
@@ -217,7 +219,7 @@ class WinHandle:
             # A get that blows its deadline is abandoned at issue+timeout:
             # the origin stops waiting for it (the in-flight transfer still
             # occupied the NICs — abandonment does not reclaim wire time).
-            deadlines = timing.issues + float(timeout_s)
+            deadlines = timing.issues + np.asarray(timeout_s, dtype=np.float64)
             timed_out = completions > deadlines
             waited = np.minimum(completions, deadlines)
             self.last_timeouts = timed_out

@@ -10,8 +10,8 @@ replicated store (creation stays the collective
 * **Admission control** — at most ``ServingOptions.max_tenants``
   concurrent sessions per rank.  When full, ``connect`` either raises
   :class:`AdmissionError` (``admission="reject"``) or closes the
-  longest-idle session with no bytes in flight (``"evict-idle"``) to
-  make room — rejecting only when every tenant is mid-fetch.
+  longest-idle session with no fetch inside its lane (``"evict-idle"``)
+  to make room — rejecting only when every tenant is mid-fetch.
 * **QoS + fairness** — each session carries a QoS class from
   ``ServingOptions.qos``; its weight scales the session's DRR quantum at
   every RMA target (see :mod:`.drr`) and, under the ``"weighted"``
@@ -29,7 +29,7 @@ replicated store (creation stays the collective
 
 Session state machine::
 
-    connect() ──> OPEN ──fetch──> OPEN (in-flight > 0)
+    connect() ──> OPEN ──fetch──> OPEN (mid-fetch)
                    │                      │
                    │ close()              │ fetch completes
                    ▼                      ▼
@@ -50,10 +50,6 @@ from ..dataplane import SampleCache
 from .drr import DrrArbiter, TenantLane
 
 __all__ = ["AdmissionError", "StoreService", "TenantSession", "solo_session"]
-
-# Virtual-seconds between quiesce polls while waiting for tenants' wire
-# traffic to drain ahead of a reshard.  Deterministic under the sim clock.
-_QUIESCE_POLL_S = 1e-5
 
 
 class AdmissionError(RuntimeError):
@@ -100,8 +96,9 @@ class TenantSession:
 
     @property
     def idle(self) -> bool:
-        """No wire bytes in flight (solo sessions are always idle)."""
-        return self.lane is None or self.lane.inflight == 0
+        """No fetch inside the lane — queued, on the wire or between two
+        sub-fetches all count as busy (solo sessions are always idle)."""
+        return self.lane is None or self.lane.active == 0
 
     # -- the fetch surface (thin delegation; the view does the work) ----
     def get_samples(self, indices: Sequence[int], decode: bool = True, n_workers: int = 1) -> Generator:
@@ -239,7 +236,7 @@ class StoreService:
             self._count("session_closed", session.name, session.qos)
 
     def _evict_idle(self) -> bool:
-        """Close the longest-idle session with nothing in flight."""
+        """Close the longest-idle session with no fetch inside its lane."""
         victim = None
         for sess in self._sessions.values():
             if not sess.idle:
@@ -321,15 +318,17 @@ class StoreService:
         return session
 
     def quiesce(self) -> Generator:
-        """Wait (virtual time) until no live session has wire bytes in
-        flight.  Rank-local; the reshard path barriers afterwards so every
-        rank enters the collective shuffle with a quiet data plane."""
+        """Wait (virtual time) until no live session has a fetch inside
+        its lane; returns the seconds waited.  Rank-local; the reshard
+        path barriers afterwards so every rank enters the collective
+        shuffle with a quiet data plane."""
         engine = self.store.comm.engine
-        waited = 0.0
-        while any(not s.idle for s in self._sessions.values()):
-            yield engine.timeout(_QUIESCE_POLL_S)
-            waited += _QUIESCE_POLL_S
-        return waited
+        t0 = engine.now
+        busy = [s for s in self._sessions.values() if not s.idle]
+        while busy:
+            yield from busy[0].lane.drained()
+            busy = [s for s in self._sessions.values() if not s.idle]
+        return engine.now - t0
 
     def reshard(
         self,
@@ -340,9 +339,9 @@ class StoreService:
 
         The live-session reshard protocol (all ranks call this together):
 
-        1. **quiesce** — rank-locally wait until every tenant's lane has
-           zero wire bytes in flight, then barrier so no rank starts the
-           shuffle while another rank's tenants still hold DRR grants,
+        1. **quiesce** — rank-locally wait until no tenant has a fetch
+           inside its lane, then barrier so no rank starts the shuffle
+           while another rank's tenants still hold DRR grants,
         2. **reshard** — the usual collective memory-to-memory shuffle
            (:meth:`DDStore.reshard`, which closes the old store once), and
         3. **migrate** — atomically re-point every live session at a
@@ -397,14 +396,19 @@ class StoreService:
         """Close every live session (and, by default, the parent store).
         Rank-local and idempotent; p2p-style transports still need the
         collective ``store.shutdown()`` first, exactly as without the
-        service layer."""
+        service layer.  A session closed with a fetch still inside its
+        lane, or a DRR grant still held, raises naming tenant, class and
+        target rather than leaking silently."""
         if self._closed:
             return
         self._closed = True
+        leaks = [what for s in self._sessions.values() for what in s.lane.leaks()]
         for session in list(self._sessions.values()):
             session.close()
         if close_store:
             self.store.close()
+        if leaks:
+            raise RuntimeError("StoreService closed with leaked grants: " + "; ".join(leaks))
 
     def __enter__(self) -> "StoreService":
         return self

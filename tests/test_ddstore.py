@@ -281,6 +281,31 @@ def test_p2p_framework_returns_same_data():
         assert graphs[1].allclose(gen.make(2))
 
 
+def test_p2p_fetch_honours_one_bound_per_read():
+    """A per-read bound array: the read with a hopeless deadline is
+    abandoned, the ``inf`` ones are waited out — past that deadline."""
+    from repro.dataplane.planner import PlannedRead
+
+    def main(ctx):
+        src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)
+        store = yield from DDStore.create(
+            ctx.comm, src, dataplane=DataPlaneOptions(framework="p2p")
+        )
+        target = (ctx.rank + 1) % ctx.size
+        reads = [
+            PlannedRead(target=target, offset=64 * i, nbytes=64, slices=()) for i in range(3)
+        ]
+        out = yield from store.transport.fetch(
+            reads, timeout_s=np.array([np.inf, 1e-12, np.inf])
+        )
+        yield ctx.engine.timeout(1e-2)  # let the orphaned reply land before teardown
+        yield from store.shutdown()
+        return list(out.timed_out), [p is None for p in out.payloads]
+
+    for timed_out, missing in run(main).results:
+        assert timed_out == [False, True, False] and missing == [False, True, False]
+
+
 def test_p2p_slower_than_rma():
     def main(ctx, framework):
         src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)

@@ -177,17 +177,19 @@ def test_cache_counters_accumulate_across_windows():
 
 def test_reshard_bulk_path_retries_timed_out_reads():
     def main(ctx):
+        # width 2 of 4 ranks: every chunk has a second owner, so the ladder
+        # has somewhere to send a timed-out bulk read (without one it would
+        # not arm a deadline at all).
         store = yield from DDStore.create(
             ctx.comm,
             _source(ctx),
-            resilience=ResilienceOptions(
-                timeout_s=1e-3, max_retries=2, backoff_s=1e-5, failover=False
-            ),
+            width=2,
+            resilience=ResilienceOptions(timeout_s=1e-3, max_retries=2, backoff_s=1e-5),
         )
         expected = yield from store.get_samples(range(N), decode="raw")
         baseline_retries = store.stats.n_retries
         store.transport = FlakyOnce(store.transport, ctx.comm.engine)
-        new = yield from store.reshard(width=2, close_old=False)
+        new = yield from store.reshard(width=1, close_old=False)
         got = yield from new.get_samples(range(N), decode="raw")
         ok = all(np.array_equal(a, b) for a, b in zip(expected, got))
         return (

@@ -322,3 +322,29 @@ def test_get_batch_all_requests_timeout():
     # below what the transfers themselves would have taken.
     assert waited >= timeout
     assert np.all(full == 2)  # the untimed re-read still sees the bytes
+
+
+def test_get_batch_per_request_bounds():
+    """An array of bounds gives each get its own deadline: ``inf`` waits the
+    get out, a hopeless bound abandons it — in one batch."""
+
+    def main(ctx):
+        win = yield from create_window(ctx.comm, _make_local(ctx.rank, 256))
+        yield from win.fence()
+        if ctx.rank == 0:
+            requests = [(2, 0, 64), (2, 64, 64), (3, 0, 64)]
+            yield from win.lock(2, LOCK_SHARED)
+            yield from win.lock(3, LOCK_SHARED)
+            bounds = np.array([np.inf, 1e-12, np.inf])
+            payloads = yield from win.get_batch(requests, timeout_s=bounds)
+            timed_out = win.last_timeouts.copy()
+            latencies = win.last_latencies.copy()
+            yield from win.unlock(2)
+            yield from win.unlock(3)
+            return payloads, timed_out, latencies
+        return None
+
+    payloads, timed_out, latencies = run(main, n_nodes=2).results[0]
+    assert list(timed_out) == [False, True, False]
+    assert payloads[1] is None and np.all(payloads[0] == 2) and np.all(payloads[2] == 3)
+    assert np.isclose(latencies[1], 1e-12) and latencies[0] > 1e-9 and latencies[2] > 1e-9

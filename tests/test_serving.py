@@ -170,9 +170,11 @@ def test_evict_idle_rejects_when_every_tenant_is_mid_fetch():
         opts = ServingOptions(max_tenants=2, admission="evict-idle")
         service = yield from _serve(ctx, opts)
         a, b = service.connect("a"), service.connect("b")
-        # Mark both mid-fetch: a session with bytes in flight is not
+        # Mark both mid-fetch: a session with a fetch inside its lane —
+        # queued, on the wire or between two sub-fetches — is not
         # evictable, so admission has nothing to reclaim.
-        a.lane.inflight = b.lane.inflight = 1
+        a.lane.enter()
+        b.lane.enter()
         try:
             service.connect("c")
         except AdmissionError as e:
@@ -376,27 +378,95 @@ def test_oversized_request_is_admitted_alone_not_starved():
     assert done == ["whale"]  # larger than the whole pool, still granted
 
 
+def test_interactive_grant_is_immediate_while_batch_is_backlogged():
+    """The non-blocking grant is per class: a batch backlog at the target
+    must not push an interactive read (own pool empty) through an Event
+    and a pump."""
+    engine = Engine()
+    arb = DrrArbiter(engine, quantum_bytes=1024)
+    assert arb.try_acquire(1024, "batch", 1024)  # saturate the batch pool
+    engine.process(arb.acquire("bg", 1, 1024, "batch", 1024))  # ...and queue behind it
+    engine.run()
+    scheduled = engine._seq
+    assert list(arb.acquire("fg", 4, 512, "interactive", 1024)) == []  # no Event
+    assert engine._seq == scheduled and arb.inflight["interactive"] == 512
+
+
+def test_non_blocking_grant_never_barges_its_own_class():
+    engine = Engine()
+    arb = DrrArbiter(engine, quantum_bytes=1024)
+    order = []
+
+    def queued():
+        yield from arb.acquire("first", 1, 800, "batch", 1024)
+        order.append("first")
+
+    assert arb.try_acquire(1024, "batch", 1024)
+    engine.process(queued())
+    engine.run()
+    arb.release(512, "batch")  # 512 in flight: a 400-byte read would fit...
+    assert not arb.try_acquire(400, "batch", 1024)  # ...but "first" is ahead of it
+    arb.release(512, "batch")
+    engine.run()
+    assert order == ["first"] and arb.try_acquire(200, "batch", 1024)
+
+
+def _lane(engine, arbiter_for, cap=None, share=None, tenant="t"):
+    return TenantLane(tenant, 1, engine, arbiter_for, max_inflight_bytes=cap,
+                      qos="batch", target_share=share)
+
+
+def test_lane_grants_what_is_grantable_and_waits_holding_nothing():
+    engine = Engine()
+    arbiters = {t: DrrArbiter(engine, quantum_bytes=1 << 20) for t in range(3)}
+    lane = _lane(engine, arbiters.__getitem__, share=1000)
+    other = _lane(engine, arbiters.__getitem__, share=1000, tenant="other")
+    log = []
+
+    def blocker():  # saturates targets 0 and 1 for a while
+        held = yield from other.acquire({0: 1000, 1: 1000})
+        yield engine.timeout(1.0)
+        other.release(held)
+
+    def fetcher():
+        first = yield from lane.acquire({0: 600, 1: 600, 2: 600})
+        log.append((engine.now, dict(first), dict(lane.held)))
+        lane.release(first)  # that sub-fetch "landed" at once
+        # Nothing left is grantable: queue on ONE arbiter, holding nothing.
+        second = yield from lane.acquire({0: 600, 1: 600})
+        log.append((engine.now, dict(second), dict(lane.held)))
+        lane.release(second)
+
+    engine.process(blocker())
+    engine.process(fetcher())
+    engine.run(until=0.5)
+    assert log == [(0.0, {2: 600}, {2: 600})]  # only the free target was taken
+    assert lane.held == {} and lane.inflight == 0  # blocked, and holding nothing
+    assert [len(a._queues) for a in arbiters.values()] == [1, 0, 0]
+    engine.run()
+    # Woken by target 0's release; target 1 freed at the same instant and is
+    # swept up by the same grant round.
+    assert log[1] == (1.0, {0: 600, 1: 600}, {0: 600, 1: 600})
+    assert lane.queue_seconds == 1.0
+    assert all(not a.leaks() for a in arbiters.values()) and not lane.leaks()
+
+
 def test_lane_per_tenant_cap_queues_and_wakes():
     engine = Engine()
     arb = DrrArbiter(engine, quantum_bytes=1 << 20)
-    lane = TenantLane(
-        "t", 1, engine, lambda target: arb, max_inflight_bytes=1024,
-        qos="batch", target_share=None,
-    )
-    first = [_Read(0, 800)]
-    second = [_Read(0, 800)]
+    lane = _lane(engine, lambda target: arb, cap=1024)
     order = []
 
     def a():
-        yield from lane.acquire(first)
+        held = yield from lane.acquire({0: 800})
         order.append("a")
         yield engine.timeout(1.0)
-        lane.release(first)
+        lane.release(held)
 
     def b():
-        yield from lane.acquire(second)  # 800+800 > 1024: must wait for a
+        held = yield from lane.acquire({0: 800})  # 800+800 > 1024: must wait for a
         order.append("b")
-        lane.release(second)
+        lane.release(held)
 
     engine.process(a())
     engine.process(b())
@@ -404,6 +474,32 @@ def test_lane_per_tenant_cap_queues_and_wakes():
     assert order == ["a", "b"]
     assert lane.inflight == 0
     assert lane.queue_seconds > 0  # b's wait was accounted
+
+
+def test_lane_cap_admits_an_oversized_head_and_splits_the_rest():
+    engine = Engine()
+    arbiters = {}
+
+    def arbiter_for(target):
+        return arbiters.setdefault(target, DrrArbiter(engine, quantum_bytes=1 << 20))
+
+    lane = _lane(engine, arbiter_for, cap=1000)
+    rounds = []
+
+    def go():
+        want = {0: 5000, 1: 400, 2: 400}
+        while want:
+            held = yield from lane.acquire(want)
+            rounds.append(dict(held))
+            for target in held:
+                del want[target]
+            lane.release(held)
+
+    engine.process(go())
+    engine.run()
+    # The head exceeds the cap alone and is admitted alone (never starved);
+    # the rest fits under the cap together.
+    assert rounds == [{0: 5000}, {1: 400, 2: 400}]
 
 
 @given(
@@ -419,18 +515,25 @@ def test_lane_release_always_restores_arbiter_inflight(reads):
     def arbiter_for(target):
         return arbiters.setdefault(target, DrrArbiter(engine, quantum_bytes=1 << 30))
 
-    lane = TenantLane("t", 1, engine, arbiter_for, max_inflight_bytes=None,
-                      qos="batch", target_share=None)
-    planned = [_Read(t, nb) for t, nb in reads]
+    lane = _lane(engine, arbiter_for, share=2048)
+    want = {}
+    for target, nbytes in reads:
+        want[target] = want.get(target, 0) + nbytes
 
     def go():
-        yield from lane.acquire(planned)
-        lane.release(planned)
+        lane.enter()
+        while want:
+            held = yield from lane.acquire(want)
+            assert lane.held == held
+            for target in held:
+                del want[target]
+            lane.release(held)
+        lane.leave()
 
     engine.process(go())
     engine.run()
-    assert lane.inflight == 0
-    assert all(v == 0 for arb in arbiters.values() for v in arb.inflight.values())
+    assert lane.inflight == 0 and not lane.leaks()
+    assert all(not arb.leaks() for arb in arbiters.values())
 
 
 def test_target_share_partitions_by_weight():
