@@ -164,6 +164,7 @@ def ablation_elastic(profile: Optional[ScaleProfile] = None):
         "converges": conv is not None,
         "within_10pct_of_oracle": bool(r.epoch_seconds[-1] <= tol),
         "converges_fast": conv is not None and conv <= max(2, n_rungs),
+        "ends_at_oracle_width": ctl.get("final_width") == oracle_width,
         "deterministic": bool(deterministic),
         "critical_path_ok": bool(report.ok),
         # Every rank emits one epoch+stage span pair per reshard; the

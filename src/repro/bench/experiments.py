@@ -22,8 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..graphs.datasets import DATASETS, compute_stats
-from .harness import ExperimentConfig, ExperimentResult, run_experiment
+from ..graphs import DATASETS, GraphStats
+from ..storage import unpack_graph
+from .harness import ExperimentConfig, ExperimentResult, packed_blobs, run_experiment
 from .metrics import cdf, geomean, latency_percentiles, speedup_table
 from .plotting import ascii_cdf, ascii_plot
 from .reporting import render_table
@@ -181,7 +182,9 @@ def table1_datasets(sample_n: int = 200, seed: int = 0):
     data = {}
     for key in ("ising", "aisd", "aisd-ex-discrete", "aisd-ex-smooth", "aisd-ex-smooth-small"):
         spec = DATASETS[key]
-        stats = compute_stats(spec.make(sample_n, seed), sample_n)
+        stats = GraphStats()  # over the cached packed samples every other experiment reads
+        for blob in packed_blobs(key, seed, sample_n):
+            stats.add(unpack_graph(blob, copy=False))
         scale = spec.paper_n_graphs
         est_bytes = stats.mean_bytes * scale
         rows.append(

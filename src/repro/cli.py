@@ -19,6 +19,7 @@ to ``bench_results/`` (override with ``REPRO_RESULTS_DIR``); scale via
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -203,7 +204,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.scale:
         os.environ["REPRO_BENCH_SCALE"] = args.scale
     from .bench.reporting import results_dir
-    from .obs import TRACEABLE, run_traced, trace_json_bytes
+    from .obs import TRACEABLE, run_traced, trace_json_bytes, validate_chrome_trace
 
     if args.name not in TRACEABLE:
         print(f"unknown traceable experiment: {args.name}", file=sys.stderr)
@@ -231,12 +232,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         return 1
     if args.check:
+        with open(out, "rb") as fh:
+            written = fh.read()
+        problems = validate_chrome_trace(json.loads(written))
         # Determinism: an identical rerun must serialise byte-identically.
         rerun = run_traced(args.name, profile, tolerance=args.tolerance)
-        if trace_json_bytes(rerun.chrome) != payload:
-            print("trace export is NOT deterministic across reruns", file=sys.stderr)
+        checks = {
+            "file_is_a_valid_chrome_trace": written == payload and not problems,
+            "export_is_deterministic": trace_json_bytes(rerun.chrome) == payload,
+        }
+        bad = [k for k, ok in checks.items() if not ok]
+        if bad:
+            print(f"[check] trace {args.name} FAILED: {', '.join(bad)}", file=sys.stderr)
+            for problem in problems[:5]:
+                print(f"  {problem}", file=sys.stderr)
             return 1
-        print("[check] trace valid, invariant holds, export deterministic")
+        print(
+            f"[check] {out}: {len(run.chrome['traceEvents'])} events, shape valid, "
+            "invariant holds, export deterministic"
+        )
     return 0
 
 
@@ -308,7 +322,8 @@ COMMANDS: tuple[Command, ...] = (
             p.add_argument(
                 "--check",
                 action="store_true",
-                help="also verify the export is bit-deterministic (runs twice)",
+                help="also re-read and shape-validate the written file, and rerun to verify "
+                "the export is bit-deterministic",
             ),
         )
         and None,

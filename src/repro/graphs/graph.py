@@ -49,6 +49,27 @@ class AtomicGraph:
         self.y = np.ascontiguousarray(self.y, dtype=np.float32).reshape(-1)
         self.validate()
 
+    @classmethod
+    def trusted(
+        cls,
+        positions: np.ndarray,
+        node_features: np.ndarray,
+        edge_index: np.ndarray,
+        y: np.ndarray,
+        sample_id: int = -1,
+    ) -> "AtomicGraph":
+        """Wrap arrays already known to satisfy the invariants, as they are:
+        no dtype coercion, no :meth:`validate` (for a generator whose constant
+        arrays were checked once and whose per-sample ones are right by
+        construction)."""
+        graph = cls.__new__(cls)
+        graph.positions = positions
+        graph.node_features = node_features
+        graph.edge_index = edge_index
+        graph.y = y
+        graph.sample_id = sample_id
+        return graph
+
     # -- shape handles ------------------------------------------------------
     @property
     def n_nodes(self) -> int:
@@ -109,10 +130,7 @@ class AtomicGraph:
 
     def degree(self) -> np.ndarray:
         """In-degree of every node (message-passing fan-in)."""
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.n_edges:
-            np.add.at(deg, self.edge_index[1], 1)
-        return deg
+        return np.bincount(self.edge_index[1], minlength=self.n_nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

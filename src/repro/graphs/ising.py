@@ -25,6 +25,7 @@ __all__ = ["IsingGenerator", "ising_energy", "LATTICE_SIDE", "N_ATOMS"]
 
 LATTICE_SIDE = 5
 N_ATOMS = LATTICE_SIDE**3  # 125, as in the paper
+_SPIN_VALUES = np.array([-1.0, 1.0], dtype=np.float32)
 
 
 @lru_cache(maxsize=None)
@@ -46,14 +47,19 @@ def _lattice_topology(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     src.append(i)
                     dst.append(j)
     edge_index = np.array([src, dst], dtype=np.int32)
-    # Undirected neighbour pairs (i < j) for the Hamiltonian sum.
-    pairs = edge_index[:, edge_index[0] < edge_index[1]].T.copy()
+    # Undirected neighbour pairs (i < j) for the Hamiltonian sum; a transposed
+    # view, so each column is one contiguous index array.
+    pairs = edge_index[:, edge_index[0] < edge_index[1]].T
+    # Every sample of this lattice shares these arrays: check them here, once.
+    AtomicGraph(positions, np.zeros((len(positions), 1)), edge_index, np.zeros(1))
+    for a in (positions, edge_index, pairs):
+        a.flags.writeable = False
     return positions, edge_index, pairs
 
 
 def ising_energy(spins: np.ndarray, pairs: np.ndarray, J: float, H: float) -> float:
     """Closed-form Ising Hamiltonian over the provided neighbour pairs."""
-    interaction = float(np.sum(spins[pairs[:, 0]] * spins[pairs[:, 1]]))
+    interaction = float(np.sum(spins.take(pairs[:, 0]) * spins.take(pairs[:, 1])))
     return -J * interaction - H * float(spins.sum())
 
 
@@ -107,12 +113,12 @@ class IsingGenerator:
         if not 0 <= index < self.n_samples:
             raise IndexError(f"sample {index} out of range [0, {self.n_samples})")
         rng = stream("ising", self.seed, index)
-        spins = rng.integers(0, 2, size=self.n_atoms).astype(np.float32) * 2.0 - 1.0
+        spins = _SPIN_VALUES.take(rng.integers(0, 2, size=self.n_atoms))
         energy = ising_energy(spins, self._pairs, self.J, self.H) / self._energy_scale
-        return AtomicGraph(
-            positions=self._positions,
-            node_features=spins[:, None],
-            edge_index=self._edge_index,
-            y=np.array([energy], dtype=np.float32),
-            sample_id=index,
+        return AtomicGraph.trusted(
+            self._positions,
+            spins[:, None],
+            self._edge_index,
+            np.array([energy], dtype=np.float32),
+            index,
         )

@@ -34,6 +34,12 @@ _ELEMENT_PROBS = np.array([0.62, 0.13, 0.15, 0.05, 0.05])
 _ELEMENT_ELECTRONEG = np.array([v[1] for v in ELEMENTS.values()], dtype=np.float32)
 _ELEMENT_VALENCE = np.array([v[2] for v in ELEMENTS.values()], dtype=np.float32)
 N_ELEMENTS = len(ELEMENTS)
+_ELEMENT_CDF = _ELEMENT_PROBS.cumsum()
+_ELEMENT_CDF /= _ELEMENT_CDF[-1]
+# Per-species feature row: one-hot species + electronegativity + valence.
+_FEATURE_ROWS = np.column_stack(
+    [np.eye(N_ELEMENTS, dtype=np.float32), _ELEMENT_ELECTRONEG, _ELEMENT_VALENCE]
+)
 
 
 def synthetic_gap(degrees: np.ndarray, species: np.ndarray, n_rings: int) -> float:
@@ -76,6 +82,9 @@ class MoleculeGenerator:
         self.max_atoms = max_atoms
         self.mean_atoms = mean_atoms
         self.target_noise = target_noise
+        # Skeleton atom i attaches to one of atoms [max(0, i - 8), i).
+        self._children = np.arange(1, max_atoms)
+        self._attach_lo = np.maximum(self._children - 8, 0)
 
     @property
     def output_dim(self) -> int:
@@ -83,7 +92,7 @@ class MoleculeGenerator:
 
     @property
     def feature_dim(self) -> int:
-        return N_ELEMENTS + 2  # one-hot species + electronegativity + valence
+        return _FEATURE_ROWS.shape[1]
 
     def __len__(self) -> int:
         return self.n_samples
@@ -99,6 +108,17 @@ class MoleculeGenerator:
         return int(round(lo + rng.beta(a, b) * (hi - lo)))
 
     def make(self, index: int) -> AtomicGraph:
+        positions, features, edge_index, species, n_rings, rng = self._structure(index)
+        degrees = np.bincount(edge_index[1], minlength=species.size)
+        gap = synthetic_gap(degrees, species, n_rings)
+        gap += float(rng.normal(0.0, self.target_noise))
+        y = np.array([gap], dtype=np.float32)
+        return AtomicGraph(positions, features, edge_index, y, index)
+
+    def _structure(self, index: int):
+        """Sample ``index`` short of its target: ``(positions, features,
+        edge_index)`` in :class:`AtomicGraph`'s dtypes, then what the gap is
+        computed from (species, ring count, the stream after the last draw)."""
         if not 0 <= index < self.n_samples:
             raise IndexError(f"sample {index} out of range [0, {self.n_samples})")
         rng = stream("molecule", self.seed, index)
@@ -106,47 +126,30 @@ class MoleculeGenerator:
 
         # Random bond skeleton: node i>0 attaches to a previous node with a
         # preference for recent atoms (chain-like growth, like SMILES walks).
-        parents = np.empty(max(n - 1, 0), dtype=np.int64)
-        for i in range(1, n):
-            lo = max(0, i - 8)
-            parents[i - 1] = rng.integers(lo, i)
-        src = np.concatenate([np.arange(1, n), parents]) if n > 1 else np.empty(0, np.int64)
-        dst = np.concatenate([parents, np.arange(1, n)]) if n > 1 else np.empty(0, np.int64)
+        # One array-bounds draw consumes the stream exactly as n-1 scalar ones.
+        children = self._children[: n - 1]
+        parents = rng.integers(self._attach_lo[: n - 1], children)
 
-        # Ring closures: ~1 ring per 12 atoms, joining nearby skeleton atoms.
+        # Ring closures: ~1 ring per 12 atoms, joining nearby skeleton atoms
+        # (none below five atoms, though the count is drawn all the same).
+        # The second draw's bound depends on the first, so these stay scalar.
         n_rings = int(rng.poisson(n / 12.0))
-        ring_edges = []
-        for _ in range(n_rings):
-            if n < 5:
-                break
+        if n < 5:
+            n_rings = 0
+        ring_a = np.empty(n_rings, dtype=np.int64)
+        ring_b = np.empty(n_rings, dtype=np.int64)
+        for r in range(n_rings):
             a = int(rng.integers(0, n - 4))
-            b = a + int(rng.integers(3, min(7, n - a)))
-            ring_edges.append((a, b))
-        if ring_edges:
-            ra = np.array([e[0] for e in ring_edges])
-            rb = np.array([e[1] for e in ring_edges])
-            src = np.concatenate([src, ra, rb])
-            dst = np.concatenate([dst, rb, ra])
-        edge_index = np.stack([src, dst]).astype(np.int32)
+            ring_a[r] = a
+            ring_b[r] = a + int(rng.integers(3, min(7, n - a)))
+        edge_index = np.empty((2, 2 * (n - 1 + n_rings)), dtype=np.int32)
+        np.concatenate((children, parents, ring_a, ring_b), out=edge_index[0])
+        np.concatenate((parents, children, ring_b, ring_a), out=edge_index[1])
 
-        species = rng.choice(N_ELEMENTS, size=n, p=_ELEMENT_PROBS)
-        features = np.zeros((n, self.feature_dim), dtype=np.float32)
-        features[np.arange(n), species] = 1.0
-        features[:, N_ELEMENTS] = _ELEMENT_ELECTRONEG[species]
-        features[:, N_ELEMENTS + 1] = _ELEMENT_VALENCE[species]
+        # rng.choice(N_ELEMENTS, size=n, p=...) is this uniform draw + cdf search
+        species = _ELEMENT_CDF.searchsorted(rng.random(n), side="right")
+        features = _FEATURE_ROWS.take(species, axis=0)
 
         # 3D embedding: random walk positions, scaled to ~1.5 A bonds.
         positions = np.cumsum(rng.normal(0.0, 0.9, size=(n, 3)), axis=0).astype(np.float32)
-
-        degrees = np.zeros(n, dtype=np.int64)
-        if edge_index.size:
-            np.add.at(degrees, edge_index[1], 1)
-        gap = synthetic_gap(degrees, species, len(ring_edges))
-        gap += float(rng.normal(0.0, self.target_noise))
-        return AtomicGraph(
-            positions=positions,
-            node_features=features,
-            edge_index=edge_index,
-            y=np.array([gap], dtype=np.float32),
-            sample_id=index,
-        )
+        return positions, features, edge_index, species, n_rings, rng

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -94,3 +95,22 @@ def test_ls_alias_for_list(capsys):
     assert main(["ls"]) == 0
     out = capsys.readouterr().out
     assert "ablation-serving" in out
+
+
+def test_trace_check_rereads_and_validates_the_written_file(tmp_path, monkeypatch, capsys):
+    # `--check` owns what the CI heredoc used to assert: the file on disk is
+    # parsed again and shape-validated, and a failed check is exit code 1.
+    import repro.obs
+
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")  # restored after `--scale` sets it
+    out = tmp_path / "trace.json"
+    argv = ["trace", "fig5", "--scale", "tiny", "--check", "--out", str(out)]
+    assert main(argv) == 0
+    assert "shape valid, invariant holds, export deterministic" in capsys.readouterr().out
+    assert repro.obs.validate_chrome_trace(json.loads(out.read_text())) == []
+
+    monkeypatch.setattr(repro.obs, "validate_chrome_trace", lambda doc: ["event 0 missing name"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "file_is_a_valid_chrome_trace" in err and "event 0 missing name" in err
+    assert "export_is_deterministic" not in err

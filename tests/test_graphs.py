@@ -19,8 +19,12 @@ from repro.graphs import (
     gaussian_smooth_spectrum,
     make_generator,
 )
+from repro.bench.harness import packed_blobs
+from repro.graphs import dftb_surrogate_spectrum, molecules
 from repro.graphs.ising import _lattice_topology
-from repro.storage import pack_graph
+from repro.graphs.molecules import N_ELEMENTS, _ELEMENT_ELECTRONEG, _ELEMENT_PROBS, _ELEMENT_VALENCE
+from repro.graphs.spectra import N_PEAKS, _transitions
+from repro.sim.rng import stream
 
 
 def _tiny_graph(n=4, out_dim=2, sample_id=7):
@@ -329,36 +333,270 @@ def test_smooth_spectrum_rejects_bad_input(kwargs, match):
 
 
 # ---------------------------------------------------------------------------
-# golden bytes: every registry dataset, packed, at two seeds
+# generation kernels vs the loops they replaced
+# ---------------------------------------------------------------------------
+
+# Frozen copies of the per-atom / per-peak loop bodies as they stood at
+# 283ab16, before MoleculeGenerator.make, dftb_surrogate_spectrum and
+# IsingGenerator.make were rewritten as array kernels.  Reference only:
+# nothing in src/ calls them.
+
+def _loop_molecule(gen, index):
+    rng = stream("molecule", gen.seed, index)
+    n = gen._sample_size(rng)
+    parents = np.empty(max(n - 1, 0), dtype=np.int64)
+    for i in range(1, n):
+        lo = max(0, i - 8)
+        parents[i - 1] = rng.integers(lo, i)
+    src = np.concatenate([np.arange(1, n), parents]) if n > 1 else np.empty(0, np.int64)
+    dst = np.concatenate([parents, np.arange(1, n)]) if n > 1 else np.empty(0, np.int64)
+    n_rings = int(rng.poisson(n / 12.0))
+    ring_edges = []
+    for _ in range(n_rings):
+        if n < 5:
+            break
+        a = int(rng.integers(0, n - 4))
+        b = a + int(rng.integers(3, min(7, n - a)))
+        ring_edges.append((a, b))
+    if ring_edges:
+        ra = np.array([e[0] for e in ring_edges])
+        rb = np.array([e[1] for e in ring_edges])
+        src = np.concatenate([src, ra, rb])
+        dst = np.concatenate([dst, rb, ra])
+    edge_index = np.stack([src, dst]).astype(np.int32)
+    species = rng.choice(N_ELEMENTS, size=n, p=_ELEMENT_PROBS)
+    features = np.zeros((n, gen.feature_dim), dtype=np.float32)
+    features[np.arange(n), species] = 1.0
+    features[:, N_ELEMENTS] = _ELEMENT_ELECTRONEG[species]
+    features[:, N_ELEMENTS + 1] = _ELEMENT_VALENCE[species]
+    positions = np.cumsum(rng.normal(0.0, 0.9, size=(n, 3)), axis=0).astype(np.float32)
+    degrees = np.zeros(n, dtype=np.int64)
+    if edge_index.size:
+        np.add.at(degrees, edge_index[1], 1)
+    gap = molecules.synthetic_gap(degrees, species, len(ring_edges))
+    gap += float(rng.normal(0.0, gen.target_noise))
+    graph = AtomicGraph(
+        positions=positions,
+        node_features=features,
+        edge_index=edge_index,
+        y=np.array([gap], dtype=np.float32),
+        sample_id=index,
+    )
+    return graph, rng
+
+
+def _loop_surrogate_spectrum(graph, n_peaks):
+    n = graph.n_nodes
+    adj = np.zeros((n, n), dtype=np.float64)
+    if graph.n_edges:
+        adj[graph.edge_index[0], graph.edge_index[1]] = 1.0
+    adj = np.maximum(adj, adj.T)
+    onsite = graph.node_features[:, -2].astype(np.float64)
+    lap = np.diag(adj.sum(axis=1) + 0.5 * onsite) - adj
+    evals, evecs = np.linalg.eigh(lap)
+    mid = n // 2
+    peaks = np.empty(n_peaks)
+    intens = np.empty(n_peaks)
+    for k in range(n_peaks):
+        lo = max(0, mid - 1 - (k % max(mid, 1)))
+        hi = min(n - 1, mid + (k // max(mid, 1)) + k % 3)
+        gap = float(evals[hi] - evals[lo])
+        peaks[k] = gap
+        overlap = float(np.abs(evecs[:, lo] @ evecs[:, hi]))
+        intens[k] = (1.0 / (1.0 + k)) * (0.2 + overlap)
+    raw_span = peaks.max() - peaks.min() + 1e-9
+    peaks = 1.0 + (peaks - peaks.min()) / raw_span * (8.0 - 1.0)
+    order = np.argsort(peaks)
+    return peaks[order].astype(np.float32), intens[order].astype(np.float32)
+
+
+def _loop_spectrum(gen, index):
+    mol, _rng = _loop_molecule(gen._molecules, index)
+    peaks, intens = _loop_surrogate_spectrum(mol, gen.n_peaks)
+    if gen.mode == "discrete":
+        y = np.concatenate([peaks, intens])
+    else:
+        y = gaussian_smooth_spectrum(peaks, intens, gen.grid_size)
+    return AtomicGraph(
+        positions=mol.positions,
+        node_features=mol.node_features,
+        edge_index=mol.edge_index,
+        y=y,
+        sample_id=index,
+    )
+
+
+def _loop_ising(gen, index):
+    rng = stream("ising", gen.seed, index)
+    spins = rng.integers(0, 2, size=gen.n_atoms).astype(np.float32) * 2.0 - 1.0
+    pairs = gen._pairs
+    interaction = float(np.sum(spins[pairs[:, 0]] * spins[pairs[:, 1]]))
+    energy = (-gen.J * interaction - gen.H * float(spins.sum())) / gen._energy_scale
+    return AtomicGraph(
+        positions=gen._positions,
+        node_features=spins[:, None],
+        edge_index=gen._edge_index,
+        y=np.array([energy], dtype=np.float32),
+        sample_id=index,
+    )
+
+
+class _SizedMolecules(MoleculeGenerator):
+    """Every molecule has exactly ``n_atoms`` atoms (the size draw is still made)."""
+
+    def __init__(self, n_samples, n_atoms, **kwargs):
+        super().__init__(n_samples, **kwargs)
+        self.n_atoms = n_atoms
+
+    def _sample_size(self, rng):
+        super()._sample_size(rng)
+        return self.n_atoms
+
+
+def _raw(graph):
+    """Every field as (dtype, shape, bytes): equality is bit-for-bit."""
+    fields = (graph.positions, graph.node_features, graph.edge_index, graph.y)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in fields] + [graph.sample_id]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_molecule_kernel_matches_the_loop_at_every_atom_count(seed, monkeypatch):
+    streams = []
+
+    def recording_stream(*key):
+        streams.append(stream(*key))
+        return streams[-1]
+
+    monkeypatch.setattr(molecules, "stream", recording_stream)
+    seen_rings = set()
+    for n_atoms in range(1, 72):  # 5..71 is the paper band; 1..4 skip the ring loop
+        gen = _SizedMolecules(4, n_atoms, seed=seed)
+        for index in range(4):
+            want, want_rng = _loop_molecule(gen, index)
+            got = gen.make(index)
+            assert got.n_nodes == n_atoms
+            assert _raw(got) == _raw(want)
+            # the stream is left where the loop left it: a desync cannot hide
+            assert streams[-1].random() == want_rng.random()
+            seen_rings.add((got.n_edges - 2 * (n_atoms - 1)) // 2)
+    assert {0, 1, 2, 3} <= seen_rings
+
+
+@pytest.mark.parametrize("mode", ["discrete", "smooth"])
+def test_spectrum_kernel_matches_the_loop_at_every_atom_count(mode):
+    gen = SpectrumGenerator(3, mode=mode, grid_size=351, seed=5)
+    for n_atoms in range(1, 72):
+        gen._molecules = _SizedMolecules(3, n_atoms, seed=5)
+        for index in range(3):
+            assert _raw(gen.make(index)) == _raw(_loop_spectrum(gen, index))
+
+
+def test_surrogate_kernel_matches_the_loop_on_asymmetric_and_looped_graphs():
+    # One-directional edges, a duplicate and a self-loop: the public kernel
+    # symmetrises and de-duplicates exactly as the dense adjacency did.
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 6, 17):
+        edges = rng.integers(0, n, size=(2, 3 * n))
+        g = AtomicGraph(
+            positions=np.zeros((n, 3)),
+            node_features=rng.uniform(1.0, 4.0, size=(n, 7)),
+            edge_index=edges,
+            y=np.zeros(1),
+        )
+        for n_peaks in (1, 7, N_PEAKS):
+            got, want = dftb_surrogate_spectrum(g, n_peaks), _loop_surrogate_spectrum(g, n_peaks)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert got[0].dtype == got[1].dtype == np.float32
+
+
+@pytest.mark.parametrize("side", [2, 3, 5])
+def test_ising_kernel_matches_the_loop(side):
+    gen = IsingGenerator(16, seed=4, J=0.7, H=0.3, side=side)
+    for index in range(16):
+        assert _raw(gen.make(index)) == _raw(_loop_ising(gen, index))
+
+
+def test_surrogate_intensities_do_not_depend_on_the_overlap_residue():
+    # The loop's intensity was (0.2 + |<lo|hi>|) / (1 + k) with <lo|hi> the
+    # overlap of two *distinct* eigenvectors of a symmetric matrix: zero up to
+    # rounding.  (1) The residue is tiny ...
+    gen = MoleculeGenerator(64, seed=0)
+    worst = 0.0
+    for index in range(64):
+        g = gen.make(index)
+        n = g.n_nodes
+        lap = np.zeros((n, n))
+        lap[g.edge_index[0], g.edge_index[1]] = -1.0
+        lap[np.arange(n), np.arange(n)] = 0.5 * g.node_features[:, -2] - lap.sum(axis=1)
+        evecs = np.linalg.eigh(lap)[1]
+        lo, hi, _w = _transitions(n, N_PEAKS)
+        assert not np.any(lo == hi)
+        worst = max(worst, float(np.abs(np.einsum("ik,ik->k", evecs[:, lo], evecs[:, hi])).max()))
+    assert worst < 1e-12
+    # ... (2) and float32 cannot see a residue a thousand times larger: for
+    # every peak, [0.2, 0.2 + 1e-9] / (1 + k) lies inside one rounding
+    # interval (the map is monotone, so the two ends suffice) ...
+    k = np.arange(N_PEAKS)
+    scale = 1.0 / (1.0 + k)
+    constants = (scale * 0.2).astype(np.float32)
+    assert np.array_equal((scale * (0.2 + 1e-9)).astype(np.float32), constants)
+    # ... (3) so the kernel ships the fifty constants, permuted by the peak sort.
+    assert np.array_equal(_transitions(40, N_PEAKS)[2], constants)
+    _peaks, intens = dftb_surrogate_spectrum(gen.make(0))
+    assert sorted(intens.tolist()) == sorted(constants.tolist())
+    # A one-atom "molecule" is the exception: lo == hi, overlap exactly 1.
+    assert np.array_equal(_transitions(1, N_PEAKS)[2], (scale * 1.2).astype(np.float32))
+
+
+def test_n_peaks_must_be_positive_and_tiny_molecules_work():
+    with pytest.raises(ValueError, match="n_peaks"):
+        SpectrumGenerator(4, n_peaks=0)
+    tiny = MoleculeGenerator(40, seed=1, min_atoms=1, mean_atoms=2, max_atoms=4)
+    graphs = [tiny.make(i) for i in range(40)]
+    assert {1, 2, 3} <= {g.n_nodes for g in graphs} <= {1, 2, 3, 4}
+    with pytest.raises(ValueError, match="n_peaks"):
+        dftb_surrogate_spectrum(graphs[0], 0)
+    for g in graphs:  # mid == 0 at one atom; no ring below five
+        assert g.n_edges == 2 * (g.n_nodes - 1)
+        peaks, intens = dftb_surrogate_spectrum(g, 5)
+        assert peaks.shape == intens.shape == (5,)
+        assert np.all(np.diff(peaks) >= 0) and np.all(intens > 0)
+        assert 1.0 <= peaks[0] and peaks[-1] <= 8.0
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: every registry dataset, packed, at two or three seeds
 # ---------------------------------------------------------------------------
 
 # sha256 over the concatenated pack_graph() output of the first n samples,
-# recorded at the commit before the spectrum kernel and the preload copy
-# chain were rewritten (4798b5e).  Any change to these bytes moves every
-# virtual-time metric and trace hash downstream.
-_GOLDEN_PREFIX = {"ising": 8, "aisd": 8, "aisd-ex-discrete": 8, "aisd-ex-smooth": 4,
-                  "aisd-ex-smooth-small": 8}
+# recorded before the generators were touched (aisd-ex-smooth at 4798b5e,
+# the 256-sample prefixes of the other four at 283ab16).  Any change to
+# these bytes moves every virtual-time metric and trace hash downstream.
+_GOLDEN_PREFIX = {"ising": 256, "aisd": 256, "aisd-ex-discrete": 256, "aisd-ex-smooth": 4,
+                  "aisd-ex-smooth-small": 256}
 _GOLDEN_SHA256 = {
-    ("ising", 0): "ad9fad67cbc13a340b034e01d34e56ae4d85a4b5c21a531687475f8a0d6809ee",
-    ("ising", 1): "7baaf2769a09794c10128a327ae051e5fa17eb42059318a4a9b98645a9661392",
-    ("aisd", 0): "97ac7c9ab0a3acba29c72e2364b2c1188dc9ef0dd12be385dc5f83ef73c530ad",
-    ("aisd", 1): "755210e0c029753cec9d36a7a11b85162d1c46969e3cca905aa9a84f6cb7ee10",
-    ("aisd-ex-discrete", 0): "efd198dccbdf5388cfa9b2e6bccad8f50a229791446ec56741a3d35a0646ffae",
-    ("aisd-ex-discrete", 1): "c2a69c26445a4a284405ba7d634d7b604b5098960ca38bf9dfb293ce665e3465",
+    ("ising", 0): "729d3b7145ecfe97b6b4b0cb250851c5bbebf716e2fc66e9afeaacc944c3b83c",
+    ("ising", 1): "53ff40b34ef2350e456b2dd5a8803bff7c55dd491edc4ef69093ab671a922e36",
+    ("ising", 2): "bf9db1512f130a58b900eb12c20ff92301e2fd69a04309f7e8b8d8efc09299d9",
+    ("aisd", 0): "b2b7c8c5fcf7acaa33021ac5caa3df42a4e5f04c750fe2a02c7f3f2a11ec9aa8",
+    ("aisd", 1): "6b459e20f461f43b6f1886de9cc391625c34096b1eec9e603ce450adceb59442",
+    ("aisd", 2): "ea6211903b99beb79d618d57290da474eb452e24ee9d780ef99255cb9f7e7292",
+    ("aisd-ex-discrete", 0): "c43ac2afdf8ffdfb70a6999cf713165ddaac2e427e8b87eef00bf53de0a3736d",
+    ("aisd-ex-discrete", 1): "4a547471b8b746565292aceac1b0375693a3711eed46c9443a175a3d092017a4",
+    ("aisd-ex-discrete", 2): "58abf957e24ddc7d32467819eaa9280d5add39d3a8f9bc4394c4f7324be4f956",
+    ("aisd-ex-smooth-small", 0): "9e0be8be5726aa6533daadbaa2b91729bbb27ec79b912805d6d5f77292bf5d82",
+    ("aisd-ex-smooth-small", 1): "84b785325ae0ee9f78a522d5401f9ad3a926345cca84034b8276a0dd9cc329c1",
+    ("aisd-ex-smooth-small", 2): "abfb620efdc6ef3364322a9dc7bd48eb26dd5b4cc7c9aeab8d30aec7b2b5f5e8",
     ("aisd-ex-smooth", 0): "36422ace928210b5109566b0ecf1d7e665ac9915b1bc2e98f944935a9ac6a89d",
     ("aisd-ex-smooth", 1): "0a69e2fb0b43e24b277b3d2e10b28c123ab9a9ec7b19917f028330221d9c4eb2",
-    ("aisd-ex-smooth-small", 0): "9b38302a5d13fbdca3000a87cddbeb2b391a0f61c04c23146a602bf2eb36499f",
-    ("aisd-ex-smooth-small", 1): "b26b33815870df8c840be6ba174f13853a50a831f6653953a57509f03c7bb467",
 }
 
 
 @pytest.mark.parametrize("dataset, seed", sorted(_GOLDEN_SHA256))
 def test_packed_dataset_bytes_match_golden_hashes(dataset, seed):
-    n = _GOLDEN_PREFIX[dataset]
-    gen = DATASETS[dataset].make(n, seed)
     digest = hashlib.sha256()
-    for i in range(n):
-        digest.update(pack_graph(gen.make(i)))
+    for blob in packed_blobs(dataset, seed, _GOLDEN_PREFIX[dataset]):
+        digest.update(blob)
     assert digest.hexdigest() == _GOLDEN_SHA256[dataset, seed]
 
 
