@@ -5,12 +5,18 @@ byte buffer of variable-size packed samples.  The registry — replicated on
 every member after a collective exchange — maps a global sample id to
 ``(owner group-rank, byte offset, byte size)`` so the data loader can
 issue one-sided reads without touching the target process.
+
+The table is one flat CSR over the *global* sample range: chunks are
+contiguous id ranges laid end to end in member order, so a sample's global
+id indexes every column directly and the member ``bounds`` recover its
+owner.  One host copy is built per replica group and shared read-only by
+the member coroutines; the virtual allgather is still charged per rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,26 +31,24 @@ class ShapeTable:
 
     Holds what the arena planner needs to compute scatter destinations
     *before* the bytes arrive: every sample's id and node/edge counts
-    (one array per group member, mirroring the offset tables) plus the
-    dataset-wide feature/output dims.  Built from an untimed header sweep
-    of each member's local chunk and one allgather alongside the size
-    exchange — only when the columnar data plane is enabled.
+    (flat columns indexed by global sample id, like the offset table) plus
+    the dataset-wide feature/output dims.  Built from an untimed header
+    sweep of each member's local chunk and one allgather alongside the
+    size exchange — only when the columnar data plane is enabled.
     """
 
-    sample_ids: list[np.ndarray]  # per group-rank: (chunk_size,) int64
-    n_nodes: list[np.ndarray]  # per group-rank: (chunk_size,) int64
-    n_edges: list[np.ndarray]  # per group-rank: (chunk_size,) int64
+    sample_ids: np.ndarray  # (n_samples,) int64
+    n_nodes: np.ndarray  # (n_samples,) int64
+    n_edges: np.ndarray  # (n_samples,) int64
     feature_dim: int
     output_dim: int
 
     def __post_init__(self) -> None:
-        if not (len(self.sample_ids) == len(self.n_nodes) == len(self.n_edges)):
-            raise ValueError("shape table needs one array triple per member")
-        for r, (sids, nn, ne) in enumerate(
-            zip(self.sample_ids, self.n_nodes, self.n_edges)
-        ):
-            if not (sids.size == nn.size == ne.size):
-                raise ValueError(f"shape table arrays of member {r} disagree in length")
+        columns = (self.sample_ids, self.n_nodes, self.n_edges)
+        if not (columns[0].shape == columns[1].shape == columns[2].shape):
+            raise ValueError("shape table columns disagree in length")
+        for column in columns:
+            column.setflags(write=False)
 
 
 @dataclass
@@ -52,67 +56,65 @@ class ChunkRegistry:
     """Replicated location table of every sample in one replica group."""
 
     layout: ChunkLayout
-    offsets: list[np.ndarray]  # per group-rank: (chunk_size + 1,) byte offsets
+    offsets: np.ndarray  # (n_samples + 1,) cumulative packed bytes, global id order
     shapes: Optional[ShapeTable] = None  # present only on the columnar path
+    #: Size of the largest packed sample in the replica group.
+    max_sample_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.offsets) != self.layout.width:
-            raise ValueError(
-                f"registry needs one offset table per member: "
-                f"{len(self.offsets)} != {self.layout.width}"
-            )
-        for r, off in enumerate(self.offsets):
-            expect = self.layout.chunk_size(r) + 1
-            if off.shape != (expect,):
-                raise ValueError(
-                    f"offset table of member {r} has shape {off.shape}, "
-                    f"expected ({expect},)"
-                )
-            if off.size and (off[0] != 0 or np.any(np.diff(off) < 0)):
-                raise ValueError(f"offset table of member {r} is not monotone from 0")
+        off = self.offsets
+        expect = (self.layout.n_samples + 1,)
+        if off.shape != expect:
+            raise ValueError(f"offset table has shape {off.shape}, expected {expect}")
+        sizes = np.diff(off)
+        if off[0] != 0 or (sizes < 0).any():
+            raise ValueError("offset table is not monotone from 0")
+        off.setflags(write=False)
+        self.max_sample_bytes = int(sizes.max())
+        # Byte position of each member's buffer inside the global table.
+        self._base = off[self.layout.bounds]
 
     @classmethod
     def from_sample_sizes(
-        cls, layout: ChunkLayout, sizes_by_member: list[np.ndarray]
+        cls, layout: ChunkLayout, sizes_by_member: Sequence[np.ndarray]
     ) -> "ChunkRegistry":
-        offsets = []
-        for r, sizes in enumerate(sizes_by_member):
-            sizes = np.asarray(sizes, dtype=np.int64)
-            if sizes.size != layout.chunk_size(r):
-                raise ValueError(
-                    f"member {r} reported {sizes.size} sample sizes for a "
-                    f"chunk of {layout.chunk_size(r)}"
-                )
-            table = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=table[1:])
-            offsets.append(table)
+        counts = np.fromiter(map(len, sizes_by_member), np.int64, len(sizes_by_member))
+        expect = np.diff(layout.bounds)
+        if counts.size != layout.width:
+            raise ValueError(
+                f"registry needs one size table per member: {counts.size} != {layout.width}"
+            )
+        if (counts != expect).any():
+            r = int(np.flatnonzero(counts != expect)[0])
+            raise ValueError(
+                f"member {r} reported {counts[r]} sample sizes for a chunk of {expect[r]}"
+            )
+        offsets = np.zeros(layout.n_samples + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(sizes_by_member), out=offsets[1:])
         return cls(layout=layout, offsets=offsets)
 
     # -- lookups ---------------------------------------------------------
     def locate(self, global_index: int) -> tuple[int, int, int]:
         """(owner group-rank, byte offset, byte size) of one sample."""
         owner = self.layout.owner_of(global_index)
-        local = global_index - int(self.layout.bounds[owner])
-        table = self.offsets[owner]
-        return owner, int(table[local]), int(table[local + 1] - table[local])
+        start = self.offsets[global_index]
+        return owner, int(start - self._base[owner]), int(self.offsets[global_index + 1] - start)
+
+    def _checked(self, global_indices: np.ndarray) -> np.ndarray:
+        idx = np.asarray(global_indices, dtype=np.int64).reshape(-1)
+        n = self.layout.n_samples
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(f"sample index out of range [0, {n}): {global_indices}")
+        return idx
 
     def locate_batch(
         self, global_indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised :meth:`locate` over an index array."""
-        idx = np.asarray(global_indices, dtype=np.int64)
-        owners = self.layout.owner_of(idx)
-        owners = np.atleast_1d(owners)
-        locals_ = idx - self.layout.bounds[owners]
-        offs = np.empty(idx.size, dtype=np.int64)
-        sizes = np.empty(idx.size, dtype=np.int64)
-        for r in np.unique(owners):
-            sel = owners == r
-            table = self.offsets[int(r)]
-            li = locals_[sel]
-            offs[sel] = table[li]
-            sizes[sel] = table[li + 1] - table[li]
-        return owners, offs, sizes
+        idx = self._checked(global_indices)
+        owners = np.searchsorted(self.layout.bounds, idx, side="right") - 1
+        starts = self.offsets[idx]
+        return owners, starts - self._base[owners], self.offsets[idx + 1] - starts
 
     def shape_batch(
         self, global_indices: np.ndarray
@@ -121,33 +123,15 @@ class ChunkRegistry:
 
         Requires a :class:`ShapeTable` (columnar path); raises otherwise.
         """
-        if self.shapes is None:
+        shapes = self.shapes
+        if shapes is None:
             raise ValueError("registry has no shape table (columnar data plane disabled)")
-        idx = np.asarray(global_indices, dtype=np.int64)
-        owners = np.atleast_1d(self.layout.owner_of(idx))
-        locals_ = idx - self.layout.bounds[owners]
-        sids = np.empty(idx.size, dtype=np.int64)
-        nn = np.empty(idx.size, dtype=np.int64)
-        ne = np.empty(idx.size, dtype=np.int64)
-        for r in np.unique(owners):
-            sel = owners == r
-            li = locals_[sel]
-            sids[sel] = self.shapes.sample_ids[int(r)][li]
-            nn[sel] = self.shapes.n_nodes[int(r)][li]
-            ne[sel] = self.shapes.n_edges[int(r)][li]
-        return sids, nn, ne
+        idx = self._checked(global_indices)
+        return shapes.sample_ids[idx], shapes.n_nodes[idx], shapes.n_edges[idx]
 
     def buffer_bytes(self, group_rank: int) -> int:
-        return int(self.offsets[group_rank][-1])
-
-    def max_sample_bytes(self) -> int:
-        """Size of the largest packed sample in the replica group."""
-        largest = 0
-        for table in self.offsets:
-            if table.size > 1:
-                largest = max(largest, int(np.diff(table).max()))
-        return largest
+        return int(self._base[group_rank + 1] - self._base[group_rank])
 
     @property
     def total_bytes(self) -> int:
-        return sum(int(t[-1]) for t in self.offsets)
+        return int(self.offsets[-1])

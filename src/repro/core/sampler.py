@@ -26,6 +26,8 @@ with zero communication.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..sim.rng import stream
@@ -37,6 +39,17 @@ __all__ = [
     "SampledShuffleSampler",
     "iter_batches",
 ]
+
+
+@lru_cache(maxsize=16, typed=True)
+def _epoch_permutation(name: str, seed, epoch: int, n_samples: int) -> np.ndarray:
+    """One epoch's permutation of the whole dataset: a pure function of its
+    arguments, so it is drawn once and shared — read-only — by every rank's
+    sampler and every peer schedule a rank reconstructs, instead of each
+    permuting the whole dataset again."""
+    perm = stream(name, seed, epoch).permutation(n_samples)
+    perm.setflags(write=False)
+    return perm
 
 
 class GlobalShuffleSampler:
@@ -58,7 +71,7 @@ class GlobalShuffleSampler:
     def epoch_indices(self, epoch: int) -> np.ndarray:
         """This rank's sample ids for the given epoch (same permutation on
         every rank thanks to the shared (seed, epoch) RNG key)."""
-        perm = stream("global-shuffle", self.seed, epoch).permutation(self.n_samples)
+        perm = _epoch_permutation("global-shuffle", self.seed, epoch, self.n_samples)
         lo = self.rank * self.per_rank
         return perm[lo : lo + self.per_rank]
 
@@ -129,7 +142,7 @@ class SampledShuffleSampler:
         self.per_rank = n_samples // n_ranks  # equalised with other samplers
 
     def epoch_indices(self, epoch: int) -> np.ndarray:
-        hot = stream("sampled-hotness", self.seed, epoch).permutation(self.n_samples)
+        hot = _epoch_permutation("sampled-hotness", self.seed, epoch, self.n_samples)
         u = stream("sampled-shuffle", self.seed, epoch, self.rank).random(
             self.per_rank
         )

@@ -32,6 +32,7 @@ a valid ``framework`` value.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Optional, Sequence
 
 import numpy as np
@@ -40,7 +41,6 @@ from ..dataplane import (
     FETCH_STAGES,
     FetchPlanner,
     FetchStats,
-    PlannedRead,
     SampleCache,
     TieredCache,
     get_transport,
@@ -66,6 +66,28 @@ __all__ = ["DDStore", "FetchStats", "FETCH_STAGES", "StoreClosedError"]
 
 class StoreClosedError(RuntimeError):
     """Raised when a closed/shut-down DDStore handle is asked for samples."""
+
+
+def _build_registry(layout: ChunkLayout, _communicator, sizes_by_member: list) -> ChunkRegistry:
+    return ChunkRegistry.from_sample_sizes(layout, sizes_by_member)
+
+
+def _attach_shape_table(registry: ChunkRegistry, _communicator, shape_rows: list) -> None:
+    """Merge the members' ``_local_shape_row`` rows into the group's
+    :class:`ShapeTable` (rows arrive in member order = global id order)."""
+    dims = np.stack([row[:2] for row in shape_rows])
+    dims = dims[dims[:, 0] != -1]  # members with empty chunks report no dims
+    if dims.size and (dims != dims[0]).any():
+        other = dims[(dims != dims[0]).any(axis=1)][0]
+        raise ValueError(
+            "columnar data plane requires uniform feature/output dims across "
+            f"members: got {tuple(other.tolist())} and {tuple(dims[0].tolist())}"
+        )
+    f_dim, y_dim = dims[0].tolist() if dims.size else (0, 0)
+    sids, nn, ne = np.concatenate([row[2:].reshape(3, -1) for row in shape_rows], axis=1)
+    registry.shapes = ShapeTable(
+        sample_ids=sids, n_nodes=nn, n_edges=ne, feature_dim=f_dim, output_dim=y_dim
+    )
 
 
 class DDStore:
@@ -256,19 +278,24 @@ class DDStore:
         buffer_nbytes = int(result.buffer.nbytes)
         comm.communicator.world.cluster.charge_memory(node_index, buffer_nbytes)
 
-        # Exchange size tables and build the replicated registry.
-        sizes_all = yield from group_comm.allgather(result.sizes)
-        registry = ChunkRegistry.from_sample_sizes(layout, sizes_all)
+        # Exchange size tables and build the replicated registry: every
+        # member is charged the allgather, the last arrival builds the one
+        # host copy the whole replica group shares read-only.
+        registry = yield from group_comm.fuse(
+            partial(_build_registry, layout), result.sizes, call_name="MPI_Allgather"
+        )
         if config.dataplane.columnar:
             # The arena scatter path needs every sample's shape *before*
             # its bytes arrive.  Sweep the local chunk's record headers
             # (pure wall-clock work over already-resident DRAM) and
             # replicate the triples with one extra allgather riding the
             # same create-time collective phase as the size exchange.
-            shape_row = cls._local_shape_row(result)
-            shape_rows = yield from group_comm.allgather(shape_row)
-            registry.shapes = cls._build_shape_table(shape_rows)
-        largest = registry.max_sample_bytes()
+            yield from group_comm.fuse(
+                partial(_attach_shape_table, registry),
+                cls._local_shape_row(result),
+                call_name="MPI_Allgather",
+            )
+        largest = registry.max_sample_bytes
         if config.max_read_bytes is not None and config.max_read_bytes < largest:
             raise ValueError(
                 f"dataplane.max_read_bytes={config.max_read_bytes} is smaller "
@@ -361,36 +388,6 @@ class DDStore:
             off += nb
         return np.concatenate(([f_dim, y_dim], sids, nn, ne)).astype(np.int64)
 
-    @staticmethod
-    def _build_shape_table(shape_rows: list[np.ndarray]) -> ShapeTable:
-        sids_all: list[np.ndarray] = []
-        nn_all: list[np.ndarray] = []
-        ne_all: list[np.ndarray] = []
-        f_dim = y_dim = -1
-        for row in shape_rows:
-            row = np.asarray(row, np.int64)
-            fd, yd = int(row[0]), int(row[1])
-            k = (row.size - 2) // 3
-            if fd != -1:  # members with empty chunks report no dims
-                if f_dim == -1:
-                    f_dim, y_dim = fd, yd
-                elif (fd, yd) != (f_dim, y_dim):
-                    raise ValueError(
-                        "columnar data plane requires uniform feature/output "
-                        f"dims across members: got ({fd}, {yd}) and "
-                        f"({f_dim}, {y_dim})"
-                    )
-            sids_all.append(row[2 : 2 + k].copy())
-            nn_all.append(row[2 + k : 2 + 2 * k].copy())
-            ne_all.append(row[2 + 2 * k : 2 + 3 * k].copy())
-        return ShapeTable(
-            sample_ids=sids_all,
-            n_nodes=nn_all,
-            n_edges=ne_all,
-            feature_dim=max(f_dim, 0),
-            output_dim=max(y_dim, 0),
-        )
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -452,8 +449,9 @@ class DDStore:
         across them.  Returns ``list[AtomicGraph]`` — or
         ``list[SampleStats]`` when ``decode=False`` (identical
         virtual-time charges, header-only wall-clock work; used by large
-        performance sweeps), or raw packed ``np.uint8`` payloads when
-        ``decode="raw"`` (no deserialisation charged; the resharding path).
+        performance sweeps), or raw packed ``np.uint8`` payloads, all
+        read-only, when ``decode="raw"`` (no deserialisation charged; the
+        resharding path).
         """
         self._check_open("fetching")
         idx = np.asarray(list(indices), dtype=np.int64)
@@ -531,20 +529,20 @@ class DDStore:
         if coord is not None:
             coord.abort()
 
-    def _reroute(self, read: PlannedRead) -> Optional[int]:
-        """Where else ``read`` can be served right now: the nearest owner of
-        the same chunk, other than its current target, that the health
-        table does not hold suspect.  ``None`` when there is nowhere better
-        to go (every other replica suspect).  Only wired into the fetch
-        stage when failover is on and the layout has replicas
-        (``_health`` is not None).  Chunk layouts and contents are
+    def _reroute(self, target: int) -> Optional[int]:
+        """Where else a read aimed at rank ``target`` can be served right
+        now: the nearest owner of the same chunk, other than ``target``,
+        that the health table does not hold suspect.  ``None`` when there
+        is nowhere better to go (every other replica suspect).  Only wired
+        into the fetch stage when failover is on and the layout has
+        replicas (``_health`` is not None).  Chunk layouts and contents are
         identical across replica groups, so a rerouted read returns
         byte-identical payloads.
         """
         now = self.comm.engine.now
         suspect = self._health.suspect
-        for rank in self._replica_ranks(read.target % self.width):
-            if rank != read.target and not suspect(rank, now):
+        for rank in self._replica_ranks(target % self.width):
+            if rank != target and not suspect(rank, now):
                 return rank
         return None
 
@@ -631,8 +629,7 @@ class DDStore:
             # interactive read can suffer at a target's wire FIFO — stay
             # quantum-sized instead of whole-batch-sized.
             quantum = max(
-                self.config.serving.drr_quantum_bytes,
-                self.registry.max_sample_bytes(),
+                self.config.serving.drr_quantum_bytes, self.registry.max_sample_bytes
             )
             mrb = self.planner.max_read_bytes
             clone.planner = FetchPlanner(
@@ -811,64 +808,38 @@ class _StoreSource:
             return PreloadResult(buffer=buffer, sizes=sizes)
 
         lo, hi = indices[0], indices[-1] + 1
-        reg, layout = store.registry, store.layout
-        # One (owner, byte-span) request per overlapped old chunk.
-        requests = []
-        sizes_parts = []
-        for owner in range(layout.width):
-            c_lo, c_hi = layout.chunk_range(owner)
-            s_lo, s_hi = max(lo, c_lo), min(hi, c_hi)
-            if s_lo >= s_hi:
-                continue
-            table = reg.offsets[owner]
-            b_lo = int(table[s_lo - c_lo])
-            b_hi = int(table[s_hi - c_lo])
-            requests.append((owner, b_lo, b_hi - b_lo))
-            sizes_parts.append(np.diff(table[s_lo - c_lo : s_hi - c_lo + 1]))
+        reg, bounds = store.registry, store.layout.bounds
+        # One byte span per overlapped old chunk: ``[lo, hi)`` cut at the
+        # old chunk boundaries that fall strictly inside it.
+        first, last = np.searchsorted(bounds, [lo, hi - 1], side="right") - 1
+        owners = np.arange(first, last + 1)
+        cuts = np.concatenate(([lo], bounds[first + 1 : last + 1], [hi]))
+        b_lo = reg.offsets[cuts[:-1]] - reg.offsets[bounds[owners]]
+        nbytes = reg.offsets[cuts[1:]] - reg.offsets[cuts[:-1]]
         me = store.group_comm.rank
-        local_parts = []
-        remote_owners = []
-        remote_reads = []
-        for owner, off, nb in requests:
-            if nb == 0:
-                # An overlapped span of all-zero-size samples moves no
-                # bytes: satisfy it locally instead of spending a wire
-                # read (and, under faults, a retry ladder) on nothing.
-                local_parts.append((owner, np.zeros(0, dtype=np.uint8)))
-            elif owner == me:
-                local_parts.append(
-                    (owner, store.transport.local_buffer()[off : off + nb].copy())
-                )
-            else:
-                remote_owners.append(owner)
-                remote_reads.append(
-                    PlannedRead(
-                        target=owner + store._group_base,
-                        offset=off,
-                        nbytes=nb,
-                        slices=(),
-                    )
-                )
+        # An overlapped span of all-zero-size samples moves no bytes:
+        # satisfy it locally instead of spending a wire read (and, under
+        # faults, a retry ladder) on nothing.
+        remote = np.flatnonzero((nbytes != 0) & (owners != me))
+        parts = [np.zeros(0, dtype=np.uint8)] * owners.size
+        if first <= me <= last and nbytes[me - first]:
+            off = int(b_lo[me - first])
+            parts[me - first] = store.transport.local_buffer()[
+                off : off + int(nbytes[me - first])
+            ].copy()
         # The bulk reads go through the same fetch stage as training-time
         # reads: a reshard under a straggler/dark peer retries and fails
         # over (or, without resilience, raises) instead of silently
         # stitching None payloads into the new chunk.
-        payloads: list = []
-        if remote_reads:
-            outcome, ladder = yield from pipeline.fetch(store, remote_reads, self.n_workers)
+        if remote.size:
+            reads = np.stack(
+                [owners[remote] + store._group_base, b_lo[remote], nbytes[remote]], axis=1
+            )
+            outcome, ladder = yield from pipeline.fetch(store, reads, self.n_workers)
             for name, n in ladder.items():
                 setattr(store.stats, name, getattr(store.stats, name) + n)
-            payloads = outcome.payloads
-        by_owner = dict(local_parts)
-        by_owner.update({o: p for o, p in zip(remote_owners, payloads)})
-        buffer = (
-            np.concatenate([by_owner[r[0]] for r in requests])
-            if requests
-            else np.zeros(0, dtype=np.uint8)
-        )
-        sizes = (
-            np.concatenate(sizes_parts).astype(np.int64)
-            if sizes_parts
-            else np.zeros(0, dtype=np.int64)
-        )
+            for i, payload in zip(remote.tolist(), outcome.payloads):
+                parts[i] = payload
+        buffer = np.concatenate(parts)
+        sizes = np.diff(reg.offsets[lo : hi + 1])
         return PreloadResult(buffer=buffer, sizes=sizes)

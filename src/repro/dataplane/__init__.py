@@ -32,8 +32,6 @@ from .planner import (
     FetchPlan,
     FetchPlanner,
     NodeWavePlan,
-    PlannedRead,
-    ReadSlice,
     plan_promotions,
 )
 from .scheduler import EpochScheduler
@@ -60,8 +58,6 @@ __all__ = [
     "FetchOutcome",
     "FetchPlanner",
     "FetchPlan",
-    "PlannedRead",
-    "ReadSlice",
     "ArenaScatterMap",
     "NodeWavePlan",
     "WaveWindow",

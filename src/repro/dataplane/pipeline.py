@@ -27,7 +27,6 @@ views need no second pipeline type.  Nothing here imports ``repro.core``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from typing import Generator, Optional
 
@@ -62,7 +61,9 @@ def _record(h, name: str, cat: str, start: float, **args) -> None:
 def fetch(h, reads, n_streams: int) -> Generator:
     """Execute planned reads: (steer → tenant lane → ladder → transport)*.
 
-    Every wire read in ``src/`` is issued here, by one loop: take
+    ``reads`` is the ``(n, 3)`` ``(target, offset, nbytes)`` array of a
+    :class:`~.planner.FetchPlan`.  Every wire read in ``src/`` is issued
+    here, by one loop: take
     *whatever targets of the plan are grantable right now*, issue exactly
     those reads as one sub-fetch (one lock epoch, one ``get_batch``),
     release their grants when it lands, repeat until the plan is done.
@@ -84,35 +85,33 @@ def fetch(h, reads, n_streams: int) -> Generator:
     lane, health = h._lane, h._health
     ladder: dict[str, int] = {}
     queue_wait = 0.0
-    parts = []  # (positions in ``reads``, sub-fetch outcome)
-    left = range(len(reads))
+    parts = []  # (rows of ``reads``, sub-fetch outcome)
+    left = np.arange(len(reads))  # rows not yet issued
     if lane is not None:
         lane.enter()
     try:
-        while left:
+        while left.size:
             if health:
                 reads = _steer(h, reads, left, ladder)
             if lane is None:
-                at, left = left, ()
+                at, left = left, left[:0]
             else:
-                want: dict[int, int] = {}  # target -> bytes still to issue
-                for i in left:
-                    read = reads[i]
-                    want[read.target] = want.get(read.target, 0) + read.nbytes
+                # Bytes still to issue, per target (ascending).
+                targets, of_read = np.unique(reads[left, 0], return_inverse=True)
+                want = np.bincount(of_read, weights=reads[left, 2]).astype(np.int64)
                 t_queue = engine.now
-                granted = yield from lane.acquire(dict(sorted(want.items())))
+                granted = yield from lane.acquire(dict(zip(targets.tolist(), want.tolist())))
                 if engine.now > t_queue:
                     queue_wait += engine.now - t_queue
                     _record(h, "store.queue", "store.stage", t_queue, tenant=h._tenant)
-                at = [i for i in left if reads[i].target in granted]
-                left = [i for i in left if reads[i].target not in granted]
-            if at:
-                try:
-                    sub = reads if len(at) == len(reads) else [reads[i] for i in at]
-                    parts.append((at, (yield from _issue(h, sub, n_streams, ladder))))
-                finally:
-                    if lane is not None:
-                        lane.release(granted)
+                ok = np.array([t in granted for t in targets.tolist()])[of_read]
+                at, left = left[ok], left[~ok]
+            try:
+                sub = reads if at.size == len(reads) else reads[at]
+                parts.append((at, (yield from _issue(h, sub, n_streams, ladder))))
+            finally:
+                if lane is not None:
+                    lane.release(granted)
     finally:
         if lane is not None:
             lane.leave()
@@ -124,7 +123,7 @@ def fetch(h, reads, n_streams: int) -> Generator:
             latencies=np.zeros(len(reads), dtype=np.float64),
         )
         for at, part in parts:
-            for i, payload in zip(at, part.payloads):
+            for i, payload in zip(at.tolist(), part.payloads):
                 outcome.payloads[i] = payload
             if part.latencies is not None:
                 outcome.latencies[at] = part.latencies
@@ -136,23 +135,37 @@ def fetch(h, reads, n_streams: int) -> Generator:
 
 
 def _steer(h, reads, left, ladder):
-    """Reads go where they will be served: each not-yet-issued read
-    (positions ``left``) the health table says to avoid moves to the
-    nearest healthy replica (none → it stays put, and the ladder will issue
-    it unbounded).  Asked per read, because on probation exactly one read
-    is let through as the probe.  Counted as failovers."""
+    """Reads go where they will be served: the not-yet-issued reads (rows
+    ``left``) aimed at a rank the health table says to avoid move to its
+    nearest healthy replica (none → they stay put, and the ladder will
+    issue them unbounded).  Asked once per distinct target; on probation
+    exactly one read — the target's first in ``left`` — is let through as
+    the probe.  Every target is asked before any read is moved, so a rank
+    put on probation by this call takes its probe and nothing else,
+    whatever the numbering of the ranks.  Moves are counted as failovers."""
     now = h.comm.engine.now
-    avoid = h._health.avoid
+    health = h._health
+    aimed = reads[left, 0]
+    targets, first = np.unique(aimed, return_index=True)
+    moves = []
+    for target, probe in zip(targets.tolist(), first.tolist()):
+        if health.avoid(target, now):
+            move = aimed == target
+        elif health.suspect(target, now):
+            move = aimed == target  # just put on probation:
+            move[probe] = False  # its first read is the probe
+        else:
+            continue
+        if move.any():
+            moves.append((target, move))
     steered = None
-    for i in left:
-        read = reads[i]
-        if avoid(read.target, now):
-            target = h._reroute(read)
-            if target is not None:
-                if steered is None:
-                    steered = list(reads)
-                steered[i] = replace(read, target=target)
-                ladder["n_failovers"] = ladder.get("n_failovers", 0) + 1
+    for target, move in moves:
+        dest = h._reroute(target)
+        if dest is not None:
+            if steered is None:
+                steered = reads.copy()
+            steered[left[move], 0] = dest
+            ladder["n_failovers"] = ladder.get("n_failovers", 0) + int(move.sum())
     return reads if steered is None else steered
 
 
@@ -188,28 +201,37 @@ def _issue(h, reads, n_streams: int, ladder: dict) -> Generator:
 
 
 def assemble(plan, outcome, blobs, latencies) -> None:
-    """Reassemble per-sample payloads out of the reads' payloads."""
-    read_lat = outcome.latencies
-    totals: dict[int, int] = {}
-    for read in plan.reads:
-        for sl in read.slices:
-            end = sl.sample_offset + sl.nbytes
-            if end > totals.get(sl.position, 0):
-                totals[sl.position] = end
-    for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
-        lat = float(read_lat[r]) if read_lat is not None else 0.0
-        for sl in read.slices:
-            p = sl.position
-            piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
-            if sl.sample_offset == 0 and sl.nbytes == totals[p]:
-                blobs[p] = piece.copy()  # whole sample in one slice
-                SAMPLE_ALLOCATIONS.bump()
-            else:
-                if blobs[p] is None:
-                    blobs[p] = np.empty(totals[p], dtype=np.uint8)
-                    SAMPLE_ALLOCATIONS.bump()
-                blobs[p][sl.sample_offset : sl.sample_offset + sl.nbytes] = piece
-            latencies[p] = max(latencies[p], lat)
+    """Reassemble per-sample payloads out of the reads' payloads.
+
+    A sample that arrived in one slice is handed out as a read-only view of
+    its read's (private) payload — no second copy; one split across reads
+    is stitched into a fresh buffer.
+    """
+    read, position, sample_offset, read_offset, nbytes = plan.slices.T
+    if not read.size:
+        return
+    payloads = outcome.payloads
+    for payload in payloads:
+        payload.setflags(write=False)
+    n_slices = np.bincount(position, minlength=len(blobs))
+    whole = n_slices[position] == 1
+    if not whole.all():
+        totals = np.zeros(len(blobs), dtype=np.int64)
+        np.maximum.at(totals, position, sample_offset + nbytes)
+    for r, p, at, lo, nb, one in zip(
+        read.tolist(), position.tolist(), sample_offset.tolist(),
+        read_offset.tolist(), nbytes.tolist(), whole.tolist(),
+    ):
+        piece = payloads[r][lo : lo + nb]
+        if one:
+            blobs[p] = piece
+        else:
+            if blobs[p] is None:
+                blobs[p] = np.empty(totals[p], dtype=np.uint8)
+            blobs[p][at : at + nb] = piece
+    SAMPLE_ALLOCATIONS.bump(np.count_nonzero(n_slices))  # row blobs, views included
+    if outcome.latencies is not None:
+        np.maximum.at(latencies, position, outcome.latencies[read])
 
 
 def _strip_header(blob: np.ndarray) -> np.ndarray:
@@ -439,19 +461,25 @@ def _remote_demand(h, batches, group_rank: int):
     """Per non-empty batch, the ``(keys, owners, offsets, sizes)`` of the
     samples group member ``group_rank`` must fetch: not its own, not
     zero-size, each id once across the whole wave (first occurrence)."""
-    seen: set[int] = set()
+    located = []
     for batch in batches:
         idx = np.asarray(list(batch), dtype=np.int64)
         if idx.size == 0:
             continue
         owners, offsets, sizes = h.registry.locate_batch(idx)
-        keep = []
-        for p in np.flatnonzero((owners != group_rank) & (sizes != 0)).tolist():
-            key = int(idx[p])
-            if key not in seen:
-                seen.add(key)
-                keep.append(p)
-        yield idx[keep], owners[keep], offsets[keep], sizes[keep]
+        want = np.flatnonzero((owners != group_rank) & (sizes != 0))
+        located.append((idx[want], owners[want], offsets[want], sizes[want]))
+    if not located:
+        return []
+    # One pass over the wave's ids (wave-sized work, whatever the dataset).
+    ids = np.concatenate([part[0] for part in located])
+    first = np.zeros(ids.size, dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    cuts = np.cumsum([part[0].size for part in located])[:-1]
+    return [
+        tuple(col[keep] for col in part)
+        for part, keep in zip(located, np.split(first, cuts))
+    ]
 
 
 # -- sinks -------------------------------------------------------------------
@@ -492,10 +520,11 @@ class _RowSink:
 
     def finish(self, call: _Call, latencies, workers: int) -> Generator:
         if self.decode == "raw":
+            for blob in self.blobs:  # one contract wherever a blob came from
+                blob.setflags(write=False)
             return self.blobs, 0.0
         machine = self.h._machine
-        sizes = self.sizes
-        dec = np.fromiter((decode_time(machine, int(s)) for s in sizes), np.float64, sizes.size)
+        dec = decode_time(machine, self.sizes)  # elementwise: one float per sample
         decode_s = float(dec.sum())
         yield from call.spend("decode", decode_s / workers, n=int(self.idx.size))
         latencies += dec
@@ -541,21 +570,22 @@ class _ArenaSink:
         pass
 
     def wire(self, plan, outcome, latencies, positions) -> None:
-        scatter, fields, sizes = self.smap.scatter, self.fields, self.sizes
-        cache = self.h.cache
-        park = cache.enabled
-        read_lat = outcome.latencies
-        for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
-            lat = float(read_lat[r]) if read_lat is not None else 0.0
-            for sl in read.slices:
-                p = sl.position
-                piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
-                scatter(p, sl.sample_offset, sl.sample_offset + sl.nbytes, piece, fields)
-                latencies[p] = max(latencies[p], lat)
-                if park and sl.sample_offset == 0 and sl.nbytes == int(sizes[p]):
-                    # Whole sample in one slice: park its column bytes
-                    # for future arena batches.
-                    cache.put_columns(int(self.idx[p]), _strip_header(piece))
+        scatter, fields = self.smap.scatter, self.fields
+        cache, keys, payloads = self.h.cache, self.idx, outcome.payloads
+        read, position, sample_offset, read_offset, nbytes = plan.slices.T
+        # A whole sample in one slice parks its column bytes for future
+        # arena batches.
+        park = cache.enabled & (sample_offset == 0) & (nbytes == self.sizes[position])
+        for r, p, at, lo, nb, whole in zip(
+            read.tolist(), position.tolist(), sample_offset.tolist(),
+            read_offset.tolist(), nbytes.tolist(), park.tolist(),
+        ):
+            piece = payloads[r][lo : lo + nb]
+            scatter(p, at, at + nb, piece, fields)
+            if whole:
+                cache.put_columns(int(keys[p]), _strip_header(piece))
+        if outcome.latencies is not None:
+            np.maximum.at(latencies, position, outcome.latencies[read])
 
     def finish(self, call: _Call, latencies, workers: int) -> Generator:
         arena, smap, n = self.arena, self.smap, self.idx.size

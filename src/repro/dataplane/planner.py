@@ -4,7 +4,7 @@ The seed issued one logical get per requested sample.  Globally-shuffled
 mini-batches still contain runs of samples that are contiguous in their
 owner's chunk buffer (and resharding fetches whole spans), so the planner
 turns a batch of per-sample ``(target, offset, nbytes)`` requests into a
-smaller list of :class:`PlannedRead` wire operations:
+smaller set of wire reads — one array-valued :class:`FetchPlan`:
 
 1. requests are grouped per target rank (one lock epoch per target),
 2. byte ranges that touch or overlap are merged into one read — duplicate
@@ -12,9 +12,10 @@ smaller list of :class:`PlannedRead` wire operations:
 3. merged spans larger than ``max_read_bytes`` are cut back into several
    reads so one giant get cannot monopolise a NIC stream.
 
-Every read carries :class:`ReadSlice` scatter records mapping its payload
+The plan's ``slices`` rows are scatter records mapping each read's payload
 bytes back to the requesting positions, so callers can reassemble samples
-in request order (including samples split across reads).
+in request order (including samples split across reads).  Planning is a
+fixed number of array operations — no Python object per read or slice.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 from ..storage.serialization import HEADER_NBYTES
 
 __all__ = [
-    "ReadSlice",
-    "PlannedRead",
     "FetchPlan",
     "FetchPlanner",
     "NodeWavePlan",
@@ -147,42 +146,21 @@ class ArenaScatterMap:
         return written
 
 
-def _spans(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``[lo, hi)`` bounds of the groups a boolean break mask delimits."""
-    starts = np.flatnonzero(breaks)
-    return starts, np.append(starts[1:], n)
-
-
-@dataclass(frozen=True)
-class ReadSlice:
-    """Maps a byte range of one read's payload back to a request."""
-
-    position: int  # the caller's request slot this slice belongs to
-    sample_offset: int  # where these bytes land inside the sample payload
-    read_offset: int  # where they sit inside the read payload
-    nbytes: int
-
-
-@dataclass(frozen=True)
-class PlannedRead:
-    """One wire operation against a single target rank."""
-
-    target: int
-    offset: int
-    nbytes: int
-    slices: tuple[ReadSlice, ...]
-
-    @property
-    def request(self) -> tuple[int, int, int]:
-        """The ``(target, offset, nbytes)`` triple transports consume."""
-        return (self.target, self.offset, self.nbytes)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FetchPlan:
-    """The full set of reads covering one batch of sample requests."""
+    """The full set of reads covering one batch of sample requests.
 
-    reads: tuple[PlannedRead, ...]
+    ``reads`` is what transports consume — one ``(target, offset, nbytes)``
+    row per wire operation, in issue order.  ``slices`` maps payload bytes
+    back to requests: row ``(read, position, sample_offset, read_offset,
+    nbytes)`` says bytes ``[read_offset, read_offset + nbytes)`` of read
+    ``read``'s payload are bytes ``[sample_offset, ...)`` of the sample the
+    caller labelled ``position``.  Rows are sorted by ``read`` (CSR order)
+    and every row moves at least one byte.
+    """
+
+    reads: np.ndarray  # (n_reads, 3) int64
+    slices: np.ndarray  # (n_slices, 5) int64
     n_requests: int
 
     @property
@@ -191,15 +169,28 @@ class FetchPlan:
 
     @property
     def targets(self) -> tuple[int, ...]:
-        return tuple(sorted({r.target for r in self.reads}))
+        return tuple(np.unique(self.reads[:, 0]).tolist())
 
     @property
     def total_bytes(self) -> int:
         """Bytes actually moved over the wire (deduplicated)."""
-        return sum(r.nbytes for r in self.reads)
+        return int(self.reads[:, 2].sum())
 
-    def requests(self) -> list[tuple[int, int, int]]:
-        return [r.request for r in self.reads]
+
+def _columns(*columns) -> np.ndarray:
+    """Row-major int64 table with the given columns (a scalar broadcasts)."""
+    table = np.empty((columns[0].size, len(columns)), np.int64)
+    for i, column in enumerate(columns):
+        table[:, i] = column
+    return table
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of where a new run of equal ``keys`` begins."""
+    starts = np.empty(keys.size, bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
 
 
 @dataclass(frozen=True)
@@ -280,44 +271,38 @@ class FetchPlanner:
             if positions.size != n:
                 raise ValueError("positions must match the request arrays")
         if n == 0:
-            return FetchPlan(reads=(), n_requests=0)
+            return FetchPlan(np.zeros((0, 3), np.int64), np.zeros((0, 5), np.int64), 0)
+        if self.coalesce:
+            reads, slices = self._coalesced(targets, offsets, sizes, positions)
+        else:
+            # One read per request, in request order.  Zero-size requests
+            # keep their degenerate read (position accounting) but carry no
+            # slice, matching the coalescing path.
+            reads = _columns(targets, offsets, sizes)
+            member = np.flatnonzero(sizes)
+            slices = _columns(member, positions[member], 0, 0, sizes[member])
+        return FetchPlan(*self._interleaved(reads, slices), n)
 
-        if not self.coalesce:
-            # Zero-size requests keep their degenerate read (position
-            # accounting) but carry no slices, matching the coalescing path.
-            reads = tuple(
-                PlannedRead(
-                    target=int(t),
-                    offset=int(o),
-                    nbytes=int(s),
-                    slices=(ReadSlice(int(p), 0, 0, int(s)),) if s else (),
-                )
-                for t, o, s, p in zip(targets, offsets, sizes, positions)
-            )
-            return FetchPlan(reads=self._ordered(reads), n_requests=n)
-
-        order = np.lexsort((offsets, targets))
-        reads = self._coalesced(order, targets, offsets, sizes, positions)
-        return FetchPlan(reads=self._ordered(tuple(reads)), n_requests=n)
-
-    def _ordered(self, reads: tuple) -> tuple:
-        """Apply the fairness interleave (round-robin across targets)."""
-        if not self.fair_interleave or len(reads) < 3:
-            return tuple(reads)
-        by_target: dict[int, list[PlannedRead]] = {}
-        for read in reads:
-            by_target.setdefault(read.target, []).append(read)
-        if len(by_target) < 2:
-            return tuple(reads)
-        queues = [by_target[t] for t in sorted(by_target)]
-        out: list[PlannedRead] = []
-        depth = 0
-        while len(out) < len(reads):
-            for q in queues:
-                if depth < len(q):
-                    out.append(q[depth])
-            depth += 1
-        return tuple(out)
+    def _interleaved(self, reads: np.ndarray, slices: np.ndarray):
+        """Apply the fairness interleave (round-robin across targets):
+        reads sort by (depth within their target, target)."""
+        n = len(reads)
+        if not self.fair_interleave or n < 3:
+            return reads, slices
+        target = reads[:, 0]
+        index = np.arange(n)
+        by_target = np.argsort(target, kind="stable")
+        run_first = np.maximum.accumulate(np.where(_run_starts(target[by_target]), index, 0))
+        depth = np.empty(n, np.int64)
+        depth[by_target] = index - run_first
+        order = np.lexsort((target, depth))
+        moved_to = np.empty(n, np.int64)
+        moved_to[order] = index
+        read = moved_to[slices[:, 0]]
+        by_read = np.argsort(read, kind="stable")
+        slices = slices[by_read]
+        slices[:, 0] = read[by_read]
+        return reads[order], slices
 
     def plan_batches(
         self,
@@ -341,7 +326,7 @@ class FetchPlanner:
         concatenation) so callers can map payloads back to (batch, slot).
         """
         if not groups:
-            return FetchPlan(reads=(), n_requests=0)
+            return self.plan((), (), ())
         targets = np.concatenate(
             [np.asarray(g[0], dtype=np.int64).reshape(-1) for g in groups]
         )
@@ -506,114 +491,73 @@ class FetchPlanner:
 
     def _coalesced(
         self,
-        order: np.ndarray,
         targets: np.ndarray,
         offsets: np.ndarray,
         sizes: np.ndarray,
         positions: np.ndarray,
-    ) -> list[PlannedRead]:
-        # Vectorized merge sweep over the (target, offset)-sorted requests.
-        # A new read starts where the target changes or where an offset
-        # clears the running maximum of the span ends seen so far in the
-        # target run.  The running max over the whole *run* gives the same
-        # break decisions as the per-group max of the old pairwise sweep:
-        # every end in an already-closed group is strictly below the offset
-        # that closed it, and offsets are non-decreasing, so the comparison
-        # reduces to the current group's max.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Merge sweep over the (target, offset)-sorted requests.  A new read
+        # starts where the target changes or where an offset clears the
+        # furthest byte requested so far in its target run.  That running
+        # maximum is segmented per target by biasing every run into its own
+        # value band (wider than any offset..end distance), which turns it
+        # into one ``maximum.accumulate`` over the whole batch.
+        order = np.lexsort((offsets, targets))
         t = targets[order]
         o = offsets[order]
-        e = o + sizes[order]
-        n = t.size
-        breaks = np.empty(n, bool)
-        breaks[0] = True
-        breaks[1:] = t[1:] != t[:-1]
-        for a, b in zip(*_spans(breaks, n)):
-            if b - a > 1:
-                run_max = np.maximum.accumulate(e[a : b - 1])
-                breaks[a + 1 : b] |= o[a + 1 : b] > run_max
-        starts, ends = _spans(breaks, n)
-        span_lo = o[starts]
-        span_hi = np.maximum.reduceat(e, starts)
-        # Fast path: a span at or under the read cap is emitted whole, and
-        # every member lies entirely inside it — no clipping, so all slice
-        # fields come straight from the sorted arrays (sample_offset is 0,
-        # read_offset is the member's distance from the span start).  Only
-        # oversized spans fall back to the splitting ``_emit_span``.
-        gid = np.cumsum(breaks) - 1
-        read_off = (o - span_lo[gid]).tolist()
-        samp_nb = (e - o).tolist()
-        pos = positions[order].tolist()
-        t_l = t[starts].tolist()
-        lo_l = span_lo.tolist()
-        hi_l = span_hi.tolist()
+        nb = sizes[order]
+        e = o + nb
+        pos = positions[order]
+        breaks = _run_starts(t)
+        run = np.add.accumulate(breaks, dtype=np.int64)  # 1-based target run
+        band = int(e.max() - o.min()) + 1
+        if (int(run[-1]) + 1) * band >= 2**62:
+            raise OverflowError("request offsets too far apart to plan in int64")
+        run *= band
+        reach = np.maximum.accumulate(e + run)
+        breaks[1:] |= o[1:] + run[1:] > reach[:-1]
+        starts = np.flatnonzero(breaks)
+        span = np.add.accumulate(breaks, dtype=np.int64)  # span of every request
+        span -= 1
+        lo = o[starts]
+        hi = np.maximum.reduceat(e, starts)
         max_nb = self.max_read_bytes
-        big = (span_hi - span_lo > max_nb) if max_nb is not None else None
-        reads: list[PlannedRead] = []
-        for g, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-            if big is not None and big[g]:
-                reads.extend(
-                    self._emit_span(
-                        t_l[g], lo_l[g], hi_l[g], order[a:b],
-                        offsets, sizes, positions,
-                    )
-                )
-                continue
-            slices = tuple(
-                ReadSlice(pos[i], 0, read_off[i], samp_nb[i])
-                for i in range(a, b)
-                if samp_nb[i]
-            )
-            reads.append(
-                PlannedRead(
-                    target=t_l[g],
-                    offset=lo_l[g],
-                    nbytes=hi_l[g] - lo_l[g],
-                    slices=slices,
-                )
-            )
-        return reads
+        if max_nb is None or not (hi - lo > max_nb).any():
+            # Every span is one read and every member lies entirely inside
+            # it: sample_offset is 0, read_offset the distance from the
+            # span start.
+            member = np.flatnonzero(nb)
+            read = span[member]
+            slices = _columns(read, pos[member], 0, o[member] - lo[read], nb[member])
+            return _columns(t[starts], lo, hi - lo), slices
 
-    def _emit_span(
-        self,
-        target: int,
-        span_lo: int,
-        span_hi: int,
-        members,
-        offsets: np.ndarray,
-        sizes: np.ndarray,
-        positions: np.ndarray,
-    ) -> list[PlannedRead]:
-        max_nb = self.max_read_bytes
-        if max_nb is None or span_hi - span_lo <= max_nb:
-            pieces = [(span_lo, span_hi)]
-        else:
-            pieces = []
-            a = span_lo
-            while a < span_hi:
-                b = min(a + max_nb, span_hi)
-                pieces.append((a, b))
-                a = b
-        members = np.asarray(members, np.int64)
-        m_off = offsets[members]
-        m_end = m_off + sizes[members]
-        m_pos = positions[members]
-        out = []
-        for a, b in pieces:
-            lo = np.maximum(a, m_off)
-            hi = np.minimum(b, m_end)
-            slices = tuple(
-                ReadSlice(
-                    int(m_pos[i]),
-                    int(lo[i] - m_off[i]),
-                    int(lo[i] - a),
-                    int(hi[i] - lo[i]),
-                )
-                for i in np.flatnonzero(hi > lo)
-            )
-            out.append(
-                PlannedRead(target=target, offset=int(a), nbytes=int(b - a), slices=slices)
-            )
-        return out
+        # Cut oversized spans into ``max_nb`` pieces (a zero-length span
+        # keeps its one degenerate read); request ``i`` then overlaps
+        # ``count[i]`` pieces of its span from ``k_first[i]`` on, one slice
+        # per piece.
+        n_pieces = np.maximum(1, -((lo - hi) // max_nb))
+        first_read = np.cumsum(n_pieces) - n_pieces
+        span_of = np.repeat(np.arange(starts.size), n_pieces)
+        r_lo = lo[span_of] + (np.arange(span_of.size) - first_read[span_of]) * max_nb
+        r_hi = np.minimum(r_lo + max_nb, hi[span_of])
+        rel = o - lo[span]
+        k_first = rel // max_nb
+        count = np.where(nb > 0, (rel + nb - 1) // max_nb - k_first + 1, 0)
+        member = np.repeat(np.arange(t.size), count)
+        k = np.arange(member.size) - np.repeat(np.cumsum(count) - count, count)
+        read = first_read[span[member]] + k_first[member] + k
+        s_lo = np.maximum(r_lo[read], o[member])
+        slices = _columns(
+            read,
+            pos[member],
+            s_lo - o[member],
+            s_lo - r_lo[read],
+            np.minimum(r_hi[read], e[member]) - s_lo,
+        )
+        # Slices were generated request-major; a stable sort by read keeps
+        # each read's slices in (target, offset)-sorted request order.
+        slices = slices[np.argsort(read, kind="stable")]
+        return _columns(t[starts][span_of], r_lo, r_hi - r_lo), slices
 
 
 def plan_promotions(

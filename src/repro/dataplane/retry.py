@@ -32,12 +32,11 @@ Every attempt, timeout, and failover is counted in the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Generator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
-from .planner import PlannedRead
 from .transport import FetchOutcome, Transport
 
 __all__ = [
@@ -191,22 +190,23 @@ class RetryOutcome:
 
 def fetch_with_retry(
     transport: Transport,
-    reads: Sequence[PlannedRead],
+    reads: np.ndarray,
     *,
     policy: RetryPolicy,
     engine,
     n_streams: int = 1,
-    reroute: Optional[Callable[[PlannedRead], Optional[int]]] = None,
+    reroute: Optional[Callable[[int], Optional[int]]] = None,
     health: Optional[TargetHealth] = None,
     obs=None,
     track: int = 0,
 ) -> Generator:
     """Execute ``reads`` through ``transport`` under ``policy``.
 
-    Coroutine; returns a :class:`RetryOutcome` whose ``outcome`` has one
-    payload per input read, in input order.  ``reroute(read)`` names a
-    different rank that can serve ``read`` right now, or ``None`` when
-    there is none.  A read carries
+    Coroutine; ``reads`` is the ``(n, 3)`` ``(target, offset, nbytes)``
+    array transports consume.  Returns a :class:`RetryOutcome` whose
+    ``outcome`` has one payload per input read, in input order.
+    ``reroute(target)`` names a different rank that can serve a read aimed
+    at ``target`` right now, or ``None`` when there is none.  A read carries
     ``policy.timeout_s`` only while retries remain *and* ``reroute`` can
     move it (the transport gets one number when that is every read of the
     attempt, one bound per read — ``inf`` for the rest — when it is only
@@ -214,14 +214,15 @@ def fetch_with_retry(
     that is one plain transport call).  A read that blows its deadline
     strikes its target in ``health`` (when given) and is re-issued to
     wherever ``reroute`` then sends it — at once if that is another rank,
-    after the policy's backoff if it has to stay.
+    after the policy's backoff if it has to stay.  Every decision is taken
+    once per distinct target of the attempt, never per read.
 
     ``obs`` is an optional :class:`repro.obs.Observer`: every transport
     round trip is recorded as a ``fetch.attempt`` span on ``track``'s
     data-plane lane, so timeouts and failovers show up as distinct child
     spans under the store's fetch span.
     """
-    reads = list(reads)
+    reads = np.asarray(reads, dtype=np.int64).reshape(-1, 3)
     n = len(reads)
     result = RetryOutcome(
         outcome=FetchOutcome(
@@ -236,7 +237,8 @@ def fetch_with_retry(
         return result
 
     merged = result.outcome
-    pending: list[tuple[int, PlannedRead]] = list(enumerate(reads))
+    pending = np.arange(n)  # input slots still without a payload
+    batch = reads  # their reads, targets as currently routed
     stayed = False  # did a timed-out read have to stay on its rank?
     for attempt in range(policy.max_retries + 1):
         if stayed:
@@ -248,24 +250,19 @@ def fetch_with_retry(
                 merged.stage_seconds["retry"] = (
                     merged.stage_seconds.get("retry", 0.0) + delay
                 )
-                for orig, _ in pending:
-                    merged.latencies[orig] += delay
-        batch = [read for _, read in pending]
+                merged.latencies[pending] += delay
         # Abandon only with somewhere to go: a read carries the deadline
         # while a retry remains and it has another rank to move to.
         limits = None
         if reroute is not None and attempt < policy.max_retries:
-            can_move: dict[int, bool] = {}  # by target, for this attempt
-            for read in batch:
-                if read.target not in can_move:
-                    new_target = reroute(read)
-                    can_move[read.target] = new_target is not None and new_target != read.target
-            if all(can_move.values()):
+            targets, of_read = np.unique(batch[:, 0], return_inverse=True)
+            can_move = np.array(
+                [reroute(t) not in (None, t) for t in targets.tolist()], dtype=bool
+            )[of_read]
+            if can_move.all():
                 limits = policy.timeout_s
-            elif any(can_move.values()):
-                limits = np.array(
-                    [policy.timeout_s if can_move[read.target] else np.inf for read in batch]
-                )
+            elif can_move.any():
+                limits = np.where(can_move, policy.timeout_s, np.inf)
         t_attempt = engine.now
         if limits is None:
             outcome = yield from transport.fetch(batch, n_streams=n_streams)
@@ -273,6 +270,9 @@ def fetch_with_retry(
             outcome = yield from transport.fetch(batch, n_streams=n_streams, timeout_s=limits)
         result.attempts += 1
         timed_out = outcome.timed_out
+        late = (
+            np.zeros(len(batch), dtype=bool) if timed_out is None else np.asarray(timed_out, bool)
+        )
         if obs is not None and obs.tracing:
             obs.tracer.record(
                 "fetch.attempt",
@@ -283,7 +283,7 @@ def fetch_with_retry(
                 end=engine.now,
                 attempt=attempt + 1,
                 n_reads=len(batch),
-                n_timeouts=int(timed_out.sum()) if timed_out is not None else 0,
+                n_timeouts=int(late.sum()),
                 n_failovers=result.n_failovers,
             )
         for stage, seconds in outcome.stage_seconds.items():
@@ -294,44 +294,43 @@ def fetch_with_retry(
         # first-attempt read's: each attempt's own wire latency (a blown
         # attempt costs exactly its deadline) plus the backoffs between.
         waited = outcome.latencies
-        still_pending: list[tuple[int, PlannedRead]] = []
-        for slot, (orig, read) in enumerate(pending):
-            merged.latencies[orig] += (
-                float(waited[slot]) if waited is not None else engine.now - t_attempt
-            )
-            if timed_out is not None and timed_out[slot]:
-                still_pending.append((orig, read))
-                continue
-            merged.payloads[orig] = outcome.payloads[slot]
-            if limits is not None and health and can_move[read.target]:
-                health.ok(read.target, engine.now)  # back inside its deadline
-        pending = still_pending
-        if not pending:
+        merged.latencies[pending] += waited if waited is not None else engine.now - t_attempt
+        landed = np.flatnonzero(~late)
+        for slot, at in zip(pending[landed].tolist(), landed.tolist()):
+            merged.payloads[slot] = outcome.payloads[at]
+        if limits is not None and health:
+            for t in np.unique(batch[landed[can_move[landed]], 0]).tolist():
+                health.ok(t, engine.now)  # back inside its deadline
+        pending = pending[late]
+        if not pending.size:
             break
-        result.n_timeouts += len(pending)
+        result.n_timeouts += pending.size
         if limits is None:
             break  # a transport that reports timeouts without a deadline
-        result.n_retries += len(pending)
+        result.n_retries += pending.size
+        batch = batch[late]
+        targets, of_read = np.unique(batch[:, 0], return_inverse=True)
         if health is not None:
             # Strike first, re-route after: a read must not fail over to a
             # rank another read of this very batch just timed out on.
-            for _, read in pending:
-                health.strike(read.target, engine.now, engine.now - t_attempt)
-        stayed = False
-        for i, (orig, read) in enumerate(pending):
-            new_target = reroute(read)
-            if new_target is not None and new_target != read.target:
-                pending[i] = (orig, replace(read, target=new_target))
-                result.n_failovers += 1
-            else:
-                stayed = True
+            for t in targets.tolist():
+                health.strike(t, engine.now, engine.now - t_attempt)
+        moved_to = targets.copy()  # per distinct target: where its reads go next
+        for i, t in enumerate(targets.tolist()):
+            dest = reroute(t)
+            if dest is not None:
+                moved_to[i] = dest
+        moves = (moved_to != targets)[of_read]
+        batch[:, 0] = moved_to[of_read]
+        result.n_failovers += int(moves.sum())
+        stayed = not moves.all()
 
-    if pending:
+    if pending.size:
         # Unreachable through DDStore's own transports (an unbounded attempt
         # never times out), but a third-party transport could report
         # timeouts without one.
         raise FetchTimeoutError(
-            f"{len(pending)} read(s) still incomplete after "
+            f"{pending.size} read(s) still incomplete after "
             f"{result.attempts} attempt(s) (timeout_s={policy.timeout_s})"
         )
     return result

@@ -13,14 +13,13 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar, Generator, Optional, Sequence
+from typing import ClassVar, Generator, Optional
 
 import numpy as np
 
 from ..mpi import LOCK_SHARED, Comm, WinHandle, create_window, waitall
 from ..sim import RngRegistry
 from ..sim.engine import Event
-from .planner import PlannedRead
 
 __all__ = ["FetchOutcome", "Transport", "RmaTransport", "P2PTransport"]
 
@@ -69,12 +68,14 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def fetch(
         self,
-        reads: Sequence[PlannedRead],
+        reads: np.ndarray,
         n_streams: int = 1,
         timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
         """Coroutine executing remote reads; returns a :class:`FetchOutcome`.
 
+        ``reads`` is an ``(n, 3)`` int64 array, one ``(target, offset,
+        nbytes)`` row per read (a :class:`~.planner.FetchPlan`'s ``reads``).
         ``timeout_s`` (when the transport honours it) bounds each read's
         wait: reads still incomplete after that many virtual seconds come
         back with a ``None`` payload and their ``timed_out`` flag set, so
@@ -178,32 +179,34 @@ class RmaTransport(Transport):
 
     def fetch(
         self,
-        reads: Sequence[PlannedRead],
+        reads: np.ndarray,
         n_streams: int = 1,
         timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
-        if not reads:
+        if not len(reads):
             return FetchOutcome(payloads=[])
         win = self.win
         engine = win.engine
-        targets = sorted({r.target for r in reads})
+        targets = np.unique(reads[:, 0]).tolist()
         t0 = engine.now
         # Gate wait is charged to the lock stage: it is lock-epoch
         # contention on this rank's own side of the window.
         yield from self._gate.acquire()
+        locked = []
         try:
             for t in targets:
                 yield from win.lock(t, LOCK_SHARED)
+                locked.append(t)
             t_locked = engine.now
-            payloads = yield from win.get_batch(
-                [r.request for r in reads], n_streams=n_streams, timeout_s=timeout_s
-            )
+            payloads = yield from win.get_batch(reads, n_streams=n_streams, timeout_s=timeout_s)
             t_got = engine.now
             latencies = win.last_latencies
             timed_out = win.last_timeouts
-            for t in targets:
-                yield from win.unlock(t)
         finally:
+            # Close the epoch on every exit: a failed get (or lock) must
+            # not leave this handle holding targets it can never re-lock.
+            for t in locked:
+                yield from win.unlock(t)
             self._gate.release()
         return FetchOutcome(
             payloads=payloads,
@@ -246,22 +249,22 @@ class P2PTransport(Transport):
 
     def fetch(
         self,
-        reads: Sequence[PlannedRead],
+        reads: np.ndarray,
         n_streams: int = 1,
         timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
-        if not reads:
+        if not len(reads):
             return FetchOutcome(payloads=[])
         comm = self.group_comm
         engine = comm.engine
         issue = engine.now
         reply_reqs = []
-        for r in reads:
+        for target, offset, nbytes in reads.tolist():
             self._reply_seq += 1
             reply_tag = _TAG_REPLY_BASE + self._reply_seq
-            req = (r.offset, r.nbytes, reply_tag, comm.rank)
-            yield from comm.send(req, dest=r.target, tag=_TAG_FETCH_REQ)
-            reply_reqs.append(comm.irecv(source=r.target, tag=reply_tag))
+            req = (offset, nbytes, reply_tag, comm.rank)
+            yield from comm.send(req, dest=target, tag=_TAG_FETCH_REQ)
+            reply_reqs.append(comm.irecv(source=target, tag=reply_tag))
         if timeout_s is None:
             payloads = yield from waitall(reply_reqs)
             timed_out = None

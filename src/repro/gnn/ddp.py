@@ -43,11 +43,14 @@ class DistributedModel:
     def __init__(self, model: HydraGNN, comm: Comm) -> None:
         self.model = model
         self.comm = comm
+        #: Scalar parameter count, taken once: the module tree is fixed for
+        #: the model's lifetime and the trainer asks every step.
+        self.n_params = model.n_params()
 
     @property
     def grad_nbytes(self) -> int:
         """Wire volume of one gradient exchange (fp32, as PyTorch DDP)."""
-        return self.model.n_params() * 4
+        return self.n_params * 4
 
     def sync_gradients(self) -> Generator:
         """Allreduce-average the accumulated gradients (collective)."""

@@ -244,7 +244,7 @@ class Trainer:
             t0 = engine.now
             if self.real_compute:
                 self.optimizer.step()
-            yield engine.timeout(self.gpu.optimizer_time(self.dmodel.model.n_params()))
+            yield engine.timeout(self.gpu.optimizer_time(self.dmodel.n_params))
             phases.add("optimizer", engine.now - t0)
             stage("optimizer", t0, step=step)
 

@@ -34,11 +34,13 @@ __all__ = [
 
 
 class AllocationCounter:
-    """Counts per-sample ndarray allocations on the fetch/collate path.
+    """Counts per-sample row blobs produced on the fetch/collate path.
 
-    The columnar scatter path must stay at zero; the row path bumps this
-    at every per-sample copy site, which is what the ``ablation-columnar``
-    bench asserts in ``--check`` mode.
+    One per sample-sized ndarray the row path hands out — a private copy
+    (local, cache hit, stitched, decoded), or a read-only view of a read
+    payload for a wire sample that arrived whole (no second buffer, still
+    one blob).  The columnar scatter path must stay at zero, which is
+    what the ``ablation-columnar`` bench asserts in ``--check`` mode.
     """
 
     __slots__ = ("count",)

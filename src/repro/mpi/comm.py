@@ -494,13 +494,16 @@ class Comm:
         return incoming
 
     # -- collectives -------------------------------------------------------------
-    def _collective(self, op: str, payload: Any, call_name: str) -> Generator:
+    def _collective(
+        self, op: str, payload: Any, call_name: str, sent: Any = _NO_DATA
+    ) -> Generator:
         c = self._c
         engine = c.engine
         start = engine.now
         state = c._enter_collective(self.rank, op, payload)
         results = yield state.event
-        self.stats.record(call_name, engine.now - start, sizeof(payload))
+        nbytes = sizeof(payload if sent is _NO_DATA else sent)
+        self.stats.record(call_name, engine.now - start, nbytes)
         obs = c.world.obs
         if obs.tracing:
             obs.tracer.record(
@@ -550,9 +553,12 @@ class Comm:
         """Collective that builds ONE shared object from all ranks' values.
 
         ``combine_fn(communicator, values)`` runs exactly once; its result is
-        returned to every rank. This is the substrate for window creation.
+        returned to every rank. This is the substrate for window creation
+        and for the store's replicated registry.  Only ``value`` travels,
+        so only its size is booked under ``call_name``; an exception out of
+        ``combine_fn`` is raised in the last rank to arrive.
         """
-        return (yield from self._collective("fuse", (combine_fn, value), call_name))
+        return (yield from self._collective("fuse", (combine_fn, value), call_name, sent=value))
 
     def dup(self) -> Generator:
         new = yield from self.split(color=0, key=self.rank)

@@ -58,6 +58,10 @@ class Window:
         for rank, buf in buffers.items():
             arr = np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
             self.buffers[rank] = arr
+        # Per-rank columns the batched get checks and prices against.
+        ranks = range(communicator.size)
+        self.sizes = np.array([self.buffers[r].size for r in ranks], dtype=np.int64)
+        self.world_ranks = np.array([communicator.world_rank(r) for r in ranks], dtype=np.int64)
         self.locks = [
             RWLock(communicator.engine, name=f"win-lock[{r}]")
             for r in range(communicator.size)
@@ -151,16 +155,19 @@ class WinHandle:
 
     def get_batch(
         self,
-        requests: Sequence[tuple[int, int, int]],
+        requests: "np.ndarray | Sequence[tuple[int, int, int]]",
         n_streams: int = 1,
         timeout_s: "Optional[float | np.ndarray]" = None,
     ) -> Generator:
         """Issue many gets back-to-back; wait for all (DDStore hot path).
 
-        ``requests`` is a sequence of ``(target_rank, offset, nbytes)``;
-        ``n_streams`` models concurrent issuing threads (loader workers).
-        Returns the payloads in request order.  Per-request latencies are
-        appended to the window's ``get_log`` when recording is enabled.
+        ``requests`` is one ``(target_rank, offset, nbytes)`` row per get (an
+        ``(n, 3)`` integer array — a :class:`~repro.dataplane.FetchPlan`'s
+        ``reads`` — or a sequence of triples); ``n_streams`` models
+        concurrent issuing threads (loader workers).  Returns the payloads
+        in request order, each a private copy of the target bytes.
+        Per-request latencies are appended to the window's ``get_log`` when
+        recording is enabled.
 
         ``timeout_s`` bounds each get's observed latency: a get that has
         not completed ``timeout_s`` virtual seconds after being issued is
@@ -170,44 +177,44 @@ class WinHandle:
         One value bounds every get alike; an array gives each get its own
         bound (``inf`` = wait this one out).
         """
-        if not requests:
+        requests = np.asarray(requests, dtype=np.int64).reshape(-1, 3)
+        if not len(requests):
             self.last_timeouts = None
             return []
         comm = self.comm
         window = self.window
         engine = self.engine
-        targets = np.fromiter((r[0] for r in requests), dtype=np.int64, count=len(requests))
-        offsets = np.fromiter((r[1] for r in requests), dtype=np.int64, count=len(requests))
-        sizes = np.fromiter((r[2] for r in requests), dtype=np.int64, count=len(requests))
+        targets, offsets, sizes = requests[:, 0], requests[:, 1], requests[:, 2]
+        ends = offsets + sizes
 
-        for t, off, nb in zip(targets, offsets, sizes):
-            self._check_target(int(t))
-            if int(t) not in self._held:
-                raise RMAError(
-                    f"rank {comm.rank} issued MPI_Get to {t} outside a lock epoch"
-                )
-            buf = window.buffers[int(t)]
-            if nb < 0 or off < 0 or off + nb > buf.size:
-                raise RMAError(
-                    f"get of [{off}, {off + nb}) exceeds window of rank {t} "
-                    f"({buf.size} bytes)"
-                )
+        # MPI's semantic checks, once per batch.
+        self._check_target(int(targets.min()))
+        self._check_target(int(targets.max()))
+        target_list = targets.tolist()
+        unlocked = set(target_list) - self._held.keys()
+        if unlocked:
+            raise RMAError(
+                f"rank {comm.rank} issued MPI_Get to {min(unlocked)} outside a lock epoch"
+            )
+        bad = (sizes < 0) | (offsets < 0) | (ends > window.sizes[targets])
+        if bad.any():
+            t, off, nb = requests[np.flatnonzero(bad)[0]].tolist()
+            raise RMAError(
+                f"get of [{off}, {off + nb}) exceeds window of rank {t} "
+                f"({window.buffer_size(t)} bytes)"
+            )
 
         # Real data movement (copies, so later remote writes can't alias).
+        buffers = window.buffers
         payloads = [
-            window.buffers[int(t)][int(off) : int(off + nb)].copy()
-            for t, off, nb in zip(targets, offsets, sizes)
+            buffers[t][lo:hi].copy()
+            for t, lo, hi in zip(target_list, offsets.tolist(), ends.tolist())
         ]
 
         # Timing: one vectorised pass through the interconnect model.
         issued = engine.now
-        world_targets = np.fromiter(
-            (comm.communicator.world_rank(int(t)) for t in targets),
-            dtype=np.int64,
-            count=targets.size,
-        )
         timing = comm.communicator.net.rma_get_batch(
-            comm.world_rank, world_targets, sizes.astype(np.float64), issued,
+            comm.world_rank, window.world_ranks[targets], sizes.astype(np.float64), issued,
             n_streams=n_streams,
         )
         completions = timing.completions
@@ -223,9 +230,8 @@ class WinHandle:
             timed_out = completions > deadlines
             waited = np.minimum(completions, deadlines)
             self.last_timeouts = timed_out
-            if timed_out.any():
-                for i in np.nonzero(timed_out)[0]:
-                    payloads[int(i)] = None
+            for i in np.flatnonzero(timed_out).tolist():
+                payloads[i] = None
         finish = float(waited.max()) if waited.size else 0.0
         self.last_latencies = waited - timing.issues
         if window.record_gets:

@@ -13,6 +13,7 @@ from repro.core import (
     balanced_partition,
     iter_batches,
 )
+from repro.core.sampler import SampledShuffleSampler
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +158,58 @@ def test_registry_size_table_validation():
     layout = ChunkLayout.build(7, 2)
     with pytest.raises(ValueError, match="sample sizes"):
         ChunkRegistry.from_sample_sizes(layout, [np.array([1, 2]), np.array([3, 4, 5])])
-    with pytest.raises(ValueError, match="one offset table"):
-        ChunkRegistry(layout=layout, offsets=[np.array([0, 1, 2, 3, 4])])
+    with pytest.raises(ValueError, match="one size table per member"):
+        ChunkRegistry.from_sample_sizes(layout, [np.arange(7)])
+    with pytest.raises(ValueError, match="shape"):
+        ChunkRegistry(layout=layout, offsets=np.array([0, 1, 2, 3, 4]))
+    with pytest.raises(ValueError, match="monotone from 0"):
+        ChunkRegistry(layout=layout, offsets=np.array([0, 1, 2, 3, 2, 5, 6, 7]))
+    with pytest.raises(ValueError, match="monotone from 0"):
+        ChunkRegistry(layout=layout, offsets=np.arange(1, 9))
+
+
+def test_registry_is_flat_and_read_only():
+    reg = _registry()
+    assert reg.offsets.tolist() == [0, 10, 30, 60, 100, 105, 111, 118]
+    assert reg.max_sample_bytes == 40
+    assert not reg.offsets.flags.writeable
+    with pytest.raises(IndexError):
+        reg.locate_batch(np.array([0, 7]))
+    with pytest.raises(IndexError):
+        reg.locate_batch(np.array([-1]))
 
 
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("epoch", [0, 1, 5])
+def test_epoch_permutation_is_shared_and_bit_identical(seed, epoch):
+    """One permutation per (seed, epoch, n) serves every rank: the slices
+    are those of the per-rank permutation the samplers used to draw, and
+    the shared array cannot be written through any of them."""
+    from repro.sim.rng import stream
+
+    n, ranks = 103, 4
+    per_rank = n // ranks
+    reference = stream("global-shuffle", seed, epoch).permutation(n)
+    hot = stream("sampled-hotness", seed, epoch).permutation(n)
+    bases = set()
+    for r in range(ranks):
+        idx = GlobalShuffleSampler(n, ranks, r, seed=seed).epoch_indices(epoch)
+        assert idx.dtype == reference.dtype
+        assert np.array_equal(idx, reference[r * per_rank : (r + 1) * per_rank])
+        assert not idx.flags.writeable and not idx.base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 0
+        bases.add(id(idx.base))
+        u = stream("sampled-shuffle", seed, epoch, r).random(per_rank)
+        pos = np.minimum((u**4.0 * n).astype(np.int64), n - 1)
+        sampled = SampledShuffleSampler(n, ranks, r, seed=seed).epoch_indices(epoch)
+        assert np.array_equal(sampled, hot[pos])
+    assert len(bases) == 1  # every rank sliced the same array
+
 
 def test_global_shuffle_partitions_whole_dataset():
     n, ranks = 100, 4

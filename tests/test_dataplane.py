@@ -2,6 +2,9 @@
 registry, and the DDStore integration (seed-parity counters, cache hits,
 per-stage instrumentation)."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -32,20 +35,32 @@ def _source(ctx, n=32, seed=0):
 # FetchPlanner
 # ---------------------------------------------------------------------------
 
+def _reads(plan):
+    """The plan's wire reads as ``(target, offset, nbytes)`` tuples."""
+    assert plan.reads.dtype == np.int64 and plan.reads.shape == (plan.n_reads, 3)
+    return [tuple(row) for row in plan.reads.tolist()]
+
+
+def _slices(plan, read=None):
+    """``(position, sample_offset, read_offset, nbytes)`` of every slice
+    (of read ``read`` only, when given), in plan order."""
+    assert plan.slices.dtype == np.int64 and plan.slices.shape[1:] == (5,)
+    return [tuple(row[1:]) for row in plan.slices.tolist() if read in (None, row[0])]
+
+
 def test_planner_merges_adjacent_ranges():
     plan = FetchPlanner().plan(targets=[1, 1, 1], offsets=[0, 10, 20], sizes=[10, 10, 10])
     assert plan.n_reads == 1
-    read = plan.reads[0]
-    assert read.request == (1, 0, 30)
-    assert [s.position for s in read.slices] == [0, 1, 2]
-    assert [(s.read_offset, s.nbytes) for s in read.slices] == [(0, 10), (10, 10), (20, 10)]
+    assert _reads(plan) == [(1, 0, 30)]
+    slices = _slices(plan, 0)
+    assert [s[0] for s in slices] == [0, 1, 2]
+    assert [(s[2], s[3]) for s in slices] == [(0, 10), (10, 10), (20, 10)]
 
 
 def test_planner_keeps_gapped_ranges_separate():
     plan = FetchPlanner().plan(targets=[1, 1], offsets=[0, 100], sizes=[10, 10])
     assert plan.n_reads == 2
-    assert plan.reads[0].request == (1, 0, 10)
-    assert plan.reads[1].request == (1, 100, 10)
+    assert _reads(plan) == [(1, 0, 10), (1, 100, 10)]
 
 
 def test_planner_groups_per_target():
@@ -53,9 +68,9 @@ def test_planner_groups_per_target():
     plan = FetchPlanner().plan(targets=[1, 2, 1], offsets=[0, 10, 10], sizes=[10, 10, 10])
     assert plan.n_reads == 2
     assert plan.targets == (1, 2)
-    by_target = {r.target: r for r in plan.reads}
-    assert by_target[1].nbytes == 20  # positions 0 and 2 merged
-    assert by_target[2].nbytes == 10
+    nbytes_by_target = {t: nb for t, _off, nb in _reads(plan)}
+    assert nbytes_by_target[1] == 20  # positions 0 and 2 merged
+    assert nbytes_by_target[2] == 10
 
 
 def test_planner_deduplicates_overlapping_requests():
@@ -63,7 +78,7 @@ def test_planner_deduplicates_overlapping_requests():
     plan = FetchPlanner().plan(targets=[3, 3], offsets=[40, 40], sizes=[8, 8])
     assert plan.n_reads == 1
     assert plan.total_bytes == 8
-    assert sorted(s.position for s in plan.reads[0].slices) == [0, 1]
+    assert sorted(s[0] for s in _slices(plan, 0)) == [0, 1]
 
 
 def test_planner_splits_oversized_spans():
@@ -71,16 +86,12 @@ def test_planner_splits_oversized_spans():
         targets=[0, 0], offsets=[0, 16], sizes=[16, 16]
     )
     assert plan.n_reads == 2
-    assert all(r.nbytes == 16 for r in plan.reads)
+    assert all(nb == 16 for _t, _off, nb in _reads(plan))
     # One single sample bigger than the cap is also split...
     plan = FetchPlanner(max_read_bytes=10).plan(targets=[0], offsets=[0], sizes=[25])
-    assert [r.nbytes for r in plan.reads] == [10, 10, 5]
+    assert [nb for _t, _off, nb in _reads(plan)] == [10, 10, 5]
     # ...and its scatter records reassemble the full payload.
-    covered = sorted(
-        (s.sample_offset, s.sample_offset + s.nbytes)
-        for r in plan.reads
-        for s in r.slices
-    )
+    covered = sorted((s[1], s[1] + s[3]) for s in _slices(plan))
     assert covered == [(0, 10), (10, 20), (20, 25)]
     assert plan.total_bytes == 25
 
@@ -90,16 +101,17 @@ def test_planner_coalesce_off_is_one_read_per_request():
         targets=[1, 1, 2], offsets=[10, 0, 5], sizes=[4, 10, 6]
     )
     # Request order preserved, nothing merged.
-    assert [r.request for r in plan.reads] == [(1, 10, 4), (1, 0, 10), (2, 5, 6)]
-    assert all(len(r.slices) == 1 and r.slices[0].position == i
-               for i, r in enumerate(plan.reads))
+    assert _reads(plan) == [(1, 10, 4), (1, 0, 10), (2, 5, 6)]
+    assert all(
+        len(_slices(plan, i)) == 1 and _slices(plan, i)[0][0] == i for i in range(plan.n_reads)
+    )
 
 
 def test_planner_positions_label_slices():
     plan = FetchPlanner().plan(
         targets=[1, 1], offsets=[0, 10], sizes=[10, 10], positions=[7, 3]
     )
-    assert sorted(s.position for s in plan.reads[0].slices) == [3, 7]
+    assert sorted(s[0] for s in _slices(plan, 0)) == [3, 7]
 
 
 def test_planner_partially_overlapping_ranges_merge_once():
@@ -107,10 +119,10 @@ def test_planner_partially_overlapping_ranges_merge_once():
     # each sample scatters from its own offset within the merged read.
     plan = FetchPlanner().plan(targets=[1, 1], offsets=[0, 5], sizes=[10, 10])
     assert plan.n_reads == 1
-    assert plan.reads[0].request == (1, 0, 15)
+    assert _reads(plan) == [(1, 0, 15)]
     assert plan.total_bytes == 15
-    slices = sorted(plan.reads[0].slices, key=lambda s: s.position)
-    assert [(s.read_offset, s.nbytes) for s in slices] == [(0, 10), (5, 10)]
+    slices = sorted(_slices(plan, 0))
+    assert [(s[2], s[3]) for s in slices] == [(0, 10), (5, 10)]
 
 
 def test_planner_zero_length_blob():
@@ -118,22 +130,44 @@ def test_planner_zero_length_blob():
     # accounted for, but moves nothing on the wire.
     plan = FetchPlanner().plan(targets=[1], offsets=[0], sizes=[0])
     assert plan.n_reads == 1
-    assert plan.reads[0].nbytes == 0
+    assert _reads(plan)[0][2] == 0
     assert plan.total_bytes == 0
-    assert plan.reads[0].slices == ()
+    assert _slices(plan, 0) == []
 
 
 def test_planner_sample_spanning_many_split_reads():
     # One 19-byte sample under a 4-byte read cap: five wire reads whose
     # scatter records tile the sample exactly.
     plan = FetchPlanner(max_read_bytes=4).plan(targets=[0], offsets=[0], sizes=[19])
-    assert [r.nbytes for r in plan.reads] == [4, 4, 4, 4, 3]
-    covered = sorted(
-        (s.sample_offset, s.sample_offset + s.nbytes)
-        for r in plan.reads
-        for s in r.slices
-    )
+    assert [nb for _t, _off, nb in _reads(plan)] == [4, 4, 4, 4, 3]
+    covered = sorted((s[1], s[1] + s[3]) for s in _slices(plan))
     assert covered == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 19)]
+
+
+def _corpus():
+    path = os.path.join(os.path.dirname(__file__), "data", "planner_corpus.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", _corpus(), ids=lambda case: case["name"])
+def test_planner_reproduces_the_frozen_object_planner_corpus(case):
+    """``tests/data/planner_corpus.json`` holds what the per-read object
+    planner (deleted in PR 21) emitted at commit 59d3716 for these inputs:
+    coalesce on/off, duplicates, partial overlaps, zero-size requests,
+    samples split by ``max_read_bytes``, ``fair_interleave`` and
+    ``plan_batches`` windows.  The array planner must emit the same reads
+    and slices in the same order."""
+    planner = FetchPlanner(**case["planner"])
+    if case["via"] == "plan":
+        plan = planner.plan(*case["groups"][0], positions=case["positions"])
+    else:
+        plan = planner.plan_batches(
+            [tuple(group) for group in case["groups"]], positions=case["positions"]
+        )
+    assert plan.n_requests == case["n_requests"]
+    assert plan.reads.tolist() == case["reads"]
+    assert plan.slices.tolist() == case["slices"]
 
 
 def test_planner_empty_and_validation():
@@ -439,6 +473,200 @@ def test_reshard_with_cache_and_coalescing():
 # up-front config validation
 # ---------------------------------------------------------------------------
 
+def test_failed_rma_fetch_closes_its_lock_epochs():
+    """Regression: ``RmaTransport.fetch`` used to unlock only on success, so
+    one out-of-window read left the handle holding every target (the next
+    fetch died with "already holds a lock") and every window lock with a
+    reader that would block an exclusive locker forever."""
+    from repro.mpi import RMAError
+
+    def main(ctx):
+        store = yield from DDStore.create(ctx.comm, _source(ctx))
+        transport, win = store.transport, store.transport.win
+        near, far = (ctx.rank + 1) % ctx.size, (ctx.rank + 2) % ctx.size
+        bad = np.array([(far, 0, 8), (near, win.window.buffer_size(near), 8)])
+        with pytest.raises(RMAError, match="exceeds window"):
+            yield from transport.fetch(bad)
+        held = dict(win._held)
+        yield from ctx.comm.barrier()  # every rank's failed fetch is over
+        readers = [lock.readers for lock in win.window.locks]
+        yield from ctx.comm.barrier()
+        again = yield from transport.fetch(np.array([(near, 0, 8), (far, 0, 8)]))
+        return held, readers, [p.size for p in again.payloads]
+
+    for held, readers, sizes in run(main).results:
+        assert held == {}
+        assert readers == [0, 0, 0, 0]
+        assert sizes == [8, 8]
+
+
+@pytest.mark.parametrize("width, n_groups", [(2, 2), (None, 1)])
+def test_one_registry_is_built_per_replica_group(monkeypatch, width, n_groups):
+    """The size (and shape) exchange is charged to every rank, but its host
+    result — the flat registry — is built once per replica group and shared
+    by the members."""
+    from repro.core import ChunkRegistry
+
+    built = []
+    post_init = ChunkRegistry.__post_init__
+    monkeypatch.setattr(
+        ChunkRegistry, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+
+    def main(ctx):
+        store = yield from DDStore.create(
+            ctx.comm, _source(ctx), width=width, dataplane=DataPlaneOptions(columnar=True)
+        )
+        allgathers = ctx.stats.count_by_call["MPI_Allgather"]
+        return store.registry, store._my_group, allgathers, ctx.stats.time_by_call["MPI_Allgather"]
+
+    results = run(main).results
+    assert len(built) == n_groups
+    by_group = {}
+    for registry, group, allgathers, seconds in results:
+        by_group.setdefault(group, registry)
+        assert registry is by_group[group]  # one object per group, shared
+        assert registry.shapes is not None and not registry.offsets.flags.writeable
+        assert allgathers == 2 and seconds > 0  # sizes + shape rows, per rank
+    assert len({id(r) for r in by_group.values()}) == n_groups == len(by_group)
+
+
+def test_wave_demand_keeps_the_first_occurrence_of_each_remote_id():
+    """``_remote_demand`` against the obvious loop: own and zero-size
+    samples dropped, an id asked by several batches of the wave (or twice
+    by one) kept where it is first asked, empty batches skipped."""
+    import types
+
+    from repro.core import ChunkLayout, ChunkRegistry
+    from repro.dataplane.pipeline import _remote_demand
+
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(0, 3, 64) * 100  # a third of the samples are empty
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    registry = ChunkRegistry(layout=ChunkLayout.build(64, 4), offsets=offsets)
+    h = types.SimpleNamespace(registry=registry)
+    batches = [rng.integers(0, 64, 24).tolist(), [], range(10, 40), rng.integers(0, 64, 24)]
+
+    for me in range(4):
+        seen, expect = set(), []
+        for batch in batches:
+            keep = []
+            for key in batch:
+                owner, _offset, nbytes = registry.locate(int(key))
+                if owner != me and nbytes and key not in seen:
+                    seen.add(key)
+                    keep.append(int(key))
+            if len(batch):
+                expect.append(keep)
+        got = _remote_demand(h, batches, me)
+        assert [ids.tolist() for ids, *_ in got] == expect
+        for ids, owners, offs, nbytes in got:
+            located = registry.locate_batch(ids)
+            assert all(np.array_equal(a, b) for a, b in zip((owners, offs, nbytes), located))
+    assert _remote_demand(h, [[], []], 0) == []
+
+
+def test_a_bad_registry_exchange_still_fails_the_run():
+    """The registry is validated where it is built — in the last member to
+    arrive — and the error still comes out of ``run``: mismatched
+    feature dims across members on the columnar plane, and a member whose
+    size table does not match its chunk."""
+    import dataclasses
+
+    class Wider:  # an extra feature column from sample 16 on (members 2, 3)
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __len__(self):
+            return len(self.inner)
+
+        def make(self, i):
+            g = self.inner.make(i)
+            if i < 16:
+                return g
+            wide = np.hstack([g.node_features, g.node_features[:, :1]])
+            return dataclasses.replace(g, node_features=wide)
+
+    def mixed_dims(ctx):
+        source = GeneratorSource(Wider(IsingGenerator(32, seed=0)), ctx.world.machine)
+        yield from DDStore.create(ctx.comm, source, dataplane=DataPlaneOptions(columnar=True))
+
+    with pytest.raises(ValueError, match=r"uniform feature/output dims across members"):
+        run(mixed_dims)
+
+    class Short(GeneratorSource):  # member 1 loses its last sample
+        def load_chunk(self, indices, node_index, engine):
+            indices = list(indices)
+            if indices[0] == 8:
+                indices = indices[:-1]
+            return super().load_chunk(indices, node_index, engine)
+
+    def short_table(ctx):
+        yield from DDStore.create(ctx.comm, Short(IsingGenerator(32, seed=0), ctx.world.machine))
+
+    with pytest.raises(ValueError, match=r"member 1 reported 7 sample sizes for a chunk of 8"):
+        run(short_table)
+
+
+def test_collective_bytes_count_what_travels():
+    """``fuse`` books the value a rank contributes, not the host-side
+    combine function: the registry exchange costs an allgather's bytes."""
+
+    def main(ctx):
+        yield from ctx.comm.allgather(np.zeros(5, np.int64))
+        plain = ctx.stats.bytes_by_call["MPI_Allgather"]
+        yield from ctx.comm.fuse(lambda _c, values: len(values), np.zeros(5, np.int64),
+                                 call_name="MPI_Allgather")
+        return plain, ctx.stats.bytes_by_call["MPI_Allgather"]
+
+    assert all(r == (40, 80) for r in run(main).results)
+
+
+def test_raw_blobs_never_alias_the_window_the_cache_or_each_other():
+    """``get_samples(decode="raw")`` hands wire samples out as views of the
+    transport's private payloads and everything else as private copies —
+    all of them read-only.  A write is refused wherever the blob came from,
+    and forcing one through (on the blobs that own their bytes) reaches
+    neither the owner's window, nor the cached copy, nor any other blob of
+    the batch — including when the batch asks for one id twice."""
+
+    def main(ctx):
+        store = yield from DDStore.create(
+            ctx.comm, _source(ctx), dataplane=DataPlaneOptions(cache_bytes=1 << 20)
+        )
+        lo, hi = store.local_range
+        ids = [hi % 32, lo, hi % 32, (hi + 1) % 32, (hi + 9) % 32]  # twice, local, coalesced
+        blobs = yield from store.get_samples(ids, decode="raw")
+        want = [blob.copy() for blob in blobs]
+        window = {r: buf.copy() for r, buf in store.transport.win.window.buffers.items()}
+        yield from ctx.comm.barrier()  # peers have read this rank's window
+        for blob in blobs:
+            assert not blob.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                blob[:] = 0xA0
+            assert not any(np.shares_memory(blob, buf) for buf in window.values())
+        n_views = sum(blob.base is not None for blob in blobs)
+        now = [blob.copy() for blob in blobs]  # what each blob should hold
+        for i, blob in enumerate(blobs):
+            if blob.base is None:  # owns its bytes: the flag can be forced
+                blob.setflags(write=True)
+                blob[:] = now[i][:] = 0xA0 + i
+            for other, expect in zip(blobs, now):
+                assert np.array_equal(other, expect)
+        for r, buf in store.transport.win.window.buffers.items():
+            assert np.array_equal(buf, window[r])
+        hits = store.stats.n_cache_hits
+        again = yield from store.get_samples(ids, decode="raw")
+        assert store.stats.n_cache_hits > hits  # served from the cache's own copies
+        for got, expect in zip(again, want):
+            assert np.array_equal(got, expect) and not got.flags.writeable
+            assert not any(np.shares_memory(got, blob) for blob in blobs)
+        yield from ctx.comm.barrier()
+        return n_views
+
+    assert all(n >= 3 for n in run(main).results)  # the wire samples were views
+
+
 def test_width_error_lists_valid_divisors():
     with pytest.raises(ValueError, match=r"must divide") as exc:
         DDStoreConfig(8, width=3)
@@ -476,10 +704,10 @@ def test_plan_batches_cross_batch_dedup_single_read():
     )
     assert plan.n_requests == 4
     # B's byte range [64, 80) on target 1 appears in exactly one read...
-    b_reads = [r for r in plan.reads if r.target == 1 and r.offset == 64]
+    b_reads = [i for i, (t, off, _nb) in enumerate(_reads(plan)) if t == 1 and off == 64]
     assert len(b_reads) == 1
     # ...with two scatter destinations: position 1 (batch k) and 2 (k+1).
-    assert sorted(s.position for s in b_reads[0].slices) == [1, 2]
+    assert sorted(s[0] for s in _slices(plan, b_reads[0])) == [1, 2]
     # Wire bytes are deduplicated: A + B + C moved once each.
     assert plan.total_bytes == 16 + 16 + 32
 
@@ -493,8 +721,8 @@ def test_plan_batches_coalesces_across_batch_boundary():
         ]
     )
     assert plan.n_reads == 1
-    assert plan.reads[0].request == (1, 0, 32)
-    assert [s.position for s in plan.reads[0].slices] == [0, 1]
+    assert _reads(plan) == [(1, 0, 32)]
+    assert [s[0] for s in _slices(plan, 0)] == [0, 1]
 
 
 def test_plan_batches_empty_groups():

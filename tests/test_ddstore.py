@@ -284,17 +284,13 @@ def test_p2p_framework_returns_same_data():
 def test_p2p_fetch_honours_one_bound_per_read():
     """A per-read bound array: the read with a hopeless deadline is
     abandoned, the ``inf`` ones are waited out — past that deadline."""
-    from repro.dataplane.planner import PlannedRead
-
     def main(ctx):
         src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)
         store = yield from DDStore.create(
             ctx.comm, src, dataplane=DataPlaneOptions(framework="p2p")
         )
         target = (ctx.rank + 1) % ctx.size
-        reads = [
-            PlannedRead(target=target, offset=64 * i, nbytes=64, slices=()) for i in range(3)
-        ]
+        reads = np.array([(target, 64 * i, 64) for i in range(3)])
         out = yield from store.transport.fetch(
             reads, timeout_s=np.array([np.inf, 1e-12, np.inf])
         )

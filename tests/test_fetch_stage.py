@@ -117,16 +117,16 @@ def test_grants_cover_exactly_the_reads_on_the_wire():
         inner = store.transport.fetch
 
         def fetch(reads, n_streams=1, timeout_s=None):
-            for r in reads:
-                outstanding[r.target] = outstanding.get(r.target, 0) + r.nbytes
+            for target, _offset, nbytes in reads.tolist():
+                outstanding[target] = outstanding.get(target, 0) + nbytes
             check(store.comm.engine)
             try:
                 return (yield from inner(reads, n_streams=n_streams))
             finally:
-                for r in reads:
-                    outstanding[r.target] -= r.nbytes
-                    if not outstanding[r.target]:
-                        del outstanding[r.target]
+                for target, _offset, nbytes in reads.tolist():
+                    outstanding[target] -= nbytes
+                    if not outstanding[target]:
+                        del outstanding[target]
 
         store.transport.fetch = fetch
 
@@ -245,7 +245,7 @@ def test_a_failing_sub_fetch_releases_exactly_what_it_held():
         calls = []
 
         def fetch(reads, n_streams=1, timeout_s=None):
-            calls.append(sorted({r.target for r in reads}))
+            calls.append(np.unique(reads[:, 0]).tolist())
             if len(calls) == 2:  # the second sub-fetch of the plan
                 n = len(reads)
                 yield ctx.engine.timeout(1e-6)

@@ -601,6 +601,34 @@ def test_packed_dataset_bytes_match_golden_hashes(dataset, seed):
 
 
 # ---------------------------------------------------------------------------
+# golden traces: "must not move" for every virtual timestamp downstream
+# ---------------------------------------------------------------------------
+
+# sha256 of trace_json_bytes(run_traced(name, tiny).chrome), recorded at
+# 59d3716 (the parent of the struct-of-arrays read path).  A traced cell's
+# document holds every span of every layer with its virtual start and end,
+# so one moved event, charge or counter anywhere under the fetch path shows
+# up here.  A PR that means to move virtual time re-records the digests and
+# says so; every other PR keeps them.  (``tiered`` takes a minute: left out.)
+_GOLDEN_TRACE_SHA256 = {
+    "fig5": "03d3f676045bf23f16fa57cf89be4f7820bff25235bac1bd979de249b87f653b",
+    "fig9": "698cdb5609fd04358cb8bc5c3d62a650a15136039f3c0aacc57d7051396560d9",
+    "resilience": "8fd0508675bb6428c6c8f9d119297caf3dd1b321a9964e25f515f80fcf8e701d",
+    "columnar": "8ab669138758b10f59c3d62f2b739020ad016ba0b4368c1817340f182fac657a",
+    "p2p": "5084bb7668058bbfbb2006c58d30908eea721a9fb7d2a2242f56251678aa6577",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_TRACE_SHA256))
+def test_traced_cell_matches_golden_trace_hash(name):
+    from repro.bench.experiments import _PROFILES
+    from repro.obs.runner import run_traced, trace_json_bytes
+
+    chrome = run_traced(name, _PROFILES["tiny"]).chrome
+    assert hashlib.sha256(trace_json_bytes(chrome)).hexdigest() == _GOLDEN_TRACE_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
 # registry / stats
 # ---------------------------------------------------------------------------
 

@@ -396,9 +396,20 @@ def fetch_requests(draw):
     return buffers, requests, max_read
 
 
-@given(fetch_requests(), st.booleans())
+def _requested_runs(requests, target, buf_len):
+    """Brute force: the maximal runs of bytes of ``target`` any request
+    touches, straight off a per-byte coverage mask."""
+    mask = np.zeros(buf_len + 2, dtype=bool)
+    for t, off, size in requests:
+        if t == target:
+            mask[1 + off : 1 + off + size] = True
+    edges = np.flatnonzero(mask[1:] != mask[:-1])
+    return [(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
+
+
+@given(fetch_requests(), st.booleans(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_planner_scatter_roundtrip_byte_identical(case, coalesce):
+def test_planner_scatter_roundtrip_byte_identical(case, coalesce, fair_interleave):
     from repro.dataplane import FetchOutcome, FetchPlanner
     from repro.dataplane.pipeline import assemble
 
@@ -406,27 +417,47 @@ def test_planner_scatter_roundtrip_byte_identical(case, coalesce):
     targets = [r[0] for r in requests]
     offsets = [r[1] for r in requests]
     sizes = [r[2] for r in requests]
-    plan = FetchPlanner(coalesce=coalesce, max_read_bytes=max_read).plan(
-        targets, offsets, sizes
-    )
+    plan = FetchPlanner(
+        coalesce=coalesce, max_read_bytes=max_read, fair_interleave=fair_interleave
+    ).plan(targets, offsets, sizes)
+    reads = plan.reads.tolist()
     assert plan.n_requests == len(requests)
-    assert plan.total_bytes == sum(r.nbytes for r in plan.reads)
-    if max_read is not None and coalesce:
-        # The read cap only binds on the coalescing path (non-coalescing is
-        # one verbatim read per request).
-        assert all(r.nbytes <= max_read for r in plan.reads)
+    assert plan.total_bytes == sum(nbytes for _t, _off, nbytes in reads)
+    assert np.all(np.diff(plan.slices[:, 0]) >= 0)  # CSR order: sorted by read
+    assert np.all(plan.slices[:, 4] > 0)  # every slice moves bytes
+    if coalesce:
+        buf_len = len(buffers[0])
+        for target in set(targets):
+            mine = [(off, off + nbytes) for t, off, nbytes in reads if t == target]
+            # Each target's reads stay sorted and disjoint (whatever the
+            # interleave across targets) ...
+            assert mine == sorted(mine)
+            assert all(a[1] <= b[0] for a, b in zip(mine, mine[1:]))
+            # ... and, glued back together, are exactly the byte runs the
+            # requests touch: nothing fetched twice, nothing extra.
+            moved = [span for span in mine if span[1] > span[0]]
+            if max_read is None:
+                assert moved == _requested_runs(requests, target, buf_len)
+            else:
+                # The read cap only binds on the coalescing path
+                # (non-coalescing is one verbatim read per request).
+                assert all(hi - lo <= max_read for lo, hi in moved)
+                glued = []
+                for lo, hi in moved:
+                    if glued and glued[-1][1] == lo:
+                        glued[-1] = (glued[-1][0], hi)
+                    else:
+                        glued.append((lo, hi))
+                assert glued == _requested_runs(requests, target, buf_len)
     # Serve every planned read straight out of the per-target buffers.
-    payloads = [
-        buffers[r.target][r.offset : r.offset + r.nbytes].copy() for r in plan.reads
-    ]
+    payloads = [buffers[t][off : off + nbytes].copy() for t, off, nbytes in reads]
     outcome = FetchOutcome(
         payloads=payloads,
         latencies=np.zeros(len(payloads), dtype=np.float64),
         stage_seconds={},
     )
     blobs = [None] * len(requests)
-    latencies = [0.0] * len(requests)
-    assemble(plan, outcome, blobs, latencies)
+    assemble(plan, outcome, blobs, np.zeros(len(requests)))
     for i, (t, off, size) in enumerate(requests):
         if size == 0:
             assert blobs[i] is None  # zero-size ids never reach the plan
@@ -434,3 +465,6 @@ def test_planner_scatter_roundtrip_byte_identical(case, coalesce):
         expected = buffers[t][off : off + size]
         assert blobs[i] is not None
         assert np.array_equal(blobs[i], expected)
+        # A sample handed out as a view of a read payload is read-only, so
+        # duplicates sharing one payload cannot corrupt each other.
+        assert blobs[i].base is None or not blobs[i].flags.writeable

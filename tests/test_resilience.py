@@ -2,6 +2,7 @@
 store lifecycle, and the nested-options config API (deprecation shims)."""
 
 import collections
+import types
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.dataplane import (
     TargetHealth,
     fetch_with_retry,
 )
-from repro.dataplane.planner import PlannedRead
 from repro.faults import Blackout, FaultPlan, SlowRank, install_faults
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
@@ -88,13 +88,14 @@ class ScriptedTransport:
 
     def fetch(self, reads, n_streams=1, timeout_s=None):
         delay, timed_out = self.script[len(self.calls)]
-        self.calls.append(([r.target for r in reads], timeout_s))
+        assert reads.shape == (len(reads), 3) and reads.dtype == np.int64
+        self.calls.append((reads[:, 0].tolist(), timeout_s))
         if delay:
             yield self.engine.timeout(delay)
         flags = np.array(timed_out[: len(reads)], dtype=bool)
         payloads = [
-            None if flags[i] else np.full(r.nbytes, r.target, np.uint8)
-            for i, r in enumerate(reads)
+            None if flags[i] else np.full(nbytes, target, np.uint8)
+            for i, (target, _offset, nbytes) in enumerate(reads.tolist())
         ]
         return FetchOutcome(
             payloads=payloads,
@@ -105,10 +106,8 @@ class ScriptedTransport:
 
 
 def _reads(n, target=1, nbytes=4):
-    return [
-        PlannedRead(target=target, offset=16 * i, nbytes=nbytes, slices=())
-        for i in range(n)
-    ]
+    """``(target, offset, nbytes)`` rows, the array transports consume."""
+    return np.array([(target, 16 * i, nbytes) for i in range(n)], dtype=np.int64)
 
 
 def _drive(engine, gen):
@@ -117,7 +116,7 @@ def _drive(engine, gen):
 
 def _always(rank):
     """A reroute hook that sends every read to ``rank``."""
-    return lambda read: rank
+    return lambda target: rank
 
 
 def test_no_reroute_is_one_unbounded_attempt():
@@ -190,8 +189,8 @@ def test_reroute_hook_sees_the_timed_out_read():
     policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.0)
     seen = []
 
-    def reroute(read):
-        seen.append(read.target)
+    def reroute(target):
+        seen.append(target)
         return 7
 
     out = _drive(
@@ -218,7 +217,7 @@ def test_final_attempt_runs_unbounded():
         engine,
         fetch_with_retry(
             transport, _reads(1, target=1), policy=policy, engine=engine,
-            reroute=lambda read: read.target + 1,  # always one more rank
+            reroute=lambda target: target + 1,  # always one more rank
         ),
     )
     assert out.n_timeouts == 2 == out.n_retries and out.attempts == 3
@@ -235,13 +234,10 @@ def test_timeouts_strike_the_health_table_before_rerouting():
     # Reads to ranks 1 and 2 both time out; each one's only alternative is
     # the other.  Strikes land before re-routing, so neither fails over to
     # the rank that just timed out: both stay put and finish unbounded.
-    reads = [
-        PlannedRead(target=1, offset=0, nbytes=4, slices=()),
-        PlannedRead(target=2, offset=0, nbytes=4, slices=()),
-    ]
+    reads = np.array([(1, 0, 4), (2, 0, 4)])
 
-    def reroute(read):
-        other = 3 - read.target
+    def reroute(target):
+        other = 3 - target
         return None if health.suspect(other, engine.now) else other
 
     policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.5)
@@ -263,18 +259,18 @@ def test_timeouts_strike_the_health_table_before_rerouting():
 
 def test_mixed_batch_bounds_only_the_reads_that_can_move():
     engine = Engine()
-    reads = [
-        PlannedRead(target=1, offset=0, nbytes=4, slices=()),  # rank 7 can serve it
-        PlannedRead(target=2, offset=0, nbytes=4, slices=()),  # nowhere else to go
-        PlannedRead(target=1, offset=16, nbytes=4, slices=()),
-    ]
+    reads = np.array([
+        (1, 0, 4),  # rank 7 can serve it
+        (2, 0, 4),  # nowhere else to go
+        (1, 16, 4),
+    ])
     transport = ScriptedTransport(engine, [(1.0, [True, False, False]), (0.5, [False])])
     policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.5)
     out = _drive(
         engine,
         fetch_with_retry(
             transport, reads, policy=policy, engine=engine,
-            reroute=lambda read: 7 if read.target == 1 else None,
+            reroute=lambda target: 7 if target == 1 else None,
         ),
     )
     (targets, bounds), (retry_targets, retry_bound) = transport.calls
@@ -308,7 +304,7 @@ def test_exhausted_retries_raise():
             engine,
             fetch_with_retry(
                 transport, _reads(1, target=1), policy=policy, engine=engine,
-                reroute=lambda read: read.target + 1,
+                reroute=lambda target: target + 1,
             ),
         )
 
@@ -366,6 +362,43 @@ def test_suspect_window_grows_per_strike_and_is_capped():
     assert policy.suspect_window(40) == policy.suspect_window(16)
     # backoff_factor 1 is a legal schedule: the window just never grows.
     assert RetryPolicy(timeout_s=2e-3, backoff_factor=1.0).suspect_window(9) == 2e-3
+
+
+@pytest.mark.parametrize("marked, probation", [(0, 2), (2, 0)])
+@pytest.mark.parametrize("spare", [False, True])
+def test_steering_sends_nothing_but_the_probe_to_a_rank_on_probation(marked, probation, spare):
+    """Two replicas of one member among the reads still to issue, one
+    suspect and one whose mark just ran out: the outcome does not depend on
+    which of the two has the lower rank."""
+    from repro.dataplane.pipeline import _steer
+
+    health = TargetHealth(RetryPolicy(timeout_s=1.0, backoff_factor=2.0))
+    health.strike(probation, 0.0)  # suspect until 2.0: on probation at 5.0
+    health.strike(marked, 4.0)  # suspect until 6.0
+    now = 5.0
+    replicas = [0, 2, 4] if spare else [0, 2]
+
+    def reroute(target):
+        return next((r for r in replicas if r != target and not health.suspect(r, now)), None)
+
+    h = types.SimpleNamespace(
+        comm=types.SimpleNamespace(engine=types.SimpleNamespace(now=now)),
+        _health=health,
+        _reroute=reroute,
+    )
+    reads = np.array([[0, 0, 8], [2, 0, 8], [0, 8, 8], [2, 8, 8], [1, 0, 8]], dtype=np.int64)
+    ladder = {}
+    out = _steer(h, reads, np.arange(1, 5), ladder)  # row 0 is already issued
+
+    expect = reads.copy()
+    if spare:  # everything but the probe goes to the healthy third replica
+        expect[1:4, 0] = 4
+        probe = 1 if probation == 2 else 2
+        expect[probe, 0] = probation
+    assert out.tolist() == expect.tolist()
+    assert ladder == ({"n_failovers": 2} if spare else {})
+    assert health.suspect(probation, now)  # re-armed for the probe
+    assert reads[:, 0].tolist() == [0, 2, 0, 2, 1]  # the plan itself is not written to
 
 
 # ---------------------------------------------------------------------------

@@ -193,3 +193,21 @@ def test_trainer_carries_the_window_only_inside_a_known_run_length():
             assert pending == 0  # nothing launched past the final epoch
             assert finite
             assert n_samples == [16, 16, 16, 16]
+
+
+def test_parameter_count_is_taken_once_not_per_step(monkeypatch):
+    """The module tree is walked when the DistributedModel is built; a
+    training epoch (grad volume + optimiser pricing, every step) reuses it."""
+    walks = []  # one entry per tree walk: the model walked
+    n_params = HydraGNN.n_params
+    monkeypatch.setattr(HydraGNN, "n_params", lambda self: walks.append(self) or n_params(self))
+
+    def main(ctx):
+        trainer, _, _ = yield from _setup(ctx, real=False)
+        yield from trainer.train_epoch(0)
+        return trainer.dmodel
+
+    for dmodel in run_world(TESTBOX, 2, main).results:
+        assert sum(model is dmodel.model for model in walks) == 1  # at construction
+        assert dmodel.n_params == n_params(dmodel.model)
+        assert dmodel.grad_nbytes == 4 * dmodel.n_params
