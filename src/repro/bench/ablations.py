@@ -528,9 +528,10 @@ def _tiered_cell(profile: ScaleProfile, **kw) -> ExperimentConfig:
 def ablation_tiered(profile: Optional[ScaleProfile] = None):
     """Tiered cache hierarchy vs flat DRAM vs demand PFS reads.
 
-    Five cells, identical training work: demand reads from the parallel
+    Six cells, identical training work: demand reads from the parallel
     filesystem (CFF, cold page cache — the no-cache floor); a flat
-    per-rank DRAM cache with Belady eviction (the PR-6 data plane); the
+    per-rank DRAM cache with Belady eviction (the PR-6 data plane),
+    spelled ``cache_bytes=`` and again as ``tiers="dram:<same>"``; the
     DRAM tier plus a node-shared NVMe tier (packed shards staged at
     create time, Belady-fed promotion/demotion at the boundary); the
     full hierarchy with a GPU-pinned tier on top; and a full-stage probe
@@ -541,7 +542,7 @@ def ablation_tiered(profile: Optional[ScaleProfile] = None):
     node-shared SSD serializes its six ranks while RMA fetches spread
     over every remote target.  The probe trades that concurrency for a
     pure-flash byte path, which is what the zero-copy invariants are
-    asserted on.  The returned data carries five checks the CI smoke
+    asserted on.  The returned data carries six checks the CI smoke
     step asserts on:
 
     * ``deterministic`` — the full-hierarchy cell *and* the full-stage
@@ -557,7 +558,9 @@ def ablation_tiered(profile: Optional[ScaleProfile] = None):
     * ``nvme_feeds_prefetch`` — the probe's waves promote every sample
       from NVMe (prefetched samples, zero prefetch wire bytes) and the
       headline tiered cells move strictly fewer wire bytes than the
-      flat baseline, i.e. the staged tier really offloads the fabric.
+      flat baseline, i.e. the staged tier really offloads the fabric;
+    * ``flat_is_one_tier`` — the two spellings of the flat baseline are
+      one configuration: same elapsed/stall/overlap, same fetch counters.
     """
     profile = profile or current_profile()
     rows = []
@@ -590,7 +593,8 @@ def ablation_tiered(profile: Optional[ScaleProfile] = None):
 
     run("pfs demand (cff, cold)", method="cff", warm_page_cache=False,
         columnar=False, scheduler=False, prefetch_depth=1, cache_policy="lru")
-    run("dram only (belady eviction)", cache_bytes=_parse_mib(TIERED_DRAM))
+    flat_run = run("dram only (belady eviction)", cache_bytes=_parse_mib(TIERED_DRAM))
+    one_tier_run = run("dram only (spelled as one tier)", tiers=f"dram:{TIERED_DRAM}")
     run("dram+nvme tiered", tiers=f"dram:{TIERED_DRAM}+nvme:{TIERED_NVME}")
     full_tiers = f"gpu:{TIERED_GPU}+dram:{TIERED_DRAM}+nvme:{TIERED_NVME}"
     probe_tiers = f"gpu:{TIERED_GPU}+dram:{TIERED_DRAM}+nvme:{TIERED_NVME_FULL}"
@@ -640,6 +644,7 @@ def ablation_tiered(profile: Optional[ScaleProfile] = None):
                 for c in tiered_cells
             )
         ),
+        "flat_is_one_tier": bool(fingerprint(flat_run) == fingerprint(one_tier_run)),
     }
     data["speedup_vs_flat"] = flat["elapsed"] / full["elapsed"]
     data["speedup_vs_pfs"] = pfs["elapsed"] / full["elapsed"]

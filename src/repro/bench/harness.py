@@ -99,17 +99,17 @@ class ExperimentConfig:
     jitter_sigma: float = 0.18
     hidden_dim: int = 200  # paper architecture; reduce for real-compute runs
     n_workers: int = 1  # effective concurrent loader workers per rank
-    cache_bytes: int = 0  # DDStore hot-sample cache budget (0 = off)
+    cache_bytes: int = 0  # DRAM sample-cache budget (0 = off): shorthand for tiers="dram:N"
     coalesce: bool = True  # DDStore fetch-request coalescing
     # epoch-ahead data-plane scheduling (see DataPlaneOptions)
     prefetch_depth: int = 1  # batches kept in flight ahead of compute
     prefetch_budget_bytes: Optional[int] = None  # in-flight byte cap
-    scheduler: bool = False  # wave scheduling (needs cache_bytes > 0)
+    scheduler: bool = False  # wave scheduling (needs a cache)
     node_fetch: bool = False  # node-aggregated wave fetch (needs scheduler)
     cache_policy: str = "lru"  # "lru" or "belady"
     columnar: bool = False  # zero-copy columnar batch assembly (arenas)
-    # tiered cache hierarchy, e.g. "gpu:2m+dram:4m+nvme:256m"; None keeps
-    # the flat single-DRAM-tier cache_bytes knob (mutually exclusive).
+    # the cache hierarchy spelled out, e.g. "gpu:2m+dram:4m+nvme:256m";
+    # None reads the cache_bytes shorthand instead.
     tiers: Optional[str] = None
     # fault injection + resilience (see repro.faults / ResilienceOptions)
     fault_plan: Optional[str] = None  # named plan, e.g. "straggler-10x"

@@ -23,9 +23,7 @@ dataclasses:
   limits, per-tenant QoS classes and DRR fairness quanta, and how the
   sample-cache budget is partitioned between concurrent tenants.
 
-Flat keyword construction (``DDStoreConfig(n, framework=..., cache_bytes=...)``)
-was deprecated in favour of the nested groups and has been removed; it now
-raises :class:`TypeError` with a migration hint::
+Every knob is passed inside its group::
 
     DDStoreConfig(n, width=w,
                   dataplane=DataPlaneOptions(framework="mpi-rma", cache_bytes=1 << 20),
@@ -34,7 +32,7 @@ raises :class:`TypeError` with a migration hint::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
@@ -54,12 +52,6 @@ __all__ = [
 #: The built-in frameworks.  Validation consults the live transport
 #: registry, so this tuple is informational (and kept for back-compat).
 FRAMEWORKS = ("mpi-rma", "p2p")
-
-#: Former flat DDStoreConfig keywords -> their nested home.  Kept only to
-#: turn an old call site into a *pointed* TypeError instead of a generic
-#: unexpected-keyword one.
-_FLAT_DATAPLANE = ("framework", "coalesce", "max_read_bytes", "cache_bytes")
-_FLAT_RESILIENCE = ("timeout_s", "max_retries", "backoff_s", "backoff_factor", "failover")
 
 #: What StoreService.connect does when every tenant slot is taken.
 ADMISSION_POLICIES = ("reject", "evict-idle")
@@ -123,10 +115,11 @@ class TierSpec:
 
 @dataclass(frozen=True)
 class CacheOptions:
-    """A multi-tier sample cache: GPU-pinned → DRAM → NVMe (→ PFS).
+    """The sample cache hierarchy: GPU-pinned → DRAM → NVMe (→ PFS).
 
-    * ``tiers`` — ordered fastest-first.  A DRAM tier is mandatory (it is
-      the landing zone for wire fetches and the source/sink of every
+    * ``tiers`` — ordered fastest-first.  No tiers at all is the cache
+      switched off.  Otherwise a DRAM tier is mandatory (it is the
+      landing zone for wire fetches and the source/sink of every
       promotion and demotion); GPU and NVMe tiers are optional.
     * ``policy`` — eviction/admission policy applied at *every* boundary:
       ``"belady"`` reuses the epoch-future feed so each tier evicts its
@@ -148,8 +141,6 @@ class CacheOptions:
     def __post_init__(self) -> None:
         if not isinstance(self.tiers, tuple):
             object.__setattr__(self, "tiers", tuple(self.tiers))
-        if not self.tiers:
-            raise ValueError("CacheOptions needs at least one tier")
         for t in self.tiers:
             if not isinstance(t, TierSpec):
                 raise TypeError(f"tiers must be TierSpec, got {type(t)!r}")
@@ -161,7 +152,7 @@ class CacheOptions:
             raise ValueError(
                 f"tiers must be ordered fastest-first {TIER_KINDS}, got {kinds}"
             )
-        if "dram" not in kinds:
+        if kinds and "dram" not in kinds:
             raise ValueError(
                 "CacheOptions requires a dram tier (wire fetches land there)"
             )
@@ -184,7 +175,15 @@ class CacheOptions:
                     f"tier {part!r} must be '<kind>:<size>', e.g. 'dram:4m'"
                 )
             tiers.append(TierSpec(kind=kind.strip().lower(), capacity_bytes=_parse_size(size)))
+        if not tiers:
+            raise ValueError(f"tier spec {text!r} names no tier")
         return cls(tiers=tuple(tiers), policy=policy, stage_nvme=stage_nvme)
+
+    @classmethod
+    def dram_only(cls, nbytes: int, policy: str = "lru") -> "CacheOptions":
+        """A hierarchy that ends at a ``nbytes`` DRAM tier (0 = cache off)."""
+        tiers = (TierSpec("dram", nbytes),) if nbytes else ()
+        return cls(tiers=tiers, policy=policy)
 
     def tier(self, kind: str) -> Optional[TierSpec]:
         for t in self.tiers:
@@ -203,8 +202,21 @@ class DataPlaneOptions:
     """How bytes move: transport selection and fetch-path tuning.
 
     All defaults are seed-equivalent: ``mpi-rma`` with coalescing on, no
-    read-size cap, the hot-sample cache disabled, and a depth-1 prefetch
-    pipeline (no epoch-ahead scheduling).
+    read-size cap, the sample cache off, and a depth-1 prefetch pipeline
+    (no epoch-ahead scheduling).
+
+    The sample cache has one configuration, :attr:`cache_options` (a
+    :class:`CacheOptions`), and two spellings of it:
+
+    * ``cache`` — the :class:`CacheOptions` itself, any hierarchy
+      (GPU-pinned → DRAM → NVMe) with its own ``policy``,
+    * ``cache_bytes`` / ``cache_policy`` — shorthand, read when ``cache``
+      is not given, for the hierarchy that ends at DRAM:
+      ``cache_bytes=N, cache_policy=p`` *is*
+      ``cache=CacheOptions.parse("dram:N", policy=p)`` (``"lru"``, the
+      default, or ``"belady"`` — farthest-reuse eviction against the
+      known epoch access sequence, LRU order until one is supplied), and
+      the default ``cache_bytes=0`` is the cache switched off.
 
     The epoch-ahead knobs:
 
@@ -217,19 +229,13 @@ class DataPlaneOptions:
       batches are grouped into waves whose remote samples are planned and
       fetched together (one lock epoch per target per wave, cross-batch
       dedup/coalescing) and parked in the sample cache, so
-      ``scheduler=True`` requires ``cache_bytes > 0``,
-    * ``cache_policy`` — ``"lru"`` (default) or ``"belady"``
-      (farthest-reuse eviction against the known epoch access sequence;
-      falls back to LRU order until a future sequence is supplied),
+      ``scheduler=True`` requires a cache (``cache_bytes > 0`` or
+      ``cache=``),
     * ``columnar`` — enable the zero-copy columnar batch path: the store
       replicates a per-sample shape index at create time and demand
       fetches scatter wire bytes straight into preallocated batch arenas
       (no per-sample decode or allocation).  Off by default; the row path
       stays bit-identical.
-    * ``cache`` — a :class:`CacheOptions` tier hierarchy
-      (GPU-pinned → DRAM → NVMe).  Mutually exclusive with the flat
-      ``cache_bytes`` knob, which remains the single-DRAM-tier fast path
-      and is bit-identical to prior releases.
     * ``node_fetch`` — aggregate wave fetches at *node* scope: the ranks
       of a node merge their per-rank wave plans (each computed locally
       from the shared deterministic epoch permutation — zero extra
@@ -264,8 +270,6 @@ class DataPlaneOptions:
             raise ValueError(
                 f"unknown framework {self.framework!r}; options: {frameworks}"
             )
-        if self.cache_bytes < 0:
-            raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
         if self.max_read_bytes is not None and self.max_read_bytes < 1:
             raise ValueError(
                 f"max_read_bytes must be positive, got {self.max_read_bytes}"
@@ -279,24 +283,13 @@ class DataPlaneOptions:
                 f"prefetch_budget_bytes must be positive, got "
                 f"{self.prefetch_budget_bytes}"
             )
-        if self.cache_policy not in ("lru", "belady"):
-            raise ValueError(
-                f"cache_policy must be 'lru' or 'belady', got {self.cache_policy!r}"
-            )
-        if self.cache is not None:
-            if not isinstance(self.cache, CacheOptions):
-                raise TypeError(
-                    f"cache must be CacheOptions, got {type(self.cache)!r}"
-                )
-            if self.cache_bytes > 0:
-                raise ValueError(
-                    "cache_bytes and cache=CacheOptions(...) are mutually "
-                    "exclusive; put the DRAM budget in the dram tier"
-                )
-        if self.scheduler and self.cache_bytes <= 0 and self.cache is None:
+        if self.cache is not None and not isinstance(self.cache, CacheOptions):
+            raise TypeError(f"cache must be CacheOptions, got {type(self.cache)!r}")
+        cache = self.cache_options  # validates whichever spelling was used
+        if self.scheduler and not cache.dram_bytes:
             raise ValueError(
                 "scheduler=True parks wave-prefetched samples in the sample "
-                "cache and therefore requires cache_bytes > 0 or a tiered "
+                "cache and therefore requires cache_bytes > 0 or a "
                 "cache=CacheOptions(...)"
             )
         if self.node_fetch and not self.scheduler:
@@ -305,6 +298,15 @@ class DataPlaneOptions:
                 "therefore requires scheduler=True (which in turn needs a "
                 "sample cache to park the fanned-out payloads in)"
             )
+
+    @property
+    def cache_options(self) -> CacheOptions:
+        """The sample-cache configuration both spellings resolve to."""
+        if self.cache is not None:
+            return self.cache
+        if self.cache_bytes < 0:
+            raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
+        return CacheOptions.dram_only(self.cache_bytes, self.cache_policy)
 
 
 @dataclass(frozen=True)
@@ -552,63 +554,26 @@ class ElasticOptions:
             )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class DDStoreConfig:
     """Validated DDStore parameters for a given job size.
 
     ``width=None`` means the paper default ``w = N`` (single replica
-    striped over all ranks).  Data-plane, resilience, and serving knobs
-    live in the nested :class:`DataPlaneOptions` /
-    :class:`ResilienceOptions` / :class:`ServingOptions` groups; the old
-    flat keywords (removed after their deprecation cycle) raise
-    :class:`TypeError` with a hint naming the group they moved to.
+    striped over all ranks).  Data-plane, resilience, serving and elastic
+    knobs live in the nested :class:`DataPlaneOptions` /
+    :class:`ResilienceOptions` / :class:`ServingOptions` /
+    :class:`ElasticOptions` groups; passing ``None`` for a group means
+    its defaults.
     """
 
     n_ranks: int
     width: Optional[int] = None
-    dataplane: DataPlaneOptions = field(default_factory=DataPlaneOptions)
-    resilience: ResilienceOptions = field(default_factory=ResilienceOptions)
-    serving: ServingOptions = field(default_factory=ServingOptions)
-    elastic: ElasticOptions = field(default_factory=ElasticOptions)
+    dataplane: Optional[DataPlaneOptions] = None
+    resilience: Optional[ResilienceOptions] = None
+    serving: Optional[ServingOptions] = None
+    elastic: Optional[ElasticOptions] = None
 
-    def __init__(
-        self,
-        n_ranks: int,
-        width: Optional[int] = None,
-        dataplane: Optional[DataPlaneOptions] = None,
-        resilience: Optional[ResilienceOptions] = None,
-        serving: Optional[ServingOptions] = None,
-        elastic: Optional[ElasticOptions] = None,
-        **flat,
-    ) -> None:
-        unknown = [k for k in flat if k not in _FLAT_DATAPLANE + _FLAT_RESILIENCE]
-        if unknown:
-            raise TypeError(
-                f"DDStoreConfig got unexpected keyword(s) {sorted(unknown)}"
-            )
-        if flat:
-            hints = []
-            for key in sorted(flat):
-                group = (
-                    "dataplane=DataPlaneOptions"
-                    if key in _FLAT_DATAPLANE
-                    else "resilience=ResilienceOptions"
-                )
-                hints.append(f"{key} -> {group}({key}=...)")
-            raise TypeError(
-                f"flat DDStoreConfig keyword(s) {sorted(flat)} were removed "
-                "(deprecated since the nested options API landed); migrate: "
-                + "; ".join(hints)
-            )
-        object.__setattr__(self, "n_ranks", n_ranks)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "dataplane", dataplane or DataPlaneOptions())
-        object.__setattr__(self, "resilience", resilience or ResilienceOptions())
-        object.__setattr__(self, "serving", serving or ServingOptions())
-        object.__setattr__(self, "elastic", elastic or ElasticOptions())
-        self._validate()
-
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_ranks < 1:
             raise ValueError("n_ranks must be positive")
         w = self.effective_width
@@ -622,22 +587,17 @@ class DDStoreConfig:
                 f"width {w} must divide the number of ranks {self.n_ranks} "
                 f"(every replica group must be complete); valid widths: {valid}"
             )
-        if not isinstance(self.dataplane, DataPlaneOptions):
-            raise TypeError(
-                f"dataplane must be DataPlaneOptions, got {type(self.dataplane)!r}"
-            )
-        if not isinstance(self.resilience, ResilienceOptions):
-            raise TypeError(
-                f"resilience must be ResilienceOptions, got {type(self.resilience)!r}"
-            )
-        if not isinstance(self.serving, ServingOptions):
-            raise TypeError(
-                f"serving must be ServingOptions, got {type(self.serving)!r}"
-            )
-        if not isinstance(self.elastic, ElasticOptions):
-            raise TypeError(
-                f"elastic must be ElasticOptions, got {type(self.elastic)!r}"
-            )
+        for name, group in (
+            ("dataplane", DataPlaneOptions),
+            ("resilience", ResilienceOptions),
+            ("serving", ServingOptions),
+            ("elastic", ElasticOptions),
+        ):
+            value = getattr(self, name)
+            if value is None:
+                object.__setattr__(self, name, group())
+            elif not isinstance(value, group):
+                raise TypeError(f"{name} must be {group.__name__}, got {type(value)!r}")
         if self.elastic.enabled:
             e = self.elastic
             hi = e.max_width if e.max_width is not None else self.n_ranks
@@ -654,23 +614,6 @@ class DDStoreConfig:
         # failover=True with a single replica has nowhere to fail over to
         # (reads are issued unbounded): "width permitting" is part of the
         # ResilienceOptions contract.
-
-    # -- flat back-compat views (read-only) --------------------------------
-    @property
-    def framework(self) -> str:
-        return self.dataplane.framework
-
-    @property
-    def coalesce(self) -> bool:
-        return self.dataplane.coalesce
-
-    @property
-    def max_read_bytes(self) -> Optional[int]:
-        return self.dataplane.max_read_bytes
-
-    @property
-    def cache_bytes(self) -> int:
-        return self.dataplane.cache_bytes
 
     # -- derived quantities -------------------------------------------------
     @property

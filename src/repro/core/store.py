@@ -9,8 +9,8 @@ Construction (collective, via :meth:`DDStore.create`):
 3. members exchange per-sample size tables (``MPI_Allgather``) and build
    the replicated :class:`~.registry.ChunkRegistry`,
 4. every member wires the replica group's data plane: the transport
-   resolved from ``config.framework`` (the paper's ``mpi-rma`` exposes
-   the buffer through an RMA window).
+   resolved from ``config.dataplane.framework`` (the paper's ``mpi-rma``
+   exposes the buffer through an RMA window).
 
 This module is layout + lifecycle: create/preload, tier assembly,
 session views, failover topology, shutdown/close and reshard.  **The
@@ -41,7 +41,6 @@ from ..dataplane import (
     FETCH_STAGES,
     FetchPlanner,
     FetchStats,
-    SampleCache,
     TieredCache,
     get_transport,
     pipeline,
@@ -117,22 +116,16 @@ class DDStore:
         self.record_latencies = record_latencies
         self.stats = FetchStats()
         self.planner = FetchPlanner(
-            coalesce=config.coalesce and transport.supports_coalescing,
-            max_read_bytes=config.max_read_bytes,
+            coalesce=config.dataplane.coalesce and transport.supports_coalescing,
+            max_read_bytes=config.dataplane.max_read_bytes,
         )
         machine = comm.communicator.world.machine
         self._machine = machine
         self._local_copy_base = machine.intra_node_latency_s
         self._local_copy_bw = machine.intra_node_bandwidth_Bps
-        if config.dataplane.cache is not None:
-            self.cache = self._build_tiered_cache(config.dataplane.cache)
-        else:
-            self.cache = SampleCache(
-                config.cache_bytes, policy=config.dataplane.cache_policy
-            )
-        self._tiered = bool(getattr(self.cache, "tiered", False))
+        self.cache = self.build_cache(config.dataplane.cache_options)
         # Snapshot of per-tier counters for delta-based metric publishing.
-        self._tier_base = self.cache.tier_counters() if self._tiered else {}
+        self._tier_base = self.cache.tier_counters()
         # The transport is wired over the whole job (a dup of ``comm``), so
         # plan targets are comm ranks: group rank + this group's base.
         self._my_group = config.group_of_rank(comm.rank)
@@ -182,8 +175,10 @@ class DDStore:
         self._store_seq = seq.get(comm.world_rank, 0)
         seq[comm.world_rank] = self._store_seq + 1
 
-    def _build_tiered_cache(self, cache_opts) -> TieredCache:
-        """Assemble the GPU→DRAM→NVMe hierarchy for this rank.
+    def build_cache(self, cache_opts) -> TieredCache:
+        """Assemble the sample cache ``cache_opts`` describes on this rank
+        — the one constructor behind a store's own cache and every
+        tenant partition carved from it.
 
         The NVMe tier is node-shared: all local ranks resolve the same
         :class:`~repro.storage.staging.NVMeShardStore` (and device queue)
@@ -238,7 +233,6 @@ class DDStore:
         serving: Optional[ServingOptions] = None,
         elastic: Optional[ElasticOptions] = None,
         record_latencies: bool = False,
-        **flat,
     ) -> Generator:
         """Collectively build the store over ``comm`` (all ranks call this).
 
@@ -248,10 +242,8 @@ class DDStore:
         ``resilience``, and multi-tenant admission/fairness through
         ``serving`` — see :class:`~.config.DataPlaneOptions`,
         :class:`~.config.ResilienceOptions`, and
-        :class:`~.config.ServingOptions`.  Flat keywords of the old API
-        (``framework=``, ``cache_bytes=``, ...) were removed after their
-        deprecation cycle and raise :class:`TypeError` with a migration
-        hint.  Returns this rank's :class:`DDStore`.
+        :class:`~.config.ServingOptions`.  Returns this rank's
+        :class:`DDStore`.
         """
         config = DDStoreConfig(
             comm.size,
@@ -260,7 +252,6 @@ class DDStore:
             resilience=resilience,
             serving=serving,
             elastic=elastic,
-            **flat,
         )
         group_comm = yield from comm.split(
             color=config.group_of_rank(comm.rank), key=comm.rank
@@ -296,9 +287,10 @@ class DDStore:
                 call_name="MPI_Allgather",
             )
         largest = registry.max_sample_bytes
-        if config.max_read_bytes is not None and config.max_read_bytes < largest:
+        max_read_bytes = config.dataplane.max_read_bytes
+        if max_read_bytes is not None and max_read_bytes < largest:
             raise ValueError(
-                f"dataplane.max_read_bytes={config.max_read_bytes} is smaller "
+                f"dataplane.max_read_bytes={max_read_bytes} is smaller "
                 f"than the largest packed sample in this dataset ({largest} "
                 f"bytes); every read of that sample would degenerate into "
                 f"max-size fragments. Raise max_read_bytes to at least "
@@ -310,7 +302,7 @@ class DDStore:
         # are identical across replica groups, which is what lets a timed-out
         # read fail over to rank ``group * width + owner`` of another group.
         plane_comm = yield from comm.dup()
-        transport_cls = get_transport(config.framework)
+        transport_cls = get_transport(config.dataplane.framework)
         transport = yield from transport_cls.setup(
             plane_comm, result.buffer, record_latencies=record_latencies
         )
@@ -325,11 +317,7 @@ class DDStore:
         )
         store._node_index = node_index
         store._charged_bytes = buffer_nbytes
-        if (
-            store._tiered
-            and store.cache.nvme is not None
-            and config.dataplane.cache.stage_nvme
-        ):
+        if store.cache.nvme is not None and store.cache.options.stage_nvme:
             yield from store._stage_nvme_tier(source, node_index)
         yield from comm.barrier()
         return store
@@ -604,8 +592,7 @@ class DDStore:
         clone.__dict__.update(self.__dict__)
         clone.stats = FetchStats()
         clone.cache = cache
-        clone._tiered = bool(getattr(cache, "tiered", False))
-        clone._tier_base = cache.tier_counters() if clone._tiered else {}
+        clone._tier_base = cache.tier_counters()
         clone._cache_base = cache.stats.as_dict()
         clone._closed = False
         clone._lane = lane

@@ -13,9 +13,10 @@ caches can be added without touching :class:`~repro.core.store.DDStore`:
 * :class:`FetchPlanner` — groups requested samples by owner rank,
   coalesces adjacent byte ranges into single reads, and splits oversized
   reads (RapidGNN/Atompack-style packed remote reads).
-* :class:`SampleCache` — an optional per-rank byte-budgeted cache sitting
-  in front of the transport (LRU or future-fed Belady eviction), with
-  hit/miss/eviction counters.
+* :class:`TieredCache` — the optional sample cache sitting in front of
+  the transport: a GPU-pinned → DRAM → NVMe hierarchy of byte-budgeted
+  :class:`SampleCache` pools (LRU or future-fed Belady eviction; a flat
+  DRAM budget is its one-tier case), with hit/miss/eviction counters.
 * :mod:`.pipeline` — the one ``resolve → plan → fetch → sink`` fetch
   path every ``DDStore`` entry point runs, with its per-call accounting
   (:class:`FetchStats`, stage spans, the ``ddstore.*`` metric families).

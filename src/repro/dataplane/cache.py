@@ -1,13 +1,18 @@
-"""Hot-sample cache: a per-rank byte-budgeted cache in front of the transport.
+"""The sample cache: one hierarchy of byte pools in front of the transport.
 
 RapidGNN-style observation: with deterministic sampling, a modest DRAM
 budget spent on recently fetched *remote* samples slashes repeat remote
-traffic across epochs.  The cache stores packed (still-serialised) sample
-payloads keyed by global sample id, evicts entries to stay under its byte
-budget, and keeps hit/miss/eviction counters that
+traffic across epochs.  A store handle, session view or tenant partition
+holds exactly one :class:`TieredCache` — GPU-pinned → DRAM → NVMe, of
+which only the DRAM pool is mandatory: ``cache_bytes=N`` is the
+hierarchy ``dram:N``, and cache-off (the default everywhere, the seed
+fetch behaviour bit-for-bit) is the same class over a zero-byte DRAM
+pool.  Each per-rank tier is a :class:`SampleCache`: a byte-budgeted pool
+of packed (still-serialised) payloads keyed by global sample id.  The
+hierarchy's hit/miss/eviction counters are what
 :class:`~repro.core.store.FetchStats` surfaces to the bench layer.
 
-Two eviction policies:
+Two eviction policies, applied at every tier:
 
 * ``"lru"`` (default) — least-recently-used, the seed behaviour,
 * ``"belady"`` — farthest-reuse: because ``DataLoader.epoch_batches``
@@ -20,9 +25,6 @@ Two eviction policies:
   Belady's MIN, which is optimal for a known reference string.  Until a
   future is supplied the policy degrades to LRU order, so a "belady"
   cache without a scheduler behaves exactly like an LRU one.
-
-A ``capacity_bytes`` of 0 (the default everywhere) disables the cache
-entirely — the seed fetch behaviour is preserved bit-for-bit.
 """
 
 from __future__ import annotations
@@ -127,7 +129,13 @@ class TierStats:
 
 
 class SampleCache:
-    """Cache of packed sample payloads under a byte budget."""
+    """One tier's pool of packed sample payloads under a byte budget.
+
+    The inserts take an optional ``victims`` list: every entry the byte
+    budget forces out (not pop/refresh/clear) is appended to it as
+    ``(key, payload, is_column)``, so the owning hierarchy demotes them
+    itself and the pool never holds a reference back to its owner.
+    """
 
     def __init__(self, capacity_bytes: int = 0, policy: str = "lru") -> None:
         if capacity_bytes < 0:
@@ -140,10 +148,6 @@ class SampleCache:
         self.policy = policy
         self.used_bytes = 0
         self.stats = CacheStats()
-        # Invoked as on_evict(key, payload, is_column) for every entry the
-        # byte budget forces out (not for pop/refresh/clear); the tiered
-        # cache hangs its demotion chain here.
-        self.on_evict: Optional[Callable[[int, np.ndarray, bool], None]] = None
         self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
         # Keys whose entry holds a header-stripped column payload (arena
         # mode) rather than a whole packed blob.  Kept as a marker set so
@@ -280,14 +284,14 @@ class SampleCache:
         self.stats.hit_bytes += int(entry.nbytes)
         return entry
 
-    def put_columns(self, key: int, payload: np.ndarray) -> bool:
+    def put_columns(self, key: int, payload: np.ndarray, victims: Optional[list] = None) -> bool:
         """Park a header-stripped column slice under ``key`` (arena mode)."""
         if not self.enabled:
             return False
         stored = np.ascontiguousarray(payload).view(np.uint8).reshape(-1).copy()
-        return self._insert(key, stored, column=True)
+        return self._insert(key, stored, True, victims)
 
-    def put(self, key: int, payload: np.ndarray) -> bool:
+    def put(self, key: int, payload: np.ndarray, victims: Optional[list] = None) -> bool:
         """Insert a payload, evicting entries to fit the byte budget.
 
         Returns False when the cache is disabled or the payload alone
@@ -300,9 +304,11 @@ class SampleCache:
         # is stored: casting with astype would mangle non-uint8 payloads and
         # nbytes-from-the-input would drift from the resident bytes.
         stored = np.ascontiguousarray(payload).view(np.uint8).reshape(-1).copy()
-        return self._insert(key, stored, column=False)
+        return self._insert(key, stored, False, victims)
 
-    def put_owned(self, key: int, stored: np.ndarray, column: bool = False) -> bool:
+    def put_owned(
+        self, key: int, stored: np.ndarray, column: bool = False, victims: Optional[list] = None
+    ) -> bool:
         """Insert an already-owned flat ``uint8`` payload *without copying*.
 
         The tier-move fast path: promotions and demotions hand the same
@@ -314,13 +320,12 @@ class SampleCache:
             return False
         if stored.dtype != np.uint8 or stored.ndim != 1:
             raise ValueError("put_owned requires a flat uint8 payload")
-        return self._insert(key, stored, column=column)
+        return self._insert(key, stored, column, victims)
 
     def pop(self, key: int) -> Optional[tuple[np.ndarray, bool]]:
         """Remove and return ``(payload, is_column)``, or None if absent.
 
-        A tier *move*, not an eviction: no stats are touched and
-        ``on_evict`` does not fire.
+        A tier *move*, not an eviction: no stats are touched.
         """
         entry = self._entries.pop(key, None)
         if entry is None:
@@ -330,7 +335,9 @@ class SampleCache:
         self.used_bytes -= int(entry.nbytes)
         return entry, column
 
-    def _insert(self, key: int, stored: np.ndarray, column: bool) -> bool:
+    def _insert(
+        self, key: int, stored: np.ndarray, column: bool, victims: Optional[list]
+    ) -> bool:
         nbytes = int(stored.nbytes)
         if nbytes > self.capacity_bytes:
             return False
@@ -347,8 +354,8 @@ class SampleCache:
             self.used_bytes -= int(victim.nbytes)
             self.stats.evictions += 1
             self.stats.evicted_bytes += int(victim.nbytes)
-            if self.on_evict is not None:
-                self.on_evict(victim_key, victim, victim_column)
+            if victims is not None:
+                victims.append((victim_key, victim, victim_column))
         self._entries[key] = stored
         self.used_bytes += nbytes
         if column:
@@ -374,14 +381,15 @@ class TieredCache:
     """GPU-pinned → DRAM → NVMe cache hierarchy (PFS is the miss path).
 
     The fast tiers (``gpu``, ``dram``) are per-rank :class:`SampleCache`
-    instances — an *exclusive* pair: an entry lives in one or the other,
+    pools — an *exclusive* pair: an entry lives in one or the other,
     and moves between them by handing over the same storage array
     (:meth:`SampleCache.pop` → :meth:`SampleCache.put_owned`, zero
     copies).  The ``nvme`` tier is a node-shared
     :class:`~repro.storage.staging.NVMeShardStore` holding packed bytes,
     *inclusive* below the fast tiers: entries staged or demoted there
     stay resident after promotion, so re-demoting them later is a clean
-    drop instead of a write.
+    drop instead of a write.  Only the DRAM pool always exists; with no
+    tier configured at all it holds zero bytes and the cache is off.
 
     Every boundary runs the same policy.  Under ``belady`` the epoch
     future installed by the scheduler (:meth:`set_future` /
@@ -391,18 +399,23 @@ class TieredCache:
     never churn out sooner-needed bytes.  Under ``lru`` admission is
     unconditional and eviction is least-recent, per tier.
 
-    Demotion chain: a GPU eviction falls into DRAM; a DRAM eviction is a
-    clean drop when the bytes are already NVMe-resident, a plain exit
-    when Belady knows the entry is never used again, and a write-behind
-    to NVMe otherwise (occupying the device queue but never charged to
-    the demand path).  Promotions out of NVMe are batched
-    (``read_many``) and the promoted payload is handed to DRAM as a
-    view — no per-sample allocation, which is what lets the arena
-    scatter path stay zero-copy end to end.
-    """
+    Two rules depend on whether anything sits below DRAM (both stated
+    once, here: :meth:`_admit_wire` and :attr:`wave_cap_bytes`; the
+    measurements that keep them apart are in DESIGN.md §4c.3): a
+    hierarchy that ends at DRAM admits every wire payload and puts no
+    byte cap on a prefetch wave; one with an NVMe tier gates wire
+    payloads like any other boundary and caps a wave at its fast tiers.
 
-    #: Lets the store branch on ``getattr(cache, "tiered", False)``.
-    tiered = True
+    Demotion chain: each pool insert returns the entries its byte budget
+    forced out and the hierarchy demotes them inline — a GPU eviction
+    falls into DRAM; a DRAM eviction is a clean drop when the bytes are
+    already NVMe-resident, a plain exit when Belady knows the entry is
+    never used again, and a write-behind to NVMe otherwise (occupying
+    the device queue but never charged to the demand path).  Promotions
+    out of NVMe are batched (``read_many``) and the promoted payload is
+    handed to DRAM as a view — no per-sample allocation, which is what
+    lets the arena scatter path stay zero-copy end to end.
+    """
 
     def __init__(
         self,
@@ -431,6 +444,9 @@ class TieredCache:
         )
         self.dram = SampleCache(options.dram_bytes, options.policy)
         self.nvme = nvme if nvme_tier is not None else None
+        # The per-rank pools, fastest first.
+        tiers = (("gpu", self.gpu), ("dram", self.dram))
+        self._fast = [(name, pool) for name, pool in tiers if pool is not None]
         self.dram_hit_base_s = dram_hit_base_s
         self.dram_hit_Bps = dram_hit_Bps
         self._now = now_fn if now_fn is not None else (lambda: 0.0)
@@ -439,75 +455,65 @@ class TieredCache:
         self.tier_stats: dict[str, TierStats] = {"dram": TierStats()}
         if self.gpu is not None:
             self.tier_stats["gpu"] = TierStats()
-            self.gpu.on_evict = self._demote_from_gpu
         if self.nvme is not None:
             self.tier_stats["nvme"] = TierStats()
-        self.dram.on_evict = self._demote_from_dram
 
-    # -- store-facing surface (SampleCache-compatible) ----------------------
+    # -- store-facing surface ------------------------------------------------
     @property
     def enabled(self) -> bool:
         return self.dram.enabled
 
     @property
     def fast_capacity_bytes(self) -> int:
-        """Combined byte budget of the per-rank (gpu+dram) tiers — the
-        scheduler's cap on how much a wave may park."""
-        gpu = self.gpu.capacity_bytes if self.gpu is not None else 0
-        return gpu + self.dram.capacity_bytes
+        """Combined byte budget of the per-rank (gpu+dram) tiers — what
+        the scheduler's carried launches must fit beside."""
+        return sum(pool.capacity_bytes for _, pool in self._fast)
+
+    @property
+    def wave_cap_bytes(self) -> Optional[int]:
+        """Byte cap on one prefetch wave, or None for no cap.  Above an
+        NVMe tier a wave bigger than the fast tiers would demote its own
+        head before the trailing batches consume it; a hierarchy that
+        ends at DRAM cuts waves by depth alone."""
+        return self.fast_capacity_bytes if self.nvme is not None else None
 
     @property
     def used_bytes(self) -> int:
-        gpu = self.gpu.used_bytes if self.gpu is not None else 0
-        return gpu + self.dram.used_bytes
+        return sum(pool.used_bytes for _, pool in self._fast)
 
     def __len__(self) -> int:
-        return (len(self.gpu) if self.gpu is not None else 0) + len(self.dram)
+        return sum(len(pool) for _, pool in self._fast)
 
     def __contains__(self, key: int) -> bool:
-        if self.gpu is not None and key in self.gpu:
-            return True
-        if key in self.dram:
-            return True
-        return self.nvme is not None and key in self.nvme
+        return self.fast_resident(key) or (self.nvme is not None and key in self.nvme)
 
     def set_future(self, sequence: Iterable[int], start: int = 0) -> None:
         seq = [int(k) for k in sequence]
-        if self.gpu is not None:
-            self.gpu.set_future(seq, start)
-        self.dram.set_future(seq, start)
+        for _, pool in self._fast:
+            pool.set_future(seq, start)
 
     def extend_future(self, sequence: Iterable[int], start: int) -> None:
         seq = [int(k) for k in sequence]
-        if self.gpu is not None:
-            self.gpu.extend_future(seq, start)
-        self.dram.extend_future(seq, start)
+        for _, pool in self._fast:
+            pool.extend_future(seq, start)
 
     def advance_to(self, position: int) -> None:
-        if self.gpu is not None:
-            self.gpu.advance_to(position)
-        self.dram.advance_to(position)
+        for _, pool in self._fast:
+            pool.advance_to(position)
 
     def put(self, key: int, payload: np.ndarray) -> bool:
-        """Park a wire-fetched whole blob (lands in DRAM, gated)."""
-        if not self.enabled:
-            return False
-        stored = np.ascontiguousarray(payload).view(np.uint8).reshape(-1).copy()
-        return self._admit_wire(key, stored, column=False)
+        """Park a copy of a wire-fetched whole blob (lands in DRAM)."""
+        return self._admit_wire(self.dram.put, key, payload)
 
     def put_columns(self, key: int, payload: np.ndarray) -> bool:
-        """Park a wire-fetched header-stripped column slice (DRAM, gated)."""
-        if not self.enabled:
-            return False
-        stored = np.ascontiguousarray(payload).view(np.uint8).reshape(-1).copy()
-        return self._admit_wire(key, stored, column=True)
+        """Park a copy of a wire-fetched header-stripped column slice (DRAM)."""
+        return self._admit_wire(self.dram.put_columns, key, payload)
 
     def clear(self) -> None:
         """Drop the per-rank tiers.  The node-shared NVMe tier survives —
         staged shards were paid for at preload and stay valid."""
-        if self.gpu is not None:
-            self.gpu.clear()
-        self.dram.clear()
+        for _, pool in self._fast:
+            pool.clear()
 
     # -- demand path ---------------------------------------------------------
     def fast_get(
@@ -521,17 +527,13 @@ class TieredCache:
         serve columnar requests.  The returned array is tier storage:
         callers must not mutate it.
         """
-        for name in ("gpu", "dram"):
-            cache = self.gpu if name == "gpu" else self.dram
-            if cache is None:
-                continue
-            got = cache.peek(key)
-            if got is None:
-                continue
-            entry, is_col = got
-            if not column and is_col:
-                continue  # stripped payload cannot serve the row path
-            cache._entries.move_to_end(key)
+        for name, pool in self._fast:
+            entry = pool.get_columns(key) if column else None
+            has_header = entry is None
+            if has_header:
+                entry = pool.get(key)
+                if entry is None:
+                    continue
             nbytes = int(entry.nbytes)
             ts = self.tier_stats[name]
             ts.hits += 1
@@ -547,13 +549,33 @@ class TieredCache:
 
                 cost = pinned_read_time(self.gpu_spec, nbytes)
             else:
+                # A hit still costs the DRAM copy out of the cache.
                 cost = self.dram_hit_base_s + nbytes / self.dram_hit_Bps
-            return entry, not is_col, cost
+            return entry, has_header, cost
         return None
 
     def fast_resident(self, key: int) -> bool:
         """Is ``key`` in a per-rank tier (no device IO needed to serve)?"""
         return (self.gpu is not None and key in self.gpu) or key in self.dram
+
+    def peek(self, key: int, column: bool = False) -> Optional[np.ndarray]:
+        """Wire-format payload for ``key`` from a per-rank tier, or None.
+
+        Stats-silent and recency-neutral, so node-leader duty can serve
+        peers without touching the demand-path counters.  Columnar
+        stores want column bytes (a resident whole blob serves by
+        stripping); row stores need the whole blob, header included.
+        """
+        for _, pool in self._fast:
+            got = pool.peek(key)
+            if got is None:
+                continue
+            entry, is_column = got
+            if column:
+                return entry if is_column else entry[HEADER_NBYTES:]
+            if not is_column:
+                return entry
+        return None
 
     def count_miss(self, column: bool = False) -> None:
         """Record a full-hierarchy miss (the sample goes to the wire)."""
@@ -580,20 +602,11 @@ class TieredCache:
         """
         if self.nvme is None or not keys:
             return {}, 0.0
-        from .planner import plan_promotions
-
         entries = []
         for k in keys:
             payload, has_header = self.nvme.get(int(k))
             entries.append((int(k), payload, has_header))
-        spans = plan_promotions(
-            [int(p.nbytes) for _, p, _ in entries], self.max_io_bytes
-        )
-        done = now
-        for lo, hi in spans:
-            nbytes = sum(int(entries[i][1].nbytes) for i in range(lo, hi))
-            done = max(done, self.nvme.device.read_many(hi - lo, nbytes, now))
-        wall = max(0.0, done - now)
+        wall = self._read_batched([int(p.nbytes) for _, p, _ in entries], now)
         ts = self.tier_stats["nvme"]
         ts.stall_seconds += wall
         results = {}
@@ -612,7 +625,7 @@ class TieredCache:
             results[k] = (payload, has_header)
             park = payload[HEADER_NBYTES:] if (column and has_header) else payload
             if self._admit_ok(self.dram, k, int(park.nbytes)):
-                self.dram.put_owned(k, park, column=column)
+                self._move_to_dram(k, park, column)
         return results, wall
 
     # -- prefetch path -------------------------------------------------------
@@ -631,11 +644,7 @@ class TieredCache:
         picked = []
         for k in keys:
             k = int(k)
-            if self.gpu is not None and k in self.gpu:
-                continue
-            if k in self.dram:
-                continue
-            if not self.nvme.resident(k, column):
+            if self.fast_resident(k) or not self.nvme.resident(k, column):
                 continue
             payload, has_header = self.nvme.get(k)
             park = payload[HEADER_NBYTES:] if (column and has_header) else payload
@@ -644,19 +653,12 @@ class TieredCache:
             picked.append((k, payload, park))
         if not picked:
             return 0, 0.0
-        from .planner import plan_promotions
-
-        spans = plan_promotions([int(p.nbytes) for _, p, _ in picked], self.max_io_bytes)
-        done = now
-        for lo, hi in spans:
-            nbytes = sum(int(picked[i][1].nbytes) for i in range(lo, hi))
-            done = max(done, self.nvme.device.read_many(hi - lo, nbytes, now))
-        wall = max(0.0, done - now)
+        wall = self._read_batched([int(p.nbytes) for _, p, _ in picked], now)
         ts = self.tier_stats["nvme"]
         for k, payload, park in picked:
             ts.promotions += 1
             ts.promoted_bytes += int(payload.nbytes)
-            self.dram.put_owned(k, park, column=column)
+            self._move_to_dram(k, park, column)
         if self.gpu is not None:
             from ..hardware.gpu import pinned_write_time
 
@@ -668,7 +670,9 @@ class TieredCache:
                 if popped is None:
                     continue  # DRAM already demoted it; leave it be
                 stored, is_col = popped
-                self.gpu.put_owned(k, stored, is_col)
+                victims: list = []
+                self.gpu.put_owned(k, stored, is_col, victims)
+                self._demote_from_gpu(victims)
                 wall += pinned_write_time(self.gpu_spec, int(stored.nbytes))
                 gpu_ts.promotions += 1
                 gpu_ts.promoted_bytes += int(stored.nbytes)
@@ -685,12 +689,23 @@ class TieredCache:
         return out
 
     # -- internals -----------------------------------------------------------
+    def _read_batched(self, sizes: list, now: float) -> float:
+        """Issue the NVMe reads for ``sizes`` as bounded IO groups (one
+        flash latency per group) at ``now``; returns the wall seconds
+        until the last one lands."""
+        from .planner import plan_promotions
+
+        done = now
+        for lo, hi in plan_promotions(sizes, self.max_io_bytes):
+            done = max(done, self.nvme.device.read_many(hi - lo, sum(sizes[lo:hi]), now))
+        return max(0.0, done - now)
+
     def _admit_ok(self, cache: SampleCache, key: int, nbytes: int) -> bool:
         """Belady admission gate: a full tier refuses an entry whose next
         use is farther than its current victim's (or unknown)."""
         if not cache.enabled or nbytes > cache.capacity_bytes:
             return False
-        if key in cache._entries:
+        if key in cache:
             return True  # refresh
         if cache.used_bytes + nbytes <= cache.capacity_bytes:
             return True
@@ -701,27 +716,40 @@ class TieredCache:
             return False
         return incoming < cache._next_use(cache._victim())
 
-    def _admit_wire(self, key: int, stored: np.ndarray, column: bool) -> bool:
-        if not self._admit_ok(self.dram, key, int(stored.nbytes)):
+    def _admit_wire(self, insert, key: int, payload: np.ndarray) -> bool:
+        """Land a wire payload in DRAM through the pool's copying
+        ``insert``.  Gated only when an NVMe tier sits below; a
+        hierarchy that ends at DRAM admits unconditionally."""
+        if self.nvme is not None and not self._admit_ok(self.dram, key, int(payload.nbytes)):
             self.tier_stats["dram"].dropped += 1
             return False
-        if self.dram.put_owned(key, stored, column=column):
-            self.stats.insertions += 1
-            return True
-        return False
+        victims: list = []
+        if not insert(key, payload, victims):
+            return False
+        self.stats.insertions += 1
+        self._demote_from_dram(victims)
+        return True
 
-    def _demote_from_gpu(self, key: int, payload: np.ndarray, is_column: bool) -> None:
+    def _move_to_dram(self, key: int, stored: np.ndarray, column: bool) -> None:
+        """Tier move into DRAM (zero-copy); what it displaces falls below."""
+        victims: list = []
+        self.dram.put_owned(key, stored, column, victims)
+        self._demote_from_dram(victims)
+
+    def _demote_from_gpu(self, victims: list) -> None:
         ts = self.tier_stats["gpu"]
-        ts.demotions += 1
-        if self._admit_ok(self.dram, key, int(payload.nbytes)):
-            self.dram.put_owned(key, payload, is_column)
-            return
-        self._fall_below_dram(key, payload, is_column, ts)
+        for key, payload, is_column in victims:
+            ts.demotions += 1
+            if self._admit_ok(self.dram, key, int(payload.nbytes)):
+                self._move_to_dram(key, payload, is_column)
+            else:
+                self._fall_below_dram(key, payload, is_column, ts)
 
-    def _demote_from_dram(self, key: int, payload: np.ndarray, is_column: bool) -> None:
+    def _demote_from_dram(self, victims: list) -> None:
         ts = self.tier_stats["dram"]
-        ts.demotions += 1
-        self._fall_below_dram(key, payload, is_column, ts)
+        for key, payload, is_column in victims:
+            ts.demotions += 1
+            self._fall_below_dram(key, payload, is_column, ts)
 
     def _fall_below_dram(
         self, key: int, payload: np.ndarray, is_column: bool, ts: TierStats

@@ -6,8 +6,8 @@ repo moves sample bytes is that path with a different last step
 (diagram and the stage × entry-point table: DESIGN.md §4c):
 
 * **resolve** looks ids up in the registry and sorts them into local /
-  fast-tier hit / NVMe-promote / wire / zero-size (:class:`_CacheProbe`
-  is the only code that tells a flat cache from a tiered one),
+  fast-tier hit / NVMe-promote / wire / zero-size (:func:`_resolve`
+  asks the handle's :class:`~.cache.TieredCache`),
 * **plan** is one :class:`~.planner.FetchPlanner` entry point,
 * **fetch** (:func:`fetch`) is the only wire-issue point in ``src/``,
 * a **sink** takes whole batches of payloads to where the caller wants
@@ -27,7 +27,6 @@ views need no second pipeline type.  Nothing here imports ``repro.core``.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Generator, Optional
 
 import numpy as np
@@ -323,7 +322,7 @@ class _Call:
         h, m = self.h, self.metrics
         family = "ddstore.prefetch" if self.wave else "ddstore.fetch"
         self.publish(family, self.counts.items(), generation=h.generation)
-        if m.enabled and h._tiered:
+        if m.enabled and h.cache.enabled:
             tiers = h.cache.tier_counters()
             for key, value in tiers.items():
                 delta = value - h._tier_base.get(key, 0)
@@ -379,82 +378,30 @@ class _Call:
 
 
 # -- resolve -----------------------------------------------------------------
-class _CacheProbe:
-    """Residency questions resolve asks of the handle's cache — the only
-    code that tells a flat :class:`~.cache.SampleCache` (its own single
-    fast tier, nothing below) from a :class:`~.cache.TieredCache`."""
-
-    def __init__(self, h, column: bool) -> None:
-        cache = h.cache
-        self.cache, self.column, self.tiered = cache, column, h._tiered
-        # Bound once so per-sample loops pay no wrapper: ``hit(key)`` → the
-        # counted demand probe, ``(payload, has_header, cost)`` or None;
-        # ``resident(key)`` → in a per-rank tier (stats-silent); ``on_nvme``.
-        if self.tiered:
-            self.fast = [t for t in (cache.gpu, cache.dram) if t is not None]
-            self.hit = partial(cache.fast_get, column=column)
-            self.resident = cache.fast_resident
-            self.on_nvme = partial(cache.nvme_resident, column=column)
+def _resolve(cache, column: bool, idx, remote, latencies):
+    """Sort a demand call's remote positions into fast-tier hits
+    (``(position, payload, has_header)`` triples, plus their summed
+    cost), NVMe promotions (``keys, positions``) and full misses."""
+    fast_get, on_nvme = cache.fast_get, cache.nvme_resident
+    hits: list[tuple] = []
+    promote: tuple[list, list] = ([], [])
+    missed = []
+    cache_time = 0.0
+    for p in remote:
+        key = int(idx[p])
+        hit = fast_get(key, column)
+        if hit is not None:
+            payload, has_header, cost = hit
+            hits.append((int(p), payload, has_header))
+            latencies[p] = cost
+            cache_time += cost
+        elif on_nvme(key, column):
+            promote[0].append(key)
+            promote[1].append(int(p))
         else:
-            self.fast = [cache]
-            self.resident = cache.__contains__
-            self.on_nvme = lambda key: False  # a flat cache has nothing below
-            get = cache.get_columns if column else cache.get
-            base, bw = h._local_copy_base, h._local_copy_bw
-
-            def hit(key: int):
-                entry = get(key)
-                if entry is None:
-                    return None
-                # A hit still costs the DRAM copy out of the cache.
-                return entry, not column, base + entry.nbytes / bw
-
-            self.hit = hit
-
-    def peek(self, key: int) -> Optional[np.ndarray]:
-        """Wire-format payload for ``key`` from a fast tier, or None —
-        stats-silent, so leader duty can serve node peers without touching
-        the demand-path counters.  Columnar stores want column bytes (a
-        resident whole blob serves by stripping); row stores need the
-        whole blob, header included."""
-        for tier in self.fast:
-            got = tier.peek(key)
-            if got is None:
-                continue
-            entry, is_column = got
-            if self.column:
-                return entry if is_column else _strip_header(entry)
-            if not is_column:
-                return entry
-        return None
-
-    def demand(self, idx, remote, latencies):
-        """Sort a demand call's remote positions into fast-tier hits
-        (``(position, payload, has_header)`` triples, plus their summed
-        cost), NVMe promotions (``keys, positions``) and full misses."""
-        cache, column, tiered = self.cache, self.column, self.tiered
-        hit_of, on_nvme = self.hit, self.on_nvme
-        hits: list[tuple] = []
-        promote: tuple[list, list] = ([], [])
-        missed = []
-        cache_time = 0.0
-        for p in remote:
-            key = int(idx[p])
-            hit = hit_of(key)
-            if hit is not None:
-                payload, has_header, cost = hit
-                hits.append((int(p), payload, has_header))
-                latencies[p] = cost
-                cache_time += cost
-            elif not tiered:
-                missed.append(p)  # a flat cache's get() counted the miss
-            elif on_nvme(key):
-                promote[0].append(key)
-                promote[1].append(int(p))
-            else:
-                cache.count_miss(column=column)
-                missed.append(p)
-        return hits, cache_time, promote, np.asarray(missed, dtype=np.int64)
+            cache.count_miss(column)
+            missed.append(p)
+    return hits, cache_time, promote, np.asarray(missed, dtype=np.int64)
 
 
 def _remote_demand(h, batches, group_rank: int):
@@ -641,11 +588,11 @@ class _NodeSink(_ParkSink):
         self.coord, self.key, self.entry = coord, key, entry
         self.published: dict[int, np.ndarray] = {}
 
-    def offer(self, keys, probe: _CacheProbe) -> list:
+    def offer(self, keys) -> list:
         """Publish what this rank's fast tiers already hold; return the rest."""
-        rest = []
+        peek, rest = self.h.cache.peek, []
         for k in keys:
-            blob = probe.peek(k)
+            blob = peek(k, self.columnar)
             if blob is None:
                 rest.append(k)
             else:
@@ -694,12 +641,13 @@ def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
     wanted = np.nonzero(~local_mask)[0]
     cache_time = 0.0
     if h.cache.enabled and wanted.size:
-        probe = _CacheProbe(h, sink.column)
-        hits, cache_time, (promote_keys, promote_at), wanted = probe.demand(idx, wanted, latencies)
+        hits, cache_time, (promote_keys, promote_at), wanted = _resolve(
+            h.cache, sink.column, idx, wanted, latencies
+        )
         if hits:
             sink.place(hits)
         if promote_keys:
-            # Tiered cache: one batched NVMe→DRAM read for the whole call.
+            # One batched NVMe→DRAM read for the whole call.
             results, wall = h.cache.promote_batch(promote_keys, call.engine.now, column=sink.column)
             if wall:
                 yield from call.spend("promote", wall, n=len(promote_keys))
@@ -759,14 +707,14 @@ def wave(h, batch_indices, n_workers: int, window) -> Generator:
         return (yield from _node_wave(h, batch_indices, n_workers, window))
     call = _Call(h, wave=True)
     sink = _ParkSink(h)
-    probe = _CacheProbe(h, sink.columnar)
+    resident, on_nvme, columnar = h.cache.fast_resident, h.cache.nvme_resident, sink.columnar
     groups, keys, stage_keys = [], [], []
     for ids, owners, offsets, sizes in _remote_demand(h, batch_indices, h.group_comm.rank):
         want = []
         for i, key in enumerate(ids.tolist()):
-            if probe.resident(key):
+            if resident(key):
                 continue
-            if probe.tiered and probe.on_nvme(key):
+            if on_nvme(key, columnar):
                 # Resident one tier down: no wire read needed — stage the
                 # bytes upward ahead of demand instead.
                 stage_keys.append(key)
@@ -837,7 +785,7 @@ def _node_wave(h, batch_indices, n_workers: int, window) -> Generator:
     yield from call.spend("plan", _plan_seconds(max(1, plan.n_union)), n_union=plan.n_union)
 
     sink = _NodeSink(h, coord, key, entry)
-    probe = _CacheProbe(h, sink.columnar)
+    cache = h.cache
 
     def fetch_keys(keys, n_streams: int) -> Generator:
         """plan → fetch for explicit ids; returns ``(keys, plan, outcome)``."""
@@ -846,19 +794,19 @@ def _node_wave(h, batch_indices, n_workers: int, window) -> Generator:
         return keys, wplan, (yield from call.fetch(wplan, n_streams))
 
     # -- leader duty ---------------------------------------------------------
-    wire_keys = sink.offer(plan.led.get(rank, ()), probe)
+    wire_keys = sink.offer(plan.led.get(rank, ()))
     n_promoted = 0
-    stage_keys = [k for k in wire_keys if probe.on_nvme(k)]
+    stage_keys = [k for k in wire_keys if cache.nvme_resident(k, sink.columnar)]
     if stage_keys:
         n_promoted = yield from sink.stage_up(call, stage_keys)
-        wire_keys = sink.offer(wire_keys, probe)
+        wire_keys = sink.offer(wire_keys)
     if wire_keys:
         n_streams = max(1, n_workers) * max(1, len(batch_indices))
         sink.lead(*(yield from fetch_keys(wire_keys, n_streams)))
     led_bytes = sink.publish()
 
     # -- subscribe + fan in --------------------------------------------------
-    need = [k for k in plan.demand.get(rank, ()) if not probe.resident(k)]
+    need = [k for k in plan.demand.get(rank, ()) if not cache.fast_resident(k)]
     own = [k for k in need if plan.leader_of[k] == rank and k in sink.published]
     sink.park(own, [sink.published[k] for k in own])
     sub = [k for k in need if plan.leader_of[k] != rank]

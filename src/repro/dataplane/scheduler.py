@@ -27,7 +27,7 @@ drives five coordinated optimisations:
    wave's per-batch loads chain behind the wave fetch and hit the cache.
 4. **future-fed Belady eviction** — with ``cache_policy="belady"`` the
    scheduler installs the flattened access sequence into the cache
-   (:meth:`~.cache.SampleCache.set_future`) and advances its logical
+   (:meth:`~.cache.TieredCache.set_future`) and advances its logical
    clock as batch loads start, so evictions discard the entry whose next
    use is farthest away.
 5. **a run-long window** (``scheduler=True`` and a known run length) —
@@ -36,7 +36,7 @@ drives five coordinated optimisations:
    torn down: the next epoch's head wave is fetched under this epoch's
    tail compute, and only the first step of a run pays a cold fill.
    The Belady future becomes a rolling horizon on one absolute clock
-   (:meth:`~.cache.SampleCache.extend_future`).  Waves never span an
+   (:meth:`~.cache.TieredCache.extend_future`).  Waves never span an
    epoch boundary — each epoch keeps the partition it would have had on
    its own, so the node rendezvous key ``(generation, epoch, wave span)``
    and the peer-schedule oracle are untouched.  Without waves, or with
@@ -166,11 +166,7 @@ class EpochScheduler:
         )
         # Byte budget of carried launches: the per-rank fast tiers (see
         # _admit).
-        self._cache_cap = (
-            getattr(cache, "fast_capacity_bytes", None) or cache.capacity_bytes
-            if self._carry
-            else 0
-        )
+        self._cache_cap = cache.fast_capacity_bytes if self._carry else 0
         self._estimate = getattr(loader.dataset, "estimate_nbytes", None)
         self._meter = self.budget is not None or self._carry
 
@@ -287,16 +283,13 @@ class EpochScheduler:
 
     def _partition_waves(self, seg: _Epoch) -> None:
         n = len(seg.batches)
-        # Tier-aware cap: a wave bigger than the fast (gpu+dram) tiers
-        # would demote its own head before the trailing batches consume
-        # it, so cut waves at the fast-tier budget as well.  Node-scope
-        # aggregation requires *rank-invariant* wave cuts (the wave span
-        # is the node rendezvous key), so with node_fetch the byte-based
-        # cuts — which depend on this rank's batch sizes — are skipped
-        # and waves are cut purely by depth.
-        fast_cap = getattr(self._cache, "fast_capacity_bytes", None)
-        if self._node_fetch:
-            fast_cap = None
+        # Tier-aware cap (``TieredCache.wave_cap_bytes``): cut waves at the
+        # cache's own byte cap as well.  Node-scope aggregation requires
+        # *rank-invariant* wave cuts (the wave span is the node rendezvous
+        # key), so with node_fetch the byte-based cuts — which depend on
+        # this rank's batch sizes — are skipped and waves are cut purely
+        # by depth.
+        fast_cap = self._cache.wave_cap_bytes
         lo = 0
         while lo < n:
             hi = lo + 1

@@ -5,7 +5,7 @@ RMA design (shipped) and a two-sided message exchange (rejected; kept as
 an ablation).  Both live here as :class:`Transport` implementations so
 :class:`~repro.core.store.DDStore` holds no communication code of its
 own — it plans reads (see :mod:`.planner`) and hands them to whichever
-transport the registry resolved for ``config.framework``.
+transport the registry resolved for ``config.dataplane.framework``.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ replicated store (creation stays the collective
   ``ServingOptions.qos``; its weight scales the session's DRR quantum at
   every RMA target (see :mod:`.drr`) and, under the ``"weighted"``
   policy, its slice of the cache budget.
-* **Cache partitioning** — each session owns a private
-  :class:`~repro.dataplane.SampleCache` carved from the parent store's
-  DRAM cache budget (``cache_bytes`` or the tiered cache's DRAM tier),
-  sized by :meth:`ServingOptions.partition_bytes`.  Partitions are
+* **Cache partitioning** — each session owns a private DRAM-only
+  :class:`~repro.dataplane.TieredCache` carved from the DRAM tier of the
+  parent store's cache configuration, with the parent's policy, sized by
+  :meth:`ServingOptions.partition_bytes`.  Partitions are
   static, so one tenant's working set can never evict another's bytes —
   the no-cross-contamination property the serving tests pin down.
 * **Per-tenant observability** — sessions publish the
@@ -44,9 +44,8 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence
 
-from ..core.config import ServingOptions
+from ..core.config import CacheOptions, ServingOptions
 from ..core.store import DDStore
-from ..dataplane import SampleCache
 from .drr import DrrArbiter, TenantLane
 
 __all__ = ["AdmissionError", "StoreService", "TenantSession", "solo_session"]
@@ -208,14 +207,6 @@ class StoreService:
             self._arbiters[target] = arb
         return arb
 
-    def _cache_budget(self) -> int:
-        """The DRAM byte pool sessions partition: the flat cache budget,
-        or the tiered hierarchy's DRAM tier."""
-        dp = self.store.config.dataplane
-        if dp.cache is not None:
-            return dp.cache.dram_bytes
-        return dp.cache_bytes
-
     def _count(self, counter: str, tenant: str, qos: str) -> None:
         obs = self.store.comm.communicator.world.obs
         m = obs.metrics
@@ -292,9 +283,9 @@ class StoreService:
                 )
         qos = opts.default_qos if qos is None else qos
         weight = opts.weight_of(qos)  # validates the class name
-        cache = SampleCache(
-            opts.partition_bytes(self._cache_budget(), qos),
-            policy=self.store.config.dataplane.cache_policy,
+        parent = self.store.config.dataplane.cache_options
+        cache = self.store.build_cache(
+            CacheOptions.dram_only(opts.partition_bytes(parent.dram_bytes, qos), parent.policy)
         )
         lane = TenantLane(
             tenant,

@@ -29,19 +29,6 @@ def test_datasets_command(capsys):
     assert "Ising" in out and "AISD" in out
 
 
-def test_run_unknown_experiment(capsys):
-    assert main(["run", "fig99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
-
-
-def test_run_single_experiment(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
-    assert main(["run", "table1"]) == 0
-    assert os.path.exists(tmp_path / "table1.txt")
-    assert "Table 1" in capsys.readouterr().out
-
-
 def test_experiment_registry_complete():
     # Every paper table/figure is runnable from the CLI.
     for key in ("table1", "table2", "table3") + tuple(f"fig{i}" for i in range(4, 14)):
@@ -64,7 +51,30 @@ def test_bench_subcommand_runs_a_table(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
     assert main(["bench", "table1"]) == 0
-    assert os.path.exists(tmp_path / "table1.txt")
+    assert os.path.exists(tmp_path / "table1_datasets.txt")
+    assert "Table 1" in capsys.readouterr().out
+
+
+def test_reports_are_named_after_their_driver(monkeypatch):
+    """One name per artifact: whatever key the CLI was given, the report
+    is ``<driver.__name__>.{txt,json}`` — the name ``benchmarks/`` writes
+    and ``bench_results/`` commits."""
+    import functools
+
+    import repro.cli as cli
+
+    written = []
+    monkeypatch.setattr(cli, "write_report", lambda name, text, data: written.append(name))
+    for command, table in (("bench", BENCHES), ("ablation", ABLATIONS)):
+        drivers = [fn.__name__ for fn, _desc in table.values()]
+        for key, (fn, desc) in table.items():
+            stub = functools.wraps(fn)(lambda *args: ("", {}))
+            monkeypatch.setitem(table, key, (stub, desc))
+        written.clear()
+        assert main([command, "all"]) == 0
+        assert written == drivers
+        committed = os.path.join(os.path.dirname(__file__), "..", "bench_results")
+        assert all(os.path.exists(os.path.join(committed, f"{name}.json")) for name in written)
 
 
 def test_ablation_short_names_resolve(capsys):
@@ -75,20 +85,11 @@ def test_ablation_short_names_resolve(capsys):
     assert "ablation-serving" in err  # listed as available
 
 
-def test_run_spelling_is_deprecated_but_works(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
-    assert main(["run", "table1"]) == 0
-    captured = capsys.readouterr()
-    assert "[deprecated]" in captured.err
-    assert "python -m repro bench" in captured.err
-
-
-def test_bench_spelling_prints_no_deprecation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
-    assert main(["bench", "table1"]) == 0
-    assert "[deprecated]" not in capsys.readouterr().err
+def test_run_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "table1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'run'" in capsys.readouterr().err
 
 
 def test_ls_alias_for_list(capsys):

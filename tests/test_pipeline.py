@@ -4,13 +4,20 @@
   bytes taken straight from the generator, no planner / cache /
   transport — through every sink: demand-cold, after ``prefetch_wave``
   (cache park), after a node-aggregated wave (node publish + fan-in),
-  row decode and arena scatter, flat and tiered caches, with and without
-  a straggler riding the retry/failover ladder, on plain stores and
-  session views.
+  row decode and arena scatter, every cache hierarchy in both spellings,
+  with and without a straggler riding the retry/failover ladder, on
+  plain stores and session views — and the cache's three residency
+  probes (demand hit, stats-silent wave residency, leader peek) against
+  the same reference.
+* ``cache_bytes=N, cache_policy=p`` and ``cache=CacheOptions("dram:N",
+  policy=p)`` are one configuration: same batches, stats and virtual time.
 * Two accounting regressions the pasted copies of the pipeline had:
   node waves dropped the tenant's DRR queue wait, and wave paths charged
   stages they never traced.
 """
+
+import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -37,7 +44,7 @@ from repro.hardware import TESTBOX
 from repro.mpi import run_world
 from repro.mpi.comm import World
 from repro.obs import Observer
-from repro.storage import pack_graph, unpack_graph
+from repro.storage import HEADER_NBYTES, pack_graph, unpack_graph
 
 N = 32  # 4 ranks x 8 samples in the default TESTBOX world
 GEN = IsingGenerator(N, seed=3)
@@ -48,6 +55,7 @@ CACHES = {
     "lru": dict(cache_bytes=1 << 20, cache_policy="lru"),
     "lru-tight": dict(cache_bytes=6 << 10, cache_policy="lru"),  # forces eviction
     "belady": dict(cache_bytes=1 << 20, cache_policy="belady"),
+    "dram": dict(cache=CacheOptions.parse("dram:6k", policy="belady")),
     "dram+nvme": dict(cache=CacheOptions.parse("dram:8k+nvme:4m")),
     "gpu+dram+nvme": dict(cache=CacheOptions.parse("gpu:4k+dram:8k+nvme:4m")),
 }
@@ -164,7 +172,34 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
                 if store.stats.n_total - before != len(idx):
                     problems.append(f"{phase}: conservation broken on batch {idx}")
 
+        def probes():
+            """Leader peek and wave residency agree with the reference and
+            with each other, stats-silently; a resident id is a demand hit."""
+            cache = store.cache
+            before = (cache.stats.as_dict(), cache.tier_counters())
+            resident = []
+            for i in range(N):
+                blob = cache.peek(i, columnar)
+                if (blob is not None) != cache.fast_resident(i):
+                    problems.append(f"peek and residency disagree on {i}")
+                if blob is not None:
+                    want = ref.blobs[i][HEADER_NBYTES:] if columnar else ref.blobs[i]
+                    if blob.tobytes() != want:
+                        problems.append(f"peeked bytes of {i} differ from the reference")
+                    resident.append(i)
+            if (cache.stats.as_dict(), cache.tier_counters()) != before:
+                problems.append("a residency probe touched the counters")
+            if resident:
+                hits, reads = store.stats.n_cache_hits, store.stats.n_get_calls
+                if columnar:
+                    yield from store.get_batch_arena(resident[-1:], arena)
+                else:
+                    yield from store.get_samples(resident[-1:], decode="raw")
+                if (store.stats.n_cache_hits, store.stats.n_get_calls) != (hits + 1, reads):
+                    problems.append(f"resident id {resident[-1]} was not a demand hit")
+
         yield from demand("cold")
+        yield from probes()
         store.cache.clear()
         yield from store.prefetch_wave(batches)
         yield from demand("after wave")
@@ -198,8 +233,16 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
 # accounting regressions: one helper owns stage charging, spans and metrics
 # ---------------------------------------------------------------------------
 
-def _scheduled_epochs(ctx, store, seed, epochs=1):
-    """The trainer's fetch loop minus the GPU, driven by the scheduler."""
+def _digest(batch) -> str:
+    h = hashlib.sha256()
+    for name in FIELDS + ("node_graph", "ptr", "sample_ids"):
+        h.update(np.ascontiguousarray(getattr(batch, name)).tobytes())
+    return h.hexdigest()
+
+
+def _scheduled_epochs(ctx, store, seed, epochs=1, seen=None):
+    """The trainer's fetch loop minus the GPU, driven by the scheduler
+    (``seen`` collects a digest of every loaded batch)."""
     loader = DataLoader(DDStoreDataset(store), ctx, batch_size=4, shuffle="global", seed=seed)
     sched = None
     for epoch in range(epochs):
@@ -211,6 +254,8 @@ def _scheduled_epochs(ctx, store, seed, epochs=1):
         for step in range(len(sched.batches)):
             loaded = yield sched.event(step)
             sched.advance(step)
+            if seen is not None:
+                seen.append(_digest(loaded.batch))
             release = getattr(loaded, "release", None)
             if release is not None:
                 release()
@@ -292,3 +337,50 @@ def test_every_charged_stage_is_traced(columnar):
                 seen.add(stage)
     expected = {"plan", "promote", "copy", "cache", "fanout", "scatter" if columnar else "decode"}
     assert seen == expected  # the cell really exercises every stage it claims to
+
+
+# ---------------------------------------------------------------------------
+# one cache configuration, two spellings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("served", [False, True], ids=["store", "served"])
+@pytest.mark.parametrize("scheduler", [False, True], ids=["demand", "waves"])
+@pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
+@pytest.mark.parametrize("policy", ["lru", "belady"])
+def test_the_two_cache_spellings_are_one_configuration(policy, columnar, scheduler, served):
+    """``cache_bytes=N, cache_policy=p`` is ``cache=CacheOptions("dram:N",
+    policy=p)``: byte-identical batches, equal ``FetchStats`` (counters and
+    stage seconds) and equal virtual elapsed.  The budget holds two batches
+    of a depth-4 wave, so eviction, Belady admission and the wave byte-cap
+    all get exercised."""
+    nbytes = 64 << 10
+
+    def run_with(**cache_kw):
+        opts = DataPlaneOptions(
+            columnar=columnar, scheduler=scheduler, prefetch_depth=4 if scheduler else 1,
+            **cache_kw,
+        )
+
+        def main(ctx):
+            source = GeneratorSource(IsingGenerator(4 * N, seed=0), ctx.world.machine)
+            if served:
+                service = yield from client.serve(
+                    ctx.comm, source, dataplane=opts, serving=ServingOptions(max_tenants=2)
+                )
+                stores = [service.connect(t, qos="batch").store for t in ("a", "b")]
+            else:
+                stores = [(yield from DDStore.create(ctx.comm, source, dataplane=opts))]
+            seen = [[] for _ in stores]
+            procs = [
+                ctx.engine.process(_scheduled_epochs(ctx, store, seed, epochs=3, seen=seen[seed]))
+                for seed, store in enumerate(stores)
+            ]
+            yield ctx.engine.all_of(procs)
+            return seen, [asdict(store.stats) for store in stores], ctx.engine.now
+
+        return run_world(TESTBOX, 2, main, world=World(TESTBOX, 2, seed=0)).results
+
+    shorthand = run_with(cache_bytes=nbytes, cache_policy=policy)
+    hierarchy = run_with(cache=CacheOptions.parse(f"dram:{nbytes}", policy=policy))
+    assert shorthand == hierarchy
+    assert sum(stats[0]["n_cache_hits"] for _seen, stats, _now in shorthand)  # the cache engaged

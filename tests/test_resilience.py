@@ -653,40 +653,16 @@ def test_context_manager_closes_and_rejects_reentry():
 
 
 # ---------------------------------------------------------------------------
-# nested options API (flat kwargs removed after their deprecation cycle)
+# nested options API
 # ---------------------------------------------------------------------------
-
-def test_flat_kwargs_are_a_hard_type_error_with_migration_hint():
-    with pytest.raises(TypeError, match="were removed") as exc:
-        DDStoreConfig(4, cache_bytes=1 << 10, timeout_s=1e-3, failover=False)
-    # The error names every offending kwarg and its nested home.
-    msg = str(exc.value)
-    assert "cache_bytes -> dataplane=DataPlaneOptions(cache_bytes=...)" in msg
-    assert "timeout_s -> resilience=ResilienceOptions(timeout_s=...)" in msg
-    assert "failover -> resilience=ResilienceOptions(failover=...)" in msg
-
-
-def test_flat_kwargs_rejected_even_alongside_nested_options():
-    with pytest.raises(TypeError, match="were removed"):
-        DDStoreConfig(4, dataplane=DataPlaneOptions(coalesce=False), cache_bytes=256)
-    # Read-only flat *views* stay available on a nested-built config.
-    cfg = DDStoreConfig(4, dataplane=DataPlaneOptions(cache_bytes=256))
-    assert cfg.cache_bytes == 256
-    assert cfg.framework == "mpi-rma"
-
 
 def test_unknown_kwarg_is_a_type_error():
     with pytest.raises(TypeError, match="unexpected keyword"):
         DDStoreConfig(4, cache_bites=1)
-
-
-def test_create_rejects_flat_kwargs():
-    def main(ctx):
-        with pytest.raises(TypeError, match="were removed"):
-            yield from DDStore.create(ctx.comm, _source(ctx), coalesce=False)
-        return True
-
-    assert all(run(main).results)
+    # A group's knob is not a DDStoreConfig keyword: it lives in its group.
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        DDStoreConfig(4, cache_bytes=256)
+    assert DDStoreConfig(4, dataplane=DataPlaneOptions(cache_bytes=256)).dataplane.cache_bytes == 256
 
 
 def test_resilience_options_validation():

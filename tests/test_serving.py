@@ -9,10 +9,12 @@ cache partitions.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import client
 from repro.core import (
+    CacheOptions,
     DataPlaneOptions,
     GeneratorSource,
     ServingOptions,
@@ -250,29 +252,39 @@ def test_concurrent_tenants_get_exactly_their_own_bytes():
     assert all(r == (True, True) for r in job.results)
 
 
-def test_cache_partitions_are_private_and_sized_by_policy():
+@pytest.mark.parametrize(
+    "dataplane, policy",
+    [
+        (DataPlaneOptions(cache_bytes=1 << 20), "lru"),
+        (DataPlaneOptions(cache_bytes=1 << 20, cache_policy="belady"), "belady"),
+        # The hierarchy carries its own policy; ``cache_policy`` stays "lru".
+        (DataPlaneOptions(cache=CacheOptions.parse("dram:1m+nvme:4m", policy="belady")), "belady"),
+    ],
+    ids=["cache_bytes", "cache_bytes-belady", "cache-belady"],
+)
+def test_cache_partitions_are_private_and_sized_by_policy(dataplane, policy):
     def main(ctx):
         opts = ServingOptions(max_tenants=2, qos=(("interactive", 4), ("batch", 1)),
                               cache_partition="weighted")
-        service = yield from _serve(
-            ctx, opts, dataplane=DataPlaneOptions(cache_bytes=1 << 20)
-        )
+        service = yield from _serve(ctx, opts, dataplane=dataplane)
         a = service.connect("a", qos="interactive")
         b = service.connect("b", qos="batch")
         yield from a.get_samples([0, 1], decode=False)
         return (
-            a.cache.capacity_bytes,
-            b.cache.capacity_bytes,
+            a.cache.dram.capacity_bytes,
+            b.cache.dram.capacity_bytes,
             a.cache is not b.cache,
             len(b.cache) == 0,  # a's fetches never land in b's partition
+            {service.store.cache.policy, a.cache.policy, b.cache.policy},
         )
 
     job = run(main)
-    for cap_a, cap_b, distinct, b_empty in job.results:
+    for cap_a, cap_b, distinct, b_empty, policies in job.results:
         # weighted: budget * w / (max_tenants * max_w) = 1MiB*4/8, 1MiB*1/8
         assert cap_a == (1 << 20) * 4 // 8
         assert cap_b == (1 << 20) * 1 // 8
         assert distinct and b_empty
+        assert policies == {policy}  # one resolved policy, parent and partitions
 
 
 def test_tenant_metrics_partition_the_wire_bytes():

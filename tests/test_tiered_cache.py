@@ -10,6 +10,9 @@ hierarchy invariants the design leans on:
 * every tier respects its byte budget at all times.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,12 +86,17 @@ def test_cache_options_rejects_bad_specs():
         CacheOptions.parse("dram:4m", policy="mru")
 
 
-def test_dataplane_options_cache_exclusive_with_cache_bytes():
+def test_cache_bytes_is_shorthand_for_a_dram_only_hierarchy():
+    for policy in ("lru", "belady"):
+        flat = DataPlaneOptions(cache_bytes=1 << 20, cache_policy=policy)
+        assert flat.cache_options == CacheOptions.parse("dram:1m", policy=policy)
+    off = DataPlaneOptions().cache_options  # cache-off is the empty hierarchy
+    assert off.tiers == () and off.dram_bytes == 0
     cache = CacheOptions.parse("dram:4m")
-    with pytest.raises(ValueError):
-        DataPlaneOptions(cache_bytes=1 << 20, cache=cache)
     opts = DataPlaneOptions(cache=cache, scheduler=True, prefetch_depth=2)
-    assert opts.cache is cache
+    assert opts.cache is cache and opts.cache_options is cache
+    # An explicit hierarchy is the configuration; the shorthand is not read.
+    assert DataPlaneOptions(cache_bytes=1 << 20, cache=cache).cache_options is cache
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +257,9 @@ def test_four_tier_round_trip_bit_identical(keys, content_seed):
 
 
 def test_belady_admission_refuses_farther_entries():
-    opts = CacheOptions.parse("dram:1k", policy="belady")
-    cache = TieredCache(opts)
+    opts = CacheOptions.parse("dram:1k+nvme:64k", policy="belady")
+    nvme = NVMeShardStore(NVMeDevice(Engine(), TEST_NVME), 64 << 10)
+    cache = TieredCache(opts, nvme=nvme)
     cache.set_future([1, 2, 3])
     a = np.full(600, 7, dtype=np.uint8)
     assert cache.put(1, a)
@@ -261,6 +270,38 @@ def test_belady_admission_refuses_farther_entries():
     # A key with no future use is always refused when full.
     assert not cache.put(9, a)
     assert 1 in cache.dram
+    # The mirror: a hierarchy that ends at DRAM admits unconditionally
+    # (evicting as needed) and puts no byte cap on a prefetch wave.
+    flat = TieredCache(CacheOptions.parse("dram:1k", policy="belady"))
+    flat.set_future([1, 2, 3])
+    assert flat.put(1, a) and flat.put(2, a) and flat.put(9, a)
+    assert flat.tier_stats["dram"].dropped == 0
+    assert 9 in flat.dram and 1 not in flat.dram
+    assert flat.wave_cap_bytes is None and cache.wave_cap_bytes == 1 << 10
+
+
+@pytest.mark.parametrize("gpu_kib, nvme_kib", [(0, 0), (4, 64)], ids=["dram", "gpu+dram+nvme"])
+def test_a_dropped_cache_frees_its_payloads_by_refcount(gpu_kib, nvme_kib):
+    """The demotion chain is acyclic: nothing in the hierarchy points back
+    at it, so the last reference going away frees every cached payload at
+    once — not whenever the cyclic collector next runs (a dropped store
+    used to keep its whole cache alive until then)."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cache = _make_tiered(gpu_kib, dram_kib=8, nvme_kib=nvme_kib)
+        for key in range(12):  # > 8 KiB: evictions run the demotion chain
+            assert cache.put(key, _payload_for(key, 0))
+        cache.stage_up(list(range(12)), now=0.0)
+        assert len(cache.dram) and (cache.gpu is None or len(cache.gpu))
+        payload, _is_column = cache.dram.peek(next(k for k in range(12) if k in cache.dram))
+        dead = weakref.ref(cache), weakref.ref(payload)
+        del cache, payload
+        assert dead[0]() is None and dead[1]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_nvme_shard_store_pinned_entries_survive_pressure():
