@@ -1,9 +1,10 @@
 """Shared benchmark fixtures.
 
-Each ``bench_*.py`` file regenerates one table or figure of the paper via
-the drivers in :mod:`repro.bench.experiments`.  Simulated experiment cells
-are cached per process, so figures sharing a configuration (Fig 4/5/6 and
-Table 2 all use the 64-GPU Perlmutter matrix) pay for it once.
+``bench_experiments.py`` regenerates every table, figure and ablation of
+the registry (:data:`repro.bench.EXPERIMENTS`), one parametrised test
+each.  Simulated experiment cells are cached per process, so artifacts
+sharing a configuration (Fig 4/5/6 and Table 2 all use the 64-GPU
+Perlmutter matrix) pay for it once.
 
 Scale is controlled by ``REPRO_BENCH_SCALE`` (tiny / small / paper); the
 default ``small`` keeps the Perlmutter cells at the paper's 64-GPU size
@@ -19,8 +20,3 @@ from repro.bench import current_profile
 @pytest.fixture(scope="session")
 def profile():
     return current_profile()
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a figure driver exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -1,24 +1,7 @@
-"""Benchmark harness: experiment configs, per-figure drivers, reporting."""
+"""Benchmark harness: the cell table, the sweep runner, the experiment
+registry and its drivers, metrics and reporting."""
 
-from .experiments import (
-    cached_experiment,
-    clear_experiment_cache,
-    current_profile,
-    fig4_speedup,
-    fig5_breakdown,
-    fig6_latency_cdf,
-    fig7_profile,
-    fig8_scaling,
-    fig9_function_breakdown,
-    fig10_global_batch,
-    fig11_width,
-    fig12_width_cdf,
-    fig13_convergence,
-    ScaleProfile,
-    table1_datasets,
-    table2_percentiles,
-    table3_width_median,
-)
+from .cells import CELLS, PROFILES, ScaleProfile, cell, current_profile
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -27,7 +10,13 @@ from .harness import (
     run_experiment,
 )
 from .metrics import cdf, geomean, latency_percentiles, percentile, speedup_table
+from .registry import EXPERIMENTS, Experiment
 from .reporting import render_table, results_dir, write_report
+from .sweep import Sweep, cached_experiment, fingerprint
+
+# Every registered driver is importable by name: ``from repro.bench import fig4_speedup``.
+_DRIVERS = {x.driver.__name__: x.driver for x in EXPERIMENTS}
+globals().update(_DRIVERS)
 
 __all__ = [
     "ExperimentConfig",
@@ -35,23 +24,16 @@ __all__ = [
     "run_experiment",
     "packed_blobs",
     "clear_blob_cache",
-    "cached_experiment",
-    "clear_experiment_cache",
-    "current_profile",
+    "CELLS",
+    "cell",
+    "PROFILES",
     "ScaleProfile",
-    "table1_datasets",
-    "fig4_speedup",
-    "fig5_breakdown",
-    "fig6_latency_cdf",
-    "table2_percentiles",
-    "fig7_profile",
-    "fig8_scaling",
-    "fig9_function_breakdown",
-    "fig10_global_batch",
-    "fig11_width",
-    "fig12_width_cdf",
-    "table3_width_median",
-    "fig13_convergence",
+    "current_profile",
+    "Sweep",
+    "cached_experiment",
+    "fingerprint",
+    "Experiment",
+    "EXPERIMENTS",
     "percentile",
     "latency_percentiles",
     "cdf",
@@ -60,4 +42,5 @@ __all__ = [
     "render_table",
     "write_report",
     "results_dir",
+    *_DRIVERS,
 ]

@@ -15,90 +15,54 @@ Cells:
 * **elastic** — same job, started at width N with
   ``ElasticOptions(enabled=True)``; we record the width trajectory and
   per-epoch times.
-* **probes** — the elastic cell twice more: once fresh (bit-identical
-  trajectory ⇒ the control loop is deterministic under the sim clock)
-  and once traced (the ``reshard`` pseudo-epoch spans must satisfy the
-  critical-path invariant, i.e. the reshard is accounted, not dead
-  time between epochs).
+* **probe** — the elastic cell once more, fresh and traced: a
+  bit-identical trajectory ⇒ the control loop is deterministic under the
+  sim clock, and the ``reshard`` pseudo-epoch spans must satisfy the
+  critical-path invariant, i.e. the reshard is accounted, not dead time
+  between epochs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.store import DDStore  # noqa: F401  (doc cross-ref)
-from .experiments import ScaleProfile, cached_experiment, current_profile
-from .harness import ExperimentConfig, run_experiment
+from .cells import ScaleProfile, cell
 from .reporting import render_table
+from .sweep import Sweep, cached_experiment, count, named_checks, rerun_matches
 
-__all__ = ["ablation_elastic", "ELASTIC_TIMEOUT_S"]
-
-#: Per-read fetch deadline — same operating point as the resilience
-#: ablation: tight enough that a 10x-slow peer blows it, loose enough
-#: that healthy reads never do.
-ELASTIC_TIMEOUT_S = 1.5e-4
+__all__ = ["ablation_elastic"]
 
 
 def _candidate_widths(n_ranks: int) -> list[int]:
     return [d for d in range(1, n_ranks + 1) if n_ranks % d == 0]
 
 
-def _cell(profile: ScaleProfile, **kw) -> ExperimentConfig:
-    defaults = dict(
-        machine="perlmutter",
-        n_nodes=max(1, profile.perlmutter_nodes // 4),
-        dataset="aisd",
-        method="ddstore",
-        batch_size=profile.batch_size,
-        steps_per_epoch=max(4, profile.steps_per_epoch),
-        stats_only=True,
-        hidden_dim=8,  # fetch-bound on purpose: width is the lever here
-        fault_plan="straggler-10x",
-        timeout_s=ELASTIC_TIMEOUT_S,
-    )
-    defaults.update(kw)
-    return ExperimentConfig(**defaults)
-
-
-def ablation_elastic(profile: Optional[ScaleProfile] = None):
-    profile = profile or current_profile()
-    base = _cell(profile)
-    n_ranks = base.n_ranks
+def ablation_elastic(profile: ScaleProfile):
+    n_ranks = cell("elastic", profile).n_ranks
     candidates = _candidate_widths(n_ranks)
     bad_width = n_ranks  # one replica: every chunk has a single owner
     n_rungs = len([c for c in candidates if c < bad_width])
     epochs = n_rungs + 2  # one epoch per rung + settle + measure
 
     data: dict = {"n_ranks": n_ranks, "candidates": candidates}
-    rows = []
 
     # -- oracle sweep: fixed widths under the same straggler ---------------
-    oracle_width, oracle_steady = None, float("inf")
-    data["oracle"] = {}
-    for width in candidates:
-        r = cached_experiment(_cell(profile, width=width, epochs=2))
-        steady = r.epoch_seconds[-1]
-        data["oracle"][str(width)] = dict(
+    oracle = Sweep("elastic", profile, [(w, dict(width=w, epochs=2)) for w in candidates])
+    data["oracle"] = {
+        str(w): dict(
             epoch_seconds=list(r.epoch_seconds),
-            steady=steady,
+            steady=r.epoch_seconds[-1],
             timeouts=r.fetch_counters.get("n_timeouts", 0),
             failovers=r.fetch_counters.get("n_failovers", 0),
         )
-        if steady < oracle_steady:
-            oracle_width, oracle_steady = width, steady
-        rows.append(
-            [
-                f"fixed width={width}",
-                f"{steady * 1e3:.3f}",
-                "-",
-                f"{r.fetch_counters.get('n_timeouts', 0):,}",
-            ]
-        )
+        for w, r in oracle.results.items()
+    }
+    # first of the fastest: ties go to the narrower width
+    oracle_width = min(candidates, key=lambda w: oracle[w].epoch_seconds[-1])
+    oracle_steady = oracle[oracle_width].epoch_seconds[-1]
     data["oracle_width"] = oracle_width
     data["oracle_steady"] = oracle_steady
 
     # -- the elastic run: start bad, let the controller drive --------------
-    elastic_cfg = _cell(profile, width=bad_width, epochs=epochs, elastic=True)
+    elastic_cfg = cell("elastic", profile, width=bad_width, epochs=epochs, elastic=True)
     r = cached_experiment(elastic_cfg)
     ctl = r.control or {}
     traj = ctl.get("trajectory", [])
@@ -111,12 +75,20 @@ def ablation_elastic(profile: Optional[ScaleProfile] = None):
         reshard_seconds=ctl.get("reshard_seconds", 0.0),
         decisions=ctl.get("decisions", []),
     )
+
+    def steady_ms(run):
+        return f"{run.epoch_seconds[-1] * 1e3:.3f}"
+
+    rows = [
+        [f"fixed width={w}", steady_ms(run), "-", count("n_timeouts")(run)]
+        for w, run in oracle.results.items()
+    ]
     rows.append(
         [
             f"elastic (start {bad_width})",
-            f"{r.epoch_seconds[-1] * 1e3:.3f}",
+            steady_ms(r),
             "->".join(str(w) for w in [bad_width] + traj),
-            f"{r.fetch_counters.get('n_timeouts', 0):,}",
+            count("n_timeouts")(r),
         ]
     )
 
@@ -130,20 +102,14 @@ def ablation_elastic(profile: Optional[ScaleProfile] = None):
             break
     data["convergence_epoch"] = conv
 
-    # -- probe: determinism (two fresh runs, bit-identical behaviour) ------
-    a, b = run_experiment(elastic_cfg), run_experiment(elastic_cfg)
-    deterministic = (
-        a.epoch_seconds == b.epoch_seconds
-        and (a.control or {}).get("trajectory") == (b.control or {}).get("trajectory")
-        and (a.control or {}).get("decisions") == (b.control or {}).get("decisions")
-    )
-
-    # -- probe: the reshard cost is accounted on the critical path ---------
+    # -- probes: the traced rerun is both the determinism probe (bit-
+    # identical epoch times, trajectory and decisions) and the source of
+    # the spans that show the reshard cost on the critical path ----------
     from ..obs import Observer
     from ..obs.critical_path import analyze
 
     obs = Observer(trace=True)
-    run_experiment(elastic_cfg, observer=obs)
+    deterministic = rerun_matches(elastic_cfg, observer=obs)
     spans = obs.tracer.spans
     reshard_epochs = [
         s for s in spans if s.name == "reshard" and s.cat == "trainer.epoch"
@@ -160,23 +126,19 @@ def ablation_elastic(profile: Optional[ScaleProfile] = None):
         reshard_span_seconds=sum(s.duration for s in reshard_stages),
     )
 
-    data["checks"] = {
-        "converges": conv is not None,
-        "within_10pct_of_oracle": bool(r.epoch_seconds[-1] <= tol),
-        "converges_fast": conv is not None and conv <= max(2, n_rungs),
-        "ends_at_oracle_width": ctl.get("final_width") == oracle_width,
-        "deterministic": bool(deterministic),
-        "critical_path_ok": bool(report.ok),
+    data["checks"] = named_checks(
+        converges=conv is not None,
+        within_10pct_of_oracle=r.epoch_seconds[-1] <= tol,
+        converges_fast=conv is not None and conv <= max(2, n_rungs),
+        ends_at_oracle_width=ctl.get("final_width") == oracle_width,
+        deterministic=deterministic,
+        critical_path_ok=report.ok,
         # Every rank emits one epoch+stage span pair per reshard; the
         # analyzer passing with them present means the reshard interval is
         # attributed, not dead time.
-        "reshard_cost_accounted": bool(
-            reshard_epochs
-            and len(reshard_epochs)
-            == len(reshard_stages)
-            == n_ranks * ctl.get("reshards", 0)
-        ),
-    }
+        reshard_cost_accounted=reshard_epochs
+        and len(reshard_epochs) == len(reshard_stages) == n_ranks * ctl.get("reshards", 0),
+    )
 
     text = render_table(
         ["Cell", "steady epoch (ms)", "width trajectory", "timeouts"],

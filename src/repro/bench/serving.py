@@ -24,9 +24,12 @@ into an exit code:
 * ``aggregate_2x`` — concurrent aggregate throughput is >= 2x the
   serialized baseline (tenant compute overlaps other tenants' fetches);
 * ``deterministic`` — the concurrent cell, re-run from scratch,
-  reproduces every latency, byte count, and queue second exactly;
-* ``tenants_on_wire`` — every tenant of the concurrent cell moved wire
-  bytes (its ``ddstore.tenant`` roll-up is fed).
+  reproduces every latency, byte count, and queue second exactly (the
+  two cell records compare equal);
+* ``tenants_on_wire`` — per-tenant accounting holds up: every tenant of
+  the concurrent cell moved wire bytes (its ``ddstore.tenant`` roll-up is
+  fed), and the interactive tenant's byte footprint is identical solo vs
+  shared (its schedule is seeded per tenant, not per cell).
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ from ..hardware import get_machine
 from ..mpi import run_world
 from ..mpi.comm import World
 from ..obs import Observer
-from .experiments import ScaleProfile, current_profile
+from .cells import ScaleProfile
 from .reporting import render_table
+from .sweep import named_checks
 
 __all__ = ["TenantSpec", "ablation_serving", "run_serving_cell"]
 
@@ -175,17 +179,6 @@ def run_serving_cell(
     return cell
 
 
-def _fingerprint(cell: dict):
-    return (
-        cell["window"],
-        cell["total_samples"],
-        tuple(
-            (name, t["p50"], t["p99"], t["elapsed"], t["queue_seconds"], t["wire_bytes"])
-            for name, t in sorted(cell["tenants"].items())
-        ),
-    )
-
-
 def _scaled(profile: ScaleProfile):
     """Cell sizes per scale profile: node count, sample pool, step count."""
     if profile.name == "tiny":
@@ -197,14 +190,13 @@ def _scaled(profile: ScaleProfile):
     )
 
 
-def ablation_serving(profile: Optional[ScaleProfile] = None):
+def ablation_serving(profile: ScaleProfile):
     """Multi-tenant serving: QoS isolation + aggregate throughput.
 
     One interactive tenant (small batches, weight 4) against three batch
     tenants (large batches, weight 1), all on one store.  See the module
     docstring for the three cells and checks.
     """
-    profile = profile or current_profile()
     size = _scaled(profile)
     serving = ServingOptions(
         max_tenants=4,
@@ -234,12 +226,14 @@ def ablation_serving(profile: Optional[ScaleProfile] = None):
 
     p99_solo = solo["tenants"][small.name]["p99"]
     p99_conc = concurrent["tenants"][small.name]["p99"]
-    checks = {
-        "qos_isolation": p99_conc <= 1.2 * p99_solo,
-        "aggregate_2x": concurrent["throughput"] >= 2.0 * serialized["throughput"],
-        "deterministic": _fingerprint(concurrent) == _fingerprint(rerun),
-        "tenants_on_wire": all(t["wire_bytes"] > 0 for t in concurrent["tenants"].values()),
-    }
+    checks = named_checks(
+        qos_isolation=p99_conc <= 1.2 * p99_solo,
+        aggregate_2x=concurrent["throughput"] >= 2.0 * serialized["throughput"],
+        deterministic=concurrent == rerun,
+        tenants_on_wire=all(t["wire_bytes"] > 0 for t in concurrent["tenants"].values())
+        and concurrent["tenants"][small.name]["wire_bytes"]
+        == solo["tenants"][small.name]["wire_bytes"],
+    )
     data = dict(
         cells=dict(solo=solo, concurrent=concurrent, serialized=serialized),
         p99_small_solo=p99_solo,

@@ -25,81 +25,17 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bench import (
-    current_profile,
-    fig4_speedup,
-    fig5_breakdown,
-    fig6_latency_cdf,
-    fig7_profile,
-    fig8_scaling,
-    fig9_function_breakdown,
-    fig10_global_batch,
-    fig11_width,
-    fig12_width_cdf,
-    fig13_convergence,
-    table1_datasets,
-    table2_percentiles,
-    table3_width_median,
-    write_report,
-)
-from .bench.ablations import (
-    ablation_cache,
-    ablation_coalescing,
-    ablation_columnar,
-    ablation_conv_policy,
-    ablation_dataplane,
-    ablation_nodeagg,
-    ablation_nvme,
-    ablation_prefetch,
-    ablation_resilience,
-    ablation_shuffle,
-    ablation_tiered,
-    ablation_workers,
-)
-from .bench.elastic import ablation_elastic
-from .bench.serving import ablation_serving
+from .bench import EXPERIMENTS as REGISTRY
+from .bench import Experiment, current_profile, write_report
 
-BENCHES: dict[str, tuple[Callable, str]] = {
-    "table1": (table1_datasets, "dataset description (paper Table 1)"),
-    "fig4": (fig4_speedup, "normalized end-to-end speedup"),
-    "fig5": (fig5_breakdown, "training time breakdown, 64 GPUs Perlmutter"),
-    "fig6": (fig6_latency_cdf, "graph loading latency CDF"),
-    "table2": (table2_percentiles, "loading latency percentiles"),
-    "fig7": (fig7_profile, "Score-P-style profile"),
-    "fig8": (fig8_scaling, "scaling, fixed per-GPU batch"),
-    "fig9": (fig9_function_breakdown, "function durations across scales"),
-    "fig10": (fig10_global_batch, "scaling, fixed global batch"),
-    "fig11": (fig11_width, "width parameter sweep"),
-    "fig12": (fig12_width_cdf, "width CDF, default vs width=2"),
-    "table3": (table3_width_median, "width median latency reduction"),
-    "fig13": (fig13_convergence, "training convergence (real numerics)"),
-}
-
-ABLATIONS: dict[str, tuple[Callable, str]] = {
-    "ablation-dataplane": (ablation_dataplane, "RMA vs two-sided p2p"),
-    "ablation-coalescing": (ablation_coalescing, "fetch coalescing + hot-sample cache"),
-    "ablation-prefetch": (ablation_prefetch, "epoch-ahead scheduler: depth-k x waves x eviction"),
-    "ablation-columnar": (ablation_columnar, "row decode vs zero-copy columnar arena scatter"),
-    "ablation-tiered": (ablation_tiered, "tiered cache hierarchy gpu/dram/nvme/pfs"),
-    "ablation-serving": (ablation_serving, "multi-tenant serving: QoS isolation + aggregate throughput"),
-    "ablation-shuffle": (ablation_shuffle, "global vs local shuffle"),
-    "ablation-nvme": (ablation_nvme, "NVMe staging vs DDStore"),
-    "ablation-workers": (ablation_workers, "loader-worker sensitivity"),
-    "ablation-cache": (ablation_cache, "page-cache warm vs cold"),
-    "ablation-conv": (ablation_conv_policy, "message-passing policy PNA/GIN/SAGE"),
-    "resilience": (ablation_resilience, "straggler fault + retry/failover recovery"),
-    "ablation-elastic": (ablation_elastic, "online elastic width retuning under a straggler"),
-    "ablation-nodeagg": (ablation_nodeagg, "node-aggregated wave fetch: leader wire reads + intra-node fan-out"),
-}
-
+# Key -> Experiment, derived from the one registry (repro.bench.registry).
+BENCHES: dict[str, Experiment] = {x.key: x for x in REGISTRY if x.kind == "bench"}
+ABLATIONS: dict[str, Experiment] = {x.key: x for x in REGISTRY if x.kind == "ablation"}
 # The union `list` prints.
-EXPERIMENTS: dict[str, tuple[Callable, str]] = {**BENCHES, **ABLATIONS}
-
-# Drivers that take no profile argument.
-_NO_PROFILE = {"table1"}
+EXPERIMENTS: dict[str, Experiment] = {**BENCHES, **ABLATIONS}
 
 
-def _resolve(name: str, table: dict[str, tuple[Callable, str]]) -> Optional[str]:
+def _resolve(name: str, table: dict[str, Experiment]) -> Optional[str]:
     """Canonical experiment key for a (possibly short) CLI spelling:
     ``serving`` -> ``ablation-serving``."""
     if name in table:
@@ -127,21 +63,19 @@ def _run_experiments(names: list[str], table: dict, args: argparse.Namespace) ->
             return 2
     failed: list[str] = []
     for name in resolved:
-        fn, desc = table[name]
-        print(f"== {name}: {desc} (scale profile: {profile.name}) ==")
-        text, data = fn() if name in _NO_PROFILE else fn(profile)
-        write_report(fn.__name__, text, data)
+        experiment = table[name]
+        print(f"== {name}: {experiment.description} (scale profile: {profile.name}) ==")
+        text, data = experiment.driver(profile)
+        write_report(experiment.driver.__name__, text, data)
         if args.check:
-            checks = data.get("checks", {}) if isinstance(data, dict) else {}
-            bad = [k for k, ok in checks.items() if not ok]
+            checks = data.get("checks", {})
+            bad = [k for k, ok in checks.items() if not ok] if checks else ["no checks"]
             if bad:
                 print(f"[check] {name} FAILED: {', '.join(bad)}", file=sys.stderr)
                 failed.append(name)
-            elif checks:
+            else:
                 print(f"[check] {name}: all {len(checks)} check(s) pass")
-    if failed:
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def _add_run_flags(p: argparse.ArgumentParser, what: str) -> None:
@@ -156,12 +90,13 @@ def _add_run_flags(p: argparse.ArgumentParser, what: str) -> None:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     width = max(len(k) for k in EXPERIMENTS)
-    print("paper benches (python -m repro bench <name>):\n")
-    for key, (_fn, desc) in BENCHES.items():
-        print(f"  {key.ljust(width)}  {desc}")
-    print("\nablations (python -m repro ablation <name>):\n")
-    for key, (_fn, desc) in ABLATIONS.items():
-        print(f"  {key.ljust(width)}  {desc}")
+    for heading, table in (
+        ("paper benches (python -m repro bench <name>):", BENCHES),
+        ("\nablations (python -m repro ablation <name>):", ABLATIONS),
+    ):
+        print(f"{heading}\n")
+        for key, experiment in table.items():
+            print(f"  {key.ljust(width)}  {experiment.description}")
     return 0
 
 
@@ -190,7 +125,7 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
-    text, _data = table1_datasets(sample_n=args.samples)
+    text, _data = BENCHES["table1"].driver(current_profile(), sample_n=args.samples)
     print(text)
     return 0
 
@@ -204,12 +139,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.name not in TRACEABLE:
         print(f"unknown traceable experiment: {args.name}", file=sys.stderr)
         width = max(len(k) for k in TRACEABLE)
-        for key, (_fn, desc) in TRACEABLE.items():
+        for key, (*_cell, desc) in TRACEABLE.items():
             print(f"  {key.ljust(width)}  {desc}", file=sys.stderr)
         return 2
     profile = current_profile()
     print(
-        f"== trace {args.name}: {TRACEABLE[args.name][1]} "
+        f"== trace {args.name}: {TRACEABLE[args.name][-1]} "
         f"(scale profile: {profile.name}) =="
     )
     run = run_traced(args.name, profile, tolerance=args.tolerance)

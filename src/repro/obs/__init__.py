@@ -39,7 +39,7 @@ from .metrics import (
     NullMetricsRegistry,
 )
 from .observer import NULL_OBSERVER, Observer
-from .runner import TRACEABLE, TracedRun, run_traced, trace_json_bytes
+from .runner import TRACEABLE, TracedRun, run_traced, trace_json_bytes, traced_config
 from .tracing import (
     SpanCollector,
     SpanRecord,
@@ -70,5 +70,6 @@ __all__ = [
     "TRACEABLE",
     "TracedRun",
     "run_traced",
+    "traced_config",
     "trace_json_bytes",
 ]

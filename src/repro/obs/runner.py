@@ -17,134 +17,62 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .critical_path import CriticalPathReport, analyze, render_report
 from .observer import Observer
 from .tracing import validate_chrome_trace
 
-__all__ = ["TRACEABLE", "TracedRun", "run_traced", "trace_json_bytes"]
+__all__ = ["TRACEABLE", "TracedRun", "run_traced", "traced_config", "trace_json_bytes"]
 
 
-def _fig5_cfg(profile):
-    """One Fig-5-style DDStore breakdown cell on Perlmutter."""
-    from ..bench.harness import ExperimentConfig
-
-    return ExperimentConfig(
-        machine="perlmutter",
-        n_nodes=profile.perlmutter_nodes,
-        dataset="aisd-ex-discrete",
-        method="ddstore",
-        batch_size=profile.batch_size,
-        steps_per_epoch=profile.steps_per_epoch,
-    )
-
-
-def _fig9_cfg(profile):
-    """A scaling-sweep cell (smallest node count of the Fig 8/9 sweep)."""
-    from ..bench.harness import ExperimentConfig
-
-    return ExperimentConfig(
-        machine="perlmutter",
-        n_nodes=profile.scaling_nodes[0],
-        dataset="ising",
-        method="ddstore",
-        batch_size=profile.batch_size,
-        steps_per_epoch=profile.steps_per_epoch,
-    )
-
-
-def _resilience_cfg(profile):
-    """The straggler-fault cell with the retry/failover ladder armed."""
-    from ..bench.harness import ExperimentConfig
-
-    return ExperimentConfig(
-        machine="perlmutter",
-        n_nodes=profile.perlmutter_nodes,
-        dataset="ising",
-        method="ddstore",
-        batch_size=profile.batch_size,
-        steps_per_epoch=profile.steps_per_epoch,
-        width=None,
-        fault_plan="straggler-10x",
-        timeout_s=5e-3,
-    )
-
-
-def _columnar_cfg(profile):
-    """The zero-copy columnar byte path (arena scatter instead of decode)."""
-    from ..bench.harness import ExperimentConfig
-
-    return ExperimentConfig(
-        machine="perlmutter",
-        n_nodes=profile.scaling_nodes[0],
-        dataset="ising",
-        method="ddstore",
-        batch_size=profile.batch_size,
-        steps_per_epoch=profile.steps_per_epoch,
-        columnar=True,
-    )
-
-
-def _tiered_cfg(profile):
-    """The tiered cache hierarchy cell: NVMe->arena promotion traced.
-
-    Mirrors the ablation-tiered full-stage probe (NVMe holds the whole
-    dataset) so every wave byte promotes off the node-local burst buffer
-    and the "promote" stage spans (demand promotions and wave stage-ups)
-    tile into the critical-path analysis with zero prefetch wire bytes.
-    """
-    from ..bench.harness import ExperimentConfig
-
-    return ExperimentConfig(
-        machine="summit",
-        n_nodes=max(4, profile.summit_nodes // 4),
-        dataset="aisd-ex-smooth",
-        method="ddstore",
-        shuffle="global",
-        batch_size=16,
-        steps_per_epoch=8,
-        epochs=2,
-        hidden_dim=16,
-        columnar=True,
-        scheduler=True,
-        prefetch_depth=2,
-        cache_policy="belady",
-        tiers="gpu:2m+dram:4m+nvme:512m",
-    )
-
-
-def _nodeagg_cfg(profile):
-    """Node-aggregated waves on: leader wire reads plus ``store.fanout``
-    spans on the intra-node delivery path."""
-    from ..bench.ablations import _nodeagg_cell
-
-    return _nodeagg_cell(profile, node_fetch=True)
-
-
-def _p2p_cfg(profile):
-    """The rejected two-sided design, for comparing trace shapes."""
-    from ..bench.harness import ExperimentConfig
-
-    return ExperimentConfig(
-        machine="perlmutter",
-        n_nodes=profile.perlmutter_nodes,
-        dataset="ising",
-        method="ddstore-p2p",
-        batch_size=profile.batch_size,
-        steps_per_epoch=profile.steps_per_epoch,
-    )
-
-
-TRACEABLE: dict[str, tuple[Callable, str]] = {
-    "fig5": (_fig5_cfg, "DDStore breakdown cell (Fig 5 shape)"),
-    "fig9": (_fig9_cfg, "function-duration cell (Fig 9 shape)"),
-    "resilience": (_resilience_cfg, "straggler fault with retry/failover armed"),
-    "columnar": (_columnar_cfg, "zero-copy columnar arena-scatter byte path"),
-    "tiered": (_tiered_cfg, "tiered cache hierarchy with NVMe promotion"),
-    "p2p": (_p2p_cfg, "two-sided ablation data plane"),
-    "nodeagg": (_nodeagg_cfg, "node-aggregated wave fetch with intra-node fan-out"),
+#: name -> (base cell, overrides, description): rows of the bench cell
+#: table (:mod:`repro.bench.cells`), resolved by :func:`traced_config`.
+#: ``tiered`` and ``nodeagg`` are the ablations' own cells — the
+#: full-stage probe (every wave byte promotes off the node-local burst
+#: buffer, so the "promote" spans tile the critical path with zero
+#: prefetch wire bytes) and the aggregated cell (leader wire reads plus
+#: ``store.fanout`` spans on the intra-node delivery path).
+TRACEABLE: dict[str, tuple[str, dict, str]] = {
+    "fig5": ("paper", {}, "DDStore breakdown cell (Fig 5 shape)"),
+    "fig9": (
+        "paper",
+        dict(n_nodes=lambda p: p.scaling_nodes[0], dataset="ising"),
+        "function-duration cell (Fig 9 shape)",
+    ),
+    "resilience": (
+        "paper",
+        dict(dataset="ising", fault_plan="straggler-10x", timeout_s=5e-3),
+        "straggler fault with retry/failover armed",
+    ),
+    "columnar": (
+        "paper",
+        dict(n_nodes=lambda p: p.scaling_nodes[0], dataset="ising", columnar=True),
+        "zero-copy columnar arena-scatter byte path",
+    ),
+    "tiered": (
+        "tiered",
+        dict(tiers="gpu:2m+dram:4m+nvme:512m"),
+        "tiered cache hierarchy with NVMe promotion",
+    ),
+    "p2p": ("paper", dict(dataset="ising", method="ddstore-p2p"), "two-sided ablation data plane"),
+    "nodeagg": (
+        "nodeagg",
+        dict(node_fetch=True),
+        "node-aggregated wave fetch with intra-node fan-out",
+    ),
 }
+
+
+def traced_config(name: str, profile=None):
+    """The :class:`~repro.bench.harness.ExperimentConfig` ``trace <name>`` runs."""
+    from ..bench.cells import cell, current_profile
+
+    if name not in TRACEABLE:
+        raise KeyError(
+            f"unknown traceable experiment {name!r}; options: {sorted(TRACEABLE)}"
+        )
+    base, overrides, _description = TRACEABLE[name]
+    return cell(base, profile or current_profile(), **overrides)
 
 
 @dataclass
@@ -181,17 +109,10 @@ def run_traced(
     returned run's report has already been analyzed but not ``check()``ed
     — callers decide whether a violated invariant is fatal.
     """
-    from ..bench.experiments import current_profile
     from ..bench.harness import run_experiment
 
     if config is None:
-        if name not in TRACEABLE:
-            raise KeyError(
-                f"unknown traceable experiment {name!r}; options: "
-                f"{sorted(TRACEABLE)}"
-            )
-        profile = profile or current_profile()
-        config = TRACEABLE[name][0](profile)
+        config = traced_config(name, profile)
     observer = Observer(trace=True)
     result = run_experiment(config, observer=observer)
     chrome = observer.tracer.to_chrome()

@@ -5,7 +5,7 @@ standard recipe is: stream the dataset from the parallel filesystem to
 every node's local SSD once, then serve training reads locally.  The
 paper positions DDStore for the machines where this is impossible; we
 implement the staging path so the two strategies can be compared head to
-head (see ``benchmarks/bench_ablation_nvme.py``).
+head (see ``python -m repro ablation nvme``).
 
 :class:`NVMeStagedReader` implements the same :class:`SampleReader`
 protocol as the PFF/CFF readers, so it drops into

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.bench.experiments import (
-    _PROFILES,
-    _width_sweep_values,
-    current_profile,
-)
+from repro.bench import PROFILES, current_profile
+from repro.bench.experiments import _width_sweep_values
 from repro.bench.harness import (
     ExperimentConfig,
     _logical_scale,
@@ -31,7 +28,7 @@ def test_width_sweep_values_divide_rank_count():
 
 
 def test_profiles_well_formed():
-    for name, p in _PROFILES.items():
+    for name, p in PROFILES.items():
         assert p.name == name
         assert p.batch_size >= 1
         assert len(p.scaling_nodes) >= 2

@@ -1,11 +1,31 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+import repro.bench
+import repro.cli as cli
 from repro.cli import ABLATIONS, BENCHES, EXPERIMENTS, main
+
+COMMITTED = os.path.join(os.path.dirname(__file__), "..", "bench_results")
+
+
+def _stub_drivers(monkeypatch, table, data):
+    """Replace every driver of a CLI table with one that returns ``data``
+    (same ``__name__``, so reports keep their names) and capture the
+    report names instead of writing files."""
+    written = []
+    monkeypatch.setattr(cli, "write_report", lambda name, text, d: written.append(name))
+    for key, experiment in table.items():
+        def stub(profile, _data=data):
+            return "", dict(_data)
+
+        stub.__name__ = experiment.driver.__name__
+        monkeypatch.setitem(table, key, dataclasses.replace(experiment, driver=stub))
+    return written
 
 
 def test_list_command(capsys):
@@ -29,16 +49,25 @@ def test_datasets_command(capsys):
     assert "Ising" in out and "AISD" in out
 
 
-def test_experiment_registry_complete():
-    # Every paper table/figure is runnable from the CLI.
-    for key in ("table1", "table2", "table3") + tuple(f"fig{i}" for i in range(4, 14)):
-        assert key in EXPERIMENTS
+def test_every_registered_experiment_has_a_committed_artifact():
+    # One table: the CLI, `repro.bench`'s exports and benchmarks/ all read
+    # repro.bench.EXPERIMENTS; each entry's report is committed under its
+    # driver's name.
+    assert len(repro.bench.EXPERIMENTS) == 27
+    for experiment in repro.bench.EXPERIMENTS:
+        name = experiment.driver.__name__
+        assert getattr(repro.bench, name) is experiment.driver
+        assert os.path.exists(os.path.join(COMMITTED, f"{name}.json")), name
+        assert EXPERIMENTS[experiment.key] is experiment
 
 
 def test_bench_and_ablation_registries_split_the_union():
     assert set(EXPERIMENTS) == set(BENCHES) | set(ABLATIONS)
     assert not set(BENCHES) & set(ABLATIONS)
-    assert "ablation-serving" in ABLATIONS and "ablation-serving" not in BENCHES
+    assert list(EXPERIMENTS) == [x.key for x in repro.bench.EXPERIMENTS]
+    # every paper table/figure is a bench; every ablation spells ablation-<x>
+    assert set(BENCHES) == {"table1", "table2", "table3"} | {f"fig{i}" for i in range(4, 14)}
+    assert all(key.startswith("ablation-") for key in ABLATIONS)
 
 
 def test_bench_subcommand_rejects_ablation_names(capsys):
@@ -59,22 +88,39 @@ def test_reports_are_named_after_their_driver(monkeypatch):
     """One name per artifact: whatever key the CLI was given, the report
     is ``<driver.__name__>.{txt,json}`` — the name ``benchmarks/`` writes
     and ``bench_results/`` commits."""
-    import functools
-
-    import repro.cli as cli
-
-    written = []
-    monkeypatch.setattr(cli, "write_report", lambda name, text, data: written.append(name))
     for command, table in (("bench", BENCHES), ("ablation", ABLATIONS)):
-        drivers = [fn.__name__ for fn, _desc in table.values()]
-        for key, (fn, desc) in table.items():
-            stub = functools.wraps(fn)(lambda *args: ("", {}))
-            monkeypatch.setitem(table, key, (stub, desc))
-        written.clear()
-        assert main([command, "all"]) == 0
+        drivers = [x.driver.__name__ for x in table.values()]
+        written = _stub_drivers(monkeypatch, table, {"checks": {"ok": True}})
+        assert main([command, "all", "--check"]) == 0
         assert written == drivers
-        committed = os.path.join(os.path.dirname(__file__), "..", "bench_results")
-        assert all(os.path.exists(os.path.join(committed, f"{name}.json")) for name in written)
+
+
+def test_check_fails_on_a_driver_without_checks(monkeypatch, capsys):
+    # A driver that returns no checks gates nothing: `--check` must say so
+    # instead of passing vacuously.
+    _stub_drivers(monkeypatch, ABLATIONS, {})
+    assert main(["ablation", "resilience"]) == 0  # without --check: just a run
+    assert main(["ablation", "resilience", "--check"]) == 1
+    assert "[check] ablation-resilience FAILED: no checks" in capsys.readouterr().err
+
+
+def test_check_reports_failed_and_passing_checks(monkeypatch, capsys):
+    _stub_drivers(monkeypatch, BENCHES, {"checks": {"a": True, "b": False}})
+    assert main(["bench", "fig4", "--check"]) == 1
+    assert "[check] fig4 FAILED: b" in capsys.readouterr().err
+    _stub_drivers(monkeypatch, BENCHES, {"checks": {"a": True, "b": True}})
+    assert main(["bench", "fig4", "table1", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "[check] fig4: all 2 check(s) pass" in out and "[check] table1: all 2" in out
+
+
+def test_every_ablation_answers_to_both_spellings(monkeypatch):
+    written = _stub_drivers(monkeypatch, ABLATIONS, {"checks": {"ok": True}})
+    for key, experiment in ABLATIONS.items():
+        written.clear()
+        assert main(["ablation", key, key.removeprefix("ablation-")]) == 0
+        assert written == [experiment.driver.__name__] * 2
+    assert "ablation-resilience" in ABLATIONS and "resilience" not in ABLATIONS
 
 
 def test_ablation_short_names_resolve(capsys):

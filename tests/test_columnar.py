@@ -406,10 +406,10 @@ def test_columnar_store_replicates_shape_table():
 # ---------------------------------------------------------------------------
 
 def test_traced_columnar_run_satisfies_critical_path_invariant():
-    from repro.bench.experiments import _PROFILES
+    from repro.bench import PROFILES
     from repro.obs import run_traced
 
-    run = run_traced("columnar", _PROFILES["tiny"])
+    run = run_traced("columnar", PROFILES["tiny"])
     assert run.report.ok, run.report.violations()
     # The new scatter stage is present in the canonical roll-up and the
     # decode stage is gone — the stages still tile the fetch.

@@ -621,10 +621,10 @@ _GOLDEN_TRACE_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_TRACE_SHA256))
 def test_traced_cell_matches_golden_trace_hash(name):
-    from repro.bench.experiments import _PROFILES
+    from repro.bench import PROFILES
     from repro.obs.runner import run_traced, trace_json_bytes
 
-    chrome = run_traced(name, _PROFILES["tiny"]).chrome
+    chrome = run_traced(name, PROFILES["tiny"]).chrome
     assert hashlib.sha256(trace_json_bytes(chrome)).hexdigest() == _GOLDEN_TRACE_SHA256[name]
 
 

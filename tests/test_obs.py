@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.experiments import _PROFILES
+from repro.bench import PROFILES
 from repro.obs import (
     NULL_METRICS,
     NULL_OBSERVER,
@@ -23,7 +23,7 @@ from repro.obs import (
 )
 from repro.sim import Engine
 
-TINY = _PROFILES["tiny"]
+TINY = PROFILES["tiny"]
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +328,29 @@ def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
     assert set(m.sum_by("sched.carried_launches", "epoch")) == {1, 2}
     assert set(m.sum_by("sched.waves", "epoch")) == {0, 1, 2}
     assert m.total("sched.launches") == run.result.config.n_ranks * 9
+
+
+def test_traceable_rows_resolve_to_the_cells_the_experiments_run():
+    """`trace <name>` and the matching figure/ablation read one cell table,
+    so the traced cell *is* the experiment's cell and cannot drift."""
+    from repro.bench import PROFILES, ExperimentConfig, cell
+    from repro.bench.ablations import NODEAGG_VARIANTS, TIERED_VARIANTS
+    from repro.obs import TRACEABLE, traced_config
+
+    for profile in PROFILES.values():
+        for name in TRACEABLE:
+            assert isinstance(traced_config(name, profile), ExperimentConfig)
+        # ablation_tiered's full-stage probe, ablation_nodeagg's aggregated cell
+        assert traced_config("tiered", profile) == cell(
+            "tiered", profile, **dict(TIERED_VARIANTS)["nvme full-stage (zero-wire probe)"]
+        )
+        assert traced_config("nodeagg", profile) == cell(
+            "nodeagg", profile, **dict(NODEAGG_VARIANTS)["node-aggregated (global shuffle)"]
+        )
+        # Fig 5's DDStore / AISD-Ex-discrete cell of the Perlmutter matrix
+        assert traced_config("fig5", profile) == cell(
+            "paper", profile, dataset="aisd-ex-discrete", method="ddstore"
+        )
 
 
 def test_run_traced_rejects_unknown_name():
