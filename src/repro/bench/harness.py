@@ -38,7 +38,7 @@ from ..mpi import MPIStats, run_world
 from ..hardware.nvme import NVMeDevice
 from ..storage import CFFReader, PFFReader, SampleStats, VirtualFS
 from ..storage.staging import stage_to_nvme
-from ..storage.formats import _cff_index_path, _cff_subfile_path, _pff_path, CFFIndex
+from ..storage.formats import _cff_index_path, _pff_path, CFFIndex, write_cff as _stage_cff
 
 __all__ = [
     "ExperimentConfig",
@@ -235,24 +235,6 @@ def _stage_pff(vfs: VirtualFS, root: str, blobs: list[bytes]) -> None:
         vfs.create(_pff_path(root, i), blob)
 
 
-def _stage_cff(
-    vfs: VirtualFS, root: str, blobs: list[bytes], n_subfiles: int, logical_scale: float
-) -> None:
-    n_subfiles = max(1, min(n_subfiles, len(blobs)))
-    for k in range(n_subfiles):
-        vfs.create(_cff_subfile_path(root, k), logical_scale=logical_scale)
-    subfiles = np.empty(len(blobs), np.int32)
-    offsets = np.empty(len(blobs), np.int64)
-    sizes = np.empty(len(blobs), np.int64)
-    for i, blob in enumerate(blobs):
-        k = i % n_subfiles
-        subfiles[i] = k
-        offsets[i] = vfs.append(_cff_subfile_path(root, k), blob)
-        sizes[i] = len(blob)
-    index = CFFIndex(subfile=subfiles, offset=offsets, size=sizes, n_subfiles=n_subfiles)
-    vfs.create(_cff_index_path(root), index.to_bytes())
-
-
 def _logical_scale(cfg: ExperimentConfig, blobs: list[bytes]) -> float:
     """Make the scaled container *time* like the paper's full-size file."""
     actual = sum(len(b) for b in blobs)
@@ -279,7 +261,7 @@ def _warm_caches(world, root: str) -> None:
         f = world.vfs.stat(path)
         if path.endswith(".bin") and "data." in path:
             # CFF subfile: warm the blocks its samples actually occupy.
-            index = CFFIndex.from_bytes(bytes(world.vfs.stat(_cff_index_path(root)).data))
+            index = CFFIndex.from_bytes(world.vfs.stat(_cff_index_path(root)).data)
             k = int(path.rsplit(".", 2)[1])
             sel = index.subfile == k
             block = caches[0].block_bytes

@@ -74,10 +74,8 @@ class ReaderSource:
         bulk = getattr(self.reader, "read_chunk_raw", None)
         if bulk is not None and indices and indices == list(range(indices[0], indices[-1] + 1)):
             blobs, t = bulk(indices[0], indices[-1] + 1, node_index, engine.now)
-            result = _pack_result(blobs)
-            del blobs  # every rank waits here at once: hold the chunk, not the spans too
             yield engine.timeout(max(0.0, t - engine.now))
-            return result
+            return _pack_result(blobs)
         blobs: list[bytes] = []
         for k, i in enumerate(indices):
             blob, t = self.reader.read_sample_raw(int(i), node_index, engine.now)
@@ -106,7 +104,8 @@ class GeneratorSource:
 
 def _pack_result(blobs: list) -> PreloadResult:
     """Lay packed samples (any ``B``-format buffers) back to back: one copy
-    each, into a buffer ``np.concatenate`` sizes up front."""
+    each, into a buffer ``np.concatenate`` sizes up front — the physical
+    PFS→DRAM copy, whose result the rank's window then owns."""
     sizes = np.fromiter((len(b) for b in blobs), dtype=np.int64, count=len(blobs))
     pieces = [np.frombuffer(b, dtype=np.uint8) for b in blobs]
     buffer = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)

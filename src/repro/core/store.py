@@ -346,7 +346,6 @@ class DDStore:
         n = int(source.n_samples)
         blobs, t = bulk(0, n, node_index, engine.now)
         done = shard.stage(list(range(n)), blobs, t)
-        del blobs  # staged entries are copies; free the read spans before waiting
         if done > engine.now:
             yield engine.timeout(done - engine.now)
 
@@ -813,7 +812,7 @@ class _StoreSource:
             off = int(b_lo[me - first])
             parts[me - first] = store.transport.local_buffer()[
                 off : off + int(nbytes[me - first])
-            ].copy()
+            ]
         # The bulk reads go through the same fetch stage as training-time
         # reads: a reshard under a straggler/dark peer retries and fails
         # over (or, without resilience, raises) instead of silently

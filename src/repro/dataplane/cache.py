@@ -128,6 +128,15 @@ class TierStats:
         )
 
 
+def _adopt(payload: np.ndarray) -> np.ndarray:
+    """``payload`` as flat bytes the cache may keep: itself when it is
+    read-only (nothing can change under the cache), else a private copy.
+    Byte-preserving — a view, never ``astype`` — so what is charged is
+    exactly what is resident."""
+    flat = np.ascontiguousarray(payload).view(np.uint8).reshape(-1)
+    return flat.copy() if flat.flags.writeable else flat
+
+
 class SampleCache:
     """One tier's pool of packed sample payloads under a byte budget.
 
@@ -240,8 +249,7 @@ class SampleCache:
     def get(self, key: int) -> Optional[np.ndarray]:
         """Payload for ``key`` (refreshing its recency), or None on a miss.
 
-        The returned array is the cached storage itself — callers must not
-        mutate it.
+        The returned array is the cached storage itself (read-only).
         """
         entry = self._entries.get(key)
         if entry is None or key in self._column_keys:
@@ -286,40 +294,34 @@ class SampleCache:
 
     def put_columns(self, key: int, payload: np.ndarray, victims: Optional[list] = None) -> bool:
         """Park a header-stripped column slice under ``key`` (arena mode)."""
-        if not self.enabled:
-            return False
-        stored = np.ascontiguousarray(payload).view(np.uint8).reshape(-1).copy()
-        return self._insert(key, stored, True, victims)
+        return self.put_owned(key, _adopt(payload), True, victims)
 
     def put(self, key: int, payload: np.ndarray, victims: Optional[list] = None) -> bool:
         """Insert a payload, evicting entries to fit the byte budget.
 
         Returns False when the cache is disabled or the payload alone
-        exceeds the budget.  The payload is copied, so cached bytes never
-        alias a transport buffer.
+        exceeds the budget.  A read-only payload — every payload the data
+        plane delivers — is parked as it is, a view of its owner's bytes;
+        a writable one is copied first.
         """
-        if not self.enabled:
-            return False
-        # Store a byte-preserving *view* copy and account for exactly what
-        # is stored: casting with astype would mangle non-uint8 payloads and
-        # nbytes-from-the-input would drift from the resident bytes.
-        stored = np.ascontiguousarray(payload).view(np.uint8).reshape(-1).copy()
-        return self._insert(key, stored, False, victims)
+        return self.put_owned(key, _adopt(payload), False, victims)
 
     def put_owned(
         self, key: int, stored: np.ndarray, column: bool = False, victims: Optional[list] = None
     ) -> bool:
-        """Insert an already-owned flat ``uint8`` payload *without copying*.
+        """Insert a flat ``uint8`` payload *without copying* and freeze it.
 
-        The tier-move fast path: promotions and demotions hand the same
-        storage array from tier to tier, so bytes are never duplicated in
-        flight.  The caller cedes ownership — the array must not be
-        mutated afterwards.
+        The one insert: tier moves hand the same storage array from tier
+        to tier, and :meth:`put`/:meth:`put_columns` land here once their
+        payload is safe to keep.  The caller cedes ownership — the array
+        is made read-only, and the budget is charged its ``nbytes``
+        whatever it shares memory with.
         """
         if not self.enabled:
             return False
         if stored.dtype != np.uint8 or stored.ndim != 1:
             raise ValueError("put_owned requires a flat uint8 payload")
+        stored.setflags(write=False)
         return self._insert(key, stored, column, victims)
 
     def pop(self, key: int) -> Optional[tuple[np.ndarray, bool]]:
@@ -502,11 +504,11 @@ class TieredCache:
             pool.advance_to(position)
 
     def put(self, key: int, payload: np.ndarray) -> bool:
-        """Park a copy of a wire-fetched whole blob (lands in DRAM)."""
+        """Park a wire-fetched whole blob (lands in DRAM)."""
         return self._admit_wire(self.dram.put, key, payload)
 
     def put_columns(self, key: int, payload: np.ndarray) -> bool:
-        """Park a copy of a wire-fetched header-stripped column slice (DRAM)."""
+        """Park a wire-fetched header-stripped column slice (DRAM)."""
         return self._admit_wire(self.dram.put_columns, key, payload)
 
     def clear(self) -> None:
@@ -524,8 +526,8 @@ class TieredCache:
         Returns ``(payload, has_header, cost_s)`` or None.  A whole blob
         (header present) serves both modes — the arena path scatters it
         from offset 0 — while a header-stripped column payload can only
-        serve columnar requests.  The returned array is tier storage:
-        callers must not mutate it.
+        serve columnar requests.  The returned array is tier storage
+        (read-only).
         """
         for name, pool in self._fast:
             entry = pool.get_columns(key) if column else None
@@ -717,9 +719,9 @@ class TieredCache:
         return incoming < cache._next_use(cache._victim())
 
     def _admit_wire(self, insert, key: int, payload: np.ndarray) -> bool:
-        """Land a wire payload in DRAM through the pool's copying
-        ``insert``.  Gated only when an NVMe tier sits below; a
-        hierarchy that ends at DRAM admits unconditionally."""
+        """Land a wire payload in DRAM through the pool's ``insert``
+        (``put`` or ``put_columns``).  Gated only when an NVMe tier sits
+        below; a hierarchy that ends at DRAM admits unconditionally."""
         if self.nvme is not None and not self._admit_ok(self.dram, key, int(payload.nbytes)):
             self.tier_stats["dram"].dropped += 1
             return False

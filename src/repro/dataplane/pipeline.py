@@ -202,19 +202,21 @@ def _issue(h, reads, n_streams: int, ladder: dict) -> Generator:
 def assemble(plan, outcome, blobs, latencies) -> None:
     """Reassemble per-sample payloads out of the reads' payloads.
 
-    A sample that arrived in one slice is handed out as a read-only view of
-    its read's (private) payload — no second copy; one split across reads
-    is stitched into a fresh buffer.
+    A sample that arrived in one slice is handed out as a read-only view
+    of its read's payload (for the shipped transports itself a view of the
+    owner's buffer) — no copy; one split across reads is stitched into a
+    fresh buffer.
     """
     read, position, sample_offset, read_offset, nbytes = plan.slices.T
     if not read.size:
         return
     payloads = outcome.payloads
     for payload in payloads:
-        payload.setflags(write=False)
+        payload.setflags(write=False)  # a no-op unless a plugin transport returned copies
     n_slices = np.bincount(position, minlength=len(blobs))
     whole = n_slices[position] == 1
-    if not whole.all():
+    stitching = not whole.all()
+    if stitching:
         totals = np.zeros(len(blobs), dtype=np.int64)
         np.maximum.at(totals, position, sample_offset + nbytes)
     for r, p, at, lo, nb, one in zip(
@@ -228,6 +230,9 @@ def assemble(plan, outcome, blobs, latencies) -> None:
             if blobs[p] is None:
                 blobs[p] = np.empty(totals[p], dtype=np.uint8)
             blobs[p][at : at + nb] = piece
+    if stitching:
+        for p in np.flatnonzero(n_slices > 1).tolist():
+            blobs[p].setflags(write=False)  # complete now, so immutable like the rest
     SAMPLE_ALLOCATIONS.bump(np.count_nonzero(n_slices))  # row blobs, views included
     if outcome.latencies is not None:
         np.maximum.at(latencies, position, outcome.latencies[read])
@@ -446,12 +451,12 @@ class _RowSink:
         sizes, blobs = self.sizes, self.blobs
         for p in positions:
             off = int(offsets[p])
-            blobs[p] = buf[off : off + int(sizes[p])].copy()
+            blobs[p] = buf[off : off + int(sizes[p])]
         SAMPLE_ALLOCATIONS.bump(int(positions.size))
 
     def place(self, found) -> None:
         for p, payload, _has_header in found:
-            self.blobs[p] = payload.copy()
+            self.blobs[p] = payload
         SAMPLE_ALLOCATIONS.bump(len(found))
 
     def empty(self, positions) -> None:

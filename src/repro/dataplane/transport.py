@@ -17,7 +17,7 @@ from typing import ClassVar, Generator, Optional
 
 import numpy as np
 
-from ..mpi import LOCK_SHARED, Comm, WinHandle, create_window, waitall
+from ..mpi import LOCK_SHARED, Comm, WinHandle, create_window, freeze_buffer, waitall
 from ..sim import RngRegistry
 from ..sim.engine import Event
 
@@ -33,7 +33,7 @@ _P2P_POLL_WINDOW_S = 1.0e-3  # how long a busy target takes to notice a request
 class FetchOutcome:
     """What a transport hands back for one batch of planned reads."""
 
-    payloads: list  # one np.uint8 array per read, in read order (None = timed out)
+    payloads: list  # one read-only np.uint8 array per read, in read order (None = timed out)
     latencies: Optional[np.ndarray] = None  # per-read seconds, when known
     stage_seconds: dict[str, float] = field(default_factory=dict)  # e.g. lock/get
     timed_out: Optional[np.ndarray] = None  # per-read bool mask (None = no timeout)
@@ -61,8 +61,9 @@ class Transport(abc.ABC):
     ) -> Generator:
         """Collectively wire the transport over a replica group.
 
-        Every group member calls this with its own chunk ``buffer``;
-        returns this rank's transport instance.
+        Every group member calls this with its own chunk ``buffer``, which
+        the transport takes ownership of and makes read-only (what a fetch
+        returns are views of it); returns this rank's transport instance.
         """
 
     @abc.abstractmethod
@@ -90,7 +91,7 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def local_buffer(self) -> np.ndarray:
-        """This rank's exposed chunk bytes (uint8 view)."""
+        """This rank's exposed chunk bytes (read-only uint8 view)."""
 
     def shutdown(self) -> Generator:
         """Stop any target-side service machinery (default: nothing to do)."""
@@ -230,7 +231,7 @@ class P2PTransport(Transport):
 
     def __init__(self, group_comm: Comm, buffer: np.ndarray) -> None:
         self.group_comm = group_comm
-        self._buffer = np.ascontiguousarray(buffer).view(np.uint8).reshape(-1)
+        self._buffer = freeze_buffer(buffer)
         self._reply_seq = 0
         self._rng = RngRegistry("ddstore-p2p", group_comm.world_rank)
         self._responder = group_comm.engine.process(
@@ -309,7 +310,7 @@ class P2PTransport(Transport):
             # The target is busy computing; it notices the request at its
             # next data-loader poll point.
             yield engine.timeout(float(rng.uniform(0.0, _P2P_POLL_WINDOW_S)))
-            payload = self._buffer[offset : offset + nbytes].copy()
+            payload = self._buffer[offset : offset + nbytes]
             yield from comm.send(payload, dest=requester, tag=reply_tag)
 
     def shutdown(self) -> Generator:

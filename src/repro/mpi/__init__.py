@@ -4,7 +4,7 @@ from .comm import ANY_SOURCE, ANY_TAG, Comm, Communicator, MPIStats, World, wait
 from .datatypes import REDUCTIONS, reduce_values, sizeof
 from .errors import CollectiveMismatch, MPIError, RMAError, TruncationError
 from .launcher import JobResult, RankContext, run_world, spawn_ranks
-from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, WinHandle, Window, create_window
+from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, WinHandle, Window, create_window, freeze_buffer
 
 __all__ = [
     "ANY_SOURCE",
@@ -28,6 +28,7 @@ __all__ = [
     "Window",
     "WinHandle",
     "create_window",
+    "freeze_buffer",
     "LOCK_SHARED",
     "LOCK_EXCLUSIVE",
 ]

@@ -12,7 +12,14 @@ of corrupting memory.
 
 The vectorised :meth:`WinHandle.get_batch` is the DDStore hot path: it
 prices a whole mini-batch of gets in one NumPy pass (per-target FIFO
-queueing included), performs the real memory copies, and yields once.
+queueing included), slices the payloads out of the target buffers, and
+yields once.
+
+Window memory is written once and then only read.  A window *owns* its
+ranks' buffers and freezes them (``writeable=False``), so a get is a
+read-only view of the target's bytes, not a memcpy; the rare
+:meth:`WinHandle.put` replaces the target's buffer (copy-on-write), which
+keeps every earlier get the snapshot MPI says it is.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from ..sim import RWLock
 from .comm import Comm, Communicator
 from .errors import RMAError
 
-__all__ = ["LOCK_SHARED", "LOCK_EXCLUSIVE", "Window", "WinHandle", "create_window"]
+__all__ = [
+    "LOCK_SHARED", "LOCK_EXCLUSIVE", "Window", "WinHandle", "create_window", "freeze_buffer",
+]
 
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
@@ -54,10 +63,10 @@ class Window:
         self.communicator = communicator
         if set(buffers) != set(range(communicator.size)):
             raise RMAError("window requires exactly one buffer per rank")
+        # rank -> its exposed bytes: frozen, replaced (never written) by put.
         self.buffers: dict[int, np.ndarray] = {}
         for rank, buf in buffers.items():
-            arr = np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
-            self.buffers[rank] = arr
+            self.buffers[rank] = freeze_buffer(buf)
         # Per-rank columns the batched get checks and prices against.
         ranks = range(communicator.size)
         self.sizes = np.array([self.buffers[r].size for r in ranks], dtype=np.int64)
@@ -93,7 +102,7 @@ class WinHandle:
 
     @property
     def local(self) -> np.ndarray:
-        """This rank's exposed buffer (a uint8 view)."""
+        """This rank's exposed buffer (a read-only uint8 view)."""
         return self.window.buffers[self.comm.rank]
 
     # -- lock epochs -------------------------------------------------------
@@ -147,8 +156,8 @@ class WinHandle:
     def get(self, target: int, offset: int, nbytes: int) -> Generator:
         """Read ``nbytes`` at ``offset`` from the target's buffer.
 
-        Returns the bytes as a fresh ``np.uint8`` array after yielding for
-        the modelled transfer time.
+        Returns the bytes as a read-only ``np.uint8`` view of the target's
+        buffer after yielding for the modelled transfer time.
         """
         out = yield from self.get_batch([(target, offset, nbytes)])
         return out[0]
@@ -165,7 +174,8 @@ class WinHandle:
         ``(n, 3)`` integer array — a :class:`~repro.dataplane.FetchPlan`'s
         ``reads`` — or a sequence of triples); ``n_streams`` models
         concurrent issuing threads (loader workers).  Returns the payloads
-        in request order, each a private copy of the target bytes.
+        in request order, each a read-only view of the target's buffer as
+        it is now (a later ``put`` replaces that buffer, it never writes it).
         Per-request latencies are appended to the window's ``get_log`` when
         recording is enabled.
 
@@ -204,10 +214,10 @@ class WinHandle:
                 f"({window.buffer_size(t)} bytes)"
             )
 
-        # Real data movement (copies, so later remote writes can't alias).
+        # The data: views of the frozen target buffers.
         buffers = window.buffers
         payloads = [
-            buffers[t][lo:hi].copy()
+            buffers[t][lo:hi]
             for t, lo, hi in zip(target_list, offsets.tolist(), ends.tolist())
         ]
 
@@ -264,7 +274,11 @@ class WinHandle:
         return payloads
 
     def put(self, data: np.ndarray | bytes, target: int, offset: int) -> Generator:
-        """Write ``data`` into the target buffer (requires exclusive lock)."""
+        """Write ``data`` into the target's window (requires exclusive lock).
+
+        Copy-on-write: the target's buffer is replaced by an updated copy,
+        so gets issued before the put keep the bytes they were given.
+        """
         self._check_target(target)
         held = self._held.get(target)
         if held != LOCK_EXCLUSIVE:
@@ -272,7 +286,7 @@ class WinHandle:
                 f"MPI_Put by rank {self.comm.rank} on {target} requires an "
                 f"exclusive lock (held: {held!r})"
             )
-        payload = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
+        payload = np.frombuffer(data, dtype=np.uint8) if isinstance(
             data, (bytes, bytearray, memoryview)
         ) else np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         buf = self.window.buffers[target]
@@ -291,7 +305,9 @@ class WinHandle:
             issued,
         )
         yield engine.timeout(max(0.0, timing.completion - issued))
-        buf[offset : offset + payload.size] = payload
+        updated = buf.copy()  # still the target's buffer: this rank holds its exclusive lock
+        updated[offset : offset + payload.size] = payload
+        self.window.buffers[target] = freeze_buffer(updated)
         comm.stats.record("MPI_Put", engine.now - issued, int(payload.size))
 
     # -- helpers -----------------------------------------------------------
@@ -304,17 +320,30 @@ def create_window(comm: Comm, local_buffer: np.ndarray | bytes | int) -> Generat
     """Collectively create a window (MPI_Win_create).
 
     ``local_buffer`` is this rank's exposed memory: a NumPy array, raw
-    bytes, or an integer byte count (allocated zeroed).  Returns this
-    rank's :class:`WinHandle`.
+    bytes, or an integer byte count (allocated zeroed).  The window takes
+    ownership: an array (and every array it is a view of) becomes
+    read-only, and only :meth:`WinHandle.put` changes what the window
+    exposes.  Returns this rank's :class:`WinHandle`.
     """
     if isinstance(local_buffer, int):
         buf = np.zeros(local_buffer, dtype=np.uint8)
     elif isinstance(local_buffer, (bytes, bytearray, memoryview)):
-        buf = np.frombuffer(bytearray(local_buffer), dtype=np.uint8)
+        buf = np.frombuffer(local_buffer, dtype=np.uint8)
     else:
         buf = np.ascontiguousarray(local_buffer)
     window = yield from comm.fuse(_build_window, buf, call_name="MPI_Win_create")
     return WinHandle(window, comm)
+
+
+def freeze_buffer(buf: np.ndarray) -> np.ndarray:
+    """Take ownership of ``buf``: return it as a flat ``uint8`` view, with
+    that view and every array it is a view of made read-only."""
+    flat = np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
+    arr = flat
+    while isinstance(arr, np.ndarray):
+        arr.setflags(write=False)
+        arr = arr.base
+    return flat
 
 
 def _build_window(communicator: Communicator, buffers: list) -> Window:

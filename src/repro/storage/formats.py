@@ -38,6 +38,7 @@ __all__ = [
     "PFFWriter",
     "PFFReader",
     "CFFWriter",
+    "write_cff",
     "CFFReader",
     "CFFIndex",
 ]
@@ -86,8 +87,9 @@ class SampleReader(Protocol):
 
     def read_sample_raw(
         self, index: int, node_index: int, arrival: float
-    ) -> tuple[bytes, float]:
-        """Return (packed bytes, completion time without decode)."""
+    ) -> "tuple[bytes | memoryview, float]":
+        """Return (packed bytes — read-only, possibly a view of the stored
+        copy — and the completion time without decode)."""
         ...
 
     def read_sample_stats(
@@ -153,7 +155,7 @@ class PFFReader:
 
     def read_sample_raw(
         self, index: int, node_index: int, arrival: float
-    ) -> tuple[bytes, float]:
+    ) -> tuple[memoryview, float]:
         """Timed open + read of the packed sample (decode not included)."""
         path = _pff_path(self.root, index)
         f, t_open = self.vfs.open_timed(path, arrival)
@@ -246,22 +248,35 @@ class CFFWriter:
         n_subfiles: int = 8,
         logical_scale: float = 1.0,
     ) -> CFFIndex:
-        n = len(generator)
-        n_subfiles = max(1, min(n_subfiles, n))
-        for k in range(n_subfiles):
-            vfs.create(_cff_subfile_path(root, k), logical_scale=logical_scale)
-        subfiles = np.empty(n, np.int32)
-        offsets = np.empty(n, np.int64)
-        sizes = np.empty(n, np.int64)
-        for i in range(n):
-            blob = pack_graph(generator.make(i))
-            k = i % n_subfiles  # round-robin, like ADIOS aggregators
-            subfiles[i] = k
-            offsets[i] = vfs.append(_cff_subfile_path(root, k), blob)
-            sizes[i] = len(blob)
-        index = CFFIndex(subfile=subfiles, offset=offsets, size=sizes, n_subfiles=n_subfiles)
-        vfs.create(_cff_index_path(root), index.to_bytes())
-        return index
+        return write_cff(
+            vfs,
+            root,
+            [pack_graph(generator.make(i)) for i in range(len(generator))],
+            n_subfiles=n_subfiles,
+            logical_scale=logical_scale,
+        )
+
+
+def write_cff(
+    vfs: VirtualFS, root: str, blobs: list, *, n_subfiles: int, logical_scale: float
+) -> CFFIndex:
+    """Lay packed ``blobs`` out as a CFF dataset: sample ``i`` goes to
+    subfile ``i % n_subfiles`` (round-robin, like ADIOS aggregators), and
+    each subfile is built by one join the file adopts."""
+    n = len(blobs)
+    n_subfiles = max(1, min(n_subfiles, n))
+    sizes = np.fromiter(map(len, blobs), np.int64, n)
+    subfiles = (np.arange(n) % n_subfiles).astype(np.int32)
+    offsets = np.empty(n, np.int64)
+    for k in range(n_subfiles):
+        offsets[k::n_subfiles] = np.cumsum(sizes[k::n_subfiles]) - sizes[k::n_subfiles]
+        vfs.create(
+            _cff_subfile_path(root, k), b"".join(blobs[k::n_subfiles]),
+            logical_scale=logical_scale,
+        )
+    index = CFFIndex(subfile=subfiles, offset=offsets, size=sizes, n_subfiles=n_subfiles)
+    vfs.create(_cff_index_path(root), index.to_bytes())
+    return index
 
 
 class CFFReader:
@@ -272,7 +287,7 @@ class CFFReader:
         self.root = root
         self.machine = machine
         index_file = vfs.stat(_cff_index_path(root))
-        self.index = CFFIndex.from_bytes(bytes(index_file.data))
+        self.index = CFFIndex.from_bytes(index_file.data)
         self.n_samples = self.index.n_samples
         self._subfile_handles = [
             vfs.stat(_cff_subfile_path(root, k)) for k in range(self.index.n_subfiles)
@@ -294,7 +309,7 @@ class CFFReader:
 
     def read_sample_raw(
         self, index: int, node_index: int, arrival: float
-    ) -> tuple[bytes, float]:
+    ) -> tuple[memoryview, float]:
         """Timed random read inside the container (decode not included)."""
         k = int(self.index.subfile[index])
         off = int(self.index.offset[index])
@@ -311,8 +326,8 @@ class CFFReader:
         Round-robin placement makes a contiguous id range occupy one
         contiguous byte span per subfile, so the whole chunk streams in
         ``n_subfiles`` large sequential reads instead of per-sample ones.
-        Samples come back as read-only views into those spans (no
-        per-sample copy); each view keeps its span alive.
+        Samples come back as read-only views of the subfiles themselves
+        (no copy of a span, none per sample).
         """
         if not 0 <= lo <= hi <= self.n_samples:
             raise IndexError(f"chunk [{lo}, {hi}) out of range")
@@ -326,11 +341,10 @@ class CFFReader:
             span_lo = int(offs.min())
             span_hi = int((offs + sizes).max())
             f = self._subfile_handles[int(k)]
-            data, timing = self.vfs.read_timed(
+            span, timing = self.vfs.read_timed(
                 f, node_index, span_lo, span_hi - span_lo, t, sequential=True
             )
             t = timing.completion + self._software_time()
-            span = memoryview(data)
             for i, off, size in zip(sel.tolist(), (offs - span_lo).tolist(), sizes.tolist()):
                 blobs[i] = span[off : off + size]
         return [blobs[i] for i in range(lo, hi)], t

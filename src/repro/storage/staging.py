@@ -33,7 +33,7 @@ class NVMeStagedReader:
 
     def __init__(
         self,
-        blobs: list,  # bytes, or the read-only views CFFReader.read_chunk_raw hands out
+        blobs: list,  # read-only bytes-likes (CFFReader.read_chunk_raw's views of the files)
         device: NVMeDevice,
         machine: MachineSpec,
     ) -> None:
@@ -47,7 +47,7 @@ class NVMeStagedReader:
 
     def read_sample_raw(
         self, index: int, node_index: int, arrival: float
-    ) -> tuple[bytes, float]:
+    ) -> tuple[memoryview, float]:
         blob = self.blobs[index]
         done = self.device.read(len(blob), arrival)
         return blob, done + self.machine.file_read_software_s
@@ -74,8 +74,10 @@ class NVMeShardStore:
     bytes — either whole blobs (32-byte header included; these can serve
     both the row and the columnar path) or header-stripped column
     payloads demoted from a DRAM tier (columnar-only).  Nothing is ever
-    decoded here: promotion hands the stored ``uint8`` array straight
-    back for arena scatter or row copy.
+    decoded or copied here: staged entries are read-only views of the
+    VFS files they were read from, demoted ones the array the tier above
+    held, and promotion hands the stored ``uint8`` array straight back
+    for arena scatter or row delivery.
 
     Two capacity ledgers run in parallel: the configured tier budget
     (``capacity_bytes``, per node) gates admission with LRU eviction of
@@ -139,9 +141,8 @@ class NVMeShardStore:
         for key, blob in zip(keys, blobs):
             if key in self._entries:
                 continue
-            # bytes() detaches a bulk-read view from its span, so the part of
-            # the span that does not fit the tier is freed, not pinned.
-            stored = np.frombuffer(bytes(blob), dtype=np.uint8)
+            stored = np.frombuffer(blob, dtype=np.uint8)
+            stored.setflags(write=False)  # a no-op for the read-only views bulk reads return
             nbytes = int(stored.nbytes)
             if nbytes > self.free_bytes:
                 break

@@ -5,6 +5,12 @@ so correctness is testable) while every open/read/write is priced by the
 :class:`~repro.hardware.ParallelFileSystem` model, including per-node page
 caching and MDS/OST queueing.
 
+Files are written once and read many times: a file's **first read seals
+it**.  From then on every read is a read-only ``memoryview`` slice of the
+file's one resident copy (no memcpy per read), :meth:`VirtualFS.append`
+raises :class:`FileSealed`, and ``create(..., overwrite=True)`` swaps in a
+new file object so earlier readers keep the bytes they were given.
+
 ``logical_scale`` lets a small physical file *behave* like the paper's
 TB-scale containers: cache-block and OST-stripe addressing use the scaled
 offset, so cache capacity covers only ``1/scale`` of the file — exactly
@@ -20,7 +26,7 @@ from typing import Optional
 from ..hardware import IoTiming, ParallelFileSystem
 from ..sim.rng import derive_seed
 
-__all__ = ["VirtualFile", "VirtualFS", "FileNotFound", "FileExists"]
+__all__ = ["VirtualFile", "VirtualFS", "FileNotFound", "FileExists", "FileSealed"]
 
 
 class FileNotFound(FileNotFoundError):
@@ -31,12 +37,28 @@ class FileExists(FileExistsError):
     pass
 
 
+class FileSealed(PermissionError):
+    """Append to a file that has been read (readers hold views of it)."""
+
+
 @dataclass
 class VirtualFile:
     file_id: int
     path: str
-    data: bytearray = field(default_factory=bytearray)
+    data: bytes | bytearray = b""
     logical_scale: float = 1.0
+    # The one read-only view every read slices; set by the first read.
+    _view: Optional[memoryview] = field(default=None, repr=False, compare=False)
+
+    @property
+    def sealed(self) -> bool:
+        return self._view is not None
+
+    def view(self) -> memoryview:
+        """Read-only view of the whole file; the first call seals it."""
+        if self._view is None:
+            self._view = memoryview(self.data).toreadonly()
+        return self._view
 
     @property
     def size(self) -> int:
@@ -83,6 +105,8 @@ class VirtualFS:
         logical_scale: float = 1.0,
         overwrite: bool = False,
     ) -> VirtualFile:
+        """Create ``path`` holding ``data``, which the file adopts (no copy:
+        the caller must not mutate a ``bytearray`` it hands over)."""
         if path in self._files and not overwrite:
             raise FileExists(path)
         if logical_scale < 1.0:
@@ -90,7 +114,7 @@ class VirtualFS:
         f = VirtualFile(
             file_id=self._next_id,
             path=path,
-            data=bytearray(data),
+            data=data,
             logical_scale=logical_scale,
         )
         self._next_id += 1
@@ -98,8 +122,13 @@ class VirtualFS:
         return f
 
     def append(self, path: str, data: bytes) -> int:
-        """Append bytes; returns the offset the data landed at."""
+        """Append bytes; returns the offset the data landed at.  Raises
+        :class:`FileSealed` once the file has been read."""
         f = self.stat(path)
+        if f.sealed:
+            raise FileSealed(f"{path!r} has been read and is sealed; create a new file")
+        if not isinstance(f.data, bytearray):
+            f.data = bytearray(f.data)
         offset = len(f.data)
         f.data.extend(data)
         return offset
@@ -125,8 +154,9 @@ class VirtualFS:
         arrival: float,
         *,
         sequential: bool = False,
-    ) -> tuple[bytes, IoTiming]:
-        """Read real bytes and charge the PFS model.
+    ) -> tuple[memoryview, IoTiming]:
+        """Read real bytes — a read-only view of the (now sealed) file —
+        and charge the PFS model.
 
         Timing uses the file's *logical* offset so scaled containers show
         realistic cache behaviour (see module docstring).
@@ -137,10 +167,7 @@ class VirtualFS:
                 f"read [{offset}, {offset + nbytes}) out of range for "
                 f"{f.path!r} ({f.size} bytes)"
             )
-        # One copy, and the view is gone before returning: the caller gets
-        # immutable bytes and the file stays appendable.
-        with memoryview(f.data) as view:
-            data = bytes(view[offset : offset + nbytes])
+        data = f.view()[offset : offset + nbytes]
         logical_offset = int(offset * f.logical_scale)
         timing = self.pfs.read(
             node_index,
@@ -154,8 +181,13 @@ class VirtualFS:
 
     def read_whole_timed(
         self, path: str, node_index: int, arrival: float
-    ) -> tuple[bytes, float]:
-        """Open + stream the whole file sequentially; returns (bytes, done)."""
+    ) -> tuple[memoryview | bytes, float]:
+        """Open + stream the whole file sequentially; returns (data, done).
+
+        A file that fits one 8 MiB read comes back as the read-only view
+        that read returned; a larger one as the joined ``bytes`` of its
+        reads.
+        """
         f, t_open = self.open_timed(path, arrival)
         chunk = 8 * 2**20
         t = t_open

@@ -1,6 +1,8 @@
 """Tests for the benchmark harness: metrics, reporting, experiment runs."""
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -239,9 +241,73 @@ def test_columnar_cell_decode_budget():
             method="ddstore",
             batch_size=4,
             steps_per_epoch=2,
+            epochs=2,
+            cache_bytes=1 << 20,  # so the batches have a cached share too
         )
     )
     assert SAMPLE_ALLOCATIONS.count > 0
+    # The counter counts row blobs handed out, views included: a batch of n
+    # bumps it by n whatever share was local, cached or wire.
+    assert SAMPLE_ALLOCATIONS.count == row.total_samples and row.fetch_counters["n_cache_hits"] > 0
     assert row.fetch_stages.get("decode", 0.0) > 0.0
     assert row.fetch_stages.get("scatter", 0.0) == 0.0
     SAMPLE_ALLOCATIONS.reset()
+
+
+def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
+    """Views of the VFS files and the window buffers now live as long as
+    their owners — so the owners must die with the ``World``.  After
+    ``run_experiment`` returns, nothing of that world that holds dataset
+    bytes is reachable: no file, window buffer, cache pool or NVMe shard
+    store (a leak here makes ``peak_rss_mb`` a step function of the repeat
+    count)."""
+    from repro.dataplane.cache import SampleCache
+    from repro.mpi.comm import World
+    from repro.mpi.rma import Window
+    from repro.storage.staging import NVMeShardStore
+    from repro.storage.vfs import VirtualFS
+
+    held: dict[str, list] = {}
+
+    def watch(cls, method, pick):
+        original = getattr(cls, method)
+
+        def wrapper(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            held.setdefault(f"{cls.__name__}.{method}", []).extend(
+                weakref.ref(obj) for obj in pick(self, out)
+            )
+            return out
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    watch(World, "__init__", lambda self, _out: [self])
+    watch(VirtualFS, "create", lambda _self, f: [f])
+    watch(Window, "__init__", lambda self, _out: [self, *self.buffers.values()])
+    watch(SampleCache, "__init__", lambda self, _out: [self])
+    watch(NVMeShardStore, "__init__", lambda self, _out: [self])
+
+    result = run_experiment(
+        ExperimentConfig(
+            machine="summit",
+            n_nodes=2,
+            width=4,
+            dataset="ising",
+            method="ddstore",
+            batch_size=2,
+            steps_per_epoch=2,
+            epochs=2,
+            columnar=True,
+            scheduler=True,
+            node_fetch=True,
+            cache_policy="belady",
+            tiers="gpu:16k+dram:32k+nvme:4m",  # staged from the CFF files at create
+        )
+    )
+    assert result.fetch_counters["n_cache_hits"] > 0
+    del result
+    gc.collect()
+    assert len(held) == 5 and len(held["Window.__init__"]) > 12  # everything was watched
+    alive = {what: sum(ref() is not None for ref in refs) for what, refs in held.items()}
+    assert not any(alive.values()), alive
+

@@ -622,49 +622,53 @@ def test_collective_bytes_count_what_travels():
     assert all(r == (40, 80) for r in run(main).results)
 
 
-def test_raw_blobs_never_alias_the_window_the_cache_or_each_other():
-    """``get_samples(decode="raw")`` hands wire samples out as views of the
-    transport's private payloads and everything else as private copies —
-    all of them read-only.  A write is refused wherever the blob came from,
-    and forcing one through (on the blobs that own their bytes) reaches
-    neither the owner's window, nor the cached copy, nor any other blob of
-    the batch — including when the batch asks for one id twice."""
+def test_raw_blobs_are_readonly_views_of_the_one_resident_copy():
+    """``get_samples(decode="raw")`` hands every sample out as a read-only
+    view of its owner's window — local, wire and (on the second call)
+    cached alike: the zero-copy is real, and safe because nothing can write
+    through any handle on those bytes.  Every blob, cache entry and window
+    buffer refuses a write *and* refuses to be made writable; the window
+    holds its at-create bytes after the run — including when the batch asks
+    for one id twice."""
 
     def main(ctx):
         store = yield from DDStore.create(
             ctx.comm, _source(ctx), dataplane=DataPlaneOptions(cache_bytes=1 << 20)
         )
+        buffers = store.transport.win.window.buffers
+        at_create = {r: buf.copy() for r, buf in buffers.items()}
         lo, hi = store.local_range
         ids = [hi % 32, lo, hi % 32, (hi + 1) % 32, (hi + 9) % 32]  # twice, local, coalesced
+        owners, offsets, sizes = store.registry.locate_batch(np.asarray(ids))
+
+        def check(blobs):
+            for blob, owner, off, nb in zip(blobs, owners, offsets, sizes):
+                rank = int(owner) + store._group_base
+                home = buffers[rank]
+                assert np.array_equal(blob, at_create[rank][off : off + nb])
+                assert np.shares_memory(blob, home)
+                assert blob.ctypes.data == home.ctypes.data + off  # *the* bytes, in place
+
         blobs = yield from store.get_samples(ids, decode="raw")
-        want = [blob.copy() for blob in blobs]
-        window = {r: buf.copy() for r, buf in store.transport.win.window.buffers.items()}
-        yield from ctx.comm.barrier()  # peers have read this rank's window
-        for blob in blobs:
-            assert not blob.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                blob[:] = 0xA0
-            assert not any(np.shares_memory(blob, buf) for buf in window.values())
-        n_views = sum(blob.base is not None for blob in blobs)
-        now = [blob.copy() for blob in blobs]  # what each blob should hold
-        for i, blob in enumerate(blobs):
-            if blob.base is None:  # owns its bytes: the flag can be forced
-                blob.setflags(write=True)
-                blob[:] = now[i][:] = 0xA0 + i
-            for other, expect in zip(blobs, now):
-                assert np.array_equal(other, expect)
-        for r, buf in store.transport.win.window.buffers.items():
-            assert np.array_equal(buf, window[r])
+        check(blobs)
         hits = store.stats.n_cache_hits
         again = yield from store.get_samples(ids, decode="raw")
-        assert store.stats.n_cache_hits > hits  # served from the cache's own copies
-        for got, expect in zip(again, want):
-            assert np.array_equal(got, expect) and not got.flags.writeable
-            assert not any(np.shares_memory(got, blob) for blob in blobs)
-        yield from ctx.comm.barrier()
-        return n_views
+        assert store.stats.n_cache_hits - hits == len(ids) - 1  # all but the local one
+        check(again)
+        cached = list(store.cache.dram._entries.values())
+        assert len(cached) == 3
+        for arr in [*blobs, *again, *cached, *buffers.values()]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = 0xA0
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.setflags(write=True)
+        yield from ctx.comm.barrier()  # every rank has read and poked at every window
+        for r, buf in buffers.items():
+            assert np.array_equal(buf, at_create[r])
+        return True
 
-    assert all(n >= 3 for n in run(main).results)  # the wire samples were views
+    assert all(run(main).results)
 
 
 def test_width_error_lists_valid_divisors():

@@ -206,21 +206,43 @@ def test_get_batch_empty_is_noop():
     assert job.results == [[], []]
 
 
-def test_get_returns_copy_not_view():
+def test_a_get_is_a_snapshot():
+    """A get is a read-only view of the target's frozen buffer, not a copy:
+    nobody can write window memory in place (so the view cannot change),
+    and a ``put`` by the exclusive-lock holder swaps the buffer — an
+    earlier get keeps the old bytes, a later one sees the new ones."""
+
     def main(ctx):
-        win = yield from create_window(ctx.comm, _make_local(ctx.rank))
+        local = _make_local(ctx.rank)
+        win = yield from create_window(ctx.comm, local)
         yield from win.fence()
         if ctx.rank == 0:
             yield from win.lock(1, LOCK_SHARED)
-            data = yield from win.get(1, 0, 8)
+            early = yield from win.get(1, 0, 8)
             yield from win.unlock(1)
-            before = data.copy()
-            win.window.buffers[1][:] = 255  # target mutates afterwards
-            return np.array_equal(data, before)
+            assert not early.flags.writeable
+            assert np.shares_memory(early, win.window.buffers[1])
+            with pytest.raises(ValueError, match="read-only"):
+                win.window.buffers[1][:] = 255
+            with pytest.raises(ValueError, match="read-only"):
+                early[:] = 255
+            with pytest.raises(ValueError, match="read-only"):
+                local[:] = 255  # the array handed to create_window is the window's now
+            with pytest.raises(ValueError):
+                early.setflags(write=True)
+            yield from win.lock(1, LOCK_EXCLUSIVE)
+            yield from win.put(np.full(4, 255, dtype=np.uint8), 1, 2)
+            yield from win.unlock(1)
+            yield from win.lock(1, LOCK_SHARED)
+            late = yield from win.get(1, 0, 8)
+            yield from win.unlock(1)
+            assert not win.window.buffers[1].flags.writeable
+            return early.tolist(), late.tolist()
         return None
 
-    job = run(main)
-    assert job.results[0] is True
+    early, late = run(main).results[0]
+    assert early == [1] * 8
+    assert late == [1, 1, 255, 255, 255, 255, 1, 1]
 
 
 def test_get_log_records_latencies():

@@ -32,6 +32,7 @@ from repro.core import (
     DDStoreDataset,
     GeneratorSource,
     PreloadResult,
+    ReaderSource,
     ResilienceOptions,
     ServingOptions,
     StoreClosedError,
@@ -39,12 +40,12 @@ from repro.core import (
 from repro.dataplane import WaveWindow
 from repro.dataplane.scheduler import EpochScheduler
 from repro.faults import FaultPlan, SlowRank, install_faults
-from repro.graphs import BatchArena, IsingGenerator
+from repro.graphs import SAMPLE_ALLOCATIONS, BatchArena, IsingGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
 from repro.mpi.comm import World
 from repro.obs import Observer
-from repro.storage import HEADER_NBYTES, pack_graph, unpack_graph
+from repro.storage import HEADER_NBYTES, CFFReader, CFFWriter, pack_graph, unpack_graph
 
 N = 32  # 4 ranks x 8 samples in the default TESTBOX world
 GEN = IsingGenerator(N, seed=3)
@@ -227,6 +228,131 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
         assert n_node_waves == 1  # phase (c) really took the node path
     coords = world.__dict__.get("_node_fetch_coords", {})
     assert all(not c.entries for c in coords.values()), "a node rendezvous was left open"
+
+
+# ---------------------------------------------------------------------------
+# written once, read as views: nothing ever writes a dataset byte
+# ---------------------------------------------------------------------------
+
+def _sha(buf) -> str:
+    return hashlib.sha256(buf).hexdigest()
+
+
+def _resident_digests(ctx, store) -> dict:
+    """sha256 of every VFS file and of every window buffer this rank can
+    see (all of them over RMA, its own under the two-sided transport)."""
+    out = {("file", path): _sha(f.data) for path, f in ctx.world.vfs._files.items()}
+    win = store.win
+    buffers = win.window.buffers if win is not None else {ctx.rank: store.transport.local_buffer()}
+    out.update({("window", store.generation, r): _sha(buf) for r, buf in buffers.items()})
+    return out
+
+
+def _refuses_writes(store) -> bool:
+    """Every resident dataset byte the store can reach is behind a
+    read-only handle: window buffers, cache entries of every tier, NVMe
+    shards."""
+    cache = store.cache
+    arrays = [store.transport.local_buffer()]
+    if store.win is not None:
+        arrays += store.win.window.buffers.values()
+    for _name, pool in cache._fast:
+        arrays += pool._entries.values()
+    if cache.nvme is not None:
+        arrays += [payload for payload, _has_header in cache.nvme._entries.values()]
+    return not any(a.flags.writeable for a in arrays)
+
+
+@given(
+    base=st.lists(
+        st.lists(st.integers(0, N - 1), min_size=1, max_size=6), min_size=2, max_size=3
+    ),
+    columnar=st.booleans(),
+    cache=st.sampled_from([None, "dram", "gpu+dram+nvme"]),
+    framework=st.sampled_from(["mpi-rma", "p2p"]),
+    node_fetch=st.booleans(),
+    reshard=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_nothing_ever_writes_a_dataset_byte(base, columnar, cache, framework, node_fetch, reshard):
+    """Gets, cache parks, NVMe staging and VFS reads all hand out views of
+    one resident copy — which is only safe if nothing writes through any
+    of them.  After an epoch of demand + wave fetches (optionally across a
+    reshard) every window buffer and VFS file still has its at-create
+    sha256, every delivered sample equals the reference ``pack_graph``
+    bytes, and every sample requested was served exactly once."""
+    ref = ReferenceSource()
+    scheduled = cache is not None
+
+    def batches_of(rank):
+        return [[(i + 5 * rank) % N for i in b] for b in base]
+
+    def main(ctx):
+        vfs = ctx.world.vfs
+        if ctx.rank == 0:
+            CFFWriter.write(vfs, "ds", GEN, n_subfiles=3)
+        yield from ctx.comm.barrier()
+        reader = CFFReader(vfs, "ds", ctx.world.machine)
+        store = yield from DDStore.create(
+            ctx.comm,
+            ReaderSource(reader),
+            dataplane=DataPlaneOptions(
+                framework=framework, columnar=columnar, scheduler=scheduled,
+                node_fetch=node_fetch and scheduled, **(CACHES[cache] if scheduled else {}),
+            ),
+        )
+        digests = _resident_digests(ctx, store)
+        batches = batches_of(ctx.rank)
+        arena = BatchArena()
+        problems = []
+
+        def epoch(phase, window):
+            if scheduled:
+                yield from store.prefetch_wave(batches, window=window)
+            for idx in batches:
+                before = store.stats.n_total
+                if columnar:
+                    yield from store.get_batch_arena(idx, arena)
+                    ok = _arena_matches(arena, idx, ref)
+                else:
+                    got = yield from store.get_samples(idx, decode="raw")
+                    ok = [g.tobytes() for g in got] == [PACKED[i] for i in idx]
+                    ok = ok and not any(g.flags.writeable for g in got)
+                if not ok:
+                    problems.append(f"{phase}: batch {idx} differs from the reference")
+                if store.stats.n_total - before != len(idx):
+                    problems.append(f"{phase}: conservation broken on batch {idx}")
+            if not _refuses_writes(store):
+                problems.append(f"{phase}: a resident dataset byte is writable")
+
+        window = WaveWindow(0, (0, len(batches)), batches_of) if node_fetch else None
+        yield from epoch("cold", window)
+        yield from epoch("warm", None)
+        if reshard:
+            old = store
+            store = yield from old.reshard(width=2)
+            digests.update(_resident_digests(ctx, store))
+            yield from epoch("resharded", None)
+            now = {**_resident_digests(ctx, old), **_resident_digests(ctx, store)}
+        else:
+            now = _resident_digests(ctx, store)
+        yield from ctx.comm.barrier()  # every rank is done reading
+        blob, _timing = vfs.read_timed("ds/data.0.bin", 0, 0, 8, ctx.now)
+        with pytest.raises(TypeError):
+            blob[0] = 0
+        return problems, now == digests, len(digests)
+
+    SAMPLE_ALLOCATIONS.reset()
+    for problems, unchanged, n_digests in run_world(TESTBOX, 2, main).results:
+        assert not problems, problems
+        assert n_digests >= 4 + 1  # the CFF files + at least this rank's window
+        assert unchanged, "a window buffer or VFS file changed after create"
+    if not scheduled:  # (a wave's row blobs count too)
+        # The counter counts row blobs handed out — views included, one per
+        # sample whether local or wire — and nothing else.  (A p2p reshard
+        # pulls each new chunk through ``get_samples``: two groups x N.)
+        rows = 0 if columnar else 4 * (2 + reshard) * sum(map(len, base))
+        assert SAMPLE_ALLOCATIONS.count == rows + 2 * N * (reshard and framework == "p2p")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.storage import (
     CFFWriter,
     CodecError,
     FileExists,
+    FileSealed,
     FileNotFound,
     PFFReader,
     PFFWriter,
@@ -147,17 +148,25 @@ def test_vfs_read_whole_timed_spans_chunks(vfs):
 
 
 @pytest.mark.parametrize("whole", [False, True])
-def test_vfs_reads_are_snapshots_and_leave_file_appendable(vfs, whole):
-    vfs.create("log", b"abcdef")
+def test_vfs_reads_are_readonly_views_and_seal_the_file(vfs, whole):
+    """Written once, read as views: a read is a read-only view of the file
+    (no copy), the first read seals the file against ``append``, and
+    ``create(overwrite=True)`` swaps the file object so a reader keeps the
+    bytes it was given."""
+    vfs.create("log", b"abc")
+    assert vfs.append("log", b"def") == 3  # appendable until first read
     if whole:
         data, _ = vfs.read_whole_timed("log", 0, arrival=0.0)
     else:
         data, _ = vfs.read_timed("log", 0, 0, 6, arrival=0.0)
-    assert type(data) is bytes
-    # A returned view of the bytearray would make this raise BufferError
-    # (or show the new contents through the old handle).
-    assert vfs.append("log", b"ghi" * 4096) == 6
-    vfs.stat("log").data[0:3] = b"XYZ"
+    assert isinstance(data, memoryview) and data.readonly
+    assert data == b"abcdef"
+    assert data.obj is vfs.stat("log").data  # a view of the file, not a copy
+    with pytest.raises(TypeError):
+        data[0] = 0
+    with pytest.raises(FileSealed, match="sealed"):
+        vfs.append("log", b"ghi")
+    vfs.create("log", b"XYZdefghi", overwrite=True)
     assert data == b"abcdef"
     assert vfs.read_timed("log", 0, 0, 9, arrival=0.0)[0] == b"XYZdefghi"
 
@@ -312,11 +321,12 @@ def test_cff_read_chunk_raw_bulk_matches_per_sample(vfs):
     assert len(blobs) == 9
     for k, i in enumerate(range(2, 11)):
         expected, _ = reader.read_sample_raw(i, 0, 0.0)
-        assert type(expected) is bytes
+        assert isinstance(expected, memoryview) and expected.readonly
         assert blobs[k] == expected
         assert blobs[k].readonly and blobs[k].format == "B"
-    # pieces outlive an append to the container they were read from
-    vfs.append("bulk/data.0.bin", b"tail")
+    # the pieces are views of the container, which reading sealed
+    with pytest.raises(FileSealed):
+        vfs.append("bulk/data.0.bin", b"tail")
     assert blobs[0] == reader.read_sample_raw(2, 0, 0.0)[0]
 
 
