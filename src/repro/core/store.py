@@ -49,7 +49,7 @@ from ..dataplane.retry import RetryPolicy, TargetHealth
 from ..dataplane.transport import Transport
 from ..graphs import BatchArena
 from ..mpi import Comm
-from ..storage import peek_header
+from ..storage import peek_headers
 from .chunking import ChunkLayout
 from .config import (
     DataPlaneOptions,
@@ -353,27 +353,22 @@ class DDStore:
     def _local_shape_row(result) -> np.ndarray:
         """Header-sweep this member's chunk into one allgatherable row:
         ``[f_dim, y_dim, sample_ids..., n_nodes..., n_edges...]``."""
-        k = int(result.sizes.size)
-        sids = np.empty(k, np.int64)
-        nn = np.empty(k, np.int64)
-        ne = np.empty(k, np.int64)
-        f_dim = y_dim = -1
-        buf = result.buffer
-        off = 0
-        for i in range(k):
-            nb = int(result.sizes[i])
-            sid, n_nodes, n_edges, fd, yd = peek_header(buf[off : off + nb])
-            sids[i], nn[i], ne[i] = sid, n_nodes, n_edges
-            if f_dim == -1:
-                f_dim, y_dim = fd, yd
-            elif (fd, yd) != (f_dim, y_dim):
-                raise ValueError(
-                    "columnar data plane requires uniform feature/output dims: "
-                    f"sample {sid} has ({fd}, {yd}), chunk started with "
-                    f"({f_dim}, {y_dim})"
-                )
-            off += nb
-        return np.concatenate(([f_dim, y_dim], sids, nn, ne)).astype(np.int64)
+        sizes = result.sizes.tolist()
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
+        rec = peek_headers([result.buffer[o : o + n] for o, n in zip(starts, sizes)])
+        fd, yd = rec["feature_dim"], rec["output_dim"]
+        f_dim, y_dim = (int(fd[0]), int(yd[0])) if rec.size else (-1, -1)
+        odd = np.flatnonzero((fd != f_dim) | (yd != y_dim))
+        if odd.size:
+            i = odd[0]
+            raise ValueError(
+                "columnar data plane requires uniform feature/output dims: "
+                f"sample {rec['sample_id'][i]} has ({fd[i]}, {yd[i]}), chunk started with "
+                f"({f_dim}, {y_dim})"
+            )
+        return np.concatenate(
+            ([f_dim, y_dim], rec["sample_id"], rec["n_nodes"], rec["n_edges"])
+        ).astype(np.int64)
 
     # ------------------------------------------------------------------
     # inspection

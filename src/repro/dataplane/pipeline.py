@@ -483,7 +483,7 @@ class _RowSink:
         if self.decode:
             SAMPLE_ALLOCATIONS.bump(len(self.blobs))
             return [unpack_graph(b) for b in self.blobs], decode_s
-        return [SampleStats.from_blob(b) for b in self.blobs], decode_s
+        return SampleStats.from_blobs(self.blobs), decode_s
 
 
 class _ArenaSink:

@@ -190,19 +190,14 @@ class Interconnect:
             origin_in = self.cluster.nodes[origin_node_idx].nic_in
             service = (nic.message_overhead_s + nbytes[remote_idx] / nic.bandwidth_Bps) * jit[remote_idx]
             request_arrive = ready[remote_idx] + nic.latency_s
-            done = np.empty(remote_idx.size, dtype=np.float64)
-            tnodes = target_nodes[remote_idx]
             nodes = self.cluster.nodes
-            remote_nb = nbytes[remote_idx]
-            for k in range(remote_idx.size):
-                injected = nodes[int(tnodes[k])].nic_out.serve(
-                    float(request_arrive[k]), float(service[k]),
-                    nbytes=int(remote_nb[k]),
-                )
-                done[k] = origin_in.serve(
-                    injected + nic.latency_s, float(service[k]),
-                    nbytes=int(remote_nb[k]),
-                )
+            done = []
+            for tnode, arrive, serv, nb in zip(
+                target_nodes[remote_idx].tolist(), request_arrive.tolist(),
+                service.tolist(), nbytes[remote_idx].astype(np.int64).tolist(),
+            ):
+                injected = nodes[tnode].nic_out.serve(arrive, serv, nbytes=nb)
+                done.append(origin_in.serve(injected + nic.latency_s, serv, nbytes=nb))
             completions[remote_idx] = done
 
         if self.faults is not None:

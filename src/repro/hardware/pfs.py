@@ -19,11 +19,8 @@ The cache stores timing metadata only; the real bytes live in
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
-import numpy as np
-
-from ..sim import Engine, QueueStation, RngRegistry
+from ..sim import BlockDraws, Engine, QueueStation, RngRegistry
 from .topology import PFSSpec
 
 __all__ = ["ParallelFileSystem", "PageCache", "IoTiming"]
@@ -31,11 +28,15 @@ __all__ = ["ParallelFileSystem", "PageCache", "IoTiming"]
 _MEM_READ_LATENCY_S = 1.2e-6  # page-cache hit: one memcpy + syscall
 
 
-@dataclass(frozen=True)
 class IoTiming:
-    completion: float
-    latency: float
-    cached_fraction: float  # fraction of requested bytes served from cache
+    """Timing of one PFS read."""
+
+    __slots__ = ("completion", "latency", "cached_fraction")
+
+    def __init__(self, completion: float, latency: float, cached_fraction: float) -> None:
+        self.completion = completion
+        self.latency = latency
+        self.cached_fraction = cached_fraction  # fraction of requested bytes served from cache
 
 
 class PageCache:
@@ -50,23 +51,26 @@ class PageCache:
         self.hits = 0
         self.misses = 0
 
-    def _blocks(self, offset: int, nbytes: int) -> range:
-        first = offset // self.block_bytes
-        last = (offset + max(nbytes, 1) - 1) // self.block_bytes
-        return range(first, last + 1)
-
     def access(self, file_id: int, offset: int, nbytes: int) -> tuple[int, int]:
         """Touch the blocks covering [offset, offset+nbytes); returns
-        (hit_blocks, miss_blocks) and inserts missing blocks."""
+        (hit_blocks, miss_blocks) and inserts missing blocks, evicting the
+        least recently used block past capacity."""
+        block = self.block_bytes
+        b = offset // block
+        last = (offset + (nbytes if nbytes > 1 else 1) - 1) // block
+        lru = self._lru
         hit = miss = 0
-        for b in self._blocks(offset, nbytes):
+        while b <= last:
             key = (file_id, b)
-            if key in self._lru:
-                self._lru.move_to_end(key)
+            if key in lru:
+                lru.move_to_end(key)
                 hit += 1
             else:
+                lru[key] = None
                 miss += 1
-                self._insert(key)
+                if len(lru) > self.capacity_blocks:
+                    lru.popitem(last=False)
+            b += 1
         self.hits += hit
         self.misses += miss
         return hit, miss
@@ -74,22 +78,19 @@ class PageCache:
     def prefetch(self, file_id: int, offset: int, nbytes: int) -> int:
         """Insert blocks without counting hits (read-ahead); returns the
         number of blocks that were not already resident."""
-        added = 0
-        for b in self._blocks(offset, nbytes):
-            key = (file_id, b)
-            if key not in self._lru:
-                added += 1
-            self._insert(key)
+        hits, misses = self.hits, self.misses
+        _, added = self.access(file_id, offset, nbytes)
+        self.hits, self.misses = hits, misses
         return added
 
-    def _insert(self, key: tuple[int, int]) -> None:
-        self._lru[key] = None
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.capacity_blocks:
-            self._lru.popitem(last=False)
-
     def contains(self, file_id: int, offset: int, nbytes: int) -> bool:
-        return all((file_id, b) in self._lru for b in self._blocks(offset, nbytes))
+        first = offset // self.block_bytes
+        last = (offset + max(nbytes, 1) - 1) // self.block_bytes
+        return all((file_id, b) in self._lru for b in range(first, last + 1))
+
+    def clear(self) -> None:
+        """Evict every block (the hit/miss counters are kept)."""
+        self._lru.clear()
 
     @property
     def hit_rate(self) -> float:
@@ -98,7 +99,8 @@ class PageCache:
 
 
 class ParallelFileSystem:
-    """Shared PFS: MDS pool + OST pool, one page cache per client node."""
+    """Shared PFS: MDS pool + OST pool, one page cache per client node.
+    Jitter and churn are drawn in blocks (:class:`BlockDraws`)."""
 
     def __init__(self, engine: Engine, spec: PFSSpec, n_client_nodes: int, seed: int = 0) -> None:
         self.engine = engine
@@ -112,6 +114,9 @@ class ParallelFileSystem:
             for _ in range(n_client_nodes)
         ]
         self._rng = RngRegistry("pfs", spec.name, seed)
+        self._mds_jitter = BlockDraws(self._rng.get("mds"), "lognormal", mean=-0.02, sigma=0.2)
+        self._ost_jitter = BlockDraws(self._rng.get("ost"), "lognormal", mean=-0.045, sigma=0.3)
+        self._churn: dict[int, BlockDraws] = {}  # node -> uniforms, made on first hit
         self.metadata_ops = 0
         self.read_ops = 0
         self.bytes_read = 0
@@ -120,10 +125,10 @@ class ParallelFileSystem:
     def metadata_op(self, path_hash: int, arrival: float) -> float:
         """One open/stat; returns its completion time."""
         self.metadata_ops += 1
-        station = self.mds[path_hash % len(self.mds)]
-        jit = float(self._rng.get("mds").lognormal(mean=-0.02, sigma=0.2))
-        finish = station.serve(arrival, self.spec.metadata_service_s * jit)
-        return finish + self.spec.metadata_latency_s * jit
+        jit = self._mds_jitter.draw()
+        spec = self.spec
+        finish = self.mds[path_hash % len(self.mds)].serve(arrival, spec.metadata_service_s * jit)
+        return finish + spec.metadata_latency_s * jit
 
     # -- data --------------------------------------------------------------
     def _ost_of(self, file_id: int, stripe_index: int) -> QueueStation:
@@ -132,6 +137,18 @@ class ParallelFileSystem:
         # filesystem has many — a key source of the CFF contention tail.
         within = stripe_index % max(1, self.spec.stripe_count)
         return self.osts[(file_id * 131 + within) % len(self.osts)]
+
+    def _evicted(self, node_index: int, hit_blocks: int) -> int:
+        """How many of ``hit_blocks`` resident blocks competing jobs evicted."""
+        draws = self._churn.get(node_index)
+        if draws is None:
+            draws = self._churn[node_index] = BlockDraws(
+                self._rng.get("churn", node_index), "random"
+            )
+        p = self.spec.cache_churn
+        if hit_blocks == 1:
+            return 1 if draws.draw() < p else 0
+        return sum(u < p for u in draws.take(hit_blocks))
 
     def read(
         self,
@@ -152,14 +169,14 @@ class ParallelFileSystem:
             raise ValueError("negative read size")
         self.read_ops += 1
         self.bytes_read += nbytes
+        spec = self.spec
         cache = self.caches[node_index]
         hit_blocks, miss_blocks = cache.access(file_id, offset, nbytes)
         # Multi-tenant churn: even a "resident" dataset occasionally finds
         # its blocks evicted by competing jobs sharing the node — the tail
         # the paper observes on the otherwise cache-friendly Ising set.
-        if hit_blocks and self.spec.cache_churn > 0.0:
-            rng = self._rng.get("churn", node_index)
-            evicted = int(np.sum(rng.random(hit_blocks) < self.spec.cache_churn))
+        if hit_blocks and spec.cache_churn > 0.0:
+            evicted = self._evicted(node_index, hit_blocks)
             hit_blocks -= evicted
             miss_blocks += evicted
         total_blocks = hit_blocks + miss_blocks
@@ -170,29 +187,26 @@ class ParallelFileSystem:
         if miss_blocks:
             miss_bytes = miss_blocks * cache.block_bytes
             if sequential:
-                ra = self.spec.readahead_bytes
+                ra = spec.readahead_bytes
                 cache.prefetch(file_id, offset + nbytes, ra)
                 miss_bytes += ra  # the drive streams the read-ahead window too
-            stripe = self.spec.stripe_size_bytes
-            first_stripe = offset // stripe
-            last_stripe = (offset + max(nbytes, 1) - 1) // stripe
-            jit = float(self._rng.get("ost").lognormal(mean=-0.045, sigma=0.3))
-            per_stripe = max(1, last_stripe - first_stripe + 1)
-            bytes_per_stripe = miss_bytes / per_stripe
+            stripe = spec.stripe_size_bytes
+            s = offset // stripe
+            last_stripe = (offset + (nbytes if nbytes > 1 else 1) - 1) // stripe
+            jit = self._ost_jitter.draw()
+            bytes_per_stripe = miss_bytes / (last_stripe - s + 1)
+            service = (spec.ost_read_latency_s + bytes_per_stripe / spec.ost_bandwidth_Bps) * jit
+            osts, n_osts = self.osts, len(self.osts)
+            stripe_count = spec.stripe_count if spec.stripe_count > 1 else 1
+            base = file_id * 131
             finish = arrival
-            for s in range(first_stripe, last_stripe + 1):
-                station = self._ost_of(file_id, s)
-                service = (
-                    self.spec.ost_read_latency_s
-                    + bytes_per_stripe / self.spec.ost_bandwidth_Bps
-                ) * jit
-                finish = max(finish, station.serve(arrival, service))
+            while s <= last_stripe:
+                done = osts[(base + s % stripe_count) % n_osts].serve(arrival, service)
+                if done > finish:
+                    finish = done
+                s += 1
             completion = finish + latency
-        return IoTiming(
-            completion=completion,
-            latency=completion - arrival,
-            cached_fraction=cached_fraction,
-        )
+        return IoTiming(completion, completion - arrival, cached_fraction)
 
     def write(self, node_index: int, file_id: int, nbytes: int, arrival: float) -> float:
         """Buffered write: charge OST bandwidth, return completion time."""
@@ -210,4 +224,4 @@ class ParallelFileSystem:
 
     def drop_caches(self) -> None:
         for cache in self.caches:
-            cache._lru.clear()
+            cache.clear()

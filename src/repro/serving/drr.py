@@ -89,7 +89,7 @@ class DrrArbiter:
         """Wait for a byte grant toward this target (a generator)."""
         if nbytes <= 0 or self.try_acquire(nbytes, cls, cap):
             return
-        ev = Event(self.engine, name=f"drr:{tenant}")
+        ev = Event(self.engine, name=("drr:{}", tenant))
         self._queues.setdefault(tenant, deque()).append((nbytes, weight, cls, cap, ev))
         self._queued[cls] = self._queued.get(cls, 0) + 1
         self._pump()
@@ -314,7 +314,7 @@ class TenantLane:
 
     # -- plumbing ----------------------------------------------------------
     def _wait(self) -> Event:
-        ev = Event(self.engine, name=f"lane:{self.tenant}")
+        ev = Event(self.engine, name=("lane:{}", self.tenant))
         self._waiters.append(ev)
         return ev
 

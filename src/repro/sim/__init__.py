@@ -2,7 +2,7 @@
 
 from .engine import AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout
 from .resources import FluidStation, QueueStation, Request, Resource, RWLock, Store
-from .rng import RngRegistry, derive_seed, stream
+from .rng import BlockDraws, RngRegistry, derive_seed, stream
 from .trace import Span, Tracer
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "QueueStation",
     "FluidStation",
     "RngRegistry",
+    "BlockDraws",
     "stream",
     "derive_seed",
     "Tracer",

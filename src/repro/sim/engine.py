@@ -49,17 +49,27 @@ class Event:
     exception to be re-raised inside every waiter).
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_exc", "triggered", "name")
+    __slots__ = ("engine", "callbacks", "_value", "_exc", "triggered", "_name")
 
-    def __init__(self, engine: "Engine", name: str = "") -> None:
+    def __init__(self, engine: "Engine", name: "str | tuple[str, Any]" = "") -> None:
         self.engine = engine
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self.triggered = False
-        self.name = name
+        self._name = name
 
     # -- inspection ------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """The event's label.  A ``(template, arg)`` name is formatted here,
+        on read: hot-path events (timeouts, lock and resource grants,
+        process kicks) never pay for a label nobody looks at."""
+        name = self._name
+        if type(name) is tuple:
+            return name[0].format(name[1])
+        return name
+
     @property
     def value(self) -> Any:
         if not self.triggered:
@@ -121,9 +131,12 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative Timeout delay: {delay}")
-        super().__init__(engine, name=f"timeout({delay:g})")
-        self.triggered = True
+        self.engine = engine
+        self.callbacks = []
         self._value = value
+        self._exc = None
+        self.triggered = True
+        self._name = ("timeout({:g})", delay)
         engine._schedule(engine.now + delay, self)
 
 
@@ -144,7 +157,7 @@ class Process(Event):
         self.generator = generator
         self._waiting_on: Optional[Event] = None
         # Kick off the coroutine at the current simulation time.
-        init = Event(engine, name=f"init:{self.name}")
+        init = Event(engine, name=("init:{.name}", self))
         init.succeed()
         init.add_callback(self._resume)
 
@@ -163,7 +176,7 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
-        kick = Event(self.engine, name=f"interrupt:{self.name}")
+        kick = Event(self.engine, name=("interrupt:{.name}", self))
         kick.fail(Interrupt(cause))
         kick.add_callback(self._resume)
 

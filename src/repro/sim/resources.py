@@ -31,7 +31,7 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.engine, name=f"request:{resource.name}")
+        super().__init__(resource.engine, name=("request:{.name}", resource))
         self.resource = resource
 
 
@@ -95,7 +95,7 @@ class RWLock:
         self._wait_writers: deque[Event] = deque()
 
     def acquire_shared(self) -> Event:
-        ev = Event(self.engine, name=f"{self.name}:shared")
+        ev = Event(self.engine, name=("{.name}:shared", self))
         if not self.writer and not self._wait_writers:
             self.readers += 1
             ev.succeed(self)
@@ -104,7 +104,7 @@ class RWLock:
         return ev
 
     def acquire_exclusive(self) -> Event:
-        ev = Event(self.engine, name=f"{self.name}:exclusive")
+        ev = Event(self.engine, name=("{.name}:exclusive", self))
         if not self.writer and self.readers == 0:
             self.writer = True
             ev.succeed(self)
@@ -156,7 +156,7 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        ev = Event(self.engine, name=f"get:{self.name}")
+        ev = Event(self.engine, name=("get:{.name}", self))
         if self._items:
             ev.succeed(self._items.popleft())
         else:

@@ -23,8 +23,8 @@ import numpy as np
 from ..graphs import AtomicGraph
 from ..graphs.datasets import GraphGenerator
 from ..hardware import MachineSpec
-from ..sim.rng import RngRegistry
-from .serialization import pack_graph, peek_header, unpack_graph
+from ..sim.rng import BlockDraws, stream
+from .serialization import pack_graph, peek_header, peek_headers, unpack_graph
 from .vfs import VirtualFS
 
 # I/O-library software path (pickle.load / ADIOS inquiry+get) jitter: the
@@ -63,15 +63,17 @@ class SampleStats:
 
     @classmethod
     def from_blob(cls, blob) -> "SampleStats":
-        sid, n_nodes, n_edges, f_dim, y_dim = peek_header(blob)
-        return cls(
-            sample_id=sid,
-            n_nodes=n_nodes,
-            n_edges=n_edges,
-            feature_dim=f_dim,
-            output_dim=y_dim,
-            nbytes=len(blob),
-        )
+        return cls(*peek_header(blob), len(blob))
+
+    @classmethod
+    def from_blobs(cls, blobs) -> "list[SampleStats]":
+        """``[from_blob(b) for b in blobs]``, every header parsed in one pass."""
+        rec = peek_headers(blobs)
+        return list(map(
+            cls, *(rec[f].tolist() for f in ("sample_id", "n_nodes", "n_edges",
+                                             "feature_dim", "output_dim")),
+            map(len, blobs),
+        ))
 
 
 class SampleReader(Protocol):
@@ -99,6 +101,14 @@ class SampleReader(Protocol):
         ...
 
     def sample_nbytes(self, index: int) -> int: ...
+
+
+def _software_jitter(kind: str, root: str) -> BlockDraws:
+    """Per-read I/O-library jitter (mean 1) of one reader of ``root``."""
+    return BlockDraws(
+        stream(kind, root, "sw"), "lognormal",
+        mean=-0.5 * _SOFTWARE_JITTER_SIGMA**2, sigma=_SOFTWARE_JITTER_SIGMA,
+    )
 
 
 def decode_time(machine: MachineSpec, nbytes: int) -> float:
@@ -143,12 +153,7 @@ class PFFReader:
         probe = _pff_path(self.root, 0)
         if not self.vfs.exists(probe):
             raise FileNotFoundError(f"PFF dataset not found under {self.root!r}")
-        self._rng = RngRegistry("pff-reader", self.root)
-
-    def _software_time(self) -> float:
-        jit = float(self._rng.get("sw").lognormal(mean=-0.5 * _SOFTWARE_JITTER_SIGMA**2,
-                                                  sigma=_SOFTWARE_JITTER_SIGMA))
-        return self.machine.file_read_software_s * jit
+        self._sw_jitter = _software_jitter("pff-reader", self.root)
 
     def sample_nbytes(self, index: int) -> int:
         return self.vfs.stat(_pff_path(self.root, index)).size
@@ -157,10 +162,9 @@ class PFFReader:
         self, index: int, node_index: int, arrival: float
     ) -> tuple[memoryview, float]:
         """Timed open + read of the packed sample (decode not included)."""
-        path = _pff_path(self.root, index)
-        f, t_open = self.vfs.open_timed(path, arrival)
-        data, timing = self.vfs.read_timed(f, node_index, 0, f.size, t_open)
-        return data, timing.completion + self._software_time()
+        f, t_open = self.vfs.open_timed(_pff_path(self.root, index), arrival)
+        data, timing = self.vfs.read_timed(f, node_index, 0, len(f.data), t_open)
+        return data, timing.completion + self.machine.file_read_software_s * self._sw_jitter.draw()
 
     def read_sample(
         self, index: int, node_index: int, arrival: float
@@ -292,12 +296,7 @@ class CFFReader:
         self._subfile_handles = [
             vfs.stat(_cff_subfile_path(root, k)) for k in range(self.index.n_subfiles)
         ]
-        self._rng = RngRegistry("cff-reader", root)
-
-    def _software_time(self) -> float:
-        jit = float(self._rng.get("sw").lognormal(mean=-0.5 * _SOFTWARE_JITTER_SIGMA**2,
-                                                  sigma=_SOFTWARE_JITTER_SIGMA))
-        return self.machine.file_read_software_s * jit
+        self._sw_jitter = _software_jitter("cff-reader", root)
 
     def load_index_timed(self, node_index: int, arrival: float) -> float:
         """Charge the one-time index load performed at startup."""
@@ -311,12 +310,12 @@ class CFFReader:
         self, index: int, node_index: int, arrival: float
     ) -> tuple[memoryview, float]:
         """Timed random read inside the container (decode not included)."""
-        k = int(self.index.subfile[index])
-        off = int(self.index.offset[index])
-        size = int(self.index.size[index])
-        f = self._subfile_handles[k]
-        data, timing = self.vfs.read_timed(f, node_index, off, size, arrival)
-        return data, timing.completion + self._software_time()
+        loc = self.index
+        data, timing = self.vfs.read_timed(
+            self._subfile_handles[loc.subfile.item(index)], node_index,
+            loc.offset.item(index), loc.size.item(index), arrival,
+        )
+        return data, timing.completion + self.machine.file_read_software_s * self._sw_jitter.draw()
 
     def read_chunk_raw(
         self, lo: int, hi: int, node_index: int, arrival: float
@@ -344,7 +343,7 @@ class CFFReader:
             span, timing = self.vfs.read_timed(
                 f, node_index, span_lo, span_hi - span_lo, t, sequential=True
             )
-            t = timing.completion + self._software_time()
+            t = timing.completion + self.machine.file_read_software_s * self._sw_jitter.draw()
             for i, off, size in zip(sel.tolist(), (offs - span_lo).tolist(), sizes.tolist()):
                 blobs[i] = span[off : off + size]
         return [blobs[i] for i in range(lo, hi)], t

@@ -33,13 +33,24 @@ __all__ = [
     "unpack_graph",
     "packed_size",
     "peek_header",
+    "peek_headers",
     "CodecError",
     "HEADER_NBYTES",
 ]
 
 MAGIC = b"AGRF"
 VERSION = 1
-_HEADER = struct.Struct("<4sHHqIIII")
+# The one AGRF header layout, (field, struct code) in order: read per blob
+# through ``_HEADER`` and per batch through ``_HEADER_DTYPE``.
+_HEADER_FIELDS = (
+    ("magic", "4s"), ("version", "H"), ("flags", "H"), ("sample_id", "q"),
+    ("n_nodes", "I"), ("n_edges", "I"), ("feature_dim", "I"), ("output_dim", "I"),
+)
+_HEADER = struct.Struct("<" + "".join(code for _, code in _HEADER_FIELDS))
+_HEADER_DTYPE = np.dtype(
+    [(name, "S4" if code == "4s" else "<" + code) for name, code in _HEADER_FIELDS]
+)
+assert _HEADER_DTYPE.itemsize == _HEADER.size
 #: Size of the AGRF record header every packed row starts with — the one
 #: owner of that number (column payloads are rows with it stripped).
 HEADER_NBYTES = _HEADER.size
@@ -84,16 +95,35 @@ def pack_graph(graph: AtomicGraph) -> bytes:
 
 
 def peek_header(buf) -> tuple[int, int, int, int, int]:
-    """Return (sample_id, n_nodes, n_edges, feature_dim, output_dim)."""
-    mv = _as_memoryview(buf)
-    if len(mv) < _HEADER.size:
-        raise CodecError(f"buffer too small for header: {len(mv)} bytes")
-    magic, version, _flags, sid, n_nodes, n_edges, f_dim, y_dim = _HEADER.unpack_from(mv, 0)
+    """Return (sample_id, n_nodes, n_edges, feature_dim, output_dim).
+
+    Unpacks straight from ``buf`` (any C-contiguous buffer): no view or
+    copy is made."""
+    try:
+        magic, version, _flags, sid, n_nodes, n_edges, f_dim, y_dim = _HEADER.unpack_from(buf)
+    except (struct.error, ValueError, BufferError):
+        mv = _as_memoryview(buf)  # a non-contiguous ndarray raises here
+        raise CodecError(f"buffer too small for header: {len(mv)} bytes") from None
     if magic != MAGIC:
         raise CodecError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CodecError(f"unsupported codec version {version}")
     return sid, n_nodes, n_edges, f_dim, y_dim
+
+
+def peek_headers(bufs) -> np.ndarray:
+    """The headers of many packed graphs in one pass: one structured record
+    per buffer (fields as in the layout above), from one view of their
+    concatenated ``HEADER_NBYTES`` prefixes.  Raises what
+    :func:`peek_header` raises for the first bad buffer."""
+    heads = b"".join([b[:HEADER_NBYTES] for b in bufs])
+    if len(heads) == len(bufs) * HEADER_NBYTES:
+        rec = np.frombuffer(heads, _HEADER_DTYPE)
+        if ((rec["magic"] == MAGIC) & (rec["version"] == VERSION)).all():
+            return rec
+    for buf in bufs:
+        peek_header(buf)
+    raise AssertionError("unreachable: some header failed the batch check")
 
 
 def unpack_graph(buf, copy: bool = True) -> AtomicGraph:

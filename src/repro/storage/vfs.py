@@ -49,6 +49,8 @@ class VirtualFile:
     logical_scale: float = 1.0
     # The one read-only view every read slices; set by the first read.
     _view: Optional[memoryview] = field(default=None, repr=False, compare=False)
+    # derive_seed("path", path): picks the MDS station; set by the first open.
+    _path_seed: Optional[int] = field(default=None, repr=False, compare=False)
 
     @property
     def sealed(self) -> bool:
@@ -142,8 +144,10 @@ class VirtualFS:
     def open_timed(self, path: str, arrival: float) -> tuple[VirtualFile, float]:
         """Metadata-op open; returns (file, completion_time)."""
         f = self.stat(path)
-        done = self.pfs.metadata_op(derive_seed("path", path), arrival)
-        return f, done
+        seed = f._path_seed
+        if seed is None:
+            seed = f._path_seed = derive_seed("path", path)
+        return f, self.pfs.metadata_op(seed, arrival)
 
     def read_timed(
         self,
@@ -162,22 +166,16 @@ class VirtualFS:
         realistic cache behaviour (see module docstring).
         """
         f = self.stat(path_or_file) if isinstance(path_or_file, str) else path_or_file
-        if offset < 0 or nbytes < 0 or offset + nbytes > f.size:
+        if offset < 0 or nbytes < 0 or offset + nbytes > len(f.data):
             raise ValueError(
                 f"read [{offset}, {offset + nbytes}) out of range for "
                 f"{f.path!r} ({f.size} bytes)"
             )
-        data = f.view()[offset : offset + nbytes]
-        logical_offset = int(offset * f.logical_scale)
+        view = f._view if f._view is not None else f.view()
         timing = self.pfs.read(
-            node_index,
-            f.file_id,
-            logical_offset,
-            nbytes,
-            arrival,
-            sequential=sequential,
+            node_index, f.file_id, int(offset * f.logical_scale), nbytes, arrival, sequential
         )
-        return data, timing
+        return view[offset : offset + nbytes], timing
 
     def read_whole_timed(
         self, path: str, node_index: int, arrival: float

@@ -416,3 +416,26 @@ def test_traced_columnar_run_satisfies_critical_path_invariant():
     stages = run.result.fetch_stages
     assert stages.get("scatter", 0.0) > 0.0
     assert stages.get("decode", 0.0) == 0.0
+
+
+def test_local_shape_row_sweeps_headers_and_rejects_mixed_dims():
+    from types import SimpleNamespace
+
+    from repro.graphs import IsingGenerator, MoleculeGenerator
+
+    def chunk(graphs):
+        blobs = [pack_graph(g) for g in graphs]
+        return SimpleNamespace(
+            sizes=np.array([len(b) for b in blobs], np.int64),
+            buffer=np.frombuffer(b"".join(blobs), np.uint8),
+        )
+
+    ising = IsingGenerator(3, seed=0)
+    graphs = [ising.make(i) for i in range(3)]
+    row = DDStore._local_shape_row(chunk(graphs))
+    assert row.dtype == np.int64
+    assert row.tolist() == [1, 1, 0, 1, 2, *[g.n_nodes for g in graphs], *[g.n_edges for g in graphs]]
+    assert DDStore._local_shape_row(chunk([])).tolist() == [-1, -1]
+    mixed = graphs[:2] + [MoleculeGenerator(1, seed=0).make(0)]
+    with pytest.raises(ValueError, match=r"sample 0 has \(7, 1\), chunk started with \(1, 1\)"):
+        DDStore._local_shape_row(chunk(mixed))

@@ -7,7 +7,7 @@ from repro.gnn import GradPayload, PhaseTimes
 from repro.hardware import TESTBOX
 from repro.mpi import run_world, sizeof
 from repro.mpi.datatypes import REDUCTIONS, reduce_values
-from repro.sim import Engine, FluidStation, RngRegistry, derive_seed, stream
+from repro.sim import BlockDraws, Engine, FluidStation, RngRegistry, derive_seed, stream
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +29,46 @@ def test_derive_seed_stable_and_sensitive():
     assert derive_seed("k", 1) == derive_seed("k", 1)
     assert derive_seed("k", 1) != derive_seed("k", 2)
     assert derive_seed("k", "1") != derive_seed("k", 1)  # type-sensitive
+
+
+# Every (distribution, parameters) the PFS model and the file readers draw
+# through BlockDraws: MDS, OST and reader-software jitter, cache churn.
+_BUFFERED = [
+    ("lognormal", dict(mean=-0.02, sigma=0.2)),
+    ("lognormal", dict(mean=-0.045, sigma=0.3)),
+    ("lognormal", dict(mean=-0.5 * 0.25**2, sigma=0.25)),
+    ("random", {}),
+]
+
+
+@pytest.mark.parametrize("dist,params", _BUFFERED, ids=lambda x: str(x))
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_block_draws_equal_scalar_draws(dist, params, block):
+    """Mixed draw/take sizes, takes that cross one or several block
+    boundaries: the values and their order are those of one scalar call per
+    draw on the same stream."""
+    draws = BlockDraws(stream("blocks", dist), dist, block=block, **params)
+    scalar = stream("blocks", dist)
+    sizes = [1, 2, 1, 5, 13, 1, 300, 3, 1, 600, 1]
+    got, want = [], []
+    for k in sizes:
+        got += [draws.draw()] if k == 1 else draws.take(k)
+        want += [float(getattr(scalar, dist)(**params)) for _ in range(k)]
+    assert got == want
+    assert all(type(x) is float for x in got)
+
+
+def test_block_draws_cover_every_buffered_stream():
+    from repro.hardware.machines import PERLMUTTER
+    from repro.hardware.pfs import ParallelFileSystem
+    from repro.storage.formats import _software_jitter
+
+    pfs = ParallelFileSystem(Engine(), PERLMUTTER.pfs, n_client_nodes=1)
+    pfs._evicted(0, 1)
+    live = [pfs._mds_jitter, pfs._ost_jitter, pfs._churn[0], _software_jitter("pff-reader", "r")]
+    for d in live:
+        params = {k: v for k, v in d._fill.keywords.items() if k != "size"}
+        assert (d._fill.func.__name__, params) in _BUFFERED
 
 
 def test_rng_registry_caches_and_advances():

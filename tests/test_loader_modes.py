@@ -20,7 +20,9 @@ from repro.core import (
 from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
-from repro.storage import CFFReader, CFFWriter, PFFReader, PFFWriter, SampleStats, pack_graph
+from repro.storage import (
+    CFFReader, CFFWriter, CodecError, PFFReader, PFFWriter, SampleStats, pack_graph,
+)
 
 
 def run(fn, n_nodes=2, **kw):
@@ -38,6 +40,29 @@ def test_sample_stats_from_blob_matches_graph():
     assert s.feature_dim == g.feature_dim
     assert s.output_dim == g.output_dim
     assert s.nbytes == len(pack_graph(g))
+
+
+def test_sample_stats_from_blobs_is_from_blob_per_blob():
+    gen = MoleculeGenerator(5, seed=0)
+    blobs = [np.frombuffer(pack_graph(gen.make(i)), np.uint8) for i in range(5)]
+    blobs.append(memoryview(pack_graph(gen.make(0))))
+    got = SampleStats.from_blobs(blobs)
+    assert got == [SampleStats.from_blob(b) for b in blobs]
+    assert all(type(v) is int for s in got for v in vars(s).values())
+    assert SampleStats.from_blobs([]) == []
+
+
+@pytest.mark.parametrize("bad,match", [
+    (b"NOPE" + bytes(60), "bad magic"),
+    (b"AGRF\x02\x00" + bytes(58), "version 2"),
+    (b"AGRF", "too small for header: 4 bytes"),
+])
+def test_sample_stats_from_blobs_raises_like_from_blob(bad, match):
+    good = pack_graph(IsingGenerator(1).make(0))
+    with pytest.raises(CodecError, match=match):
+        SampleStats.from_blob(bad)
+    with pytest.raises(CodecError, match=match):
+        SampleStats.from_blobs([good, bad, b"NOPE" + bytes(60)])
 
 
 def test_batch_stats_aggregates():

@@ -268,3 +268,33 @@ def test_station_utilisation_and_reset():
     q.reset()
     assert q.jobs_served == 0
     assert q.busy_until == 0.0
+
+
+def test_event_labels_are_built_on_read():
+    """Hot-path events carry a (template, arg) label formatted only when
+    read; the text is what the eager f-strings produced."""
+    eng = Engine()
+
+    def worker():
+        yield eng.timeout(10)
+
+    def newest():  # the event scheduled last
+        return max(eng._heap, key=lambda entry: entry[1])[2]
+
+    proc = eng.process(worker(), name="worker")
+    assert repr(newest()) == "<Event 'init:worker' triggered>"
+    eng.run(until=1)
+    proc.interrupt("stop")
+    assert repr(newest()) == "<Event 'interrupt:worker' triggered>"
+    assert repr(eng.timeout(1.5)) == "<Timeout 'timeout(1.5)' triggered>"
+    assert eng.timeout(2.5e-7).name == "timeout(2.5e-07)"
+
+    lock = RWLock(eng, name="win[3]")
+    assert repr(lock.acquire_exclusive()) == "<Event 'win[3]:exclusive' triggered>"
+    assert repr(lock.acquire_shared()) == "<Event 'win[3]:shared' pending>"
+
+    nic = Resource(eng, capacity=1, name="nic")
+    assert repr(nic.request()) == "<Request 'request:nic' triggered>"
+    assert repr(nic.request()) == "<Request 'request:nic' pending>"
+    assert repr(Store(eng, name="q").get()) == "<Event 'get:q' pending>"
+    assert repr(eng.event("plain")) == "<Event 'plain' pending>"

@@ -1,10 +1,15 @@
 """Tests for the storage substrate: codec, VFS, PFF, CFF."""
 
+import json
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import ParallelFileSystem, TESTBOX
+from repro.hardware.machines import PERLMUTTER
 from repro.sim import Engine
 from repro.storage import (
     CFFIndex,
@@ -338,3 +343,56 @@ def test_cff_read_chunk_raw_bounds(vfs):
         reader.read_chunk_raw(0, 5, 0, 0.0)
     blobs, _ = reader.read_chunk_raw(2, 2, 0, 0.0)  # empty range ok
     assert blobs == []
+
+
+# ---------------------------------------------------------------------------
+# frozen PFS/VFS timing corpus
+# ---------------------------------------------------------------------------
+
+PFS_CORPUS = os.path.join(os.path.dirname(__file__), "data", "pfs_corpus.json")
+
+
+def replay_pfs_script(script: dict) -> list:
+    """Run a scripted sequence of PFF/CFF reads on a fresh two-node PFS and
+    return, per op, ``[completion.hex(), hits, misses, metadata_ops]``
+    (cache counters summed over both nodes)."""
+    spec = replace(PERLMUTTER.pfs, **script["pfs"])
+    machine = replace(PERLMUTTER, pfs=spec)
+    pfs = ParallelFileSystem(Engine(), spec, n_client_nodes=2, seed=script["seed"])
+    vfs = VirtualFS(pfs)
+    gen = IsingGenerator(script["n_samples"], seed=script["seed"])
+    PFFWriter.write(vfs, "pff", gen)
+    CFFWriter.write(vfs, "cff", gen, **script["cff"])
+    pff = PFFReader(vfs, "pff", len(gen), machine)
+    cff = CFFReader(vfs, "cff", machine)
+    out = []
+    for op, *args in script["ops"]:
+        if op == "drop":
+            pfs.drop_caches()
+            done = 0.0
+        elif op == "index":
+            done = cff.load_index_timed(*args)
+        elif op == "chunk":
+            done = cff.read_chunk_raw(*args)[1]
+        else:
+            done = (pff if op == "pff" else cff).read_sample_raw(*args)[1]
+        out.append([
+            float(done).hex(),
+            sum(c.hits for c in pfs.caches),
+            sum(c.misses for c in pfs.caches),
+            pfs.metadata_ops,
+        ])
+    return out
+
+
+def test_pfs_timing_matches_the_frozen_corpus():
+    """``tests/data/pfs_corpus.json`` holds what the PFS/VFS read chain
+    returned, before its per-read work was hoisted and block-drawn, for a
+    seed-0 script over two nodes with cache churn on: PFF opens + reads
+    (repeats included), CFF random and sequential chunk reads, an index
+    load and a cache drop, on a small page cache with 16 KiB blocks so
+    reads span blocks and stripes and evict.  Every completion time,
+    cache hit/miss count and metadata-op count must repeat exactly."""
+    with open(PFS_CORPUS) as fh:
+        corpus = json.load(fh)
+    assert replay_pfs_script(corpus["script"]) == corpus["expected"]
