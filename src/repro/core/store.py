@@ -124,8 +124,6 @@ class DDStore:
         self._local_copy_base = machine.intra_node_latency_s
         self._local_copy_bw = machine.intra_node_bandwidth_Bps
         self.cache = self.build_cache(config.dataplane.cache_options)
-        # Snapshot of per-tier counters for delta-based metric publishing.
-        self._tier_base = self.cache.tier_counters()
         # The transport is wired over the whole job (a dup of ``comm``), so
         # plan targets are comm ranks: group rank + this group's base.
         self._my_group = config.group_of_rank(comm.rank)
@@ -143,10 +141,13 @@ class DDStore:
             if res.enabled and res.failover and config.n_replicas > 1
             else None
         )
-        # Snapshot of the cache's cumulative counters at the last
-        # get_samples sync — FetchStats accumulates *deltas* against it, so
-        # resetting ``store.stats`` mid-run cannot resurrect old cache hits.
-        self._cache_base = self.cache.stats.as_dict()
+        # Snapshots of the cache's cumulative counters (its stats at the
+        # last demand call, its tiers' at the last call) — FetchStats and
+        # the metrics accumulate *deltas* against them, so resetting
+        # ``store.stats`` mid-run cannot resurrect old cache hits.
+        self._cache_base, self._tier_base = pipeline.counter_marks(self.cache)
+        # (metrics registry, its counters this handle has published to).
+        self._published: tuple = (None, {})
         self._closed = False
         # Reshard lineage: 0 for a freshly created store, +1 per reshard.
         # Session views inherit it; metric series carry it as a label so
@@ -436,7 +437,7 @@ class DDStore:
         resharding path).
         """
         self._check_open("fetching")
-        idx = np.asarray(list(indices), dtype=np.int64)
+        idx = pipeline.sample_ids(indices)
         if idx.size == 0:
             return []
         return (yield from pipeline.get_rows(self, idx, decode, n_workers))
@@ -461,7 +462,7 @@ class DDStore:
                 "get_batch_arena needs the columnar data plane: create the "
                 "store with DataPlaneOptions(columnar=True)"
             )
-        idx = np.asarray(list(indices), dtype=np.int64)
+        idx = pipeline.sample_ids(indices)
         return (yield from pipeline.get_arena(self, idx, arena, n_workers))
 
     def prefetch_wave(
@@ -586,8 +587,7 @@ class DDStore:
         clone.__dict__.update(self.__dict__)
         clone.stats = FetchStats()
         clone.cache = cache
-        clone._tier_base = cache.tier_counters()
-        clone._cache_base = cache.stats.as_dict()
+        clone._cache_base, clone._tier_base = pipeline.counter_marks(cache)
         clone._closed = False
         clone._lane = lane
         clone._tenant = tenant

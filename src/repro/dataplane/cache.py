@@ -129,12 +129,20 @@ class TierStats:
 
 
 def _adopt(payload: np.ndarray) -> np.ndarray:
-    """``payload`` as flat bytes the cache may keep: itself when it is
-    read-only (nothing can change under the cache), else a private copy.
-    Byte-preserving — a view, never ``astype`` — so what is charged is
-    exactly what is resident."""
+    """``payload`` as read-only flat bytes the cache may keep: itself when
+    it already is a read-only flat ``uint8`` array (every payload the data
+    plane delivers — nothing can change under the cache), a read-only flat
+    view of it when it is read-only in another shape, else a private
+    frozen copy.  Byte-preserving — a view, never ``astype`` — so what is
+    charged is exactly what is resident."""
+    flags = payload.flags
+    if payload.dtype == np.uint8 and payload.ndim == 1 and flags.c_contiguous and not flags.writeable:
+        return payload
     flat = np.ascontiguousarray(payload).view(np.uint8).reshape(-1)
-    return flat.copy() if flat.flags.writeable else flat
+    if flat.flags.writeable:
+        flat = flat.copy()
+        flat.setflags(write=False)
+    return flat
 
 
 class SampleCache:
@@ -340,30 +348,38 @@ class SampleCache:
     def _insert(
         self, key: int, stored: np.ndarray, column: bool, victims: Optional[list]
     ) -> bool:
-        nbytes = int(stored.nbytes)
-        if nbytes > self.capacity_bytes:
+        nbytes = stored.nbytes
+        capacity = self.capacity_bytes
+        if nbytes > capacity:
             return False
-        refreshing = key in self._entries
-        if refreshing:
-            old = self._entries.pop(key)
-            self.used_bytes -= int(old.nbytes)
-        self._column_keys.discard(key)
-        while self.used_bytes + nbytes > self.capacity_bytes:
-            victim_key = self._victim()
-            victim = self._entries.pop(victim_key)
-            victim_column = victim_key in self._column_keys
-            self._column_keys.discard(victim_key)
-            self.used_bytes -= int(victim.nbytes)
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += int(victim.nbytes)
-            if victims is not None:
-                victims.append((victim_key, victim, victim_column))
-        self._entries[key] = stored
-        self.used_bytes += nbytes
+        entries, column_keys, stats = self._entries, self._column_keys, self.stats
+        used = self.used_bytes
+        old = entries.pop(key, None)
+        if old is not None:
+            used -= old.nbytes
+            column_keys.discard(key)
+        if used + nbytes > capacity:
+            lru = self.policy != "belady" or not self._future
+            while used + nbytes > capacity:
+                if lru:
+                    victim_key, victim = entries.popitem(last=False)
+                else:
+                    victim_key = self._victim()
+                    victim = entries.pop(victim_key)
+                victim_column = victim_key in column_keys
+                if victim_column:
+                    column_keys.discard(victim_key)
+                used -= victim.nbytes
+                stats.evictions += 1
+                stats.evicted_bytes += victim.nbytes
+                if victims is not None:
+                    victims.append((victim_key, victim, victim_column))
+        entries[key] = stored
+        self.used_bytes = used + nbytes
         if column:
-            self._column_keys.add(key)
-        if not refreshing:
-            self.stats.insertions += 1
+            column_keys.add(key)
+        if old is None:
+            stats.insertions += 1
         return True
 
     def clear(self) -> None:
@@ -402,7 +418,7 @@ class TieredCache:
     unconditional and eviction is least-recent, per tier.
 
     Two rules depend on whether anything sits below DRAM (both stated
-    once, here: :meth:`_admit_wire` and :attr:`wave_cap_bytes`; the
+    once, here: :meth:`put_many` and :attr:`wave_cap_bytes`; the
     measurements that keep them apart are in DESIGN.md §4c.3): a
     hierarchy that ends at DRAM admits every wire payload and puts no
     byte cap on a prefetch wave; one with an NVMe tier gates wire
@@ -505,11 +521,42 @@ class TieredCache:
 
     def put(self, key: int, payload: np.ndarray) -> bool:
         """Park a wire-fetched whole blob (lands in DRAM)."""
-        return self._admit_wire(self.dram.put, key, payload)
+        return self.put_many((key,), (payload,)) == 1
 
     def put_columns(self, key: int, payload: np.ndarray) -> bool:
         """Park a wire-fetched header-stripped column slice (DRAM)."""
-        return self._admit_wire(self.dram.put_columns, key, payload)
+        return self.put_many((key,), (payload,), column=True) == 1
+
+    def put_many(self, keys, payloads, column: bool = False) -> int:
+        """Park wire-fetched payloads in DRAM, in order — whole blobs, or
+        header-stripped column slices with ``column=True``.  Returns how
+        many were admitted.
+
+        The one admission loop.  Gated only when an NVMe tier sits below
+        (:meth:`_admit_ok`); a hierarchy that ends at DRAM admits every
+        payload that fits.  What the inserts force out of DRAM is demoted
+        afterwards, in eviction order: DRAM admission never looks below
+        DRAM, so that is the order-preserving equivalent of demoting after
+        each insert.
+        """
+        dram = self.dram
+        if not dram.enabled:
+            return 0
+        gated = self.nvme is not None
+        dropped = admitted = 0
+        victims: list = []
+        for key, payload in zip(keys, payloads):
+            if gated and not self._admit_ok(dram, key, int(payload.nbytes)):
+                dropped += 1
+                continue
+            if dram._insert(key, _adopt(payload), column, victims):
+                admitted += 1
+        if victims:
+            self._demote_from_dram(victims)
+        self.stats.insertions += admitted
+        if dropped:
+            self.tier_stats["dram"].dropped += dropped
+        return admitted
 
     def clear(self) -> None:
         """Drop the per-rank tiers.  The node-shared NVMe tier survives —
@@ -558,7 +605,7 @@ class TieredCache:
 
     def fast_resident(self, key: int) -> bool:
         """Is ``key`` in a per-rank tier (no device IO needed to serve)?"""
-        return (self.gpu is not None and key in self.gpu) or key in self.dram
+        return key in self.dram._entries or (self.gpu is not None and key in self.gpu._entries)
 
     def peek(self, key: int, column: bool = False) -> Optional[np.ndarray]:
         """Wire-format payload for ``key`` from a per-rank tier, or None.
@@ -718,20 +765,6 @@ class TieredCache:
             return False
         return incoming < cache._next_use(cache._victim())
 
-    def _admit_wire(self, insert, key: int, payload: np.ndarray) -> bool:
-        """Land a wire payload in DRAM through the pool's ``insert``
-        (``put`` or ``put_columns``).  Gated only when an NVMe tier sits
-        below; a hierarchy that ends at DRAM admits unconditionally."""
-        if self.nvme is not None and not self._admit_ok(self.dram, key, int(payload.nbytes)):
-            self.tier_stats["dram"].dropped += 1
-            return False
-        victims: list = []
-        if not insert(key, payload, victims):
-            return False
-        self.stats.insertions += 1
-        self._demote_from_dram(victims)
-        return True
-
     def _move_to_dram(self, key: int, stored: np.ndarray, column: bool) -> None:
         """Tier move into DRAM (zero-copy); what it displaces falls below."""
         victims: list = []
@@ -745,40 +778,40 @@ class TieredCache:
             if self._admit_ok(self.dram, key, int(payload.nbytes)):
                 self._move_to_dram(key, payload, is_column)
             else:
-                self._fall_below_dram(key, payload, is_column, ts)
+                self._fall_below_dram([(key, payload, is_column)], ts)
 
     def _demote_from_dram(self, victims: list) -> None:
         ts = self.tier_stats["dram"]
-        for key, payload, is_column in victims:
-            ts.demotions += 1
-            self._fall_below_dram(key, payload, is_column, ts)
+        ts.demotions += len(victims)
+        self._fall_below_dram(victims, ts)
 
-    def _fall_below_dram(
-        self, key: int, payload: np.ndarray, is_column: bool, ts: TierStats
-    ) -> None:
-        nbytes = int(payload.nbytes)
-        if self.nvme is not None and key in self.nvme:
-            # Bytes already resident below (pinned stage or an earlier
-            # demotion): dropping the fast copy costs nothing.
-            ts.clean_demotions += 1
+    def _fall_below_dram(self, victims: list, ts: TierStats) -> None:
+        """Let ``(key, payload, is_column)`` victims of a fast tier fall
+        below DRAM, in order, booking each on ``ts``."""
+        nvme, stats, dram = self.nvme, self.stats, self.dram
+        horizon = self.policy == "belady" and dram._future
+        if nvme is None and not horizon:
+            # Nothing below DRAM and no Belady horizon: every victim leaves.
+            ts.evictions += len(victims)
+            stats.evictions += len(victims)
+            stats.evicted_bytes += sum(payload.nbytes for _, payload, _ in victims)
             return
-        if (
-            self.policy == "belady"
-            and self.dram._future
-            and self.dram._next_use(key) == _NEVER
-        ):
-            # Belady says this entry is never referenced again inside
-            # the known horizon: an NVMe write would be pure waste.
-            ts.evictions += 1
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += nbytes
-            return
-        if self.nvme is not None:
-            done = self.nvme.write_behind(key, payload, not is_column, self._now())
-            if done is not None:
-                return  # write-behind queued; bytes stay in the hierarchy
-            ts.dropped += 1
-        else:
-            ts.evictions += 1
-        self.stats.evictions += 1
-        self.stats.evicted_bytes += nbytes
+        for key, payload, is_column in victims:
+            nbytes = payload.nbytes
+            if nvme is not None and key in nvme:
+                # Bytes already resident below (pinned stage or an earlier
+                # demotion): dropping the fast copy costs nothing.
+                ts.clean_demotions += 1
+                continue
+            if horizon and dram._next_use(key) == _NEVER:
+                # Belady says this entry is never referenced again inside
+                # the known horizon: an NVMe write would be pure waste.
+                ts.evictions += 1
+            elif nvme is not None:
+                if nvme.write_behind(key, payload, not is_column, self._now()) is not None:
+                    continue  # write-behind queued; bytes stay in the hierarchy
+                ts.dropped += 1
+            else:
+                ts.evictions += 1
+            stats.evictions += 1
+            stats.evicted_bytes += nbytes

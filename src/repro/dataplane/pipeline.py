@@ -27,12 +27,14 @@ views need no second pipeline type.  Nothing here imports ``repro.core``.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Generator, Optional
 
 import numpy as np
 
 from ..graphs import SAMPLE_ALLOCATIONS, BatchArena
 from ..storage import HEADER_NBYTES, SampleStats, decode_time, scatter_time, unpack_graph
+from .cache import TierStats
 from .nodeagg import node_coordinator
 from .retry import FetchTimeoutError, fetch_with_retry
 from .transport import FetchOutcome
@@ -46,6 +48,15 @@ _PLAN_S_PER_REQ = 1.0e-8
 
 def _plan_seconds(n_requests: int) -> float:
     return _PLAN_BASE_S + _PLAN_S_PER_REQ * n_requests
+
+
+def sample_ids(indices) -> np.ndarray:
+    """``indices`` as a fresh ``int64`` array: the one
+    ``np.asarray(list(indices), np.int64)`` builds, but an ndarray is
+    copied directly instead of through one Python object per id."""
+    if isinstance(indices, np.ndarray):
+        return np.array(indices, dtype=np.int64)
+    return np.asarray(list(indices), dtype=np.int64)
 
 
 def _record(h, name: str, cat: str, start: float, **args) -> None:
@@ -80,9 +91,12 @@ def fetch(h, reads, n_streams: int) -> Generator:
     counters (``n_timeouts``/``n_retries``/``n_failovers``) to what this
     plan added; booking them is the caller's job.
     """
-    engine = h.comm.engine
     lane, health = h._lane, h._health
     ladder: dict[str, int] = {}
+    if lane is None and not health:
+        # Everything grantable, nothing to steer: one transport call.
+        return (yield from _issue(h, reads, n_streams, ladder)), ladder
+    engine = h.comm.engine
     queue_wait = 0.0
     parts = []  # (rows of ``reads``, sub-fetch outcome)
     left = np.arange(len(reads))  # rows not yet issued
@@ -96,15 +110,21 @@ def fetch(h, reads, n_streams: int) -> Generator:
                 at, left = left, left[:0]
             else:
                 # Bytes still to issue, per target (ascending).
-                targets, of_read = np.unique(reads[left, 0], return_inverse=True)
-                want = np.bincount(of_read, weights=reads[left, 2]).astype(np.int64)
+                rows = reads if left.size == len(reads) else reads[left]
+                aimed = rows[:, 0].tolist()
+                want: dict[int, int] = {}
+                for t, nbytes in zip(aimed, rows[:, 2].tolist()):
+                    want[t] = want.get(t, 0) + nbytes
                 t_queue = engine.now
-                granted = yield from lane.acquire(dict(zip(targets.tolist(), want.tolist())))
+                granted = yield from lane.acquire(dict(sorted(want.items())))
                 if engine.now > t_queue:
                     queue_wait += engine.now - t_queue
                     _record(h, "store.queue", "store.stage", t_queue, tenant=h._tenant)
-                ok = np.array([t in granted for t in targets.tolist()])[of_read]
-                at, left = left[ok], left[~ok]
+                if len(granted) == len(want):
+                    at, left = left, left[:0]
+                else:
+                    ok = np.array([t in granted for t in aimed])
+                    at, left = left[ok], left[~ok]
             try:
                 sub = reads if at.size == len(reads) else reads[at]
                 parts.append((at, (yield from _issue(h, sub, n_streams, ladder))))
@@ -144,18 +164,19 @@ def _steer(h, reads, left, ladder):
     whatever the numbering of the ranks.  Moves are counted as failovers."""
     now = h.comm.engine.now
     health = h._health
-    aimed = reads[left, 0]
-    targets, first = np.unique(aimed, return_index=True)
+    aimed = reads[left, 0].tolist()
+    rows: dict[int, list] = {}  # target -> its rows of ``left``, in order
+    for i, t in enumerate(aimed):
+        rows.setdefault(t, []).append(i)
     moves = []
-    for target, probe in zip(targets.tolist(), first.tolist()):
+    for target in sorted(rows):
         if health.avoid(target, now):
-            move = aimed == target
+            move = rows[target]
         elif health.suspect(target, now):
-            move = aimed == target  # just put on probation:
-            move[probe] = False  # its first read is the probe
+            move = rows[target][1:]  # just put on probation: its first read is the probe
         else:
             continue
-        if move.any():
+        if move:
             moves.append((target, move))
     steered = None
     for target, move in moves:
@@ -164,7 +185,7 @@ def _steer(h, reads, left, ladder):
             if steered is None:
                 steered = reads.copy()
             steered[left[move], 0] = dest
-            ladder["n_failovers"] = ladder.get("n_failovers", 0) + int(move.sum())
+            ladder["n_failovers"] = ladder.get("n_failovers", 0) + len(move)
     return reads if steered is None else steered
 
 
@@ -215,10 +236,10 @@ def assemble(plan, outcome, blobs, latencies) -> None:
         payload.setflags(write=False)  # a no-op unless a plugin transport returned copies
     n_slices = np.bincount(position, minlength=len(blobs))
     whole = n_slices[position] == 1
-    stitching = not whole.all()
+    stitching = np.count_nonzero(whole) < whole.size
     if stitching:
         totals = np.zeros(len(blobs), dtype=np.int64)
-        np.maximum.at(totals, position, sample_offset + nbytes)
+        segment_max(totals, position, sample_offset + nbytes, single=False)
     for r, p, at, lo, nb, one in zip(
         read.tolist(), position.tolist(), sample_offset.tolist(),
         read_offset.tolist(), nbytes.tolist(), whole.tolist(),
@@ -235,7 +256,26 @@ def assemble(plan, outcome, blobs, latencies) -> None:
             blobs[p].setflags(write=False)  # complete now, so immutable like the rest
     SAMPLE_ALLOCATIONS.bump(np.count_nonzero(n_slices))  # row blobs, views included
     if outcome.latencies is not None:
-        np.maximum.at(latencies, position, outcome.latencies[read])
+        segment_max(latencies, position, outcome.latencies[read], single=not stitching)
+
+
+def segment_max(out: np.ndarray, position: np.ndarray, values: np.ndarray, single: bool) -> None:
+    """``np.maximum.at(out, position, values)`` without ``ufunc.at``.
+
+    ``single`` says no position repeats (every sample arrived in one
+    slice): then it is one fancy assignment.  Otherwise the values are
+    sorted stably by position once and each position's run is reduced
+    with ``np.maximum.reduceat``.  ``max`` is exact, so either way the
+    result is bit-identical to the ``ufunc.at`` loop.
+    """
+    if single:
+        out[position] = np.maximum(out[position], values)
+        return
+    order = np.argsort(position, kind="stable")
+    ordered = position[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first = ordered[starts]
+    out[first] = np.maximum(out[first], np.maximum.reduceat(values[order], starts))
 
 
 def _strip_header(blob: np.ndarray) -> np.ndarray:
@@ -245,11 +285,31 @@ def _strip_header(blob: np.ndarray) -> np.ndarray:
 
 
 # -- accounting: one call's stages, spans, stats and metrics -----------------
-#: ``CacheStats`` field → the ``FetchStats`` counter its delta lands in.
-_CACHE_COUNTERS = {
-    "hits": "n_cache_hits", "misses": "n_cache_misses",
-    "evictions": "n_cache_evictions", "hit_bytes": "bytes_cache_hits",
-}
+#: The ``FetchStats`` counters the deltas of :func:`_cache_mark` land in.
+_CACHE_COUNTERS = ("n_cache_hits", "n_cache_misses", "n_cache_evictions", "bytes_cache_hits")
+#: The ``ddstore.tier`` counters, in the order of :func:`_tier_mark`'s values.
+_TIER_COUNTERS = tuple(f.name for f in dataclasses.fields(TierStats))
+_NO_TIER = (0,) * len(_TIER_COUNTERS)
+
+
+def _cache_mark(cache) -> tuple:
+    """The cumulative cache counters a demand call books deltas of:
+    hits, misses, evictions, hit bytes."""
+    st = cache.stats
+    return st.hits, st.misses, st.evictions, st.hit_bytes
+
+
+def _tier_mark(cache) -> dict:
+    """Every tier's cumulative counters, as ``{tier: values}``."""
+    return {tier: tuple(vars(ts).values()) for tier, ts in cache.tier_stats.items()}
+
+
+def counter_marks(cache) -> tuple:
+    """What a fresh handle on ``cache`` books its first deltas against:
+    ``(_cache_mark, _tier_mark)``.  The cache's counters are cumulative and
+    outlive a ``FetchStats`` reset, so handles publish deltas, never
+    totals."""
+    return _cache_mark(cache), _tier_mark(cache)
 
 
 class _Call:
@@ -267,13 +327,29 @@ class _Call:
         self.h = h
         self.stats = h.stats
         self.engine = h.comm.engine
-        self.metrics = h.comm.communicator.world.obs.metrics
+        obs = h.comm.communicator.world.obs
+        self.metrics = obs.metrics
+        self.tracer = obs.tracer  # None when tracing is off
         self.track = h.comm.world_rank
         self.t_start = self.engine.now
         self.wave = wave
         self.stages: dict[str, float] = {}
         self.counts: dict[str, int] = {}
         self.labels = {"tenant": h._tenant, "qos": h._qos} if h._tenant else {}
+        # The handle's published counters by (family, label values, name):
+        # repeat publishes skip the registry's keyword lookup.  Started
+        # afresh when the world's registry is not the one they came from.
+        registry, self.published = h._published
+        if registry is not self.metrics:
+            self.published = {}
+            h._published = (self.metrics, self.published)
+
+    def record(self, name: str, cat: str, start: float, **args) -> None:
+        """Record a span of this call's rank, ending now (tracing only)."""
+        if self.tracer is not None:
+            self.tracer.record(
+                name, cat=cat, track=self.track, lane=1, start=start, end=self.engine.now, **args
+            )
 
     def charge(self, stage: str, seconds: float) -> None:
         if seconds:
@@ -297,28 +373,37 @@ class _Call:
         t0 = self.engine.now
         yield self.engine.timeout(seconds)
         self.charge(stage, seconds)
-        _record(self.h, f"store.{stage}", "store.stage", t0, **args)
+        if self.tracer is not None:
+            self.record(f"store.{stage}", "store.stage", t0, **args)
 
     def fetch(self, plan, n_streams: int) -> Generator:
         """The fetch stage for one plan: wire-issue, count, charge, trace."""
         t0 = self.engine.now
         outcome, ladder = yield from fetch(self.h, plan.reads, n_streams)
-        _record(
-            self.h, "store.fetch", "store.stage", t0, n_reads=plan.n_reads, nbytes=plan.total_bytes
-        )
-        self.count("n_get_calls", plan.n_reads)
-        self.count("bytes_transferred", plan.total_bytes)
+        n_reads, nbytes = plan.n_reads, plan.total_bytes
+        self.record("store.fetch", "store.stage", t0, n_reads=n_reads, nbytes=nbytes)
+        self.count("n_get_calls", n_reads)
+        self.count("bytes_transferred", nbytes)
         for name, n in ladder.items():
             self.count(name, n)
         for stage, seconds in outcome.stage_seconds.items():
             self.charge(stage, seconds)
         return outcome
 
-    def publish(self, family: str, counters, **labels) -> None:
-        if self.metrics.enabled:
+    def publish(self, family: str, counters, key: str = "counter", **labels) -> None:
+        """Add each nonzero ``(name, value)`` of ``counters`` to the
+        ``family`` series labelled ``key=name``, this rank and ``labels``."""
+        m = self.metrics
+        if m.enabled:
+            memo, series = self.published, (family, *labels.values())
             for cname, val in counters:
                 if val:
-                    self.metrics.counter(family, counter=cname, rank=self.track, **labels).inc(val)
+                    inst = memo.get((series, cname))
+                    if inst is None:
+                        inst = memo[series, cname] = m.counter(
+                            family, **{key: cname}, rank=self.track, **labels
+                        )
+                    inst.inc(val)
 
     def finish(self, span: str, n_samples: int, **span_args) -> None:
         """Close the call: publish its counts (``ddstore.fetch`` |
@@ -328,13 +413,17 @@ class _Call:
         family = "ddstore.prefetch" if self.wave else "ddstore.fetch"
         self.publish(family, self.counts.items(), generation=h.generation)
         if m.enabled and h.cache.enabled:
-            tiers = h.cache.tier_counters()
-            for key, value in tiers.items():
-                delta = value - h._tier_base.get(key, 0)
-                if delta:
-                    tier, name = key.split(".", 1)
-                    m.counter("ddstore.tier", tier=tier, counter=name, rank=self.track).inc(delta)
-            h._tier_base = tiers
+            base, marks = h._tier_base, _tier_mark(h.cache)
+            for tier, values in marks.items():
+                was = base.get(tier)
+                if values == was:
+                    continue
+                deltas = [
+                    (name, value - old)
+                    for name, value, old in zip(_TIER_COUNTERS, values, was or _NO_TIER)
+                ]
+                self.publish("ddstore.tier", deltas, tier=tier)
+            h._tier_base = marks
         if h._tenant is not None:
             rollup = dict(
                 n_samples=n_samples,
@@ -344,26 +433,22 @@ class _Call:
             )
             qos = h._qos or "default"
             self.publish("ddstore.tenant", rollup.items(), tenant=h._tenant, qos=qos)
-        _record(h, span, "store", self.t_start, n=n_samples, **span_args, **self.labels)
+        self.record(span, "store", self.t_start, n=n_samples, **span_args, **self.labels)
 
     def finish_demand(self, span: str, latencies, decode_s: float) -> None:
         """Book a demand call (its n_local/n_remote/bytes_* already counted)."""
         h, stats = self.h, self.stats
         # Cache counters accumulate as deltas against the last snapshot: the
         # cache's own stats are cumulative and shared across stats resets.
-        cs = h.cache.stats.as_dict()
-        for src, name in _CACHE_COUNTERS.items():
-            self.count(name, cs[src] - h._cache_base[src])
-        h._cache_base = cs
+        marks = _cache_mark(h.cache)
+        for name, value, old in zip(_CACHE_COUNTERS, marks, h._cache_base):
+            self.count(name, value - old)
+        h._cache_base = marks
         stats.fetch_time += self.engine.now - self.t_start - decode_s
         stats.decode_time += decode_s
         if h.record_latencies:
             stats.latencies.extend(latencies.tolist())
-        if self.metrics.enabled:
-            for stage, seconds in self.stages.items():
-                self.metrics.counter(
-                    "ddstore.stage_seconds", stage=stage, rank=self.track, generation=h.generation
-                ).inc(seconds)
+        self.publish("ddstore.stage_seconds", self.stages.items(), key="stage", generation=h.generation)
         got = self.counts.get
         self.finish(
             span, int(latencies.size), n_local=got("n_local", 0),
@@ -389,23 +474,26 @@ def _resolve(cache, column: bool, idx, remote, latencies):
     cost), NVMe promotions (``keys, positions``) and full misses."""
     fast_get, on_nvme = cache.fast_get, cache.nvme_resident
     hits: list[tuple] = []
+    hit_costs: list[float] = []
     promote: tuple[list, list] = ([], [])
     missed = []
     cache_time = 0.0
-    for p in remote:
-        key = int(idx[p])
+    remote = remote.tolist()
+    for p, key in zip(remote, idx[remote].tolist()):
         hit = fast_get(key, column)
         if hit is not None:
             payload, has_header, cost = hit
-            hits.append((int(p), payload, has_header))
-            latencies[p] = cost
+            hits.append((p, payload, has_header))
+            hit_costs.append(cost)
             cache_time += cost
         elif on_nvme(key, column):
             promote[0].append(key)
-            promote[1].append(int(p))
+            promote[1].append(p)
         else:
             cache.count_miss(column)
             missed.append(p)
+    if hits:
+        latencies[[p for p, _, _ in hits]] = hit_costs
     return hits, cache_time, promote, np.asarray(missed, dtype=np.int64)
 
 
@@ -415,11 +503,11 @@ def _remote_demand(h, batches, group_rank: int):
     zero-size, each id once across the whole wave (first occurrence)."""
     located = []
     for batch in batches:
-        idx = np.asarray(list(batch), dtype=np.int64)
+        idx = sample_ids(batch)
         if idx.size == 0:
             continue
         owners, offsets, sizes = h.registry.locate_batch(idx)
-        want = np.flatnonzero((owners != group_rank) & (sizes != 0))
+        want = ((owners != group_rank) & (sizes != 0)).nonzero()[0]
         located.append((idx[want], owners[want], offsets[want], sizes[want]))
     if not located:
         return []
@@ -467,8 +555,8 @@ class _RowSink:
         assemble(plan, outcome, self.blobs, latencies)
         cache = self.h.cache
         if cache.enabled:
-            for p in positions:
-                cache.put(int(self.idx[p]), self.blobs[p])
+            blobs = self.blobs
+            cache.put_many(self.idx[positions].tolist(), [blobs[p] for p in positions.tolist()])
 
     def finish(self, call: _Call, latencies, workers: int) -> Generator:
         if self.decode == "raw":
@@ -527,17 +615,21 @@ class _ArenaSink:
         read, position, sample_offset, read_offset, nbytes = plan.slices.T
         # A whole sample in one slice parks its column bytes for future
         # arena batches.
-        park = cache.enabled & (sample_offset == 0) & (nbytes == self.sizes[position])
-        for r, p, at, lo, nb, whole in zip(
+        whole = (sample_offset == 0) & (nbytes == self.sizes[position])
+        park_keys, park_payloads = [], []
+        for r, p, at, lo, nb, one in zip(
             read.tolist(), position.tolist(), sample_offset.tolist(),
-            read_offset.tolist(), nbytes.tolist(), park.tolist(),
+            read_offset.tolist(), nbytes.tolist(), whole.tolist(),
         ):
             piece = payloads[r][lo : lo + nb]
             scatter(p, at, at + nb, piece, fields)
-            if whole:
-                cache.put_columns(int(keys[p]), _strip_header(piece))
+            if one:
+                park_keys.append(int(keys[p]))
+                park_payloads.append(_strip_header(piece))
+        if cache.enabled:
+            cache.put_many(park_keys, park_payloads, column=True)
         if outcome.latencies is not None:
-            np.maximum.at(latencies, position, outcome.latencies[read])
+            segment_max(latencies, position, outcome.latencies[read], single=bool(whole.all()))
 
     def finish(self, call: _Call, latencies, workers: int) -> Generator:
         arena, smap, n = self.arena, self.smap, self.idx.size
@@ -573,10 +665,7 @@ class _ParkSink:
         return [_strip_header(b) for b in blobs] if self.columnar else blobs
 
     def park(self, keys, payloads) -> None:
-        cache = self.h.cache
-        put = cache.put_columns if self.columnar else cache.put
-        for key, payload in zip(keys, payloads):
-            put(key, payload)
+        self.h.cache.put_many(keys, payloads, column=self.columnar)
         self.n_parked += len(keys)
 
     def wire(self, keys, plan, outcome) -> None:
@@ -634,7 +723,7 @@ def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
     latencies = np.zeros(idx.size, dtype=np.float64)
 
     # -- local samples: straight memcpy out of the own buffer --------------
-    local = np.nonzero(local_mask)[0]
+    local = local_mask.nonzero()[0]
     local_time = 0.0
     if local.size:
         sink.local(local, h.transport.local_buffer(), offsets)
@@ -643,7 +732,7 @@ def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
         local_time = float(copy_times.sum())
 
     # -- remote samples: resolve against the cache -------------------------
-    wanted = np.nonzero(~local_mask)[0]
+    wanted = (~local_mask).nonzero()[0]
     cache_time = 0.0
     if h.cache.enabled and wanted.size:
         hits, cache_time, (promote_keys, promote_at), wanted = _resolve(
@@ -664,7 +753,7 @@ def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
     n_zero = 0
     if wanted.size:
         zero = sizes[wanted] == 0
-        if zero.any():
+        if np.count_nonzero(zero):
             sink.empty(wanted[zero])
             n_zero = int(zero.sum())
             wanted = wanted[~zero]

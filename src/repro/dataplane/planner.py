@@ -279,7 +279,7 @@ class FetchPlanner:
             # keep their degenerate read (position accounting) but carry no
             # slice, matching the coalescing path.
             reads = _columns(targets, offsets, sizes)
-            member = np.flatnonzero(sizes)
+            member = sizes.nonzero()[0]
             slices = _columns(member, positions[member], 0, 0, sizes[member])
         return FetchPlan(*self._interleaved(reads, slices), n)
 
@@ -291,15 +291,15 @@ class FetchPlanner:
             return reads, slices
         target = reads[:, 0]
         index = np.arange(n)
-        by_target = np.argsort(target, kind="stable")
-        run_first = np.maximum.accumulate(np.where(_run_starts(target[by_target]), index, 0))
+        by_target = target.argsort(kind="stable")
+        run_first = np.maximum.accumulate(index * _run_starts(target[by_target]))
         depth = np.empty(n, np.int64)
         depth[by_target] = index - run_first
         order = np.lexsort((target, depth))
         moved_to = np.empty(n, np.int64)
         moved_to[order] = index
         read = moved_to[slices[:, 0]]
-        by_read = np.argsort(read, kind="stable")
+        by_read = read.argsort(kind="stable")
         slices = slices[by_read]
         slices[:, 0] = read[by_read]
         return reads[order], slices
@@ -516,17 +516,17 @@ class FetchPlanner:
         run *= band
         reach = np.maximum.accumulate(e + run)
         breaks[1:] |= o[1:] + run[1:] > reach[:-1]
-        starts = np.flatnonzero(breaks)
+        starts = breaks.nonzero()[0]
         span = np.add.accumulate(breaks, dtype=np.int64)  # span of every request
         span -= 1
         lo = o[starts]
         hi = np.maximum.reduceat(e, starts)
         max_nb = self.max_read_bytes
-        if max_nb is None or not (hi - lo > max_nb).any():
+        if max_nb is None or not np.count_nonzero(hi - lo > max_nb):
             # Every span is one read and every member lies entirely inside
             # it: sample_offset is 0, read_offset the distance from the
             # span start.
-            member = np.flatnonzero(nb)
+            member = nb.nonzero()[0]
             read = span[member]
             slices = _columns(read, pos[member], 0, o[member] - lo[read], nb[member])
             return _columns(t[starts], lo, hi - lo), slices

@@ -224,19 +224,13 @@ def fetch_with_retry(
     """
     reads = np.asarray(reads, dtype=np.int64).reshape(-1, 3)
     n = len(reads)
-    result = RetryOutcome(
-        outcome=FetchOutcome(
-            payloads=[None] * n,
-            latencies=np.zeros(n, dtype=np.float64),
-            stage_seconds={},
-        ),
-        attempts=0,
-    )
     if n == 0:
-        result.attempts = 1
-        return result
+        return RetryOutcome(
+            outcome=FetchOutcome(payloads=[], latencies=np.zeros(0), stage_seconds={})
+        )
 
-    merged = result.outcome
+    n_timeouts = n_retries = n_failovers = 0
+    merged = None  # built once some read has timed out
     pending = np.arange(n)  # input slots still without a payload
     batch = reads  # their reads, targets as currently routed
     stayed = False  # did a timed-out read have to stay on its rank?
@@ -251,28 +245,27 @@ def fetch_with_retry(
                     merged.stage_seconds.get("retry", 0.0) + delay
                 )
                 merged.latencies[pending] += delay
+        targets = batch[:, 0].tolist()
         # Abandon only with somewhere to go: a read carries the deadline
         # while a retry remains and it has another rank to move to.
         limits = None
         if reroute is not None and attempt < policy.max_retries:
-            targets, of_read = np.unique(batch[:, 0], return_inverse=True)
-            can_move = np.array(
-                [reroute(t) not in (None, t) for t in targets.tolist()], dtype=bool
-            )[of_read]
-            if can_move.all():
+            movable = {t: reroute(t) not in (None, t) for t in sorted(set(targets))}
+            can_move = [movable[t] for t in targets]
+            if all(can_move):
                 limits = policy.timeout_s
-            elif can_move.any():
+            elif any(can_move):
                 limits = np.where(can_move, policy.timeout_s, np.inf)
         t_attempt = engine.now
         if limits is None:
             outcome = yield from transport.fetch(batch, n_streams=n_streams)
         else:
             outcome = yield from transport.fetch(batch, n_streams=n_streams, timeout_s=limits)
-        result.attempts += 1
         timed_out = outcome.timed_out
         late = (
             np.zeros(len(batch), dtype=bool) if timed_out is None else np.asarray(timed_out, bool)
         )
+        n_late = int(np.count_nonzero(late))
         if obs is not None and obs.tracing:
             obs.tracer.record(
                 "fetch.attempt",
@@ -283,54 +276,77 @@ def fetch_with_retry(
                 end=engine.now,
                 attempt=attempt + 1,
                 n_reads=len(batch),
-                n_timeouts=int(late.sum()),
-                n_failovers=result.n_failovers,
+                n_timeouts=n_late,
+                n_failovers=n_failovers,
+            )
+        if limits is not None and health:
+            flags = late.tolist()
+            for t in sorted({t for t, m, x in zip(targets, can_move, flags) if m and not x}):
+                health.ok(t, engine.now)  # back inside its deadline
+        # A read's observed latency is what it spent waiting, like any
+        # first-attempt read's: each attempt's own wire latency (a blown
+        # attempt costs exactly its deadline) plus the backoffs between.
+        waited = outcome.latencies
+        if waited is None:
+            waited = np.full(len(batch), engine.now - t_attempt)
+        if merged is None:
+            if not n_late:
+                # Everything landed at the first attempt: the transport's
+                # outcome *is* the merged one (merging onto zeros adds
+                # ``0.0 + x == x`` everywhere).
+                return RetryOutcome(
+                    outcome=FetchOutcome(
+                        payloads=outcome.payloads,
+                        latencies=waited,
+                        stage_seconds=dict(outcome.stage_seconds),
+                    )
+                )
+            merged = FetchOutcome(
+                payloads=[None] * n, latencies=np.zeros(n, dtype=np.float64), stage_seconds={}
             )
         for stage, seconds in outcome.stage_seconds.items():
             merged.stage_seconds[stage] = (
                 merged.stage_seconds.get(stage, 0.0) + seconds
             )
-        # A read's observed latency is what it spent waiting, like any
-        # first-attempt read's: each attempt's own wire latency (a blown
-        # attempt costs exactly its deadline) plus the backoffs between.
-        waited = outcome.latencies
-        merged.latencies[pending] += waited if waited is not None else engine.now - t_attempt
-        landed = np.flatnonzero(~late)
+        merged.latencies[pending] += waited
+        landed = (~late).nonzero()[0]
         for slot, at in zip(pending[landed].tolist(), landed.tolist()):
             merged.payloads[slot] = outcome.payloads[at]
-        if limits is not None and health:
-            for t in np.unique(batch[landed[can_move[landed]], 0]).tolist():
-                health.ok(t, engine.now)  # back inside its deadline
         pending = pending[late]
         if not pending.size:
             break
-        result.n_timeouts += pending.size
+        n_timeouts += pending.size
         if limits is None:
             break  # a transport that reports timeouts without a deadline
-        result.n_retries += pending.size
+        n_retries += pending.size
         batch = batch[late]
-        targets, of_read = np.unique(batch[:, 0], return_inverse=True)
+        targets = batch[:, 0].tolist()
+        distinct = sorted(set(targets))
         if health is not None:
             # Strike first, re-route after: a read must not fail over to a
             # rank another read of this very batch just timed out on.
-            for t in targets.tolist():
+            for t in distinct:
                 health.strike(t, engine.now, engine.now - t_attempt)
-        moved_to = targets.copy()  # per distinct target: where its reads go next
-        for i, t in enumerate(targets.tolist()):
+        moved_to = {}  # per distinct target: where its reads go next
+        for t in distinct:
             dest = reroute(t)
-            if dest is not None:
-                moved_to[i] = dest
-        moves = (moved_to != targets)[of_read]
-        batch[:, 0] = moved_to[of_read]
-        result.n_failovers += int(moves.sum())
-        stayed = not moves.all()
+            moved_to[t] = t if dest is None else dest
+        routed = [moved_to[t] for t in targets]
+        batch[:, 0] = routed
+        moves = sum(dest != t for dest, t in zip(routed, targets))
+        n_failovers += moves
+        stayed = moves < len(targets)
 
+    attempts = attempt + 1
     if pending.size:
         # Unreachable through DDStore's own transports (an unbounded attempt
         # never times out), but a third-party transport could report
         # timeouts without one.
         raise FetchTimeoutError(
             f"{pending.size} read(s) still incomplete after "
-            f"{result.attempts} attempt(s) (timeout_s={policy.timeout_s})"
+            f"{attempts} attempt(s) (timeout_s={policy.timeout_s})"
         )
-    return result
+    return RetryOutcome(
+        outcome=merged, n_timeouts=n_timeouts, n_retries=n_retries,
+        n_failovers=n_failovers, attempts=attempts,
+    )

@@ -188,7 +188,7 @@ class RmaTransport(Transport):
             return FetchOutcome(payloads=[])
         win = self.win
         engine = win.engine
-        targets = np.unique(reads[:, 0]).tolist()
+        targets = sorted(set(reads[:, 0].tolist()))  # lock order: ascending rank
         t0 = engine.now
         # Gate wait is charged to the lock stage: it is lock-epoch
         # contention on this rank's own side of the window.

@@ -49,34 +49,36 @@ class RankFaultModel:
                 self.blackouts.append(ev)
             elif not isinstance(ev, PfsStorm):
                 raise TypeError(f"unknown fault event {ev!r}")
-        self._faulty = np.asarray(
-            sorted({e.rank for e in self.slow} | {e.rank for e in self.blackouts}),
-            dtype=np.int64,
-        )
+        self._faulty = frozenset(e.rank for e in self.slow) | {e.rank for e in self.blackouts}
         self.n_perturbed = 0  # messages this model has slowed down
         self._world = None  # set by install_faults; used to publish metrics
 
     def apply_batch(
         self,
-        target_ranks: np.ndarray,
+        target_ranks: "list[int] | np.ndarray",
         starts: np.ndarray,
         completions: np.ndarray,
     ) -> np.ndarray:
         """Perturb a batch of per-message completion times in place-safely.
 
-        ``target_ranks`` are world ranks; ``starts``/``completions`` are the
-        healthy-model times.  Returns the perturbed completions.
+        ``target_ranks`` are world ranks (a list or an array); ``starts``/
+        ``completions`` are the healthy-model times.  Returns the perturbed
+        completions.  A batch none of whose targets is faulty costs one set
+        intersection; only the events of ranks in the batch build masks.
         """
-        if self._faulty.size == 0:
+        if isinstance(target_ranks, np.ndarray):
+            target_ranks = target_ranks.tolist()
+        hit = self._faulty.intersection(target_ranks)
+        if not hit:
             return completions
-        target_ranks = np.asarray(target_ranks, dtype=np.int64)
-        if not np.isin(target_ranks, self._faulty).any():
-            return completions
+        ranks = np.array(target_ranks, dtype=np.int64)
         out = np.array(completions, dtype=np.float64, copy=True)
         n_slow = n_blackout = 0
         for ev in self.slow:
+            if ev.rank not in hit:
+                continue
             mask = (
-                (target_ranks == ev.rank)
+                (ranks == ev.rank)
                 & (starts >= ev.start_s)
                 & (starts < ev.end_s)
             )
@@ -84,8 +86,10 @@ class RankFaultModel:
                 out[mask] = starts[mask] + (out[mask] - starts[mask]) * ev.multiplier
                 n_slow += int(mask.sum())
         for ev in self.blackouts:
+            if ev.rank not in hit:
+                continue
             mask = (
-                (target_ranks == ev.rank)
+                (ranks == ev.rank)
                 & (starts >= ev.start_s)
                 & (starts < ev.end_s)
             )
@@ -109,13 +113,10 @@ class RankFaultModel:
         self, src_rank: int, dst_rank: int, start: float, completion: float
     ) -> float:
         """Perturb one two-sided message (either endpoint faulty slows it)."""
-        if self._faulty.size == 0:
-            return completion
-        ranks = np.array([src_rank, dst_rank], dtype=np.int64)
-        if not np.isin(ranks, self._faulty).any():
+        if src_rank not in self._faulty and dst_rank not in self._faulty:
             return completion
         both = self.apply_batch(
-            ranks,
+            [src_rank, dst_rank],
             np.array([start, start]),
             np.array([completion, completion]),
         )

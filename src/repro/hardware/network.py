@@ -10,8 +10,15 @@ The model has three ingredients:
 * multiplicative lognormal jitter from deterministic per-origin RNG
   streams, giving realistic latency tails.
 
-All hot paths are vectorised: a batch of RMA gets is priced in one NumPy
-pass grouped by target node.
+A batch of RMA gets (:meth:`Interconnect.rma_get_batch`) is priced per
+batch, per target and per read: the origin's jitter is drawn once per
+batch as one block; the fault model is asked once per batch and perturbs
+only the reads aimed at a faulty target; each read then walks the
+software path of its issuing stream and, when its target sits on another
+node, makes one serve at the target node's outbound NIC and one at the
+origin node's inbound NIC.  Per-read arithmetic runs over Python floats
+in read order, the same operations in the same order as an array pass
+would do them, so the times are bit-identical to one.
 """
 
 from __future__ import annotations
@@ -24,6 +31,13 @@ from ..sim import RngRegistry
 from .topology import Cluster
 
 __all__ = ["Interconnect", "RmaTiming"]
+
+
+def _int_list(values) -> list:
+    """``values`` as a list of Python ints (a list is taken as it is)."""
+    if type(values) is list:
+        return values
+    return np.asarray(values, dtype=np.int64).tolist()
 
 
 @dataclass(frozen=True)
@@ -119,14 +133,15 @@ class Interconnect:
     def rma_get_batch(
         self,
         origin_rank: int,
-        target_ranks: np.ndarray,
-        nbytes: np.ndarray,
+        target_ranks: "list[int] | np.ndarray",
+        nbytes: "list[int] | np.ndarray",
         arrival: float,
         n_streams: int = 1,
     ) -> RmaBatchTiming:
         """Timing of a batch of MPI_Get calls issued back-to-back.
 
-        The origin CPU runs the per-get software critical path (lock/get/
+        ``target_ranks`` are world ranks and ``nbytes`` whole byte counts,
+        one per get, as lists of ints or integer arrays.  The origin CPU runs the per-get software critical path (lock/get/
         unlock inside the MPI library and its Python binding) serially
         within each of ``n_streams`` issuing threads (PyTorch DataLoader
         workers), requests dealt round-robin; with one stream, get ``i``
@@ -136,74 +151,68 @@ class Interconnect:
         the origin node's inbound NIC.  Gets to ranks on the origin's own
         node use the shared-memory path and skip the NICs.
         """
-        target_ranks = np.asarray(target_ranks, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.float64)
-        if target_ranks.shape != nbytes.shape:
+        target_ranks = _int_list(target_ranks)
+        nbytes = _int_list(nbytes)
+        if len(target_ranks) != len(nbytes):
             raise ValueError("target_ranks and nbytes must have matching shapes")
-        n = target_ranks.size
+        n = len(target_ranks)
         if n == 0:
             empty = np.empty(0, dtype=np.float64)
             return RmaBatchTiming(issues=empty, completions=empty.copy())
 
         spec = self.spec
         nic = spec.nic
+        gpus_per_node = spec.gpus_per_node
         origin_node_idx = spec.node_of_rank(origin_rank)
-        target_nodes = target_ranks // spec.gpus_per_node
-        local = target_nodes == origin_node_idx
-
-        completions = np.empty(n, dtype=np.float64)
-        jit = self._jitter(origin_rank, n)
+        nodes = self.cluster.nodes
+        origin_in = nodes[origin_node_idx].nic_in
         # Same-node targets go through the shared-memory window fast path,
         # which skips the network lock round trip (paper Table 3: width=2
         # medians drop to ~0.05 ms because fetches become intra-node).
-        per_get = np.where(
-            local, spec.rma_software_local_s, spec.rma_software_overhead_s
-        )
-        software = per_get * jit
+        sw_local, sw_remote = spec.rma_software_local_s, spec.rma_software_overhead_s
+        copy_lat, copy_bw = spec.intra_node_latency_s, spec.intra_node_bandwidth_Bps
+        wire_lat, overhead, bw = nic.latency_s, nic.message_overhead_s, nic.bandwidth_Bps
+        jit = self._jitter(origin_rank, n).tolist()
         # Get i's software section runs [starts[i], ready[i]); the observed
         # per-get latency (completion - start) therefore includes it.
         # With W worker streams, stream s issues gets s, s+W, s+2W, ...
-        # serially while the streams run concurrently.
+        # serially while the streams run concurrently: each stream keeps
+        # the running sum of its own software times (a left fold, as
+        # ``arrival + np.cumsum(software[s::W])`` adds), per get in order.
         n_streams = max(1, int(n_streams))
-        if n_streams == 1:
-            ready = arrival + np.cumsum(software)
-        else:
-            ready = np.empty(n, dtype=np.float64)
-            for s in range(min(n_streams, n)):
-                sel = slice(s, n, n_streams)
-                ready[sel] = arrival + np.cumsum(software[sel])
-        starts = ready - software
+        elapsed = [0.0] * n_streams
+        starts = [0.0] * n
+        completions = [0.0] * n
+        for i in range(n):
+            target = target_ranks[i]
+            tnode = target // gpus_per_node
+            local = tnode == origin_node_idx
+            software = (sw_local if local else sw_remote) * jit[i]
+            s = i % n_streams
+            elapsed[s] += software
+            ready = arrival + elapsed[s]
+            starts[i] = ready - software
+            nb = nbytes[i]
+            if local:
+                # Local (same-node) get: shared-memory copy, no NIC.
+                completions[i] = ready + (copy_lat + nb / copy_bw)
+                continue
+            # Remote get: the request crosses the wire, the payload is
+            # injected at the target node's outbound NIC, then drains
+            # through the origin node's inbound NIC.  Both NICs are fluid
+            # congestion stations, so contention (many origins hammering
+            # one target - the hotspot DDStore's width mitigates)
+            # accumulates while idle gaps cost nothing regardless of
+            # pricing order across ranks.
+            service = (overhead + nb / bw) * jit[i]
+            injected = nodes[tnode].nic_out.serve(ready + wire_lat, service, nbytes=nb)
+            completions[i] = origin_in.serve(injected + wire_lat, service, nbytes=nb)
 
-        # Local (same-node) gets: shared-memory copy, no NIC involvement.
-        if local.any():
-            copy = spec.intra_node_latency_s + nbytes[local] / spec.intra_node_bandwidth_Bps
-            completions[local] = ready[local] + copy
-
-        # Remote gets: the request crosses the wire, the payload is
-        # injected at the target node's outbound NIC, then drains through
-        # the origin node's inbound NIC.  Both NICs are fluid congestion
-        # stations, so contention (many origins hammering one target - the
-        # hotspot DDStore's width mitigates) accumulates while idle gaps
-        # cost nothing regardless of pricing order across ranks.
-        remote_idx = np.nonzero(~local)[0]
-        if remote_idx.size:
-            origin_in = self.cluster.nodes[origin_node_idx].nic_in
-            service = (nic.message_overhead_s + nbytes[remote_idx] / nic.bandwidth_Bps) * jit[remote_idx]
-            request_arrive = ready[remote_idx] + nic.latency_s
-            nodes = self.cluster.nodes
-            done = []
-            for tnode, arrive, serv, nb in zip(
-                target_nodes[remote_idx].tolist(), request_arrive.tolist(),
-                service.tolist(), nbytes[remote_idx].astype(np.int64).tolist(),
-            ):
-                injected = nodes[tnode].nic_out.serve(arrive, serv, nbytes=nb)
-                done.append(origin_in.serve(injected + nic.latency_s, serv, nbytes=nb))
-            completions[remote_idx] = done
-
+        issues = np.array(starts)
+        done = np.array(completions)
         if self.faults is not None:
-            completions = self.faults.apply_batch(target_ranks, starts, completions)
-
-        return RmaBatchTiming(issues=starts, completions=completions)
+            done = self.faults.apply_batch(target_ranks, issues, done)
+        return RmaBatchTiming(issues=issues, completions=done)
 
     # -- collectives -------------------------------------------------------
     def collective_time(self, op: str, nbytes: int, n_ranks: int) -> float:

@@ -10,10 +10,13 @@ Semantic checks mirror MPI rules: access outside a lock epoch, puts under a
 shared lock, and out-of-range transfers all raise :class:`RMAError` instead
 of corrupting memory.
 
-The vectorised :meth:`WinHandle.get_batch` is the DDStore hot path: it
-prices a whole mini-batch of gets in one NumPy pass (per-target FIFO
-queueing included), slices the payloads out of the target buffers, and
-yields once.
+The batched :meth:`WinHandle.get_batch` is the DDStore hot path.  Per
+read, in one pass, it applies MPI's checks (target in range, locked,
+bytes inside the window) and slices the payload view out of the target
+buffer; per batch it makes one call into the interconnect model (which
+prices each read's software path and NIC serves, see
+:mod:`repro.hardware.network`), applies the timeouts, and yields once.
+Lock epochs are taken per target by the caller (:meth:`WinHandle.lock`).
 
 Window memory is written once and then only read.  A window *owns* its
 ranks' buffers and freezes them (``writeable=False``), so a get is a
@@ -67,10 +70,8 @@ class Window:
         self.buffers: dict[int, np.ndarray] = {}
         for rank, buf in buffers.items():
             self.buffers[rank] = freeze_buffer(buf)
-        # Per-rank columns the batched get checks and prices against.
-        ranks = range(communicator.size)
-        self.sizes = np.array([self.buffers[r].size for r in ranks], dtype=np.int64)
-        self.world_ranks = np.array([communicator.world_rank(r) for r in ranks], dtype=np.int64)
+        # comm rank -> world rank, the batched get's pricing key.
+        self.world_ranks = [communicator.world_rank(r) for r in range(communicator.size)]
         self.locks = [
             RWLock(communicator.engine, name=f"win-lock[{r}]")
             for r in range(communicator.size)
@@ -88,6 +89,10 @@ class WinHandle:
     def __init__(self, window: Window, comm: Comm) -> None:
         self.window = window
         self.comm = comm
+        # Fixed for the handle's life, bound once for the per-get paths.
+        self._engine = comm.engine
+        self._world = comm.communicator.world
+        self._stats = comm.stats  # this rank's MPI call accounting
         self._held: dict[int, str] = {}  # target rank -> lock type
         # Per-request latencies of this handle's most recent get_batch
         # (rank-local; the shared window.get_log interleaves ranks).
@@ -98,7 +103,7 @@ class WinHandle:
 
     @property
     def engine(self):
-        return self.comm.engine
+        return self._engine
 
     @property
     def local(self) -> np.ndarray:
@@ -107,10 +112,11 @@ class WinHandle:
 
     # -- lock epochs -------------------------------------------------------
     def lock(self, target: int, lock_type: str = LOCK_SHARED) -> Generator:
+        held, engine = self._held, self._engine
         self._check_target(target)
-        if target in self._held:
+        if target in held:
             raise RMAError(f"rank {self.comm.rank} already holds a lock on {target}")
-        start = self.engine.now
+        start = engine.now
         rwlock = self.window.locks[target]
         if lock_type == LOCK_SHARED:
             yield rwlock.acquire_shared()
@@ -118,9 +124,10 @@ class WinHandle:
             yield rwlock.acquire_exclusive()
         else:
             raise RMAError(f"unknown lock type {lock_type!r}")
-        self._held[target] = lock_type
-        self.comm.stats.record("MPI_Win_lock", self.engine.now - start)
-        obs = self.comm.communicator.world.obs
+        held[target] = lock_type
+        end = engine.now
+        self._stats.record("MPI_Win_lock", end - start)
+        obs = self._world.obs
         if obs.tracing:
             obs.tracer.record(
                 "rma.lock",
@@ -128,7 +135,7 @@ class WinHandle:
                 track=self.comm.world_rank,
                 lane=1,
                 start=start,
-                end=self.engine.now,
+                end=end,
                 target=target,
                 kind=lock_type,
             )
@@ -142,7 +149,7 @@ class WinHandle:
             rwlock.release_shared()
         else:
             rwlock.release_exclusive()
-        self.comm.stats.record("MPI_Win_unlock", 0.0)
+        self._stats.record("MPI_Win_unlock", 0.0)
         return
         yield  # pragma: no cover - makes this a generator for API symmetry
 
@@ -187,45 +194,37 @@ class WinHandle:
         One value bounds every get alike; an array gives each get its own
         bound (``inf`` = wait this one out).
         """
-        requests = np.asarray(requests, dtype=np.int64).reshape(-1, 3)
-        if not len(requests):
+        rows = np.asarray(requests, dtype=np.int64).reshape(-1, 3).tolist()
+        if not rows:
             self.last_timeouts = None
             return []
         comm = self.comm
         window = self.window
-        engine = self.engine
-        targets, offsets, sizes = requests[:, 0], requests[:, 1], requests[:, 2]
-        ends = offsets + sizes
+        engine = self._engine
 
-        # MPI's semantic checks, once per batch.
-        self._check_target(int(targets.min()))
-        self._check_target(int(targets.max()))
-        target_list = targets.tolist()
-        unlocked = set(target_list) - self._held.keys()
-        if unlocked:
-            raise RMAError(
-                f"rank {comm.rank} issued MPI_Get to {min(unlocked)} outside a lock epoch"
-            )
-        bad = (sizes < 0) | (offsets < 0) | (ends > window.sizes[targets])
-        if bad.any():
-            t, off, nb = requests[np.flatnonzero(bad)[0]].tolist()
-            raise RMAError(
-                f"get of [{off}, {off + nb}) exceeds window of rank {t} "
-                f"({window.buffer_size(t)} bytes)"
-            )
+        # One pass: MPI's semantic checks per get, in issue order, and the
+        # data — views of the frozen target buffers.
+        n_ranks, held, buffers, world_rank = comm.size, self._held, window.buffers, window.world_ranks
+        world_ranks, payloads, sizes = [], [], []
+        for t, off, nb in rows:
+            if not 0 <= t < n_ranks:
+                self._check_target(t)
+            if t not in held:
+                raise RMAError(f"rank {comm.rank} issued MPI_Get to {t} outside a lock epoch")
+            buf = buffers[t]
+            if nb < 0 or off < 0 or off + nb > buf.size:
+                raise RMAError(
+                    f"get of [{off}, {off + nb}) exceeds window of rank {t} "
+                    f"({buf.size} bytes)"
+                )
+            payloads.append(buf[off : off + nb])
+            world_ranks.append(world_rank[t])
+            sizes.append(nb)
 
-        # The data: views of the frozen target buffers.
-        buffers = window.buffers
-        payloads = [
-            buffers[t][lo:hi]
-            for t, lo, hi in zip(target_list, offsets.tolist(), ends.tolist())
-        ]
-
-        # Timing: one vectorised pass through the interconnect model.
+        # Timing: one pass through the interconnect model.
         issued = engine.now
         timing = comm.communicator.net.rma_get_batch(
-            comm.world_rank, window.world_ranks[targets], sizes.astype(np.float64), issued,
-            n_streams=n_streams,
+            comm.world_rank, world_ranks, sizes, issued, n_streams=n_streams
         )
         completions = timing.completions
         if timeout_s is None:
@@ -240,25 +239,19 @@ class WinHandle:
             timed_out = completions > deadlines
             waited = np.minimum(completions, deadlines)
             self.last_timeouts = timed_out
-            for i in np.flatnonzero(timed_out).tolist():
+            for i in timed_out.nonzero()[0].tolist():
                 payloads[i] = None
-        finish = float(waited.max()) if waited.size else 0.0
+        finish = float(waited.max())
         self.last_latencies = waited - timing.issues
         if window.record_gets:
-            for t, nb, iss, done in zip(targets, sizes, timing.issues, waited):
+            for (t, _, nb), iss, done in zip(rows, timing.issues.tolist(), waited.tolist()):
                 window.get_log.append(
-                    _GetRecord(
-                        origin=comm.rank,
-                        target=int(t),
-                        nbytes=int(nb),
-                        issued_at=float(iss),
-                        completed_at=float(done),
-                    )
+                    _GetRecord(origin=comm.rank, target=t, nbytes=nb, issued_at=iss, completed_at=done)
                 )
-        total_bytes = int(sizes.sum())
+        total_bytes = sum(sizes)
         yield engine.timeout(max(0.0, finish - issued))
-        comm.stats.record("MPI_Get", engine.now - issued, total_bytes)
-        obs = comm.communicator.world.obs
+        self._stats.record("MPI_Get", engine.now - issued, total_bytes)
+        obs = self._world.obs
         if obs.tracing:
             obs.tracer.record(
                 "rma.get_batch",
@@ -267,7 +260,7 @@ class WinHandle:
                 lane=1,
                 start=issued,
                 end=engine.now,
-                n_reads=len(requests),
+                n_reads=len(rows),
                 nbytes=total_bytes,
                 n_timeouts=int(timed_out.sum()) if timed_out is not None else 0,
             )

@@ -117,13 +117,20 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, _LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, _LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
+        # (name, *labels in call order) -> counter: hot publishers call with
+        # the same labels in the same order, so they skip the sort.
+        self._counter_calls: dict[tuple, Counter] = {}
 
     # -- instruments ------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
-        key = (name, _label_key(labels))
-        inst = self._counters.get(key)
+        call = (name, *labels.items())
+        inst = self._counter_calls.get(call)
         if inst is None:
-            inst = self._counters[key] = Counter(name, key[1])
+            key = (name, _label_key(labels))
+            inst = self._counters.get(key)
+            if inst is None:
+                inst = self._counters[key] = Counter(name, key[1])
+            self._counter_calls[call] = inst
         return inst
 
     def gauge(self, name: str, **labels: Any) -> Gauge:

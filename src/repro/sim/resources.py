@@ -273,11 +273,17 @@ class FluidStation:
         if service_time < 0:
             raise ValueError("negative service time")
         bucket = int(arrival / self.bucket_s)
-        self._advance(bucket)
-        offset = arrival - self.cur_bucket * self.bucket_s
+        if bucket > self.cur_bucket:
+            self._advance(bucket)
         if bucket < self.cur_bucket:
             offset = 0.0  # late-priced past arrival: charge as "now"
-        queue = max(0.0, self.carry + self.used - max(offset, 0.0))
+        else:
+            offset = arrival - self.cur_bucket * self.bucket_s
+            if offset < 0.0:
+                offset = 0.0
+        queue = self.carry + self.used - offset
+        if not queue > 0.0:
+            queue = 0.0
         self.used += service_time
         self.jobs_served += 1
         self.busy_time += service_time

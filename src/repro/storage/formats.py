@@ -44,22 +44,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SampleStats:
     """Header-only view of a packed sample (stats-mode pipelines).
 
     Carries exactly what the performance path needs — graph sizes for the
     GPU cost model and the byte count for CPU costing — without paying the
     wall-clock price of a full deserialisation.  Virtual-time charges are
-    identical either way.
+    identical either way.  A plain record (demand calls build one per
+    sample, so it skips a frozen dataclass's per-field ``__setattr__``);
+    ``vars()`` of it is its fields.
     """
 
-    sample_id: int
-    n_nodes: int
-    n_edges: int
-    feature_dim: int
-    output_dim: int
-    nbytes: int
+    _FIELDS = ("sample_id", "n_nodes", "n_edges", "feature_dim", "output_dim", "nbytes")
+
+    def __init__(
+        self, sample_id: int, n_nodes: int, n_edges: int, feature_dim: int, output_dim: int,
+        nbytes: int,
+    ) -> None:
+        self.sample_id = sample_id
+        self.n_nodes = n_nodes
+        self.n_edges = n_edges
+        self.feature_dim = feature_dim
+        self.output_dim = output_dim
+        self.nbytes = nbytes
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SampleStats:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"SampleStats({args})"
 
     @classmethod
     def from_blob(cls, blob) -> "SampleStats":

@@ -8,6 +8,9 @@ grants are loud at shutdown, the queue accounting still tiles a fetch
 that was split, and the whole thing replays bit for bit.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -388,10 +391,23 @@ def _replay():
     return job.results, world.engine._seq, world.engine.now
 
 
+#: ``_replay``'s engine event count, horizon (``float.hex``) and the sha256
+#: of its per-tenant stats/stages/latencies as JSON, recorded before the
+#: read path's per-fetch work was cut: a serving-path event that moves,
+#: appears or disappears fails here, not only in a perf ledger row.
+REPLAY_GOLDEN = (
+    776,
+    "0x1.076f0a100f7dbp-6",
+    "902cd70adb37d46189783c6b78de09f20e2d507334da7d3470cd99c37a2a9508",
+)
+
+
 def test_same_seed_replays_bit_for_bit():
     first, second = _replay(), _replay()
     assert first == second  # FetchStats, stages, latencies, events, horizon
-    results, _events, _now = first
+    results, events, now = first
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert (events, now.hex(), digest) == REPLAY_GOLDEN
     assert all(ok for ok, _ in results)
     total = lambda name: sum(  # noqa: E731
         stats[0][name] for _, per_tenant in results for stats in per_tenant.values()

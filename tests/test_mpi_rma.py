@@ -1,9 +1,13 @@
 """Tests for one-sided RMA (windows, lock epochs, get/put, batching)."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
-from repro.hardware import TESTBOX
+from repro.faults import RankFaultModel, build_fault_plan, install_faults
+from repro.hardware import TESTBOX, Cluster, Interconnect, get_machine
 from repro.mpi import (
     LOCK_EXCLUSIVE,
     LOCK_SHARED,
@@ -11,6 +15,8 @@ from repro.mpi import (
     create_window,
     run_world,
 )
+from repro.mpi.comm import World
+from repro.sim import Engine
 
 
 def run(fn, n_nodes=2, **kw):
@@ -370,3 +376,108 @@ def test_get_batch_per_request_bounds():
     assert list(timed_out) == [False, True, False]
     assert payloads[1] is None and np.all(payloads[0] == 2) and np.all(payloads[2] == 3)
     assert np.isclose(latencies[1], 1e-12) and latencies[0] > 1e-9 and latencies[2] > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# frozen RMA timing corpus
+# ---------------------------------------------------------------------------
+
+RMA_CORPUS = os.path.join(os.path.dirname(__file__), "data", "rma_corpus.json")
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _nic_state(cluster) -> list:
+    """Every NIC station's full state: ``[jobs_served, busy_time,
+    bytes_served, cur_bucket, used, carry]`` per station, nodes in order,
+    outbound before inbound."""
+    return [
+        [s.jobs_served, s.busy_time.hex(), int(s.bytes_served), s.cur_bucket,
+         s.used.hex(), s.carry.hex()]
+        for node in cluster.nodes
+        for s in (node.nic_out, node.nic_in)
+    ]
+
+
+def replay_rma_script(script: dict) -> dict:
+    """Run a scripted sequence of batched RMA gets and return what the
+    timing model said about each, exactly.
+
+    ``interconnect`` ops price ``Interconnect.rma_get_batch`` calls on a
+    bare cluster (``["faults", plan_name | None]`` swaps the fault model);
+    each call records its issue and completion times as ``float.hex`` and
+    every NIC station's state after it.  ``window`` ops run
+    ``WinHandle.get_batch`` from two origins of a live world under a fault
+    plan, with no, scalar and per-read timeouts; each records the timed-out
+    flags, per-read latencies, payload sizes and the clock after it."""
+    machine = get_machine(script["machine"])
+    seed = script["seed"]
+    cluster = Cluster(Engine(), machine, script["n_nodes"])
+    net = Interconnect(cluster, jitter_sigma=script["jitter_sigma"], seed=seed)
+    priced = []
+    for op, *args in script["interconnect"]:
+        if op == "faults":
+            plan = args[0]
+            net.faults = (
+                None if plan is None
+                else RankFaultModel(build_fault_plan(plan, cluster.n_ranks, seed).events)
+            )
+            continue
+        origin, targets, nbytes, arrival, n_streams = args
+        timing = net.rma_get_batch(
+            origin, np.array(targets, np.int64), np.array(nbytes, np.float64), arrival,
+            n_streams=n_streams,
+        )
+        n_perturbed = 0 if net.faults is None else net.faults.n_perturbed
+        priced.append([
+            _hex(timing.issues), _hex(timing.completions), _nic_state(cluster), n_perturbed,
+        ])
+
+    win_script = script["window"]
+    world = World(machine, win_script["n_nodes"], seed=seed)
+    install_faults(world, build_fault_plan(win_script["fault_plan"], world.n_ranks, seed))
+
+    def main(ctx):
+        win = yield from create_window(ctx.comm, _make_local(ctx.rank, win_script["nbytes"]))
+        yield from win.fence()
+        log = []
+        for requests, timeout_s, pause in win_script["ops"].get(str(ctx.rank), []):
+            yield ctx.engine.timeout(pause)
+            targets = sorted({t for t, _, _ in requests})
+            for t in targets:
+                yield from win.lock(t, LOCK_SHARED)
+            bound = np.array(timeout_s, np.float64) if isinstance(timeout_s, list) else timeout_s
+            payloads = yield from win.get_batch(requests, n_streams=2, timeout_s=bound)
+            for t in targets:
+                yield from win.unlock(t)
+            flags = win.last_timeouts
+            log.append([
+                None if flags is None else flags.tolist(),
+                _hex(win.last_latencies),
+                [None if p is None else [int(p.size), int(p[0]) if p.size else None]
+                 for p in payloads],
+                ctx.now.hex(),
+            ])
+        return log
+
+    job = run_world(machine, win_script["n_nodes"], main, world=world)
+    return dict(
+        interconnect=priced,
+        window=[job.results, _nic_state(world.cluster), world.engine._seq],
+    )
+
+
+def test_rma_timing_matches_the_frozen_corpus():
+    """``tests/data/rma_corpus.json`` holds what the RMA timing chain
+    returned before its per-get work moved from array passes to Python
+    lists: batched gets over same-node and cross-node targets, one to
+    three issuing streams, zero-byte reads, arrivals in an already-closed
+    NIC bucket and after idle gaps, under no faults, a 10x straggler and a
+    blackout; then windowed ``get_batch`` calls with no, scalar and
+    per-read timeouts.  Every issue and completion time, NIC station
+    state, timed-out flag and latency must repeat exactly."""
+    with open(RMA_CORPUS) as fh:
+        corpus = json.load(fh)
+    assert replay_rma_script(corpus["script"]) == corpus["expected"]

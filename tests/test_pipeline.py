@@ -37,7 +37,7 @@ from repro.core import (
     ServingOptions,
     StoreClosedError,
 )
-from repro.dataplane import WaveWindow
+from repro.dataplane import FetchOutcome, FetchPlanner, WaveWindow, pipeline
 from repro.dataplane.scheduler import EpochScheduler
 from repro.faults import FaultPlan, SlowRank, install_faults
 from repro.graphs import SAMPLE_ALLOCATIONS, BatchArena, IsingGenerator
@@ -510,3 +510,68 @@ def test_the_two_cache_spellings_are_one_configuration(policy, columnar, schedul
     hierarchy = run_with(cache=CacheOptions.parse(f"dram:{nbytes}", policy=policy))
     assert shorthand == hierarchy
     assert sum(stats[0]["n_cache_hits"] for _seen, stats, _now in shorthand)  # the cache engaged
+
+
+# ---------------------------------------------------------------------------
+# per-sample maxima: segment reductions equal the ufunc.at loop
+# ---------------------------------------------------------------------------
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 11), st.floats(0.0, 1e3, allow_nan=False)), min_size=1, max_size=40
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_segment_max_is_maximum_at(pairs, seed):
+    """Repeated positions reduce to the bits ``np.maximum.at`` leaves;
+    unique positions take the one-assignment form to the same bits."""
+    position = np.array([p for p, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs])
+    base = np.random.default_rng(seed).random(12) * 1e3
+    want = base.copy()
+    np.maximum.at(want, position, values)
+    got = base.copy()
+    pipeline.segment_max(got, position, values, single=False)
+    assert got.tobytes() == want.tobytes()
+    if np.unique(position).size == position.size:
+        got = base.copy()
+        pipeline.segment_max(got, position, values, single=True)
+        assert got.tobytes() == want.tobytes()
+
+
+@given(
+    sizes=st.lists(st.integers(1, 48), min_size=1, max_size=12),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=24),
+    max_read_bytes=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_assemble_matches_the_maximum_at_reference(sizes, picks, max_read_bytes, seed):
+    """Small ``max_read_bytes`` splits samples across reads and repeated
+    picks request one sample at several positions: ``assemble`` stitches
+    every sample's bytes and leaves each position the bits
+    ``np.maximum.at`` does — the max over its slices' read latencies."""
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    windows = [rng.integers(0, 256, int(starts[-1]), dtype=np.uint8) for _ in range(2)]
+    for window in windows:
+        window.setflags(write=False)
+    sample = np.array([p % len(sizes) for p in picks])
+    targets = np.array([p % 2 for p in picks])
+    plan = FetchPlanner(max_read_bytes=max_read_bytes).plan(
+        targets, starts[sample], np.asarray(sizes)[sample]
+    )
+    outcome = FetchOutcome(
+        payloads=[windows[t][off : off + nb] for t, off, nb in plan.reads.tolist()],
+        latencies=rng.random(plan.n_reads),
+    )
+    latencies = rng.random(len(picks))
+    want = latencies.copy()
+    np.maximum.at(want, plan.slices[:, 1], outcome.latencies[plan.slices[:, 0]])
+    blobs = [None] * len(picks)
+    pipeline.assemble(plan, outcome, blobs, latencies)
+    assert latencies.tobytes() == want.tobytes()
+    for blob, t, s in zip(blobs, targets.tolist(), sample.tolist()):
+        assert blob.tobytes() == windows[t][starts[s] : starts[s + 1]].tobytes()
+        assert not blob.flags.writeable
