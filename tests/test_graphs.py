@@ -1,6 +1,7 @@
 """Tests for graph structures, collation, and dataset generators."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.graphs import (
     make_generator,
 )
 from repro.bench.harness import packed_blobs
-from repro.graphs import dftb_surrogate_spectrum, molecules
+from repro.graphs import dftb_surrogate_spectrum, molecules, spectra
 from repro.graphs.ising import _lattice_topology
 from repro.graphs.molecules import N_ELEMENTS, _ELEMENT_ELECTRONEG, _ELEMENT_PROBS, _ELEMENT_VALENCE
 from repro.graphs.spectra import N_PEAKS, _transitions
@@ -278,23 +279,68 @@ _INTENSITY = st.one_of(
 )
 
 
-@given(
-    st.sampled_from([1, 2, 50]).flatmap(
+_SPECTRUM_CASES = dict(
+    peaks_intens=st.sampled_from([1, 2, 50]).flatmap(
         lambda n: st.tuples(
             st.lists(_PEAK_EV, min_size=n, max_size=n), st.lists(_INTENSITY, min_size=n, max_size=n)
         )
     ),
-    st.sampled_from([2, 351, 701, 37500]),
-    st.sampled_from([0.05, 0.15, 1.0]),
+    grid_size=st.sampled_from([2, 351, 701, 37500]),
+    sigma_ev=st.sampled_from([0.05, 0.15, 1.0]),
 )
-@settings(max_examples=60, deadline=None)
-def test_smooth_spectrum_is_bit_identical_to_the_dense_formula(peaks_intens, grid_size, sigma_ev):
+
+
+def _assert_matches_dense(peaks_intens, grid_size, sigma_ev):
     peaks = np.array(peaks_intens[0], dtype=np.float32)
     intens = np.array(peaks_intens[1], dtype=np.float32)
     got = gaussian_smooth_spectrum(peaks, intens, grid_size, sigma_ev)
     want = _dense_smooth_spectrum(peaks, intens, grid_size, sigma_ev)
     assert got.dtype == np.float32
     assert got.tobytes() == want.tobytes()  # also tells -0.0 from +0.0
+
+
+@given(**_SPECTRUM_CASES)
+@settings(max_examples=60, deadline=None)
+def test_smooth_spectrum_is_bit_identical_to_the_dense_formula(peaks_intens, grid_size, sigma_ev):
+    _assert_matches_dense(peaks_intens, grid_size, sigma_ev)
+
+
+@given(**_SPECTRUM_CASES)
+@settings(max_examples=60, deadline=None)
+def test_smooth_spectrum_exact_pass_alone_is_bit_identical_to_the_dense_formula(
+    peaks_intens, grid_size, sigma_ev
+):
+    # A 1-sigma first pass certifies nothing (its bound exceeds every |sum|),
+    # so every grid point of a nonzero spectrum goes through the exact pass.
+    with mock.patch.object(spectra, "_FAST_SIGMAS", 1.0):
+        _assert_matches_dense(peaks_intens, grid_size, sigma_ev)
+
+
+def test_smooth_spectrum_exact_cancellation_stays_plus_zero():
+    peaks = np.array([4.0, 4.0], dtype=np.float32)
+    intens = np.array([1.0, -1.0], dtype=np.float32)
+    for grid_size in (351, 37500):
+        got = gaussian_smooth_spectrum(peaks, intens, grid_size)
+        assert got.tobytes() == _dense_smooth_spectrum(peaks, intens, grid_size).tobytes()
+        assert got.tobytes() == bytes(4 * grid_size)  # +0.0 everywhere, never -0.0
+
+
+def test_smooth_spectrum_exact_pass_visits_under_one_percent_of_the_grid(monkeypatch):
+    # A loose bound would not break a single byte, only send the kernel back
+    # to summing every term at every grid point.
+    visited = []
+    accumulate = spectra._accumulate
+
+    def counting(spectrum, row, grid, p, w, sigma, reach):
+        if reach > sigma * spectra._FAST_SIGMAS:
+            visited.append(grid.size)
+        accumulate(spectrum, row, grid, p, w, sigma, reach)
+
+    monkeypatch.setattr(spectra, "_accumulate", counting)
+    gen = DATASETS["aisd-ex-smooth"].make(32, 0)
+    for index in range(32):
+        gen.make(index)
+    assert 0 < sum(visited) < 0.01 * 32 * gen.grid_size
 
 
 def test_smooth_spectrum_skips_part_of_the_grid_and_stays_identical():
@@ -484,11 +530,18 @@ def test_molecule_kernel_matches_the_loop_at_every_atom_count(seed, monkeypatch)
 
 @pytest.mark.parametrize("mode", ["discrete", "smooth"])
 def test_spectrum_kernel_matches_the_loop_at_every_atom_count(mode):
+    # make() wraps its arrays with AtomicGraph.trusted: they must already be
+    # what the validating constructor (used by the loop) would store.
     gen = SpectrumGenerator(3, mode=mode, grid_size=351, seed=5)
     for n_atoms in range(1, 72):
         gen._molecules = _SizedMolecules(3, n_atoms, seed=5)
         for index in range(3):
-            assert _raw(gen.make(index)) == _raw(_loop_spectrum(gen, index))
+            got = gen.make(index)
+            got.validate()
+            assert all(a.flags.c_contiguous for a in (got.positions, got.node_features, got.edge_index, got.y))
+            assert _raw(got) == _raw(_loop_spectrum(gen, index))
+    noisy = SpectrumGenerator(3, mode=mode, grid_size=351, seed=5, target_noise=0.03).make(0)
+    assert noisy.y.dtype == np.float32 and noisy.y.flags.c_contiguous
 
 
 def test_surrogate_kernel_matches_the_loop_on_asymmetric_and_looped_graphs():
@@ -569,10 +622,12 @@ def test_n_peaks_must_be_positive_and_tiny_molecules_work():
 # ---------------------------------------------------------------------------
 
 # sha256 over the concatenated pack_graph() output of the first n samples,
-# recorded before the generators were touched (aisd-ex-smooth at 4798b5e,
-# the 256-sample prefixes of the other four at 283ab16).  Any change to
-# these bytes moves every virtual-time metric and trace hash downstream.
-_GOLDEN_PREFIX = {"ising": 256, "aisd": 256, "aisd-ex-discrete": 256, "aisd-ex-smooth": 4,
+# recorded before the generators were touched (the 256-sample prefixes at
+# 283ab16; aisd-ex-smooth's 64 at b5ce3ee, the last dense-window kernel:
+# 64 samples, unlike 4, send grid points through its exact pass).  Any
+# change to these bytes moves every virtual-time metric and trace hash
+# downstream.
+_GOLDEN_PREFIX = {"ising": 256, "aisd": 256, "aisd-ex-discrete": 256, "aisd-ex-smooth": 64,
                   "aisd-ex-smooth-small": 256}
 _GOLDEN_SHA256 = {
     ("ising", 0): "729d3b7145ecfe97b6b4b0cb250851c5bbebf716e2fc66e9afeaacc944c3b83c",
@@ -587,8 +642,8 @@ _GOLDEN_SHA256 = {
     ("aisd-ex-smooth-small", 0): "9e0be8be5726aa6533daadbaa2b91729bbb27ec79b912805d6d5f77292bf5d82",
     ("aisd-ex-smooth-small", 1): "84b785325ae0ee9f78a522d5401f9ad3a926345cca84034b8276a0dd9cc329c1",
     ("aisd-ex-smooth-small", 2): "abfb620efdc6ef3364322a9dc7bd48eb26dd5b4cc7c9aeab8d30aec7b2b5f5e8",
-    ("aisd-ex-smooth", 0): "36422ace928210b5109566b0ecf1d7e665ac9915b1bc2e98f944935a9ac6a89d",
-    ("aisd-ex-smooth", 1): "0a69e2fb0b43e24b277b3d2e10b28c123ab9a9ec7b19917f028330221d9c4eb2",
+    ("aisd-ex-smooth", 0): "c333aa7984b4bdb2cd3ff5e1bf02a78667fbf29dbefc22948739fddcf687cc4d",
+    ("aisd-ex-smooth", 1): "f19777867d5b2fc4262da57d1d52d5cf3bb0e201a748f1edc072847a6d57bfab",
 }
 
 
