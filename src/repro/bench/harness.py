@@ -103,7 +103,6 @@ class ExperimentConfig:
     coalesce: bool = True  # DDStore fetch-request coalescing
     # epoch-ahead data-plane scheduling (see DataPlaneOptions)
     prefetch_depth: int = 1  # batches kept in flight ahead of compute
-    prefetch_budget_bytes: Optional[int] = None  # in-flight byte cap
     scheduler: bool = False  # wave scheduling (needs a cache)
     node_fetch: bool = False  # node-aggregated wave fetch (needs scheduler)
     cache_policy: str = "lru"  # "lru" or "belady"
@@ -118,10 +117,6 @@ class ExperimentConfig:
     failover: bool = True  # re-route timed-out reads to another replica
     # online elastic width control (see repro.control / ElasticOptions)
     elastic: bool = False  # retune width between epochs from obs signals
-    elastic_cooldown: int = 1  # epochs to hold a move before judging it
-    elastic_min_gain: float = 0.05  # relative gain a move must pay, else revert
-    elastic_stall_threshold: float = 0.10  # stall fraction that triggers a move
-    elastic_min_width: int = 1  # replication floor the controller may reach
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -155,19 +150,12 @@ class ExperimentConfig:
         return DDStoreConfig(
             self.n_ranks,
             width=self.width,
-            elastic=ElasticOptions(
-                enabled=self.elastic,
-                min_width=self.elastic_min_width,
-                cooldown_epochs=self.elastic_cooldown,
-                min_gain=self.elastic_min_gain,
-                stall_threshold=self.elastic_stall_threshold,
-            ),
+            elastic=ElasticOptions(enabled=self.elastic),
             dataplane=DataPlaneOptions(
                 framework="p2p" if self.method == "ddstore-p2p" else "mpi-rma",
                 cache_bytes=self.cache_bytes,
                 coalesce=self.coalesce,
                 prefetch_depth=self.prefetch_depth,
-                prefetch_budget_bytes=self.prefetch_budget_bytes,
                 scheduler=self.scheduler,
                 node_fetch=self.node_fetch,
                 cache_policy=self.cache_policy,

@@ -17,7 +17,6 @@ __all__ = [
     "geomean",
     "speedup_table",
     "merge_stage_seconds",
-    "stage_fractions",
     "fmt_ms",
     "fmt_seconds",
 ]
@@ -83,14 +82,6 @@ def merge_stage_seconds(
     known = [s for s in FETCH_STAGES if s in totals]
     extra = sorted(k for k in totals if k not in FETCH_STAGES)
     return {k: totals[k] for k in known + extra}
-
-
-def stage_fractions(stages: Mapping[str, float]) -> dict[str, float]:
-    """Normalise per-stage seconds to fractions of their total."""
-    total = sum(max(0.0, float(v)) for v in stages.values())
-    if total <= 0.0:
-        return {k: 0.0 for k in stages}
-    return {k: max(0.0, float(v)) / total for k, v in stages.items()}
 
 
 def fmt_ms(seconds: float) -> str:

@@ -185,11 +185,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_dataplane(_args: argparse.Namespace) -> int:
-    from .dataplane import available_frameworks, get_transport
+    from .dataplane import TRANSPORTS
 
-    print("registered data-plane transports:\n")
-    for name in available_frameworks():
-        cls = get_transport(name)
+    print("data-plane transports:\n")
+    for name, cls in TRANSPORTS.items():
         coal = "yes" if cls.supports_coalescing else "no"
         print(f"  {name.ljust(12)}  {cls.__module__}.{cls.__name__}  (coalescing: {coal})")
     print("\nselect with DDStore.create(..., dataplane=DataPlaneOptions(framework=<name>))")
@@ -254,7 +253,7 @@ COMMANDS: tuple[Command, ...] = (
         _cmd_datasets,
         configure=lambda p: p.add_argument("--samples", type=int, default=100) and None,
     ),
-    Command("dataplane", "list registered data-plane transports", _cmd_dataplane),
+    Command("dataplane", "list the data-plane transports", _cmd_dataplane),
 )
 
 

@@ -10,19 +10,17 @@ signals the observability layer already collects.
 
 Policy, in full (it is deliberately small):
 
-* Candidate widths are the divisors of the world size inside
-  ``[min_width, max_width]`` — the same lattice
-  :class:`~repro.core.config.DDStoreConfig` validates.
+* Candidate widths are the divisors of the world size — the widths
+  :class:`~repro.core.config.DDStoreConfig` accepts.
 * After every epoch the controller receives one :class:`EpochSignals`
   (already reduced across ranks, so every rank sees identical numbers
   and makes the identical decision — the reshard is collective).
 * **Pressure** — when the data plane is hurting (stall fraction above
-  ``stall_threshold``, or timeouts observed, meaning a straggler/dark
-  rank is on the fetch path), step one divisor *down* (more
-  replication, more failover headroom).
-* **Hysteresis** — after a move the controller holds for
-  ``cooldown_epochs`` epochs, then compares epoch time against the
-  pre-move baseline.  A move that did not pay at least ``min_gain``
+  :data:`STALL_THRESHOLD`, or timeouts observed, meaning a
+  straggler/dark rank is on the fetch path), step one divisor *down*
+  (more replication, more failover headroom).
+* **Hysteresis** — the epoch after a move is compared against the
+  pre-move baseline.  A move that did not pay at least :data:`MIN_GAIN`
   relative improvement is reverted and that (from, to) edge is
   blacklisted, so the controller cannot oscillate: every edge is tried
   at most once and the candidate set is finite, hence convergence.
@@ -33,12 +31,18 @@ per-rank signals and actuating the decision is the coordinator's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..core.config import ElasticOptions
-
 __all__ = ["EpochSignals", "Decision", "ElasticWidthController"]
+
+#: Fraction of epoch time spent in unhidden data wait above which the
+#: store counts as fetch-bound and the controller steps toward more
+#: replication (smaller width).
+STALL_THRESHOLD = 0.10
+#: Fractional epoch-time improvement a move must show on its first epoch
+#: to be kept; otherwise it is reverted and the move blacklisted.
+MIN_GAIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -81,37 +85,22 @@ class Decision:
 class ElasticWidthController:
     """Per-rank replica of the width policy; feed identical signals."""
 
-    def __init__(
-        self, options: ElasticOptions, n_ranks: int, initial_width: int
-    ) -> None:
+    def __init__(self, n_ranks: int, initial_width: int) -> None:
         if n_ranks % initial_width != 0:
             raise ValueError(
                 f"initial width {initial_width} does not divide world size "
                 f"{n_ranks}"
             )
-        self.options = options
         self.n_ranks = n_ranks
-        hi = options.max_width if options.max_width is not None else n_ranks
-        self.candidates = [
-            d
-            for d in range(1, n_ranks + 1)
-            if n_ranks % d == 0 and options.min_width <= d <= hi
-        ]
-        if not self.candidates:
-            raise ValueError(
-                f"no candidate widths divide {n_ranks} inside "
-                f"[{options.min_width}, {hi}]"
-            )
+        self.candidates = [d for d in range(1, n_ranks + 1) if n_ranks % d == 0]
         self.width = initial_width
         self.decisions: list[Decision] = []
         self._epoch = -1
-        # Pending-move state: the width we came from, the epoch seconds we
-        # measured there, and how many cooldown epochs remain before the
-        # move is judged.
+        # Pending-move state: the width we came from and the epoch seconds
+        # we measured there; the next epoch judges the move.
         self._moved_from: Optional[int] = None
         self._baseline_seconds: float = 0.0
-        self._cooldown: int = 0
-        # Edges (from_width, to_width) that failed their ``min_gain``
+        # Edges (from_width, to_width) that failed their ``MIN_GAIN``
         # audition; never retried, which is what makes the climb terminate.
         self._rejected: set[tuple[int, int]] = set()
         self.history: list[tuple[int, EpochSignals]] = []
@@ -121,11 +110,8 @@ class ElasticWidthController:
         """A human-readable reason to narrow, or None when healthy."""
         if sig.n_timeouts > 0:
             return f"{sig.n_timeouts} fetch timeout(s) — straggler on the wire"
-        if sig.stall_fraction > self.options.stall_threshold:
-            return (
-                f"stall fraction {sig.stall_fraction:.3f} > "
-                f"{self.options.stall_threshold:.3f}"
-            )
+        if sig.stall_fraction > STALL_THRESHOLD:
+            return f"stall fraction {sig.stall_fraction:.3f} > {STALL_THRESHOLD:.3f}"
         return None
 
     def _next_narrower(self) -> Optional[int]:
@@ -164,31 +150,21 @@ class ElasticWidthController:
         self.history.append((self.width, signals))
 
         if self._moved_from is not None:
-            self._cooldown -= 1
-            if self._cooldown > 0:
-                self._log(signals, self.width, "hold", "in cooldown")
-                return None
             # Judge the move against the pre-move baseline.
             frm = self._moved_from
             base = self._baseline_seconds
             gain = (base - signals.epoch_seconds) / base if base > 0 else 0.0
             self._moved_from = None
-            if gain < self.options.min_gain:
+            if gain < MIN_GAIN:
                 self._rejected.add((frm, self.width))
                 before = self.width
                 self.width = frm
                 self._log(
-                    signals,
-                    before,
-                    "revert",
-                    f"gain {gain:.3f} < min_gain {self.options.min_gain:.3f}",
+                    signals, before, "revert", f"gain {gain:.3f} < min_gain {MIN_GAIN:.3f}"
                 )
                 return self.width
             self._log(
-                signals,
-                self.width,
-                "keep",
-                f"gain {gain:.3f} >= min_gain {self.options.min_gain:.3f}",
+                signals, self.width, "keep", f"gain {gain:.3f} >= min_gain {MIN_GAIN:.3f}"
             )
             # Accepted: fall through — the same signals may justify
             # climbing further (saves one epoch per rung).
@@ -199,7 +175,6 @@ class ElasticWidthController:
             if target is not None:
                 self._moved_from = self.width
                 self._baseline_seconds = signals.epoch_seconds
-                self._cooldown = self.options.cooldown_epochs
                 before = self.width
                 self.width = target
                 self._log(signals, before, "narrow", reason)

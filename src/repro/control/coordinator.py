@@ -74,7 +74,6 @@ class ElasticCoordinator:
         *,
         trainer=None,
         service=None,
-        options=None,
         n_workers: int = 1,
     ) -> None:
         self.ctx = ctx
@@ -84,10 +83,8 @@ class ElasticCoordinator:
         self.service = service
         self.n_workers = n_workers
         store = session.store
-        self.options = options if options is not None else store.config.elastic
-        self.controller = ElasticWidthController(
-            self.options, ctx.size, store.width
-        )
+        self.options = store.config.elastic
+        self.controller = ElasticWidthController(ctx.size, store.width)
         self._fault_base = {
             name: getattr(store.stats, name) for name in _FAULT_COUNTERS
         }

@@ -8,20 +8,18 @@
 * ``f`` — the communication framework.  The paper ships MPI RMA and
   discusses rejected alternatives; we implement ``mpi-rma`` plus a
   two-sided ``p2p`` data plane as the ablation of §3.1's rejected design
-  (message exchange requiring the target's involvement).  Any framework
-  registered with :func:`repro.dataplane.register_transport` is valid.
+  (message exchange requiring the target's involvement).
 
 The tuning surface is grouped into nested, individually-validated option
 dataclasses:
 
 * :class:`DataPlaneOptions` — the fetch path: framework, request
-  coalescing, read-size cap, hot-sample cache budget,
+  coalescing, hot-sample cache budget, epoch-ahead prefetch,
 * :class:`ResilienceOptions` — how a fetch behaves when a peer is slow or
-  dead: per-read virtual-time timeout, retry/backoff schedule, and
-  replica failover,
-* :class:`ServingOptions` — the multi-tenant serving layer: admission
-  limits, per-tenant QoS classes and DRR fairness quanta, and how the
-  sample-cache budget is partitioned between concurrent tenants.
+  dead: per-read virtual-time timeout, retry budget, and replica
+  failover,
+* :class:`ServingOptions` — the multi-tenant serving layer: tenant
+  limit, per-tenant QoS classes and DRR fairness quanta.
 
 Every knob is passed inside its group::
 
@@ -45,19 +43,11 @@ __all__ = [
     "DDStoreConfig",
     "FRAMEWORKS",
     "TIER_KINDS",
-    "ADMISSION_POLICIES",
-    "CACHE_PARTITION_POLICIES",
 ]
 
-#: The built-in frameworks.  Validation consults the live transport
-#: registry, so this tuple is informational (and kept for back-compat).
+#: The data-plane frameworks ``DataPlaneOptions.framework`` accepts; each
+#: names one transport class in :data:`repro.dataplane.transport.TRANSPORTS`.
 FRAMEWORKS = ("mpi-rma", "p2p")
-
-#: What StoreService.connect does when every tenant slot is taken.
-ADMISSION_POLICIES = ("reject", "evict-idle")
-
-#: How the parent store's sample-cache budget is carved between tenants.
-CACHE_PARTITION_POLICIES = ("equal", "weighted")
 
 #: Recognised cache tiers, fastest first.  ``gpu`` and ``dram`` are
 #: per-rank byte pools; ``nvme`` is the node-shared burst buffer.  The
@@ -125,10 +115,11 @@ class CacheOptions:
       ``"belady"`` reuses the epoch-future feed so each tier evicts its
       farthest-reuse entry and refuses admissions that would displace a
       sooner-needed one; ``"lru"`` admits always and evicts least-recent.
-    * ``stage_nvme`` — pre-stage the dataset (capacity permitting) onto
-      the NVMe tier at store-create time, charged to preload; staged
-      entries are pinned, so DRAM demotions of staged samples are clean
-      drops instead of write-backs.
+
+    A hierarchy with an NVMe tier pre-stages the dataset onto it
+    (capacity permitting) at store-create time, charged to preload;
+    staged entries are pinned, so DRAM demotions of staged samples are
+    clean drops instead of write-backs.
 
     ``CacheOptions.parse("gpu:2m+dram:4m+nvme:256m")`` builds one from
     the CLI/bench string form.
@@ -136,7 +127,6 @@ class CacheOptions:
 
     tiers: tuple = ()
     policy: str = "lru"
-    stage_nvme: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.tiers, tuple):
@@ -162,7 +152,7 @@ class CacheOptions:
             )
 
     @classmethod
-    def parse(cls, text: str, policy: str = "lru", stage_nvme: bool = True) -> "CacheOptions":
+    def parse(cls, text: str, policy: str = "lru") -> "CacheOptions":
         """Parse ``"gpu:2m+dram:4m+nvme:256m"`` into a :class:`CacheOptions`."""
         tiers = []
         for part in text.split("+"):
@@ -177,7 +167,7 @@ class CacheOptions:
             tiers.append(TierSpec(kind=kind.strip().lower(), capacity_bytes=_parse_size(size)))
         if not tiers:
             raise ValueError(f"tier spec {text!r} names no tier")
-        return cls(tiers=tuple(tiers), policy=policy, stage_nvme=stage_nvme)
+        return cls(tiers=tuple(tiers), policy=policy)
 
     @classmethod
     def dram_only(cls, nbytes: int, policy: str = "lru") -> "CacheOptions":
@@ -201,9 +191,9 @@ class CacheOptions:
 class DataPlaneOptions:
     """How bytes move: transport selection and fetch-path tuning.
 
-    All defaults are seed-equivalent: ``mpi-rma`` with coalescing on, no
-    read-size cap, the sample cache off, and a depth-1 prefetch pipeline
-    (no epoch-ahead scheduling).
+    All defaults are seed-equivalent: ``mpi-rma`` with coalescing on,
+    unsplit coalesced reads, the sample cache off, and a depth-1 prefetch
+    pipeline (no epoch-ahead scheduling).
 
     The sample cache has one configuration, :attr:`cache_options` (a
     :class:`CacheOptions`), and two spellings of it:
@@ -222,9 +212,6 @@ class DataPlaneOptions:
 
     * ``prefetch_depth`` — how many batches the trainer keeps in flight
       ahead of compute (1 = the seed pipeline, bit-stable),
-    * ``prefetch_budget_bytes`` — cap on the estimated bytes of batches in
-      flight; the head-of-line batch always launches so the pipeline can
-      never deadlock (``None`` = unbounded),
     * ``scheduler`` — enable epoch-ahead *wave* scheduling: upcoming
       batches are grouped into waves whose remote samples are planned and
       fetched together (one lock epoch per target per wave, cross-batch
@@ -250,10 +237,8 @@ class DataPlaneOptions:
 
     framework: str = "mpi-rma"
     coalesce: bool = True
-    max_read_bytes: Optional[int] = None
     cache_bytes: int = 0
     prefetch_depth: int = 1
-    prefetch_budget_bytes: Optional[int] = None
     scheduler: bool = False
     cache_policy: str = "lru"
     columnar: bool = False
@@ -261,27 +246,13 @@ class DataPlaneOptions:
     node_fetch: bool = False
 
     def __post_init__(self) -> None:
-        # Lazy import: repro.dataplane registers the built-in transports on
-        # first import, and core must stay importable without it cycling.
-        from ..dataplane import available_frameworks
-
-        frameworks = available_frameworks()
-        if self.framework not in frameworks:
+        if self.framework not in FRAMEWORKS:
             raise ValueError(
-                f"unknown framework {self.framework!r}; options: {frameworks}"
-            )
-        if self.max_read_bytes is not None and self.max_read_bytes < 1:
-            raise ValueError(
-                f"max_read_bytes must be positive, got {self.max_read_bytes}"
+                f"unknown framework {self.framework!r}; options: {FRAMEWORKS}"
             )
         if self.prefetch_depth < 1:
             raise ValueError(
                 f"prefetch_depth must be >= 1, got {self.prefetch_depth}"
-            )
-        if self.prefetch_budget_bytes is not None and self.prefetch_budget_bytes < 1:
-            raise ValueError(
-                f"prefetch_budget_bytes must be positive, got "
-                f"{self.prefetch_budget_bytes}"
             )
         if self.cache is not None and not isinstance(self.cache, CacheOptions):
             raise TypeError(f"cache must be CacheOptions, got {type(self.cache)!r}")
@@ -319,21 +290,19 @@ class ResilienceOptions:
     wire read that has not completed within ``timeout_s`` virtual seconds
     of being issued is abandoned, marks its target suspect, and is
     re-issued to the same chunk's owner in the nearest healthy replica
-    group; while the mark lasts — ``timeout_s * backoff_factor**k`` after
-    the k-th consecutive timeout, scaled up to what the discovery cost —
-    first attempts are steered around the slow peer.  A read with nowhere
-    else to go (failover off, a single replica, every replica suspect) is
+    group; while the mark lasts — ``timeout_s * 2**k`` after the k-th
+    consecutive timeout, scaled up to what the discovery cost — first
+    attempts are steered around the slow peer.  A read with nowhere else
+    to go (failover off, a single replica, every replica suspect) is
     never abandoned: it is issued once, without a deadline, as is the
     final permitted attempt of any read, so a degraded-but-alive peer
     cannot stall a read forever.  The exponential backoff
-    (``backoff_s * backoff_factor**k``) is waited out only before
-    re-issuing to the *same* rank.
+    (``1e-4 s * 2**k``, :class:`~repro.dataplane.retry.RetryPolicy`'s
+    constants) is waited out only before re-issuing to the *same* rank.
     """
 
     timeout_s: Optional[float] = None
     max_retries: int = 2
-    backoff_s: float = 1e-4
-    backoff_factor: float = 2.0
     failover: bool = True
 
     def __post_init__(self) -> None:
@@ -344,21 +313,10 @@ class ResilienceOptions:
                 f"max_retries must be >= 1 (the final attempt runs without "
                 f"a timeout), got {self.max_retries}"
             )
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
 
     @property
     def enabled(self) -> bool:
         return self.timeout_s is not None
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based): exponential, capped
-        at 16 doublings so virtual time cannot overflow."""
-        return self.backoff_s * self.backoff_factor ** min(max(attempt - 1, 0), 16)
 
 
 @dataclass(frozen=True)
@@ -369,11 +327,11 @@ class ServingOptions:
     :class:`~.store.DDStore` never reads these, so the defaults cannot
     perturb existing runs.
 
-    * ``max_tenants`` — concurrent sessions a rank's service admits,
-    * ``admission`` — what ``connect`` does when every slot is taken:
-      ``"reject"`` raises :class:`~repro.serving.AdmissionError`,
-      ``"evict-idle"`` closes the longest-idle session with no in-flight
-      bytes (and rejects only if *every* tenant is mid-fetch),
+    * ``max_tenants`` — concurrent sessions a rank's service admits;
+      ``connect`` on a full service raises
+      :class:`~repro.serving.AdmissionError`, and each session's cache
+      partition is ``budget / max_tenants`` of the parent's DRAM tier
+      (static, so a late tenant can never shrink an admitted one's),
     * ``max_inflight_bytes`` — per-tenant cap on wire bytes in flight; a
       fetch wave larger than the cap is admitted alone (head-of-line
       progress), everything else queues,
@@ -389,32 +347,19 @@ class ServingOptions:
       ``None`` disables the per-target gate (DRR then never engages —
       grants are immediate),
     * ``qos`` — the QoS classes as ``(name, weight)`` pairs; weights
-      scale both the DRR quantum and the ``"weighted"`` cache carve,
-    * ``cache_partition`` — how the parent store's DRAM cache budget is
-      split between tenant sessions: ``"equal"`` gives every slot
-      ``budget / max_tenants``; ``"weighted"`` gives a tenant
-      ``budget * weight / (max_tenants * max_weight)``.  Both are static
-      (independent of arrival order), so a late tenant can never shrink
-      an admitted tenant's partition.
+      scale the DRR quantum and the class's per-target byte pool.
     """
 
     max_tenants: int = 4
-    admission: str = "reject"
     max_inflight_bytes: Optional[int] = None
     drr_quantum_bytes: int = 256 << 10
     target_inflight_bytes: Optional[int] = 1 << 20
     qos: tuple = (("interactive", 4), ("batch", 1))
-    cache_partition: str = "equal"
 
     def __post_init__(self) -> None:
         if self.max_tenants < 1:
             raise ValueError(
                 f"max_tenants must be >= 1, got {self.max_tenants}"
-            )
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
             )
         if self.max_inflight_bytes is not None and self.max_inflight_bytes < 1:
             raise ValueError(
@@ -453,11 +398,6 @@ class ServingOptions:
             names.append(name)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate qos class names: {names}")
-        if self.cache_partition not in CACHE_PARTITION_POLICIES:
-            raise ValueError(
-                f"cache_partition must be one of {CACHE_PARTITION_POLICIES}, "
-                f"got {self.cache_partition!r}"
-            )
 
     @property
     def default_qos(self) -> str:
@@ -489,16 +429,9 @@ class ServingOptions:
             1, self.target_inflight_bytes * self.weight_of(qos_class) // total_weight
         )
 
-    def partition_bytes(self, total_bytes: int, qos_class: str) -> int:
-        """This tenant's slice of a ``total_bytes`` cache budget."""
-        if total_bytes <= 0:
-            return 0
-        if self.cache_partition == "equal":
-            return total_bytes // self.max_tenants
-        max_weight = max(weight for _, weight in self.qos)
-        return (total_bytes * self.weight_of(qos_class)) // (
-            self.max_tenants * max_weight
-        )
+    def partition_bytes(self, total_bytes: int) -> int:
+        """One tenant slot's slice of a ``total_bytes`` cache budget."""
+        return max(0, total_bytes) // self.max_tenants
 
 
 @dataclass(frozen=True)
@@ -509,49 +442,13 @@ class ElasticOptions:
     reads the metrics registry between epochs (fetch stall fraction,
     retry/failover pressure, tier stalls, overlap efficiency), decides a
     new replication width via a hysteresis policy, and live-reshards the
-    store over the bulk memory-to-memory path — no restart.  All knobs
-    are consumed by the controller only; a store never reads them on the
-    fetch path, so the defaults cannot perturb existing runs.
-
-    * ``min_width`` / ``max_width`` — clamp the candidate widths (both
-      must divide ``n_ranks``; ``max_width=None`` means ``n_ranks``),
-    * ``cooldown_epochs`` — epochs to hold a new width before judging it
-      (hysteresis: a move is only kept if it helped),
-    * ``min_gain`` — fractional epoch-time improvement a move must show
-      after the cooldown to be kept; otherwise the controller reverts and
-      blacklists the move (guarantees convergence),
-    * ``stall_threshold`` — fraction of epoch time spent in unhidden data
-      wait above which the controller considers the store fetch-bound and
-      steps toward more replication (smaller width).
+    store over the bulk memory-to-memory path — no restart.  The policy's
+    thresholds are constants of :mod:`repro.control.controller`; a store
+    never reads this group on the fetch path, so the default cannot
+    perturb existing runs.
     """
 
     enabled: bool = False
-    min_width: int = 1
-    max_width: Optional[int] = None
-    cooldown_epochs: int = 1
-    min_gain: float = 0.05
-    stall_threshold: float = 0.10
-
-    def __post_init__(self) -> None:
-        if self.min_width < 1:
-            raise ValueError(f"min_width must be >= 1, got {self.min_width}")
-        if self.max_width is not None and self.max_width < self.min_width:
-            raise ValueError(
-                f"max_width {self.max_width} must be >= min_width "
-                f"{self.min_width}"
-            )
-        if self.cooldown_epochs < 1:
-            raise ValueError(
-                f"cooldown_epochs must be >= 1, got {self.cooldown_epochs}"
-            )
-        if not 0.0 <= self.min_gain < 1.0:
-            raise ValueError(
-                f"min_gain must be in [0, 1), got {self.min_gain}"
-            )
-        if not 0.0 <= self.stall_threshold <= 1.0:
-            raise ValueError(
-                f"stall_threshold must be in [0, 1], got {self.stall_threshold}"
-            )
 
 
 @dataclass(frozen=True)
@@ -598,19 +495,6 @@ class DDStoreConfig:
                 object.__setattr__(self, name, group())
             elif not isinstance(value, group):
                 raise TypeError(f"{name} must be {group.__name__}, got {type(value)!r}")
-        if self.elastic.enabled:
-            e = self.elastic
-            hi = e.max_width if e.max_width is not None else self.n_ranks
-            candidates = [
-                d
-                for d in range(1, self.n_ranks + 1)
-                if self.n_ranks % d == 0 and e.min_width <= d <= hi
-            ]
-            if not candidates:
-                raise ValueError(
-                    f"ElasticOptions [min_width={e.min_width}, max_width={hi}] "
-                    f"admits no divisor of n_ranks={self.n_ranks}"
-                )
         # failover=True with a single replica has nowhere to fail over to
         # (reads are issued unbounded): "width permitting" is part of the
         # ResilienceOptions contract.

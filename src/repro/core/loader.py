@@ -108,7 +108,7 @@ class DDStoreDataset:
 
     def estimate_nbytes(self, indices: Sequence[int]) -> int:
         """Packed-payload bytes of a batch (registry lookup; no simulation
-        time) — the scheduler's in-flight budget meter."""
+        time) — the scheduler's wave-cut and carried-launch meter."""
         return self.store.batch_nbytes(indices)
 
     def prefetch(

@@ -26,8 +26,8 @@ contents being identical across replica groups — a read whose owner
 recently timed out is steered, and a read that times out is *failed
 over*, to the same chunk's owner in another group
 (:meth:`DDStore._reroute` supplies that topology).
-Transports live in :mod:`repro.dataplane`; anything registered there is
-a valid ``framework`` value.
+Transports live in :mod:`repro.dataplane`; ``framework`` picks one from
+:data:`repro.dataplane.TRANSPORTS`.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import numpy as np
 from ..dataplane import (
     FETCH_STAGES,
     FetchPlanner,
+    TRANSPORTS,
     FetchStats,
     TieredCache,
-    get_transport,
     pipeline,
 )
 from ..dataplane.retry import RetryPolicy, TargetHealth
@@ -116,8 +116,7 @@ class DDStore:
         self.record_latencies = record_latencies
         self.stats = FetchStats()
         self.planner = FetchPlanner(
-            coalesce=config.dataplane.coalesce and transport.supports_coalescing,
-            max_read_bytes=config.dataplane.max_read_bytes,
+            coalesce=config.dataplane.coalesce and transport.supports_coalescing
         )
         machine = comm.communicator.world.machine
         self._machine = machine
@@ -287,23 +286,13 @@ class DDStore:
                 cls._local_shape_row(result),
                 call_name="MPI_Allgather",
             )
-        largest = registry.max_sample_bytes
-        max_read_bytes = config.dataplane.max_read_bytes
-        if max_read_bytes is not None and max_read_bytes < largest:
-            raise ValueError(
-                f"dataplane.max_read_bytes={max_read_bytes} is smaller "
-                f"than the largest packed sample in this dataset ({largest} "
-                f"bytes); every read of that sample would degenerate into "
-                f"max-size fragments. Raise max_read_bytes to at least "
-                f"{largest} (or leave it None for unbounded reads)."
-            )
 
         # Wire the data plane over the whole job (a private dup of ``comm``,
         # so concurrent stores never cross-match traffic).  Chunk contents
         # are identical across replica groups, which is what lets a timed-out
         # read fail over to rank ``group * width + owner`` of another group.
         plane_comm = yield from comm.dup()
-        transport_cls = get_transport(config.dataplane.framework)
+        transport_cls = TRANSPORTS[config.dataplane.framework]
         transport = yield from transport_cls.setup(
             plane_comm, result.buffer, record_latencies=record_latencies
         )
@@ -318,7 +307,7 @@ class DDStore:
         )
         store._node_index = node_index
         store._charged_bytes = buffer_nbytes
-        if store.cache.nvme is not None and store.cache.options.stage_nvme:
+        if store.cache.nvme is not None:
             yield from store._stage_nvme_tier(source, node_index)
         yield from comm.barrier()
         return store
@@ -395,14 +384,10 @@ class DDStore:
         """Bytes of dataset this rank holds in DRAM."""
         return self.registry.buffer_bytes(self.group_comm.rank)
 
-    @property
-    def win(self):
-        """Back-compat: the RMA window handle, when the transport has one."""
-        return getattr(self.transport, "win", None)
-
     def batch_nbytes(self, indices: Sequence[int]) -> int:
         """Total packed bytes of ``indices`` — free (registry lookup only);
-        the prefetch scheduler uses it to meter its in-flight byte budget."""
+        the prefetch scheduler meters its carried launches and cuts its
+        waves with it."""
         idx = np.asarray(list(indices), dtype=np.int64)
         if idx.size == 0:
             return 0
@@ -609,13 +594,12 @@ class DDStore:
             # sample): grants — and the head-of-line blocking a small
             # interactive read can suffer at a target's wire FIFO — stay
             # quantum-sized instead of whole-batch-sized.
-            quantum = max(
-                self.config.serving.drr_quantum_bytes, self.registry.max_sample_bytes
-            )
-            mrb = self.planner.max_read_bytes
             clone.planner = FetchPlanner(
                 coalesce=self.planner.coalesce,
-                max_read_bytes=quantum if mrb is None else min(mrb, quantum),
+                max_read_bytes=max(
+                    self.config.serving.drr_quantum_bytes,
+                    self.registry.max_sample_bytes,
+                ),
                 fair_interleave=True,
             )
         return clone

@@ -2,14 +2,13 @@
 
 The paper's central contribution is the fetch path — shared-lock
 ``MPI_Get`` batches against replica-group windows (§3).  This package
-makes that path its own layer so new backends, batching policies, and
-caches can be added without touching :class:`~repro.core.store.DDStore`:
+makes that path its own layer, apart from
+:class:`~repro.core.store.DDStore`:
 
-* :class:`Transport` — the abstract data-plane backend.  Built-ins:
+* :class:`Transport` — the abstract data-plane backend:
   :class:`RmaTransport` (the paper's one-sided design) and
-  :class:`P2PTransport` (the rejected two-sided ablation).  Third-party
-  transports register through :func:`register_transport` and are selected
-  by the existing ``framework`` config field.
+  :class:`P2PTransport` (the rejected two-sided ablation), selected by
+  the ``framework`` config field through :data:`TRANSPORTS`.
 * :class:`FetchPlanner` — groups requested samples by owner rank,
   coalesces adjacent byte ranges into single reads, and splits oversized
   reads (RapidGNN/Atompack-style packed remote reads).
@@ -21,8 +20,8 @@ caches can be added without touching :class:`~repro.core.store.DDStore`:
   path every ``DDStore`` entry point runs, with its per-call accounting
   (:class:`FetchStats`, stage spans, the ``ddstore.*`` metric families).
 * :class:`EpochScheduler` — epoch-ahead scheduling of the trainer's batch
-  loads: depth-k prefetch under an in-flight byte budget, cross-batch
-  wave fetches, and the Belady cache's future feed.
+  loads: depth-k prefetch, cross-batch wave fetches, and the Belady
+  cache's future feed.
 """
 
 from . import pipeline
@@ -36,12 +35,6 @@ from .planner import (
     plan_promotions,
 )
 from .scheduler import EpochScheduler
-from .registry import (
-    available_frameworks,
-    get_transport,
-    register_transport,
-    unregister_transport,
-)
 from .retry import (
     FetchTimeoutError,
     RetryOutcome,
@@ -50,12 +43,13 @@ from .retry import (
     fetch_with_retry,
 )
 from .stats import FETCH_STAGES, FetchStats
-from .transport import FetchOutcome, P2PTransport, RmaTransport, Transport
+from .transport import TRANSPORTS, FetchOutcome, P2PTransport, RmaTransport, Transport
 
 __all__ = [
     "Transport",
     "RmaTransport",
     "P2PTransport",
+    "TRANSPORTS",
     "FetchOutcome",
     "FetchPlanner",
     "FetchPlan",
@@ -78,11 +72,4 @@ __all__ = [
     "TargetHealth",
     "FetchTimeoutError",
     "fetch_with_retry",
-    "register_transport",
-    "unregister_transport",
-    "get_transport",
-    "available_frameworks",
 ]
-
-register_transport(RmaTransport)
-register_transport(P2PTransport)

@@ -444,7 +444,6 @@ class TieredCache:
         dram_hit_base_s: float = 0.0,
         dram_hit_Bps: float = float("inf"),
         now_fn: Optional[Callable[[], float]] = None,
-        max_io_bytes: int = 8 << 20,
     ) -> None:
         gpu_tier = options.tier("gpu")
         nvme_tier = options.tier("nvme")
@@ -468,7 +467,6 @@ class TieredCache:
         self.dram_hit_base_s = dram_hit_base_s
         self.dram_hit_Bps = dram_hit_Bps
         self._now = now_fn if now_fn is not None else (lambda: 0.0)
-        self.max_io_bytes = int(max_io_bytes)
         self.stats = CacheStats()
         self.tier_stats: dict[str, TierStats] = {"dram": TierStats()}
         if self.gpu is not None:
@@ -740,12 +738,12 @@ class TieredCache:
     # -- internals -----------------------------------------------------------
     def _read_batched(self, sizes: list, now: float) -> float:
         """Issue the NVMe reads for ``sizes`` as bounded IO groups (one
-        flash latency per group) at ``now``; returns the wall seconds
-        until the last one lands."""
+        flash latency per group, ``plan_promotions``' default cap) at
+        ``now``; returns the wall seconds until the last one lands."""
         from .planner import plan_promotions
 
         done = now
-        for lo, hi in plan_promotions(sizes, self.max_io_bytes):
+        for lo, hi in plan_promotions(sizes):
             done = max(done, self.nvme.device.read_many(hi - lo, sum(sizes[lo:hi]), now))
         return max(0.0, done - now)
 

@@ -52,7 +52,8 @@ class ArenaScatterMap:
     off the wire with no per-sample decode or allocation.
 
     Segments are stored CSR-style in four parallel columns bounded by
-    ``_ptr`` (one row span per position): building the map is a handful
+    ``_ptr`` (one row span per position), as :meth:`FetchPlanner.plan_arena`
+    builds them: building the map is a handful
     of vectorized array ops plus one bulk ``tolist`` instead of a
     per-position Python loop.  The columns live as plain Python lists —
     :meth:`scatter` runs per (position, payload slice) over rows of at
@@ -60,54 +61,20 @@ class ArenaScatterMap:
     overhead.
     """
 
-    def __init__(self, segments: list[list[tuple[int, int, int, int]]]) -> None:
-        flat = [seg for segs in segments for seg in segs]
-        ptr = np.zeros(len(segments) + 1, np.int64)
-        np.cumsum([len(s) for s in segments], out=ptr[1:])
-        cols = (
-            np.asarray(flat, np.int64).reshape(-1, 4).T
-            if flat
-            else np.zeros((4, 0), np.int64)
-        )
-        self._init_csr(ptr, cols[0], cols[1], cols[2], cols[3])
-
-    def _init_csr(self, ptr, src_lo, src_hi, field_id, dest_lo) -> None:
+    def __init__(
+        self,
+        ptr: np.ndarray,
+        src_lo: np.ndarray,
+        src_hi: np.ndarray,
+        field_id: np.ndarray,
+        dest_lo: np.ndarray,
+    ) -> None:
         self._ptr = np.asarray(ptr).tolist()
         self._src_lo = np.asarray(src_lo).tolist()
         self._src_hi = np.asarray(src_hi).tolist()
         self._field_id = np.asarray(field_id).tolist()
         self._dest_lo = np.asarray(dest_lo).tolist()
         self.n_segments = len(self._src_lo)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        ptr: np.ndarray,
-        src_lo: np.ndarray,
-        src_hi: np.ndarray,
-        field_id: np.ndarray,
-        dest_lo: np.ndarray,
-    ) -> "ArenaScatterMap":
-        """Wrap already-built CSR columns (the vectorized ``plan_arena``)."""
-        out = cls.__new__(cls)
-        out._init_csr(ptr, src_lo, src_hi, field_id, dest_lo)
-        return out
-
-    @property
-    def n_positions(self) -> int:
-        return len(self._ptr) - 1
-
-    def segments_for(self, position: int) -> list[tuple[int, int, int, int]]:
-        lo, hi = self._ptr[position], self._ptr[position + 1]
-        return [
-            (
-                self._src_lo[i],
-                self._src_hi[i],
-                self._field_id[i],
-                self._dest_lo[i],
-            )
-            for i in range(lo, hi)
-        ]
 
     def scatter(
         self,
@@ -481,7 +448,7 @@ class FetchPlanner:
         np.cumsum(keep.sum(axis=1), out=row_ptr[1:])
         flat = keep.reshape(-1)
         src_lo = src_lo.reshape(-1)[flat]
-        return ArenaScatterMap.from_arrays(
+        return ArenaScatterMap(
             row_ptr,
             src_lo,
             src_lo + nb.reshape(-1)[flat],

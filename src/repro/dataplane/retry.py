@@ -15,7 +15,7 @@ each group), and this module is how the fetch stage uses them:
   suspect — is issued once, unbounded: abandoning it only to restart the
   same slow peer's latency from zero is strictly worse than waiting it
   out, which is what the ladder's own last (unbounded) attempt always
-  conceded.  The exponential backoff (``backoff_s * backoff_factor**k``
+  conceded.  The exponential backoff (``BACKOFF_S * BACKOFF_FACTOR**k``
   — no jitter, so reruns are bit-identical) is waited out only before
   hitting the *same* rank again.
 
@@ -33,7 +33,7 @@ Every attempt, timeout, and failover is counted in the returned
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Callable, ClassVar, Generator, Optional
 
 import numpy as np
 
@@ -56,46 +56,40 @@ class FetchTimeoutError(RuntimeError):
 class RetryPolicy:
     """Deterministic retry schedule for one fetch batch."""
 
+    #: Wait before the first re-issue to the same rank (virtual seconds).
+    BACKOFF_S: ClassVar[float] = 1e-4
+    #: Growth per further retry, and of a rank's suspect window per strike.
+    BACKOFF_FACTOR: ClassVar[float] = 2.0
+
     timeout_s: float
     max_retries: int = 2
-    backoff_s: float = 1e-4
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
 
     @classmethod
     def from_options(cls, options) -> "RetryPolicy":
         """Build from a :class:`~repro.core.config.ResilienceOptions`."""
         if options.timeout_s is None:
             raise ValueError("ResilienceOptions.timeout_s is None (resilience off)")
-        return cls(
-            timeout_s=options.timeout_s,
-            max_retries=options.max_retries,
-            backoff_s=options.backoff_s,
-            backoff_factor=options.backoff_factor,
-        )
+        return cls(timeout_s=options.timeout_s, max_retries=options.max_retries)
 
     def backoff(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based): exponential, capped
         at 16 doublings so virtual time cannot overflow."""
-        return self.backoff_s * self.backoff_factor ** min(max(attempt - 1, 0), 16)
+        return self.BACKOFF_S * self.BACKOFF_FACTOR ** min(max(attempt - 1, 0), 16)
 
     def suspect_window(self, strikes: int, cost_s: float = 0.0) -> float:
         """How long a rank stays suspect after its ``strikes``-th
         consecutive timeout.  Finding out cost the struck fetch ``cost_s``
         (never less than one ``timeout_s``), so the k-th strike buys
-        ``backoff_factor**k`` times that of routing around the rank
+        ``BACKOFF_FACTOR**k`` times that of routing around the rank
         (capped like :meth:`backoff`) — a mark always outlasts the cadence
         of the fetches that would otherwise re-discover it."""
-        return max(self.timeout_s, cost_s) * self.backoff_factor ** min(strikes, 16)
+        return max(self.timeout_s, cost_s) * self.BACKOFF_FACTOR ** min(strikes, 16)
 
 
 class _Mark:

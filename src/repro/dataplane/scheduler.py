@@ -5,7 +5,7 @@ front — and every later epoch's too, since schedules are pure functions
 of ``(seed, epoch, rank)`` — so the data plane can be scheduled against a
 known future instead of reacting batch-by-batch (RapidGNN's
 observation).  The :class:`EpochScheduler` consumes that schedule and
-drives five coordinated optimisations:
+drives four coordinated optimisations:
 
 1. **depth-k prefetch** — up to ``prefetch_depth`` batch loads run
    concurrently ahead of compute, replacing the trainer's fixed depth-1
@@ -13,24 +13,22 @@ drives five coordinated optimisations:
    same ``engine.process(loader.load(...))`` calls are made at the same
    virtual times in the same order, so default-config results are
    unchanged.
-2. **bounded in-flight bytes** — launches beyond the head-of-line batch
-   are gated on ``prefetch_budget_bytes`` using the registry's exact
-   per-sample sizes (no simulated time is spent estimating).  The head
-   batch always launches, so the pipeline can never deadlock.
-3. **wave scheduling** (``scheduler=True``) — consecutive batches are
-   grouped into waves of up to ``prefetch_depth`` batches (cut early when
-   the byte budget fills).  Each wave's remote samples are fetched by ONE
+2. **wave scheduling** (``scheduler=True``) — consecutive batches are
+   grouped into waves of up to ``prefetch_depth`` batches (cut early at
+   the cache's wave byte cap, from the registry's exact per-sample sizes
+   — no simulated time is spent estimating).  Each wave's remote
+   samples are fetched by ONE
    :meth:`~repro.core.store.DDStore.prefetch_wave` call: one fetch plan
    spanning the wave's batch boundaries (cross-batch dedup/coalescing)
    and one RMA lock epoch per target per wave instead of per
    ``get_samples`` call.  Payloads land in the hot-sample cache; the
    wave's per-batch loads chain behind the wave fetch and hit the cache.
-4. **future-fed Belady eviction** — with ``cache_policy="belady"`` the
+3. **future-fed Belady eviction** — with ``cache_policy="belady"`` the
    scheduler installs the flattened access sequence into the cache
    (:meth:`~.cache.TieredCache.set_future`) and advances its logical
    clock as batch loads start, so evictions discard the entry whose next
    use is farthest away.
-5. **a run-long window** (``scheduler=True`` and a known run length) —
+4. **a run-long window** (``scheduler=True`` and a known run length) —
    the window is indexed by (epoch, step) and slides across the epoch
    boundary into ``loader.epoch_batches(epoch + 1)`` instead of being
    torn down: the next epoch's head wave is fetched under this epoch's
@@ -141,7 +139,6 @@ class EpochScheduler:
         if options is None and hasattr(loader, "dataplane_options"):
             options = loader.dataplane_options()
         self.depth = options.prefetch_depth if options is not None else 1
-        self.budget = options.prefetch_budget_bytes if options is not None else None
         cache = loader.sample_cache() if hasattr(loader, "sample_cache") else None
         can_wave = (
             options is not None
@@ -168,7 +165,6 @@ class EpochScheduler:
         # _admit).
         self._cache_cap = cache.fast_capacity_bytes if self._carry else 0
         self._estimate = getattr(loader.dataset, "estimate_nbytes", None)
-        self._meter = self.budget is not None or self._carry
 
         # The window: run-absolute batch indices, oldest live epoch first.
         # _segs[0] is the epoch being consumed; later ones are carried.
@@ -176,7 +172,6 @@ class EpochScheduler:
         self._consumed = -1  # absolute index of the last retired batch
         self._next_launch = 0
         self._in_flight_bytes = 0
-        self._peak_in_flight = 0
         self._armed = False
         first = self._append(epoch, batches)
         # Arena lifecycle: with the columnar data plane every in-flight
@@ -270,25 +265,24 @@ class EpochScheduler:
 
     def _admit(self, seg: _Epoch, step: int) -> bool:
         """May a launch beyond the head-of-line batch go out now?"""
-        in_flight = self._in_flight_bytes + self._batch_bytes(seg, step)
-        if self.budget is not None and in_flight > self.budget:
-            return False
-        # A carried launch is metered against the cache as well: beside
-        # everything launched and not yet retired it must fit the per-rank
-        # fast tiers.  Any earlier the Belady admission gate would refuse
-        # its wave's entries (every resident is needed sooner) and the
-        # fetch would be wasted; from then on they displace only retired,
-        # Belady-dead batches.
-        return seg is self._segs[0] or in_flight <= self._cache_cap
+        # A carried launch is metered against the cache: beside everything
+        # launched and not yet retired it must fit the per-rank fast tiers.
+        # Any earlier the Belady admission gate would refuse its wave's
+        # entries (every resident is needed sooner) and the fetch would be
+        # wasted; from then on they displace only retired, Belady-dead
+        # batches.
+        return seg is self._segs[0] or (
+            self._in_flight_bytes + self._batch_bytes(seg, step) <= self._cache_cap
+        )
 
     def _partition_waves(self, seg: _Epoch) -> None:
         n = len(seg.batches)
         # Tier-aware cap (``TieredCache.wave_cap_bytes``): cut waves at the
-        # cache's own byte cap as well.  Node-scope aggregation requires
+        # cache's own byte cap.  Node-scope aggregation requires
         # *rank-invariant* wave cuts (the wave span is the node rendezvous
-        # key), so with node_fetch the byte-based cuts — which depend on
-        # this rank's batch sizes — are skipped and waves are cut purely
-        # by depth.
+        # key), so with node_fetch the byte-based cut — which depends on
+        # this rank's batch sizes — is skipped and waves are cut purely by
+        # depth.
         fast_cap = self._cache.wave_cap_bytes
         lo = 0
         while lo < n:
@@ -301,11 +295,8 @@ class EpochScheduler:
             limit = 1 if lo == 0 else self.depth
             while hi < n and hi - lo < limit:
                 nxt = self._batch_bytes(seg, hi)
-                if not self._node_fetch:
-                    if self.budget is not None and wave_bytes + nxt > self.budget:
-                        break
-                    if fast_cap is not None and wave_bytes + nxt > fast_cap:
-                        break
+                if not self._node_fetch and fast_cap is not None and wave_bytes + nxt > fast_cap:
+                    break
                 wave_bytes += nxt
                 hi += 1
             w = len(seg.waves)
@@ -382,9 +373,8 @@ class EpochScheduler:
             # Seed-identical event creation: the raw loader coroutine.
             gen = self.loader.load(idx)
         seg.events[step] = self.engine.process(gen, name="prefetch")
-        if self._meter:
+        if self._carry:
             self._in_flight_bytes += self._batch_bytes(seg, step)
-            self._peak_in_flight = max(self._peak_in_flight, self._in_flight_bytes)
         seg.launched += 1
         if (
             seg is not self._segs[0]
@@ -404,7 +394,7 @@ class EpochScheduler:
             if slot is None:
                 break
             # The head-of-line batch may always launch (no deadlock);
-            # deeper launches respect the in-flight byte gates.
+            # deeper launches respect the carried-launch byte gate.
             if self._next_launch != self._consumed + 1 and not self._admit(*slot):
                 break
             self._launch(*slot)
@@ -430,7 +420,7 @@ class EpochScheduler:
     def advance(self, step: int) -> None:
         """Retire batch ``step`` (consumed) and top up the window."""
         seg = self._segs[0]
-        if self._meter:
+        if self._carry:
             self._in_flight_bytes -= self._batch_bytes(seg, step)
         seg.events[step] = None  # release the retired Process
         self._consumed = seg.base + step
@@ -454,7 +444,7 @@ class EpochScheduler:
         if self._node_fetch:
             # Wake node-fetch subscribers first: a wave proc here may be
             # waiting on a leader whose own wave never launched (launch
-            # windows differ by up to the byte gates across ranks) — the
+            # windows differ by up to the byte gate across ranks) — the
             # abort makes every pending wave self-sufficient before we
             # await it.
             store = getattr(self.loader.dataset, "store", None)
@@ -486,12 +476,9 @@ class EpochScheduler:
         """
         seg = self._segs[0]
         if self.obs is not None and self.obs.metrics.enabled and seg.launched:
-            m = self.obs.metrics
-            m.counter("sched.launches", **self._labels(seg)).inc(seg.launched)
-            if self.budget is not None:
-                m.gauge("sched.peak_in_flight_bytes", rank=self.track).set(
-                    float(self._peak_in_flight)
-                )
+            self.obs.metrics.counter("sched.launches", **self._labels(seg)).inc(
+                seg.launched
+            )
         if len(self._segs) == 1:
             return False
         self._segs.popleft()

@@ -4,8 +4,8 @@ The paper's framework knob ``f`` (§3.1) selects between a one-sided MPI
 RMA design (shipped) and a two-sided message exchange (rejected; kept as
 an ablation).  Both live here as :class:`Transport` implementations so
 :class:`~repro.core.store.DDStore` holds no communication code of its
-own — it plans reads (see :mod:`.planner`) and hands them to whichever
-transport the registry resolved for ``config.dataplane.framework``.
+own — it plans reads (see :mod:`.planner`) and hands them to the
+transport :data:`TRANSPORTS` maps ``config.dataplane.framework`` to.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..mpi import LOCK_SHARED, Comm, WinHandle, create_window, freeze_buffer, wa
 from ..sim import RngRegistry
 from ..sim.engine import Event
 
-__all__ = ["FetchOutcome", "Transport", "RmaTransport", "P2PTransport"]
+__all__ = ["FetchOutcome", "Transport", "RmaTransport", "P2PTransport", "TRANSPORTS"]
 
 _TAG_FETCH_REQ = 71001
 _TAG_REPLY_BASE = 72000
@@ -42,13 +42,12 @@ class FetchOutcome:
 class Transport(abc.ABC):
     """One rank's handle on the replica group's data plane.
 
-    Implementations are registered with
-    :func:`~repro.dataplane.registry.register_transport` under their
-    ``name`` and resolved through the ``framework`` field of
+    Implementations are listed in :data:`TRANSPORTS` under their ``name``
+    and resolved through the ``framework`` field of
     :class:`~repro.core.config.DDStoreConfig`.
     """
 
-    #: registry key (the config ``framework`` value selecting this class)
+    #: the config ``framework`` value selecting this class
     name: ClassVar[str]
     #: True when arbitrary coalesced byte ranges can be served in bulk;
     #: False forces the planner into one-read-per-sample mode.
@@ -317,3 +316,11 @@ class P2PTransport(Transport):
         yield from self.group_comm.send(
             _SHUTDOWN, dest=self.group_comm.rank, tag=_TAG_FETCH_REQ
         )
+
+
+#: ``DataPlaneOptions.framework`` -> the transport class it selects (the
+#: keys are :data:`repro.core.config.FRAMEWORKS`).
+TRANSPORTS: dict[str, type[Transport]] = {
+    RmaTransport.name: RmaTransport,
+    P2PTransport.name: P2PTransport,
+}

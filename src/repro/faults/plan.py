@@ -116,9 +116,6 @@ class FaultPlan:
     def storms(self) -> tuple[PfsStorm, ...]:
         return tuple(e for e in self.events if isinstance(e, PfsStorm))
 
-    def faulty_ranks(self) -> tuple[int, ...]:
-        return tuple(sorted({e.rank for e in self.rank_events}))
-
 
 # ---------------------------------------------------------------------------
 # named plan builders

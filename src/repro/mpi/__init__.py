@@ -2,7 +2,7 @@
 
 from .comm import ANY_SOURCE, ANY_TAG, Comm, Communicator, MPIStats, World, waitall
 from .datatypes import REDUCTIONS, reduce_values, sizeof
-from .errors import CollectiveMismatch, MPIError, RMAError, TruncationError
+from .errors import CollectiveMismatch, MPIError, RMAError
 from .launcher import JobResult, RankContext, run_world, spawn_ranks
 from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, WinHandle, Window, create_window, freeze_buffer
 
@@ -19,7 +19,6 @@ __all__ = [
     "REDUCTIONS",
     "MPIError",
     "CollectiveMismatch",
-    "TruncationError",
     "RMAError",
     "RankContext",
     "JobResult",

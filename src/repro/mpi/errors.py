@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["MPIError", "CollectiveMismatch", "TruncationError", "RMAError"]
+__all__ = ["MPIError", "CollectiveMismatch", "RMAError"]
 
 
 class MPIError(RuntimeError):
@@ -12,10 +12,6 @@ class MPIError(RuntimeError):
 class CollectiveMismatch(MPIError):
     """Ranks of one communicator called different collectives at the same
     sequence point — undefined behaviour in MPI, a hard error here."""
-
-
-class TruncationError(MPIError):
-    """A receive buffer was too small for the matched message."""
 
 
 class RMAError(MPIError):

@@ -131,9 +131,6 @@ class SpanCollector:
         self.marks.append((self.now, label, track))
 
     # -- queries ----------------------------------------------------------
-    def by_cat(self, cat: str) -> list[SpanRecord]:
-        return [s for s in self.spans if s.cat == cat]
-
     def total(self, name: str) -> float:
         return sum(s.duration for s in self.spans if s.name == name)
 
@@ -148,26 +145,21 @@ class SpanCollector:
 
 
 def chrome_trace_events(
-    spans: Sequence[SpanRecord], marks: Sequence[tuple] = (), metadata: bool = True
+    spans: Sequence[SpanRecord], marks: Sequence[tuple] = ()
 ) -> list[dict]:
-    """Chrome trace events (``ph: X``/``i`` + lane metadata) for spans.
-
-    ``metadata=False`` suppresses the leading lane-name ``M`` events
-    (used by :class:`repro.sim.Tracer` for back-compat exports).
-    """
+    """Chrome trace events (``ph: X``/``i`` + lane metadata) for spans."""
     events: list[dict] = []
-    if metadata:
-        lanes = sorted({s.lane for s in spans}) or [0]
-        for lane in lanes:
-            events.append(
-                dict(
-                    name="process_name",
-                    ph="M",
-                    pid=lane,
-                    tid=0,
-                    args={"name": _LANE_NAMES.get(lane, f"lane{lane}")},
-                )
+    lanes = sorted({s.lane for s in spans}) or [0]
+    for lane in lanes:
+        events.append(
+            dict(
+                name="process_name",
+                ph="M",
+                pid=lane,
+                tid=0,
+                args={"name": _LANE_NAMES.get(lane, f"lane{lane}")},
             )
+        )
     for s in spans:
         entry = dict(
             name=s.name,

@@ -178,12 +178,11 @@ class TenantLane:
        deadlock on its own head-of-line read,
     2. the target's :class:`DrrArbiter` class pool.
 
-    The lane also carries the session bookkeeping the admission
-    controller reads: ``active`` (fetches entered and not yet left — an
-    idle, evictable, quiescable session has zero, whether or not any of
-    its bytes happen to be on the wire this instant), ``last_used``
-    (engine time of the last fetch — the idleness key for ``evict-idle``)
-    and ``held`` (target → bytes currently granted to this lane).
+    The lane also carries the session bookkeeping the service reads:
+    ``active`` (fetches entered and not yet left — a quiescable session
+    has zero, whether or not any of its bytes happen to be on the wire
+    this instant) and ``held`` (target → bytes currently granted to this
+    lane).
     """
 
     __slots__ = (
@@ -195,7 +194,6 @@ class TenantLane:
         "max_inflight_bytes",
         "active",
         "held",
-        "last_used",
         "n_fetches",
         "queue_seconds",
         "_arbiter_for",
@@ -220,7 +218,6 @@ class TenantLane:
         self.max_inflight_bytes = max_inflight_bytes
         self.active = 0
         self.held: dict[int, int] = {}
-        self.last_used = engine.now
         self.n_fetches = 0
         self.queue_seconds = 0.0
         # target rank -> DrrArbiter, resolved through the owning service
@@ -239,11 +236,9 @@ class TenantLane:
     def enter(self) -> None:
         self.active += 1
         self.n_fetches += 1
-        self.last_used = self.engine.now
 
     def leave(self) -> None:
         self.active -= 1
-        self.last_used = self.engine.now
         self._wake()
 
     def drained(self) -> Generator:
@@ -309,7 +304,6 @@ class TenantLane:
                 held[target] = left
             else:
                 del held[target]
-        self.last_used = self.engine.now
         self._wake()
 
     # -- plumbing ----------------------------------------------------------

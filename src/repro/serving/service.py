@@ -8,14 +8,11 @@ replicated store (creation stays the collective
 :class:`TenantSession` handles:
 
 * **Admission control** — at most ``ServingOptions.max_tenants``
-  concurrent sessions per rank.  When full, ``connect`` either raises
-  :class:`AdmissionError` (``admission="reject"``) or closes the
-  longest-idle session with no fetch inside its lane (``"evict-idle"``)
-  to make room — rejecting only when every tenant is mid-fetch.
+  concurrent sessions per rank.  When full, ``connect`` raises
+  :class:`AdmissionError`.
 * **QoS + fairness** — each session carries a QoS class from
   ``ServingOptions.qos``; its weight scales the session's DRR quantum at
-  every RMA target (see :mod:`.drr`) and, under the ``"weighted"``
-  policy, its slice of the cache budget.
+  every RMA target (see :mod:`.drr`).
 * **Cache partitioning** — each session owns a private DRAM-only
   :class:`~repro.dataplane.TieredCache` carved from the DRAM tier of the
   parent store's cache configuration, with the parent's policy, sized by
@@ -25,7 +22,7 @@ replicated store (creation stays the collective
 * **Per-tenant observability** — sessions publish the
   ``ddstore.tenant`` metric family (labels: tenant, qos, counter, rank)
   and tag their store spans with the tenant name; the service itself
-  counts connects, closes, evictions, and rejections.
+  counts connects, closes, migrations and rejections.
 
 Session state machine::
 
@@ -33,11 +30,11 @@ Session state machine::
                    │                      │
                    │ close()              │ fetch completes
                    ▼                      ▼
-                 CLOSED <──evict-idle── OPEN (idle)
+                 CLOSED <──close()───── OPEN (idle)
 
-A closed (or evicted) session raises
-:class:`~repro.core.StoreClosedError` on any further fetch; ``close`` is
-idempotent.  Closing a session never touches the parent store.
+A closed session raises :class:`~repro.core.StoreClosedError` on any
+further fetch; ``close`` is idempotent.  Closing a session never touches
+the parent store.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ __all__ = ["AdmissionError", "StoreService", "TenantSession", "solo_session"]
 
 
 class AdmissionError(RuntimeError):
-    """connect() found no free tenant slot (and could not evict one)."""
+    """connect() found no free tenant slot."""
 
 
 class TenantSession:
@@ -77,7 +74,6 @@ class TenantSession:
         self.store = store
         self.lane = lane
         self.service = service
-        self.evicted = False
 
     # -- inspection -----------------------------------------------------
     @property
@@ -92,12 +88,6 @@ class TenantSession:
     @property
     def cache(self):
         return self.store.cache
-
-    @property
-    def idle(self) -> bool:
-        """No fetch inside the lane — queued, on the wire or between two
-        sub-fetches all count as busy (solo sessions are always idle)."""
-        return self.lane is None or self.lane.active == 0
 
     # -- the fetch surface (thin delegation; the view does the work) ----
     def get_samples(self, indices: Sequence[int], decode: bool = True, n_workers: int = 1) -> Generator:
@@ -164,7 +154,7 @@ class TenantSession:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.closed else ("idle" if self.idle else "active")
+        state = "closed" if self.closed else "open"
         return f"TenantSession({self.name!r}, qos={self.qos!r}, {state})"
 
 
@@ -226,21 +216,6 @@ class StoreService:
             del self._sessions[session.name]
             self._count("session_closed", session.name, session.qos)
 
-    def _evict_idle(self) -> bool:
-        """Close the longest-idle session with no fetch inside its lane."""
-        victim = None
-        for sess in self._sessions.values():
-            if not sess.idle:
-                continue
-            if victim is None or sess.lane.last_used < victim.lane.last_used:
-                victim = sess
-        if victim is None:
-            return False
-        victim.evicted = True
-        self._count("session_evicted", victim.name, victim.qos)
-        victim.close()
-        return True
-
     # -- the public surface ---------------------------------------------
     @property
     def tenants(self) -> tuple[str, ...]:
@@ -259,33 +234,29 @@ class StoreService:
 
         ``tenant`` defaults to a generated ``tenant<N>`` name and must be
         unique among live sessions; ``qos`` defaults to the first class
-        in ``ServingOptions.qos``.
+        in ``ServingOptions.qos``.  An unknown ``qos`` raises ``KeyError``
+        before anything is booked or a name is generated.
         """
         if self._closed:
             raise AdmissionError("this StoreService has been closed")
         if self.store.closed:
             raise AdmissionError("the underlying store has been closed")
         opts = self.options
+        qos = opts.default_qos if qos is None else qos
+        weight = opts.weight_of(qos)  # validates the class name
         if tenant is None:
             tenant = f"tenant{self._seq}"
         self._seq += 1
         if tenant in self._sessions:
             raise ValueError(f"tenant {tenant!r} already has a live session")
         if len(self._sessions) >= opts.max_tenants:
-            evicted = opts.admission == "evict-idle" and self._evict_idle()
-            if not evicted:
-                self._count("session_rejected", tenant, qos or opts.default_qos)
-                raise AdmissionError(
-                    f"tenant {tenant!r} rejected: all {opts.max_tenants} "
-                    f"slots taken (admission={opts.admission!r}"
-                    + (", no idle session to evict" if opts.admission == "evict-idle" else "")
-                    + ")"
-                )
-        qos = opts.default_qos if qos is None else qos
-        weight = opts.weight_of(qos)  # validates the class name
+            self._count("session_rejected", tenant, qos)
+            raise AdmissionError(
+                f"tenant {tenant!r} rejected: all {opts.max_tenants} slots taken"
+            )
         parent = self.store.config.dataplane.cache_options
         cache = self.store.build_cache(
-            CacheOptions.dram_only(opts.partition_bytes(parent.dram_bytes, qos), parent.policy)
+            CacheOptions.dram_only(opts.partition_bytes(parent.dram_bytes), parent.policy)
         )
         lane = TenantLane(
             tenant,
@@ -315,10 +286,10 @@ class StoreService:
         shuffle with a quiet data plane."""
         engine = self.store.comm.engine
         t0 = engine.now
-        busy = [s for s in self._sessions.values() if not s.idle]
+        busy = [s for s in self._sessions.values() if s.lane.active]
         while busy:
             yield from busy[0].lane.drained()
-            busy = [s for s in self._sessions.values() if not s.idle]
+            busy = [s for s in self._sessions.values() if s.lane.active]
         return engine.now - t0
 
     def reshard(

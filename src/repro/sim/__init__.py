@@ -3,7 +3,6 @@
 from .engine import AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout
 from .resources import FluidStation, QueueStation, Request, Resource, RWLock, Store
 from .rng import BlockDraws, RngRegistry, derive_seed, stream
-from .trace import Span, Tracer
 
 __all__ = [
     "Engine",
@@ -24,6 +23,4 @@ __all__ = [
     "BlockDraws",
     "stream",
     "derive_seed",
-    "Tracer",
-    "Span",
 ]

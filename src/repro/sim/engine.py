@@ -161,10 +161,6 @@ class Process(Event):
         init.succeed()
         init.add_callback(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
@@ -184,33 +180,28 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
         engine = self.engine
-        engine._active = self
         try:
             if trigger._exc is not None:
                 nxt = self.generator.throw(trigger._exc)
             else:
                 nxt = self.generator.send(trigger._value)
         except StopIteration as stop:
-            engine._active = None
             self.triggered = True
             self._value = stop.value
             engine._post(self)
             return
         except Interrupt as exc:
-            engine._active = None
             self.triggered = True
             self._exc = exc
             engine._post(self)
             return
         except BaseException as exc:
-            engine._active = None
             self.triggered = True
             self._exc = exc
             engine._post(self)
             if not isinstance(exc, SimulationError):
                 engine._crashed.append(self)
             return
-        engine._active = None
         if not isinstance(nxt, Event):
             err = SimulationError(
                 f"process {self.name!r} yielded {nxt!r}, expected an Event"
@@ -282,7 +273,6 @@ class Engine:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._active: Optional[Process] = None
         self._crashed: list[Process] = []
 
     # -- factory helpers --------------------------------------------------
@@ -368,7 +358,3 @@ class Engine:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active

@@ -65,17 +65,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    def cancel(self, req: Request) -> None:
-        """Withdraw a still-queued request (no-op if already granted)."""
-        try:
-            self._waiters.remove(req)
-        except ValueError:
-            pass
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
 
 class RWLock:
     """Reader-writer lock with writer priority, as an MPI RMA lock model.

@@ -49,6 +49,13 @@ def test_datasets_command(capsys):
     assert "Ising" in out and "AISD" in out
 
 
+def test_dataplane_command_lists_both_transports(capsys):
+    assert main(["dataplane"]) == 0
+    out = capsys.readouterr().out
+    assert "mpi-rma" in out and "RmaTransport" in out and "(coalescing: yes)" in out
+    assert "p2p" in out and "P2PTransport" in out and "(coalescing: no)" in out
+
+
 def test_every_registered_experiment_has_a_committed_artifact():
     # One table: the CLI, `repro.bench`'s exports and benchmarks/ all read
     # repro.bench.EXPERIMENTS; each entry's report is committed under its

@@ -1,5 +1,10 @@
 """Unit tests for DDStore building blocks: config, chunking, registry, samplers."""
 
+import ast
+import dataclasses
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -15,10 +20,65 @@ from repro.core import (
 )
 from repro.core.sampler import SampledShuffleSampler
 
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
+
+def test_readme_option_block_lists_every_field():
+    """The README's fenced ``DataPlaneOptions``/``ResilienceOptions`` block
+    (under "groups its tuning surface") spells out every field of both."""
+    from repro.core import ResilienceOptions
+
+    with open(README) as fh:
+        text = fh.read()
+    after = text[text.index("groups its"):]
+    block = re.search(r"```python\n(.*?)```", after, re.S).group(1)
+    # The block is a rank-program fragment: wrap it so it parses.
+    tree = ast.parse("def _():\n" + "".join("    " + line + "\n" for line in block.splitlines()))
+    calls = {
+        node.func.id: {kw.arg for kw in node.keywords}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    for cls in (DataPlaneOptions, ResilienceOptions):
+        assert calls[cls.__name__] == {f.name for f in dataclasses.fields(cls)}
+
+
+def test_store_option_groups_have_twenty_settable_fields():
+    """Only knobs some workload sets to a non-default value are options;
+    the rest are constants and their old keywords are refused."""
+    from repro.core import CacheOptions, ElasticOptions, ResilienceOptions, ServingOptions
+
+    groups = (DataPlaneOptions, CacheOptions, ResilienceOptions, ServingOptions, ElasticOptions)
+    assert sum(len(dataclasses.fields(cls)) for cls in groups) == 20
+    for cls, gone in (
+        (DataPlaneOptions, "max_read_bytes"),
+        (DataPlaneOptions, "prefetch_budget_bytes"),
+        (CacheOptions, "stage_nvme"),
+        (ResilienceOptions, "backoff_s"),
+        (ResilienceOptions, "backoff_factor"),
+        (ServingOptions, "admission"),
+        (ServingOptions, "cache_partition"),
+    ):
+        with pytest.raises(TypeError, match=gone):
+            cls(**{gone: 1})
+
+
+def test_experiment_config_forwards_no_default_only_fields():
+    from repro.bench.harness import ExperimentConfig
+
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert len(names) == 30
+    assert not names & {
+        "prefetch_budget_bytes",
+        "elastic_cooldown",
+        "elastic_min_gain",
+        "elastic_stall_threshold",
+        "elastic_min_width",
+    }
+
 
 def test_config_default_width_is_single_replica():
     cfg = DDStoreConfig(n_ranks=64)

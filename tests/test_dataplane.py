@@ -1,5 +1,5 @@
 """Data-plane layer tests: planner coalescing, sample cache, transport
-registry, and the DDStore integration (seed-parity counters, cache hits,
+table, and the DDStore integration (seed-parity counters, cache hits,
 per-stage instrumentation)."""
 
 import json
@@ -8,16 +8,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import DataPlaneOptions, DDStore, DDStoreConfig, GeneratorSource
-from repro.dataplane import (
-    FetchPlanner,
-    RmaTransport,
-    SampleCache,
-    available_frameworks,
-    get_transport,
-    register_transport,
-    unregister_transport,
+from repro import client
+from repro.core import (
+    FRAMEWORKS,
+    DataPlaneOptions,
+    DDStore,
+    DDStoreConfig,
+    GeneratorSource,
+    ServingOptions,
 )
+from repro.dataplane import TRANSPORTS, FetchPlanner, RmaTransport, SampleCache
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
@@ -260,19 +260,12 @@ def test_cache_clear_keeps_stats_invariant():
 
 
 # ---------------------------------------------------------------------------
-# transport registry
+# transport table
 # ---------------------------------------------------------------------------
 
-def test_registry_rejects_duplicate_and_unknown_names():
-    assert "mpi-rma" in available_frameworks()
-
-    class Imposter(RmaTransport):
-        name = "mpi-rma"
-
-    with pytest.raises(ValueError, match="already registered"):
-        register_transport(Imposter)
-    with pytest.raises(KeyError, match="no-such-fabric"):
-        get_transport("no-such-fabric")
+def test_transport_table_names_exactly_the_frameworks():
+    assert tuple(TRANSPORTS) == FRAMEWORKS
+    assert all(cls.name == name for name, cls in TRANSPORTS.items())
 
 
 def test_unknown_framework_error_mentions_framework():
@@ -280,11 +273,11 @@ def test_unknown_framework_error_mentions_framework():
         DDStoreConfig(4, dataplane=DataPlaneOptions(framework="carrier-pigeon"))
 
 
-def test_third_party_transport_pluggable_without_touching_store():
-    """A transport registered in the test is usable via ``DataPlaneOptions``."""
+def test_third_party_transport_pluggable_without_touching_store(monkeypatch):
+    """The store names no transport class: a third-party transport swapped
+    into the table is the fetch path of every store created afterwards."""
 
     class TracingRma(RmaTransport):
-        name = "tracing-rma"
         fetch_reads: list = []
 
         def fetch(self, reads, n_streams=1):
@@ -292,24 +285,18 @@ def test_third_party_transport_pluggable_without_touching_store():
             out = yield from super().fetch(reads, n_streams=n_streams)
             return out
 
-    register_transport(TracingRma)
-    try:
-        def main(ctx):
-            store = yield from DDStore.create(
-                ctx.comm, _source(ctx),
-                dataplane=DataPlaneOptions(framework="tracing-rma"),
-            )
-            assert store.config.dataplane.framework == "tracing-rma"
-            lo, hi = store.local_range
-            graphs = yield from store.get_samples([(hi + 1) % 32, lo])
-            return [g.sample_id for g in graphs]
+    monkeypatch.setitem(TRANSPORTS, "mpi-rma", TracingRma)
 
-        job = run(main)
-        assert all(len(r) == 2 for r in job.results)
-        assert len(TracingRma.fetch_reads) > 0  # the custom fetch path ran
-    finally:
-        unregister_transport("tracing-rma")
-    assert "tracing-rma" not in available_frameworks()
+    def main(ctx):
+        store = yield from DDStore.create(ctx.comm, _source(ctx))
+        assert type(store.transport) is TracingRma
+        lo, hi = store.local_range
+        graphs = yield from store.get_samples([(hi + 1) % 32, lo])
+        return [g.sample_id for g in graphs]
+
+    job = run(main)
+    assert all(len(r) == 2 for r in job.results)
+    assert len(TracingRma.fetch_reads) > 0  # the table's fetch path ran
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +401,20 @@ def test_cache_disabled_takes_no_hits():
         assert (n_remote, hits, cached) == (8, 0, 0)
 
 
-def test_max_read_bytes_splits_wire_reads():
+def test_session_drr_quantum_splits_wire_reads():
     def main(ctx):
-        # 8 KiB holds the largest Ising sample (~6.8 KiB) but not a merged
-        # 8-sample span, so coalesced reads split on the wire.
-        store = yield from DDStore.create(
-            ctx.comm, _source(ctx), dataplane=DataPlaneOptions(max_read_bytes=8192)
+        # A session caps each read at its DRR quantum: 8 KiB holds the
+        # largest Ising sample (~6.8 KiB) but not a merged 8-sample span,
+        # so coalesced reads split on the wire.
+        service = yield from client.serve(
+            ctx.comm, _source(ctx), serving=ServingOptions(drr_quantum_bytes=8192)
         )
-        lo, hi = store.local_range
+        session = service.connect("a")
+        assert session.store.planner.max_read_bytes == 8192
+        lo, hi = service.store.local_range
         remote = [(hi + k) % 32 for k in range(8)]
-        graphs = yield from store.get_samples(remote)
-        return store.stats, [g.sample_id for g in graphs]
+        graphs = yield from session.get_samples(remote)
+        return session.stats, [g.sample_id for g in graphs]
 
     job = run(main)
     for stats, ids in job.results:
@@ -680,8 +670,6 @@ def test_width_error_lists_valid_divisors():
 def test_cache_bytes_validated():
     with pytest.raises(ValueError, match="cache_bytes"):
         DDStoreConfig(4, dataplane=DataPlaneOptions(cache_bytes=-1))
-    with pytest.raises(ValueError, match="max_read_bytes"):
-        DDStoreConfig(4, dataplane=DataPlaneOptions(max_read_bytes=0))
 
 
 def test_experiment_config_validates_width_up_front():

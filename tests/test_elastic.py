@@ -14,6 +14,7 @@ import pytest
 
 from repro import client
 from repro.control import Decision, ElasticCoordinator, ElasticWidthController, EpochSignals
+from repro.control.controller import MIN_GAIN, STALL_THRESHOLD
 from repro.core import (
     DataLoader,
     DataPlaneOptions,
@@ -49,45 +50,27 @@ def _sig(epoch_s=1.0, wait_s=0.0, timeouts=0, overlap=1.0):
 # ---------------------------------------------------------------------------
 
 def test_elastic_options_validate():
-    with pytest.raises(ValueError):
-        ElasticOptions(min_width=0)
-    with pytest.raises(ValueError):
-        ElasticOptions(min_width=4, max_width=2)
-    with pytest.raises(ValueError):
-        ElasticOptions(cooldown_epochs=0)
-    with pytest.raises(ValueError):
-        ElasticOptions(min_gain=1.0)
-    with pytest.raises(ValueError):
-        ElasticOptions(stall_threshold=1.5)
-
-
-def test_config_rejects_empty_candidate_lattice():
-    from repro.core import DDStoreConfig
-
-    with pytest.raises(ValueError, match="no divisor"):
-        DDStoreConfig(
-            4, elastic=ElasticOptions(enabled=True, min_width=3, max_width=3)
-        )
-    # Disabled elastic skips the lattice check entirely.
-    DDStoreConfig(4, elastic=ElasticOptions(enabled=False, min_width=3, max_width=3))
+    assert ElasticOptions().enabled is False
+    assert ElasticOptions(enabled=True).enabled is True
+    # The policy's thresholds are controller constants, not options.
+    for gone in ("min_width", "max_width", "cooldown_epochs", "min_gain", "stall_threshold"):
+        with pytest.raises(TypeError, match=gone):
+            ElasticOptions(enabled=True, **{gone: 1})
 
 
 # ---------------------------------------------------------------------------
 # the policy, unit-tested with synthetic signals
 # ---------------------------------------------------------------------------
 
-def _ctl(n_ranks=8, width=8, **opts):
-    defaults = dict(enabled=True, cooldown_epochs=1, min_gain=0.05, stall_threshold=0.10)
-    defaults.update(opts)
-    return ElasticWidthController(ElasticOptions(**defaults), n_ranks, width)
+def _ctl(n_ranks=8, width=8):
+    return ElasticWidthController(n_ranks, width)
 
 
 def test_candidates_are_the_divisor_lattice():
     assert _ctl(8, 8).candidates == [1, 2, 4, 8]
-    assert _ctl(8, 8, min_width=2).candidates == [2, 4, 8]
-    assert _ctl(8, 8, max_width=4).candidates == [1, 2, 4]
+    assert _ctl(12, 12).candidates == [1, 2, 3, 4, 6, 12]
     with pytest.raises(ValueError):
-        ElasticWidthController(ElasticOptions(enabled=True), 8, 3)  # 3 ∤ 8
+        ElasticWidthController(8, 3)  # 3 ∤ 8
 
 
 def test_healthy_signals_hold_width():
@@ -112,15 +95,25 @@ def test_stall_fraction_above_threshold_is_pressure():
     assert ctl2.observe(_sig(epoch_s=1.0, wait_s=0.05)) is None  # 5% < 10%
 
 
-def test_cooldown_holds_before_judging():
-    ctl = _ctl(cooldown_epochs=2)
-    assert ctl.observe(_sig(timeouts=5)) == 4
-    assert ctl.observe(_sig(epoch_s=0.5)) is None  # cooldown epoch 1 of 2
+def test_stall_fraction_at_the_threshold_is_not_pressure():
+    assert STALL_THRESHOLD == 0.10
+    ctl = _ctl()
+    assert ctl.observe(_sig(epoch_s=1.0, wait_s=STALL_THRESHOLD)) is None
     assert ctl.decisions[-1].action == "hold"
-    assert not ctl.converged  # a move is still pending judgement
-    assert ctl.observe(_sig(epoch_s=0.5)) is None  # judged: kept (50% gain)
-    assert ctl.decisions[-1].action == "keep"
-    assert ctl.width == 4
+
+
+def test_a_move_is_judged_on_the_next_epoch_at_min_gain():
+    assert MIN_GAIN == 0.05
+    kept = _ctl()
+    assert kept.observe(_sig(epoch_s=1.0, timeouts=5)) == 4
+    assert not kept.converged  # the move awaits its judgement
+    assert kept.observe(_sig(epoch_s=0.95)) is None  # exactly MIN_GAIN: kept
+    assert kept.decisions[-1].action == "keep"
+    assert kept.converged and kept.width == 4
+    reverted = _ctl()
+    assert reverted.observe(_sig(epoch_s=1.0, timeouts=5)) == 4
+    assert reverted.observe(_sig(epoch_s=0.951)) == 8  # just short of it
+    assert reverted.decisions[-1].action == "revert"
 
 
 def test_insufficient_gain_reverts_and_blacklists():

@@ -184,7 +184,7 @@ def test_reshard_bulk_path_retries_timed_out_reads():
             ctx.comm,
             _source(ctx),
             width=2,
-            resilience=ResilienceOptions(timeout_s=1e-3, max_retries=2, backoff_s=1e-5),
+            resilience=ResilienceOptions(timeout_s=1e-3, max_retries=2),
         )
         expected = yield from store.get_samples(range(N), decode="raw")
         baseline_retries = store.stats.n_retries

@@ -188,7 +188,7 @@ def test_reshard_waits_for_a_wave_queued_behind_a_saturated_pool():
         seen_queued = False
         while not seen_queued and not all(p.triggered for p in procs):
             yield ctx.engine.timeout(1e-6)
-            seen_queued = any(s.lane.inflight == 0 and not s.idle for s in sessions)
+            seen_queued = any(s.lane.inflight == 0 and s.lane.active for s in sessions)
         # Everybody agrees to reshard now; this rank has a fetch queued.
         t0 = ctx.now
         new = yield from service.reshard(width=2)
@@ -219,11 +219,11 @@ def test_quiesce_waits_on_the_lane_not_on_a_poll():
         waited0 = yield from service.quiesce()  # nothing to wait for: no event at all
         out = {}
         proc = ctx.engine.process(_tenant_job(ctx, a, 0, out, steps=1))
-        while a.idle:  # past the plan stage, into the lane
+        while not a.lane.active:  # past the plan stage, into the lane
             yield ctx.engine.timeout(1e-7)
         scheduled = ctx.engine._seq
         waited = yield from service.quiesce()
-        return waited0, waited, proc.triggered or a.idle, ctx.engine._seq - scheduled
+        return waited0, waited, proc.triggered or not a.lane.active, ctx.engine._seq - scheduled
 
     for waited0, waited, drained, events in run_world(TESTBOX, 1, main).results:
         assert waited0 == 0.0 and waited > 0 and drained
@@ -271,7 +271,7 @@ def test_a_failing_sub_fetch_releases_exactly_what_it_held():
             except (FetchTimeoutError, _Boom) as exc:
                 errors.append(type(exc).__name__)
             # Whatever the failed sub-fetch held is back; nothing else moved.
-            assert a.lane.held == {} and a.idle, (a.lane.held, a.lane.active)
+            assert a.lane.held == {} and not a.lane.active, (a.lane.held, a.lane.active)
         yield from b.get_samples(idx, decode="raw")  # the pools are usable
         yield from ctx.comm.barrier()
         leaks = [w for arb in service._arbiters.values() for w in arb.leaks()]
@@ -361,7 +361,7 @@ def _replay():
             ctx,
             width=2,
             dataplane=DataPlaneOptions(cache_bytes=1 << 20),
-            resilience=ResilienceOptions(timeout_s=2e-5, max_retries=2, backoff_s=1e-6),
+            resilience=ResilienceOptions(timeout_s=2e-5, max_retries=2),
             record_latencies=True,
         )
         sessions = [service.connect(name, qos=qos) for name, qos in TENANTS]

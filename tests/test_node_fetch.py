@@ -113,7 +113,7 @@ def test_node_fetch_batches_byte_identical(columnar, cache_policy, shuffle, dept
                 world, FaultPlan("t", (SlowRank(rank=2, multiplier=50.0),))
             )
             kw["resilience"] = ResilienceOptions(
-                timeout_s=2e-3, max_retries=3, backoff_s=1e-5
+                timeout_s=2e-3, max_retries=3
             )
             return run(lambda c: _epoch(c, node_fetch, **kw), world=world)
         return run(lambda c: _epoch(c, node_fetch, **kw))
@@ -140,7 +140,7 @@ def test_node_fetch_leader_read_rides_retry_ladder():
         install_faults(
             world, FaultPlan("t", (SlowRank(rank=2, multiplier=1000.0),))
         )
-        res = ResilienceOptions(timeout_s=2e-3, max_retries=2, backoff_s=1e-5)
+        res = ResilienceOptions(timeout_s=2e-3, max_retries=2)
         return run(lambda c: _epoch(c, True, resilience=res), world=world)
 
     job = faulted()

@@ -428,7 +428,7 @@ def _faulted_reshard(plan_name):
             ctx.comm,
             _src(ctx),
             resilience=ResilienceOptions(
-                timeout_s=1.5e-4, max_retries=2, backoff_s=1e-5
+                timeout_s=1.5e-4, max_retries=2
             ),
         )
         yield from store.get_samples(range(8), decode=False)

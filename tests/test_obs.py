@@ -110,6 +110,26 @@ def test_span_collector_measures_virtual_time():
     assert dict(s.args) == {"n": 4}
 
 
+def test_span_collector_marks_export_as_instants():
+    eng = Engine()
+    col = SpanCollector(eng)
+
+    def proc():
+        for _ in range(3):
+            with col.span("load", track=1):
+                yield eng.timeout(1.0)
+            with col.span("compute", track=1):
+                yield eng.timeout(2.0)
+        col.mark("done", track=1)
+
+    eng.process(proc())
+    eng.run()
+    assert col.marks == [(9.0, "done", 1)]
+    (mark,) = [e for e in col.to_chrome()["traceEvents"] if e["ph"] == "i"]
+    assert (mark["name"], mark["ts"], mark["tid"]) == ("done", 9.0e6, 1)
+    assert col.tracks() == [1]
+
+
 def test_chrome_export_is_valid_and_scaled_to_us():
     col = SpanCollector()
     col.record("fetch", cat="store", track=1, start=0.0, end=1e-3, lane=1, k="v")

@@ -139,7 +139,7 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
                 columnar=columnar, scheduler=True, node_fetch=True, **CACHES[cache]
             ),
             resilience=(
-                ResilienceOptions(timeout_s=2e-3, max_retries=3, backoff_s=1e-5)
+                ResilienceOptions(timeout_s=2e-3, max_retries=3)
                 if faults
                 else None
             ),
@@ -242,7 +242,7 @@ def _resident_digests(ctx, store) -> dict:
     """sha256 of every VFS file and of every window buffer this rank can
     see (all of them over RMA, its own under the two-sided transport)."""
     out = {("file", path): _sha(f.data) for path, f in ctx.world.vfs._files.items()}
-    win = store.win
+    win = getattr(store.transport, "win", None)  # the two-sided transport has none
     buffers = win.window.buffers if win is not None else {ctx.rank: store.transport.local_buffer()}
     out.update({("window", store.generation, r): _sha(buf) for r, buf in buffers.items()})
     return out
@@ -254,8 +254,9 @@ def _refuses_writes(store) -> bool:
     shards."""
     cache = store.cache
     arrays = [store.transport.local_buffer()]
-    if store.win is not None:
-        arrays += store.win.window.buffers.values()
+    win = getattr(store.transport, "win", None)
+    if win is not None:
+        arrays += win.window.buffers.values()
     for _name, pool in cache._fast:
         arrays += pool._entries.values()
     if cache.nvme is not None:

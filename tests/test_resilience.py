@@ -47,12 +47,11 @@ def test_retry_policy_validation():
         RetryPolicy(timeout_s=0.0)
     with pytest.raises(ValueError, match="max_retries"):
         RetryPolicy(timeout_s=1.0, max_retries=0)
-    with pytest.raises(ValueError, match="backoff_factor"):
-        RetryPolicy(timeout_s=1.0, backoff_factor=0.5)
 
 
 def test_backoff_schedule_is_exact_and_capped():
-    policy = RetryPolicy(timeout_s=1.0, backoff_s=1e-4, backoff_factor=2.0)
+    policy = RetryPolicy(timeout_s=1.0)
+    assert (RetryPolicy.BACKOFF_S, RetryPolicy.BACKOFF_FACTOR) == (1e-4, 2.0)
     assert policy.backoff(1) == 1e-4
     assert policy.backoff(2) == 2e-4
     assert policy.backoff(3) == 4e-4
@@ -63,10 +62,8 @@ def test_backoff_schedule_is_exact_and_capped():
 def test_policy_from_options_requires_enabled():
     with pytest.raises(ValueError, match="timeout_s"):
         RetryPolicy.from_options(ResilienceOptions())
-    policy = RetryPolicy.from_options(
-        ResilienceOptions(timeout_s=2e-3, max_retries=3, backoff_s=5e-5)
-    )
-    assert (policy.timeout_s, policy.max_retries, policy.backoff_s) == (2e-3, 3, 5e-5)
+    policy = RetryPolicy.from_options(ResilienceOptions(timeout_s=2e-3, max_retries=3))
+    assert (policy.timeout_s, policy.max_retries) == (2e-3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +121,7 @@ def test_no_reroute_is_one_unbounded_attempt():
     # never abandoned — one transport call, no deadline, no counters.
     engine = Engine()
     transport = ScriptedTransport(engine, [(5.0, [False, False])])
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.5)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     out = _drive(
         engine,
         fetch_with_retry(transport, _reads(2), policy=policy, engine=engine),
@@ -140,7 +137,7 @@ def test_a_reroute_that_cannot_move_the_read_leaves_it_unbounded(answer):
     # ``None`` or the read's own rank is "nowhere better to go".
     engine = Engine()
     transport = ScriptedTransport(engine, [(5.0, [False])])
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.0)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     out = _drive(
         engine,
         fetch_with_retry(
@@ -158,7 +155,7 @@ def test_retry_completes_timed_out_reads_and_accounts():
     transport = ScriptedTransport(
         engine, [(1.0, [False, True]), (0.25, [False])]
     )
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.5)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     out = _drive(
         engine,
         fetch_with_retry(
@@ -186,7 +183,7 @@ def test_retry_completes_timed_out_reads_and_accounts():
 def test_reroute_hook_sees_the_timed_out_read():
     engine = Engine()
     transport = ScriptedTransport(engine, [(1.0, [True]), (0.1, [False])])
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.0)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     seen = []
 
     def reroute(target):
@@ -212,7 +209,7 @@ def test_final_attempt_runs_unbounded():
     transport = ScriptedTransport(
         engine, [(1.0, [True]), (1.0, [True]), (5.0, [False])]
     )
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.0)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     out = _drive(
         engine,
         fetch_with_retry(
@@ -229,7 +226,7 @@ def test_final_attempt_runs_unbounded():
 
 def test_timeouts_strike_the_health_table_before_rerouting():
     engine = Engine()
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.0)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     health = TargetHealth(policy)
     # Reads to ranks 1 and 2 both time out; each one's only alternative is
     # the other.  Strikes land before re-routing, so neither fails over to
@@ -240,7 +237,6 @@ def test_timeouts_strike_the_health_table_before_rerouting():
         other = 3 - target
         return None if health.suspect(other, engine.now) else other
 
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.5)
     transport = ScriptedTransport(engine, [(1.0, [True, True]), (9.0, [False, False])])
     out = _drive(
         engine,
@@ -251,10 +247,11 @@ def test_timeouts_strike_the_health_table_before_rerouting():
     assert transport.calls == [([1, 2], 1.0), ([1, 2], None)]
     assert out.n_timeouts == out.n_retries == 2 and out.n_failovers == 0
     assert health.suspect(1, 1.5) and health.suspect(2, 1.5)
-    # Re-issued to the same ranks, so the backoff was waited out ("retry"
-    # stage) and is part of the retried reads' observed latency.
-    assert out.outcome.stage_seconds["retry"] == pytest.approx(0.5)
-    assert list(out.outcome.latencies) == pytest.approx([1.0 + 0.5 + 9.0] * 2)
+    # Re-issued to the same ranks, so the first backoff (BACKOFF_S) was
+    # waited out ("retry" stage) and is part of the retried reads' observed
+    # latency.
+    assert out.outcome.stage_seconds["retry"] == pytest.approx(1e-4)
+    assert list(out.outcome.latencies) == pytest.approx([1.0 + 1e-4 + 9.0] * 2)
 
 
 def test_mixed_batch_bounds_only_the_reads_that_can_move():
@@ -265,7 +262,7 @@ def test_mixed_batch_bounds_only_the_reads_that_can_move():
         (1, 16, 4),
     ])
     transport = ScriptedTransport(engine, [(1.0, [True, False, False]), (0.5, [False])])
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.5)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     out = _drive(
         engine,
         fetch_with_retry(
@@ -285,7 +282,7 @@ def test_timeouts_without_a_deadline_raise():
     # A transport that reports timeouts even on an unbounded attempt
     # (possible for third-party transports) must surface a typed error.
     transport = ScriptedTransport(engine, [(0.1, [True])])
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.0)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     with pytest.raises(FetchTimeoutError, match="1 read"):
         _drive(
             engine,
@@ -298,7 +295,7 @@ def test_exhausted_retries_raise():
     transport = ScriptedTransport(
         engine, [(0.1, [True]), (0.1, [True]), (0.1, [True])]
     )
-    policy = RetryPolicy(timeout_s=1.0, max_retries=2, backoff_s=0.0)
+    policy = RetryPolicy(timeout_s=1.0, max_retries=2)
     with pytest.raises(FetchTimeoutError, match="after 3 attempt"):
         _drive(
             engine,
@@ -325,7 +322,7 @@ def test_empty_batch_is_a_noop():
 # ---------------------------------------------------------------------------
 
 def test_health_table_state_machine():
-    policy = RetryPolicy(timeout_s=1.0, backoff_factor=2.0)
+    policy = RetryPolicy(timeout_s=1.0)
     health = TargetHealth(policy)
     assert not health and not health.avoid(5, 0.0)
 
@@ -356,12 +353,12 @@ def test_health_table_state_machine():
 
 
 def test_suspect_window_grows_per_strike_and_is_capped():
-    policy = RetryPolicy(timeout_s=2e-3, backoff_factor=2.0)
+    policy = RetryPolicy(timeout_s=2e-3)
     assert policy.suspect_window(1) == 4e-3
     assert policy.suspect_window(3) == 16e-3
     assert policy.suspect_window(40) == policy.suspect_window(16)
-    # backoff_factor 1 is a legal schedule: the window just never grows.
-    assert RetryPolicy(timeout_s=2e-3, backoff_factor=1.0).suspect_window(9) == 2e-3
+    # What the discovery cost scales the window when it exceeds timeout_s.
+    assert policy.suspect_window(2, cost_s=3e-3) == 12e-3
 
 
 @pytest.mark.parametrize("marked, probation", [(0, 2), (2, 0)])
@@ -372,7 +369,7 @@ def test_steering_sends_nothing_but_the_probe_to_a_rank_on_probation(marked, pro
     which of the two has the lower rank."""
     from repro.dataplane.pipeline import _steer
 
-    health = TargetHealth(RetryPolicy(timeout_s=1.0, backoff_factor=2.0))
+    health = TargetHealth(RetryPolicy(timeout_s=1.0))
     health.strike(probation, 0.0)  # suspect until 2.0: on probation at 5.0
     health.strike(marked, 4.0)  # suspect until 6.0
     now = 5.0
@@ -411,7 +408,7 @@ _DARK_RANK, _T_DARK, _DARK_FOR = 1, 0.05, 0.02
 
 def _served_by(store, since):
     """Target ranks of this rank's gets issued at or after ``since``."""
-    log = store.win.window.get_log
+    log = store.transport.win.window.get_log
     return [g.target for g in log if g.origin == store.comm.rank and g.issued_at >= since]
 
 
@@ -419,7 +416,7 @@ def _blackout_main(ctx):
     gen = IsingGenerator(32, seed=0)
     store = yield from DDStore.create(
         ctx.comm, _source(ctx), width=2, record_latencies=True,
-        resilience=ResilienceOptions(timeout_s=2e-4, max_retries=2, backoff_s=1e-6),
+        resilience=ResilienceOptions(timeout_s=2e-4, max_retries=2),
     )
     if ctx.rank != 0:
         yield from ctx.comm.barrier()
@@ -584,9 +581,7 @@ def test_failover_returns_identical_bytes_under_straggler():
         install_faults(
             world, FaultPlan("t", (SlowRank(rank=1, multiplier=1000.0),))
         )
-        res = ResilienceOptions(
-            timeout_s=3 * healthy_max, max_retries=2, backoff_s=1e-5
-        )
+        res = ResilienceOptions(timeout_s=3 * healthy_max, max_retries=2)
         return run(_epoch, world=world, resilience=res)
 
     job = faulted()
@@ -674,18 +669,3 @@ def test_resilience_options_validation():
     assert ResilienceOptions(timeout_s=1e-3).enabled
 
 
-def test_max_read_bytes_smaller_than_largest_sample_rejected():
-    def main(ctx):
-        try:
-            yield from DDStore.create(
-                ctx.comm, _source(ctx),
-                dataplane=DataPlaneOptions(max_read_bytes=64),
-            )
-        except ValueError as exc:
-            return str(exc)
-        return ""
-
-    for msg in run(main).results:
-        assert "max_read_bytes" in msg
-        assert "largest packed sample" in msg
-        assert "64" in msg

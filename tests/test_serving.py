@@ -1,7 +1,7 @@
 """Tests for the multi-tenant serving layer and the client facade.
 
 Covers the session lifecycle (double close, fetch-after-close), the
-admission controller (reject and evict-idle under pressure), DRR
+admission controller (reject under pressure, qos validated first), DRR
 arbiter/lane mechanics (per-class pools, weight-major grants, no engine
 state on the uncontended path), and the cross-tenant isolation property:
 concurrent tenants always receive exactly their own bytes, from private
@@ -147,44 +147,21 @@ def test_admission_reject_when_full():
         assert msg is not None and "rejected" in msg and "2" in msg
 
 
-def test_admission_evicts_the_longest_idle_session():
+def test_full_service_rejects_without_closing_an_idle_tenant():
     def main(ctx):
-        opts = ServingOptions(max_tenants=2, admission="evict-idle")
-        service = yield from _serve(ctx, opts)
+        service = yield from _serve(ctx, ServingOptions(max_tenants=2))
         a = service.connect("a")
-        yield ctx.engine.timeout(1e-3)
+        yield ctx.engine.timeout(1.0)  # a sits idle for a long while
         b = service.connect("b")
-        yield from b.get_samples([0], decode=False)  # b used more recently
-        c = service.connect("c")  # pressure: must evict a, the idler one
-        return (
-            a.evicted, a.closed, b.closed, c.name, tuple(sorted(service.tenants))
-        )
-
-    job = run(main)
-    for a_evicted, a_closed, b_closed, c_name, tenants in job.results:
-        assert a_evicted and a_closed
-        assert not b_closed
-        assert c_name == "c" and tenants == ("b", "c")
-
-
-def test_evict_idle_rejects_when_every_tenant_is_mid_fetch():
-    def main(ctx):
-        opts = ServingOptions(max_tenants=2, admission="evict-idle")
-        service = yield from _serve(ctx, opts)
-        a, b = service.connect("a"), service.connect("b")
-        # Mark both mid-fetch: a session with a fetch inside its lane —
-        # queued, on the wire or between two sub-fetches — is not
-        # evictable, so admission has nothing to reclaim.
-        a.lane.enter()
-        b.lane.enter()
+        yield from b.get_samples([0], decode=False)
         try:
             service.connect("c")
-        except AdmissionError as e:
-            return "no idle session" in str(e)
-        return False
+        except AdmissionError:
+            return a.closed, b.closed, tuple(sorted(service.tenants))
+        return None
 
     job = run(main)
-    assert all(job.results)
+    assert all(r == (False, False, ("a", "b")) for r in job.results)
 
 
 def test_unknown_qos_class_is_a_key_error():
@@ -198,6 +175,47 @@ def test_unknown_qos_class_is_a_key_error():
 
     job = run(main)
     assert all(job.results)
+
+
+def _observed(main):
+    from repro.mpi.comm import World
+    from repro.obs import Observer
+
+    world = World(TESTBOX, 2, seed=0)
+    world.attach_observer(Observer(trace=False))
+    job = run_world(TESTBOX, 2, main, seed=0, world=world)
+    return job, world.obs.metrics
+
+
+def test_unknown_qos_on_a_full_service_books_no_rejection():
+    def main(ctx):
+        service = yield from _serve(ctx, ServingOptions(max_tenants=1))
+        service.connect("a")
+        try:
+            service.connect("b", qos="platinum")
+        except KeyError as e:
+            return "platinum" in str(e)
+        return False
+
+    job, metrics = _observed(main)
+    assert all(job.results)
+    counters = metrics.sum_by("ddstore.tenant", "counter")
+    assert "session_rejected" not in counters
+    assert counters["session_connected"] == 4  # one tenant on each rank
+
+
+def test_unknown_qos_does_not_consume_an_auto_tenant_name():
+    def main(ctx):
+        service = yield from _serve(ctx)
+        first = service.connect().name
+        try:
+            service.connect(qos="platinum")
+        except KeyError:
+            pass
+        return first, service.connect().name
+
+    job = run(main)
+    assert all(r == ("tenant0", "tenant1") for r in job.results)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +282,7 @@ def test_concurrent_tenants_get_exactly_their_own_bytes():
 )
 def test_cache_partitions_are_private_and_sized_by_policy(dataplane, policy):
     def main(ctx):
-        opts = ServingOptions(max_tenants=2, qos=(("interactive", 4), ("batch", 1)),
-                              cache_partition="weighted")
+        opts = ServingOptions(max_tenants=2, qos=(("interactive", 4), ("batch", 1)))
         service = yield from _serve(ctx, opts, dataplane=dataplane)
         a = service.connect("a", qos="interactive")
         b = service.connect("b", qos="batch")
@@ -280,9 +297,8 @@ def test_cache_partitions_are_private_and_sized_by_policy(dataplane, policy):
 
     job = run(main)
     for cap_a, cap_b, distinct, b_empty, policies in job.results:
-        # weighted: budget * w / (max_tenants * max_w) = 1MiB*4/8, 1MiB*1/8
-        assert cap_a == (1 << 20) * 4 // 8
-        assert cap_b == (1 << 20) * 1 // 8
+        # every slot gets budget / max_tenants, whatever its class
+        assert cap_a == cap_b == (1 << 20) // 2
         assert distinct and b_empty
         assert policies == {policy}  # one resolved policy, parent and partitions
 
@@ -295,14 +311,9 @@ def test_tenant_metrics_partition_the_wire_bytes():
         yield from b.get_samples(range(8, 16), decode=False)
         return a.stats.n_local + a.stats.n_remote, b.stats.n_local + b.stats.n_remote
 
-    from repro.mpi.comm import World
-    from repro.obs import Observer
-
-    world = World(TESTBOX, 2, seed=0)
-    world.attach_observer(Observer(trace=False))
-    job = run_world(TESTBOX, 2, main, seed=0, world=world)
+    job, metrics = _observed(main)
     assert all(r == (8, 8) for r in job.results)
-    per_tenant = world.obs.metrics.sum_by("ddstore.tenant", "tenant", "counter")
+    per_tenant = metrics.sum_by("ddstore.tenant", "tenant", "counter")
     assert per_tenant[("a", "n_samples")] == 8 * 4  # every rank fetched 8
     assert per_tenant[("b", "n_samples")] == 8 * 4
     assert per_tenant[("a", "wire_bytes")] > 0
@@ -565,10 +576,10 @@ def test_solo_session_has_no_lane_and_wraps_the_raw_store():
         session = solo_session(store)
         raw = session.store is store  # the facade adds nothing in solo mode
         graphs = yield from session.get_samples([5], decode=False)
-        return raw, session.lane is None, session.idle, len(graphs)
+        return raw, session.lane is None, len(graphs)
 
     job = run(main)
-    assert all(r == (True, True, True, 1) for r in job.results)
+    assert all(r == (True, True, 1) for r in job.results)
 
 
 # ---------------------------------------------------------------------------

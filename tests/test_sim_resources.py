@@ -59,19 +59,6 @@ def test_resource_invalid_capacity():
         Resource(eng, capacity=0)
 
 
-def test_resource_cancel_queued_request():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    held = res.request()
-    assert held.triggered
-    queued = res.request()
-    assert not queued.triggered
-    res.cancel(queued)
-    res.release()
-    assert res.in_use == 0
-    assert not queued.triggered
-
-
 # ---------------------------------------------------------------------------
 # RWLock
 # ---------------------------------------------------------------------------

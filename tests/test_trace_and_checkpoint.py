@@ -1,4 +1,4 @@
-"""Tests for the simulation tracer and model checkpointing."""
+"""Tests for the span tracer and model checkpointing."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from repro.gnn.checkpoint import (
 )
 from repro.graphs import IsingGenerator, collate
 from repro.hardware import ParallelFileSystem, TESTBOX
+from repro.obs import SpanCollector
 from repro.sim import Engine
-from repro.sim.trace import Tracer
 from repro.storage import VirtualFS
 
 
@@ -23,26 +23,26 @@ from repro.storage import VirtualFS
 
 def test_tracer_records_span_extent():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = SpanCollector(eng)
 
     def proc():
-        with tracer.span("work", rank=3):
+        yield eng.timeout(1.0)
+        with tracer.span("work", track=3, rank=3):
             yield eng.timeout(2.5)
-        tracer.mark("done")
+        tracer.mark("done", track=3)
 
     eng.process(proc())
     eng.run()
-    assert len(tracer.spans) == 1
-    s = tracer.spans[0]
-    assert (s.name, s.start, s.end) == ("work", 0.0, 2.5)
+    (s,) = tracer.spans
+    assert (s.name, s.start, s.end) == ("work", 1.0, 3.5)
     assert s.duration == 2.5
-    assert dict(s.meta) == {"rank": 3}
-    assert tracer.marks == [(2.5, "done")]
+    assert dict(s.args) == {"rank": 3}
+    assert tracer.marks == [(3.5, "done", 3)]
 
 
 def test_tracer_totals_and_by_name():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = SpanCollector(eng)
 
     def proc():
         for _ in range(3):
@@ -54,49 +54,36 @@ def test_tracer_totals_and_by_name():
     eng.process(proc())
     eng.run()
     assert tracer.total("load") == pytest.approx(3.0)
-    assert tracer.by_name() == {"load": pytest.approx(3.0), "compute": pytest.approx(6.0)}
-
-
-def test_tracer_render_and_chrome_export():
-    eng = Engine()
-    tracer = Tracer(eng)
-
-    def proc():
-        with tracer.span("alpha", rank=1):
-            yield eng.timeout(0.001)
-
-    eng.process(proc())
-    eng.run()
-    text = tracer.render()
-    assert "alpha" in text and "ms" in text
-    events = tracer.to_chrome_trace()
-    assert events[0]["name"] == "alpha"
-    assert events[0]["ph"] == "X"
-    assert events[0]["dur"] == pytest.approx(1000.0)  # us
-    assert events[0]["tid"] == 1
+    assert tracer.total("compute") == pytest.approx(6.0)
+    assert tracer.total("never-recorded") == 0.0
 
 
 def test_tracer_drops_beyond_max_events():
-    eng = Engine()
-    tracer = Tracer(eng, max_events=2)
+    tracer = SpanCollector(Engine(), max_events=2)
     for _ in range(5):
         tracer.mark("m")
     assert len(tracer.marks) == 2
-    assert "dropped" in tracer.render()
+    assert tracer.dropped == 3
+    # Spans have their own bound; the marks did not use it up.
+    tracer.record("s", start=0.0, end=1.0)
+    assert len(tracer.spans) == 1
+    assert tracer.dropped == 3
 
 
 def test_tracer_manual_begin_end():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = SpanCollector(eng)
 
     def proc():
-        t0 = tracer.begin("manual")
+        t0 = tracer.now
         yield eng.timeout(4.0)
-        tracer.end("manual", t0)
+        tracer.record("manual", start=t0, end=tracer.now)
 
     eng.process(proc())
     eng.run()
     assert tracer.total("manual") == pytest.approx(4.0)
+    (s,) = tracer.spans
+    assert (s.start, s.end) == (0.0, 4.0)
 
 
 # ---------------------------------------------------------------------------
