@@ -30,9 +30,7 @@ def rank_main(ctx):
 
     # 2. Collective construction: split into replica groups, preload
     #    chunks, exchange the registry, expose RMA windows.
-    store = yield from DDStore.create(
-        ctx.comm, source, width=None, record_latencies=True
-    )
+    store = yield from DDStore.create(ctx.comm, source, width=None)
     lo, hi = store.local_range
     print(
         f"[rank {ctx.rank}] holds samples [{lo}, {hi}) "

@@ -149,11 +149,8 @@ CELLS: dict[str, dict] = {
         batch_size=_batch,
         steps_per_epoch=_steps,
     ),
-    # One point of the Fig 8/9/10 sweeps: a single cold step, no per-graph
-    # latency log (the sweeps plot throughput and phase times only).
-    "scaling": dict(
-        batch_size=_batch, steps_per_epoch=1, warm_page_cache=False, record_latencies=False
-    ),
+    # One point of the Fig 8/9/10 sweeps: a single cold step.
+    "scaling": dict(batch_size=_batch, steps_per_epoch=1, warm_page_cache=False),
     # The single-knob ablations: a quarter of the Perlmutter matrix cell.
     "ablation": _ABLATION,
     # Width 2 — the paper's Table 3 sweet spot: every chunk has an owner

@@ -583,7 +583,7 @@ def fig11_width(profile: ScaleProfile):
             "paper",
             profile,
             [
-                (w, dict(machine=machine, n_nodes=nodes, width=w, record_latencies=False))
+                (w, dict(machine=machine, n_nodes=nodes, width=w))
                 for w in _width_sweep_values(ranks)
             ],
         )

@@ -93,7 +93,6 @@ class ExperimentConfig:
     shuffle: str = "global"
     seed: int = 0
     stats_only: bool = True  # performance mode (no numerics)
-    record_latencies: bool = True
     warm_page_cache: bool = True  # emulate steady-state epochs (>1st)
     n_samples: Optional[int] = None  # default: ranks * batch * steps
     jitter_sigma: float = 0.18
@@ -342,7 +341,6 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
             resilience=store_cfg.resilience,
             serving=store_cfg.serving,
             elastic=store_cfg.elastic,
-            record_latencies=cfg.record_latencies,
         )
         store = session.store
         dataset = session.dataset(stats_only=cfg.stats_only, n_workers=cfg.n_workers)

@@ -232,7 +232,8 @@ COMMANDS: tuple[Command, ...] = (
         configure=lambda p: (
             p.add_argument(
                 "name",
-                help="traceable experiment (fig5, fig9, resilience, columnar, tiered, p2p)",
+                help="traceable experiment "
+                "(fig5, fig9, resilience, columnar, tiered, p2p, nodeagg)",
             ),
             p.add_argument("--scale", choices=["tiny", "small", "paper"], default=None),
             p.add_argument("--out", default=None, help="output path for the trace JSON"),

@@ -54,7 +54,6 @@ def connect(
     serving: Optional[ServingOptions] = None,
     elastic: Optional[ElasticOptions] = None,
     tenant: str = "default",
-    record_latencies: bool = False,
 ) -> Generator:
     """Collectively build a store and return a solo session on it.
 
@@ -70,7 +69,6 @@ def connect(
         resilience=resilience,
         serving=serving,
         elastic=elastic,
-        record_latencies=record_latencies,
     )
     return solo_session(store, tenant=tenant)
 
@@ -84,7 +82,6 @@ def serve(
     resilience: Optional[ResilienceOptions] = None,
     serving: Optional[ServingOptions] = None,
     elastic: Optional[ElasticOptions] = None,
-    record_latencies: bool = False,
 ) -> Generator:
     """Collectively build a store and return a :class:`StoreService`.
 
@@ -99,6 +96,5 @@ def serve(
         resilience=resilience,
         serving=serving,
         elastic=elastic,
-        record_latencies=record_latencies,
     )
     return StoreService(store)

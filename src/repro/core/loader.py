@@ -74,8 +74,6 @@ class FetchResult:
     graphs: list[AtomicGraph]
     per_sample_latency: np.ndarray  # seconds, one entry per requested sample
     load_time: float  # wall (virtual) duration of the whole fetch
-    # per-stage virtual seconds of this fetch (DDStore datasets only)
-    stage_seconds: Optional[dict] = None
 
 
 class SimDataset(Protocol):
@@ -149,47 +147,26 @@ class DDStoreDataset:
         """
         engine = self.store.comm.engine
         t0 = engine.now
-        stages_before = dict(self.store.stats.stage_seconds)
         arena = self.arena_pool.acquire()
         lat = yield from self.store.get_batch_arena(
             indices, arena, n_workers=self.n_workers
         )
-        stages = {
-            k: v - stages_before.get(k, 0.0)
-            for k, v in self.store.stats.stage_seconds.items()
-            if v - stages_before.get(k, 0.0) > 0.0
-        }
-        result = FetchResult(
-            graphs=[],
-            per_sample_latency=lat,
-            load_time=engine.now - t0,
-            stage_seconds=stages,
-        )
-        return arena, result
+        return arena, FetchResult(graphs=[], per_sample_latency=lat, load_time=engine.now - t0)
 
     def fetch(self, indices: Sequence[int]) -> Generator:
+        """Coroutine: fetch one batch through ``get_samples``.
+
+        The per-sample latencies are this call's own entry,
+        ``stats.latencies[-1]``, even with depth-k loads in flight (see
+        ``_Call.finish_demand``).  An empty batch makes no call.
+        """
         engine = self.store.comm.engine
         t0 = engine.now
-        before = len(self.store.stats.latencies)
-        stages_before = dict(self.store.stats.stage_seconds)
         graphs = yield from self.store.get_samples(
             indices, decode=not self.stats_only, n_workers=self.n_workers
         )
-        if self.store.record_latencies:
-            lat = np.asarray(self.store.stats.latencies[before:], dtype=np.float64)
-        else:
-            lat = np.full(len(graphs), (engine.now - t0) / max(len(graphs), 1))
-        stages = {
-            k: v - stages_before.get(k, 0.0)
-            for k, v in self.store.stats.stage_seconds.items()
-            if v - stages_before.get(k, 0.0) > 0.0
-        }
-        return FetchResult(
-            graphs=graphs,
-            per_sample_latency=lat,
-            load_time=engine.now - t0,
-            stage_seconds=stages,
-        )
+        lat = self.store.stats.latencies[-1] if graphs else np.zeros(0, dtype=np.float64)
+        return FetchResult(graphs=graphs, per_sample_latency=lat, load_time=engine.now - t0)
 
 
 class FileDataset:

@@ -105,7 +105,6 @@ class DDStore:
         layout: ChunkLayout,
         registry: ChunkRegistry,
         transport: Transport,
-        record_latencies: bool,
     ) -> None:
         self.comm = comm
         self.group_comm = group_comm
@@ -113,7 +112,6 @@ class DDStore:
         self.layout = layout
         self.registry = registry
         self.transport = transport
-        self.record_latencies = record_latencies
         self.stats = FetchStats()
         self.planner = FetchPlanner(
             coalesce=config.dataplane.coalesce and transport.supports_coalescing
@@ -232,7 +230,6 @@ class DDStore:
         resilience: Optional[ResilienceOptions] = None,
         serving: Optional[ServingOptions] = None,
         elastic: Optional[ElasticOptions] = None,
-        record_latencies: bool = False,
     ) -> Generator:
         """Collectively build the store over ``comm`` (all ranks call this).
 
@@ -293,9 +290,7 @@ class DDStore:
         # read fail over to rank ``group * width + owner`` of another group.
         plane_comm = yield from comm.dup()
         transport_cls = TRANSPORTS[config.dataplane.framework]
-        transport = yield from transport_cls.setup(
-            plane_comm, result.buffer, record_latencies=record_latencies
-        )
+        transport = yield from transport_cls.setup(plane_comm, result.buffer)
         store = cls(
             comm=comm,
             group_comm=group_comm,
@@ -303,7 +298,6 @@ class DDStore:
             layout=layout,
             registry=registry,
             transport=transport,
-            record_latencies=record_latencies,
         )
         store._node_index = node_index
         store._charged_bytes = buffer_nbytes
@@ -551,7 +545,6 @@ class DDStore:
         qos: str,
         cache,
         lane,
-        record_latencies: Optional[bool] = None,
     ) -> "DDStore":
         """A re-entrant, session-scoped handle on this store's data plane.
 
@@ -578,8 +571,6 @@ class DDStore:
         clone._tenant = tenant
         clone._qos = qos
         clone._charged_bytes = 0  # the parent owns the DRAM accounting
-        if record_latencies is not None:
-            clone.record_latencies = record_latencies
         if lane is not None:
             # Each session acts as its own RMA client: an independent
             # epoch gate and lock bookkeeping over the shared window, so
@@ -711,7 +702,6 @@ class DDStore:
             resilience=self.config.resilience,
             serving=self.config.serving,
             elastic=self.config.elastic,
-            record_latencies=self.record_latencies,
         )
         new_store.generation = self.generation + 1
         if carry_stats:

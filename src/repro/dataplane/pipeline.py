@@ -435,19 +435,22 @@ class _Call:
             self.publish("ddstore.tenant", rollup.items(), tenant=h._tenant, qos=qos)
         self.record(span, "store", self.t_start, n=n_samples, **span_args, **self.labels)
 
-    def finish_demand(self, span: str, latencies, decode_s: float) -> None:
-        """Book a demand call (its n_local/n_remote/bytes_* already counted)."""
-        h, stats = self.h, self.stats
+    def finish_demand(self, span: str, latencies) -> None:
+        """Book a demand call (its n_local/n_remote/bytes_* already counted).
+
+        ``latencies`` becomes one entry of ``FetchStats.latencies``.  The
+        caller returns right after this, with no engine yield in between,
+        so ``stats.latencies[-1]`` read after the call is its own array
+        even when depth-k prefetch interleaves other calls on the handle.
+        """
+        h = self.h
         # Cache counters accumulate as deltas against the last snapshot: the
         # cache's own stats are cumulative and shared across stats resets.
         marks = _cache_mark(h.cache)
         for name, value, old in zip(_CACHE_COUNTERS, marks, h._cache_base):
             self.count(name, value - old)
         h._cache_base = marks
-        stats.fetch_time += self.engine.now - self.t_start - decode_s
-        stats.decode_time += decode_s
-        if h.record_latencies:
-            stats.latencies.extend(latencies.tolist())
+        self.stats.latencies.append(latencies)
         self.publish("ddstore.stage_seconds", self.stages.items(), key="stage", generation=h.generation)
         got = self.counts.get
         self.finish(
@@ -562,16 +565,15 @@ class _RowSink:
         if self.decode == "raw":
             for blob in self.blobs:  # one contract wherever a blob came from
                 blob.setflags(write=False)
-            return self.blobs, 0.0
+            return self.blobs
         machine = self.h._machine
         dec = decode_time(machine, self.sizes)  # elementwise: one float per sample
-        decode_s = float(dec.sum())
-        yield from call.spend("decode", decode_s / workers, n=int(self.idx.size))
+        yield from call.spend("decode", float(dec.sum()) / workers, n=int(self.idx.size))
         latencies += dec
         if self.decode:
             SAMPLE_ALLOCATIONS.bump(len(self.blobs))
-            return [unpack_graph(b) for b in self.blobs], decode_s
-        return SampleStats.from_blobs(self.blobs), decode_s
+            return [unpack_graph(b) for b in self.blobs]
+        return SampleStats.from_blobs(self.blobs)
 
 
 class _ArenaSink:
@@ -638,7 +640,7 @@ class _ArenaSink:
         wait = scatter_time(self.h._machine, nbytes, smap.n_segments) / workers
         yield from call.spend("scatter", wait, n=int(n), n_segments=smap.n_segments)
         latencies += wait / n
-        return latencies, 0.0
+        return latencies
 
 
 class _ParkSink:
@@ -770,12 +772,12 @@ def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
         yield from call.spend("copy", local_time / workers, n=int(local.size))
     if cache_time:
         yield from call.spend("cache", cache_time / workers)
-    result, decode_s = yield from sink.finish(call, latencies, workers)
+    result = yield from sink.finish(call, latencies, workers)
     call.count("n_local", int(local.size))
     call.count("n_remote", int(wanted.size) + n_zero)
     call.count("bytes_local", int(sizes[local].sum()))
     call.count("bytes_remote", int(sizes[wanted].sum()))
-    call.finish_demand(span, latencies, decode_s)
+    call.finish_demand(span, latencies)
     return result
 
 

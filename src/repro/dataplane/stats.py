@@ -30,9 +30,8 @@ class FetchStats:
     n_remote: int = 0
     bytes_local: int = 0
     bytes_remote: int = 0
-    fetch_time: float = 0.0
-    decode_time: float = 0.0
-    latencies: list[float] = field(default_factory=list)
+    # one per-sample latency array per demand call, in completion order
+    latencies: list[np.ndarray] = field(default_factory=list)
     # data-plane counters
     n_get_calls: int = 0  # wire reads issued (== n_remote when not coalescing)
     bytes_transferred: int = 0  # deduplicated wire bytes actually moved
@@ -84,7 +83,10 @@ class FetchStats:
         }
 
     def latency_array(self) -> np.ndarray:
-        return np.asarray(self.latencies, dtype=np.float64)
+        """Every demand call's per-sample latencies, concatenated."""
+        if not self.latencies:
+            return np.zeros(0, dtype=np.float64)
+        return np.concatenate(self.latencies)
 
     def merge_from(self, other: "FetchStats") -> None:
         """Fold another handle's cumulative accounting into this one.
@@ -96,8 +98,6 @@ class FetchStats:
         """
         for name, val in other.counters().items():
             setattr(self, name, getattr(self, name) + val)
-        self.fetch_time += other.fetch_time
-        self.decode_time += other.decode_time
         self.latencies.extend(other.latencies)
         for stage, seconds in other.stage_seconds.items():
             self.add_stage(stage, seconds)

@@ -55,9 +55,7 @@ class Transport(abc.ABC):
 
     @classmethod
     @abc.abstractmethod
-    def setup(
-        cls, group_comm: Comm, buffer: np.ndarray, *, record_latencies: bool = False
-    ) -> Generator:
+    def setup(cls, group_comm: Comm, buffer: np.ndarray) -> Generator:
         """Collectively wire the transport over a replica group.
 
         Every group member calls this with its own chunk ``buffer``, which
@@ -152,12 +150,8 @@ class RmaTransport(Transport):
         self._gate = _EpochGate(win.engine)
 
     @classmethod
-    def setup(
-        cls, group_comm: Comm, buffer: np.ndarray, *, record_latencies: bool = False
-    ) -> Generator:
+    def setup(cls, group_comm: Comm, buffer: np.ndarray) -> Generator:
         win = yield from create_window(group_comm, buffer)
-        if record_latencies:
-            win.window.record_gets = True
         return cls(win)
 
     def local_buffer(self) -> np.ndarray:
@@ -238,9 +232,7 @@ class P2PTransport(Transport):
         )
 
     @classmethod
-    def setup(
-        cls, group_comm: Comm, buffer: np.ndarray, *, record_latencies: bool = False
-    ) -> Generator:
+    def setup(cls, group_comm: Comm, buffer: np.ndarray) -> Generator:
         return cls(group_comm, buffer)
         yield  # pragma: no cover - generator for API symmetry
 

@@ -27,7 +27,6 @@ keeps every earlier get the snapshot MPI says it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 import numpy as np
@@ -42,21 +41,6 @@ __all__ = [
 
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
-
-
-@dataclass
-class _GetRecord:
-    """One completed get, kept for latency-distribution experiments."""
-
-    origin: int
-    target: int
-    nbytes: int
-    issued_at: float
-    completed_at: float
-
-    @property
-    def latency(self) -> float:
-        return self.completed_at - self.issued_at
 
 
 class Window:
@@ -76,8 +60,6 @@ class Window:
             RWLock(communicator.engine, name=f"win-lock[{r}]")
             for r in range(communicator.size)
         ]
-        self.get_log: list[_GetRecord] = []
-        self.record_gets = False
 
     def buffer_size(self, rank: int) -> int:
         return int(self.buffers[rank].size)
@@ -94,8 +76,7 @@ class WinHandle:
         self._world = comm.communicator.world
         self._stats = comm.stats  # this rank's MPI call accounting
         self._held: dict[int, str] = {}  # target rank -> lock type
-        # Per-request latencies of this handle's most recent get_batch
-        # (rank-local; the shared window.get_log interleaves ranks).
+        # Per-request latencies of this handle's most recent get_batch.
         self.last_latencies: Optional[np.ndarray] = None
         # Per-request timeout flags of the most recent get_batch (None when
         # the batch ran without a timeout).
@@ -183,8 +164,7 @@ class WinHandle:
         concurrent issuing threads (loader workers).  Returns the payloads
         in request order, each a read-only view of the target's buffer as
         it is now (a later ``put`` replaces that buffer, it never writes it).
-        Per-request latencies are appended to the window's ``get_log`` when
-        recording is enabled.
+        Per-request latencies land in ``last_latencies``.
 
         ``timeout_s`` bounds each get's observed latency: a get that has
         not completed ``timeout_s`` virtual seconds after being issued is
@@ -243,11 +223,6 @@ class WinHandle:
                 payloads[i] = None
         finish = float(waited.max())
         self.last_latencies = waited - timing.issues
-        if window.record_gets:
-            for (t, _, nb), iss, done in zip(rows, timing.issues.tolist(), waited.tolist()):
-                window.get_log.append(
-                    _GetRecord(origin=comm.rank, target=t, nbytes=nb, issued_at=iss, completed_at=done)
-                )
         total_bytes = sum(sizes)
         yield engine.timeout(max(0.0, finish - issued))
         self._stats.record("MPI_Get", engine.now - issued, total_bytes)

@@ -228,7 +228,6 @@ class StoreService:
         self,
         tenant: Optional[str] = None,
         qos: Optional[str] = None,
-        record_latencies: Optional[bool] = None,
     ) -> TenantSession:
         """Admit a tenant and hand it a session (rank-local, immediate).
 
@@ -272,7 +271,6 @@ class StoreService:
             qos=qos,
             cache=cache,
             lane=lane,
-            record_latencies=record_latencies,
         )
         session = TenantSession(tenant, qos, view, lane, service=self)
         self._sessions[tenant] = session
@@ -344,7 +342,6 @@ class StoreService:
                 qos=session.qos,
                 cache=old_view.cache,
                 lane=session.lane,
-                record_latencies=old_view.record_latencies,
             )
             view.stats = old_view.stats
             view._cache_base = old_view._cache_base

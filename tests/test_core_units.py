@@ -70,8 +70,9 @@ def test_experiment_config_forwards_no_default_only_fields():
     from repro.bench.harness import ExperimentConfig
 
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert len(names) == 30
+    assert len(names) == 29
     assert not names & {
+        "record_latencies",
         "prefetch_budget_bytes",
         "elastic_cooldown",
         "elastic_min_gain",

@@ -138,9 +138,7 @@ def test_memory_scales_with_replication():
 
 def test_latency_recording():
     def main(ctx):
-        store = yield from DDStore.create(
-            ctx.comm, _source(ctx), record_latencies=True
-        )
+        store = yield from DDStore.create(ctx.comm, _source(ctx))
         yield from store.get_samples(range(32))
         return store.stats.latency_array()
 
@@ -148,6 +146,9 @@ def test_latency_recording():
     lats = job.results[0]
     assert lats.shape == (32,)
     assert np.all(lats > 0)
+    # Every demand call books its latencies; there is no knob to turn it off.
+    with pytest.raises(TypeError):
+        DDStore.create(None, None, record_latencies=True)
 
 
 def test_empty_fetch():
@@ -328,9 +329,7 @@ def test_p2p_slower_than_rma():
 
 def test_dataloader_ddstore_pipeline():
     def main(ctx):
-        store = yield from DDStore.create(
-            ctx.comm, _source(ctx), record_latencies=True
-        )
+        store = yield from DDStore.create(ctx.comm, _source(ctx))
         loader = DataLoader(
             DDStoreDataset(store), ctx, batch_size=4, shuffle="global", seed=0
         )

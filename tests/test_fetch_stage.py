@@ -362,7 +362,6 @@ def _replay():
             width=2,
             dataplane=DataPlaneOptions(cache_bytes=1 << 20),
             resilience=ResilienceOptions(timeout_s=2e-5, max_retries=2),
-            record_latencies=True,
         )
         sessions = [service.connect(name, qos=qos) for name, qos in TENANTS]
         out = {}

@@ -112,7 +112,7 @@ def test_file_dataset_stats_mode_same_virtual_time(fmt):
 def test_ddstore_stats_mode_same_virtual_time():
     def main(ctx, stats_only):
         src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)
-        store = yield from DDStore.create(ctx.comm, src, record_latencies=True)
+        store = yield from DDStore.create(ctx.comm, src)
         ds = DDStoreDataset(store, stats_only=stats_only)
         result = yield from ds.fetch([15, 3, 8])
         return ctx.now, [type(g).__name__ for g in result.graphs]
@@ -186,3 +186,42 @@ def test_empty_chunk_preload():
         return res.buffer.size, res.sizes.size
 
     assert run(main).results[0] == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# per-sample latencies: one record per demand call, even with loads in flight
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("columnar", [False, True])
+@pytest.mark.parametrize("prefetch_depth", [1, 4])
+def test_each_load_reports_its_own_latencies(monkeypatch, prefetch_depth, columnar):
+    from repro.bench.harness import ExperimentConfig, run_experiment
+    from repro.dataplane import pipeline
+
+    booked, reported = [], []
+    finish_demand = pipeline._Call.finish_demand
+
+    def book(self, span, latencies, *rest):
+        booked.append(latencies.copy())
+        return finish_demand(self, span, latencies, *rest)
+
+    def reporting(fetch):
+        def wrapper(self, indices):
+            out = yield from fetch(self, indices)
+            reported.append((out[1] if isinstance(out, tuple) else out).per_sample_latency)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(pipeline._Call, "finish_demand", book)
+    monkeypatch.setattr(DDStoreDataset, "fetch", reporting(DDStoreDataset.fetch))
+    monkeypatch.setattr(DDStoreDataset, "fetch_arena", reporting(DDStoreDataset.fetch_arena))
+    cfg = ExperimentConfig(
+        machine="perlmutter", n_nodes=1, dataset="ising", batch_size=32,
+        steps_per_epoch=6, prefetch_depth=prefetch_depth, columnar=columnar,
+    )
+    r = run_experiment(cfg)
+    assert r.latencies.size == r.total_samples == 768
+    # Each call returns right after booking, so the two logs pair up in order.
+    assert len(reported) == len(booked) == 24
+    for mine, own in zip(reported, booked):
+        assert mine.tobytes() == own.tobytes()

@@ -185,20 +185,26 @@ def test_put_roundtrip_visible_to_target():
 
 
 def test_get_batch_order_and_contents():
+    # Order, contents, and each get's latency booked on the calling handle only.
     def main(ctx):
         win = yield from create_window(ctx.comm, _make_local(ctx.rank))
         yield from win.fence()
         if ctx.rank == 0:
             for t in (1, 2, 3):
                 yield from win.lock(t, LOCK_SHARED)
+            t0 = ctx.now
             out = yield from win.get_batch([(3, 0, 4), (1, 0, 4), (2, 0, 4)])
+            waited = ctx.now - t0
             for t in (1, 2, 3):
                 yield from win.unlock(t)
-            return [int(p[0]) for p in out]
-        return None
+            return [int(p[0]) for p in out], win.last_latencies.tolist(), waited
+        return win.last_latencies
 
     job = run(main)
-    assert job.results[0] == [3, 1, 2]
+    order, lat, waited = job.results[0]
+    assert order == [3, 1, 2]
+    assert len(lat) == 3 and all(0 < x <= waited for x in lat)
+    assert all(r is None for r in job.results[1:])
 
 
 def test_get_batch_empty_is_noop():
@@ -249,23 +255,6 @@ def test_a_get_is_a_snapshot():
     early, late = run(main).results[0]
     assert early == [1] * 8
     assert late == [1, 1, 255, 255, 255, 255, 1, 1]
-
-
-def test_get_log_records_latencies():
-    def main(ctx):
-        win = yield from create_window(ctx.comm, _make_local(ctx.rank))
-        win.window.record_gets = True
-        yield from win.fence()
-        if ctx.rank == 0:
-            yield from win.lock(2, LOCK_SHARED)
-            yield from win.get_batch([(2, 0, 8)] * 5)
-            yield from win.unlock(2)
-        yield from win.fence()
-        return len(win.window.get_log)
-
-    job = run(main)
-    assert job.results[0] == 5
-    assert all(n == 5 for n in job.results)  # shared window object
 
 
 def test_window_from_int_allocates_zeroed():

@@ -476,8 +476,8 @@ def test_every_charged_stage_is_traced(columnar):
 @pytest.mark.parametrize("policy", ["lru", "belady"])
 def test_the_two_cache_spellings_are_one_configuration(policy, columnar, scheduler, served):
     """``cache_bytes=N, cache_policy=p`` is ``cache=CacheOptions("dram:N",
-    policy=p)``: byte-identical batches, equal ``FetchStats`` (counters and
-    stage seconds) and equal virtual elapsed.  The budget holds two batches
+    policy=p)``: byte-identical batches, equal ``FetchStats`` (counters,
+    stage seconds and latencies) and equal virtual elapsed.  The budget holds two batches
     of a depth-4 wave, so eviction, Belady admission and the wave byte-cap
     all get exercised."""
     nbytes = 64 << 10
@@ -503,7 +503,11 @@ def test_the_two_cache_spellings_are_one_configuration(policy, columnar, schedul
                 for seed, store in enumerate(stores)
             ]
             yield ctx.engine.all_of(procs)
-            return seen, [asdict(store.stats) for store in stores], ctx.engine.now
+            stats = [
+                dict(asdict(store.stats), latencies=store.stats.latency_array().tolist())
+                for store in stores
+            ]
+            return seen, stats, ctx.engine.now
 
         return run_world(TESTBOX, 2, main, world=World(TESTBOX, 2, seed=0)).results
 

@@ -406,18 +406,33 @@ def test_steering_sends_nothing_but_the_probe_to_a_rank_on_probation(marked, pro
 _DARK_RANK, _T_DARK, _DARK_FOR = 1, 0.05, 0.02
 
 
-def _served_by(store, since):
-    """Target ranks of this rank's gets issued at or after ``since``."""
-    log = store.transport.win.window.get_log
-    return [g.target for g in log if g.origin == store.comm.rank and g.issued_at >= since]
+def _spy_gets(store):
+    """Wrap ``store``'s window handle so every ``get_batch`` logs
+    ``(issue time, target)`` per read; returns that log."""
+    win, log = store.transport.win, []
+    get_batch = win.get_batch
+
+    def spy(requests, *args, **kwargs):
+        now = win.engine.now
+        log.extend((now, t) for t in np.asarray(requests).reshape(-1, 3)[:, 0].tolist())
+        return (yield from get_batch(requests, *args, **kwargs))
+
+    win.get_batch = spy
+    return log
+
+
+def _served_by(log, since):
+    """Target ranks of the logged gets issued at or after ``since``."""
+    return [target for at, target in log if at >= since]
 
 
 def _blackout_main(ctx):
     gen = IsingGenerator(32, seed=0)
     store = yield from DDStore.create(
-        ctx.comm, _source(ctx), width=2, record_latencies=True,
+        ctx.comm, _source(ctx), width=2,
         resilience=ResilienceOptions(timeout_s=2e-4, max_retries=2),
     )
+    gets = _spy_gets(store)
     if ctx.rank != 0:
         yield from ctx.comm.barrier()
         return None
@@ -437,14 +452,14 @@ def _blackout_main(ctx):
 
     before = yield from fetch_until(_T_DARK - 1e-3)
     report["before"] = (before, store.stats.n_timeouts, store.stats.n_failovers,
-                        set(_served_by(store, 0.0)))
+                        set(_served_by(gets, 0.0)))
     yield ctx.engine.timeout(_T_DARK + 1e-4 - ctx.now)
     t_dark = ctx.now
     n_gets = store.stats.n_get_calls
     during = yield from fetch_until(_T_DARK + _DARK_FOR - 1e-3)
     report["during"] = (during, store.stats.n_timeouts, store.stats.n_failovers,
                         store.stats.n_get_calls - n_gets,
-                        collections.Counter(_served_by(store, t_dark)))
+                        collections.Counter(_served_by(gets, t_dark)))
     # After the outage (and past the last mark): every batch lets one read
     # through as a probe; each clean probe works a strike off.
     yield ctx.engine.timeout(_T_DARK + 3 * _DARK_FOR - ctx.now)
@@ -457,7 +472,7 @@ def _blackout_main(ctx):
         recovering and healed,
         store.stats.n_timeouts - timeouts,
         store.stats.n_failovers - failovers,
-        set(_served_by(store, t_healed)),
+        set(_served_by(gets, t_healed)),
         bool(store._health),
     )
     yield from ctx.comm.barrier()
@@ -496,9 +511,10 @@ def test_blackout_is_struck_steered_around_probed_and_recovered_from():
 def test_all_replicas_suspect_falls_back_to_the_primary_unbounded():
     def main(ctx):
         store = yield from DDStore.create(
-            ctx.comm, _source(ctx), width=2, record_latencies=True,
+            ctx.comm, _source(ctx), width=2,
             resilience=ResilienceOptions(timeout_s=1e-9, max_retries=2),
         )
+        gets = _spy_gets(store)
         # Every owner of the remote chunk is marked: nowhere better to go.
         # The read stays on its primary and is issued without a deadline —
         # with this timeout_s any bounded attempt would time out.
@@ -510,7 +526,7 @@ def test_all_replicas_suspect_falls_back_to_the_primary_unbounded():
         lo, hi = store.layout.chunk_range(1 - store.group_comm.rank)
         yield from store.get_samples(range(lo, lo + 4))
         s = store.stats
-        return (s.n_timeouts, s.n_retries, s.n_failovers, set(_served_by(store, t0)) == {primary})
+        return (s.n_timeouts, s.n_retries, s.n_failovers, set(_served_by(gets, t0)) == {primary})
 
     assert all(r == (0, 0, 0, True) for r in run(main).results)
 
@@ -562,8 +578,7 @@ def test_no_health_table_without_somewhere_to_go():
 
 def _epoch(ctx, resilience=None):
     store = yield from DDStore.create(
-        ctx.comm, _source(ctx), width=2, resilience=resilience,
-        record_latencies=True,
+        ctx.comm, _source(ctx), width=2, resilience=resilience
     )
     graphs = yield from store.get_samples(range(32))
     return graphs, store.stats

@@ -20,11 +20,9 @@ def _small_cfg():
     return HydraGNNConfig(feature_dim=1, head_dims=(1,), hidden_dim=12, n_conv_layers=2, n_fc_layers=2)
 
 
-def _setup(ctx, n_samples=32, width=None, real=True, record=False, batch_size=4, seed=0):
+def _setup(ctx, n_samples=32, width=None, real=True, batch_size=4, seed=0):
     src = GeneratorSource(IsingGenerator(n_samples, seed=seed), ctx.world.machine)
-    store = yield from DDStore.create(
-        ctx.comm, src, width=width, record_latencies=record
-    )
+    store = yield from DDStore.create(ctx.comm, src, width=width)
     model = HydraGNN(_small_cfg(), seed=7)
     dmodel = DistributedModel(model, ctx.comm)
     yield from dmodel.broadcast_parameters()
@@ -76,7 +74,7 @@ def test_training_loss_decreases_distributed():
 
 def test_epoch_report_phase_accounting():
     def main(ctx):
-        trainer, _ = yield from _setup(ctx, record=True)
+        trainer, _ = yield from _setup(ctx)
         report = yield from trainer.train_epoch(0)
         return report
 
@@ -93,7 +91,7 @@ def test_epoch_report_phase_accounting():
 
 def test_modelled_mode_runs_without_numerics():
     def main(ctx):
-        trainer, dmodel = yield from _setup(ctx, real=False, record=True)
+        trainer, dmodel = yield from _setup(ctx, real=False)
         report = yield from trainer.train_epoch(0)
         # No numerical gradients in modelled mode.
         assert np.all(dmodel.model.flat_grads() == 0)
