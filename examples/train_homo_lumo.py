@@ -12,8 +12,6 @@ reports the loss trajectory plus the per-phase time breakdown of Fig 5.
 Run:  python examples/train_homo_lumo.py
 """
 
-import numpy as np
-
 from repro.core import DataLoader, DDStore, DDStoreDataset, GeneratorSource
 from repro.gnn import AdamW, DistributedModel, HydraGNN, HydraGNNConfig, Trainer
 from repro.graphs import MoleculeGenerator

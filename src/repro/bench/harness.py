@@ -104,10 +104,10 @@ class ExperimentConfig:
     prefetch_depth: int = 1  # batches kept in flight ahead of compute
     scheduler: bool = False  # wave scheduling (needs a cache)
     node_fetch: bool = False  # node-aggregated wave fetch (needs scheduler)
-    cache_policy: str = "lru"  # "lru" or "belady"
+    cache_policy: str = "lru"  # "lru" or "belady" (of tiers too, when set)
     columnar: bool = False  # zero-copy columnar batch assembly (arenas)
     # the cache hierarchy spelled out, e.g. "gpu:2m+dram:4m+nvme:256m";
-    # None reads the cache_bytes shorthand instead.
+    # None reads the cache_bytes shorthand instead (the two do not mix).
     tiers: Optional[str] = None
     # fault injection + resilience (see repro.faults / ResilienceOptions)
     fault_plan: Optional[str] = None  # named plan, e.g. "straggler-10x"
@@ -141,10 +141,13 @@ class ExperimentConfig:
         """The nested-options DDStore configuration this cell runs with."""
         from ..core import CacheOptions, ElasticOptions
 
+        # One spelling reaches DataPlaneOptions: tiers (cache_bytes too,
+        # so a cell that sets both is refused) or the DRAM shorthand.
         cache = (
-            CacheOptions.parse(self.tiers, policy=self.cache_policy)
+            dict(cache=CacheOptions.parse(self.tiers, policy=self.cache_policy),
+                 cache_bytes=self.cache_bytes)
             if self.tiers is not None
-            else None
+            else dict(cache_bytes=self.cache_bytes, cache_policy=self.cache_policy)
         )
         return DDStoreConfig(
             self.n_ranks,
@@ -152,14 +155,12 @@ class ExperimentConfig:
             elastic=ElasticOptions(enabled=self.elastic),
             dataplane=DataPlaneOptions(
                 framework="p2p" if self.method == "ddstore-p2p" else "mpi-rma",
-                cache_bytes=self.cache_bytes,
                 coalesce=self.coalesce,
                 prefetch_depth=self.prefetch_depth,
                 scheduler=self.scheduler,
                 node_fetch=self.node_fetch,
-                cache_policy=self.cache_policy,
                 columnar=self.columnar,
-                cache=cache,
+                **cache,
             ),
             resilience=ResilienceOptions(
                 timeout_s=self.timeout_s,

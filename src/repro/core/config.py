@@ -30,6 +30,8 @@ Every knob is passed inside its group::
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +63,26 @@ _SIZE_SUFFIXES = {
     "g": 1 << 30,
     "t": 1 << 40,
 }
+
+
+def _check(field: str, value, least: Optional[int] = 1) -> None:
+    """The one number check of every option group.
+
+    ``least`` an int: ``value`` must be an integer (``bool`` is not one)
+    no smaller than it.  ``least=None``: ``value`` must be a finite,
+    positive real (a NaN timeout would never fire).  Failing here, at
+    construction, beats a ``TypeError`` mid-fetch.
+    """
+    if least is None:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{field} must be a number, got {value!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{field} must be finite and positive, got {value!r}")
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{field} must be >= {least}, got {value}")
 
 
 def _parse_size(text: str) -> int:
@@ -96,11 +118,7 @@ class TierSpec:
             raise ValueError(
                 f"unknown tier kind {self.kind!r}; options: {TIER_KINDS}"
             )
-        if self.capacity_bytes <= 0:
-            raise ValueError(
-                f"tier {self.kind!r} capacity must be positive, "
-                f"got {self.capacity_bytes}"
-            )
+        _check(f"tier {self.kind!r} capacity_bytes", self.capacity_bytes)
 
 
 @dataclass(frozen=True)
@@ -200,13 +218,15 @@ class DataPlaneOptions:
 
     * ``cache`` — the :class:`CacheOptions` itself, any hierarchy
       (GPU-pinned → DRAM → NVMe) with its own ``policy``,
-    * ``cache_bytes`` / ``cache_policy`` — shorthand, read when ``cache``
-      is not given, for the hierarchy that ends at DRAM:
-      ``cache_bytes=N, cache_policy=p`` *is*
+    * ``cache_bytes`` / ``cache_policy`` — shorthand for the hierarchy
+      that ends at DRAM: ``cache_bytes=N, cache_policy=p`` *is*
       ``cache=CacheOptions.parse("dram:N", policy=p)`` (``"lru"``, the
       default, or ``"belady"`` — farthest-reuse eviction against the
       known epoch access sequence, LRU order until one is supplied), and
       the default ``cache_bytes=0`` is the cache switched off.
+
+    The spellings do not mix: ``cache=`` with ``cache_bytes > 0`` or a
+    non-default ``cache_policy`` is refused, never half-read.
 
     The epoch-ahead knobs:
 
@@ -231,8 +251,10 @@ class DataPlaneOptions:
       fan out over the cheap intra-node path into every subscriber's
       cache, priced as a ``"fanout"`` fetch stage and counted in the
       ``ddstore.node`` metric family.  Requires ``scheduler=True`` (node
-      aggregation is a wave-scope operation) and a coalescing transport.
-      Off by default; disabled traces stay bit-identical.
+      aggregation is a wave-scope operation) and a coalescing transport
+      (``supports_coalescing`` of the framework's entry in
+      :data:`repro.dataplane.TRANSPORTS`), both checked here.  Off by
+      default; disabled traces stay bit-identical.
     """
 
     framework: str = "mpi-rma"
@@ -250,13 +272,18 @@ class DataPlaneOptions:
             raise ValueError(
                 f"unknown framework {self.framework!r}; options: {FRAMEWORKS}"
             )
-        if self.prefetch_depth < 1:
-            raise ValueError(
-                f"prefetch_depth must be >= 1, got {self.prefetch_depth}"
-            )
-        if self.cache is not None and not isinstance(self.cache, CacheOptions):
-            raise TypeError(f"cache must be CacheOptions, got {type(self.cache)!r}")
-        cache = self.cache_options  # validates whichever spelling was used
+        _check("prefetch_depth", self.prefetch_depth)
+        _check("cache_bytes", self.cache_bytes, 0)
+        if self.cache is not None:
+            if not isinstance(self.cache, CacheOptions):
+                raise TypeError(f"cache must be CacheOptions, got {type(self.cache)!r}")
+            if self.cache_bytes or self.cache_policy != "lru":
+                raise ValueError(
+                    "cache= spells the whole hierarchy, its policy included; "
+                    "it does not mix with cache_bytes/cache_policy, got "
+                    f"cache_bytes={self.cache_bytes}, cache_policy={self.cache_policy!r}"
+                )
+        cache = self.cache_options  # validates cache_policy
         if self.scheduler and not cache.dram_bytes:
             raise ValueError(
                 "scheduler=True parks wave-prefetched samples in the sample "
@@ -269,14 +296,20 @@ class DataPlaneOptions:
                 "therefore requires scheduler=True (which in turn needs a "
                 "sample cache to park the fanned-out payloads in)"
             )
+        if self.node_fetch:
+            from ..dataplane.transport import TRANSPORTS  # dataplane imports this module
+
+            if not TRANSPORTS[self.framework].supports_coalescing:
+                raise ValueError(
+                    f"node_fetch=True merges reads into coalesced leader reads; "
+                    f"framework {self.framework!r} does not coalesce"
+                )
 
     @property
     def cache_options(self) -> CacheOptions:
         """The sample-cache configuration both spellings resolve to."""
         if self.cache is not None:
             return self.cache
-        if self.cache_bytes < 0:
-            raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
         return CacheOptions.dram_only(self.cache_bytes, self.cache_policy)
 
 
@@ -306,13 +339,10 @@ class ResilienceOptions:
     failover: bool = True
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.max_retries < 1:
-            raise ValueError(
-                f"max_retries must be >= 1 (the final attempt runs without "
-                f"a timeout), got {self.max_retries}"
-            )
+        if self.timeout_s is not None:
+            _check("timeout_s", self.timeout_s, None)
+        # >= 1: the final attempt runs without a timeout.
+        _check("max_retries", self.max_retries)
 
     @property
     def enabled(self) -> bool:
@@ -357,25 +387,11 @@ class ServingOptions:
     qos: tuple = (("interactive", 4), ("batch", 1))
 
     def __post_init__(self) -> None:
-        if self.max_tenants < 1:
-            raise ValueError(
-                f"max_tenants must be >= 1, got {self.max_tenants}"
-            )
-        if self.max_inflight_bytes is not None and self.max_inflight_bytes < 1:
-            raise ValueError(
-                f"max_inflight_bytes must be positive, got "
-                f"{self.max_inflight_bytes}"
-            )
-        if self.drr_quantum_bytes < 1:
-            raise ValueError(
-                f"drr_quantum_bytes must be positive, got "
-                f"{self.drr_quantum_bytes}"
-            )
-        if self.target_inflight_bytes is not None and self.target_inflight_bytes < 1:
-            raise ValueError(
-                f"target_inflight_bytes must be positive, got "
-                f"{self.target_inflight_bytes}"
-            )
+        _check("max_tenants", self.max_tenants)
+        _check("drr_quantum_bytes", self.drr_quantum_bytes)
+        for name in ("max_inflight_bytes", "target_inflight_bytes"):
+            if getattr(self, name) is not None:
+                _check(name, getattr(self, name))
         if not isinstance(self.qos, tuple):
             object.__setattr__(self, "qos", tuple(self.qos))
         if not self.qos:
@@ -391,10 +407,7 @@ class ServingOptions:
                     f"qos entries must be (name, weight) pairs, got {entry!r}"
                 )
             name, weight = entry
-            if not isinstance(weight, int) or weight < 1:
-                raise ValueError(
-                    f"qos weight for {name!r} must be an int >= 1, got {weight!r}"
-                )
+            _check(f"qos weight for {name!r}", weight)
             names.append(name)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate qos class names: {names}")
@@ -471,8 +484,9 @@ class DDStoreConfig:
     elastic: Optional[ElasticOptions] = None
 
     def __post_init__(self) -> None:
-        if self.n_ranks < 1:
-            raise ValueError("n_ranks must be positive")
+        _check("n_ranks", self.n_ranks)
+        if self.width is not None:
+            _check("width", self.width)
         w = self.effective_width
         if w < 1 or w > self.n_ranks:
             raise ValueError(

@@ -54,11 +54,8 @@ _NEVER = float("inf")  # next-use distance of an entry the future never touches
 class CacheStats:
     """Cumulative counters of one cache instance.
 
-    ``hits``/``misses`` are the aggregates the store's fetch counters
-    consume; the ``row_*``/``col_*`` pairs split them by access mode
-    (row :meth:`SampleCache.get` vs columnar
-    :meth:`SampleCache.get_columns`) so tiered roll-ups never conflate
-    whole-blob traffic with header-stripped arena traffic.
+    One counter per event: a row :meth:`SampleCache.get` and a columnar
+    :meth:`SampleCache.get_columns` both count in ``hits``/``misses``.
     """
 
     hits: int = 0
@@ -67,24 +64,6 @@ class CacheStats:
     insertions: int = 0
     hit_bytes: int = 0
     evicted_bytes: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    col_hits: int = 0
-    col_misses: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            insertions=self.insertions,
-            hit_bytes=self.hit_bytes,
-            evicted_bytes=self.evicted_bytes,
-            row_hits=self.row_hits,
-            row_misses=self.row_misses,
-            col_hits=self.col_hits,
-            col_misses=self.col_misses,
-        )
 
 
 @dataclass
@@ -113,19 +92,6 @@ class TierStats:
     evictions: int = 0
     dropped: int = 0
     stall_seconds: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(
-            hits=self.hits,
-            hit_bytes=self.hit_bytes,
-            promotions=self.promotions,
-            promoted_bytes=self.promoted_bytes,
-            demotions=self.demotions,
-            clean_demotions=self.clean_demotions,
-            evictions=self.evictions,
-            dropped=self.dropped,
-            stall_seconds=self.stall_seconds,
-        )
 
 
 def _adopt(payload: np.ndarray) -> np.ndarray:
@@ -262,11 +228,9 @@ class SampleCache:
         entry = self._entries.get(key)
         if entry is None or key in self._column_keys:
             self.stats.misses += 1
-            self.stats.row_misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        self.stats.row_hits += 1
         self.stats.hit_bytes += int(entry.nbytes)
         return entry
 
@@ -292,11 +256,9 @@ class SampleCache:
         entry = self._entries.get(key)
         if entry is None or key not in self._column_keys:
             self.stats.misses += 1
-            self.stats.col_misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        self.stats.col_hits += 1
         self.stats.hit_bytes += int(entry.nbytes)
         return entry
 
@@ -500,9 +462,6 @@ class TieredCache:
     def __len__(self) -> int:
         return sum(len(pool) for _, pool in self._fast)
 
-    def __contains__(self, key: int) -> bool:
-        return self.fast_resident(key) or (self.nvme is not None and key in self.nvme)
-
     def set_future(self, sequence: Iterable[int], start: int = 0) -> None:
         seq = [int(k) for k in sequence]
         for _, pool in self._fast:
@@ -587,10 +546,6 @@ class TieredCache:
             ts.hit_bytes += nbytes
             self.stats.hits += 1
             self.stats.hit_bytes += nbytes
-            if column:
-                self.stats.col_hits += 1
-            else:
-                self.stats.row_hits += 1
             if name == "gpu":
                 from ..hardware.gpu import pinned_read_time
 
@@ -624,13 +579,9 @@ class TieredCache:
                 return entry
         return None
 
-    def count_miss(self, column: bool = False) -> None:
+    def count_miss(self) -> None:
         """Record a full-hierarchy miss (the sample goes to the wire)."""
         self.stats.misses += 1
-        if column:
-            self.stats.col_misses += 1
-        else:
-            self.stats.row_misses += 1
 
     def nvme_resident(self, key: int, column: bool = False) -> bool:
         """Is ``key`` promotable from NVMe for this access mode?"""
@@ -665,10 +616,6 @@ class TieredCache:
             ts.promoted_bytes += nbytes
             self.stats.hits += 1
             self.stats.hit_bytes += nbytes
-            if column:
-                self.stats.col_hits += 1
-            else:
-                self.stats.row_hits += 1
             results[k] = (payload, has_header)
             park = payload[HEADER_NBYTES:] if (column and has_header) else payload
             if self._admit_ok(self.dram, k, int(park.nbytes)):
@@ -724,16 +671,6 @@ class TieredCache:
                 gpu_ts.promotions += 1
                 gpu_ts.promoted_bytes += int(stored.nbytes)
         return len(picked), wall
-
-    # -- metrics -------------------------------------------------------------
-    def tier_counters(self) -> dict[str, float]:
-        """Flat ``"<tier>.<counter>" -> value`` snapshot for delta-based
-        metric publishing."""
-        out: dict[str, float] = {}
-        for name, ts in self.tier_stats.items():
-            for counter, value in ts.as_dict().items():
-                out[f"{name}.{counter}"] = value
-        return out
 
     # -- internals -----------------------------------------------------------
     def _read_batched(self, sizes: list, now: float) -> float:

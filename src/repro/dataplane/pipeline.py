@@ -493,7 +493,7 @@ def _resolve(cache, column: bool, idx, remote, latencies):
             promote[0].append(key)
             promote[1].append(p)
         else:
-            cache.count_miss(column)
+            cache.count_miss()
             missed.append(p)
     if hits:
         latencies[[p for p, _, _ in hits]] = hit_costs
@@ -799,7 +799,7 @@ def wave(h, batch_indices, n_workers: int, window) -> Generator:
     """``DDStore.prefetch_wave``: promote → plan → fetch → park."""
     if not h.cache.enabled:
         return 0
-    if window is not None and h.config.dataplane.node_fetch and h.transport.supports_coalescing:
+    if window is not None and h.config.dataplane.node_fetch:
         return (yield from _node_wave(h, batch_indices, n_workers, window))
     call = _Call(h, wave=True)
     sink = _ParkSink(h)

@@ -54,7 +54,10 @@ class FetchTimeoutError(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Deterministic retry schedule for one fetch batch."""
+    """Deterministic retry schedule for one fetch batch.
+
+    Its fields come from :meth:`from_options`, already checked by
+    :class:`~repro.core.config.ResilienceOptions`."""
 
     #: Wait before the first re-issue to the same rank (virtual seconds).
     BACKOFF_S: ClassVar[float] = 1e-4
@@ -63,12 +66,6 @@ class RetryPolicy:
 
     timeout_s: float
     max_retries: int = 2
-
-    def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
 
     @classmethod
     def from_options(cls, options) -> "RetryPolicy":

@@ -1,7 +1,6 @@
 """HydraGNN-like NumPy GNN: PNA layers, multi-head model, DDP training."""
 
 from .convs import CONV_TYPES, GINConv, SAGEConv, make_conv
-from .checkpoint import checkpoint_bytes, load_checkpoint, restore_from_bytes, save_checkpoint
 from .ddp import DistributedModel, GradPayload
 from .metrics import RegressionMetrics, mae, max_error, r_squared, rmse
 from .model import HydraGNN, HydraGNNConfig, mse_loss
@@ -38,10 +37,6 @@ __all__ = [
     "rmse",
     "max_error",
     "r_squared",
-    "checkpoint_bytes",
-    "restore_from_bytes",
-    "save_checkpoint",
-    "load_checkpoint",
     "PhaseTimes",
     "EpochReport",
 ]

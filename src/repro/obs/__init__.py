@@ -15,9 +15,10 @@ sim → mpi → dataplane → store → trainer → bench:
   measured epoch time, the self-check that makes fetch-accounting bugs
   structurally loud,
 * :class:`Observer` — the attachment point: ``world.attach_observer``
-  wires one observer through every instrumented layer.  The default
-  :data:`NULL_OBSERVER` is a shared null object, so unobserved runs pay
-  nothing and stay bit-identical to the seed,
+  wires one observer through every instrumented layer.  Every publisher
+  guards on ``obs.tracing`` / ``obs.metrics.enabled``, and the default
+  :data:`NULL_OBSERVER` has both off, so unobserved runs pay one check
+  and stay bit-identical to the seed,
 * :func:`run_traced` — the ``python -m repro trace <experiment>`` engine.
 """
 

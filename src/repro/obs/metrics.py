@@ -16,9 +16,9 @@ Design rules:
 * **Deterministic export** — metrics are keyed by ``(name, sorted label
   items)``; exports iterate in that sorted order, so two identical runs
   serialise byte-identically.
-* **Null-object default** — :data:`NULL_METRICS` implements the same
-  surface with shared no-op instruments; code instrumented against it
-  pays one attribute lookup and a truthiness check, nothing else.
+* **Off by the guard** — every publisher checks ``registry.enabled``
+  before it touches an instrument; :data:`NULL_METRICS` is the disabled
+  registry and has nothing but that flag.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (set/add freely)."""
+    """A point-in-time value (``set`` it)."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -75,9 +75,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def add(self, amount: float) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -155,17 +152,6 @@ class MetricsRegistry:
         return inst
 
     # -- roll-ups ---------------------------------------------------------
-    def total(self, name: str, **label_filter: Any) -> float:
-        """Sum of all counter series called ``name`` matching the filter."""
-        out = 0.0
-        for (n, labels), inst in self._counters.items():
-            if n != name:
-                continue
-            d = dict(labels)
-            if all(d.get(k) == v for k, v in label_filter.items()):
-                out += inst.value
-        return out
-
     def sum_by(self, name: str, *group_labels: str, **label_filter: Any) -> dict:
         """Counter totals of ``name`` grouped by one or more labels' values.
 
@@ -227,55 +213,10 @@ class MetricsRegistry:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
 
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 class NullMetricsRegistry:
-    """The zero-overhead default: every instrument is a shared no-op."""
+    """The default registry: disabled, so every publisher's guard skips it."""
 
     enabled = False
-
-    def counter(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, buckets=None, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def total(self, name: str, **label_filter: Any) -> float:
-        return 0.0
-
-    def sum_by(self, name: str, *group_labels: str, **label_filter: Any) -> dict:
-        return {}
-
-    def as_dict(self) -> dict:
-        return {"counters": [], "gauges": [], "histograms": []}
-
-    def __len__(self) -> int:
-        return 0
 
 
 NULL_METRICS = NullMetricsRegistry()

@@ -7,17 +7,16 @@ world with ``world.attach_observer(obs)``; every instrumented layer
 ``gnn.trainer``) reaches it through ``world.obs`` and publishes metrics
 deltas and spans into it.
 
-The default is :data:`NULL_OBSERVER` — a shared null object whose
-``metrics`` swallow everything and whose ``span(...)`` hands back one
-reusable no-op context manager.  Instrumented hot paths guard on
-``obs.tracing`` / ``obs.metrics.enabled`` so an unobserved run does no
-label formatting, no dict lookups, and no allocation: the seed behaviour
-is preserved bit-for-bit.
+The default is :data:`NULL_OBSERVER`: tracing off, a disabled metrics
+registry, no tracer.  Every publisher guards on ``obs.tracing`` /
+``obs.metrics.enabled``, and that guard is the whole mechanism: an
+unobserved run does no label formatting, no dict lookups and no
+allocation, so the seed behaviour is preserved bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from .metrics import NULL_METRICS, MetricsRegistry
 from .tracing import SpanCollector
@@ -52,42 +51,16 @@ class Observer:
         if self.tracer is not None:
             self.tracer.bind(engine)
 
-    def span(
-        self, name: str, *, cat: str = "", track: int = 0, lane: int = 0, **args: Any
-    ):
-        """Tracing context manager; a shared no-op when tracing is off."""
-        if self.tracer is None:
-            return _NULL_CTX
-        return self.tracer.span(name, cat=cat, track=track, lane=lane, **args)
-
-
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_CTX = _NullContext()
-
 
 class _NullObserver:
-    """The do-nothing default every world starts with."""
+    """The unobserved default every world starts with: the guards'
+    flags and nothing else."""
 
     __slots__ = ()
     enabled = False
     tracing = False
     metrics = NULL_METRICS
     tracer = None
-
-    def bind(self, engine) -> None:
-        pass
-
-    def span(self, name: str, **kwargs: Any) -> _NullContext:
-        return _NULL_CTX
 
 
 NULL_OBSERVER = _NullObserver()

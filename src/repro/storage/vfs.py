@@ -135,11 +135,6 @@ class VirtualFS:
         f.data.extend(data)
         return offset
 
-    def write_timed(self, path: str, node_index: int, arrival: float) -> float:
-        """Charge the PFS for flushing the file's current contents."""
-        f = self.stat(path)
-        return self.pfs.write(node_index, f.file_id, max(f.size, 1), arrival)
-
     # -- reading (the training hot path) ----------------------------------------
     def open_timed(self, path: str, arrival: float) -> tuple[VirtualFile, float]:
         """Metadata-op open; returns (file, completion_time)."""

@@ -26,6 +26,25 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 # config
 # ---------------------------------------------------------------------------
 
+def test_every_module_export_resolves():
+    """Each name a ``repro`` module lists in ``__all__`` exists, so a
+    deletion that leaves a stale export fails here, not at a user's import."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    names = ["repro"] + [
+        m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")
+        if m.name != "repro.__main__"  # importing it runs the CLI
+    ]
+    stale = []
+    for name in names:
+        module = importlib.import_module(name)
+        stale += [f"{name}.{x}" for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
+    assert len(names) > 80 and stale == []
+
+
 def test_readme_option_block_lists_every_field():
     """The README's fenced ``DataPlaneOptions``/``ResilienceOptions`` block
     (under "groups its tuning surface") spells out every field of both."""

@@ -208,13 +208,11 @@ def test_collective_time_reduce_and_gather_paths():
 # VFS extras
 # ---------------------------------------------------------------------------
 
-def test_vfs_write_timed_and_unlink_missing():
+def test_vfs_unlink_and_read_missing():
     from repro.hardware import ParallelFileSystem
     from repro.storage import FileNotFound, VirtualFS
 
     vfs = VirtualFS(ParallelFileSystem(Engine(), TESTBOX.pfs, 1))
-    vfs.create("f", b"payload")
-    assert vfs.write_timed("f", 0, arrival=0.0) > 0
     with pytest.raises(FileNotFound):
         vfs.unlink("missing")
     with pytest.raises(FileNotFound):

@@ -10,6 +10,7 @@ layer.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import client
@@ -306,3 +307,20 @@ def test_node_fetch_tenant_byte_isolation():
                 "bytes_transferred",
             ):
                 assert counters[key] == solo_counters[key], (t, key)
+
+
+def test_node_fetch_requires_a_coalescing_transport(monkeypatch):
+    """``node_fetch`` on a transport that does not coalesce is refused
+    where the framework is checked, not quietly run as per-rank waves."""
+    from repro.bench import ExperimentConfig
+    from repro.dataplane import TRANSPORTS, RmaTransport
+
+    kw = dict(scheduler=True, cache_bytes=1 << 20, node_fetch=True)
+    with pytest.raises(ValueError, match="does not coalesce"):
+        DataPlaneOptions(framework="p2p", **kw)
+    with pytest.raises(ValueError, match="does not coalesce"):
+        ExperimentConfig(n_nodes=1, method="ddstore-p2p", **kw)
+    assert DataPlaneOptions(framework="mpi-rma", **kw).node_fetch
+    # The check reads the transport table, so a swapped entry is honoured.
+    monkeypatch.setitem(TRANSPORTS, "p2p", RmaTransport)
+    assert DataPlaneOptions(framework="p2p", **kw).node_fetch

@@ -7,6 +7,11 @@ import json
 import pytest
 
 from repro.bench import PROFILES
+from repro.core import DataLoader, DataPlaneOptions, DDStore, DDStoreDataset, GeneratorSource
+from repro.gnn import AdamW, DistributedModel, HydraGNN, HydraGNNConfig, Trainer
+from repro.graphs import IsingGenerator
+from repro.hardware import TESTBOX
+from repro.mpi import run_world
 from repro.obs import (
     NULL_METRICS,
     NULL_OBSERVER,
@@ -36,8 +41,8 @@ def test_counter_get_or_create_label_order_independent():
     m.counter("fetch", counter="n_local", rank=0).inc(2)  # same series
     m.counter("fetch", rank=1, counter="n_local").inc(5)
     assert m.counter("fetch", rank=0, counter="n_local").value == 5
-    assert m.total("fetch") == 10
-    assert m.total("fetch", rank=1) == 5
+    assert m.sum_by("fetch", "counter") == {"n_local": 10.0}
+    assert m.sum_by("fetch", "counter", rank=1) == {"n_local": 5.0}
     assert m.sum_by("fetch", "rank") == {0: 5.0, 1: 5.0}
     assert m.sum_by("fetch", "rank", counter="nope") == {}
 
@@ -52,7 +57,7 @@ def test_gauge_and_histogram():
     m = MetricsRegistry()
     g = m.gauge("cache.used_bytes", rank=0)
     g.set(100)
-    g.add(-25)
+    g.set(75)
     assert g.value == 75
     h = m.histogram("latency", rank=0)
     for v in (1e-7, 5e-4, 2.0, 1e6):
@@ -73,21 +78,46 @@ def test_export_deterministic_across_insertion_order():
     )
 
 
-def test_null_registry_swallows_everything():
-    assert not NULL_METRICS.enabled
-    NULL_METRICS.counter("x", rank=3).inc(7)
-    NULL_METRICS.gauge("y").set(1)
-    NULL_METRICS.histogram("z").observe(0.5)
-    assert NULL_METRICS.total("x") == 0.0
-    assert NULL_METRICS.sum_by("x", "rank") == {}
-    assert len(NULL_METRICS) == 0
+# The null objects have no instruments and no span: a publisher that
+# skipped its ``metrics.enabled`` / ``tracing`` guard raises here.
+_WAVED = DataPlaneOptions(cache_bytes=1 << 20, scheduler=True, prefetch_depth=2)
 
 
-def test_null_observer_is_inert():
-    assert not NULL_OBSERVER.enabled
-    assert not NULL_OBSERVER.tracing
-    with NULL_OBSERVER.span("anything", cat="x", track=9):
-        pass  # shared no-op context manager
+def _unobserved(ctx):
+    assert ctx.world.obs is NULL_OBSERVER and NULL_OBSERVER.metrics is NULL_METRICS
+    assert not (NULL_OBSERVER.enabled or NULL_OBSERVER.tracing or NULL_METRICS.enabled)
+    assert NULL_OBSERVER.tracer is None
+    return GeneratorSource(IsingGenerator(64, seed=7), ctx.world.machine)
+
+
+def test_store_fetch_and_wave_run_on_the_null_observer():
+    def main(ctx):
+        store = yield from DDStore.create(ctx.comm, _unobserved(ctx), dataplane=_WAVED)
+        remote = [(16 * (ctx.rank + 1) + i) % 64 for i in range(8)]  # the next rank's chunk
+        batches = [remote[:4], remote[4:]]
+        parked = yield from store.prefetch_wave(batches)
+        got = yield from store.get_samples(batches[0])
+        return parked, len(got), store.stats.n_cache_hits
+
+    for parked, n, hits in run_world(TESTBOX, 2, main).results:
+        assert n == 4 and parked > 0 and hits > 0
+
+
+def test_trainer_epoch_runs_on_the_null_observer():
+    def main(ctx):
+        store = yield from DDStore.create(ctx.comm, _unobserved(ctx), dataplane=_WAVED)
+        model = HydraGNN(
+            HydraGNNConfig(feature_dim=1, head_dims=(1,), hidden_dim=8, n_conv_layers=1), seed=0
+        )
+        loader = DataLoader(DDStoreDataset(store), ctx, batch_size=4, seed=0)
+        trainer = Trainer(
+            ctx, DistributedModel(model, ctx.comm), loader, AdamW(model.params()),
+            real_compute=False,
+        )
+        report = yield from trainer.train_epoch(0)
+        return report.elapsed
+
+    assert all(elapsed > 0 for elapsed in run_world(TESTBOX, 2, main).results)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +312,9 @@ def test_traced_run_metrics_match_result_counters(traced_fig5):
     m = traced_fig5.observer.metrics
     fc = traced_fig5.result.fetch_counters
     # The registry is the canonical owner; the bench roll-up is a view of it.
-    assert fc["n_remote"] == int(m.total("ddstore.fetch", counter="n_remote"))
-    assert fc["n_local"] == int(m.total("ddstore.fetch", counter="n_local"))
+    by_counter = m.sum_by("ddstore.fetch", "counter")
+    assert fc["n_remote"] == int(by_counter["n_remote"])
+    assert fc["n_local"] == int(by_counter["n_local"])
     n_ranks = traced_fig5.result.config.n_ranks
     # Every rank trained and published its phase seconds.
     assert len(m.sum_by("trainer.phase_seconds", "rank")) == n_ranks
@@ -302,7 +333,7 @@ def test_resilience_trace_shows_retry_attempts():
     assert run.report.ok
     m = run.observer.metrics
     # The straggler fault perturbed traffic and the counters saw it.
-    assert m.total("faults.n_perturbed") > 0
+    assert sum(m.sum_by("faults.n_perturbed", "kind").values()) > 0
 
 
 def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
@@ -347,7 +378,7 @@ def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
     m = run.observer.metrics
     assert set(m.sum_by("sched.carried_launches", "epoch")) == {1, 2}
     assert set(m.sum_by("sched.waves", "epoch")) == {0, 1, 2}
-    assert m.total("sched.launches") == run.result.config.n_ranks * 9
+    assert sum(m.sum_by("sched.launches", "rank").values()) == run.result.config.n_ranks * 9
 
 
 def test_traceable_rows_resolve_to_the_cells_the_experiments_run():
@@ -382,5 +413,4 @@ def test_untraced_observer_attaches_metrics_only():
     obs = Observer(trace=False)
     assert not obs.tracing
     assert obs.metrics.enabled
-    with obs.span("x"):
-        pass  # no tracer: shared no-op context
+    assert obs.tracer is None

@@ -13,6 +13,7 @@ from repro.core import (
     DDStoreConfig,
     GeneratorSource,
     ResilienceOptions,
+    ServingOptions,
     StoreClosedError,
 )
 from repro.dataplane import (
@@ -43,10 +44,30 @@ def _source(ctx, n=32, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_retry_policy_validation():
+    """A policy's values are checked once, by the options it is built from."""
     with pytest.raises(ValueError, match="timeout_s"):
-        RetryPolicy(timeout_s=0.0)
+        RetryPolicy.from_options(ResilienceOptions(timeout_s=0.0))
     with pytest.raises(ValueError, match="max_retries"):
-        RetryPolicy(timeout_s=1.0, max_retries=0)
+        RetryPolicy.from_options(ResilienceOptions(timeout_s=1.0, max_retries=0))
+
+
+def test_options_refuse_non_integers_and_non_finite_timeouts():
+    """What used to be accepted and then failed mid-run (a float retry
+    budget, a float width) or never fired (a NaN timeout) or was misread
+    (a ``True`` QoS weight as 1) is refused at construction."""
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(TypeError, match="max_retries"):
+            ResilienceOptions(timeout_s=1e-6, max_retries=bad)
+    for bad in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ValueError, match="timeout_s"):
+            ResilienceOptions(timeout_s=bad)
+    with pytest.raises(TypeError, match="width"):
+        DDStoreConfig(4, width=2.0)
+    with pytest.raises(TypeError, match="prefetch_depth"):
+        DataPlaneOptions(prefetch_depth=2.0)
+    with pytest.raises(TypeError, match="qos weight"):
+        ServingOptions(qos=(("a", True),))
+    assert DDStoreConfig(4, width=np.int64(2)).n_replicas == 2  # numpy ints are integers
 
 
 def test_backoff_schedule_is_exact_and_capped():
