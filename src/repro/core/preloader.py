@@ -15,13 +15,17 @@ Two plugins are provided:
 
 Both are coroutines: they yield simulation timeouts as the chunk streams
 in, so shared-filesystem queueing stations observe every rank's reads in
-chronological order, and return the chunk as one contiguous byte buffer of
-packed samples plus the per-sample size table the registry is built from.
+chronological order, and return the chunk's packed samples as pieces (views
+of the bytes the source already holds) plus the per-sample size table the
+registry is built from.  :class:`PreloadResult` lays the pieces back to back
+only when its ``buffer`` is first read — which
+:meth:`~repro.core.store.DDStore.create` does for a chunk's first copy
+alone: every replica of that chunk compares its pieces with the first copy
+and shares it instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Protocol, Sequence
 
 import numpy as np
@@ -38,10 +42,55 @@ __all__ = ["PreloadResult", "DataSource", "ReaderSource", "GeneratorSource"]
 _YIELD_EVERY = 8
 
 
-@dataclass
 class PreloadResult:
-    buffer: np.ndarray  # uint8, all packed samples back to back
-    sizes: np.ndarray  # (n_local,) int64 per-sample byte sizes
+    """One rank's loaded chunk: its packed samples and their size table.
+
+    ``sizes`` is the ``(n_local,)`` int64 per-sample byte table.  The bytes
+    are ``pieces``, uint8 arrays whose concatenation is the chunk.  Who owns
+    them: a source that builds ``PreloadResult(buffer=..., sizes=...)``
+    hands over one buffer it made, which a store then owns; one built by
+    :meth:`of_pieces` holds read-only views of bytes their source owns (VFS
+    file, generated blob, an old store's window), and reading ``buffer``
+    concatenates them once into a new buffer — the physical PFS→DRAM copy,
+    which a store's window then owns.  A store reads ``buffer`` only for a
+    chunk's first copy; replicas compare ``pieces`` with it and share it.
+    """
+
+    __slots__ = ("pieces", "sizes", "_buffer")
+
+    def __init__(self, buffer: np.ndarray, sizes: np.ndarray) -> None:
+        self._buffer = buffer
+        self.pieces = [buffer]
+        self.sizes = sizes
+
+    @classmethod
+    def of_pieces(cls, pieces: list, sizes: np.ndarray) -> "PreloadResult":
+        """A chunk of uint8 ``pieces`` laid back to back only on demand."""
+        result = cls.__new__(cls)
+        result._buffer = None
+        result.pieces = pieces
+        result.sizes = sizes
+        return result
+
+    def adopt(self, buffer: np.ndarray) -> None:
+        """Hold ``buffer`` — a copy of this chunk's bytes that a replica
+        already owns — in place of the pieces, which are dropped."""
+        self._buffer = buffer
+        self.pieces = [buffer]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(int(p.nbytes) for p in self.pieces)
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The chunk as one contiguous uint8 buffer (built once, here: one
+        copy of each piece into a buffer ``np.concatenate`` sizes up front)."""
+        if self._buffer is None:
+            pieces = self.pieces
+            self._buffer = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
+            self.pieces = [self._buffer]  # the source's views are no longer needed
+        return self._buffer
 
 
 class DataSource(Protocol):
@@ -103,10 +152,7 @@ class GeneratorSource:
 
 
 def _pack_result(blobs: list) -> PreloadResult:
-    """Lay packed samples (any ``B``-format buffers) back to back: one copy
-    each, into a buffer ``np.concatenate`` sizes up front — the physical
-    PFS→DRAM copy, whose result the rank's window then owns."""
+    """The chunk of packed samples ``blobs`` (any ``B``-format buffers, which
+    their source keeps owning): one piece per sample, nothing copied yet."""
     sizes = np.fromiter((len(b) for b in blobs), dtype=np.int64, count=len(blobs))
-    pieces = [np.frombuffer(b, dtype=np.uint8) for b in blobs]
-    buffer = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-    return PreloadResult(buffer=buffer, sizes=sizes)
+    return PreloadResult.of_pieces([np.frombuffer(b, dtype=np.uint8) for b in blobs], sizes)

@@ -5,7 +5,9 @@ Construction (collective, via :meth:`DDStore.create`):
 1. split the job's ranks into ``N/w`` replica groups of width ``w``
    (``MPI_Comm_split``),
 2. each group member preloads its chunk — a contiguous slice of the global
-   sample range — into one packed byte buffer (data preloader),
+   sample range — into one packed byte buffer (data preloader); the host
+   keeps one such buffer per distinct chunk, which the replica groups
+   share read-only after a byte-for-byte check,
 3. members exchange per-sample size tables (``MPI_Allgather``) and build
    the replicated :class:`~.registry.ChunkRegistry`,
 4. every member wires the replica group's data plane: the transport
@@ -58,7 +60,7 @@ from .config import (
     ResilienceOptions,
     ServingOptions,
 )
-from .preloader import DataSource
+from .preloader import DataSource, PreloadResult
 from .registry import ChunkRegistry, ShapeTable
 
 __all__ = ["DDStore", "FetchStats", "FETCH_STAGES", "StoreClosedError"]
@@ -87,6 +89,74 @@ def _attach_shape_table(registry: ChunkRegistry, _communicator, shape_rows: list
     registry.shapes = ShapeTable(
         sample_ids=sids, n_nodes=nn, n_edges=ne, feature_dim=f_dim, output_dim=y_dim
     )
+
+
+# Replica pieces are checked against a chunk's shared copy about this many
+# bytes at a time, so every temporary (the scratch block, the comparison
+# mask) stays at or below 1 MiB.  Larger ones cost host memory, not just
+# their size: with 2 MiB temporaries `composed` peaked ~120 MB higher,
+# the allocator keeping more freed heap.
+_CHECK_BYTES = 1 << 19
+
+
+def _same_bytes(pieces: list, buffer: np.ndarray) -> bool:
+    """Whether the uint8 ``pieces`` laid back to back equal ``buffer``.
+
+    Consecutive small pieces starting in one ``_CHECK_BYTES`` block of the
+    chunk are gathered into a scratch block and compared in one call; a
+    larger piece is compared in place, block by block."""
+    if not pieces:
+        return buffer.size == 0
+    sizes = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    if int(sizes.sum()) != buffer.size:
+        return False
+    starts = np.cumsum(sizes) - sizes
+    big = sizes > _CHECK_BYTES
+    block = starts // _CHECK_BYTES
+    cuts = (np.flatnonzero(big[1:] | big[:-1] | (block[1:] != block[:-1])) + 1).tolist()
+    scratch = np.empty(2 * _CHECK_BYTES, dtype=np.uint8)
+    for i, j in zip([0, *cuts], [*cuts, len(pieces)]):
+        lo = int(starts[i])
+        if big[i]:
+            piece = pieces[i]
+            spans = [(s, piece[s : s + _CHECK_BYTES]) for s in range(0, piece.size, _CHECK_BYTES)]
+        else:
+            n = int(starts[j - 1] + sizes[j - 1]) - lo
+            spans = [(0, np.concatenate(pieces[i:j], out=scratch[:n]))]
+        for s, got in spans:
+            if not np.array_equal(got, buffer[lo + s : lo + s + got.size]):
+                return False
+    return True
+
+
+def _share_chunk(
+    communicator, key: tuple, group: int, n_replicas: int, result: PreloadResult
+) -> None:
+    """Give ``result`` the one host buffer of chunk ``key = (create, lo,
+    hi)`` that every replica group of that create shares read-only.
+
+    The first group to load the chunk builds it (``result.buffer``); each
+    later group checks that its pieces hold the same bytes and adopts it
+    without building its own.  The table entry is dropped when the last
+    group has adopted the buffer, so the windows alone keep it alive."""
+    if n_replicas == 1:
+        return
+    table = communicator.__dict__.setdefault("_ddstore_chunks", {})
+    entry = table.get(key)
+    if entry is None:
+        table[key] = [group, result.sizes, result.buffer, n_replicas - 1]
+        return
+    owner, sizes, buffer, _ = entry
+    if not (np.array_equal(sizes, result.sizes) and _same_bytes(result.pieces, buffer)):
+        _, lo, hi = key
+        raise ValueError(
+            f"replica groups {owner} and {group} loaded different bytes for chunk "
+            f"[{lo}, {hi}): failover and node fetch need identical replicas"
+        )
+    result.adopt(buffer)
+    entry[3] -= 1
+    if not entry[3]:
+        del table[key]
 
 
 class DDStore:
@@ -250,9 +320,13 @@ class DDStore:
             serving=serving,
             elastic=elastic,
         )
-        group_comm = yield from comm.split(
-            color=config.group_of_rank(comm.rank), key=comm.rank
-        )
+        # Every rank's k-th create on ``comm`` is the same collective call:
+        # the ordinal keys the chunk buffers its replica groups share.
+        creates = comm.communicator.__dict__.setdefault("_ddstore_creates", [0] * comm.size)
+        create_id = creates[comm.rank]
+        creates[comm.rank] += 1
+        group = config.group_of_rank(comm.rank)
+        group_comm = yield from comm.split(color=group, key=comm.rank)
         layout = ChunkLayout.build(source.n_samples, config.effective_width)
 
         # Preload this member's chunk (timed filesystem / CPU work).
@@ -262,9 +336,12 @@ class DDStore:
         result = yield from source.load_chunk(range(lo, hi), node_index, engine)
 
         # Account the chunk against the node's DRAM (MemoryError here is the
-        # legitimate "width too large for this machine" failure mode).
-        buffer_nbytes = int(result.buffer.nbytes)
+        # legitimate "width too large for this machine" failure mode): every
+        # rank is charged its replica, though the host holds one buffer per
+        # distinct chunk.
+        buffer_nbytes = result.nbytes
         comm.communicator.world.cluster.charge_memory(node_index, buffer_nbytes)
+        _share_chunk(comm.communicator, (create_id, lo, hi), group, config.n_replicas, result)
 
         # Exchange size tables and build the replicated registry: every
         # member is charged the allgather, the last arrival builds the one
@@ -736,8 +813,6 @@ class _StoreSource:
         self.n_workers = max(1, int(n_workers))
 
     def load_chunk(self, indices, node_index: int, engine) -> Generator:
-        from .preloader import PreloadResult
-
         indices = list(indices)
         store = self.store
         # An empty chunk is trivially contiguous: it must not fall into the
@@ -747,10 +822,7 @@ class _StoreSource:
             range(indices[0], indices[-1] + 1)
         )
         if not indices:
-            return PreloadResult(
-                buffer=np.zeros(0, dtype=np.uint8),
-                sizes=np.zeros(0, dtype=np.int64),
-            )
+            return PreloadResult.of_pieces([], np.zeros(0, dtype=np.int64))
         if not contiguous or not store.transport.supports_coalescing:
             blobs = yield from store.get_samples(
                 indices, decode="raw", n_workers=self.n_workers
@@ -759,8 +831,7 @@ class _StoreSource:
             # in the size table — they occupy registry slots even though
             # they contribute no buffer bytes.
             sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
-            buffer = np.concatenate(blobs) if blobs else np.zeros(0, dtype=np.uint8)
-            return PreloadResult(buffer=buffer, sizes=sizes)
+            return PreloadResult.of_pieces(blobs, sizes)
 
         lo, hi = indices[0], indices[-1] + 1
         reg, bounds = store.registry, store.layout.bounds
@@ -795,6 +866,4 @@ class _StoreSource:
                 setattr(store.stats, name, getattr(store.stats, name) + n)
             for i, payload in zip(remote.tolist(), outcome.payloads):
                 parts[i] = payload
-        buffer = np.concatenate(parts)
-        sizes = np.diff(reg.offsets[lo : hi + 1])
-        return PreloadResult(buffer=buffer, sizes=sizes)
+        return PreloadResult.of_pieces(parts, np.diff(reg.offsets[lo : hi + 1]))

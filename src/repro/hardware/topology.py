@@ -135,15 +135,17 @@ class Cluster:
     def charge_memory(self, node_index: int, nbytes: int) -> None:
         """Account for dataset bytes resident on a node; raises when the
         node's DRAM would be exhausted (the failure mode that motivates
-        DDStore's width parameter)."""
+        DDStore's width parameter).  A refused charge leaves the node's
+        accounting untouched."""
         node = self.nodes[node_index]
-        node.mem_used_bytes += nbytes
-        if node.mem_used_bytes > self.spec.mem_per_node_bytes:
+        used = node.mem_used_bytes + nbytes
+        if used > self.spec.mem_per_node_bytes:
             raise MemoryError(
                 f"node {node_index} of {self.spec.name} over-committed: "
-                f"{node.mem_used_bytes / 2**30:.1f} GiB used, "
+                f"{used / 2**30:.1f} GiB used, "
                 f"{self.spec.mem_per_node_bytes / 2**30:.1f} GiB available"
             )
+        node.mem_used_bytes = used
 
     def release_memory(self, node_index: int, nbytes: int) -> None:
         node = self.nodes[node_index]

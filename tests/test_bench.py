@@ -283,7 +283,13 @@ def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
 
     watch(World, "__init__", lambda self, _out: [self])
     watch(VirtualFS, "create", lambda _self, f: [f])
-    watch(Window, "__init__", lambda self, _out: [self, *self.buffers.values()])
+    window_bytes = set()  # host addresses of the window buffers
+
+    def window_parts(win, _out):
+        window_bytes.update(b.__array_interface__["data"][0] for b in win.buffers.values())
+        return [win, *win.buffers.values()]
+
+    watch(Window, "__init__", window_parts)
     watch(SampleCache, "__init__", lambda self, _out: [self])
     watch(NVMeShardStore, "__init__", lambda self, _out: [self])
 
@@ -308,6 +314,8 @@ def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
     del result
     gc.collect()
     assert len(held) == 5 and len(held["Window.__init__"]) > 12  # everything was watched
+    # Width 4 on 12 ranks: replica groups share one buffer per chunk.
+    assert len(window_bytes) == 4
     alive = {what: sum(ref() is not None for ref in refs) for what, refs in held.items()}
     assert not any(alive.values()), alive
 

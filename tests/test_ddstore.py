@@ -47,7 +47,13 @@ def test_create_default_width_single_replica():
 def test_create_width_two_makes_two_replicas():
     def main(ctx):
         store = yield from DDStore.create(ctx.comm, _source(ctx), width=2)
-        return (store.n_replicas, store.group_comm.size, store.local_range)
+        return (
+            store.n_replicas,
+            store.group_comm.size,
+            store.local_range,
+            store.transport.local_buffer(),
+            store.memory_bytes,
+        )
 
     job = run(main)
     assert all(r[0] == 2 for r in job.results)
@@ -55,6 +61,21 @@ def test_create_width_two_makes_two_replicas():
     # Ranks 0/1 form group 0, ranks 2/3 group 1; both groups hold all 32.
     assert job.results[0][2] == (0, 16)
     assert job.results[2][2] == (0, 16)
+    # The host holds one buffer per distinct chunk, shared by its replicas,
+    # while every rank is still charged (and reports) its own replica.
+    bufs = [r[3] for r in job.results]
+    assert np.shares_memory(bufs[0], bufs[2]) and np.shares_memory(bufs[1], bufs[3])
+    assert not np.shares_memory(bufs[0], bufs[1])
+    assert [r[4] for r in job.results] == [b.nbytes for b in bufs]
+    assert job.results[0][4] == job.results[2][4] > 0
+
+    # Replica groups must hold identical chunks: group 1 (node 1) seeding
+    # its generator differently is refused at create, naming both groups.
+    def mismatched(ctx):
+        yield from DDStore.create(ctx.comm, _source(ctx, seed=ctx.node_index), width=2)
+
+    with pytest.raises(ValueError, match=r"replica groups 0 and 1 .* chunk \[0, 16\)"):
+        run(mismatched)
 
 
 def test_every_sample_fetchable_and_correct():

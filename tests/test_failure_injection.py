@@ -6,14 +6,13 @@ contention hits PFF hardest, and over-replication exhausts node memory.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import DDStore, GeneratorSource
 from repro.gnn import AdamW, DistributedModel, HydraGNN, HydraGNNConfig, Trainer
 from repro.core import DataLoader, DDStoreDataset
 from repro.graphs import IsingGenerator
 from repro.hardware import Cluster, Interconnect, TESTBOX
-from repro.mpi import run_world
+from repro.mpi import World, run_world
 from repro.sim import Engine
 
 
@@ -84,10 +83,18 @@ def test_memory_exhaustion_from_overreplication():
             return PreloadResult(buffer=buf, sizes=np.array([buf.size // 4] * 4))
 
     def main(ctx):
-        yield from DDStore.create(ctx.comm, HugeSource())
+        try:
+            yield from DDStore.create(ctx.comm, HugeSource())
+        except MemoryError as exc:
+            return str(exc)
 
-    with pytest.raises(MemoryError, match="over-committed"):
-        run_world(TESTBOX, 1, main)
+    # Both ranks of the one node are refused; a refusal charges nothing, so
+    # neither sees the other's refused chunk and the node stays empty.
+    world = World(TESTBOX, 1)
+    messages = run_world(TESTBOX, 1, main, world=world).results
+    assert len(messages) == 2
+    assert all("over-committed: 5.0 GiB used" in m for m in messages), messages
+    assert world.cluster.nodes[0].mem_used_bytes == 0
 
 
 def test_pfs_contention_storm_slows_metadata():
