@@ -32,7 +32,9 @@ Subpackages
     Online control loops: the elastic width controller that retunes
     replication width mid-training from the observability signals.
 ``repro.client``
-    The public facade: ``connect`` (solo session) / ``serve`` (service).
+    The multi-tenant facade: ``serve`` builds a store behind a
+    ``StoreService``.  A single job uses ``DDStore.create`` and a
+    ``DDStoreDataset`` directly.
 
 Quick start: see ``examples/quickstart.py``.
 """

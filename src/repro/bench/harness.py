@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .. import client
 from ..core import (
     DataLoader,
     DataPlaneOptions,
@@ -95,7 +94,6 @@ class ExperimentConfig:
     stats_only: bool = True  # performance mode (no numerics)
     warm_page_cache: bool = True  # emulate steady-state epochs (>1st)
     n_samples: Optional[int] = None  # default: ranks * batch * steps
-    jitter_sigma: float = 0.18
     hidden_dim: int = 200  # paper architecture; reduce for real-compute runs
     n_workers: int = 1  # effective concurrent loader workers per rank
     cache_bytes: int = 0  # DRAM sample-cache budget (0 = off): shorthand for tiers="dram:N"
@@ -331,10 +329,7 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
     else:
         reader = CFFReader(vfs, root, machine)
         store_cfg = cfg.ddstore_config()
-        # The serving-layer facade: a solo session whose .store IS the raw
-        # store, so single-tenant bench numbers are bit-identical to the
-        # pre-session DDStore.create path.
-        session = yield from client.connect(
+        store = yield from DDStore.create(
             ctx.comm,
             ReaderSource(reader),
             width=cfg.width,
@@ -343,8 +338,7 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
             serving=store_cfg.serving,
             elastic=store_cfg.elastic,
         )
-        store = session.store
-        dataset = session.dataset(stats_only=cfg.stats_only, n_workers=cfg.n_workers)
+        dataset = DDStoreDataset(store, stats_only=cfg.stats_only, n_workers=cfg.n_workers)
     preload_time = ctx.now - t_setup
 
     # -- model + trainer ------------------------------------------------------
@@ -380,9 +374,7 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
     if store is not None and cfg.elastic:
         from ..control import ElasticCoordinator
 
-        coordinator = ElasticCoordinator(
-            ctx, session, loader, trainer=trainer, n_workers=cfg.n_workers
-        )
+        coordinator = ElasticCoordinator(ctx, loader, trainer=trainer)
 
     # -- measured epochs -------------------------------------------------------
     yield from ctx.comm.barrier()
@@ -404,7 +396,7 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
             losses.append(report.train_loss)
         if coordinator is not None:
             yield from coordinator.after_epoch(report)
-            store = session.store  # reshard may have swapped generations
+            store = dataset.store  # reshard may have swapped generations
     if store is not None and cfg.method == "ddstore-p2p":
         yield from store.shutdown()
     elapsed = ctx.now - t0
@@ -441,7 +433,7 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
     # armed before any rank process issues traffic.
     from ..mpi.comm import World
 
-    world = World(machine, cfg.n_nodes, seed=cfg.seed, jitter_sigma=cfg.jitter_sigma)
+    world = World(machine, cfg.n_nodes, seed=cfg.seed)
     if cfg.fault_plan is not None:
         from ..faults import build_fault_plan, install_faults
 
@@ -457,7 +449,6 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         blobs,
         _build_model(cfg, blobs) if cfg.stats_only else None,
         seed=cfg.seed,
-        jitter_sigma=cfg.jitter_sigma,
         world=world,
     )
     per_rank = job.results

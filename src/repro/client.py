@@ -1,19 +1,12 @@
-"""Public client facade over the store: sessions in, stores out of sight.
+"""Public client facade for serving one store to several jobs.
 
-Two entry points, both collective (every rank of ``comm`` calls them
-inside its rank coroutine, exactly like :meth:`DDStore.create`):
-
-* :func:`connect` — the single-job path.  Builds the replicated store
-  and returns a solo :class:`~repro.serving.TenantSession` whose
-  ``.store`` *is* the raw store: no lane, no cache partition, no extra
-  simulation events, so results are bit-identical to calling
-  :meth:`DDStore.create` directly.  This is what the bench harness and
-  trainers use.
-
-* :func:`serve` — the multi-tenant path.  Builds the store and wraps it
-  in a :class:`~repro.serving.StoreService`; call
-  ``service.connect(tenant, qos=...)`` (rank-local, immediate) to admit
-  each job.
+A single training job holds its store directly: ``DDStore.create`` plus
+a :class:`~repro.core.DDStoreDataset` over it.  :func:`serve` is the
+multi-tenant path.  It is collective (every rank of ``comm`` calls it
+inside its rank coroutine, exactly like :meth:`DDStore.create`), builds
+the store and wraps it in a :class:`~repro.serving.StoreService`; call
+``service.connect(tenant, qos=...)`` (rank-local, immediate) to admit
+each job.
 
 Typical two-tenant setup::
 
@@ -24,7 +17,7 @@ Typical two-tenant setup::
         )
         fg = service.connect("dashboard", qos="interactive")
         bg = service.connect("pretrain", qos="batch")
-        ...  # drive fg.loader(...) and bg.loader(...) as engine processes
+        ...  # drive fg.get_samples(...) and bg.get_samples(...) as engine processes
         service.close()
 """
 
@@ -39,38 +32,9 @@ from .core.config import (
     ServingOptions,
 )
 from .core.store import DDStore
-from .serving import StoreService, TenantSession, solo_session
+from .serving import StoreService, TenantSession
 
-__all__ = ["connect", "serve", "StoreService", "TenantSession"]
-
-
-def connect(
-    comm,
-    source,
-    *,
-    width: Optional[int] = None,
-    dataplane: Optional[DataPlaneOptions] = None,
-    resilience: Optional[ResilienceOptions] = None,
-    serving: Optional[ServingOptions] = None,
-    elastic: Optional[ElasticOptions] = None,
-    tenant: str = "default",
-) -> Generator:
-    """Collectively build a store and return a solo session on it.
-
-    The session owns the store: ``session.close()`` (or leaving its
-    ``with`` block) closes it.  For p2p-style transports the collective
-    drain is still ``yield from session.store.shutdown()``, as before.
-    """
-    store = yield from DDStore.create(
-        comm,
-        source,
-        width=width,
-        dataplane=dataplane,
-        resilience=resilience,
-        serving=serving,
-        elastic=elastic,
-    )
-    return solo_session(store, tenant=tenant)
+__all__ = ["serve", "StoreService", "TenantSession"]
 
 
 def serve(

@@ -8,7 +8,7 @@ the loop.  :class:`ElasticWidthController` is the pure decision policy (a
 deterministic hysteresis hill-climb over the divisor lattice of the world
 size) and :class:`ElasticCoordinator` is the actuator that quiesces the
 training pipeline, drives the live memory-to-memory reshard, and repoints
-every consumer at the new store generation — all between epochs, with no
+the loader's dataset at the new store generation — all between epochs, with no
 restart, deterministic under the sim clock.
 """
 

@@ -10,12 +10,10 @@ the verdict is a new width, actuates it live:
   window *carried* into the next epoch, whose head wave is already in
   flight — so no batch load races the old store's teardown; the drain
   rewinds the window, which then refills against the new generation,
-* drives the bulk memory-to-memory reshard — through
-  :meth:`~repro.serving.StoreService.reshard` when a serving layer owns
-  the store (which also quiesces and migrates every tenant session), or
-  directly through :meth:`~repro.core.DDStore.reshard` for a solo
-  session,
-* repoints the session and the loader's dataset at the new generation.
+* drives the bulk memory-to-memory reshard of the loader's store
+  (:meth:`~repro.core.DDStore.reshard`, over the dataset's worker
+  count of wire streams),
+* repoints the loader's dataset at the new generation.
 
 Observability contract: a reshard emits a ``reshard`` span under *both*
 ``trainer.epoch`` and ``trainer.stage`` over the identical interval, so
@@ -49,40 +47,21 @@ class ElasticCoordinator:
     ----------
     ctx : RankContext
         This rank's simulated-process context (engine, comm, obs).
-    session : TenantSession
-        The session whose store the training job reads — a solo session
-        or one connected through a :class:`~repro.serving.StoreService`.
     loader : DataLoader
-        The loader feeding the trainer; its dataset is repointed at the
-        new store after each reshard.
+        The loader feeding the trainer.  Its ``dataset.store`` is the
+        store that is resharded, and the dataset is repointed at the new
+        generation after each reshard.
     trainer : Trainer, optional
         When given, its live prefetch pipeline (carried window included)
         is drained and rewound before the width change (the reshard
         fence).
-    service : StoreService, optional
-        When the store is serving multiple tenants, reshard through the
-        service so every other tenant's session migrates atomically too.
-    n_workers : int
-        Parallel bulk-read streams for the memory-to-memory shuffle.
     """
 
-    def __init__(
-        self,
-        ctx,
-        session,
-        loader,
-        *,
-        trainer=None,
-        service=None,
-        n_workers: int = 1,
-    ) -> None:
+    def __init__(self, ctx, loader, *, trainer=None) -> None:
         self.ctx = ctx
-        self.session = session
         self.loader = loader
         self.trainer = trainer
-        self.service = service
-        self.n_workers = n_workers
-        store = session.store
+        store = loader.dataset.store
         self.options = store.config.elastic
         self.controller = ElasticWidthController(ctx.size, store.width)
         self._fault_base = {
@@ -97,8 +76,13 @@ class ElasticCoordinator:
         return self.options.enabled
 
     @property
+    def store(self):
+        """The generation the loader's dataset currently reads."""
+        return self.loader.dataset.store
+
+    @property
     def width(self) -> int:
-        return self.session.store.width
+        return self.store.width
 
     # ------------------------------------------------------------------
     def _local_faults(self) -> list[float]:
@@ -108,7 +92,7 @@ class ElasticCoordinator:
         across reshard generations, so the controller must see only this
         epoch's increments.
         """
-        stats = self.session.store.stats
+        stats = self.store.stats
         out = []
         for name in _FAULT_COUNTERS:
             cur = getattr(stats, name)
@@ -163,19 +147,11 @@ class ElasticCoordinator:
         t0 = engine.now
         if self.trainer is not None:
             yield from self.trainer.drain_pipeline()
-        if self.service is not None:
-            yield from self.service.reshard(width=width, n_workers=self.n_workers)
-            # service.migrate() already repointed self.session.store
-        else:
-            old = self.session.store
-            new_store = yield from old.reshard(
-                width=width, n_workers=self.n_workers
-            )
-            self.session.store = new_store
-        store = self.session.store
-        dataset = getattr(self.loader, "dataset", None)
-        if dataset is not None and hasattr(dataset, "store"):
-            dataset.store = store
+        dataset = self.loader.dataset
+        store = yield from dataset.store.reshard(
+            width=width, n_workers=dataset.n_workers
+        )
+        dataset.store = store
         self.reshards += 1
         self.reshard_seconds += engine.now - t0
         # Paired spans: the reshard is its own pseudo-epoch, exactly tiled

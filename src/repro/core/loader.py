@@ -295,12 +295,6 @@ class DataLoader:
             dataset.n_samples, ctx.size, ctx.rank, seed=seed
         )
 
-    @property
-    def n_workers(self) -> int:
-        """The dataset's configured loader-worker count (1 when the
-        backend has no worker model)."""
-        return getattr(self.dataset, "n_workers", 1)
-
     def dataplane_options(self):
         """The store's :class:`~repro.core.config.DataPlaneOptions`, or
         ``None`` for backends without a store (file baselines) — how the

@@ -648,28 +648,27 @@ class DDStore:
         clone._tenant = tenant
         clone._qos = qos
         clone._charged_bytes = 0  # the parent owns the DRAM accounting
-        if lane is not None:
-            # Each session acts as its own RMA client: an independent
-            # epoch gate and lock bookkeeping over the shared window, so
-            # one tenant's lock→get→unlock epoch never convoys another
-            # tenant's fetch on the same rank (the shared NIC is still
-            # contended — that lives in the interconnect model).
-            clone.transport = self.transport.session_clone()
-            # Session fetch plans interleave their reads round-robin
-            # across targets so one tenant's wave releases each target's
-            # DRR grant as early as possible for the other tenants, and
-            # cap each read at the DRR quantum (never below the largest
-            # sample): grants — and the head-of-line blocking a small
-            # interactive read can suffer at a target's wire FIFO — stay
-            # quantum-sized instead of whole-batch-sized.
-            clone.planner = FetchPlanner(
-                coalesce=self.planner.coalesce,
-                max_read_bytes=max(
-                    self.config.serving.drr_quantum_bytes,
-                    self.registry.max_sample_bytes,
-                ),
-                fair_interleave=True,
-            )
+        # Each session acts as its own RMA client: an independent epoch
+        # gate and lock bookkeeping over the shared window, so one
+        # tenant's lock→get→unlock epoch never convoys another tenant's
+        # fetch on the same rank (the shared NIC is still contended —
+        # that lives in the interconnect model).
+        clone.transport = self.transport.session_clone()
+        # Session fetch plans interleave their reads round-robin across
+        # targets so one tenant's wave releases each target's DRR grant as
+        # early as possible for the other tenants, and cap each read at
+        # the DRR quantum (never below the largest sample): grants — and
+        # the head-of-line blocking a small interactive read can suffer at
+        # a target's wire FIFO — stay quantum-sized instead of
+        # whole-batch-sized.
+        clone.planner = FetchPlanner(
+            coalesce=self.planner.coalesce,
+            max_read_bytes=max(
+                self.config.serving.drr_quantum_bytes,
+                self.registry.max_sample_bytes,
+            ),
+            fair_interleave=True,
+        )
         return clone
 
     # ------------------------------------------------------------------
@@ -750,7 +749,6 @@ class DDStore:
         width: Optional[int] = None,
         close_old: bool = True,
         n_workers: int = 1,
-        carry_stats: bool = True,
     ) -> Generator:
         """Collectively rebuild the store with a new width — in memory.
 
@@ -764,11 +762,10 @@ class DDStore:
         over that many wire streams (loaders pass their configured worker
         count through so reshard parallelism matches fetch parallelism).
 
-        The new store is generation ``old + 1`` and — with ``carry_stats``
-        (the default) — starts from the old handle's cumulative
-        :class:`FetchStats`, so fetch/cache counters stay monotone across
-        the width change instead of silently resetting.  Returns the new
-        :class:`DDStore`.
+        The new store is generation ``old + 1`` and starts from the old
+        handle's cumulative :class:`FetchStats`, so fetch/cache counters
+        stay monotone across the width change instead of silently
+        resetting.  Returns the new :class:`DDStore`.
         """
         source = _StoreSource(self, n_workers=n_workers)
         new_store = yield from DDStore.create(
@@ -781,8 +778,7 @@ class DDStore:
             elastic=self.config.elastic,
         )
         new_store.generation = self.generation + 1
-        if carry_stats:
-            new_store.stats.merge_from(self.stats)
+        new_store.stats.merge_from(self.stats)
         if close_old:
             before = self._shutdown_collectives
             yield from self.shutdown()

@@ -9,10 +9,11 @@ drives four coordinated optimisations:
 
 1. **depth-k prefetch** — up to ``prefetch_depth`` batch loads run
    concurrently ahead of compute, replacing the trainer's fixed depth-1
-   pipeline.  Depth 1 reproduces the seed pipeline *bit-for-bit*: the
-   same ``engine.process(loader.load(...))`` calls are made at the same
-   virtual times in the same order, so default-config results are
-   unchanged.
+   pipeline.  Depth 1 reproduces the seed pipeline *bit-for-bit*: one
+   ``engine.process`` per batch load, launched at the same virtual times
+   in the same order, whose coroutine delegates straight to
+   ``loader.load`` (no wave to wait on, no Belady clock to advance), so
+   default-config results are unchanged.
 2. **wave scheduling** (``scheduler=True``) — consecutive batches are
    grouped into waves of up to ``prefetch_depth`` batches (cut early at
    the cache's wave byte cap, from the registry's exact per-sample sizes
@@ -362,16 +363,8 @@ class EpochScheduler:
         return loaded
 
     def _launch(self, seg: _Epoch, step: int) -> None:
-        idx = seg.batches[step]
-        if self.waves_enabled:
-            gen = self._chained_load(
-                self._wave_proc(seg, seg.wave_of[step]), idx, int(seg.positions[step])
-            )
-        elif self._belady:
-            gen = self._chained_load(None, idx, int(seg.positions[step]))
-        else:
-            # Seed-identical event creation: the raw loader coroutine.
-            gen = self.loader.load(idx)
+        wave = self._wave_proc(seg, seg.wave_of[step]) if self.waves_enabled else None
+        gen = self._chained_load(wave, seg.batches[step], int(seg.positions[step]))
         seg.events[step] = self.engine.process(gen, name="prefetch")
         if self._carry:
             self._in_flight_bytes += self._batch_bytes(seg, step)

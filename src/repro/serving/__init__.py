@@ -3,12 +3,13 @@
 :class:`StoreService` owns one replicated store and hands out
 :class:`TenantSession` handles with admission control, per-tenant cache
 partitions, and deficit-round-robin fairness at every RMA target
-(:class:`DrrArbiter` / :class:`TenantLane`).  Single-job code should use
-the :func:`repro.client.connect` facade instead.
+(:class:`DrrArbiter` / :class:`TenantLane`).  A single job needs none
+of this: it holds its store directly, through ``DDStore.create`` and a
+:class:`~repro.core.DDStoreDataset`.
 """
 
 from .drr import DrrArbiter, TenantLane
-from .service import AdmissionError, StoreService, TenantSession, solo_session
+from .service import AdmissionError, StoreService, TenantSession
 
 __all__ = [
     "AdmissionError",
@@ -16,5 +17,4 @@ __all__ = [
     "StoreService",
     "TenantLane",
     "TenantSession",
-    "solo_session",
 ]

@@ -45,7 +45,7 @@ from ..core.config import CacheOptions, ServingOptions
 from ..core.store import DDStore
 from .drr import DrrArbiter, TenantLane
 
-__all__ = ["AdmissionError", "StoreService", "TenantSession", "solo_session"]
+__all__ = ["AdmissionError", "StoreService", "TenantSession"]
 
 
 class AdmissionError(RuntimeError):
@@ -66,8 +66,8 @@ class TenantSession:
         name: str,
         qos: str,
         store: DDStore,
-        lane: Optional[TenantLane],
-        service: Optional["StoreService"] = None,
+        lane: TenantLane,
+        service: "StoreService",
     ) -> None:
         self.name = name
         self.qos = qos
@@ -103,44 +103,11 @@ class TenantSession:
             )
         )
 
-    def dataset(self, stats_only: bool = False, n_workers: int = 1):
-        """A :class:`~repro.core.DDStoreDataset` over this session."""
-        from ..core.loader import DDStoreDataset
-
-        return DDStoreDataset(self.store, stats_only=stats_only, n_workers=n_workers)
-
-    def loader(
-        self,
-        ctx,
-        batch_size: int,
-        *,
-        shuffle: str = "global",
-        seed: int = 0,
-        steps_per_epoch: Optional[int] = None,
-        stats_only: bool = False,
-        n_workers: int = 1,
-    ):
-        """A ready-to-train :class:`~repro.core.DataLoader` (own epoch
-        schedule, driven by this session's private cache and stats)."""
-        from ..core.loader import DataLoader
-
-        return DataLoader(
-            self.dataset(stats_only=stats_only, n_workers=n_workers),
-            ctx,
-            batch_size=batch_size,
-            shuffle=shuffle,
-            seed=seed,
-            steps_per_epoch=steps_per_epoch,
-        )
-
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Idempotent, rank-local.  Solo sessions (no service) own their
-        store and close it; service sessions close only their view."""
-        if self.store.closed and self.service is None:
-            return
-        if self.service is not None:
-            self.service._release(self)
+        """Idempotent, rank-local: closes this session's view, never the
+        service's store."""
+        self.service._release(self)
         self.store.close()
 
     def __enter__(self) -> "TenantSession":
@@ -374,13 +341,3 @@ class StoreService:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def solo_session(store: DDStore, tenant: str = "default") -> TenantSession:
-    """Wrap a store in a single-tenant session — the facade's solo mode.
-
-    No service, no lane, no cache partition: ``session.store`` *is* the
-    raw store, so the solo path is bit-identical to pre-session code by
-    construction.  ``close()`` closes the store (the session owns it).
-    """
-    return TenantSession(tenant, "solo", store, lane=None, service=None)

@@ -89,8 +89,9 @@ def test_experiment_config_forwards_no_default_only_fields():
     from repro.bench.harness import ExperimentConfig
 
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert len(names) == 29
+    assert len(names) == 28
     assert not names & {
+        "jitter_sigma",
         "record_latencies",
         "prefetch_budget_bytes",
         "elastic_cooldown",

@@ -12,12 +12,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import client
 from repro.control import Decision, ElasticCoordinator, ElasticWidthController, EpochSignals
 from repro.control.controller import MIN_GAIN, STALL_THRESHOLD
 from repro.core import (
     DataLoader,
     DataPlaneOptions,
+    DDStore,
+    DDStoreDataset,
     ElasticOptions,
     GeneratorSource,
 )
@@ -174,23 +175,23 @@ def _report(elapsed=1.0, wait=0.0, overlap=1.0):
 
 def test_coordinator_reshards_and_repoints_the_dataset():
     def main(ctx):
-        session = yield from client.connect(
+        old_store = yield from DDStore.create(
             ctx.comm,
             _source(ctx),
             elastic=ElasticOptions(enabled=True),
         )
-        dataset = session.dataset(stats_only=True)
-        coord = ElasticCoordinator(ctx, session, SimpleNamespace(dataset=dataset))
-        old_store = session.store
+        dataset = DDStoreDataset(old_store, stats_only=True)
+        coord = ElasticCoordinator(ctx, SimpleNamespace(dataset=dataset))
         # A heavily stalled epoch: the controller must narrow 4 -> 2 and
         # the coordinator must actuate it live.
         new_width = yield from coord.after_epoch(_report(elapsed=1.0, wait=0.5))
-        repointed = dataset.store is session.store
-        fetched = yield from session.store.get_samples([0, 31], decode=False)
+        store = dataset.store
+        repointed = store is not old_store and coord.store is store
+        fetched = yield from store.get_samples([0, 31], decode=False)
         return (
             new_width,
-            session.store.width,
-            session.store.generation,
+            store.width,
+            store.generation,
             old_store.closed,
             repointed,
             len(fetched),
@@ -209,11 +210,11 @@ def test_coordinator_reshards_and_repoints_the_dataset():
 
 def test_coordinator_disabled_is_a_no_op():
     def main(ctx):
-        session = yield from client.connect(ctx.comm, _source(ctx))
-        dataset = session.dataset(stats_only=True)
-        coord = ElasticCoordinator(ctx, session, SimpleNamespace(dataset=dataset))
+        store = yield from DDStore.create(ctx.comm, _source(ctx))
+        dataset = DDStoreDataset(store, stats_only=True)
+        coord = ElasticCoordinator(ctx, SimpleNamespace(dataset=dataset))
         out = yield from coord.after_epoch(_report(elapsed=1.0, wait=0.9))
-        return out, session.store.width, session.store.generation, coord.enabled
+        return out, dataset.store.width, dataset.store.generation, coord.enabled
 
     job = run(main)
     for out, width, gen, enabled in job.results:
@@ -222,18 +223,18 @@ def test_coordinator_disabled_is_a_no_op():
 
 def test_coordinator_decisions_identical_on_every_rank():
     def main(ctx):
-        session = yield from client.connect(
+        store = yield from DDStore.create(
             ctx.comm, _source(ctx), elastic=ElasticOptions(enabled=True)
         )
-        dataset = session.dataset(stats_only=True)
-        coord = ElasticCoordinator(ctx, session, SimpleNamespace(dataset=dataset))
+        dataset = DDStoreDataset(store, stats_only=True)
+        coord = ElasticCoordinator(ctx, SimpleNamespace(dataset=dataset))
         # Ranks disagree locally (only rank 3 is stalled); the allreduce
         # must still land every rank on the same verdict.
         wait = 0.5 if ctx.rank == 3 else 0.0
         yield from coord.after_epoch(_report(elapsed=1.0, wait=wait))
         yield from coord.after_epoch(_report(elapsed=0.3, wait=0.0))
-        session.close()
-        return coord.summary()["decisions"], session.store.width
+        dataset.store.close()
+        return coord.summary()["decisions"], dataset.store.width
 
     job = run(main)
     first_decisions, first_width = job.results[0]
@@ -254,7 +255,7 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
     def main(ctx):
         from repro.dataplane.scheduler import EpochScheduler
 
-        session = yield from client.connect(
+        store = yield from DDStore.create(
             ctx.comm,
             _source(ctx, n=n),
             dataplane=DataPlaneOptions(
@@ -265,7 +266,7 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
             ),
             elastic=ElasticOptions(enabled=True),
         )
-        dataset = session.dataset()
+        dataset = DDStoreDataset(store)
         loader = DataLoader(dataset, ctx, batch_size=4, shuffle="global", seed=0)
         sched = EpochScheduler(
             loader, loader.epoch_batches(0), engine=ctx.engine, epoch=0, epochs=2
@@ -282,8 +283,7 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
         sched.advance(0)
         # ...then fence and reshard mid-wave.
         yield from drain()
-        session.store = yield from session.store.reshard(width=2)
-        dataset.store = session.store
+        dataset.store = yield from dataset.store.reshard(width=2)
         got = [first]
         for step in range(1, len(sched.batches)):
             loaded = yield sched.event(step)
@@ -293,9 +293,9 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
         # launched when the coordinator decides to narrow again.
         carried = sched.finish()
         coord = ElasticCoordinator(
-            ctx, session, loader, trainer=SimpleNamespace(drain_pipeline=drain)
+            ctx, loader, trainer=SimpleNamespace(drain_pipeline=drain)
         )
-        waves_before = session.store.stats.n_prefetch_waves
+        waves_before = dataset.store.stats.n_prefetch_waves
         width = yield from coord.after_epoch(_report(elapsed=1.0, wait=0.5))
         # The window was rewound and refills against the new generation.
         sched.start()
@@ -309,7 +309,7 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
             for loaded, idx in zip(got, schedule)
             for j, i in enumerate(idx)
         )
-        store = session.store
+        store = dataset.store
         refilled = store.stats.n_prefetch_waves - waves_before
         done = not sched.finish()
         yield from store.shutdown()

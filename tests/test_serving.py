@@ -23,7 +23,7 @@ from repro.core import (
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
-from repro.serving import AdmissionError, DrrArbiter, TenantLane, solo_session
+from repro.serving import AdmissionError, DrrArbiter, TenantLane
 from repro.sim import Engine
 
 
@@ -43,20 +43,21 @@ def _serve(ctx, serving=None, n=32, **kw):
 # session lifecycle
 # ---------------------------------------------------------------------------
 
-def test_solo_connect_fetches_and_owns_the_store():
+def test_served_session_fetches_then_service_close_closes_it_and_the_store():
     gen = IsingGenerator(32, seed=0)
 
     def main(ctx):
-        session = yield from client.connect(ctx.comm, _source(ctx))
+        service = yield from _serve(ctx)
+        session = service.connect("a")
         graphs = yield from session.get_samples([3, 17])
         ok = graphs[0].allclose(gen.make(3)) and graphs[1].allclose(gen.make(17))
-        session.close()
-        return ok, session.closed, session.store.closed
+        service.close()
+        return ok, session.closed, service.store.closed
 
     job = run(main)
     for ok, sess_closed, store_closed in job.results:
         assert ok
-        assert sess_closed and store_closed  # solo session owns its store
+        assert sess_closed and store_closed  # the service owns the store
 
 
 def test_session_close_is_idempotent_and_keeps_the_store_open():
@@ -568,18 +569,16 @@ def test_target_share_partitions_by_weight():
     assert ServingOptions(target_inflight_bytes=None).target_share("batch") is None
 
 
-def test_solo_session_has_no_lane_and_wraps_the_raw_store():
+def test_a_plain_store_has_no_lane_or_tenant_labels():
     def main(ctx):
         from repro.core import DDStore
 
         store = yield from DDStore.create(ctx.comm, _source(ctx))
-        session = solo_session(store)
-        raw = session.store is store  # the facade adds nothing in solo mode
-        graphs = yield from session.get_samples([5], decode=False)
-        return raw, session.lane is None, len(graphs)
+        graphs = yield from store.get_samples([5], decode=False)
+        return store._lane, store._tenant, store._qos, len(graphs)
 
     job = run(main)
-    assert all(r == (True, True, 1) for r in job.results)
+    assert all(r == (None, None, None, 1) for r in job.results)
 
 
 # ---------------------------------------------------------------------------
