@@ -12,9 +12,9 @@ Cells:
 
 * **oracle sweep** — every candidate width as a fixed-width run under
   the same fault plan; the best steady-state epoch is the target.
-* **elastic** — same job, started at width N with
-  ``ElasticOptions(enabled=True)``; we record the width trajectory and
-  per-epoch times.
+* **elastic** — same job, started at width N with an
+  :class:`~repro.control.ElasticCoordinator` between epochs (the cell's
+  ``elastic=True``); we record the width trajectory and per-epoch times.
 * **probe** — the elastic cell once more, fresh and traced: a
   bit-identical trajectory ⇒ the control loop is deterministic under the
   sim clock, and the ``reshard`` pseudo-epoch spans must satisfy the

@@ -112,7 +112,7 @@ class ExperimentConfig:
     timeout_s: Optional[float] = None  # per-read fetch timeout (None = off)
     max_retries: int = 2
     failover: bool = True  # re-route timed-out reads to another replica
-    # online elastic width control (see repro.control / ElasticOptions)
+    # online elastic width control (see repro.control.ElasticCoordinator)
     elastic: bool = False  # retune width between epochs from obs signals
 
     def __post_init__(self) -> None:
@@ -137,7 +137,7 @@ class ExperimentConfig:
 
     def ddstore_config(self) -> DDStoreConfig:
         """The nested-options DDStore configuration this cell runs with."""
-        from ..core import CacheOptions, ElasticOptions
+        from ..core import CacheOptions
 
         # One spelling reaches DataPlaneOptions: tiers (cache_bytes too,
         # so a cell that sets both is refused) or the DRAM shorthand.
@@ -150,7 +150,6 @@ class ExperimentConfig:
         return DDStoreConfig(
             self.n_ranks,
             width=self.width,
-            elastic=ElasticOptions(enabled=self.elastic),
             dataplane=DataPlaneOptions(
                 framework="p2p" if self.method == "ddstore-p2p" else "mpi-rma",
                 coalesce=self.coalesce,
@@ -335,8 +334,6 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
             width=cfg.width,
             dataplane=store_cfg.dataplane,
             resilience=store_cfg.resilience,
-            serving=store_cfg.serving,
-            elastic=store_cfg.elastic,
         )
         dataset = DDStoreDataset(store, stats_only=cfg.stats_only, n_workers=cfg.n_workers)
     preload_time = ctx.now - t_setup

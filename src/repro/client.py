@@ -4,9 +4,10 @@ A single training job holds its store directly: ``DDStore.create`` plus
 a :class:`~repro.core.DDStoreDataset` over it.  :func:`serve` is the
 multi-tenant path.  It is collective (every rank of ``comm`` calls it
 inside its rank coroutine, exactly like :meth:`DDStore.create`), builds
-the store and wraps it in a :class:`~repro.serving.StoreService`; call
-``service.connect(tenant, qos=...)`` (rank-local, immediate) to admit
-each job.
+the store and wraps it in a :class:`~repro.serving.StoreService` built
+with ``serving`` (the service, not the store, reads
+:class:`~repro.core.ServingOptions`); call ``service.connect(tenant,
+qos=...)`` (rank-local, immediate) to admit each job.
 
 Typical two-tenant setup::
 
@@ -25,12 +26,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from .core.config import (
-    DataPlaneOptions,
-    ElasticOptions,
-    ResilienceOptions,
-    ServingOptions,
-)
+from .core.config import DataPlaneOptions, ResilienceOptions, ServingOptions
 from .core.store import DDStore
 from .serving import StoreService, TenantSession
 
@@ -45,7 +41,6 @@ def serve(
     dataplane: Optional[DataPlaneOptions] = None,
     resilience: Optional[ResilienceOptions] = None,
     serving: Optional[ServingOptions] = None,
-    elastic: Optional[ElasticOptions] = None,
 ) -> Generator:
     """Collectively build a store and return a :class:`StoreService`.
 
@@ -53,12 +48,6 @@ def serve(
     that part is rank-local and costs no simulated time.
     """
     store = yield from DDStore.create(
-        comm,
-        source,
-        width=width,
-        dataplane=dataplane,
-        resilience=resilience,
-        serving=serving,
-        elastic=elastic,
+        comm, source, width=width, dataplane=dataplane, resilience=resilience
     )
-    return StoreService(store)
+    return StoreService(store, serving)

@@ -19,11 +19,12 @@ Observability contract: a reshard emits a ``reshard`` span under *both*
 ``trainer.epoch`` and ``trainer.stage`` over the identical interval, so
 the critical-path analyzer sees the reshard as a fully-attributed
 pseudo-epoch (residual exactly zero) instead of unaccounted dead time
-between epochs.  Nothing is emitted when no reshard runs, so disabled
-elastic leaves traces bit-identical.
+between epochs.  Nothing is emitted when no reshard runs.
 
-Everything here is a collective: call :meth:`after_epoch` on every rank,
-every epoch, in the same order.
+Building a coordinator is the one elastic switch: a job without one
+never reshards between epochs (the harness builds one when
+``ExperimentConfig.elastic`` is set).  Everything here is a collective:
+call :meth:`after_epoch` on every rank, every epoch, in the same order.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class ElasticCoordinator:
         self.loader = loader
         self.trainer = trainer
         store = loader.dataset.store
-        self.options = store.config.elastic
         self.controller = ElasticWidthController(ctx.size, store.width)
         self._fault_base = {
             name: getattr(store.stats, name) for name in _FAULT_COUNTERS
@@ -71,10 +71,6 @@ class ElasticCoordinator:
         self.reshard_seconds = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self.options.enabled
-
     @property
     def store(self):
         """The generation the loader's dataset currently reads."""
@@ -131,8 +127,6 @@ class ElasticCoordinator:
 
         Returns the new width when a reshard ran, else None.
         """
-        if not self.enabled:
-            return None
         signals = yield from self._reduce_signals(report)
         target = self.controller.observe(signals)
         if target is None or target == self.width:
@@ -181,7 +175,6 @@ class ElasticCoordinator:
     def summary(self) -> dict:
         """Rank-local trajectory report for the bench/CLI layer."""
         return {
-            "enabled": self.enabled,
             "final_width": self.width,
             "reshards": self.reshards,
             "reshard_seconds": self.reshard_seconds,

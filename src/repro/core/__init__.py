@@ -5,7 +5,6 @@ from .config import (
     CacheOptions,
     DataPlaneOptions,
     DDStoreConfig,
-    ElasticOptions,
     FRAMEWORKS,
     ResilienceOptions,
     ServingOptions,
@@ -32,7 +31,6 @@ __all__ = [
     "TierSpec",
     "ResilienceOptions",
     "ServingOptions",
-    "ElasticOptions",
     "StoreClosedError",
     "FRAMEWORKS",
     "FETCH_STAGES",

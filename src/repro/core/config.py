@@ -10,22 +10,25 @@
   two-sided ``p2p`` data plane as the ablation of §3.1's rejected design
   (message exchange requiring the target's involvement).
 
-The tuning surface is grouped into nested, individually-validated option
+A store's tuning surface is two nested, individually-validated option
 dataclasses:
 
 * :class:`DataPlaneOptions` — the fetch path: framework, request
   coalescing, hot-sample cache budget, epoch-ahead prefetch,
 * :class:`ResilienceOptions` — how a fetch behaves when a peer is slow or
   dead: per-read virtual-time timeout, retry budget, and replica
-  failover,
-* :class:`ServingOptions` — the multi-tenant serving layer: tenant
-  limit, per-tenant QoS classes and DRR fairness quanta.
+  failover.
 
 Every knob is passed inside its group::
 
     DDStoreConfig(n, width=w,
                   dataplane=DataPlaneOptions(framework="mpi-rma", cache_bytes=1 << 20),
                   resilience=ResilienceOptions(timeout_s=1e-3, failover=True))
+
+:class:`ServingOptions` — the multi-tenant serving layer's tenant limit,
+QoS classes and DRR fairness quanta — is not part of a store's
+configuration: it goes to :func:`repro.client.serve` /
+:class:`repro.serving.StoreService`, the only readers.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "DataPlaneOptions",
     "ResilienceOptions",
     "ServingOptions",
-    "ElasticOptions",
     "DDStoreConfig",
     "FRAMEWORKS",
     "TIER_KINDS",
@@ -353,9 +355,9 @@ class ResilienceOptions:
 class ServingOptions:
     """The multi-tenant serving layer: many jobs, one replicated store.
 
-    Consumed by :class:`repro.serving.StoreService`; a plain single-job
-    :class:`~.store.DDStore` never reads these, so the defaults cannot
-    perturb existing runs.
+    Passed to :class:`repro.serving.StoreService` (through
+    :func:`repro.client.serve`), never to a store: a plain single-job
+    :class:`~.store.DDStore` has no serving layer to configure.
 
     * ``max_tenants`` — concurrent sessions a rank's service admits;
       ``connect`` on a full service raises
@@ -448,40 +450,19 @@ class ServingOptions:
 
 
 @dataclass(frozen=True)
-class ElasticOptions:
-    """Online width retuning: close the loop between obs and reshard.
-
-    With ``enabled=True`` the :class:`repro.control.ElasticWidthController`
-    reads the metrics registry between epochs (fetch stall fraction,
-    retry/failover pressure, tier stalls, overlap efficiency), decides a
-    new replication width via a hysteresis policy, and live-reshards the
-    store over the bulk memory-to-memory path — no restart.  The policy's
-    thresholds are constants of :mod:`repro.control.controller`; a store
-    never reads this group on the fetch path, so the default cannot
-    perturb existing runs.
-    """
-
-    enabled: bool = False
-
-
-@dataclass(frozen=True)
 class DDStoreConfig:
     """Validated DDStore parameters for a given job size.
 
     ``width=None`` means the paper default ``w = N`` (single replica
-    striped over all ranks).  Data-plane, resilience, serving and elastic
-    knobs live in the nested :class:`DataPlaneOptions` /
-    :class:`ResilienceOptions` / :class:`ServingOptions` /
-    :class:`ElasticOptions` groups; passing ``None`` for a group means
-    its defaults.
+    striped over all ranks).  Data-plane and resilience knobs live in the
+    nested :class:`DataPlaneOptions` / :class:`ResilienceOptions` groups;
+    passing ``None`` for a group means its defaults.
     """
 
     n_ranks: int
     width: Optional[int] = None
     dataplane: Optional[DataPlaneOptions] = None
     resilience: Optional[ResilienceOptions] = None
-    serving: Optional[ServingOptions] = None
-    elastic: Optional[ElasticOptions] = None
 
     def __post_init__(self) -> None:
         _check("n_ranks", self.n_ranks)
@@ -501,8 +482,6 @@ class DDStoreConfig:
         for name, group in (
             ("dataplane", DataPlaneOptions),
             ("resilience", ResilienceOptions),
-            ("serving", ServingOptions),
-            ("elastic", ElasticOptions),
         ):
             value = getattr(self, name)
             if value is None:

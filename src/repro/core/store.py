@@ -53,13 +53,7 @@ from ..graphs import BatchArena
 from ..mpi import Comm
 from ..storage import peek_headers
 from .chunking import ChunkLayout
-from .config import (
-    DataPlaneOptions,
-    DDStoreConfig,
-    ElasticOptions,
-    ResilienceOptions,
-    ServingOptions,
-)
+from .config import DataPlaneOptions, DDStoreConfig, ResilienceOptions
 from .preloader import DataSource, PreloadResult
 from .registry import ChunkRegistry, ShapeTable
 
@@ -175,6 +169,8 @@ class DDStore:
         layout: ChunkLayout,
         registry: ChunkRegistry,
         transport: Transport,
+        node_index: int,
+        charged_bytes: int,
     ) -> None:
         self.comm = comm
         self.group_comm = group_comm
@@ -216,6 +212,9 @@ class DDStore:
         # (metrics registry, its counters this handle has published to).
         self._published: tuple = (None, {})
         self._closed = False
+        # The node DRAM this rank's chunk is charged to; ``close`` releases it.
+        self._node_index = node_index
+        self._charged_bytes = charged_bytes
         # Reshard lineage: 0 for a freshly created store, +1 per reshard.
         # Session views inherit it; metric series carry it as a label so
         # roll-ups can attribute work to the width regime that did it.
@@ -298,27 +297,18 @@ class DDStore:
         width: Optional[int] = None,
         dataplane: Optional[DataPlaneOptions] = None,
         resilience: Optional[ResilienceOptions] = None,
-        serving: Optional[ServingOptions] = None,
-        elastic: Optional[ElasticOptions] = None,
     ) -> Generator:
         """Collectively build the store over ``comm`` (all ranks call this).
 
         ``source`` supplies the packed samples (a preloader plugin).
         Data-plane tuning (framework, coalescing, cache) comes in through
-        ``dataplane``, fault handling (timeout/retry/failover) through
-        ``resilience``, and multi-tenant admission/fairness through
-        ``serving`` — see :class:`~.config.DataPlaneOptions`,
-        :class:`~.config.ResilienceOptions`, and
-        :class:`~.config.ServingOptions`.  Returns this rank's
+        ``dataplane`` and fault handling (timeout/retry/failover) through
+        ``resilience`` — see :class:`~.config.DataPlaneOptions` and
+        :class:`~.config.ResilienceOptions`.  Returns this rank's
         :class:`DDStore`.
         """
         config = DDStoreConfig(
-            comm.size,
-            width=width,
-            dataplane=dataplane,
-            resilience=resilience,
-            serving=serving,
-            elastic=elastic,
+            comm.size, width=width, dataplane=dataplane, resilience=resilience
         )
         # Every rank's k-th create on ``comm`` is the same collective call:
         # the ordinal keys the chunk buffers its replica groups share.
@@ -375,9 +365,9 @@ class DDStore:
             layout=layout,
             registry=registry,
             transport=transport,
+            node_index=node_index,
+            charged_bytes=buffer_nbytes,
         )
-        store._node_index = node_index
-        store._charged_bytes = buffer_nbytes
         if store.cache.nvme is not None:
             yield from store._stage_nvme_tier(source, node_index)
         yield from comm.barrier()
@@ -622,6 +612,7 @@ class DDStore:
         qos: str,
         cache,
         lane,
+        drr_quantum_bytes: int,
     ) -> "DDStore":
         """A re-entrant, session-scoped handle on this store's data plane.
 
@@ -631,9 +622,11 @@ class DDStore:
         :class:`FetchStats`, its partition of the sample cache
         (``cache``), and its :class:`~repro.serving.TenantLane` (``lane``,
         the DRR/in-flight-byte gate the pipeline's fetch stage consults
-        before wire issue).  Closing a view never releases the parent's DRAM
-        accounting; closing the parent store invalidates every view's
-        wire path the usual way (the transport is shared).
+        before wire issue).  ``drr_quantum_bytes`` is the service's DRR
+        quantum, which caps the view's wire reads.  Closing a view never
+        releases the parent's DRAM accounting; closing the parent store
+        invalidates every view's wire path the usual way (the transport is
+        shared).
 
         Built by :class:`repro.serving.StoreService` — single-job callers
         never need one.
@@ -663,10 +656,7 @@ class DDStore:
         # whole-batch-sized.
         clone.planner = FetchPlanner(
             coalesce=self.planner.coalesce,
-            max_read_bytes=max(
-                self.config.serving.drr_quantum_bytes,
-                self.registry.max_sample_bytes,
-            ),
+            max_read_bytes=max(drr_quantum_bytes, self.registry.max_sample_bytes),
             fair_interleave=True,
         )
         return clone
@@ -727,10 +717,10 @@ class DDStore:
         if self._closed:
             return
         self._closed = True
-        charged = getattr(self, "_charged_bytes", 0)
-        node = getattr(self, "_node_index", None)
-        if charged and node is not None:
-            self.comm.communicator.world.cluster.release_memory(node, charged)
+        if self._charged_bytes:
+            self.comm.communicator.world.cluster.release_memory(
+                self._node_index, self._charged_bytes
+            )
             self._charged_bytes = 0
 
     def __enter__(self) -> "DDStore":
@@ -744,12 +734,7 @@ class DDStore:
     # ------------------------------------------------------------------
     # elastic re-sharding
     # ------------------------------------------------------------------
-    def reshard(
-        self,
-        width: Optional[int] = None,
-        close_old: bool = True,
-        n_workers: int = 1,
-    ) -> Generator:
+    def reshard(self, width: Optional[int] = None, n_workers: int = 1) -> Generator:
         """Collectively rebuild the store with a new width — in memory.
 
         The paper's §2.2 names the pain point: with classic data sharding,
@@ -765,7 +750,8 @@ class DDStore:
         The new store is generation ``old + 1`` and starts from the old
         handle's cumulative :class:`FetchStats`, so fetch/cache counters
         stay monotone across the width change instead of silently
-        resetting.  Returns the new :class:`DDStore`.
+        resetting.  The old handle is shut down (one collective) and
+        closed.  Returns the new :class:`DDStore`.
         """
         source = _StoreSource(self, n_workers=n_workers)
         new_store = yield from DDStore.create(
@@ -774,21 +760,18 @@ class DDStore:
             width=width,
             dataplane=self.config.dataplane,
             resilience=self.config.resilience,
-            serving=self.config.serving,
-            elastic=self.config.elastic,
         )
         new_store.generation = self.generation + 1
         new_store.stats.merge_from(self.stats)
-        if close_old:
-            before = self._shutdown_collectives
-            yield from self.shutdown()
-            after = self._shutdown_collectives
-            if after - before != 1 or not self._closed:
-                raise RuntimeError(
-                    f"reshard teardown ran {after - before} shutdown "
-                    "collective(s); expected exactly one (was the old store "
-                    "already closed underneath the reshard?)"
-                )
+        before = self._shutdown_collectives
+        yield from self.shutdown()
+        after = self._shutdown_collectives
+        if after - before != 1 or not self._closed:
+            raise RuntimeError(
+                f"reshard teardown ran {after - before} shutdown "
+                "collective(s); expected exactly one (was the old store "
+                "already closed underneath the reshard?)"
+            )
         return new_store
 
 

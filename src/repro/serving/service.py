@@ -4,15 +4,17 @@ The single-job API hands every caller the same :class:`~repro.core.DDStore`
 handle; the serving layer multiplexes that store between independent
 tenants instead.  A :class:`StoreService` wraps one *already-created*
 replicated store (creation stays the collective
-:meth:`DDStore.create` / :func:`repro.client.serve` path) and hands out
-:class:`TenantSession` handles:
+:meth:`DDStore.create` / :func:`repro.client.serve` path), is configured
+by its own :class:`~repro.core.ServingOptions` (a store's config carries
+none), and hands out :class:`TenantSession` handles:
 
 * **Admission control** — at most ``ServingOptions.max_tenants``
   concurrent sessions per rank.  When full, ``connect`` raises
   :class:`AdmissionError`.
 * **QoS + fairness** — each session carries a QoS class from
   ``ServingOptions.qos``; its weight scales the session's DRR quantum at
-  every RMA target (see :mod:`.drr`).
+  every RMA target (see :mod:`.drr`), and the quantum also caps each of
+  the session's wire reads.
 * **Cache partitioning** — each session owns a private DRAM-only
   :class:`~repro.dataplane.TieredCache` carved from the DRAM tier of the
   parent store's cache configuration, with the parent's policy, sized by
@@ -39,6 +41,7 @@ the parent store.
 
 from __future__ import annotations
 
+import itertools
 from typing import Generator, Optional, Sequence
 
 from ..core.config import CacheOptions, ServingOptions
@@ -138,9 +141,8 @@ class StoreService:
         if store.closed:
             raise ValueError("cannot serve a closed store")
         self.store = store
-        self.options = options if options is not None else store.config.serving
+        self.options = options if options is not None else ServingOptions()
         self._sessions: dict[str, TenantSession] = {}
-        self._seq = 0
         self._closed = False
         # Arbiters are per (service-group, target) and shared by all ranks:
         # every rank's coroutines run in the one engine, so a single
@@ -198,10 +200,10 @@ class StoreService:
     ) -> TenantSession:
         """Admit a tenant and hand it a session (rank-local, immediate).
 
-        ``tenant`` defaults to a generated ``tenant<N>`` name and must be
-        unique among live sessions; ``qos`` defaults to the first class
-        in ``ServingOptions.qos``.  An unknown ``qos`` raises ``KeyError``
-        before anything is booked or a name is generated.
+        ``tenant`` defaults to the first ``tenant<N>`` (N = 0, 1, ...) no
+        live session holds and must be unique among live sessions; ``qos``
+        defaults to the first class in ``ServingOptions.qos``.  An unknown
+        ``qos`` raises ``KeyError`` before anything is booked.
         """
         if self._closed:
             raise AdmissionError("this StoreService has been closed")
@@ -211,8 +213,9 @@ class StoreService:
         qos = opts.default_qos if qos is None else qos
         weight = opts.weight_of(qos)  # validates the class name
         if tenant is None:
-            tenant = f"tenant{self._seq}"
-        self._seq += 1
+            tenant = next(
+                f"tenant{n}" for n in itertools.count() if f"tenant{n}" not in self._sessions
+            )
         if tenant in self._sessions:
             raise ValueError(f"tenant {tenant!r} already has a live session")
         if len(self._sessions) >= opts.max_tenants:
@@ -238,6 +241,7 @@ class StoreService:
             qos=qos,
             cache=cache,
             lane=lane,
+            drr_quantum_bytes=opts.drr_quantum_bytes,
         )
         session = TenantSession(tenant, qos, view, lane, service=self)
         self._sessions[tenant] = session
@@ -287,9 +291,7 @@ class StoreService:
             raise ValueError("cannot reshard a closed StoreService")
         yield from self.quiesce()
         yield from self.store.comm.barrier()
-        new_store = yield from self.store.reshard(
-            width=width, n_workers=n_workers, close_old=True
-        )
+        new_store = yield from self.store.reshard(width=width, n_workers=n_workers)
         self.migrate(new_store)
         return new_store
 
@@ -309,6 +311,7 @@ class StoreService:
                 qos=session.qos,
                 cache=old_view.cache,
                 lane=session.lane,
+                drr_quantum_bytes=self.options.drr_quantum_bytes,
             )
             view.stats = old_view.stats
             view._cache_base = old_view._cache_base
@@ -318,8 +321,8 @@ class StoreService:
             self._count("session_migrated", session.name, session.qos)
         self.store = new_store
 
-    def close(self, close_store: bool = True) -> None:
-        """Close every live session (and, by default, the parent store).
+    def close(self) -> None:
+        """Close every live session and the parent store.
         Rank-local and idempotent; p2p-style transports still need the
         collective ``store.shutdown()`` first, exactly as without the
         service layer.  A session closed with a fetch still inside its
@@ -331,8 +334,7 @@ class StoreService:
         leaks = [what for s in self._sessions.values() for what in s.lane.leaks()]
         for session in list(self._sessions.values()):
             session.close()
-        if close_store:
-            self.store.close()
+        self.store.close()
         if leaks:
             raise RuntimeError("StoreService closed with leaked grants: " + "; ".join(leaks))
 

@@ -65,13 +65,17 @@ def test_readme_option_block_lists_every_field():
         assert calls[cls.__name__] == {f.name for f in dataclasses.fields(cls)}
 
 
-def test_store_option_groups_have_twenty_settable_fields():
+def test_store_option_groups_have_nineteen_settable_fields():
     """Only knobs some workload sets to a non-default value are options;
-    the rest are constants and their old keywords are refused."""
-    from repro.core import CacheOptions, ElasticOptions, ResilienceOptions, ServingOptions
+    the rest are constants and their old keywords are refused.  A store's
+    config carries the DS = (c, w, f) triple's groups only."""
+    from repro.core import CacheOptions, ResilienceOptions, ServingOptions
 
-    groups = (DataPlaneOptions, CacheOptions, ResilienceOptions, ServingOptions, ElasticOptions)
-    assert sum(len(dataclasses.fields(cls)) for cls in groups) == 20
+    groups = (DataPlaneOptions, CacheOptions, ResilienceOptions, ServingOptions)
+    assert sum(len(dataclasses.fields(cls)) for cls in groups) == 19
+    assert {f.name for f in dataclasses.fields(DDStoreConfig)} == {
+        "n_ranks", "width", "dataplane", "resilience"
+    }
     for cls, gone in (
         (DataPlaneOptions, "max_read_bytes"),
         (DataPlaneOptions, "prefetch_budget_bytes"),

@@ -414,10 +414,14 @@ def test_session_drr_quantum_splits_wire_reads():
         lo, hi = service.store.local_range
         remote = [(hi + k) % 32 for k in range(8)]
         graphs = yield from session.get_samples(remote)
-        return session.stats, [g.sample_id for g in graphs]
+        # The cap is the service's quantum, so a migrated session keeps it.
+        yield from service.reshard(width=2)
+        migrated = session.store.planner.max_read_bytes
+        return session.stats, [g.sample_id for g in graphs], migrated
 
     job = run(main)
-    for stats, ids in job.results:
+    for stats, ids, migrated in job.results:
+        assert migrated == 8192
         assert len(ids) == 8
         assert stats.n_get_calls > 1  # the merged span exceeds 8 KiB
         assert stats.bytes_transferred == stats.bytes_remote

@@ -14,13 +14,15 @@ import pytest
 
 from repro.control import Decision, ElasticCoordinator, ElasticWidthController, EpochSignals
 from repro.control.controller import MIN_GAIN, STALL_THRESHOLD
+from repro import client
 from repro.core import (
     DataLoader,
     DataPlaneOptions,
     DDStore,
+    DDStoreConfig,
     DDStoreDataset,
-    ElasticOptions,
     GeneratorSource,
+    ServingOptions,
 )
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
@@ -47,16 +49,20 @@ def _sig(epoch_s=1.0, wait_s=0.0, timeouts=0, overlap=1.0):
 
 
 # ---------------------------------------------------------------------------
-# ElasticOptions validation
+# no elastic (or serving) options on a store: the coordinator is the switch
 # ---------------------------------------------------------------------------
 
-def test_elastic_options_validate():
-    assert ElasticOptions().enabled is False
-    assert ElasticOptions(enabled=True).enabled is True
-    # The policy's thresholds are controller constants, not options.
-    for gone in ("min_width", "max_width", "cooldown_epochs", "min_gain", "stall_threshold"):
+def test_store_takes_no_elastic_or_serving_options():
+    with pytest.raises(ImportError):
+        from repro.core import ElasticOptions  # noqa: F401
+    # Argument binding runs at call time, before the coroutine starts.
+    for gone, value in (("elastic", True), ("serving", ServingOptions())):
         with pytest.raises(TypeError, match=gone):
-            ElasticOptions(enabled=True, **{gone: 1})
+            DDStore.create(None, None, **{gone: value})
+        with pytest.raises(TypeError, match=gone):
+            DDStoreConfig(4, **{gone: value})
+    with pytest.raises(TypeError, match="elastic"):
+        client.serve(None, None, elastic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +184,6 @@ def test_coordinator_reshards_and_repoints_the_dataset():
         old_store = yield from DDStore.create(
             ctx.comm,
             _source(ctx),
-            elastic=ElasticOptions(enabled=True),
         )
         dataset = DDStoreDataset(old_store, stats_only=True)
         coord = ElasticCoordinator(ctx, SimpleNamespace(dataset=dataset))
@@ -208,24 +213,27 @@ def test_coordinator_reshards_and_repoints_the_dataset():
         assert reshards == 1
 
 
-def test_coordinator_disabled_is_a_no_op():
+def test_coordinator_holds_the_width_on_a_healthy_epoch():
     def main(ctx):
         store = yield from DDStore.create(ctx.comm, _source(ctx))
         dataset = DDStoreDataset(store, stats_only=True)
         coord = ElasticCoordinator(ctx, SimpleNamespace(dataset=dataset))
-        out = yield from coord.after_epoch(_report(elapsed=1.0, wait=0.9))
-        return out, dataset.store.width, dataset.store.generation, coord.enabled
+        out = yield from coord.after_epoch(_report(elapsed=1.0, wait=0.0))
+        return out, dataset.store is store, store.generation, coord.summary()
 
     job = run(main)
-    for out, width, gen, enabled in job.results:
-        assert out is None and width == 4 and gen == 0 and not enabled
+    for out, same_store, gen, summary in job.results:
+        assert out is None and same_store and gen == 0
+        assert set(summary) == {
+            "final_width", "reshards", "reshard_seconds", "trajectory", "decisions"
+        }
+        assert summary["final_width"] == 4 and summary["reshards"] == 0
+        assert [d["action"] for d in summary["decisions"]] == ["hold"]
 
 
 def test_coordinator_decisions_identical_on_every_rank():
     def main(ctx):
-        store = yield from DDStore.create(
-            ctx.comm, _source(ctx), elastic=ElasticOptions(enabled=True)
-        )
+        store = yield from DDStore.create(ctx.comm, _source(ctx))
         dataset = DDStoreDataset(store, stats_only=True)
         coord = ElasticCoordinator(ctx, SimpleNamespace(dataset=dataset))
         # Ranks disagree locally (only rank 3 is stalled); the allreduce
@@ -264,7 +272,6 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
                 scheduler=True,
                 node_fetch=node_fetch,
             ),
-            elastic=ElasticOptions(enabled=True),
         )
         dataset = DDStoreDataset(store)
         loader = DataLoader(dataset, ctx, batch_size=4, shuffle="global", seed=0)

@@ -189,7 +189,7 @@ def test_reshard_bulk_path_retries_timed_out_reads():
         expected = yield from store.get_samples(range(N), decode="raw")
         baseline_retries = store.stats.n_retries
         store.transport = FlakyOnce(store.transport, ctx.comm.engine)
-        new = yield from store.reshard(width=1, close_old=False)
+        new = yield from store.reshard(width=1)
         got = yield from new.get_samples(range(N), decode="raw")
         ok = all(np.array_equal(a, b) for a, b in zip(expected, got))
         return (
@@ -212,7 +212,7 @@ def test_reshard_bulk_path_raises_when_resilience_disabled():
         store = yield from DDStore.create(ctx.comm, _source(ctx))
         store.transport = FlakyOnce(store.transport, ctx.comm.engine)
         try:
-            yield from store.reshard(width=2, close_old=False)
+            yield from store.reshard(width=2)
         except FetchTimeoutError:
             return "raised"
         return "silently accepted timed-out reads"

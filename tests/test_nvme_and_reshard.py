@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DDStore, GeneratorSource
+from repro.core import DDStore, GeneratorSource, StoreClosedError
 from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import NVMeDevice, TEST_NVME, TESTBOX
 from repro.hardware.nvme import NVMeSpec
@@ -265,19 +265,24 @@ def test_reshard_teardown_is_exactly_one_collective():
         assert closed and n == 1
 
 
-def test_reshard_close_old_false_keeps_old_generation_alive():
+def test_reshard_serves_the_old_bytes_and_closes_the_old_generation():
     def main(ctx):
         store = yield from DDStore.create(ctx.comm, _src(ctx))
-        new = yield from store.reshard(width=2, close_old=False)
-        old = yield from store.get_samples([3], decode="raw")
-        fresh = yield from new.get_samples([3], decode="raw")
-        identical = bytes(old[0].tobytes()) == bytes(fresh[0].tobytes())
-        yield from store.shutdown()
+        old = yield from store.get_samples([3, 17], decode="raw")
+        new = yield from store.reshard(width=2)
+        fresh = yield from new.get_samples([3, 17], decode="raw")
+        identical = [a.tobytes() for a in old] == [b.tobytes() for b in fresh]
+        try:
+            yield from store.get_samples([3], decode="raw")
+        except StoreClosedError:
+            refused = True
+        else:
+            refused = False
         yield from new.shutdown()
-        return store._shutdown_collectives, identical
+        return store._shutdown_collectives, identical, refused
 
     job = run(main)
-    assert all(r == (1, True) for r in job.results)
+    assert all(r == (1, True, True) for r in job.results)
 
 
 def test_reshard_carries_stats_and_generation():

@@ -206,8 +206,10 @@ def test_unknown_qos_on_a_full_service_books_no_rejection():
 
 
 def test_unknown_qos_does_not_consume_an_auto_tenant_name():
-    def main(ctx):
+    def main(ctx, named):
         service = yield from _serve(ctx)
+        if named:
+            service.connect(named)
         first = service.connect().name
         try:
             service.connect(qos="platinum")
@@ -215,8 +217,11 @@ def test_unknown_qos_does_not_consume_an_auto_tenant_name():
             pass
         return first, service.connect().name
 
-    job = run(main)
-    assert all(r == ("tenant0", "tenant1") for r in job.results)
+    # An auto name is the first ``tenant<N>`` no live session holds, so it
+    # steps over a live tenant that was named explicitly.
+    for named, expected in ((None, ("tenant0", "tenant1")), ("tenant1", ("tenant0", "tenant2"))):
+        job = run(lambda ctx: main(ctx, named))
+        assert all(r == expected for r in job.results)
 
 
 # ---------------------------------------------------------------------------

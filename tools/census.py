@@ -16,8 +16,9 @@ tracked is written.
 
 It then parses every module under ``src/repro`` and prints each function
 (``def``, nested ones included) that no drive entered, per file, as
-``line  qualname  body-lines`` (``end_lineno - lineno + 1``), and the
-totals.  The result lists candidates, not verdicts: grep each one (a
+``line  qualname  body-lines`` (``end_lineno - lineno + 1``), the
+totals, and last the line count of ``src/repro`` (every module's lines).
+The result lists candidates, not verdicts: grep each one (a
 test may be its only caller on purpose) before deleting it.
 """
 
@@ -114,9 +115,10 @@ def run_drives(tmp: str) -> set[tuple[str, int]]:
 
 def functions(path: str):
     """Every ``def`` in a module: (first line as the code object sees it,
-    def line, qualname, body lines)."""
+    def line, qualname, body lines), and the module's line count."""
     with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
+        text = fh.read()
+    tree = ast.parse(text, path)
     found = []
 
     def visit(node, prefix):
@@ -132,7 +134,7 @@ def functions(path: str):
                 visit(child, prefix)
 
     visit(tree, "")
-    return found
+    return found, text.count("\n")
 
 
 def main() -> int:
@@ -141,11 +143,13 @@ def main() -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="census_") as tmp:
         entered = run_drives(tmp)
-    total_fns = total_lines = 0
+    total_fns = total_lines = src_lines = 0
     never_fns = never_lines = 0
     for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"), recursive=True)):
+        found, n_lines = functions(path)
+        src_lines += n_lines
         missing = []
-        for first, line, qual, body in functions(path):
+        for first, line, qual, body in found:
             total_fns += 1
             total_lines += body
             if (path, first) not in entered:
@@ -160,6 +164,7 @@ def main() -> int:
         f"never entered: {never_fns} of {total_fns} functions, "
         f"{never_lines} of {total_lines} body lines"
     )
+    print(f"src/repro: {src_lines} lines")
     return 0
 
 
