@@ -1,6 +1,6 @@
 """Every registered experiment, regenerated and self-checked.
 
-One test per :data:`repro.bench.EXPERIMENTS` entry: run the driver once
+One test per :data:`repro.bench.registry.EXPERIMENTS` entry: run the driver once
 under pytest-benchmark timing, write its report, and require every named
 entry of ``data["checks"]`` — the artifact's shape predicates, defined
 next to the driver — to hold.
@@ -8,7 +8,8 @@ next to the driver — to hold.
 
 import pytest
 
-from repro.bench import EXPERIMENTS, write_report
+from repro.bench import write_report
+from repro.bench.registry import EXPERIMENTS
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS, ids=lambda x: x.key)

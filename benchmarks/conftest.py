@@ -1,7 +1,7 @@
 """Shared benchmark fixtures.
 
 ``bench_experiments.py`` regenerates every table, figure and ablation of
-the registry (:data:`repro.bench.EXPERIMENTS`), one parametrised test
+the registry (:data:`repro.bench.registry.EXPERIMENTS`), one parametrised test
 each.  Simulated experiment cells are cached per process, so artifacts
 sharing a configuration (Fig 4/5/6 and Table 2 all use the 64-GPU
 Perlmutter matrix) pay for it once.

@@ -36,38 +36,15 @@ Subpackages
     ``StoreService``.  A single job uses ``DDStore.create`` and a
     ``DDStoreDataset`` directly.
 
+Importing ``repro`` loads no subpackage: each loads on first use
+(``from repro.core import DDStore``, ``import repro.bench``), so a paper
+run never imports the extensions it does not touch — serving, control,
+faults, the columnar codec, NVMe staging, node aggregation, the ablation
+drivers (DESIGN.md "Paper path").
+
 Quick start: see ``examples/quickstart.py``.
 """
 
-from . import (
-    bench,
-    client,
-    control,
-    core,
-    gnn,
-    graphs,
-    hardware,
-    mpi,
-    obs,
-    serving,
-    sim,
-    storage,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "sim",
-    "hardware",
-    "mpi",
-    "storage",
-    "graphs",
-    "core",
-    "gnn",
-    "bench",
-    "obs",
-    "serving",
-    "client",
-    "control",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -1,5 +1,10 @@
-"""Benchmark harness: the cell table, the sweep runner, the experiment
-registry and its drivers, metrics and reporting."""
+"""Benchmark harness: the cell table, the sweep runner, metrics and
+reporting.
+
+The experiment registry (:mod:`.registry`) and its drivers
+(:mod:`.experiments`, :mod:`.ablations`, :mod:`.serving`,
+:mod:`.elastic`) load on first use: the CLI and ``benchmarks/`` import
+``repro.bench.registry``."""
 
 from .cells import CELLS, PROFILES, ScaleProfile, cell, current_profile
 from .harness import (
@@ -10,13 +15,8 @@ from .harness import (
     run_experiment,
 )
 from .metrics import cdf, geomean, latency_percentiles, percentile, speedup_table
-from .registry import EXPERIMENTS, Experiment
 from .reporting import render_table, results_dir, write_report
 from .sweep import Sweep, cached_experiment, fingerprint
-
-# Every registered driver is importable by name: ``from repro.bench import fig4_speedup``.
-_DRIVERS = {x.driver.__name__: x.driver for x in EXPERIMENTS}
-globals().update(_DRIVERS)
 
 __all__ = [
     "ExperimentConfig",
@@ -32,8 +32,6 @@ __all__ = [
     "Sweep",
     "cached_experiment",
     "fingerprint",
-    "Experiment",
-    "EXPERIMENTS",
     "percentile",
     "latency_percentiles",
     "cdf",
@@ -42,5 +40,4 @@ __all__ = [
     "render_table",
     "write_report",
     "results_dir",
-    *_DRIVERS,
 ]

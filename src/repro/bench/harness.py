@@ -34,9 +34,7 @@ from ..gnn import AdamW, DistributedModel, HydraGNN, HydraGNNConfig, PhaseTimes,
 from ..graphs.datasets import DATASETS
 from ..hardware import get_machine
 from ..mpi import MPIStats, run_world
-from ..hardware.nvme import NVMeDevice
 from ..storage import CFFReader, PFFReader, SampleStats, VirtualFS
-from ..storage.staging import stage_to_nvme
 from ..storage.formats import _cff_index_path, _pff_path, CFFIndex, write_cff as _stage_cff
 
 __all__ = [
@@ -313,6 +311,9 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
             raise ValueError(f"machine {machine.name!r} has no node-local NVMe")
         shared = ctx.world.__dict__.setdefault("_nvme_readers", {})
         if ctx.rank % machine.gpus_per_node == 0:
+            from ..hardware.nvme import NVMeDevice
+            from ..storage.staging import stage_to_nvme
+
             device = NVMeDevice(ctx.engine, machine.nvme, name=f"nvme[{ctx.node_index}]")
             cff = CFFReader(vfs, root, machine)
             logical = int(sum(len(b) for b in blobs) * _logical_scale(cfg, blobs))

@@ -1,8 +1,9 @@
 """The experiment registry: every regenerable artifact, once.
 
-``python -m repro list|bench|ablation``, ``repro.bench``'s driver exports
-and the parametrised ``benchmarks/bench_experiments.py`` are all derived
-from :data:`EXPERIMENTS`.  A driver takes a scale profile and returns
+``python -m repro list|bench|ablation`` and the parametrised
+``benchmarks/bench_experiments.py`` are both derived from
+:data:`EXPERIMENTS`; they import this module (``repro.bench`` does not,
+so a paper run loads no driver).  A driver takes a scale profile and returns
 ``(text, data)`` with a non-empty ``data["checks"]``; its report is
 ``bench_results/<driver.__name__>.{txt,json}``.
 """

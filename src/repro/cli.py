@@ -25,8 +25,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bench import EXPERIMENTS as REGISTRY
-from .bench import Experiment, current_profile, write_report
+from .bench import current_profile, write_report
+from .bench.registry import EXPERIMENTS as REGISTRY
+from .bench.registry import Experiment
 
 # Key -> Experiment, derived from the one registry (repro.bench.registry).
 BENCHES: dict[str, Experiment] = {x.key: x for x in REGISTRY if x.kind == "bench"}

@@ -17,13 +17,12 @@ Three dataset backends cover the paper's comparison matrix:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Protocol, Sequence
 
 import numpy as np
 
 from ..graphs import ArenaPool, AtomicGraph, GraphBatch, collate
-from ..hardware import MachineSpec
 from ..mpi import RankContext
 from ..storage import SampleReader, SampleStats
 from .sampler import (
@@ -114,7 +113,7 @@ class DDStoreDataset:
     ) -> Generator:
         """Coroutine: wave-prefetch upcoming batches into the store cache.
 
-        ``window`` (a :class:`~repro.dataplane.nodeagg.WaveWindow`) names
+        ``window`` (a :class:`~repro.dataplane.scheduler.WaveWindow`) names
         the wave — its epoch and batch span — which is what makes it
         node-aggregatable under ``node_fetch``; ``None`` is an anonymous
         per-rank wave.

@@ -171,6 +171,7 @@ class DDStore:
         transport: Transport,
         node_index: int,
         charged_bytes: int,
+        create_id: int,
     ) -> None:
         self.comm = comm
         self.group_comm = group_comm
@@ -231,16 +232,10 @@ class DDStore:
         self._lane = None
         self._tenant: Optional[str] = None
         self._qos: Optional[str] = None
-        # Node-fetch rendezvous identity: ranks of one store fleet must
-        # agree on "which store" without sharing per-rank objects, so each
-        # store carries its rank's creation ordinal — identical across
-        # ranks because every rank opens its stores in the same order.
-        # Session views inherit it (the coordinator key adds the tenant,
-        # so tenants never share rendezvous entries).
-        world = comm.communicator.world
-        seq = world.__dict__.setdefault("_store_seq_by_rank", {})
-        self._store_seq = seq.get(comm.world_rank, 0)
-        seq[comm.world_rank] = self._store_seq + 1
+        # Which of ``comm``'s stores this is, identical on every rank: the
+        # node-fetch rendezvous names the store by it.  Session views
+        # inherit it.
+        self._create_id = create_id
 
     def build_cache(self, cache_opts) -> TieredCache:
         """Assemble the sample cache ``cache_opts`` describes on this rank
@@ -251,9 +246,6 @@ class DDStore:
         :class:`~repro.storage.staging.NVMeShardStore` (and device queue)
         through a registry on the world object, keyed by node index.
         """
-        from ..hardware.nvme import NVMeDevice
-        from ..storage.staging import NVMeShardStore
-
         machine = self._machine
         comm = self.comm
         shard_store = None
@@ -268,6 +260,9 @@ class DDStore:
             node_index = machine.node_of_rank(comm.world_rank)
             stores = world.__dict__.setdefault("_tier_nvme_stores", {})
             if node_index not in stores:
+                from ..hardware.nvme import NVMeDevice
+                from ..storage.staging import NVMeShardStore
+
                 device = NVMeDevice(
                     comm.engine, machine.nvme, name=f"nvme{node_index}"
                 )
@@ -311,7 +306,8 @@ class DDStore:
             comm.size, width=width, dataplane=dataplane, resilience=resilience
         )
         # Every rank's k-th create on ``comm`` is the same collective call:
-        # the ordinal keys the chunk buffers its replica groups share.
+        # the ordinal keys the chunk buffers its replica groups share and
+        # the store's node-fetch rendezvous.
         creates = comm.communicator.__dict__.setdefault("_ddstore_creates", [0] * comm.size)
         create_id = creates[comm.rank]
         creates[comm.rank] += 1
@@ -367,6 +363,7 @@ class DDStore:
             transport=transport,
             node_index=node_index,
             charged_bytes=buffer_nbytes,
+            create_id=create_id,
         )
         if store.cache.nvme is not None:
             yield from store._stage_nvme_tier(source, node_index)
@@ -534,7 +531,7 @@ class DDStore:
         fetched.  Rides the same retry/failover ladder as the demand path.
 
         With ``DataPlaneOptions(node_fetch=True)`` and a rank-invariant
-        ``window`` (a :class:`~repro.dataplane.nodeagg.WaveWindow` from
+        ``window`` (a :class:`~repro.dataplane.scheduler.WaveWindow` from
         the scheduler), the wave is aggregated at *node* scope instead:
         overlapping remote ranges across the node's ranks are fetched
         once by a per-target leader and fanned out intra-node.  Without
@@ -544,19 +541,6 @@ class DDStore:
         """
         self._check_open("prefetching")
         return (yield from pipeline.wave(self, batch_indices, n_workers, window))
-
-    def nodeagg_abort(self) -> None:
-        """Force-wake node-fetch subscribers of this store's coordinator
-        (the scheduler's drain fence — see ``NodeFetchCoordinator.abort``).
-        Synchronous bookkeeping; safe to call with no coordinator live."""
-        world = self.comm.communicator.world
-        table = world.__dict__.get("_node_fetch_coords")
-        if not table:
-            return
-        key = (int(self._node_index), int(self._store_seq), self._tenant)
-        coord = table.get(key)
-        if coord is not None:
-            coord.abort()
 
     def _reroute(self, target: int) -> Optional[int]:
         """Where else a read aimed at rank ``target`` can be served right

@@ -20,13 +20,16 @@ makes that path its own layer, apart from
   path every ``DDStore`` entry point runs, with its per-call accounting
   (:class:`FetchStats`, stage spans, the ``ddstore.*`` metric families).
 * :class:`EpochScheduler` — epoch-ahead scheduling of the trainer's batch
-  loads: depth-k prefetch, cross-batch wave fetches, and the Belady
-  cache's future feed.
+  loads: depth-k prefetch, cross-batch wave fetches (each named by a
+  :class:`WaveWindow`), and the Belady cache's future feed.
+
+Node-aggregated fetch (``node_fetch``) lives in :mod:`.nodeagg`, which
+loads on first use: the pipeline imports it when a wave takes that
+branch, the scheduler when a drain must wake its subscribers.
 """
 
 from . import pipeline
 from .cache import CacheStats, SampleCache, TieredCache, TierStats
-from .nodeagg import NodeFetchCoordinator, WaveWindow, node_coordinator
 from .planner import (
     ArenaScatterMap,
     FetchPlan,
@@ -34,7 +37,7 @@ from .planner import (
     NodeWavePlan,
     plan_promotions,
 )
-from .scheduler import EpochScheduler
+from .scheduler import EpochScheduler, WaveWindow
 from .retry import (
     FetchTimeoutError,
     RetryOutcome,
@@ -56,8 +59,6 @@ __all__ = [
     "ArenaScatterMap",
     "NodeWavePlan",
     "WaveWindow",
-    "NodeFetchCoordinator",
-    "node_coordinator",
     "plan_promotions",
     "SampleCache",
     "TieredCache",

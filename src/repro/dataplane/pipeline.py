@@ -12,8 +12,11 @@ repo moves sample bytes is that path with a different last step
 * **fetch** (:func:`fetch`) is the only wire-issue point in ``src/``,
 * a **sink** takes whole batches of payloads to where the caller wants
   them: :class:`_RowSink` (``get_samples``), :class:`_ArenaSink`
-  (``get_batch_arena``), :class:`_ParkSink` (``prefetch_wave``) and
-  :class:`_NodeSink` (node-aggregated waves).
+  (``get_batch_arena``) and :class:`_ParkSink` (``prefetch_wave``).
+
+Node-aggregated waves (``node_fetch``) are an extension on top of this
+path: their driver and sink live in :mod:`.nodeagg`, which :func:`wave`
+imports only when a wave takes that branch.
 
 :class:`_Call` owns one call's accounting: it is the only place that
 charges a stage, records its ``store.stage`` span, and publishes
@@ -35,7 +38,6 @@ import numpy as np
 from ..graphs import SAMPLE_ALLOCATIONS, BatchArena
 from ..storage import HEADER_NBYTES, SampleStats, decode_time, scatter_time, unpack_graph
 from .cache import TierStats
-from .nodeagg import node_coordinator
 from .retry import FetchTimeoutError, fetch_with_retry
 from .transport import FetchOutcome
 
@@ -674,46 +676,6 @@ class _ParkSink:
         self.park(keys, self.payloads(plan, outcome))
 
 
-class _NodeSink(_ParkSink):
-    """Node publish + fan-in: a leader's payloads go to the node
-    rendezvous instead of its own cache; subscribers park what other
-    leaders published, at the intra-node copy rate."""
-
-    def __init__(self, h, coord, key, entry) -> None:
-        super().__init__(h)
-        self.coord, self.key, self.entry = coord, key, entry
-        self.published: dict[int, np.ndarray] = {}
-
-    def offer(self, keys) -> list:
-        """Publish what this rank's fast tiers already hold; return the rest."""
-        peek, rest = self.h.cache.peek, []
-        for k in keys:
-            blob = peek(k, self.columnar)
-            if blob is None:
-                rest.append(k)
-            else:
-                self.published[k] = blob
-        return rest
-
-    def lead(self, keys, plan, outcome) -> None:
-        self.published.update(zip(keys, self.payloads(plan, outcome)))
-
-    def publish(self) -> int:
-        """Leader duty done: wake subscribers.  Returns the bytes led."""
-        self.coord.publish(self.key, self.h.comm.rank, self.published)
-        return sum(int(b.nbytes) for b in self.published.values())
-
-    def fan_in(self, call: _Call, keys) -> Generator:
-        """Copy other leaders' payloads for ``keys`` into the local cache
-        (the ``"fanout"`` stage).  Returns the bytes copied."""
-        blobs = self.entry.blobs
-        nbytes = sum(int(blobs[k].nbytes) for k in keys)
-        seconds = self.h._local_copy_base + nbytes / self.h._local_copy_bw
-        yield from call.spend("fanout", seconds, n=len(keys), nbytes=nbytes, **call.labels)
-        self.park(keys, [blobs[k] for k in keys])
-        return nbytes
-
-
 # -- entry points ------------------------------------------------------------
 def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
     """One demand call: promote → plan → fetch → copy → cache → decode|scatter."""
@@ -800,7 +762,9 @@ def wave(h, batch_indices, n_workers: int, window) -> Generator:
     if not h.cache.enabled:
         return 0
     if window is not None and h.config.dataplane.node_fetch:
-        return (yield from _node_wave(h, batch_indices, n_workers, window))
+        from . import nodeagg  # the extension imports this module
+
+        return (yield from nodeagg.node_wave(h, batch_indices, n_workers, window))
     call = _Call(h, wave=True)
     sink = _ParkSink(h)
     resident, on_nvme, columnar = h.cache.fast_resident, h.cache.nvme_resident, sink.columnar
@@ -837,109 +801,3 @@ def wave(h, batch_indices, n_workers: int, window) -> Generator:
     span_args = {"epoch": window.epoch} if window is not None else {}
     call.finish_wave(n_parked, n_promoted, len(groups), **span_args)
     return n_parked
-
-
-def _node_wave(h, batch_indices, n_workers: int, window) -> Generator:
-    """One rank's share of a node-aggregated wave:
-    plan → promote → leader fetch → publish → wait → fanout → residue.
-
-    The first arrival builds the node plan from the peers' deterministic
-    schedules (every rank pays the modelled plan CPU — real deployments
-    recompute it locally).  Each rank then does its leader duty — wire-read
-    what it leads and cannot serve from its own tiers, publish — *before*
-    it subscribes to other leaders, so the wait graph is acyclic.  A wave
-    aborted mid-wait (live-reshard drain) self-fetches the unpublished
-    residue over the normal per-rank path.
-    """
-    call = _Call(h, wave=True)
-    rank = h.comm.rank
-    machine = h._machine
-    coord = node_coordinator(
-        h.comm.communicator.world, h._node_index, h._store_seq, h._tenant, call.engine,
-        tuple(r for r in range(h.comm.size) if machine.node_of_rank(r) == h._node_index),
-    )
-    key = (h.generation, window.epoch, window.wave)
-    entry = coord.lookup(key, rank)
-    if entry is None:
-        # Peer demand is recomputed locally from the shared deterministic
-        # schedule and ignores all cache state: the plan must be a pure
-        # function of (schedule, layout) so every rank derives it alike.
-        demands = {}
-        for peer in coord.participants:
-            parts = list(_remote_demand(h, window.peer_batches(peer), h.config.group_rank(peer)))
-            demands[peer] = (
-                tuple(np.concatenate(col) for col in zip(*parts))
-                if parts
-                else (np.zeros(0, np.int64),) * 4
-            )
-        plan = h.planner.plan_node_wave(
-            demands, coord.participants, width=h.config.width,
-            node_of=machine.node_of_rank, node=h._node_index,
-        )
-        entry = coord.register(key, plan, rank)
-    plan = entry.plan
-    yield from call.spend("plan", _plan_seconds(max(1, plan.n_union)), n_union=plan.n_union)
-
-    sink = _NodeSink(h, coord, key, entry)
-    cache = h.cache
-
-    def fetch_keys(keys, n_streams: int) -> Generator:
-        """plan → fetch for explicit ids; returns ``(keys, plan, outcome)``."""
-        owners, offsets, sizes = h.registry.locate_batch(np.asarray(keys, np.int64))
-        wplan = h.planner.plan_batches([(owners + h._group_base, offsets, sizes)])
-        return keys, wplan, (yield from call.fetch(wplan, n_streams))
-
-    # -- leader duty ---------------------------------------------------------
-    wire_keys = sink.offer(plan.led.get(rank, ()))
-    n_promoted = 0
-    stage_keys = [k for k in wire_keys if cache.nvme_resident(k, sink.columnar)]
-    if stage_keys:
-        n_promoted = yield from sink.stage_up(call, stage_keys)
-        wire_keys = sink.offer(wire_keys)
-    if wire_keys:
-        n_streams = max(1, n_workers) * max(1, len(batch_indices))
-        sink.lead(*(yield from fetch_keys(wire_keys, n_streams)))
-    led_bytes = sink.publish()
-
-    # -- subscribe + fan in --------------------------------------------------
-    need = [k for k in plan.demand.get(rank, ()) if not cache.fast_resident(k)]
-    own = [k for k in need if plan.leader_of[k] == rank and k in sink.published]
-    sink.park(own, [sink.published[k] for k in own])
-    sub = [k for k in need if plan.leader_of[k] != rank]
-    for leader in dict.fromkeys(plan.leader_of[k] for k in sub):
-        ev = entry.events.get(leader)
-        if ev is not None and not ev.triggered:
-            yield ev
-    fan_keys = [k for k in sub if k in entry.blobs]
-    residue = [k for k in sub if k not in entry.blobs]
-    fan_bytes = 0
-    if fan_keys:
-        fan_bytes = yield from sink.fan_in(call, fan_keys)
-    if residue:
-        # Aborted leaders (drain fence): self-fetch over the normal
-        # per-rank path — correct bytes, just without the savings.
-        sink.wire(*(yield from fetch_keys(residue, max(1, n_workers))))
-    coord.finish(key, rank)
-
-    requested = plan.demand_bytes.get(rank, 0)
-    wire = call.counts.get("bytes_transferred", 0)
-    # FetchStats-named node counters ride the prefetch family too, so the
-    # harness roll-up (which sums fetch + prefetch) sees them.
-    call.count("n_node_waves", 1)
-    call.count("n_fanout", len(fan_keys))
-    call.count("bytes_fanout", fan_bytes)
-    call.count("bytes_node_requested", requested)
-    call.count("bytes_node_wire", wire)
-    node = dict(
-        n_node_waves=1,
-        requested_bytes=requested,
-        wire_bytes=wire,
-        wire_bytes_saved=fan_bytes,
-        fanout_bytes=fan_bytes,
-        n_fanout=len(fan_keys),
-        n_leader_reads=call.counts.get("n_get_calls", 0),
-        led_bytes=led_bytes,
-    )
-    call.publish("ddstore.node", node.items(), node=h._node_index, generation=h.generation)
-    call.finish_wave(sink.n_parked, n_promoted, len(batch_indices), nodeagg=1, epoch=window.epoch)
-    return sink.n_parked

@@ -49,13 +49,34 @@ inside the loader/store coroutines it launches.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
-from .nodeagg import WaveWindow
+__all__ = ["EpochScheduler", "WaveWindow"]
 
-__all__ = ["EpochScheduler"]
+
+class WaveWindow:
+    """Rank-invariant identity of one scheduled wave plus the peer oracle.
+
+    ``epoch`` and ``wave`` (the ``[lo, hi)`` batch span inside the epoch
+    schedule) are identical on every rank — the scheduler cuts waves by
+    depth alone when node fetch is on.  ``peer_batches(peer_rank)``
+    returns that peer's batches for this wave, recomputed locally from
+    the shared deterministic permutation.
+    """
+
+    __slots__ = ("epoch", "wave", "peer_batches")
+
+    def __init__(
+        self,
+        epoch: int,
+        wave: tuple[int, int],
+        peer_batches: Callable[[int], list],
+    ) -> None:
+        self.epoch = int(epoch)
+        self.wave = (int(wave[0]), int(wave[1]))
+        self.peer_batches = peer_batches
 
 
 class _Epoch:
@@ -442,7 +463,9 @@ class EpochScheduler:
             # await it.
             store = getattr(self.loader.dataset, "store", None)
             if store is not None:
-                store.nodeagg_abort()
+                from . import nodeagg
+
+                nodeagg.abort(store)
         n = 0
         for seg in self._segs:
             for step, proc in enumerate(seg.events):

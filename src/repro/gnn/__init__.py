@@ -1,8 +1,9 @@
-"""HydraGNN-like NumPy GNN: PNA layers, multi-head model, DDP training."""
+"""HydraGNN-like NumPy GNN: PNA layers, multi-head model, DDP training.
+
+The regression metrics load on first use, from :mod:`.metrics`."""
 
 from .convs import CONV_TYPES, GINConv, SAGEConv, make_conv
 from .ddp import DistributedModel, GradPayload
-from .metrics import RegressionMetrics, mae, max_error, r_squared, rmse
 from .model import HydraGNN, HydraGNNConfig, mse_loss
 from .modules import MLP, MeanPool, Linear, Module, Param, ReLU, Sequential
 from .optim import AdamW, ReduceLROnPlateau
@@ -32,11 +33,6 @@ __all__ = [
     "DistributedModel",
     "GradPayload",
     "Trainer",
-    "RegressionMetrics",
-    "mae",
-    "rmse",
-    "max_error",
-    "r_squared",
     "PhaseTimes",
     "EpochReport",
 ]

@@ -12,14 +12,13 @@ one message-passing trunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..graphs import GraphBatch
 from .modules import Linear, MeanPool, Module, MLP, ReLU
-from .pna import PNAConv
 
 __all__ = ["HydraGNNConfig", "HydraGNN", "mse_loss"]
 

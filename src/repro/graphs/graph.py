@@ -10,7 +10,6 @@ is what HydraGNN consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

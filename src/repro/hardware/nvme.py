@@ -14,7 +14,6 @@ priced through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..sim import Engine, QueueStation
 

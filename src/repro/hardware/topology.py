@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim import Engine, FluidStation, QueueStation
+from ..sim import Engine, FluidStation
 from .nvme import NVMeSpec
 
 __all__ = ["MachineSpec", "NicSpec", "PFSSpec", "GpuSpec", "Node", "Cluster"]

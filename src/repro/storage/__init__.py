@@ -1,20 +1,9 @@
-"""Storage substrate: graph codec, virtual FS, and the PFF/CFF formats."""
+"""Storage substrate: graph codec, virtual FS, and the PFF/CFF formats.
 
-from .columnar import (
-    FIELDS,
-    ChunkCodec,
-    ColumnarShard,
-    available_chunk_codecs,
-    get_chunk_codec,
-    pack_columns,
-    pack_shard,
-    peek_shard_header,
-    register_chunk_codec,
-    row_field_layout,
-    scatter_time,
-    shard_packed_size,
-    unpack_shard,
-)
+The extensions load on first use, from their own modules:
+:mod:`.columnar` (the AGRC shard codec) and :mod:`.staging` (the NVMe
+burst-buffer tier)."""
+
 from .formats import (
     CFFIndex,
     CFFReader,
@@ -24,6 +13,7 @@ from .formats import (
     SampleReader,
     SampleStats,
     decode_time,
+    scatter_time,
 )
 from .serialization import (
     HEADER_NBYTES,
@@ -34,7 +24,6 @@ from .serialization import (
     peek_headers,
     unpack_graph,
 )
-from .staging import NVMeShardStore, NVMeStagedReader, stage_to_nvme
 from .vfs import FileExists, FileNotFound, FileSealed, VirtualFile, VirtualFS
 
 __all__ = [
@@ -45,19 +34,6 @@ __all__ = [
     "peek_header",
     "peek_headers",
     "CodecError",
-    "FIELDS",
-    "ChunkCodec",
-    "ColumnarShard",
-    "register_chunk_codec",
-    "get_chunk_codec",
-    "available_chunk_codecs",
-    "pack_shard",
-    "pack_columns",
-    "unpack_shard",
-    "peek_shard_header",
-    "shard_packed_size",
-    "row_field_layout",
-    "scatter_time",
     "VirtualFS",
     "VirtualFile",
     "FileNotFound",
@@ -66,11 +42,10 @@ __all__ = [
     "SampleReader",
     "SampleStats",
     "decode_time",
+    "scatter_time",
     "PFFWriter",
     "PFFReader",
     "CFFWriter",
     "CFFReader",
     "CFFIndex",
-    "NVMeStagedReader",
-    "stage_to_nvme",
 ]

@@ -30,11 +30,6 @@ registry (``register_chunk_codec``).  Built-ins: ``raw`` (identity),
 ``byteshuffle`` (byte-transpose, a shuffle-filter stand-in), and ``rle``
 (byte run-length, a compression stand-in).  New codecs register under a
 name and old shards keep decoding — the descriptor records what was used.
-
-This module also owns the *scatter* cost model: the columnar fetch path
-replaces per-sample decode with strided ``memcpy`` into batch arenas, and
-:func:`scatter_time` prices that as a per-batch base, a per-segment setup
-cost, and a bandwidth term.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..graphs import AtomicGraph
-from ..hardware import MachineSpec
 from .serialization import _HEADER as _ROW_HEADER
 from .serialization import CodecError, _as_memoryview
 
@@ -65,7 +59,6 @@ __all__ = [
     "peek_shard_header",
     "shard_packed_size",
     "row_field_layout",
-    "scatter_time",
 ]
 
 MAGIC = b"AGRC"
@@ -83,22 +76,6 @@ _FIELD_DTYPE = {
     "edge_index": np.int32,
     "y": np.float32,
 }
-
-# Scatter cost model: one strided-copy pass per batch.  The base covers the
-# vectorised offset computation; each segment pays a setup (bounds check +
-# slice dispatch); bytes stream at intra-node memory bandwidth.
-_SCATTER_BASE_S = 2.0e-5
-_SCATTER_SEG_S = 3.0e-8
-
-
-def scatter_time(machine: MachineSpec, nbytes: int, n_segments: int) -> float:
-    """CPU cost of scattering ``nbytes`` over ``n_segments`` arena segments."""
-    return (
-        _SCATTER_BASE_S
-        + _SCATTER_SEG_S * n_segments
-        + nbytes / machine.intra_node_bandwidth_Bps
-    )
-
 
 # ---------------------------------------------------------------------------
 # chunk codec registry

@@ -9,7 +9,9 @@
 
 Both readers implement the :class:`SampleReader` interface consumed by the
 training data loaders and the DDStore preloader, returning real graphs and
-virtual-time completion stamps.
+virtual-time completion stamps.  The fetch path's two host-CPU cost models
+sit here too: :func:`decode_time` (per-sample deserialise) and
+:func:`scatter_time` (the columnar path's strided copy into an arena).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "SampleReader",
     "SampleStats",
     "decode_time",
+    "scatter_time",
     "PFFWriter",
     "PFFReader",
     "CFFWriter",
@@ -136,6 +139,24 @@ def _software_jitter(kind: str, root: str) -> BlockDraws:
 def decode_time(machine: MachineSpec, nbytes: int) -> float:
     """CPU cost of deserialising one packed sample (pickle.loads analogue)."""
     return machine.pickle_load_base_s + nbytes * machine.pickle_load_s_per_byte
+
+
+# Scatter cost model: one strided-copy pass per batch.  The base covers the
+# vectorised offset computation; each segment pays a setup (bounds check +
+# slice dispatch); bytes stream at intra-node memory bandwidth.
+_SCATTER_BASE_S = 2.0e-5
+_SCATTER_SEG_S = 3.0e-8
+
+
+def scatter_time(machine: MachineSpec, nbytes: int, n_segments: int) -> float:
+    """CPU cost of scattering ``nbytes`` over ``n_segments`` arena segments
+    (the columnar fetch path's strided copy into a batch arena, which
+    replaces per-sample decode)."""
+    return (
+        _SCATTER_BASE_S
+        + _SCATTER_SEG_S * n_segments
+        + nbytes / machine.intra_node_bandwidth_Bps
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import os
+import sys
 
 import pytest
 
-import repro.bench
+import repro.bench.registry
 import repro.cli as cli
 from repro.cli import ABLATIONS, BENCHES, EXPERIMENTS, main
 
@@ -57,13 +58,13 @@ def test_dataplane_command_lists_both_transports(capsys):
 
 
 def test_every_registered_experiment_has_a_committed_artifact():
-    # One table: the CLI, `repro.bench`'s exports and benchmarks/ all read
-    # repro.bench.EXPERIMENTS; each entry's report is committed under its
-    # driver's name.
-    assert len(repro.bench.EXPERIMENTS) == 27
-    for experiment in repro.bench.EXPERIMENTS:
+    # One table: the CLI and benchmarks/ both read
+    # repro.bench.registry.EXPERIMENTS; each entry's report is committed
+    # under its driver's name, which its own module exports.
+    assert len(repro.bench.registry.EXPERIMENTS) == 27
+    for experiment in repro.bench.registry.EXPERIMENTS:
         name = experiment.driver.__name__
-        assert getattr(repro.bench, name) is experiment.driver
+        assert getattr(sys.modules[experiment.driver.__module__], name) is experiment.driver
         assert os.path.exists(os.path.join(COMMITTED, f"{name}.json")), name
         assert EXPERIMENTS[experiment.key] is experiment
 
@@ -71,7 +72,7 @@ def test_every_registered_experiment_has_a_committed_artifact():
 def test_bench_and_ablation_registries_split_the_union():
     assert set(EXPERIMENTS) == set(BENCHES) | set(ABLATIONS)
     assert not set(BENCHES) & set(ABLATIONS)
-    assert list(EXPERIMENTS) == [x.key for x in repro.bench.EXPERIMENTS]
+    assert list(EXPERIMENTS) == [x.key for x in repro.bench.registry.EXPERIMENTS]
     # every paper table/figure is a bench; every ablation spells ablation-<x>
     assert set(BENCHES) == {"table1", "table2", "table3"} | {f"fig{i}" for i in range(4, 14)}
     assert all(key.startswith("ablation-") for key in ABLATIONS)

@@ -17,17 +17,15 @@ from repro.graphs import SAMPLE_ALLOCATIONS, ArenaPool, BatchArena, collate
 from repro.graphs.datasets import DATASETS
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
-from repro.storage import (
+from repro.storage import CodecError, pack_graph, unpack_graph
+from repro.storage.columnar import (
     ChunkCodec,
-    CodecError,
     available_chunk_codecs,
-    pack_graph,
     pack_shard,
     peek_shard_header,
     register_chunk_codec,
     row_field_layout,
     shard_packed_size,
-    unpack_graph,
     unpack_shard,
 )
 

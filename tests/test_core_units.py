@@ -22,17 +22,55 @@ from repro.core.sampler import SampledShuffleSampler
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
+# Extensions a paper run must not load (DESIGN.md "Paper path").
+_EXTENSIONS = re.compile(
+    r"repro\.(serving|control|faults)(\..*)?|repro\.client"
+    r"|repro\.storage\.(columnar|staging)|repro\.dataplane\.nodeagg"
+    r"|repro\.bench\.(registry|experiments|ablations|serving|elastic|plotting)"
+    r"|repro\.gnn\.metrics"
+)
+
+_PAPER_RUN = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+
+import repro
+alone = loaded()
+from repro.bench import PROFILES, cell, run_experiment
+for method in ("ddstore", "pff"):
+    run_experiment(cell("paper", PROFILES["tiny"], method=method))
+print((alone, loaded()))
+"""
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
 
 def test_every_module_export_resolves():
     """Each name a ``repro`` module lists in ``__all__`` exists, so a
-    deletion that leaves a stale export fails here, not at a user's import."""
+    deletion that leaves a stale export fails here, not at a user's import.
+
+    And a paper run loads only the paper: in a fresh interpreter, ``import
+    repro`` loads no subpackage, and a tiny paper cell (DDStore, then the
+    PFF baseline) loads at most 65 ``repro`` modules, none an extension."""
     import importlib
     import pkgutil
+    import subprocess
+    import sys
 
     import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PAPER_RUN], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    alone, loaded = ast.literal_eval(out.splitlines()[-1])
+    assert alone == ["repro"]
+    assert len(loaded) <= 65 and [m for m in loaded if _EXTENSIONS.fullmatch(m)] == []
 
     names = ["repro"] + [
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DDStore, GeneratorSource, StoreClosedError
 from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import NVMeDevice, TEST_NVME, TESTBOX
-from repro.hardware.nvme import NVMeSpec
 from repro.mpi import run_world
 from repro.sim import Engine
-from repro.storage import CFFReader, CFFWriter, NVMeStagedReader, stage_to_nvme
+from repro.storage import CFFReader, CFFWriter
+from repro.storage.staging import stage_to_nvme
 
 
 def run(fn, n_nodes=2, **kw):

@@ -37,8 +37,8 @@ from repro.core import (
     ServingOptions,
     StoreClosedError,
 )
-from repro.dataplane import FetchOutcome, FetchPlanner, WaveWindow, pipeline
-from repro.dataplane.scheduler import EpochScheduler
+from repro.dataplane import FetchOutcome, FetchPlanner, pipeline
+from repro.dataplane.scheduler import EpochScheduler, WaveWindow
 from repro.faults import FaultPlan, SlowRank, install_faults
 from repro.graphs import SAMPLE_ALLOCATIONS, BatchArena, IsingGenerator
 from repro.hardware import TESTBOX

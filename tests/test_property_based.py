@@ -93,7 +93,7 @@ def columnar_shards(draw):
 @given(columnar_shards())
 @settings(max_examples=60, deadline=None)
 def test_columnar_shard_roundtrip_including_degenerates(case):
-    from repro.storage import pack_columns, shard_packed_size, unpack_shard
+    from repro.storage.columnar import pack_columns, shard_packed_size, unpack_shard
 
     codec = case.pop("codec")
     blob = pack_columns(**case, codecs=codec)
@@ -122,7 +122,7 @@ def test_columnar_shard_agrees_with_row_codec(g, codec):
     # The same graph through both codecs round-trips to the same values;
     # the raw shard size and the sum of row packed sizes differ only by
     # the layout overhead (shard header/descriptors/index vs row headers).
-    from repro.storage import pack_shard, shard_packed_size, unpack_shard
+    from repro.storage.columnar import pack_shard, shard_packed_size, unpack_shard
 
     shard = unpack_shard(pack_shard([g, g], codecs=codec))
     assert shard.graph(0).allclose(unpack_graph(pack_graph(g)))

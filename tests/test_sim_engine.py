@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, Interrupt, SimulationError
+from repro.sim import Engine, Interrupt, SimulationError
 
 
 def test_timeout_advances_clock():

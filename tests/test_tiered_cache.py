@@ -21,7 +21,7 @@ from repro.core.config import CacheOptions, DataPlaneOptions, TierSpec
 from repro.dataplane import SampleCache, TieredCache, plan_promotions
 from repro.hardware import NVMeDevice, TEST_NVME, SUMMIT
 from repro.sim import Engine
-from repro.storage import NVMeShardStore
+from repro.storage.staging import NVMeShardStore
 
 
 # ---------------------------------------------------------------------------
