@@ -7,6 +7,12 @@ simulates it end to end and returns an :class:`ExperimentResult` with the
 quantities the figures plot: global training throughput, per-phase time
 breakdown, per-graph loading latencies, preload cost, and MPI-call time.
 
+The harness runs one mode, the performance mode the figures measure:
+data movement is real, GPU arithmetic is modelled (the trainer's
+``real_compute=False``), and batches are shape summaries, not decoded
+graphs.  Real-numerics training (Fig 13, the shuffle and conv
+ablations) has its own recipe, :func:`repro.bench.sweep.real_trainer`.
+
 Scaled-down sizing: sample counts are reduced (the harness sizes the
 dataset to exactly cover ``ranks x batch x steps``), per-sample bytes stay
 honest, and container files carry a ``logical_scale`` so page-cache
@@ -30,7 +36,7 @@ from ..core import (
     ReaderSource,
     ResilienceOptions,
 )
-from ..gnn import AdamW, DistributedModel, HydraGNN, HydraGNNConfig, PhaseTimes, Trainer
+from ..gnn import DistributedModel, HydraGNN, HydraGNNConfig, PhaseTimes, Trainer
 from ..graphs.datasets import DATASETS
 from ..hardware import get_machine
 from ..mpi import MPIStats, run_world
@@ -89,10 +95,9 @@ class ExperimentConfig:
     width: Optional[int] = None  # DDStore width (None = N, paper default)
     shuffle: str = "global"
     seed: int = 0
-    stats_only: bool = True  # performance mode (no numerics)
     warm_page_cache: bool = True  # emulate steady-state epochs (>1st)
     n_samples: Optional[int] = None  # default: ranks * batch * steps
-    hidden_dim: int = 200  # paper architecture; reduce for real-compute runs
+    hidden_dim: int = 200  # paper architecture; sizes modelled GPU + allreduce cost
     n_workers: int = 1  # effective concurrent loader workers per rank
     cache_bytes: int = 0  # DRAM sample-cache budget (0 = off): shorthand for tiers="dram:N"
     coalesce: bool = True  # DDStore fetch-request coalescing
@@ -108,7 +113,6 @@ class ExperimentConfig:
     # fault injection + resilience (see repro.faults / ResilienceOptions)
     fault_plan: Optional[str] = None  # named plan, e.g. "straggler-10x"
     timeout_s: Optional[float] = None  # per-read fetch timeout (None = off)
-    max_retries: int = 2
     failover: bool = True  # re-route timed-out reads to another replica
     # online elastic width control (see repro.control.ElasticCoordinator)
     elastic: bool = False  # retune width between epochs from obs signals
@@ -157,11 +161,7 @@ class ExperimentConfig:
                 columnar=self.columnar,
                 **cache,
             ),
-            resilience=ResilienceOptions(
-                timeout_s=self.timeout_s,
-                max_retries=self.max_retries,
-                failover=self.failover,
-            ),
+            resilience=ResilienceOptions(timeout_s=self.timeout_s, failover=self.failover),
         )
 
     @property
@@ -186,7 +186,6 @@ class ExperimentResult:
     latencies: np.ndarray  # per-graph loading latency, all ranks pooled
     preload_time: float  # virtual seconds of setup (slowest rank)
     mpi_stats: MPIStats  # merged across ranks
-    train_losses: list = field(default_factory=list)
     fetch_stages: dict = field(default_factory=dict)  # mean seconds/rank by stage
     fetch_counters: dict = field(default_factory=dict)  # summed across ranks
     data_wait: float = 0.0  # mean un-overlapped load stall per rank (s)
@@ -275,7 +274,7 @@ def _build_model(cfg: ExperimentConfig, blobs: list[bytes]) -> HydraGNN:
     return HydraGNN(model_cfg, seed=cfg.seed)
 
 
-def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None):
+def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], model: HydraGNN):
     machine = ctx.world.machine
     vfs = ctx.world.vfs
     root = f"{cfg.dataset}-{cfg.method}"
@@ -298,12 +297,12 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
     store = None
     if cfg.method == "pff":
         reader = PFFReader(vfs, root, len(blobs), machine)
-        dataset = FileDataset(reader, ctx, stats_only=cfg.stats_only, n_workers=cfg.n_workers)
+        dataset = FileDataset(reader, ctx, stats_only=True, n_workers=cfg.n_workers)
     elif cfg.method == "cff":
         reader = CFFReader(vfs, root, machine)
         if ctx.rank % machine.gpus_per_node == 0:
             reader.load_index_timed(ctx.node_index, ctx.now)
-        dataset = FileDataset(reader, ctx, stats_only=cfg.stats_only, n_workers=cfg.n_workers)
+        dataset = FileDataset(reader, ctx, stats_only=True, n_workers=cfg.n_workers)
     elif cfg.method == "nvme":
         # Conventional burst-buffer recipe: every node stages the whole
         # dataset from the PFS to its local SSD once, then reads locally.
@@ -323,9 +322,7 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
             shared[ctx.node_index] = staged
             yield ctx.engine.timeout(max(0.0, t_done - ctx.now))
         yield from ctx.comm.barrier()
-        dataset = FileDataset(
-            shared[ctx.node_index], ctx, stats_only=cfg.stats_only, n_workers=cfg.n_workers
-        )
+        dataset = FileDataset(shared[ctx.node_index], ctx, stats_only=True, n_workers=cfg.n_workers)
     else:
         reader = CFFReader(vfs, root, machine)
         store_cfg = cfg.ddstore_config()
@@ -336,18 +333,14 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
             dataplane=store_cfg.dataplane,
             resilience=store_cfg.resilience,
         )
-        dataset = DDStoreDataset(store, stats_only=cfg.stats_only, n_workers=cfg.n_workers)
+        dataset = DDStoreDataset(store, stats_only=True, n_workers=cfg.n_workers)
     preload_time = ctx.now - t_setup
 
     # -- model + trainer ------------------------------------------------------
-    # Performance mode never reads a weight — only ``n_params()`` for the
-    # modelled allreduce volume — so its ranks share one model and skip
-    # the optimizer's moment buffers.
-    model = shared_model if shared_model is not None else _build_model(cfg, blobs)
-    optimizer = None if cfg.stats_only else AdamW(model.params(), lr=1e-3)
+    # The trainer never reads a weight — only ``n_params()`` for the
+    # modelled allreduce volume — so the ranks share one model and run
+    # without an optimizer.
     dmodel = DistributedModel(model, ctx.comm)
-    if not cfg.stats_only:
-        yield from dmodel.broadcast_parameters()
     loader = DataLoader(
         dataset,
         ctx,
@@ -356,14 +349,7 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
         seed=cfg.seed,
         steps_per_epoch=cfg.steps_per_epoch,
     )
-    trainer = Trainer(
-        ctx,
-        dmodel,
-        loader,
-        optimizer,
-        real_compute=not cfg.stats_only,
-        epochs=cfg.epochs,
-    )
+    trainer = Trainer(ctx, dmodel, loader, None, real_compute=False, epochs=cfg.epochs)
 
     # Elastic width control: hook the coordinator between epochs.  Off by
     # default — when disabled the loop below is untouched (no coordinator,
@@ -379,7 +365,6 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
     t0 = ctx.now
     phases = PhaseTimes()
     latencies = []
-    losses = []
     n_samples = 0
     data_wait = 0.0
     epoch_seconds = []
@@ -390,8 +375,6 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
         n_samples += report.n_samples
         data_wait += report.data_wait
         epoch_seconds.append(report.elapsed)
-        if report.train_loss is not None:
-            losses.append(report.train_loss)
         if coordinator is not None:
             yield from coordinator.after_epoch(report)
             store = dataset.store  # reshard may have swapped generations
@@ -404,7 +387,6 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], shared_model=None
         phases=phases,
         latencies=np.concatenate(latencies) if latencies else np.empty(0),
         preload=preload_time,
-        losses=losses,
         data_wait=data_wait,
         epoch_seconds=epoch_seconds,
         control=coordinator.summary() if coordinator is not None else None,
@@ -445,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         _rank_main,
         cfg,
         blobs,
-        _build_model(cfg, blobs) if cfg.stats_only else None,
+        _build_model(cfg, blobs),
         seed=cfg.seed,
         world=world,
     )
@@ -527,7 +509,6 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         latencies=latencies,
         preload_time=max(r["preload"] for r in per_rank),
         mpi_stats=job.merged_stats(),
-        train_losses=per_rank[0]["losses"],
         fetch_stages=fetch_stages,
         fetch_counters=fetch_counters,
         data_wait=sum(r["data_wait"] for r in per_rank) / n_ranks,

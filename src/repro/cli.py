@@ -28,6 +28,7 @@ from typing import Callable, Optional
 from .bench import current_profile, write_report
 from .bench.registry import EXPERIMENTS as REGISTRY
 from .bench.registry import Experiment
+from .obs import TRACEABLE
 
 # Key -> Experiment, derived from the one registry (repro.bench.registry).
 BENCHES: dict[str, Experiment] = {x.key: x for x in REGISTRY if x.kind == "bench"}
@@ -135,7 +136,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.scale:
         os.environ["REPRO_BENCH_SCALE"] = args.scale
     from .bench.reporting import results_dir
-    from .obs import TRACEABLE, run_traced, trace_json_bytes, validate_chrome_trace
+    from .obs import run_traced, trace_json_bytes, validate_chrome_trace
 
     if args.name not in TRACEABLE:
         print(f"unknown traceable experiment: {args.name}", file=sys.stderr)
@@ -148,7 +149,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"== trace {args.name}: {TRACEABLE[args.name][-1]} "
         f"(scale profile: {profile.name}) =="
     )
-    run = run_traced(args.name, profile, tolerance=args.tolerance)
+    run = run_traced(args.name, profile)
     payload = trace_json_bytes(run.chrome)
     out = args.out or os.path.join(results_dir(), f"trace_{args.name}.json")
     with open(out, "wb") as fh:
@@ -167,7 +168,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             written = fh.read()
         problems = validate_chrome_trace(json.loads(written))
         # Determinism: an identical rerun must serialise byte-identically.
-        rerun = run_traced(args.name, profile, tolerance=args.tolerance)
+        rerun = run_traced(args.name, profile)
         checks = {
             "file_is_a_valid_chrome_trace": written == payload and not problems,
             "export_is_deterministic": trace_json_bytes(rerun.chrome) == payload,
@@ -231,14 +232,9 @@ COMMANDS: tuple[Command, ...] = (
         "run one experiment traced; export Chrome trace JSON",
         _cmd_trace,
         configure=lambda p: (
-            p.add_argument(
-                "name",
-                help="traceable experiment "
-                "(fig5, fig9, resilience, columnar, tiered, p2p, nodeagg)",
-            ),
+            p.add_argument("name", help=f"traceable experiment ({', '.join(TRACEABLE)})"),
             p.add_argument("--scale", choices=["tiny", "small", "paper"], default=None),
             p.add_argument("--out", default=None, help="output path for the trace JSON"),
-            p.add_argument("--tolerance", type=float, default=0.01),
             p.add_argument(
                 "--check",
                 action="store_true",

@@ -7,12 +7,16 @@ virtual time, as a coroutine), and :class:`DataLoader` runs the sampler,
 fetch, and collation pipeline while timing each phase — the numbers Fig 5
 ("CPU-Loading" vs "CPU-Batching") breaks out.
 
-Three dataset backends cover the paper's comparison matrix:
+Two dataset backends cover the paper's comparison matrix:
 
 * :class:`DDStoreDataset` — fetch through the distributed store,
 * :class:`FileDataset` — fetch straight from PFF or CFF files every
-  access (the baselines), and
-* both deliver identical graphs, which the integration tests verify.
+  access (the baselines).
+
+Both deliver identical graphs, which the integration tests verify.  With
+``stats_only=True`` (what the bench harness passes) either one returns
+shape summaries instead of decoded graphs at the same virtual cost, and
+the loader collates them into a :class:`BatchStats`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 from ..graphs import ArenaPool, AtomicGraph, GraphBatch, collate
 from ..mpi import RankContext
 from ..storage import SampleReader, SampleStats
+from .config import _check
 from .sampler import (
     GlobalShuffleSampler,
     LocalShuffleSampler,
@@ -262,7 +267,13 @@ class LoadedBatch:
 
 
 class DataLoader:
-    """Sampler + fetch + collate pipeline with per-phase virtual timing."""
+    """Sampler + fetch + collate pipeline with per-phase virtual timing.
+
+    An epoch is this rank's full batches of ``batch_size`` samples, the
+    partial tail dropped (every rank runs the same step count, which the
+    lock-step gradient allreduce needs), capped at ``steps_per_epoch``
+    when given.
+    """
 
     def __init__(
         self,
@@ -272,17 +283,18 @@ class DataLoader:
         batch_size: int,
         shuffle: str = "global",
         seed: int = 0,
-        drop_last: bool = True,
         steps_per_epoch: Optional[int] = None,
     ) -> None:
         if shuffle not in ("global", "local", "sampled"):
             raise ValueError(
                 f"shuffle must be 'global', 'local', or 'sampled', got {shuffle!r}"
             )
+        _check("batch_size", batch_size)
+        if steps_per_epoch is not None:
+            _check("steps_per_epoch", steps_per_epoch)
         self.dataset = dataset
         self.ctx = ctx
         self.batch_size = batch_size
-        self.drop_last = drop_last
         self.steps_per_epoch = steps_per_epoch
         self._sampler_cls = {
             "global": GlobalShuffleSampler,
@@ -308,19 +320,14 @@ class DataLoader:
 
     def n_steps(self) -> int:
         full = self.sampler.per_rank // self.batch_size
-        if not self.drop_last and self.sampler.per_rank % self.batch_size:
-            full += 1
         return min(full, self.steps_per_epoch) if self.steps_per_epoch else full
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
-        batches = list(
-            iter_batches(
-                self.sampler.epoch_indices(epoch), self.batch_size, self.drop_last
-            )
-        )
-        if self.steps_per_epoch is not None:
-            batches = batches[: self.steps_per_epoch]
-        return batches
+        return self._batches(self.sampler, epoch)
+
+    def _batches(self, sampler, epoch: int) -> list[np.ndarray]:
+        batches = list(iter_batches(sampler.epoch_indices(epoch), self.batch_size))
+        return batches[: self.steps_per_epoch]
 
     def peer_epoch_batches(self, epoch: int, peer_rank: int) -> list[np.ndarray]:
         """A *peer* rank's batches for an epoch, recomputed locally.
@@ -335,12 +342,7 @@ class DataLoader:
         peer = self._sampler_cls(
             self.dataset.n_samples, self.ctx.size, peer_rank, seed=self._seed
         )
-        batches = list(
-            iter_batches(peer.epoch_indices(epoch), self.batch_size, self.drop_last)
-        )
-        if self.steps_per_epoch is not None:
-            batches = batches[: self.steps_per_epoch]
-        return batches
+        return self._batches(peer, epoch)
 
     def load(self, indices: np.ndarray) -> Generator:
         """Coroutine: fetch + collate one batch; returns :class:`LoadedBatch`."""

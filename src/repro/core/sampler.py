@@ -152,11 +152,11 @@ class SampledShuffleSampler:
         return hot[pos]
 
 
-def iter_batches(indices: np.ndarray, batch_size: int, drop_last: bool = True):
-    """Split an epoch's index stream into mini-batches."""
+def iter_batches(indices: np.ndarray, batch_size: int):
+    """Split an epoch's index stream into full mini-batches (the partial
+    tail is dropped)."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    n = indices.size
-    stop = (n // batch_size) * batch_size if drop_last else n
+    stop = (indices.size // batch_size) * batch_size
     for lo in range(0, stop, batch_size):
         yield indices[lo : lo + batch_size]

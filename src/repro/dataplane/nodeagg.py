@@ -37,14 +37,15 @@ Determinism and liveness:
   layout — no cache state, no arrival order — so which rank builds it is
   unobservable.  Leaders are elected per owner *group member* (one
   leader read per (node, target) wave: a single lock epoch and one
-  coalesced wire read) by nearest-replica preference: a participant that
-  *is* an owner of the member serves it from its own shard (zero wire);
-  else a participant whose replica-group copy of the member sits on this
-  node redirects the read on-node (NIC untouched — chunk contents are
-  identical across groups); else round-robin over the node's sorted
-  participants.  Ties break by member index for load balance.  All three
-  tiers are pure functions of the static (machine, width, rank-set)
-  topology, so every rank elects identical leaders with zero messages.
+  coalesced wire read): a participant that *is* an owner of the member
+  serves it from its own shard (zero wire); else round-robin over the
+  node's sorted participants.  The participants are every rank of the
+  node, so any on-node replica of the member is an owner among them and
+  a read leaves the node only when the node holds no copy (chunk
+  contents are identical across groups).  Ties break by member index for
+  load balance.  Both rules are pure functions of the static (width,
+  rank-set) topology, so every rank elects identical leaders with zero
+  messages.
 * Every rank performs its leader duty (wire reads + publish) *before*
   subscribing to other leaders, so the wait graph is acyclic: a
   subscriber only waits on leaders whose publish requires no other rank.
@@ -251,7 +252,6 @@ def node_wave(h, batch_indices, n_workers: int, window) -> Generator:
     """
     call = _Call(h, wave=True)
     rank = h.comm.rank
-    machine = h._machine
     coord = node_coordinator(h)
     key = (h.generation, window.epoch, window.wave)
     entry = coord.lookup(key, rank)
@@ -267,10 +267,7 @@ def node_wave(h, batch_indices, n_workers: int, window) -> Generator:
                 if parts
                 else (np.zeros(0, np.int64),) * 4
             )
-        plan = h.planner.plan_node_wave(
-            demands, coord.participants, width=h.config.width,
-            node_of=machine.node_of_rank, node=h._node_index,
-        )
+        plan = h.planner.plan_node_wave(demands, coord.participants, width=h.width)
         entry = coord.register(key, plan, rank)
     plan = entry.plan
     yield from call.spend("plan", _plan_seconds(max(1, plan.n_union)), n_union=plan.n_union)

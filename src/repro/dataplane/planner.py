@@ -167,10 +167,11 @@ class NodeWavePlan:
     Built once per (node, wave) from the peers' deterministic schedules —
     no cache or arrival-order state, so every rank would compute the
     identical plan.  ``leader_of`` assigns each deduplicated sample to
-    the participant elected for its owner *target* (round-robin over the
-    node's sorted ranks): that leader issues the single wire read against
-    its own replica group's member — chunk contents are identical across
-    groups, so any subscriber's batch sees the same bytes.
+    the participant elected for its owner *member* (the owner itself
+    first, see :meth:`FetchPlanner.plan_node_wave`): that leader issues
+    the single wire read against its own replica group's member — chunk
+    contents are identical across groups, so any subscriber's batch sees
+    the same bytes.
     """
 
     participants: tuple[int, ...]
@@ -309,9 +310,7 @@ class FetchPlanner:
         self,
         demands: dict,
         participants: Sequence[int],
-        width: Optional[int] = None,
-        node_of=None,
-        node: Optional[int] = None,
+        width: int,
     ) -> NodeWavePlan:
         """Merge node peers' per-rank wave demands into one node plan.
 
@@ -321,36 +320,26 @@ class FetchPlanner:
         in its deterministic request order.  Overlapping demands collapse
         to one entry and a per-(node, owner-member) leader is elected.
 
-        Election is *nearest-replica* when the group topology is given
-        (``width`` = replica-group width, ``node_of`` = rank -> node,
-        ``node`` = this node's index): chunk contents are identical
-        across replica groups, so a leader reads member ``m`` from its
-        *own* group's copy — and the election prefers, in order, a
-        participant that **is** its group's member ``m`` (a self-copy,
-        no wire at all), then one whose group replica of ``m`` sits on
-        this node (intra-node path, NIC untouched), then round-robin.
+        Election is *owner first* over the replica groups (``width`` =
+        the resolved replica-group width): chunk contents are identical
+        across groups, so a leader reads member ``m`` from its *own*
+        group's copy — and a participant that **is** its group's member
+        ``m`` (a self-copy, no wire at all) leads it; otherwise the
+        leader is round-robin over the participants.  The participants
+        are every rank of the node, so a group replica of ``m`` on this
+        node is itself a participant and the owner rule already picks it.
         Ties break by ``m`` modulo the candidate count, so leader load
         stays balanced.  The election is a pure function of the static
         topology and the member index — every rank derives it
-        identically with zero communication.  Without topology the
-        round-robin fallback alone applies.
+        identically with zero communication.
         """
         participants = tuple(sorted(int(p) for p in participants))
         P = len(participants)
 
         def elect(m: int) -> int:
-            if width:
-                owner = [p for p in participants if p - p % width + m == p]
-                if owner:
-                    return owner[m % len(owner)]
-                if node_of is not None and node is not None:
-                    near = [
-                        p
-                        for p in participants
-                        if node_of(p - p % width + m) == node
-                    ]
-                    if near:
-                        return near[m % len(near)]
+            owner = [p for p in participants if p - p % width + m == p]
+            if owner:
+                return owner[m % len(owner)]
             return participants[m % P]
 
         demand: dict[int, tuple] = {}

@@ -39,7 +39,7 @@ class GINConv(Module):
         self.lin2 = Linear(out_dim, out_dim, rng_key=rng_key + ("l2",))
         self._cache: Optional[dict] = None
 
-    def forward_graph(self, x: np.ndarray, edge_index: np.ndarray, n_nodes=None) -> np.ndarray:
+    def forward_graph(self, x: np.ndarray, edge_index: np.ndarray) -> np.ndarray:
         src, dst = edge_index[0], edge_index[1]
         agg = np.zeros_like(x)
         np.add.at(agg, dst, x[src])
@@ -74,7 +74,7 @@ class SAGEConv(Module):
         self.lin_neigh = Linear(in_dim, out_dim, rng_key=rng_key + ("neigh",))
         self._cache: Optional[dict] = None
 
-    def forward_graph(self, x: np.ndarray, edge_index: np.ndarray, n_nodes=None) -> np.ndarray:
+    def forward_graph(self, x: np.ndarray, edge_index: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         src, dst = edge_index[0], edge_index[1]
         deg = np.bincount(dst, minlength=n).astype(np.float64)

@@ -128,15 +128,13 @@ class Sequential(Module):
 class MLP(Sequential):
     """Fully connected stack with ReLU between layers (paper: 3 FC x 200)."""
 
-    def __init__(
-        self, dims: Sequence[int], *, final_activation: bool = False, rng_key: tuple = ("mlp",)
-    ) -> None:
+    def __init__(self, dims: Sequence[int], *, rng_key: tuple = ("mlp",)) -> None:
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
         layers: list[Module] = []
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
             layers.append(Linear(a, b, rng_key=rng_key + (i,)))
-            if i < len(dims) - 2 or final_activation:
+            if i < len(dims) - 2:
                 layers.append(ReLU())
         super().__init__(*layers)
 

@@ -48,11 +48,9 @@ class PNAConv(Module):
         self._cache: Optional[dict] = None
 
     # ------------------------------------------------------------------
-    def forward_graph(
-        self, x: np.ndarray, edge_index: np.ndarray, n_nodes: Optional[int] = None
-    ) -> np.ndarray:
+    def forward_graph(self, x: np.ndarray, edge_index: np.ndarray) -> np.ndarray:
         """Forward over one (batched) graph; x is (N, in_dim)."""
-        n = x.shape[0] if n_nodes is None else n_nodes
+        n = x.shape[0]
         src, dst = edge_index[0], edge_index[1]
         msgs = x[src]  # (E, F) incoming messages
         deg = np.bincount(dst, minlength=n).astype(np.float64)

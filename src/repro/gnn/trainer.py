@@ -100,7 +100,6 @@ class Trainer:
         optimizer,
         *,
         real_compute: bool = True,
-        output_dim: Optional[int] = None,
         epochs: Optional[int] = None,
     ) -> None:
         self.ctx = ctx
@@ -116,7 +115,7 @@ class Trainer:
         self.gpu = GpuModel(ctx.world.machine.gpu)
         cfg = dmodel.model.config
         self._feature_dim = cfg.feature_dim
-        self._output_dim = output_dim if output_dim is not None else sum(cfg.head_dims)
+        self._output_dim = sum(cfg.head_dims)
         self._hidden = cfg.hidden_dim
         self._n_conv = cfg.n_conv_layers
         self._n_fc = cfg.n_fc_layers

@@ -80,31 +80,25 @@ class MPIStats:
 
 
 class World:
-    """The simulated machine plus the set of ranks running on it."""
+    """The simulated machine plus the set of ranks running on it.
+
+    One rank runs per GPU, so the rank grid is the machine's: a different
+    ranks-per-node is a different machine,
+    ``dataclasses.replace(spec, gpus_per_node=k)``.  ``jitter_sigma`` is
+    the network's lognormal service jitter (0 makes every transfer cost
+    its closed form).
+    """
 
     def __init__(
         self,
         machine: MachineSpec,
         n_nodes: int,
         *,
-        ranks_per_node: Optional[int] = None,
         seed: int = 0,
         jitter_sigma: float = 0.18,
-        engine: Optional[Engine] = None,
     ) -> None:
-        self.engine = engine if engine is not None else Engine()
+        self.engine = Engine()
         self.machine = machine
-        if ranks_per_node is not None and ranks_per_node != machine.gpus_per_node:
-            raise ValueError(
-                f"World(ranks_per_node={ranks_per_node}) conflicts with machine "
-                f"{machine.name!r}, which runs {machine.gpus_per_node} ranks per "
-                "node: the reproduction pins one rank per GPU, so the rank grid "
-                "is machine-defined (node-local rank sets, NIC sharing, and the "
-                "node-fetch rendezvous all derive from MachineSpec.gpus_per_node)."
-                " Either drop the ranks_per_node argument, or describe the "
-                "machine you mean: dataclasses.replace(get_machine("
-                f"{machine.name!r}), gpus_per_node={ranks_per_node})."
-            )
         self.cluster = Cluster(self.engine, machine, n_nodes)
         self.net = Interconnect(self.cluster, jitter_sigma=jitter_sigma, seed=seed)
         self.pfs = ParallelFileSystem(self.engine, machine.pfs, n_nodes, seed=seed)

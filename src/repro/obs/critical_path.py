@@ -8,14 +8,14 @@ gap-free sequence of ``trainer.stage`` child spans (``data_wait``,
 ``gpu_h2d``, ``gpu_forward``, ``gpu_backward``, ``gpu_comm``,
 ``optimizer``) that tile it, so for every epoch
 
-    sum(stage durations)  ==  epoch duration      (within tolerance)
+    sum(stage durations)  ==  epoch duration      (within TOLERANCE)
 
 must hold.  :func:`analyze` computes the attribution per (rank, epoch),
 :meth:`CriticalPathReport.check` enforces the invariant, and
 :func:`render_report` prints the roll-up the ``python -m repro trace``
 CLI shows.  A counter that drifts, a stage charged twice, or virtual
 time leaking outside the instrumented stages all surface as a residual
-above tolerance.
+above :data:`TOLERANCE`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from .tracing import SpanRecord
 
 __all__ = [
+    "TOLERANCE",
     "EpochAttribution",
     "CriticalPathReport",
     "CriticalPathError",
@@ -35,6 +36,9 @@ __all__ = [
 
 EPOCH_CAT = "trainer.epoch"
 STAGE_CAT = "trainer.stage"
+
+#: Largest relative residual an epoch may carry: 1 % of its duration.
+TOLERANCE = 0.01
 
 #: Absolute slack (virtual seconds) granted on top of the relative
 #: tolerance, so zero-length epochs don't divide by zero.
@@ -78,18 +82,17 @@ class CriticalPathReport:
     """All epochs' attributions plus the invariant verdict."""
 
     epochs: list[EpochAttribution]
-    tolerance: float = 0.01
 
     @property
     def ok(self) -> bool:
-        return all(e.rel_residual <= self.tolerance for e in self.epochs)
+        return all(e.rel_residual <= TOLERANCE for e in self.epochs)
 
     @property
     def max_rel_residual(self) -> float:
         return max((e.rel_residual for e in self.epochs), default=0.0)
 
     def violations(self) -> list[EpochAttribution]:
-        return [e for e in self.epochs if e.rel_residual > self.tolerance]
+        return [e for e in self.epochs if e.rel_residual > TOLERANCE]
 
     def check(self) -> "CriticalPathReport":
         """Raise :class:`CriticalPathError` unless the invariant holds."""
@@ -101,7 +104,7 @@ class CriticalPathReport:
                 f"worst is rank {worst.track} epoch {worst.epoch} with "
                 f"{worst.attributed:.9f}s attributed of {worst.duration:.9f}s "
                 f"measured ({worst.rel_residual * 100:.3f}% residual, "
-                f"tolerance {self.tolerance * 100:.1f}%)"
+                f"tolerance {TOLERANCE * 100:.1f}%)"
             )
         return self
 
@@ -117,9 +120,7 @@ class CriticalPathReport:
         return sum(e.duration for e in self.epochs)
 
 
-def analyze(
-    spans: Iterable[SpanRecord], tolerance: float = 0.01
-) -> CriticalPathReport:
+def analyze(spans: Iterable[SpanRecord]) -> CriticalPathReport:
     """Build the per-epoch attribution from a traced run's spans.
 
     Selects ``trainer.epoch`` spans and assigns each ``trainer.stage``
@@ -159,7 +160,7 @@ def analyze(
                 e.stages[s.name] = e.stages.get(s.name, 0.0) + s.duration
                 break
     epochs.sort(key=lambda e: (e.track, e.epoch, e.start))
-    return CriticalPathReport(epochs=epochs, tolerance=tolerance)
+    return CriticalPathReport(epochs=epochs)
 
 
 def render_report(report: CriticalPathReport) -> str:
@@ -177,7 +178,7 @@ def render_report(report: CriticalPathReport) -> str:
     lines.append(f"  {'measured'.ljust(width)}  {total_time * 1e3:12.4f} ms")
     lines.append("")
     lines.append(
-        f"invariant: per-epoch attribution within {report.tolerance * 100:.1f}% "
+        f"invariant: per-epoch attribution within {TOLERANCE * 100:.1f}% "
         f"of measured epoch time — "
         + (
             f"OK (worst residual {report.max_rel_residual * 100:.4f}%)"

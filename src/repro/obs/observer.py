@@ -25,22 +25,16 @@ __all__ = ["Observer", "NULL_OBSERVER"]
 
 
 class Observer:
-    """A live observability session: metrics always, tracing optionally."""
+    """A live observability session: metrics always, tracing when
+    ``trace`` (spans capped at :class:`SpanCollector`'s default
+    ``max_events``).  The tracer reads the virtual clock of the world
+    it is attached to (:meth:`bind`)."""
 
     enabled = True
 
-    def __init__(
-        self,
-        engine=None,
-        *,
-        trace: bool = True,
-        max_events: int = 1_000_000,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer: Optional[SpanCollector] = (
-            SpanCollector(engine, max_events=max_events) if trace else None
-        )
+    def __init__(self, *, trace: bool = True) -> None:
+        self.metrics = MetricsRegistry()
+        self.tracer: Optional[SpanCollector] = SpanCollector() if trace else None
 
     @property
     def tracing(self) -> bool:

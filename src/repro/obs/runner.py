@@ -95,13 +95,7 @@ class TracedRun:
         return "\n".join(head) + render_report(self.report)
 
 
-def run_traced(
-    name: str,
-    profile=None,
-    *,
-    tolerance: float = 0.01,
-    config=None,
-) -> TracedRun:
+def run_traced(name: str, profile=None, *, config=None) -> TracedRun:
     """Run one traceable experiment cell with an observer attached.
 
     ``name`` selects from :data:`TRACEABLE` (``config`` overrides it with
@@ -122,7 +116,7 @@ def run_traced(
             "exported trace failed Chrome trace-event validation: "
             + "; ".join(problems[:5])
         )
-    report = analyze(observer.tracer.spans, tolerance=tolerance)
+    report = analyze(observer.tracer.spans)
     return TracedRun(
         name=name, result=result, observer=observer, chrome=chrome, report=report
     )

@@ -61,8 +61,8 @@ class SpanRecord:
 class SpanCollector:
     """Collects spans and marks; bounded, deterministic, export-ready."""
 
-    def __init__(self, engine=None, max_events: int = 1_000_000) -> None:
-        self.engine = engine
+    def __init__(self, max_events: int = 1_000_000) -> None:
+        self.engine = None
         self.max_events = max_events
         self.spans: list[SpanRecord] = []
         self.marks: list[tuple[float, str, int]] = []  # (time, label, track)

@@ -177,9 +177,13 @@ def test_phase_times_add_and_merge():
 
 def test_world_rejects_bad_ranks_per_node():
     from repro.mpi import World
+    from repro.sim import Engine
 
-    with pytest.raises(ValueError, match="ranks_per_node"):
-        World(TESTBOX, 1, ranks_per_node=7)
+    # The rank grid is the machine's and the world owns its engine.
+    with pytest.raises(TypeError, match="ranks_per_node"):
+        World(TESTBOX, 1, ranks_per_node=TESTBOX.gpus_per_node)
+    with pytest.raises(TypeError, match="engine"):
+        World(TESTBOX, 1, engine=Engine())
 
 
 def test_rank_context_properties():

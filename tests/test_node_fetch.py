@@ -23,6 +23,7 @@ from repro.core import (
     ResilienceOptions,
     ServingOptions,
 )
+from repro.dataplane.planner import FetchPlanner
 from repro.dataplane.scheduler import EpochScheduler
 from repro.faults import FaultPlan, SlowRank, install_faults
 from repro.graphs import IsingGenerator
@@ -86,6 +87,38 @@ def _epoch(ctx, node_fetch, *, columnar=False, cache_policy="lru",
     return digests, store.stats
 
 
+def _spy_node_plans(monkeypatch) -> list:
+    """Record every node plan with the width it was elected on."""
+    plans = []
+    plan_node_wave = FetchPlanner.plan_node_wave
+
+    def spy(self, demands, participants, width):
+        plan = plan_node_wave(self, demands, participants, width)
+        plans.append((plan, width))
+        return plan
+
+    monkeypatch.setattr(FetchPlanner, "plan_node_wave", spy)
+    return plans
+
+
+def _assert_elections(plans) -> set:
+    """Every sample's leader is the owner of its member among the node's
+    participants, else round-robin by member.  Returns the rules used."""
+    used = set()
+    for plan, width in plans:
+        P = plan.participants
+        for key, leader in plan.leader_of.items():
+            m = plan.meta[key][0]
+            owners = [p for p in P if p % width == m]
+            if owners:
+                used.add("owner")
+                assert leader == owners[m % len(owners)]
+            else:
+                used.add("round-robin")
+                assert leader == P[m % len(P)]
+    return used
+
+
 # ---------------------------------------------------------------------------
 # the tentpole property: aggregation changes timing and wire traffic, never bytes
 # ---------------------------------------------------------------------------
@@ -131,10 +164,21 @@ def test_node_fetch_batches_byte_identical(columnar, cache_policy, shuffle, dept
 # leader straggler: the aggregated wire read rides the retry/failover ladder
 # ---------------------------------------------------------------------------
 
-def test_node_fetch_leader_read_rides_retry_ladder():
+def test_node_fetch_leader_read_rides_retry_ladder(monkeypatch):
+    plans = _spy_node_plans(monkeypatch)
     # Calibrate: healthy wave latencies bound the timeout.
     healthy = run(lambda c: _epoch(c, True))
     h_digests = [d for d, _s in healthy.results]
+    # Width 2 on 2-GPU nodes: each node is a whole replica group, so every
+    # member's owner is a node participant and leads it.
+    assert plans and _assert_elections(plans) == {"owner"}
+    # On 2-rank nodes at widths 2 and 4 the two rules pick the same
+    # leaders, so also elect node 2 of a 3-node world at width 3: ranks 4
+    # and 5 are group 1's members 1 and 2, and member 0 has no owner.
+    keys = np.arange(3, dtype=np.int64)
+    plan = FetchPlanner().plan_node_wave({4: (keys, [0, 1, 2], [0] * 3, [8] * 3)}, (4, 5), 3)
+    assert plan.leader_of == {0: 4, 1: 4, 2: 5}
+    assert _assert_elections([(plan, 3)]) == {"owner", "round-robin"}
 
     def faulted():
         world = World(TESTBOX, 2, seed=0)
@@ -168,7 +212,8 @@ def test_node_fetch_leader_read_rides_retry_ladder():
 # wire accounting: dedup saves bytes, fan-out delivers them
 # ---------------------------------------------------------------------------
 
-def test_node_fetch_dedups_wire_bytes_under_overlap():
+def test_node_fetch_dedups_wire_bytes_under_overlap(monkeypatch):
+    plans = _spy_node_plans(monkeypatch)
     # The sampled shuffler draws with replacement from a skewed hotness
     # ranking, so node-local ranks request overlapping id sets — exactly
     # the traffic node aggregation exists to dedup.  A single replica
@@ -177,6 +222,10 @@ def test_node_fetch_dedups_wire_bytes_under_overlap():
     # coincides with the node and their target ranges are disjoint.
     base = run(lambda c: _epoch(c, False, shuffle="sampled", depth=6, width=None))
     agg = run(lambda c: _epoch(c, True, shuffle="sampled", depth=6, width=None))
+    # At w = N (the resolved width, not None) a member on this node leads
+    # itself, and a member on the other node goes round-robin.
+    assert plans and all(width == 4 for _p, width in plans)
+    assert _assert_elections(plans) == {"owner", "round-robin"}
     base_wire = sum(s.bytes_prefetched for _d, s in base.results)
     agg_wire = sum(s.bytes_node_wire for _d, s in agg.results)
     requested = sum(s.bytes_node_requested for _d, s in agg.results)

@@ -8,7 +8,8 @@ from repro.sim import Engine
 
 def test_tracer_records_span_extent():
     eng = Engine()
-    tracer = SpanCollector(eng)
+    tracer = SpanCollector()
+    tracer.bind(eng)
 
     def proc():
         yield eng.timeout(1.0)
@@ -27,7 +28,8 @@ def test_tracer_records_span_extent():
 
 def test_tracer_totals_and_by_name():
     eng = Engine()
-    tracer = SpanCollector(eng)
+    tracer = SpanCollector()
+    tracer.bind(eng)
 
     def proc():
         for _ in range(3):
@@ -44,7 +46,8 @@ def test_tracer_totals_and_by_name():
 
 
 def test_tracer_drops_beyond_max_events():
-    tracer = SpanCollector(Engine(), max_events=2)
+    tracer = SpanCollector(max_events=2)
+    tracer.bind(Engine())
     for _ in range(5):
         tracer.mark("m")
     assert len(tracer.marks) == 2
@@ -57,7 +60,8 @@ def test_tracer_drops_beyond_max_events():
 
 def test_tracer_manual_begin_end():
     eng = Engine()
-    tracer = SpanCollector(eng)
+    tracer = SpanCollector()
+    tracer.bind(eng)
 
     def proc():
         t0 = tracer.now

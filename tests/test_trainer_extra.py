@@ -46,19 +46,26 @@ def test_dataloader_n_steps_variants():
     def main(ctx):
         _, loader, _ = yield from _setup(ctx, n=64, batch=4)
         full = loader.n_steps()
-        capped = DataLoader(
-            loader.dataset, ctx, batch_size=4, steps_per_epoch=2, seed=0
-        ).n_steps()
-        no_drop = DataLoader(
-            loader.dataset, ctx, batch_size=5, drop_last=False, seed=0
-        ).n_steps()
-        return full, capped, no_drop
+        capped = DataLoader(loader.dataset, ctx, batch_size=4, steps_per_epoch=2, seed=0)
+        tail = DataLoader(loader.dataset, ctx, batch_size=5, seed=0)
+        # A step count or batch size below 1 is refused at construction,
+        # not turned into an empty epoch, a dropped batch or a later
+        # ZeroDivisionError.
+        for bad in (dict(batch_size=4, steps_per_epoch=0),
+                    dict(batch_size=4, steps_per_epoch=-1),
+                    dict(batch_size=0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                DataLoader(loader.dataset, ctx, seed=0, **bad)
+        with pytest.raises(TypeError, match="steps_per_epoch"):
+            DataLoader(loader.dataset, ctx, batch_size=4, steps_per_epoch=2.5)
+        return (full, capped.n_steps(), len(capped.epoch_batches(0)),
+                tail.n_steps(), len(tail.epoch_batches(0)))
 
     job = run_world(TESTBOX, 2, main)
-    full, capped, no_drop = job.results[0]
+    full, capped, capped_batches, tail, tail_batches = job.results[0]
     assert full == 4  # 64 samples / 4 ranks / batch 4
-    assert capped == 2
-    assert no_drop == 4  # 16 per rank / batch 5 -> 3 full + 1 remainder
+    assert capped == capped_batches == 2
+    assert tail == tail_batches == 3  # 16 per rank / batch 5: the remainder is dropped
 
 
 def test_evaluate_batches_large_index_sets():

@@ -27,6 +27,19 @@ scale and ``perf/run.py --smoke`` on the ``paper_default`` and
 prints the body lines those drives enter out of the body lines of the
 modules they import, then how many ``repro`` modules a tiny paper cell
 (DDStore, PFF and CFF) loads.
+
+Last, an option report, read from the source alone: every defaulted
+parameter (``def f(x=...)``, ``Class(x=...)`` through ``__init__``) and
+defaulted public field of a frozen dataclass (a config object) in
+``src/repro`` that no call in ``src``,
+``perf``, ``examples``, ``benchmarks`` or ``tools`` passes, by keyword or
+by position.  Calls match by function or class name, so a same-named
+callee elsewhere counts too.  A call that unpacks ``**mapping`` may pass
+any key some dict literal (``dict(k=...)``, ``{"k": ...}``) spells, and
+so may a call to a function that forwards its ``**kwargs`` into it;
+``dataclasses.replace(obj, k=...)`` sets field ``k`` of any config.
+It prints the values per module and their total: candidates for
+constants, not verdicts.
 """
 
 from __future__ import annotations
@@ -44,7 +57,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PKG = os.path.join(SRC, "repro")
 
-TRACE_CELLS = ("fig5", "fig9", "resilience", "columnar", "tiered", "p2p", "nodeagg")
 EXAMPLES = (
     "quickstart", "compare_formats", "elastic_reshard",
     "width_tuning", "multitask_heads", "train_homo_lumo",
@@ -84,13 +96,22 @@ HOOK = textwrap.dedent(
 )
 
 
+def trace_cells() -> list[str]:
+    """The ``trace`` cells, as ``repro.obs.TRACEABLE`` names them."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from repro.obs import TRACEABLE
+
+    return list(TRACEABLE)
+
+
 def drives(tmp: str) -> list[list[str]]:
     """The fixed drive list, every output pointed into ``tmp``."""
     py = sys.executable
     cmds = [[py, os.path.join(ROOT, "examples", f"{name}.py")] for name in EXAMPLES]
     cmds.append([py, "-m", "repro", "bench", "all", "--scale", "tiny", "--check"])
     cmds.append([py, "-m", "repro", "ablation", "all", "--scale", "tiny", "--check"])
-    for cell in TRACE_CELLS:
+    for cell in trace_cells():
         out = os.path.join(tmp, f"trace_{cell}.json")
         cmds.append([py, "-m", "repro", "trace", cell, "--scale", "tiny", "--check", "--out", out])
     cmds.append([py, os.path.join(ROOT, "perf", "run.py"), "--smoke",
@@ -179,6 +200,162 @@ def subpackage(path: str) -> str:
     return parts[0] if len(parts) > 1 else "repro"
 
 
+# -- the option report ---------------------------------------------------------
+# Where the option report looks for calls: everything but ``tests/``.
+CALLER_DIRS = ("src", "perf", "examples", "benchmarks", "tools")
+
+
+def _callee(func) -> str | None:
+    """``f`` for ``f(...)`` and ``obj.f(...)``; None for anything else."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _is_config(cls: ast.ClassDef) -> bool:
+    """A frozen dataclass: a value object, so its fields are settings (a
+    mutable one holds state, e.g. counters)."""
+    return any(
+        isinstance(d, ast.Call) and _callee(d.func) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", False) for k in d.keywords)
+        for d in cls.decorator_list
+    )
+
+
+def defaulted(path: str) -> list[tuple[int, str, str, int | None, bool]]:
+    """Every defaulted parameter and config field of a module as
+    ``(line, callee, name, position, is_field)``: ``callee`` is the name a
+    call spells (the class for ``__init__`` and fields), ``position`` the
+    index a positional argument fills (None: keyword-only)."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_config(child):
+                    fields = [
+                        s for s in child.body
+                        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(s.annotation)
+                    ]
+                    for i, s in enumerate(fields):
+                        init_false = (
+                            isinstance(s.value, ast.Call) and _callee(s.value.func) == "field"
+                            and any(k.arg == "init" for k in s.value.keywords)
+                        )
+                        public = not s.target.id.startswith("_")
+                        if s.value is not None and public and not init_false:
+                            found.append((s.lineno, child.name, s.target.id, i, True))
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(_callee(d) == "staticmethod" for d in child.decorator_list)
+                if cls is not None and not static and positional:
+                    positional = positional[1:]  # self / cls
+                callee = cls.name if cls is not None and child.name == "__init__" else child.name
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((child.lineno, callee, arg.arg, i, False))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        found.append((child.lineno, callee, arg.arg, None, False))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def calls() -> tuple[dict, set]:
+    """What the non-test code passes: callee -> ``[keywords, positional
+    count, unpacks **]``, and the keys ``**`` may carry (dict-literal keys;
+    ``replace(...)`` keywords are filed under the callee ``replace``)."""
+    seen: dict[str, list] = {}
+    keys: set[str] = set()
+    forwards: dict[str, set[str]] = {}  # f(**kw) -> callees it hands **kw to
+    paths = []
+    for d in CALLER_DIRS:
+        paths += glob.glob(os.path.join(ROOT, d, "**", "*.py"), recursive=True)
+    for path in sorted(paths):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.args.kwarg:
+                kw = fn.args.kwarg.arg
+                for c in ast.walk(fn):
+                    if isinstance(c, ast.Call) and any(
+                        k.arg is None and isinstance(k.value, ast.Name) and k.value.id == kw
+                        for k in c.keywords
+                    ):
+                        forwards.setdefault(fn.name, set()).add(_callee(c.func))
+        stack = [(tree, None)]
+        while stack:
+            node, cls = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                stack.append((child, child.name if isinstance(child, ast.ClassDef) else cls))
+                if isinstance(child, ast.Dict):
+                    keys.update(k.value for k in child.keys if isinstance(k, ast.Constant))
+                if not isinstance(child, ast.Call):
+                    continue
+                name = _callee(child.func)
+                if name == "cls" and cls is not None:
+                    name = cls
+                if name is None:
+                    continue
+                if name == "dict":
+                    keys.update(k.arg for k in child.keywords if k.arg)
+                row = seen.setdefault(name, [set(), 0, False])
+                row[0].update(k.arg for k in child.keywords if k.arg)
+                starred = any(isinstance(a, ast.Starred) for a in child.args)
+                row[1] = max(row[1], float("inf") if starred else len(child.args))
+                row[2] = row[2] or any(k.arg is None for k in child.keywords)
+    # A forwarder hands the keywords of its own calls on (the forwarding
+    # call itself is already recorded as one that unpacks ``**``).
+    changed = True
+    while changed:
+        changed = False
+        for fwd, targets in forwards.items():
+            passed = seen.get(fwd, [set()])[0]
+            for t in targets:
+                row = seen.setdefault(t, [set(), 0, False])
+                if not passed <= row[0]:
+                    row[0] |= passed
+                    changed = True
+    return seen, keys
+
+
+def option_report() -> list[str]:
+    """The option report's lines (see the module docstring)."""
+    seen, keys = calls()
+    replaced = seen.get("replace", [set()])[0]
+    lines, n_never, n_all = [], 0, 0
+    for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"), recursive=True)):
+        never = []
+        for line, callee, name, pos, is_field in defaulted(path):
+            n_all += 1
+            kws, n_pos, opened = seen.get(callee, (set(), 0, False))
+            passed = (
+                name in kws
+                or (pos is not None and pos < n_pos)
+                or (opened and name in keys)
+                or (is_field and name in replaced)
+            )
+            if not passed:
+                never.append(f"  {line:5d}  {callee}({name})")
+        if never:
+            lines.append(os.path.relpath(path, ROOT))
+            lines.extend(never)
+            n_never += len(never)
+    lines.append(f"options no call outside tests/ sets: {n_never} of {n_all} defaulted values")
+    return lines
+
+
 def main() -> int:
     if len(sys.argv) > 1:
         print(__doc__)
@@ -222,6 +399,7 @@ def main() -> int:
     for name, (hit, lines) in paper.items():
         print(f"  {name:10s} {hit:6d} of {lines:6d}  {100 * hit / max(1, lines):3.0f} %")
     print(f"paper cell (ddstore, pff, cff at tiny): {len(cell_modules)} repro modules")
+    print("\n".join(option_report()))
     return 0
 
 
