@@ -20,7 +20,7 @@ from repro.core import DDStore, ReaderSource
 from repro.graphs import MoleculeGenerator
 from repro.hardware import PERLMUTTER
 from repro.mpi import run_world
-from repro.storage import CFFReader, CFFWriter
+from repro.storage import CFFReader, pack_graph, write_cff
 
 N_SAMPLES = 512
 
@@ -29,7 +29,8 @@ def rank_main(ctx):
     vfs = ctx.world.vfs
     gen = MoleculeGenerator(N_SAMPLES, seed=1)
     if ctx.rank == 0:
-        CFFWriter.write(vfs, "molecules", gen, n_subfiles=4)
+        blobs = [pack_graph(gen.make(i)) for i in range(len(gen))]
+        write_cff(vfs, "molecules", blobs, n_subfiles=4, logical_scale=1.0)
     yield from ctx.comm.barrier()
     reader = CFFReader(vfs, "molecules", ctx.world.machine)
 

@@ -14,7 +14,7 @@ from .harness import (
     packed_blobs,
     run_experiment,
 )
-from .metrics import cdf, geomean, latency_percentiles, percentile, speedup_table
+from .metrics import cdf, geomean, percentile, speedup_table
 from .reporting import render_table, results_dir, write_report
 from .sweep import Sweep, cached_experiment, fingerprint
 
@@ -33,7 +33,6 @@ __all__ = [
     "cached_experiment",
     "fingerprint",
     "percentile",
-    "latency_percentiles",
     "cdf",
     "geomean",
     "speedup_table",

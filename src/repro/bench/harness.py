@@ -36,12 +36,13 @@ from ..core import (
     ReaderSource,
     ResilienceOptions,
 )
+from ..core.config import _check
 from ..gnn import DistributedModel, HydraGNN, HydraGNNConfig, PhaseTimes, Trainer
 from ..graphs.datasets import DATASETS
 from ..hardware import get_machine
 from ..mpi import MPIStats, run_world
-from ..storage import CFFReader, PFFReader, SampleStats, VirtualFS
-from ..storage.formats import _cff_index_path, _pff_path, CFFIndex, write_cff as _stage_cff
+from ..storage import CFFReader, PFFReader, SampleStats, write_cff, write_pff
+from ..storage.formats import _cff_index_path, CFFIndex
 
 __all__ = [
     "ExperimentConfig",
@@ -122,8 +123,11 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.batch_size < 1 or self.epochs < 1 or self.steps_per_epoch < 1:
-            raise ValueError("batch_size, epochs, steps_per_epoch must be positive")
+        for name in ("n_nodes", "batch_size", "epochs", "steps_per_epoch", "hidden_dim",
+                     "n_workers"):
+            _check(name, getattr(self, name))
+        if self.n_samples is not None:
+            _check("n_samples", self.n_samples)
         if self.fault_plan is not None:
             from ..faults import available_fault_plans
 
@@ -212,11 +216,6 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _stage_pff(vfs: VirtualFS, root: str, blobs: list[bytes]) -> None:
-    for i, blob in enumerate(blobs):
-        vfs.create(_pff_path(root, i), blob)
-
-
 def _logical_scale(cfg: ExperimentConfig, blobs: list[bytes]) -> float:
     """Make the scaled container *time* like the paper's full-size file."""
     actual = sum(len(b) for b in blobs)
@@ -282,12 +281,12 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], model: HydraGNN):
     # -- stage the dataset on the shared filesystem (untimed setup) --------
     if ctx.rank == 0:
         if cfg.method == "pff":
-            _stage_pff(vfs, root, blobs)
+            write_pff(vfs, root, blobs)
         else:  # cff and both ddstore variants preload from a container
             # ADIOS subfile count is fixed by the original data-production
             # run (its aggregator count), not by how many ranks later read
             # it — a key reason container reads contend at scale.
-            _stage_cff(vfs, root, blobs, n_subfiles=8, logical_scale=_logical_scale(cfg, blobs))
+            write_cff(vfs, root, blobs, n_subfiles=8, logical_scale=_logical_scale(cfg, blobs))
         if cfg.warm_page_cache and cfg.method in ("pff", "cff"):
             _warm_caches(ctx.world, root)
     yield from ctx.comm.barrier()

@@ -12,13 +12,10 @@ from ..core import FETCH_STAGES
 __all__ = [
     "FETCH_STAGES",
     "percentile",
-    "latency_percentiles",
     "cdf",
     "geomean",
     "speedup_table",
     "merge_stage_seconds",
-    "fmt_ms",
-    "fmt_seconds",
 ]
 
 
@@ -28,11 +25,6 @@ def percentile(values: np.ndarray, q: float) -> float:
     if arr.size == 0:
         raise ValueError("percentile of empty array")
     return float(np.percentile(arr, q))
-
-
-def latency_percentiles(values: np.ndarray, qs=(50, 95, 99)) -> dict[int, float]:
-    """The paper's Table 2 summary: {50: ..., 95: ..., 99: ...} seconds."""
-    return {int(q): percentile(values, q) for q in qs}
 
 
 def cdf(values: np.ndarray, n_points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -83,14 +75,3 @@ def merge_stage_seconds(
     extra = sorted(k for k in totals if k not in FETCH_STAGES)
     return {k: totals[k] for k in known + extra}
 
-
-def fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1e3:.2f} ms"
-
-
-def fmt_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.1f} us"

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 from .bench import current_profile, write_report
 from .bench.registry import EXPERIMENTS as REGISTRY
 from .bench.registry import Experiment
+from .core.config import _check
 from .obs import TRACEABLE
 
 # Key -> Experiment, derived from the one registry (repro.bench.registry).
@@ -124,6 +125,13 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
         print(f"  RMA software path    {spec.rma_software_overhead_s * 1e6:.0f} us remote / {spec.rma_software_local_s * 1e6:.0f} us shared-mem")
         print()
     return 0
+
+
+def _count(text: str) -> int:
+    """argparse type of a sample count: an integer of at least 1."""
+    value = int(text)
+    _check("samples", value)  # argparse turns its ValueError into exit 2
+    return value
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -249,7 +257,7 @@ COMMANDS: tuple[Command, ...] = (
         "datasets",
         "dataset statistics (Table 1)",
         _cmd_datasets,
-        configure=lambda p: p.add_argument("--samples", type=int, default=100) and None,
+        configure=lambda p: p.add_argument("--samples", type=_count, default=100) and None,
     ),
     Command("dataplane", "list the data-plane transports", _cmd_dataplane),
 )

@@ -1,9 +1,9 @@
 """Chunk layout: striping a dataset over the ranks of one replica group.
 
-Samples keep their global ids; the layout answers "which group member owns
-global sample ``g``, and where does it sit in that member's buffer".  The
-split is the balanced contiguous partition MPI codes use: the first
-``T mod w`` members get one extra sample.
+Samples keep their global ids; the layout holds each group member's id
+range, from which :class:`~repro.core.registry.ChunkRegistry` reads a
+sample's owner.  The split is the balanced contiguous partition MPI codes
+use: the first ``T mod w`` members get one extra sample.
 """
 
 from __future__ import annotations
@@ -50,31 +50,8 @@ class ChunkLayout:
             bounds=balanced_partition(n_samples, width),
         )
 
-    def owner_of(self, global_index: int | np.ndarray) -> np.ndarray | int:
-        """Group-rank owning each global sample index."""
-        idx = np.asarray(global_index)
-        if np.any((idx < 0) | (idx >= self.n_samples)):
-            raise IndexError(
-                f"sample index out of range [0, {self.n_samples}): {global_index}"
-            )
-        owner = np.searchsorted(self.bounds, idx, side="right") - 1
-        return owner if isinstance(global_index, np.ndarray) else int(owner)
-
-    def local_index(self, global_index: int | np.ndarray) -> np.ndarray | int:
-        """Position of the sample inside its owner's chunk."""
-        owner = self.owner_of(global_index)
-        local = np.asarray(global_index) - self.bounds[owner]
-        return local if isinstance(global_index, np.ndarray) else int(local)
-
     def chunk_range(self, group_rank: int) -> tuple[int, int]:
         if not 0 <= group_rank < self.width:
             raise IndexError(f"group rank {group_rank} out of range")
         return int(self.bounds[group_rank]), int(self.bounds[group_rank + 1])
 
-    def chunk_size(self, group_rank: int) -> int:
-        lo, hi = self.chunk_range(group_rank)
-        return hi - lo
-
-    @property
-    def max_chunk_size(self) -> int:
-        return int(np.diff(self.bounds).max())

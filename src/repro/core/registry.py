@@ -94,12 +94,6 @@ class ChunkRegistry:
         return cls(layout=layout, offsets=offsets)
 
     # -- lookups ---------------------------------------------------------
-    def locate(self, global_index: int) -> tuple[int, int, int]:
-        """(owner group-rank, byte offset, byte size) of one sample."""
-        owner = self.layout.owner_of(global_index)
-        start = self.offsets[global_index]
-        return owner, int(start - self._base[owner]), int(self.offsets[global_index + 1] - start)
-
     def _checked(self, global_indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(global_indices, dtype=np.int64).reshape(-1)
         n = self.layout.n_samples
@@ -110,7 +104,7 @@ class ChunkRegistry:
     def locate_batch(
         self, global_indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`locate` over an index array."""
+        """(owner group-rank, byte offset, byte size) of each sample."""
         idx = self._checked(global_indices)
         owners = np.searchsorted(self.layout.bounds, idx, side="right") - 1
         starts = self.offsets[idx]
@@ -131,7 +125,3 @@ class ChunkRegistry:
 
     def buffer_bytes(self, group_rank: int) -> int:
         return int(self._base[group_rank + 1] - self._base[group_rank])
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.offsets[-1])

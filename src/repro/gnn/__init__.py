@@ -1,6 +1,4 @@
-"""HydraGNN-like NumPy GNN: PNA layers, multi-head model, DDP training.
-
-The regression metrics load on first use, from :mod:`.metrics`."""
+"""HydraGNN-like NumPy GNN: PNA layers, multi-head model, DDP training."""
 
 from .convs import CONV_TYPES, GINConv, SAGEConv, make_conv
 from .ddp import DistributedModel, GradPayload

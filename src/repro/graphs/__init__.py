@@ -12,9 +12,6 @@ from .datasets import (
     DATASETS,
     DatasetSpec,
     GraphGenerator,
-    compute_stats,
-    make_generator,
-    materialize,
 )
 from .graph import AtomicGraph, GraphStats
 from .ising import IsingGenerator, ising_energy
@@ -40,7 +37,4 @@ __all__ = [
     "DATASETS",
     "DatasetSpec",
     "GraphGenerator",
-    "make_generator",
-    "compute_stats",
-    "materialize",
 ]

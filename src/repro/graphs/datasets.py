@@ -9,9 +9,9 @@ full-dataset sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Protocol
 
-from .graph import AtomicGraph, GraphStats
+from .graph import AtomicGraph
 from .ising import IsingGenerator
 from .molecules import MoleculeGenerator
 from .spectra import SpectrumGenerator
@@ -20,9 +20,6 @@ __all__ = [
     "GraphGenerator",
     "DatasetSpec",
     "DATASETS",
-    "make_generator",
-    "compute_stats",
-    "materialize",
 ]
 
 
@@ -130,23 +127,3 @@ DATASETS: dict[str, DatasetSpec] = {
     ]
 }
 
-
-def make_generator(key: str, n_samples: int, seed: int = 0) -> GraphGenerator:
-    try:
-        spec = DATASETS[key]
-    except KeyError:
-        raise KeyError(f"unknown dataset {key!r}; available: {sorted(DATASETS)}") from None
-    return spec.make(n_samples, seed)
-
-
-def compute_stats(gen: GraphGenerator, sample_limit: int | None = None) -> GraphStats:
-    """Exact stats over the generator (or its first ``sample_limit`` samples)."""
-    n = len(gen) if sample_limit is None else min(len(gen), sample_limit)
-    stats = GraphStats()
-    for i in range(n):
-        stats.add(gen.make(i))
-    return stats
-
-
-def materialize(gen: GraphGenerator, indices: Iterable[int]) -> list[AtomicGraph]:
-    return [gen.make(i) for i in indices]

@@ -7,13 +7,13 @@ burst-buffer tier)."""
 from .formats import (
     CFFIndex,
     CFFReader,
-    CFFWriter,
     PFFReader,
-    PFFWriter,
     SampleReader,
     SampleStats,
     decode_time,
     scatter_time,
+    write_cff,
+    write_pff,
 )
 from .serialization import (
     HEADER_NBYTES,
@@ -43,9 +43,9 @@ __all__ = [
     "SampleStats",
     "decode_time",
     "scatter_time",
-    "PFFWriter",
+    "write_pff",
     "PFFReader",
-    "CFFWriter",
+    "write_cff",
     "CFFReader",
     "CFFIndex",
 ]

@@ -23,10 +23,9 @@ from typing import Protocol
 import numpy as np
 
 from ..graphs import AtomicGraph
-from ..graphs.datasets import GraphGenerator
 from ..hardware import MachineSpec
 from ..sim.rng import BlockDraws, stream
-from .serialization import pack_graph, peek_header, peek_headers, unpack_graph
+from .serialization import peek_header, peek_headers, unpack_graph
 from .vfs import VirtualFS
 
 # I/O-library software path (pickle.load / ADIOS inquiry+get) jitter: the
@@ -38,9 +37,8 @@ __all__ = [
     "SampleStats",
     "decode_time",
     "scatter_time",
-    "PFFWriter",
+    "write_pff",
     "PFFReader",
-    "CFFWriter",
     "write_cff",
     "CFFReader",
     "CFFIndex",
@@ -125,8 +123,6 @@ class SampleReader(Protocol):
         """Same timing as read_sample, header-only wall work."""
         ...
 
-    def sample_nbytes(self, index: int) -> int: ...
-
 
 def _software_jitter(kind: str, root: str) -> BlockDraws:
     """Per-read I/O-library jitter (mean 1) of one reader of ``root``."""
@@ -168,17 +164,10 @@ def _pff_path(root: str, index: int) -> str:
     return f"{root}/{index:09d}.pkl"  # zero-padded flat layout
 
 
-class PFFWriter:
-    """Materialise a generator as one file per sample."""
-
-    @staticmethod
-    def write(vfs: VirtualFS, root: str, generator: GraphGenerator) -> list[str]:
-        paths = []
-        for i in range(len(generator)):
-            path = _pff_path(root, i)
-            vfs.create(path, pack_graph(generator.make(i)))
-            paths.append(path)
-        return paths
+def write_pff(vfs: VirtualFS, root: str, blobs: list) -> None:
+    """Lay packed ``blobs`` out as a PFF dataset: one file per sample."""
+    for i, blob in enumerate(blobs):
+        vfs.create(_pff_path(root, i), blob)
 
 
 @dataclass
@@ -197,9 +186,6 @@ class PFFReader:
         if not self.vfs.exists(probe):
             raise FileNotFoundError(f"PFF dataset not found under {self.root!r}")
         self._sw_jitter = _software_jitter("pff-reader", self.root)
-
-    def sample_nbytes(self, index: int) -> int:
-        return self.vfs.stat(_pff_path(self.root, index)).size
 
     def read_sample_raw(
         self, index: int, node_index: int, arrival: float
@@ -279,37 +265,14 @@ def _cff_index_path(root: str) -> str:
     return f"{root}/index.bin"
 
 
-class CFFWriter:
-    """Pack a generator into ``n_subfiles`` containers + an index file.
-
-    ``logical_scale`` makes the scaled-down container *time* like the
-    paper's full-size one (see :mod:`repro.storage.vfs`).
-    """
-
-    @staticmethod
-    def write(
-        vfs: VirtualFS,
-        root: str,
-        generator: GraphGenerator,
-        *,
-        n_subfiles: int = 8,
-        logical_scale: float = 1.0,
-    ) -> CFFIndex:
-        return write_cff(
-            vfs,
-            root,
-            [pack_graph(generator.make(i)) for i in range(len(generator))],
-            n_subfiles=n_subfiles,
-            logical_scale=logical_scale,
-        )
-
-
 def write_cff(
     vfs: VirtualFS, root: str, blobs: list, *, n_subfiles: int, logical_scale: float
 ) -> CFFIndex:
     """Lay packed ``blobs`` out as a CFF dataset: sample ``i`` goes to
     subfile ``i % n_subfiles`` (round-robin, like ADIOS aggregators), and
-    each subfile is built by one join the file adopts."""
+    each subfile is built by one join the file adopts.  ``logical_scale``
+    makes a scaled-down container *time* like the paper's full-size one
+    (see :mod:`repro.storage.vfs`)."""
     n = len(blobs)
     n_subfiles = max(1, min(n_subfiles, n))
     sizes = np.fromiter(map(len, blobs), np.int64, n)
@@ -345,9 +308,6 @@ class CFFReader:
         """Charge the one-time index load performed at startup."""
         _data, done = self.vfs.read_whole_timed(_cff_index_path(self.root), node_index, arrival)
         return done
-
-    def sample_nbytes(self, index: int) -> int:
-        return int(self.index.size[index])
 
     def read_sample_raw(
         self, index: int, node_index: int, arrival: float

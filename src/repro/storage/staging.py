@@ -42,9 +42,6 @@ class NVMeStagedReader:
         self.machine = machine
         self.n_samples = len(blobs)
 
-    def sample_nbytes(self, index: int) -> int:
-        return len(self.blobs[index])
-
     def read_sample_raw(
         self, index: int, node_index: int, arrival: float
     ) -> tuple[memoryview, float]:

@@ -11,7 +11,6 @@ from repro.bench import (
     ExperimentConfig,
     cdf,
     geomean,
-    latency_percentiles,
     packed_blobs,
     percentile,
     render_table,
@@ -20,7 +19,6 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.harness import METHODS, clear_blob_cache
-from repro.bench.metrics import fmt_ms, fmt_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +28,8 @@ from repro.bench.metrics import fmt_ms, fmt_seconds
 def test_percentile_and_table2_summary():
     values = np.arange(1, 101, dtype=float)
     assert percentile(values, 50) == pytest.approx(50.5)
-    pcts = latency_percentiles(values)
-    assert set(pcts) == {50, 95, 99}
-    assert pcts[99] > pcts[95] > pcts[50]
+    pcts = [percentile(values, q) for q in (50, 95, 99)]
+    assert pcts[2] > pcts[1] > pcts[0]
     with pytest.raises(ValueError):
         percentile(np.array([]), 50)
 
@@ -66,13 +63,6 @@ def test_speedup_table_normalises_to_baseline():
         speedup_table({"pff": 0.0}, "pff")
 
 
-def test_formatters():
-    assert fmt_ms(0.00125) == "1.25 ms"
-    assert fmt_seconds(2.5) == "2.50 s"
-    assert fmt_seconds(0.0025) == "2.50 ms"
-    assert fmt_seconds(2.5e-6) == "2.5 us"
-
-
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
@@ -96,13 +86,28 @@ def test_write_report_creates_files(tmp_path, monkeypatch, capsys):
 # harness
 # ---------------------------------------------------------------------------
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="method"):
-        ExperimentConfig(method="zeromq")
-    with pytest.raises(ValueError, match="dataset"):
-        ExperimentConfig(dataset="imagenet")
-    with pytest.raises(ValueError):
-        ExperimentConfig(batch_size=0)
+@pytest.mark.parametrize("bad", [
+    [(dict(method="zeromq"), ValueError, "method"),
+     (dict(dataset="imagenet"), ValueError, "dataset")],
+    [(dict(batch_size=0), ValueError, "batch_size"),
+     (dict(batch_size=True), TypeError, "batch_size")],
+    [(dict(epochs=0), ValueError, "epochs"), (dict(epochs=1.5), TypeError, "epochs")],
+    [(dict(steps_per_epoch=0), ValueError, "steps_per_epoch"),
+     (dict(steps_per_epoch=2.5), TypeError, "steps_per_epoch")],
+    [(dict(n_samples=0), ValueError, "n_samples"),
+     (dict(n_samples=-4), ValueError, "n_samples")],
+    [(dict(hidden_dim=0), ValueError, "hidden_dim")],
+    [(dict(n_workers=0), ValueError, "n_workers")],
+    [(dict(method="pff", n_nodes=0), ValueError, "n_nodes"),
+     (dict(method="cff", n_nodes=0), ValueError, "n_nodes")],
+], ids=["names", "batch_size", "epochs", "steps_per_epoch", "n_samples", "hidden_dim",
+        "n_workers", "n_nodes"])
+def test_config_validation(bad):
+    # Each is refused at construction, naming the field, not later in the run: a negative
+    # ``n_samples`` would slice ``packed_blobs`` from the end, 0 workers would run as one.
+    for kwargs, exc, match in bad:
+        with pytest.raises(exc, match=match):
+            ExperimentConfig(**kwargs)
     cfg = ExperimentConfig(machine="perlmutter", n_nodes=2, batch_size=4, steps_per_epoch=3)
     assert cfg.n_ranks == 8
     assert cfg.resolved_samples() == 8 * 4 * 3

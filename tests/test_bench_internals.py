@@ -8,14 +8,12 @@ from repro.bench.experiments import _width_sweep_values
 from repro.bench.harness import (
     ExperimentConfig,
     _logical_scale,
-    _stage_cff,
-    _stage_pff,
     packed_blobs,
     run_experiment,
 )
 from repro.hardware import ParallelFileSystem, TESTBOX
 from repro.sim import Engine
-from repro.storage import CFFReader, PFFReader, VirtualFS
+from repro.storage import CFFReader, PFFReader, VirtualFS, write_cff, write_pff
 
 
 def test_width_sweep_values_divide_rank_count():
@@ -48,8 +46,8 @@ def test_current_profile_env(monkeypatch):
 def test_stage_helpers_roundtrip_readers():
     vfs = VirtualFS(ParallelFileSystem(Engine(), TESTBOX.pfs, 1))
     blobs = packed_blobs("ising", 0, 6)
-    _stage_pff(vfs, "p", blobs)
-    _stage_cff(vfs, "c", blobs, n_subfiles=2, logical_scale=2.0)
+    write_pff(vfs, "p", blobs)
+    write_cff(vfs, "c", blobs, n_subfiles=2, logical_scale=2.0)
     pff = PFFReader(vfs, "p", 6, TESTBOX)
     cff = CFFReader(vfs, "c", TESTBOX)
     for i in (0, 3, 5):

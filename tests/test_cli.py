@@ -44,8 +44,15 @@ def test_machines_command(capsys):
     assert "none" in out  # Perlmutter has no node-local NVMe
 
 
-def test_datasets_command(capsys):
-    assert main(["datasets", "--samples", "5"]) == 0
+@pytest.mark.parametrize("samples", ["5", "0", "-3"])
+def test_datasets_command(capsys, samples):
+    if int(samples) < 1:  # refused by argparse, not a ZeroDivisionError in Table 1
+        with pytest.raises(SystemExit) as exc:
+            main(["datasets", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        return
+    assert main(["datasets", "--samples", samples]) == 0
     out = capsys.readouterr().out
     assert "Ising" in out and "AISD" in out
 

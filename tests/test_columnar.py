@@ -17,7 +17,7 @@ from repro.graphs import SAMPLE_ALLOCATIONS, ArenaPool, BatchArena, collate
 from repro.graphs.datasets import DATASETS
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
-from repro.storage import CodecError, pack_graph, unpack_graph
+from repro.storage import HEADER_NBYTES, CodecError, pack_graph, unpack_graph
 from repro.storage.columnar import (
     ChunkCodec,
     available_chunk_codecs,
@@ -244,7 +244,8 @@ def test_plan_arena_segment_bookkeeping():
     # zero-length fields are skipped.
     assert 0 < smap.n_segments <= 5 * len(graphs)
     # Partial scatter: delivering a sample in two byte-range halves lands
-    # the same bytes as one whole-record delivery.
+    # the same bytes as one whole-record delivery, and each call returns
+    # the bytes it wrote (its share of the payload; the header is skipped).
     arena, arena2 = BatchArena(), BatchArena()
     _fill_arena_from_rows(arena, graphs)
     sids = np.array([g.sample_id for g in graphs], np.int64)
@@ -254,8 +255,8 @@ def test_plan_arena_segment_bookkeeping():
     for p, g in enumerate(graphs):
         blob = np.frombuffer(pack_graph(g), np.uint8)
         cut = len(blob) // 3
-        smap2.scatter(p, 0, cut, blob[:cut], fields2)
-        smap2.scatter(p, cut, len(blob), blob[cut:], fields2)
+        assert smap2.scatter(p, 0, cut, blob[:cut], fields2) == cut - HEADER_NBYTES
+        assert smap2.scatter(p, cut, len(blob), blob[cut:], fields2) == len(blob) - cut
     for name in BatchArena._FIELDS:
         assert arena2.field_bytes[name].tobytes() == arena.field_bytes[name].tobytes()
 

@@ -27,7 +27,6 @@ _EXTENSIONS = re.compile(
     r"repro\.(serving|control|faults)(\..*)?|repro\.client"
     r"|repro\.storage\.(columnar|staging)|repro\.dataplane\.nodeagg"
     r"|repro\.bench\.(registry|experiments|ablations|serving|elastic|plotting)"
-    r"|repro\.gnn\.metrics"
 )
 
 _PAPER_RUN = """
@@ -210,30 +209,35 @@ def test_balanced_partition_errors():
         balanced_partition(10, 0)
 
 
-def test_layout_owner_and_local_index():
+def _unit_registry(layout):
+    """A registry of one byte per sample: offsets are local indices."""
+    return ChunkRegistry.from_sample_sizes(
+        layout, [np.ones(n, np.int64) for n in np.diff(layout.bounds)]
+    )
+
+
+def test_layout_owner_and_local_offset():
     layout = ChunkLayout.build(10, 3)  # bounds [0,4,7,10]
-    assert layout.owner_of(0) == 0
-    assert layout.owner_of(3) == 0
-    assert layout.owner_of(4) == 1
-    assert layout.owner_of(9) == 2
-    assert layout.local_index(5) == 1
+    owners, local, _sizes = _unit_registry(layout).locate_batch(np.array([0, 3, 4, 5, 9]))
+    assert owners.tolist() == [0, 0, 1, 1, 2]
+    assert local.tolist() == [0, 3, 0, 1, 2]
     assert layout.chunk_range(1) == (4, 7)
-    assert layout.chunk_size(2) == 3
-    assert layout.max_chunk_size == 4
+    assert np.diff(layout.bounds).tolist() == [4, 3, 3]
 
 
 def test_layout_vectorised_owner():
     layout = ChunkLayout.build(10, 3)
-    owners = layout.owner_of(np.array([0, 4, 9]))
+    owners, _local, _sizes = _unit_registry(layout).locate_batch(np.array([0, 4, 9]))
     assert np.array_equal(owners, [0, 1, 2])
 
 
 def test_layout_out_of_range():
     layout = ChunkLayout.build(10, 3)
+    reg = _unit_registry(layout)
     with pytest.raises(IndexError):
-        layout.owner_of(10)
+        reg.locate_batch(np.array([10]))
     with pytest.raises(IndexError):
-        layout.owner_of(-1)
+        reg.locate_batch(np.array([-1]))
     with pytest.raises(IndexError):
         layout.chunk_range(3)
 
@@ -259,24 +263,26 @@ def _registry():
 
 def test_registry_locate_single():
     reg = _registry()
-    assert reg.locate(0) == (0, 0, 10)
-    assert reg.locate(2) == (0, 30, 30)
-    assert reg.locate(4) == (1, 0, 5)
-    assert reg.locate(6) == (1, 11, 7)
+    owners, offs, sizes = reg.locate_batch(np.array([0, 2, 4, 6]))
+    assert list(zip(owners.tolist(), offs.tolist(), sizes.tolist())) == [
+        (0, 0, 10), (0, 30, 30), (1, 0, 5), (1, 11, 7)
+    ]
 
 
-def test_registry_locate_batch_matches_scalar():
+def test_registry_locate_batch_keeps_order_and_duplicates():
+    # A batch is looked up as drawn: unsorted, with repeats, one row per index.
     reg = _registry()
-    owners, offs, sizes = reg.locate_batch(np.arange(7))
-    for g in range(7):
-        assert (int(owners[g]), int(offs[g]), int(sizes[g])) == reg.locate(g)
+    owners, offs, sizes = reg.locate_batch(np.array([6, 0, 6, 3, 5, 0]))
+    assert list(zip(owners.tolist(), offs.tolist(), sizes.tolist())) == [
+        (1, 11, 7), (0, 0, 10), (1, 11, 7), (0, 60, 40), (1, 5, 6), (0, 0, 10)
+    ]
 
 
 def test_registry_buffer_bytes():
     reg = _registry()
     assert reg.buffer_bytes(0) == 100
     assert reg.buffer_bytes(1) == 18
-    assert reg.total_bytes == 118
+    assert int(reg.offsets[-1]) == 118
 
 
 def test_registry_size_table_validation():

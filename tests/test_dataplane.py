@@ -546,7 +546,7 @@ def test_wave_demand_keeps_the_first_occurrence_of_each_remote_id():
         for batch in batches:
             keep = []
             for key in batch:
-                owner, _offset, nbytes = registry.locate(int(key))
+                owner, _offset, nbytes = (int(a[0]) for a in registry.locate_batch([key]))
                 if owner != me and nbytes and key not in seen:
                     seen.add(key)
                     keep.append(int(key))

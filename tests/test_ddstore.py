@@ -15,7 +15,9 @@ from repro.core import (
 from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
-from repro.storage import CFFReader, CFFWriter, PFFReader, PFFWriter, pack_graph
+from repro.storage import CFFReader, PFFReader, write_cff, write_pff
+
+from .conftest import pack_all
 
 
 def run(fn, n_nodes=2, **kw):
@@ -208,10 +210,11 @@ def _with_files(fmt):
     def main(ctx):
         vfs = ctx.world.vfs
         if ctx.rank == 0:  # one rank stages the dataset
+            blobs = pack_all(gen)
             if fmt == "pff":
-                PFFWriter.write(vfs, "ds", gen)
+                write_pff(vfs, "ds", blobs)
             else:
-                CFFWriter.write(vfs, "ds", gen, n_subfiles=2)
+                write_cff(vfs, "ds", blobs, n_subfiles=2, logical_scale=1.0)
         yield from ctx.comm.barrier()
         reader = (
             PFFReader(vfs, "ds", 16, ctx.world.machine)
@@ -240,13 +243,13 @@ def test_preload_from_cff():
 @pytest.mark.parametrize("fmt", ["pff", "cff", "generator"])
 def test_preloaded_chunk_is_the_packed_samples_back_to_back(fmt):
     gen = MoleculeGenerator(16, seed=4)  # variable sample sizes
-    packed = [pack_graph(gen.make(i)) for i in range(16)]
+    packed = pack_all(gen)
 
     def main(ctx):
         vfs = ctx.world.vfs
         if ctx.rank == 0:
-            PFFWriter.write(vfs, "p", gen)
-            CFFWriter.write(vfs, "c", gen, n_subfiles=3)
+            write_pff(vfs, "p", packed)
+            write_cff(vfs, "c", packed, n_subfiles=3, logical_scale=1.0)
         yield from ctx.comm.barrier()
         source = {
             "pff": lambda: ReaderSource(PFFReader(vfs, "p", 16, ctx.world.machine)),
@@ -271,7 +274,9 @@ def test_preload_takes_nonzero_time():
         t0 = ctx.now
         vfs = ctx.world.vfs
         if ctx.rank == 0:
-            PFFWriter.write(vfs, "ds", IsingGenerator(16, seed=2))
+            gen = IsingGenerator(16, seed=2)
+            blobs = pack_all(gen)
+            write_pff(vfs, "ds", blobs)
         yield from ctx.comm.barrier()
         reader = PFFReader(vfs, "ds", 16, ctx.world.machine)
         yield from DDStore.create(ctx.comm, ReaderSource(reader))
@@ -375,7 +380,8 @@ def test_dataloader_file_dataset_matches_ddstore_content():
         vfs = ctx.world.vfs
         gen = IsingGenerator(16, seed=4)
         if ctx.rank == 0:
-            CFFWriter.write(vfs, "c", gen, n_subfiles=2)
+            blobs = pack_all(gen)
+            write_cff(vfs, "c", blobs, n_subfiles=2, logical_scale=1.0)
         yield from ctx.comm.barrier()
         reader = CFFReader(vfs, "c", ctx.world.machine)
         store = yield from DDStore.create(ctx.comm, ReaderSource(reader))

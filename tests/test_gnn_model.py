@@ -166,6 +166,10 @@ def test_model_training_reduces_loss_on_ising():
         first = loss if first is None else first
         last = loss
     assert last < 0.5 * first  # the spin->energy map is learnable
+    # ...and the fit beats the mean predictor by a margin (R^2 > 0.5).
+    pred = model.forward_batch(batch)[0][:, 0]
+    y = batch.y[:, 0].astype(np.float64)
+    assert 1.0 - np.sum((y - pred) ** 2) / np.sum((y - y.mean()) ** 2) > 0.5
 
 
 def test_model_deterministic_init():

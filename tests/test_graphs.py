@@ -15,10 +15,8 @@ from repro.graphs import (
     MoleculeGenerator,
     SpectrumGenerator,
     collate,
-    compute_stats,
     ising_energy,
     gaussian_smooth_spectrum,
-    make_generator,
 )
 from repro.bench.harness import packed_blobs
 from repro.graphs import dftb_surrogate_spectrum, molecules, spectra
@@ -183,7 +181,9 @@ def test_molecule_sizes_in_paper_band():
 
 def test_molecule_edges_roughly_twice_nodes():
     gen = MoleculeGenerator(100, seed=1)
-    stats = compute_stats(gen, 100)
+    stats = GraphStats()
+    for i in range(100):
+        stats.add(gen.make(i))
     ratio = stats.mean_edges / stats.mean_nodes
     assert 1.8 <= ratio <= 2.6  # paper: 1.1B / 550.6M = 2.0
 
@@ -697,16 +697,20 @@ def test_registry_has_all_paper_datasets():
     }
 
 
-def test_make_generator_and_unknown_key():
-    gen = make_generator("ising", 4)
-    assert len(gen) == 4
-    with pytest.raises(KeyError, match="unknown dataset"):
-        make_generator("qm9", 4)
+def test_dataset_spec_makes_its_count_and_output_dim():
+    # ``ExperimentConfig`` refuses an unknown key; here each spec's Table 1
+    # ``output_dim`` must be what its generator's graphs carry.
+    for spec in DATASETS.values():
+        gen = spec.make(3, seed=1)
+        assert len(gen) == 3
+        assert gen.make(2).output_dim == spec.output_dim
 
 
-def test_compute_stats_counts():
+def test_graph_stats_counts():
     gen = IsingGenerator(6)
-    stats = compute_stats(gen)
+    stats = GraphStats()
+    for i in range(6):
+        stats.add(gen.make(i))
     assert stats.n_graphs == 6
     assert stats.mean_nodes == 125
     assert stats.min_nodes == stats.max_nodes == 125

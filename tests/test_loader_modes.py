@@ -21,8 +21,10 @@ from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
 from repro.storage import (
-    CFFReader, CFFWriter, CodecError, PFFReader, PFFWriter, SampleStats, pack_graph,
+    CFFReader, CodecError, PFFReader, SampleStats, pack_graph, write_cff, write_pff,
 )
+
+from .conftest import pack_all
 
 
 def run(fn, n_nodes=2, **kw):
@@ -85,10 +87,11 @@ def test_file_dataset_stats_mode_same_virtual_time(fmt):
         vfs = ctx.world.vfs
         gen = IsingGenerator(16, seed=1)
         if ctx.rank == 0:
+            blobs = pack_all(gen)
             if fmt == "pff":
-                PFFWriter.write(vfs, "d", gen)
+                write_pff(vfs, "d", blobs)
             else:
-                CFFWriter.write(vfs, "d", gen, n_subfiles=2)
+                write_cff(vfs, "d", blobs, n_subfiles=2, logical_scale=1.0)
         yield from ctx.comm.barrier()
         reader = (
             PFFReader(vfs, "d", 16, ctx.world.machine)
@@ -151,7 +154,8 @@ def test_reader_source_bulk_and_scalar_paths_agree():
         vfs = ctx.world.vfs
         gen = MoleculeGenerator(12, seed=3)
         if ctx.rank == 0:
-            CFFWriter.write(vfs, "c", gen, n_subfiles=3)
+            blobs = pack_all(gen)
+            write_cff(vfs, "c", blobs, n_subfiles=3, logical_scale=1.0)
         yield from ctx.comm.barrier()
         reader = CFFReader(vfs, "c", ctx.world.machine)
         src = ReaderSource(reader)

@@ -9,8 +9,10 @@ from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import NVMeDevice, TEST_NVME, TESTBOX
 from repro.mpi import run_world
 from repro.sim import Engine
-from repro.storage import CFFReader, CFFWriter
+from repro.storage import CFFReader, pack_graph, write_cff
 from repro.storage.staging import stage_to_nvme
+
+from .conftest import pack_all
 
 
 def run(fn, n_nodes=2, **kw):
@@ -70,7 +72,8 @@ def test_stage_to_nvme_roundtrip():
     def main(ctx):
         vfs = ctx.world.vfs
         if ctx.rank == 0:
-            CFFWriter.write(vfs, "c", gen, n_subfiles=2)
+            blobs = pack_all(gen)
+            write_cff(vfs, "c", blobs, n_subfiles=2, logical_scale=1.0)
         yield from ctx.comm.barrier()
         if ctx.rank != 0:
             return None
@@ -93,7 +96,8 @@ def test_stage_respects_logical_capacity():
     def main(ctx):
         vfs = ctx.world.vfs
         if ctx.rank == 0:
-            CFFWriter.write(vfs, "c", gen, n_subfiles=1)
+            blobs = pack_all(gen)
+            write_cff(vfs, "c", blobs, n_subfiles=1, logical_scale=1.0)
         yield from ctx.comm.barrier()
         if ctx.rank != 0:
             return None
@@ -114,7 +118,8 @@ def test_staged_reader_stats_mode():
     def main(ctx):
         vfs = ctx.world.vfs
         if ctx.rank == 0:
-            CFFWriter.write(vfs, "c", gen, n_subfiles=2)
+            blobs = pack_all(gen)
+            write_cff(vfs, "c", blobs, n_subfiles=2, logical_scale=1.0)
         yield from ctx.comm.barrier()
         if ctx.rank != 0:
             return None
@@ -122,12 +127,12 @@ def test_staged_reader_stats_mode():
         dev = NVMeDevice(ctx.engine, TEST_NVME)
         staged, t = stage_to_nvme(cff, dev, 0, ctx.now)
         stats, done = staged.read_sample_stats(3, 0, t)
-        return stats, staged.sample_nbytes(3)
+        return stats
 
-    stats, nbytes = run(main).results[0]
+    stats = run(main).results[0]
     g = gen.make(3)
     assert (stats.n_nodes, stats.n_edges) == (g.n_nodes, g.n_edges)
-    assert stats.nbytes == nbytes
+    assert stats.nbytes == len(pack_graph(g))
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +192,13 @@ def test_reshard_takes_virtual_time_but_less_than_fs_reload():
     # than re-reading the dataset from the PFS.
     def main(ctx):
         from repro.core import ReaderSource
-        from repro.storage import CFFWriter as W, CFFReader as R
+        from repro.storage import CFFReader as R
 
         vfs = ctx.world.vfs
         gen = IsingGenerator(24, seed=3)
         if ctx.rank == 0:
-            W.write(vfs, "c", gen, n_subfiles=2)
+            blobs = pack_all(gen)
+            write_cff(vfs, "c", blobs, n_subfiles=2, logical_scale=1.0)
         yield from ctx.comm.barrier()
         reader = R(vfs, "c", ctx.world.machine)
         store = yield from DDStore.create(ctx.comm, ReaderSource(reader))

@@ -45,7 +45,7 @@ from repro.hardware import TESTBOX
 from repro.mpi import run_world
 from repro.mpi.comm import World
 from repro.obs import Observer
-from repro.storage import HEADER_NBYTES, CFFReader, CFFWriter, pack_graph, unpack_graph
+from repro.storage import HEADER_NBYTES, CFFReader, pack_graph, unpack_graph, write_cff
 
 N = 32  # 4 ranks x 8 samples in the default TESTBOX world
 GEN = IsingGenerator(N, seed=3)
@@ -296,7 +296,8 @@ def test_nothing_ever_writes_a_dataset_byte(base, columnar, cache, framework, no
     def main(ctx):
         vfs = ctx.world.vfs
         if ctx.rank == 0:
-            CFFWriter.write(vfs, "ds", GEN, n_subfiles=3)
+            blobs = list(PACKED.values())
+            write_cff(vfs, "ds", blobs, n_subfiles=3, logical_scale=1.0)
         yield from ctx.comm.barrier()
         reader = CFFReader(vfs, "ds", ctx.world.machine)
         store = yield from DDStore.create(

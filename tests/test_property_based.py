@@ -156,7 +156,8 @@ def test_layout_partition_invariants(n_samples, width):
     assert sizes.max() - sizes.min() <= 1  # balanced
     # Ownership is consistent with ranges.
     idx = np.arange(n_samples)
-    owners = layout.owner_of(idx)
+    reg = ChunkRegistry.from_sample_sizes(layout, [np.ones(n, np.int64) for n in sizes])
+    owners, _local, _sizes = reg.locate_batch(idx)
     for r in range(width):
         lo, hi = layout.chunk_range(r)
         assert np.all(owners[lo:hi] == r)
@@ -178,15 +179,13 @@ def test_registry_locate_consistency(width, sizes):
     ]
     reg = ChunkRegistry.from_sample_sizes(layout, by_member)
     # Every sample's (owner, offset, size) is self-consistent.
-    total = 0
-    for g in range(n):
-        owner, off, size = reg.locate(g)
+    owners, offs, got_sizes = reg.locate_batch(np.arange(n))
+    for g, (owner, off, size) in enumerate(zip(owners.tolist(), offs.tolist(),
+                                               got_sizes.tolist())):
         assert size == sizes[g]
         lo, _hi = layout.chunk_range(owner)
-        expect_off = sum(sizes[lo:g])
-        assert off == expect_off
-        total += size
-    assert reg.total_bytes == total
+        assert off == sum(sizes[lo:g])
+    assert int(reg.offsets[-1]) == sum(sizes)
 
 
 # ---------------------------------------------------------------------------

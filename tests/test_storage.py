@@ -14,19 +14,21 @@ from repro.sim import Engine
 from repro.storage import (
     CFFIndex,
     CFFReader,
-    CFFWriter,
     CodecError,
     FileExists,
     FileSealed,
     FileNotFound,
     PFFReader,
-    PFFWriter,
     VirtualFS,
     pack_graph,
     packed_size,
     peek_header,
     unpack_graph,
+    write_cff,
+    write_pff,
 )
+
+from .conftest import pack_all
 
 
 @pytest.fixture
@@ -204,8 +206,8 @@ def test_vfs_logical_scale_defeats_page_cache(vfs):
 
 def test_pff_write_read_roundtrip(vfs):
     gen = IsingGenerator(10, seed=0)
-    paths = PFFWriter.write(vfs, "pff/ising", gen)
-    assert len(paths) == 10
+    write_pff(vfs, "pff/ising", pack_all(gen))
+    assert len(vfs.listdir("pff/ising")) == 10
     reader = PFFReader(vfs, "pff/ising", 10, TESTBOX)
     g, done = reader.read_sample(7, node_index=0, arrival=0.0)
     assert g.allclose(gen.make(7))
@@ -217,18 +219,16 @@ def test_pff_reader_missing_dataset(vfs):
         PFFReader(vfs, "nowhere", 5, TESTBOX)
 
 
-def test_pff_sample_nbytes_matches_pack(vfs):
+def test_pff_file_holds_the_packed_sample(vfs):
     gen = MoleculeGenerator(4, seed=0)
-    PFFWriter.write(vfs, "pff/mol", gen)
+    write_pff(vfs, "pff/mol", pack_all(gen))
     reader = PFFReader(vfs, "pff/mol", 4, TESTBOX)
-    from repro.storage import pack_graph as pg
-
-    assert reader.sample_nbytes(2) == len(pg(gen.make(2)))
+    assert bytes(reader.read_sample_raw(2, 0, 0.0)[0]) == pack_graph(gen.make(2))
 
 
 def test_pff_every_access_pays_metadata(vfs):
     gen = IsingGenerator(4, seed=0)
-    PFFWriter.write(vfs, "p", gen)
+    write_pff(vfs, "p", pack_all(gen))
     reader = PFFReader(vfs, "p", 4, TESTBOX)
     before = vfs.pfs.metadata_ops
     reader.read_sample(0, 0, 0.0)
@@ -242,7 +242,7 @@ def test_pff_every_access_pays_metadata(vfs):
 
 def test_cff_write_read_roundtrip(vfs):
     gen = MoleculeGenerator(20, seed=3)
-    CFFWriter.write(vfs, "cff/mol", gen, n_subfiles=4)
+    write_cff(vfs, "cff/mol", pack_all(gen), n_subfiles=4, logical_scale=1.0)
     reader = CFFReader(vfs, "cff/mol", TESTBOX)
     assert reader.n_samples == 20
     for i in (0, 7, 19):
@@ -272,13 +272,13 @@ def test_cff_index_bad_magic():
 
 def test_cff_subfile_count_clamped(vfs):
     gen = IsingGenerator(3, seed=0)
-    index = CFFWriter.write(vfs, "c", gen, n_subfiles=10)
+    index = write_cff(vfs, "c", pack_all(gen), n_subfiles=10, logical_scale=1.0)
     assert index.n_subfiles == 3  # clamped to sample count
 
 
 def test_cff_no_metadata_op_per_sample(vfs):
     gen = IsingGenerator(6, seed=0)
-    CFFWriter.write(vfs, "c6", gen, n_subfiles=2)
+    write_cff(vfs, "c6", pack_all(gen), n_subfiles=2, logical_scale=1.0)
     reader = CFFReader(vfs, "c6", TESTBOX)
     before = vfs.pfs.metadata_ops
     reader.read_sample(0, 0, 0.0)
@@ -288,7 +288,7 @@ def test_cff_no_metadata_op_per_sample(vfs):
 
 def test_cff_index_load_timed(vfs):
     gen = IsingGenerator(4, seed=0)
-    CFFWriter.write(vfs, "ct", gen)
+    write_cff(vfs, "ct", pack_all(gen), n_subfiles=8, logical_scale=1.0)
     reader = CFFReader(vfs, "ct", TESTBOX)
     done = reader.load_index_timed(0, arrival=0.0)
     assert done > 0
@@ -298,8 +298,9 @@ def test_pff_slower_than_cff_for_repeated_random_access(vfs):
     # The per-sample metadata op makes PFF pay more than CFF once the
     # container is cache-resident — the Table 2 Ising situation.
     gen = IsingGenerator(32, seed=0)
-    PFFWriter.write(vfs, "pf", gen)
-    CFFWriter.write(vfs, "cf", gen, n_subfiles=2)
+    blobs = pack_all(gen)
+    write_pff(vfs, "pf", blobs)
+    write_cff(vfs, "cf", blobs, n_subfiles=2, logical_scale=1.0)
     pff = PFFReader(vfs, "pf", 32, TESTBOX)
     cff = CFFReader(vfs, "cf", TESTBOX)
     rng = np.random.default_rng(0)
@@ -319,7 +320,7 @@ def test_pff_slower_than_cff_for_repeated_random_access(vfs):
 
 def test_cff_read_chunk_raw_bulk_matches_per_sample(vfs):
     gen = MoleculeGenerator(15, seed=7)
-    CFFWriter.write(vfs, "bulk", gen, n_subfiles=4)
+    write_cff(vfs, "bulk", pack_all(gen), n_subfiles=4, logical_scale=1.0)
     reader = CFFReader(vfs, "bulk", TESTBOX)
     blobs, done = reader.read_chunk_raw(2, 11, node_index=0, arrival=0.0)
     assert done > 0
@@ -337,7 +338,7 @@ def test_cff_read_chunk_raw_bulk_matches_per_sample(vfs):
 
 def test_cff_read_chunk_raw_bounds(vfs):
     gen = IsingGenerator(4, seed=0)
-    CFFWriter.write(vfs, "b2", gen, n_subfiles=2)
+    write_cff(vfs, "b2", pack_all(gen), n_subfiles=2, logical_scale=1.0)
     reader = CFFReader(vfs, "b2", TESTBOX)
     with pytest.raises(IndexError):
         reader.read_chunk_raw(0, 5, 0, 0.0)
@@ -361,8 +362,9 @@ def replay_pfs_script(script: dict) -> list:
     pfs = ParallelFileSystem(Engine(), spec, n_client_nodes=2, seed=script["seed"])
     vfs = VirtualFS(pfs)
     gen = IsingGenerator(script["n_samples"], seed=script["seed"])
-    PFFWriter.write(vfs, "pff", gen)
-    CFFWriter.write(vfs, "cff", gen, **script["cff"])
+    blobs = pack_all(gen)
+    write_pff(vfs, "pff", blobs)
+    write_cff(vfs, "cff", blobs, **script["cff"])
     pff = PFFReader(vfs, "pff", len(gen), machine)
     cff = CFFReader(vfs, "cff", machine)
     out = []

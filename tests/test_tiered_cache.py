@@ -141,6 +141,8 @@ def test_plan_promotions_bounds_spans():
     assert plan_promotions([], 100) == []
     assert plan_promotions([10, 10, 10], 100) == [(0, 3)]
     assert plan_promotions([60, 60, 60], 100) == [(0, 1), (1, 2), (2, 3)]
+    assert plan_promotions([4, 4], 8) == [(0, 2)]  # filling the cap exactly is one span
+    assert plan_promotions([0, 10], 100) == [(0, 2)]  # an empty entry is no error
     assert plan_promotions([250], 100) == [(0, 1)]  # oversize gets its own span
     spans = plan_promotions([40, 40, 40, 40, 40], 100)
     assert spans == [(0, 2), (2, 4), (4, 5)]

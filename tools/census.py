@@ -18,8 +18,11 @@ It then parses every module under ``src/repro`` and prints each function
 (``def``, nested ones included) that no drive entered, per file, as
 ``line  qualname  body-lines`` (``end_lineno - lineno + 1``), the
 totals, and the line count of ``src/repro`` (every module's lines).
-The result lists candidates, not verdicts: grep each one (a
-test may be its only caller on purpose) before deleting it.
+A function that ``perf/layers.TARGETS`` wraps is marked ``[perf]``: it
+can only go with a change to the benchmark, so the totals line also
+counts the unpinned ones.  The result lists candidates, not verdicts:
+grep each one (a test may be its only caller on purpose) before
+deleting it.
 
 A second report follows: the paper drives alone (``bench all`` at tiny
 scale and ``perf/run.py --smoke`` on the ``paper_default`` and
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import ast
 import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -192,6 +196,19 @@ def functions(path: str):
 
     visit(tree, "")
     return found, text.count("\n")
+
+
+def perf_pinned() -> set[tuple[str, str]]:
+    """(module path, qualname) of every function ``perf/layers.TARGETS`` wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_layers", os.path.join(ROOT, "perf", "layers.py")
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return {
+        (os.path.join(SRC, *module.split(".")) + ".py", qual)
+        for _layer, _op, module, qual, *_ in layers.TARGETS
+    }
 
 
 def subpackage(path: str) -> str:
@@ -367,8 +384,9 @@ def main() -> int:
         with open(script, "w") as fh:
             fh.write(PAPER_CELL)
         _, cell_modules = run_drives(tmp, [[sys.executable, script]], "cell")
+    pinned = perf_pinned()
     total_fns = total_lines = src_lines = 0
-    never_fns = never_lines = 0
+    never_fns = never_lines = never_pinned = 0
     paper: dict[str, list[int]] = {}  # subpackage -> [entered, imported] body lines
     for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"), recursive=True)):
         found, n_lines = functions(path)
@@ -382,7 +400,9 @@ def main() -> int:
         if missing:
             print(os.path.relpath(path, ROOT))
             for line, qual, body in missing:
-                print(f"  {line:5d}  {qual}  {body}")
+                mark = "  [perf]" if (path, qual) in pinned else ""
+                never_pinned += bool(mark)
+                print(f"  {line:5d}  {qual}  {body}{mark}")
             never_fns += len(missing)
             never_lines += sum(body for _, _, body in missing)
         if path in paper_modules:
@@ -390,7 +410,8 @@ def main() -> int:
             row[0] += sum(body for first, _, _, body in found if (path, first) in paper_entered)
             row[1] += sum(body for *_, body in found)
     print(
-        f"never entered: {never_fns} of {total_fns} functions, "
+        f"never entered: {never_fns} of {total_fns} functions "
+        f"({never_fns - never_pinned} not pinned by perf), "
         f"{never_lines} of {total_lines} body lines"
     )
     print(f"src/repro: {src_lines} lines")
