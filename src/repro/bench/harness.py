@@ -10,7 +10,10 @@ breakdown, per-graph loading latencies, preload cost, and MPI-call time.
 The harness runs one mode, the performance mode the figures measure:
 data movement is real, GPU arithmetic is modelled (the trainer's
 ``real_compute=False``), and batches are shape summaries, not decoded
-graphs.  Real-numerics training (Fig 13, the shuffle and conv
+graphs.  The trainer gets the model's shape, not its weights: a
+:class:`~repro.gnn.HydraGNNConfig` whose closed-form parameter count
+prices the modelled allreduce and optimiser step, so no cell builds a
+``HydraGNN``.  Real-numerics training (Fig 13, the shuffle and conv
 ablations) has its own recipe, :func:`repro.bench.sweep.real_trainer`.
 
 Scaled-down sizing: sample counts are reduced (the harness sizes the
@@ -37,7 +40,7 @@ from ..core import (
     ResilienceOptions,
 )
 from ..core.config import _check
-from ..gnn import DistributedModel, HydraGNN, HydraGNNConfig, PhaseTimes, Trainer
+from ..gnn import DistributedModel, HydraGNNConfig, PhaseTimes, Trainer
 from ..graphs.datasets import DATASETS
 from ..hardware import get_machine
 from ..mpi import MPIStats, run_world
@@ -136,10 +139,11 @@ class ExperimentConfig:
                     f"unknown fault plan {self.fault_plan!r}; "
                     f"options: {available_fault_plans()}"
                 )
-        if self.method in ("ddstore", "ddstore-p2p"):
-            # Fail at configuration time, not minutes into the run: an
-            # invalid width/cache setting raises here with the valid options.
-            self.ddstore_config()
+        # Fail at configuration time, not minutes into the run: an invalid
+        # width/cache/prefetch/timeout setting raises here with the valid
+        # options, whichever method the cell names (a cell's method is
+        # swapped with ``with_method``, so a file cell carries them too).
+        self.ddstore_config()
 
     def ddstore_config(self) -> DDStoreConfig:
         """The nested-options DDStore configuration this cell runs with."""
@@ -263,17 +267,16 @@ def _warm_caches(world, root: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_model(cfg: ExperimentConfig, blobs: list[bytes]) -> HydraGNN:
+def _model_config(cfg: ExperimentConfig, blobs: list[bytes]) -> HydraGNNConfig:
     s0 = SampleStats.from_blob(blobs[0])
-    model_cfg = HydraGNNConfig(
+    return HydraGNNConfig(
         feature_dim=s0.feature_dim,
         head_dims=(DATASETS[cfg.dataset].output_dim,),
         hidden_dim=cfg.hidden_dim,
     )
-    return HydraGNN(model_cfg, seed=cfg.seed)
 
 
-def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], model: HydraGNN):
+def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], model_cfg: HydraGNNConfig):
     machine = ctx.world.machine
     vfs = ctx.world.vfs
     root = f"{cfg.dataset}-{cfg.method}"
@@ -336,10 +339,10 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], model: HydraGNN):
     preload_time = ctx.now - t_setup
 
     # -- model + trainer ------------------------------------------------------
-    # The trainer never reads a weight — only ``n_params()`` for the
-    # modelled allreduce volume — so the ranks share one model and run
-    # without an optimizer.
-    dmodel = DistributedModel(model, ctx.comm)
+    # Modelled compute reads the model's shape and parameter count, never
+    # a weight, so the wrapper holds the config alone and there is no
+    # optimizer.
+    dmodel = DistributedModel(None, ctx.comm, config=model_cfg)
     loader = DataLoader(
         dataset,
         ctx,
@@ -426,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         _rank_main,
         cfg,
         blobs,
-        _build_model(cfg, blobs),
+        _model_config(cfg, blobs),
         seed=cfg.seed,
         world=world,
     )

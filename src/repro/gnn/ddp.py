@@ -4,16 +4,20 @@ Mirrors ``torch.nn.parallel.DistributedDataParallel`` at the level the
 paper uses it: after local backward, gradients are summed across ranks
 with an allreduce and divided by the world size, so every rank applies the
 same update (step iv of Fig 1).
+
+A modelled-compute trainer (``real_compute=False``) needs only the
+model's shape: ``DistributedModel(None, comm, config=cfg)`` holds no
+weights and prices the allreduce from the closed-form parameter count.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 import numpy as np
 
 from ..mpi import Comm
-from .model import HydraGNN
+from .model import HydraGNN, HydraGNNConfig
 
 __all__ = ["DistributedModel", "GradPayload"]
 
@@ -38,14 +42,27 @@ class GradPayload:
 
 
 class DistributedModel:
-    """Wraps a model with a communicator for synchronised training."""
+    """Wraps a model with a communicator for synchronised training.
 
-    def __init__(self, model: HydraGNN, comm: Comm) -> None:
+    ``model=None`` with a ``config`` wraps the shape alone: the modelled
+    allreduce and optimiser pricing work, the numerical methods do not.
+    """
+
+    def __init__(
+        self,
+        model: Optional[HydraGNN],
+        comm: Comm,
+        *,
+        config: Optional[HydraGNNConfig] = None,
+    ) -> None:
+        if (model is None) == (config is None):
+            raise ValueError("pass a model, or model=None and its config")
         self.model = model
         self.comm = comm
+        self.config = config if model is None else model.config
         #: Scalar parameter count, taken once: the module tree is fixed for
         #: the model's lifetime and the trainer asks every step.
-        self.n_params = model.n_params()
+        self.n_params = config.n_params if model is None else model.n_params()
 
     @property
     def grad_nbytes(self) -> int:

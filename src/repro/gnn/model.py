@@ -19,6 +19,7 @@ import numpy as np
 
 from ..graphs import GraphBatch
 from .modules import Linear, MeanPool, Module, MLP, ReLU
+from .pna import AGGREGATORS, SCALERS
 
 __all__ = ["HydraGNNConfig", "HydraGNN", "mse_loss"]
 
@@ -42,6 +43,29 @@ class HydraGNNConfig:
                 raise ValueError("head_weights must match head_dims")
             return self.head_weights
         return tuple(1.0 for _ in self.head_dims)
+
+    @property
+    def n_params(self) -> int:
+        """Parameter count from the layer shapes alone, no weights built:
+        ``a*b + b`` per ``Linear(a, b)``, plus one ``eps`` per GIN layer.
+        Equals ``HydraGNN(self).n_params()``."""
+        h = self.hidden_dim
+
+        def linear(a: int, b: int) -> int:
+            return a * b + b
+
+        convs = {
+            "pna": linear(h * (1 + len(AGGREGATORS) * len(SCALERS)), h),
+            "gin": 1 + 2 * linear(h, h),
+            "sage": 2 * linear(h, h),
+        }
+        if self.conv_type not in convs:
+            raise ValueError(f"unknown conv_type {self.conv_type!r}; options: {tuple(convs)}")
+        fc = [h] * max(self.n_fc_layers - 1, 0)
+        heads = sum(
+            linear(a, b) for d in self.head_dims for a, b in zip([h] + fc, fc + [d])
+        )
+        return linear(self.feature_dim, h) + self.n_conv_layers * convs[self.conv_type] + heads
 
 
 class HydraGNN(Module):

@@ -16,7 +16,9 @@ Two compute modes:
   phase breakdowns stay hardware-faithful,
 * ``real_compute=False`` — pure performance mode: data movement is real,
   arithmetic is skipped, the gradient allreduce is charged at full fp32
-  volume.  This is what the scaling experiments run.
+  volume.  This is what the scaling experiments run, and it needs only the
+  model's shape: the harness wraps a config (``DistributedModel(None,
+  comm, config=cfg)``), so a performance cell builds no weights.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ class Trainer:
         real_compute: bool = True,
         epochs: Optional[int] = None,
     ) -> None:
+        if real_compute and dmodel.model is None:
+            raise ValueError("real_compute=True needs a model with weights, not a config alone")
         self.ctx = ctx
         self.dmodel = dmodel
         self.loader = loader
@@ -113,7 +117,7 @@ class Trainer:
         # keeps the per-epoch window.
         self.epochs = epochs
         self.gpu = GpuModel(ctx.world.machine.gpu)
-        cfg = dmodel.model.config
+        cfg = dmodel.config
         self._feature_dim = cfg.feature_dim
         self._output_dim = sum(cfg.head_dims)
         self._hidden = cfg.hidden_dim

@@ -19,6 +19,7 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.harness import METHODS, clear_blob_cache
+from repro.gnn import HydraGNN
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +100,17 @@ def test_write_report_creates_files(tmp_path, monkeypatch, capsys):
     [(dict(hidden_dim=0), ValueError, "hidden_dim")],
     [(dict(n_workers=0), ValueError, "n_workers")],
     [(dict(method="pff", n_nodes=0), ValueError, "n_nodes"),
-     (dict(method="cff", n_nodes=0), ValueError, "n_nodes")],
+     (dict(method="cff", n_nodes=0), ValueError, "n_nodes"),
+     (dict(method="pff", prefetch_depth=0), ValueError, "prefetch_depth"),
+     (dict(method="pff", cache_bytes=-5), ValueError, "cache_bytes"),
+     (dict(method="pff", width=3), ValueError, "width"),
+     (dict(method="cff", timeout_s=-1.0), ValueError, "timeout_s")],
 ], ids=["names", "batch_size", "epochs", "steps_per_epoch", "n_samples", "hidden_dim",
-        "n_workers", "n_nodes"])
+        "n_workers", "file_methods"])
 def test_config_validation(bad):
     # Each is refused at construction, naming the field, not later in the run: a negative
     # ``n_samples`` would slice ``packed_blobs`` from the end, 0 workers would run as one.
+    # A file-method cell validates the DDStore settings too (``with_method`` swaps methods).
     for kwargs, exc, match in bad:
         with pytest.raises(exc, match=match):
             ExperimentConfig(**kwargs)
@@ -125,7 +131,12 @@ def test_packed_blobs_cached_and_deterministic():
 
 
 @pytest.mark.parametrize("method", ["pff", "cff", "ddstore"])
-def test_run_experiment_tiny(method):
+def test_run_experiment_tiny(method, monkeypatch):
+    # Modelled compute prices the model from its shape: no cell builds weights.
+    def no_weights(self, *args, **kwargs):
+        raise AssertionError("a modelled-compute cell built a HydraGNN")
+
+    monkeypatch.setattr(HydraGNN, "__init__", no_weights)
     cfg = ExperimentConfig(
         machine="perlmutter",
         n_nodes=1,

@@ -1,5 +1,7 @@
 """Additional trainer/loader behaviour tests (overlap, eval, reporting)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.core import (
     DDStoreDataset,
     GeneratorSource,
 )
-from repro.gnn import AdamW, DistributedModel, HydraGNN, HydraGNNConfig, Trainer
+from repro.gnn import CONV_TYPES, AdamW, DistributedModel, HydraGNN, HydraGNNConfig, Trainer
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
@@ -204,7 +206,8 @@ def test_trainer_carries_the_window_only_inside_a_known_run_length():
 
 def test_parameter_count_is_taken_once_not_per_step(monkeypatch):
     """The module tree is walked when the DistributedModel is built; a
-    training epoch (grad volume + optimiser pricing, every step) reuses it."""
+    training epoch (grad volume + optimiser pricing, every step) reuses it.
+    A config alone gives the same count in closed form, with no weights."""
     walks = []  # one entry per tree walk: the model walked
     n_params = HydraGNN.n_params
     monkeypatch.setattr(HydraGNN, "n_params", lambda self: walks.append(self) or n_params(self))
@@ -218,3 +221,28 @@ def test_parameter_count_is_taken_once_not_per_step(monkeypatch):
         assert sum(model is dmodel.model for model in walks) == 1  # at construction
         assert dmodel.n_params == n_params(dmodel.model)
         assert dmodel.grad_nbytes == 4 * dmodel.n_params
+        assert dmodel.config.n_params == dmodel.n_params
+
+    for conv_type, head_dims, n_fc in itertools.product(CONV_TYPES, [(1,), (3, 5)], [1, 3]):
+        cfg = HydraGNNConfig(feature_dim=4, head_dims=head_dims, hidden_dim=6, n_conv_layers=2,
+                             n_fc_layers=n_fc, conv_type=conv_type)
+        assert cfg.n_params == n_params(HydraGNN(cfg)), (conv_type, head_dims, n_fc)
+
+    small = HydraGNNConfig(feature_dim=1, head_dims=(1,), hidden_dim=8, n_conv_layers=1)
+
+    def shape_only(ctx, real):
+        src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)
+        store = yield from DDStore.create(ctx.comm, src)
+        dmodel = DistributedModel(None, ctx.comm, config=small)
+        loader = DataLoader(DDStoreDataset(store), ctx, batch_size=4, seed=0)
+        trainer = Trainer(ctx, dmodel, loader, None, real_compute=real)
+        report = yield from trainer.train_epoch(0)
+        return dmodel.n_params, report.n_samples
+
+    walks.clear()
+    assert run_world(TESTBOX, 2, shape_only, False).results[0] == (small.n_params, 4)
+    assert walks == []  # the shape-only run walked no module tree
+    with pytest.raises(ValueError, match="real_compute=True needs a model"):
+        run_world(TESTBOX, 2, shape_only, True)
+    with pytest.raises(ValueError, match="model=None and its config"):
+        DistributedModel(None, None)

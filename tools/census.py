@@ -6,8 +6,9 @@ Usage (no flags; ~3 min on a 2-core host)::
 
 Runs a fixed list of drives — the six examples, ``bench all`` and
 ``ablation all`` at tiny scale, the seven ``trace`` cells,
-``perf/run.py --smoke`` (its child processes included) and ``python -m
-repro dataplane`` — each as a subprocess with a temporary
+``perf/run.py --smoke`` (its child processes included), ``python -m
+repro dataplane`` and the three listing commands (``datasets --samples
+8``, ``list``, ``machines``) — each as a subprocess with a temporary
 ``sitecustomize.py`` first on ``PYTHONPATH``.  That hook installs
 ``sys.setprofile`` / ``threading.setprofile``, records every code object
 entered whose file lies under ``src/repro``, and dumps the set at exit.
@@ -121,6 +122,9 @@ def drives(tmp: str) -> list[list[str]]:
     cmds.append([py, os.path.join(ROOT, "perf", "run.py"), "--smoke",
                  "--out", os.path.join(tmp, "smoke.json")])
     cmds.append([py, "-m", "repro", "dataplane"])
+    cmds.append([py, "-m", "repro", "datasets", "--samples", "8"])
+    cmds.append([py, "-m", "repro", "list"])
+    cmds.append([py, "-m", "repro", "machines"])
     return cmds
 
 
