@@ -10,7 +10,6 @@ from .cells import CELLS, PROFILES, ScaleProfile, cell, current_profile
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    clear_blob_cache,
     packed_blobs,
     run_experiment,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "packed_blobs",
-    "clear_blob_cache",
     "CELLS",
     "cell",
     "PROFILES",

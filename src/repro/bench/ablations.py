@@ -550,7 +550,7 @@ def ablation_resilience(profile: ScaleProfile):
 # ---------------------------------------------------------------------------
 
 
-def ablation_shuffle(profile: ScaleProfile, seed: int = 0):
+def ablation_shuffle(profile: ScaleProfile):
     """Loading cost (modelled) and model quality (real training) of
     global shuffling vs static sharding with local shuffle.
 
@@ -576,8 +576,8 @@ def ablation_shuffle(profile: ScaleProfile, seed: int = 0):
     class SortedGenerator:
         """Molecules reordered by size: shard 0 gets the small ones."""
 
-        def __init__(self, n_samples: int, seed: int) -> None:
-            self._gen = MoleculeGenerator(n_samples, seed=seed)
+        def __init__(self, n_samples: int) -> None:
+            self._gen = MoleculeGenerator(n_samples, seed=0)
             sizes = [self._gen.make(i).n_nodes for i in range(n_samples)]
             self._order = np.argsort(sizes, kind="stable")
             self.n_samples = n_samples
@@ -591,11 +591,11 @@ def ablation_shuffle(profile: ScaleProfile, seed: int = 0):
     def main(ctx, shuffle):
         trainer = yield from real_trainer(
             ctx,
-            SortedGenerator(n, seed),
+            SortedGenerator(n),
             HydraGNNConfig(feature_dim=7, head_dims=(1,), hidden_dim=16, n_conv_layers=2),
             batch_size=8,
             lr=2e-3,
-            seed=seed,
+            seed=0,
             shuffle=shuffle,
             n_train=n_train,
         )
@@ -604,7 +604,7 @@ def ablation_shuffle(profile: ScaleProfile, seed: int = 0):
         return (yield from eval_split(ctx, trainer, n_train, n))
 
     quality = {
-        s: float(run_world(TESTBOX, 2, lambda c, s=s: main(c, s), seed=seed).results[0])
+        s: float(run_world(TESTBOX, 2, lambda c, s=s: main(c, s), seed=0).results[0])
         for s in shuffles
     }
     data["quality_val_mse"] = quality
@@ -731,7 +731,7 @@ def ablation_cache(profile: ScaleProfile):
 # ---------------------------------------------------------------------------
 
 
-def ablation_conv_policy(profile: ScaleProfile, seed: int = 0):
+def ablation_conv_policy(profile: ScaleProfile):
     """Train the same task with each message-passing policy (PNA/GIN/SAGE).
 
     HydraGNN's object-oriented layer design (paper §2.1) is exercised by
@@ -748,14 +748,14 @@ def ablation_conv_policy(profile: ScaleProfile, seed: int = 0):
     def main(ctx, conv_type):
         trainer = yield from real_trainer(
             ctx,
-            IsingGenerator(128, seed=seed),
+            IsingGenerator(128, seed=0),
             HydraGNNConfig(
                 feature_dim=1, head_dims=(1,), hidden_dim=16, n_conv_layers=2,
                 conv_type=conv_type,
             ),
             batch_size=8,
             lr=3e-3,
-            seed=seed,
+            seed=0,
         )
         losses = []
         for epoch in range(epochs):
@@ -763,7 +763,7 @@ def ablation_conv_policy(profile: ScaleProfile, seed: int = 0):
         return dict(first=losses[0], last=losses[-1], params=trainer.dmodel.model.n_params())
 
     data = {
-        conv_type: run_world(TESTBOX, 2, lambda c, ct=conv_type: main(c, ct), seed=seed).results[0]
+        conv_type: run_world(TESTBOX, 2, lambda c, ct=conv_type: main(c, ct), seed=0).results[0]
         for conv_type in CONV_TYPES
     }
     text = render_table(

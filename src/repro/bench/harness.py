@@ -39,7 +39,8 @@ from ..core import (
     ReaderSource,
     ResilienceOptions,
 )
-from ..core.config import _check
+from ..core.config import _check, _check_flag
+from ..core.loader import SHUFFLES
 from ..gnn import DistributedModel, HydraGNNConfig, PhaseTimes, Trainer
 from ..graphs.datasets import DATASETS
 from ..hardware import get_machine
@@ -52,7 +53,6 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "packed_blobs",
-    "clear_blob_cache",
 ]
 
 METHODS = ("pff", "cff", "ddstore", "ddstore-p2p", "nvme")
@@ -76,10 +76,6 @@ def packed_blobs(dataset: str, seed: int, n: int) -> list[bytes]:
         for i in range(len(blobs), n):
             blobs.append(pack_graph(gen.make(i)))
     return blobs[:n]
-
-
-def clear_blob_cache() -> None:
-    _BLOB_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +122,10 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
+        if self.shuffle not in SHUFFLES:
+            raise ValueError(f"shuffle must be one of {SHUFFLES}, got {self.shuffle!r}")
+        for name in ("warm_page_cache", "elastic"):
+            _check_flag(name, getattr(self, name))
         for name in ("n_nodes", "batch_size", "epochs", "steps_per_epoch", "hidden_dim",
                      "n_workers"):
             _check(name, getattr(self, name))
@@ -143,7 +143,14 @@ class ExperimentConfig:
         # width/cache/prefetch/timeout setting raises here with the valid
         # options, whichever method the cell names (a cell's method is
         # swapped with ``with_method``, so a file cell carries them too).
-        self.ddstore_config()
+        dataplane = self.ddstore_config().dataplane
+        if get_machine(self.machine).nvme is None and (
+            self.method == "nvme" or dataplane.cache_options.tier("nvme") is not None
+        ):
+            raise ValueError(
+                f"machine {self.machine!r} has no node-local NVMe "
+                f"(method {self.method!r}, tiers {self.tiers!r})"
+            )
 
     def ddstore_config(self) -> DDStoreConfig:
         """The nested-options DDStore configuration this cell runs with."""
@@ -308,8 +315,6 @@ def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], model_cfg: HydraG
     elif cfg.method == "nvme":
         # Conventional burst-buffer recipe: every node stages the whole
         # dataset from the PFS to its local SSD once, then reads locally.
-        if machine.nvme is None:
-            raise ValueError(f"machine {machine.name!r} has no node-local NVMe")
         shared = ctx.world.__dict__.setdefault("_nvme_readers", {})
         if ctx.rank % machine.gpus_per_node == 0:
             from ..hardware.nvme import NVMeDevice

@@ -109,21 +109,15 @@ def ascii_plot(
     return "\n".join(lines)
 
 
-def ascii_cdf(
-    latencies_by_label: Mapping[str, np.ndarray],
-    *,
-    unit: float = 1e-3,
-    unit_name: str = "ms",
-    **kwargs,
-) -> str:
-    """CDF chart of latency arrays (x in ``unit``, log-x by default)."""
+def ascii_cdf(latencies_by_label: Mapping[str, np.ndarray], **kwargs) -> str:
+    """CDF chart of latency arrays in seconds, drawn in ms (log-x by default)."""
     from .metrics import cdf
 
     series = {}
     for label, lat in latencies_by_label.items():
         xs, fs = cdf(np.asarray(lat), n_points=80)
-        series[label] = (xs / unit, fs)
+        series[label] = (xs / 1e-3, fs)
     kwargs.setdefault("logx", True)
-    kwargs.setdefault("xlabel", unit_name)
+    kwargs.setdefault("xlabel", "ms")
     kwargs.setdefault("ylabel", "CDF")
     return ascii_plot(series, **kwargs)

@@ -25,10 +25,10 @@ def render_table(
     cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
 
-    def line(row, align_left_first=True):
+    def line(row):
         out = []
         for i, cell in enumerate(row):
-            if i == 0 and align_left_first:
+            if i == 0:
                 out.append(cell.ljust(widths[i]))
             else:
                 out.append(cell.rjust(widths[i]))

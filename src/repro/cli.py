@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bench import current_profile, write_report
+from .bench import ScaleProfile, current_profile, write_report
 from .bench.registry import EXPERIMENTS as REGISTRY
 from .bench.registry import Experiment
 from .core.config import _check
@@ -48,11 +48,23 @@ def _resolve(name: str, table: dict[str, Experiment]) -> Optional[str]:
     return None
 
 
+def _profile(args: argparse.Namespace) -> Optional[ScaleProfile]:
+    """The scale profile ``--scale`` (else ``REPRO_BENCH_SCALE``) names,
+    or None once stderr says why there is none (the caller exits 2)."""
+    if getattr(args, "scale", None):
+        os.environ["REPRO_BENCH_SCALE"] = args.scale
+    try:
+        return current_profile()
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+
+
 def _run_experiments(names: list[str], table: dict, args: argparse.Namespace) -> int:
     """The one experiment runner behind ``bench`` and ``ablation``."""
-    if args.scale:
-        os.environ["REPRO_BENCH_SCALE"] = args.scale
-    profile = current_profile()
+    profile = _profile(args)
+    if profile is None:
+        return 2
     if "all" in names:
         resolved = list(table)
     else:
@@ -135,14 +147,15 @@ def _count(text: str) -> int:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
-    text, _data = BENCHES["table1"].driver(current_profile(), sample_n=args.samples)
+    profile = _profile(args)
+    if profile is None:
+        return 2
+    text, _data = BENCHES["table1"].driver(profile, sample_n=args.samples)
     print(text)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.scale:
-        os.environ["REPRO_BENCH_SCALE"] = args.scale
     from .bench.reporting import results_dir
     from .obs import run_traced, trace_json_bytes, validate_chrome_trace
 
@@ -152,7 +165,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for key, (*_cell, desc) in TRACEABLE.items():
             print(f"  {key.ljust(width)}  {desc}", file=sys.stderr)
         return 2
-    profile = current_profile()
+    profile = _profile(args)
+    if profile is None:
+        return 2
     print(
         f"== trace {args.name}: {TRACEABLE[args.name][-1]} "
         f"(scale profile: {profile.name}) =="

@@ -185,15 +185,6 @@ class ElasticWidthController:
             self._log(signals, self.width, "hold", "healthy")
         return None
 
-    @property
-    def converged(self) -> bool:
-        """True once no move is pending and the last decision held."""
-        return (
-            self._moved_from is None
-            and bool(self.decisions)
-            and self.decisions[-1].action in ("hold", "keep")
-        )
-
     def trajectory(self) -> list[int]:
         """Width in force *after* each observed epoch (bench reporting).
 

@@ -38,6 +38,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 __all__ = [
     "TierSpec",
     "CacheOptions",
@@ -85,6 +87,14 @@ def _check(field: str, value, least: Optional[int] = 1) -> None:
         raise TypeError(f"{field} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{field} must be >= {least}, got {value}")
+
+
+def _check_flag(field: str, value) -> None:
+    """The one on/off check: ``value`` must be a ``bool`` (NumPy's
+    ``bool_`` too, as :func:`_check` takes NumPy integers).  A string is
+    refused: ``"no"`` is truthy and would switch the option on."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{field} must be True or False, got {value!r}")
 
 
 def _parse_size(text: str) -> int:
@@ -274,6 +284,8 @@ class DataPlaneOptions:
             raise ValueError(
                 f"unknown framework {self.framework!r}; options: {FRAMEWORKS}"
             )
+        for name in ("coalesce", "scheduler", "columnar", "node_fetch"):
+            _check_flag(name, getattr(self, name))
         _check("prefetch_depth", self.prefetch_depth)
         _check("cache_bytes", self.cache_bytes, 0)
         if self.cache is not None:
@@ -345,6 +357,7 @@ class ResilienceOptions:
             _check("timeout_s", self.timeout_s, None)
         # >= 1: the final attempt runs without a timeout.
         _check("max_retries", self.max_retries)
+        _check_flag("failover", self.failover)
 
     @property
     def enabled(self) -> bool:

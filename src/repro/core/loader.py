@@ -46,7 +46,12 @@ __all__ = [
     "BatchStats",
     "LoadedBatch",
     "DataLoader",
+    "SHUFFLES",
 ]
+
+#: The ``shuffle=`` names a :class:`DataLoader` takes; ``ExperimentConfig``
+#: refuses any other at construction.
+SHUFFLES = ("global", "local", "sampled")
 
 
 @dataclass(frozen=True)
@@ -285,10 +290,8 @@ class DataLoader:
         seed: int = 0,
         steps_per_epoch: Optional[int] = None,
     ) -> None:
-        if shuffle not in ("global", "local", "sampled"):
-            raise ValueError(
-                f"shuffle must be 'global', 'local', or 'sampled', got {shuffle!r}"
-            )
+        if shuffle not in SHUFFLES:
+            raise ValueError(f"shuffle must be one of {SHUFFLES}, got {shuffle!r}")
         _check("batch_size", batch_size)
         if steps_per_epoch is not None:
             _check("steps_per_epoch", steps_per_epoch)
@@ -296,11 +299,9 @@ class DataLoader:
         self.ctx = ctx
         self.batch_size = batch_size
         self.steps_per_epoch = steps_per_epoch
-        self._sampler_cls = {
-            "global": GlobalShuffleSampler,
-            "local": LocalShuffleSampler,
-            "sampled": SampledShuffleSampler,
-        }[shuffle]
+        self._sampler_cls = dict(
+            zip(SHUFFLES, (GlobalShuffleSampler, LocalShuffleSampler, SampledShuffleSampler))
+        )[shuffle]
         self._seed = seed
         self.sampler = self._sampler_cls(
             dataset.n_samples, ctx.size, ctx.rank, seed=seed
@@ -317,10 +318,6 @@ class DataLoader:
         """The store's hot-sample cache (``None`` without a store)."""
         store = getattr(self.dataset, "store", None)
         return store.cache if store is not None else None
-
-    def n_steps(self) -> int:
-        full = self.sampler.per_rank // self.batch_size
-        return min(full, self.steps_per_epoch) if self.steps_per_epoch else full
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
         return self._batches(self.sampler, epoch)

@@ -94,10 +94,6 @@ class LocalShuffleSampler:
         self._lo, self._hi = int(bounds[rank]), int(bounds[rank + 1])
         self.per_rank = n_samples // n_ranks  # equalised with tail drop
 
-    @property
-    def shard_range(self) -> tuple[int, int]:
-        return self._lo, self._hi
-
     def epoch_indices(self, epoch: int) -> np.ndarray:
         shard = np.arange(self._lo, self._hi, dtype=np.int64)
         order = stream("local-shuffle", self.seed, self.rank, epoch).permutation(
@@ -112,33 +108,24 @@ class SampledShuffleSampler:
     Each epoch draws a fresh hotness permutation shared by every rank
     (``stream("sampled-hotness", seed, epoch)``), then each rank maps
     its own uniform stream through a power transform
-    ``id = hot[floor(n * u**skew)]`` — ``skew`` > 1 concentrates mass on
-    the epoch's hot ids, mimicking hub-vertex reuse in sampling-based
-    GNN workloads.  ``skew=1`` degenerates to uniform sampling with
-    replacement.
+    ``id = hot[floor(n * u**SKEW)]`` — a power above 1 concentrates mass
+    on the epoch's hot ids, mimicking hub-vertex reuse in sampling-based
+    GNN workloads.
     """
 
-    def __init__(
-        self,
-        n_samples: int,
-        n_ranks: int,
-        rank: int,
-        seed: int = 0,
-        skew: float = 4.0,
-    ) -> None:
+    SKEW = 4.0
+
+    def __init__(self, n_samples: int, n_ranks: int, rank: int, seed: int = 0) -> None:
         if not 0 <= rank < n_ranks:
             raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
         if n_samples < n_ranks:
             raise ValueError(
                 f"cannot shard {n_samples} samples over {n_ranks} ranks"
             )
-        if skew <= 0:
-            raise ValueError(f"skew must be positive, got {skew}")
         self.n_samples = n_samples
         self.n_ranks = n_ranks
         self.rank = rank
         self.seed = seed
-        self.skew = skew
         self.per_rank = n_samples // n_ranks  # equalised with other samplers
 
     def epoch_indices(self, epoch: int) -> np.ndarray:
@@ -147,7 +134,7 @@ class SampledShuffleSampler:
             self.per_rank
         )
         pos = np.minimum(
-            (u**self.skew * self.n_samples).astype(np.int64), self.n_samples - 1
+            (u**self.SKEW * self.n_samples).astype(np.int64), self.n_samples - 1
         )
         return hot[pos]
 

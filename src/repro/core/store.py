@@ -775,20 +775,16 @@ class _StoreSource:
         self.n_samples = store.n_samples
         self.n_workers = max(1, int(n_workers))
 
-    def load_chunk(self, indices, node_index: int, engine) -> Generator:
-        indices = list(indices)
+    def load_chunk(self, indices: range, node_index: int, engine) -> Generator:
+        """``indices`` is the new chunk's ``range(lo, hi)`` (what
+        :meth:`DDStore.create` hands every source)."""
         store = self.store
-        # An empty chunk is trivially contiguous: it must not fall into the
-        # per-sample path (which would pay a get_samples round for nothing)
-        # — the bulk path below yields the same empty PreloadResult free.
-        contiguous = not indices or indices == list(
-            range(indices[0], indices[-1] + 1)
-        )
+        # An empty chunk pays no get_samples round, on either path.
         if not indices:
             return PreloadResult.of_pieces([], np.zeros(0, dtype=np.int64))
-        if not contiguous or not store.transport.supports_coalescing:
+        if not store.transport.supports_coalescing:
             blobs = yield from store.get_samples(
-                indices, decode="raw", n_workers=self.n_workers
+                list(indices), decode="raw", n_workers=self.n_workers
             )
             # b.size (elements == bytes for uint8) keeps zero-size samples
             # in the size table — they occupy registry slots even though
@@ -796,7 +792,7 @@ class _StoreSource:
             sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
             return PreloadResult.of_pieces(blobs, sizes)
 
-        lo, hi = indices[0], indices[-1] + 1
+        lo, hi = indices.start, indices.stop
         reg, bounds = store.registry, store.layout.bounds
         # One byte span per overlapped old chunk: ``[lo, hi)`` cut at the
         # old chunk boundaries that fall strictly inside it.

@@ -115,7 +115,7 @@ class SampleCache:
     """One tier's pool of packed sample payloads under a byte budget.
 
     The inserts take an optional ``victims`` list: every entry the byte
-    budget forces out (not pop/refresh/clear) is appended to it as
+    budget forces out (not pop/refresh) is appended to it as
     ``(key, payload, is_column)``, so the owning hierarchy demotes them
     itself and the pool never holds a reference back to its owner.
     """
@@ -344,18 +344,6 @@ class SampleCache:
             stats.insertions += 1
         return True
 
-    def clear(self) -> None:
-        """Drop every entry, counting them as evictions so the stats
-        invariant ``insertions - evictions == len(cache)`` survives."""
-        for entry in self._entries.values():
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += int(entry.nbytes)
-        self._entries.clear()
-        self._column_keys.clear()
-        self.used_bytes = 0
-        self._future = {}
-        self._clock = 0
-
 
 class TieredCache:
     """GPU-pinned → DRAM → NVMe cache hierarchy (PFS is the miss path).
@@ -455,10 +443,6 @@ class TieredCache:
         ends at DRAM cuts waves by depth alone."""
         return self.fast_capacity_bytes if self.nvme is not None else None
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(pool.used_bytes for _, pool in self._fast)
-
     def __len__(self) -> int:
         return sum(len(pool) for _, pool in self._fast)
 
@@ -514,12 +498,6 @@ class TieredCache:
         if dropped:
             self.tier_stats["dram"].dropped += dropped
         return admitted
-
-    def clear(self) -> None:
-        """Drop the per-rank tiers.  The node-shared NVMe tier survives —
-        staged shards were paid for at preload and stay valid."""
-        for _, pool in self._fast:
-            pool.clear()
 
     # -- demand path ---------------------------------------------------------
     def fast_get(

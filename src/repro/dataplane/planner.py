@@ -135,10 +135,6 @@ class FetchPlan:
         return len(self.reads)
 
     @property
-    def targets(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.reads[:, 0]).tolist())
-
-    @property
     def total_bytes(self) -> int:
         """Bytes actually moved over the wire (deduplicated)."""
         return int(self.reads[:, 2].sum())

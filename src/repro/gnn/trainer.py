@@ -58,10 +58,6 @@ class PhaseTimes:
             raise KeyError(f"unknown phase {phase!r}")
         self.seconds[phase] += dt
 
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
     def merged(self, other: "PhaseTimes") -> "PhaseTimes":
         out = PhaseTimes()
         for k in out.seconds:
@@ -322,8 +318,9 @@ class Trainer:
         n = yield from self._sched.drain()
         return n
 
-    def evaluate(self, indices: np.ndarray, batch_size: Optional[int] = None) -> Generator:
-        """Forward-only loss over ``indices`` (no parameter updates).
+    def evaluate(self, indices: np.ndarray) -> Generator:
+        """Forward-only loss over ``indices`` (no parameter updates), in
+        chunks of the loader's batch size.
 
         Runs the same prefetch pipeline as :meth:`train_epoch`: chunk
         ``k+1`` loads while chunk ``k`` runs its forward pass, so eval
@@ -336,7 +333,7 @@ class Trainer:
         # rewound and refills when training resumes.
         yield from self.drain_pipeline()
         engine = self.ctx.engine
-        bs = batch_size or self.loader.batch_size
+        bs = self.loader.batch_size
         chunks = [
             np.asarray(indices[lo : lo + bs])
             for lo in range(0, len(indices), bs)

@@ -147,10 +147,6 @@ class BatchArena:
         self._backing("edge_index", 4 * 2 * n_edges)
         self._backing("y", 4 * n_graphs * output_dim)
 
-    @property
-    def nbytes(self) -> int:
-        return sum(s.nbytes for s in self._stores.values())
-
     def reset(
         self,
         node_counts: np.ndarray,

@@ -127,10 +127,6 @@ class AtomicGraph:
             and self.sample_id == other.sample_id
         )
 
-    def degree(self) -> np.ndarray:
-        """In-degree of every node (message-passing fan-in)."""
-        return np.bincount(self.edge_index[1], minlength=self.n_nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"AtomicGraph(id={self.sample_id}, nodes={self.n_nodes}, "

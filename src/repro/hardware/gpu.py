@@ -11,6 +11,7 @@ sustained throughput of the GPU, plus kernel-launch overheads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .topology import GpuSpec
 
@@ -49,17 +50,17 @@ class GnnWorkload:
     hidden_dim: int = 200
     n_conv_layers: int = 6
     n_fc_layers: int = 3
-    n_aggregators: int = 4  # PNA: mean/min/max/std
-    n_scalers: int = 3  # PNA: identity/amplification/attenuation
+    N_AGGREGATORS: ClassVar[int] = 4  # PNA: mean/min/max/std
+    N_SCALERS: ClassVar[int] = 3  # PNA: identity/amplification/attenuation
 
     def forward_flops(self) -> float:
         """FLOPs of one forward pass over the batch."""
         h = self.hidden_dim
         # Message construction + aggregation touch every edge per layer,
         # once per aggregator; the post-aggregation dense mix is
-        # (n_aggregators * n_scalers * h) -> h per node.
-        edge_work = 2.0 * self.n_edges * h * self.n_aggregators
-        node_mix = 2.0 * self.n_nodes * (self.n_aggregators * self.n_scalers * h) * h
+        # (N_AGGREGATORS * N_SCALERS * h) -> h per node.
+        edge_work = 2.0 * self.n_edges * h * self.N_AGGREGATORS
+        node_mix = 2.0 * self.n_nodes * (self.N_AGGREGATORS * self.N_SCALERS * h) * h
         embed = 2.0 * self.n_nodes * self.node_feature_dim * h
         conv = embed + self.n_conv_layers * (edge_work + node_mix)
         fc_hidden = 2.0 * self.n_graphs * h * h * max(0, self.n_fc_layers - 1)
@@ -73,7 +74,7 @@ class GnnWorkload:
     def n_kernels(self) -> int:
         # One launch per aggregator per conv layer plus dense/activation
         # kernels; a coarse but stable count for launch-overhead costing.
-        return self.n_conv_layers * (self.n_aggregators + 4) + self.n_fc_layers * 2 + 4
+        return self.n_conv_layers * (self.N_AGGREGATORS + 4) + self.n_fc_layers * 2 + 4
 
     def batch_bytes(self) -> int:
         """Host-to-device transfer volume of the collated batch (fp32)."""

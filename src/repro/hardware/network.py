@@ -62,14 +62,6 @@ class RmaBatchTiming:
     issues: np.ndarray
     completions: np.ndarray
 
-    @property
-    def latencies(self) -> np.ndarray:
-        return self.completions - self.issues
-
-    @property
-    def finish(self) -> float:
-        return float(self.completions.max()) if self.completions.size else 0.0
-
 
 class Interconnect:
     def __init__(self, cluster: Cluster, jitter_sigma: float = 0.18, seed: int = 0) -> None:

@@ -83,19 +83,9 @@ class PageCache:
         self.hits, self.misses = hits, misses
         return added
 
-    def contains(self, file_id: int, offset: int, nbytes: int) -> bool:
-        first = offset // self.block_bytes
-        last = (offset + max(nbytes, 1) - 1) // self.block_bytes
-        return all((file_id, b) in self._lru for b in range(first, last + 1))
-
     def clear(self) -> None:
         """Evict every block (the hit/miss counters are kept)."""
         self._lru.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class ParallelFileSystem:

@@ -78,9 +78,6 @@ class MachineSpec:
     def node_of_rank(self, rank: int) -> int:
         return rank // self.gpus_per_node
 
-    def ranks_per_node(self) -> int:
-        return self.gpus_per_node
-
 
 @dataclass
 class Node:

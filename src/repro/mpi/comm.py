@@ -63,10 +63,6 @@ class MPIStats:
         self.count_by_call[call] += 1
         self.bytes_by_call[call] += nbytes
 
-    @property
-    def total_time(self) -> float:
-        return sum(self.time_by_call.values())
-
     def merged(self, other: "MPIStats") -> "MPIStats":
         out = MPIStats()
         for src in (self, other):
@@ -112,7 +108,6 @@ class World:
     def attach_observer(self, observer) -> None:
         """Wire an :class:`repro.obs.Observer` through every instrumented
         layer of this world (MPI, RMA, data plane, store, trainer)."""
-        observer.bind(self.engine)
         self.obs = observer
 
     def comm_handle(self, rank: int) -> "Comm":
@@ -382,10 +377,6 @@ class Comm:
         return self._c.size
 
     @property
-    def name(self) -> str:
-        return self._c.name
-
-    @property
     def communicator(self) -> Communicator:
         return self._c
 
@@ -400,9 +391,6 @@ class Comm:
     @property
     def stats(self) -> MPIStats:
         return self._c.stats(self.rank)
-
-    def node_index(self) -> int:
-        return self._c.world.machine.node_of_rank(self.world_rank)
 
     # -- point to point --------------------------------------------------------
     def isend(self, data: Any, dest: int, tag: int = 0) -> Event:

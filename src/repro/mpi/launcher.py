@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from ..hardware import GpuModel, MachineSpec
+from ..hardware import MachineSpec
 from ..sim import Engine
 from .comm import Comm, MPIStats, World
 
@@ -44,10 +44,6 @@ class RankContext:
     @property
     def node_index(self) -> int:
         return self.world.machine.node_of_rank(self.rank)
-
-    @property
-    def gpu(self) -> GpuModel:
-        return GpuModel(self.world.machine.gpu)
 
 
 @dataclass

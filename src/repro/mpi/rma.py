@@ -61,9 +61,6 @@ class Window:
             for r in range(communicator.size)
         ]
 
-    def buffer_size(self, rank: int) -> int:
-        return int(self.buffers[rank].size)
-
 
 class WinHandle:
     """Per-rank handle on a window (tracks this rank's lock epochs)."""

@@ -7,8 +7,8 @@ sim → mpi → dataplane → store → trainer → bench:
 * :class:`MetricsRegistry` — labelled counters/gauges/histograms; the
   canonical owner of fetch, cache, retry, trainer, and fault counters
   (:class:`~repro.core.store.FetchStats` remains the rank-local view),
-* :class:`SpanCollector` — span tracing against the virtual clock with
-  Chrome/Perfetto trace-event JSON export
+* :class:`SpanCollector` — the virtual-time spans each layer measured,
+  with Chrome/Perfetto trace-event JSON export
   (:func:`validate_chrome_trace` checks the shape),
 * :func:`analyze` — the critical-path analyzer: attributes each epoch's
   virtual time to trainer stages and asserts the attribution sums to the

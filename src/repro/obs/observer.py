@@ -5,7 +5,9 @@ optional :class:`~.tracing.SpanCollector`.  It is attached to a simulated
 world with ``world.attach_observer(obs)``; every instrumented layer
 (``mpi.comm``, ``mpi.rma``, ``dataplane``, ``core.store``,
 ``gnn.trainer``) reaches it through ``world.obs`` and publishes metrics
-deltas and spans into it.
+deltas and spans into it.  A span arrives already timed on the world's
+virtual clock, so the observer holds no clock and attaching it binds
+nothing.
 
 The default is :data:`NULL_OBSERVER`: tracing off, a disabled metrics
 registry, no tracer.  Every publisher guards on ``obs.tracing`` /
@@ -27,8 +29,8 @@ __all__ = ["Observer", "NULL_OBSERVER"]
 class Observer:
     """A live observability session: metrics always, tracing when
     ``trace`` (spans capped at :class:`SpanCollector`'s default
-    ``max_events``).  The tracer reads the virtual clock of the world
-    it is attached to (:meth:`bind`)."""
+    ``max_events``).  The tracer reads no clock: each layer records
+    spans it has already timed on its world's virtual clock."""
 
     enabled = True
 
@@ -39,11 +41,6 @@ class Observer:
     @property
     def tracing(self) -> bool:
         return self.tracer is not None
-
-    def bind(self, engine) -> None:
-        """Point the tracer at the world's virtual clock."""
-        if self.tracer is not None:
-            self.tracer.bind(engine)
 
 
 class _NullObserver:

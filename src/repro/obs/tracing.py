@@ -1,7 +1,9 @@
-"""Span-based tracing against the virtual clock, with Chrome export.
+"""Span tracing in virtual time, with Chrome export.
 
-A :class:`SpanCollector` records :class:`SpanRecord` intervals (and
-instant marks) in virtual time.  Records carry
+A :class:`SpanCollector` keeps :class:`SpanRecord` intervals that the
+instrumented layers have already measured on the virtual clock (each
+passes ``start=``/``end=`` to :meth:`SpanCollector.record`; the
+collector reads no clock).  Records carry
 
 * ``name`` — what happened (``mpi.MPI_Allreduce``, ``store.fetch``,
   ``gpu_forward``, ...),
@@ -27,9 +29,8 @@ so the export is bit-identical across reruns of the same experiment.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "SpanRecord",
@@ -59,26 +60,13 @@ class SpanRecord:
 
 
 class SpanCollector:
-    """Collects spans and marks; bounded, deterministic, export-ready."""
+    """Collects measured spans; bounded, deterministic, export-ready."""
 
     def __init__(self, max_events: int = 1_000_000) -> None:
-        self.engine = None
         self.max_events = max_events
         self.spans: list[SpanRecord] = []
-        self.marks: list[tuple[float, str, int]] = []  # (time, label, track)
         self.dropped = 0
 
-    def bind(self, engine) -> None:
-        """Attach the virtual clock (done by ``World.attach_observer``)."""
-        self.engine = engine
-
-    @property
-    def now(self) -> float:
-        if self.engine is None:
-            raise RuntimeError("SpanCollector is not bound to an engine yet")
-        return self.engine.now
-
-    # -- recording --------------------------------------------------------
     def record(
         self,
         name: str,
@@ -106,48 +94,13 @@ class SpanCollector:
             )
         )
 
-    @contextmanager
-    def span(
-        self, name: str, *, cat: str = "", track: int = 0, lane: int = 0, **args: Any
-    ) -> Iterator[None]:
-        """Record the virtual-time extent of a ``with`` block.
-
-        In coroutine code the block must contain the ``yield``ing calls
-        for the span to have extent (pure-CPU work is free by
-        construction).
-        """
-        start = self.now
-        try:
-            yield
-        finally:
-            self.record(
-                name, cat=cat, track=track, start=start, end=self.now, lane=lane, **args
-            )
-
-    def mark(self, label: str, track: int = 0) -> None:
-        if len(self.marks) >= self.max_events:
-            self.dropped += 1
-            return
-        self.marks.append((self.now, label, track))
-
-    # -- queries ----------------------------------------------------------
-    def total(self, name: str) -> float:
-        return sum(s.duration for s in self.spans if s.name == name)
-
-    def tracks(self) -> list[int]:
-        return sorted({s.track for s in self.spans})
-
-    # -- export -----------------------------------------------------------
     def to_chrome(self) -> dict:
         """The Chrome/Perfetto trace-event JSON object."""
-        events = chrome_trace_events(self.spans, self.marks)
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return {"traceEvents": chrome_trace_events(self.spans), "displayTimeUnit": "ms"}
 
 
-def chrome_trace_events(
-    spans: Sequence[SpanRecord], marks: Sequence[tuple] = ()
-) -> list[dict]:
-    """Chrome trace events (``ph: X``/``i`` + lane metadata) for spans."""
+def chrome_trace_events(spans: Sequence[SpanRecord]) -> list[dict]:
+    """Chrome trace events (``ph: X`` + lane metadata) for spans."""
     events: list[dict] = []
     lanes = sorted({s.lane for s in spans}) or [0]
     for lane in lanes:
@@ -173,10 +126,6 @@ def chrome_trace_events(
         if s.args:
             entry["args"] = dict(s.args)
         events.append(entry)
-    for mark in marks:
-        t, label = mark[0], mark[1]
-        track = mark[2] if len(mark) > 2 else 0
-        events.append(dict(name=label, ph="i", ts=t * 1e6, pid=0, tid=track, s="t"))
     return events
 
 

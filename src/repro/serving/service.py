@@ -78,20 +78,6 @@ class TenantSession:
         self.lane = lane
         self.service = service
 
-    # -- inspection -----------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self.store.closed
-
-    @property
-    def stats(self):
-        """This session's private :class:`~repro.core.FetchStats`."""
-        return self.store.stats
-
-    @property
-    def cache(self):
-        return self.store.cache
-
     # -- the fetch surface (thin delegation; the view does the work) ----
     def get_samples(self, indices: Sequence[int], decode: bool = True, n_workers: int = 1) -> Generator:
         return (yield from self.store.get_samples(indices, decode=decode, n_workers=n_workers))
@@ -114,7 +100,7 @@ class TenantSession:
         self.store.close()
 
     def __enter__(self) -> "TenantSession":
-        if self.closed:
+        if self.store.closed:
             from ..core.store import StoreClosedError
 
             raise StoreClosedError("cannot enter a closed TenantSession")
@@ -124,7 +110,7 @@ class TenantSession:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.closed else "open"
+        state = "closed" if self.store.closed else "open"
         return f"TenantSession({self.name!r}, qos={self.qos!r}, {state})"
 
 
@@ -186,13 +172,6 @@ class StoreService:
             self._count("session_closed", session.name, session.qos)
 
     # -- the public surface ---------------------------------------------
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(self._sessions)
-
-    def session(self, tenant: str) -> TenantSession:
-        return self._sessions[tenant]
-
     def connect(
         self,
         tenant: Optional[str] = None,

@@ -79,10 +79,6 @@ class Event:
         return self._value
 
     @property
-    def ok(self) -> bool:
-        return self.triggered and self._exc is None
-
-    @property
     def processed(self) -> bool:
         """True once callbacks have run (i.e. waiters were resumed)."""
         return self.callbacks is None
@@ -354,7 +350,3 @@ class Engine:
             self._crashed.clear()
             assert proc._exc is not None
             raise proc._exc
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")

@@ -182,10 +182,6 @@ class NVMeShardStore:
         self.used_bytes -= nbytes
         self.device.release(nbytes)
 
-    def clear(self) -> None:
-        for key in list(self._entries):
-            self.discard(key)
-
 
 def stage_to_nvme(
     reader: CFFReader,

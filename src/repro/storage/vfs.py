@@ -93,11 +93,6 @@ class VirtualFS:
         except KeyError:
             raise FileNotFound(path) from None
 
-    def unlink(self, path: str) -> None:
-        if path not in self._files:
-            raise FileNotFound(path)
-        del self._files[path]
-
     # -- writing (dataset preparation; timed coarsely) -------------------------
     def create(
         self,

@@ -18,7 +18,8 @@ from repro.bench import (
     speedup_table,
     write_report,
 )
-from repro.bench.harness import METHODS, clear_blob_cache
+from repro.bench import harness
+from repro.bench.harness import METHODS
 from repro.gnn import HydraGNN
 
 
@@ -105,15 +106,24 @@ def test_write_report_creates_files(tmp_path, monkeypatch, capsys):
      (dict(method="pff", cache_bytes=-5), ValueError, "cache_bytes"),
      (dict(method="pff", width=3), ValueError, "width"),
      (dict(method="cff", timeout_s=-1.0), ValueError, "timeout_s")],
+    [(dict(shuffle="bogus"), ValueError, "shuffle")],
+    [(dict(method="nvme"), ValueError, "NVMe"),
+     (dict(tiers="dram:1m+nvme:16m"), ValueError, "NVMe")],
+    [(dict(warm_page_cache="yes"), TypeError, "warm_page_cache"),
+     (dict(elastic=1), TypeError, "elastic"),
+     (dict(coalesce="no"), TypeError, "coalesce"),
+     (dict(failover="no", timeout_s=1e-3), TypeError, "failover")],
 ], ids=["names", "batch_size", "epochs", "steps_per_epoch", "n_samples", "hidden_dim",
-        "n_workers", "file_methods"])
+        "n_workers", "file_methods", "shuffle", "nvme", "flags"])
 def test_config_validation(bad):
     # Each is refused at construction, naming the field, not later in the run: a negative
-    # ``n_samples`` would slice ``packed_blobs`` from the end, 0 workers would run as one.
+    # ``n_samples`` would slice ``packed_blobs`` from the end, 0 workers would run as one,
+    # NVMe on a machine without it would fail after the blobs and the world are built.
     # A file-method cell validates the DDStore settings too (``with_method`` swaps methods).
     for kwargs, exc, match in bad:
         with pytest.raises(exc, match=match):
             ExperimentConfig(**kwargs)
+    assert ExperimentConfig(machine="summit", method="nvme", elastic=np.False_).method == "nvme"
     cfg = ExperimentConfig(machine="perlmutter", n_nodes=2, batch_size=4, steps_per_epoch=3)
     assert cfg.n_ranks == 8
     assert cfg.resolved_samples() == 8 * 4 * 3
@@ -121,8 +131,8 @@ def test_config_validation(bad):
     assert set(METHODS) == {"pff", "cff", "ddstore", "ddstore-p2p", "nvme"}
 
 
-def test_packed_blobs_cached_and_deterministic():
-    clear_blob_cache()
+def test_packed_blobs_cached_and_deterministic(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOB_CACHE", {})
     a = packed_blobs("ising", 0, 4)
     b = packed_blobs("ising", 0, 8)
     assert b[:4] == a  # prefix stability: growing the cache keeps old blobs

@@ -66,13 +66,12 @@ def test_logical_scale_targets_paper_bytes():
 
 
 def test_nvme_method_requires_hardware():
-    # Perlmutter has no node-local NVMe in our model.
-    cfg = ExperimentConfig(
-        machine="perlmutter", n_nodes=1, dataset="ising", method="nvme",
-        batch_size=2, steps_per_epoch=1,
-    )
+    # Perlmutter has no node-local NVMe in our model: refused at construction.
     with pytest.raises(ValueError, match="no node-local NVMe"):
-        run_experiment(cfg)
+        ExperimentConfig(
+            machine="perlmutter", n_nodes=1, dataset="ising", method="nvme",
+            batch_size=2, steps_per_epoch=1,
+        )
 
 
 def test_nvme_method_works_on_summit():

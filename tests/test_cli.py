@@ -146,6 +146,15 @@ def test_ablation_short_names_resolve(capsys):
     assert "ablation-serving" in err  # listed as available
 
 
+def test_bad_scale_name_exits_2(monkeypatch, capsys):
+    # Every command that reads the scale profile says what is wrong, as an
+    # unknown experiment name does, instead of a KeyError traceback.
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "bogus")
+    for argv in (["bench", "table1"], ["ablation", "shuffle"], ["trace", "fig5"], ["datasets"]):
+        assert main(argv) == 2, argv
+        assert "REPRO_BENCH_SCALE must be one of" in capsys.readouterr().err
+
+
 def test_run_command_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "table1"])

@@ -231,7 +231,8 @@ def test_arena_pool_reuse_and_warm():
     pool.warm(3, n_graphs=4, n_nodes=100, n_edges=300, feature_dim=3, output_dim=2)
     assert pool.created == 3
     warmed = pool.acquire()
-    assert warmed.nbytes >= 4 * (100 * 3 + 100 * 3 + 2 * 300) + 4 * 4 * 2
+    warmed_bytes = sum(s.nbytes for s in warmed._stores.values())
+    assert warmed_bytes >= 4 * (100 * 3 + 100 * 3 + 2 * 300) + 4 * 4 * 2
 
 
 def test_plan_arena_segment_bookkeeping():

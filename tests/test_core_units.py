@@ -373,7 +373,7 @@ def test_global_shuffle_tail_dropped():
 
 def test_local_shuffle_stays_in_shard():
     s = LocalShuffleSampler(100, 4, 2, seed=0)
-    lo, hi = s.shard_range
+    lo, hi = balanced_partition(100, 4)[2:4]
     idx = s.epoch_indices(5)
     assert idx.min() >= lo and idx.max() < hi
 

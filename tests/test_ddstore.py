@@ -403,7 +403,6 @@ def test_dataloader_steps_per_epoch_cap():
         loader = DataLoader(
             DDStoreDataset(store), ctx, batch_size=2, steps_per_epoch=1
         )
-        assert loader.n_steps() == 1
         return len(loader.epoch_batches(0))
         yield  # pragma: no cover
 

@@ -297,7 +297,7 @@ def test_leaked_grants_are_loud_at_close_and_shutdown():
             yield from service.store.shutdown()
         with pytest.raises(RuntimeError) as at_close:
             service.close()
-        return str(at_close.value), str(at_shutdown.value), other, a.closed
+        return str(at_close.value), str(at_shutdown.value), other, a.store.closed
 
     for at_close, at_shutdown, other, closed in run_world(TESTBOX, 2, main).results:
         # Names tenant, class and target; the sessions are closed regardless.
@@ -322,7 +322,7 @@ def test_queue_spans_tile_the_queue_stage_of_split_fetches():
         ]
         yield ctx.engine.all_of(procs)
         return {
-            s.name: (s.lane.queue_seconds, s.stats.stage_seconds.get("queue", 0.0))
+            s.name: (s.lane.queue_seconds, s.store.stats.stage_seconds.get("queue", 0.0))
             for s in sessions
         }
 
@@ -377,9 +377,9 @@ def _replay():
         yield ctx.engine.all_of(procs)
         return _bytes_ok(out), {
             s.name: (
-                s.stats.counters(),
-                dict(s.stats.stage_seconds),
-                s.stats.latency_array().tolist(),
+                s.store.stats.counters(),
+                dict(s.store.stats.stage_seconds),
+                s.store.stats.latency_array().tolist(),
                 s.lane.queue_seconds,
             )
             for s in sessions

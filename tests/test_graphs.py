@@ -81,11 +81,6 @@ def test_graph_validation_feature_mismatch():
         )
 
 
-def test_graph_degree():
-    g = _tiny_graph()
-    assert np.array_equal(g.degree(), np.ones(4, dtype=np.int64))
-
-
 def test_graph_allclose_detects_difference():
     a, b = _tiny_graph(), _tiny_graph()
     assert a.allclose(b)

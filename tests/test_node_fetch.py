@@ -331,7 +331,7 @@ def test_node_fetch_tenant_byte_isolation():
         ]
         yield ctx.engine.all_of(procs)
         return {
-            t: (out[t], sessions[t].stats.counters()) for t in tenants
+            t: (out[t], sessions[t].store.stats.counters()) for t in tenants
         }
 
     both = run(lambda c: main(c, ("a", "b")))

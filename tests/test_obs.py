@@ -127,39 +127,20 @@ def test_trainer_epoch_runs_on_the_null_observer():
 def test_span_collector_measures_virtual_time():
     eng = Engine()
     col = SpanCollector()
-    col.bind(eng)
 
     def proc():
-        with col.span("load", cat="store", track=2, lane=1, n=4):
-            yield eng.timeout(0.5)
+        yield eng.timeout(1.0)
+        start = eng.now
+        yield eng.timeout(0.5)
+        col.record("load", cat="store", track=2, start=start, end=eng.now, lane=1, n=4)
 
     eng.process(proc())
     eng.run()
     (s,) = col.spans
+    assert (s.start, s.end) == (1.0, 1.5)
     assert s.duration == pytest.approx(0.5)
     assert (s.track, s.lane, s.cat) == (2, 1, "store")
     assert dict(s.args) == {"n": 4}
-
-
-def test_span_collector_marks_export_as_instants():
-    eng = Engine()
-    col = SpanCollector()
-    col.bind(eng)
-
-    def proc():
-        for _ in range(3):
-            with col.span("load", track=1):
-                yield eng.timeout(1.0)
-            with col.span("compute", track=1):
-                yield eng.timeout(2.0)
-        col.mark("done", track=1)
-
-    eng.process(proc())
-    eng.run()
-    assert col.marks == [(9.0, "done", 1)]
-    (mark,) = [e for e in col.to_chrome()["traceEvents"] if e["ph"] == "i"]
-    assert (mark["name"], mark["ts"], mark["tid"]) == ("done", 9.0e6, 1)
-    assert col.tracks() == [1]
 
 
 def test_chrome_export_is_valid_and_scaled_to_us():
@@ -294,7 +275,7 @@ def test_traced_run_attribution_sums_to_epoch_time(traced_fig5):
     assert report.ok, f"worst residual {report.max_rel_residual}"
     assert report.max_rel_residual <= 0.01
     report.check()
-    for track in traced_fig5.observer.tracer.tracks():
+    for track in sorted({s.track for s in traced_fig5.observer.tracer.spans}):
         epoch_spans = [
             s for s in traced_fig5.observer.tracer.spans
             if s.cat == "trainer.epoch" and s.track == track
@@ -360,7 +341,7 @@ def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
     )
     assert run.report.ok and run.report.max_rel_residual <= 1e-9
     spans = run.observer.tracer.spans
-    for track in run.observer.tracer.tracks():
+    for track in sorted({s.track for s in spans}):
         epochs = {
             dict(s.args)["epoch"]: s
             for s in spans

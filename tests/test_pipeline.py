@@ -83,6 +83,15 @@ def _counters(cache) -> tuple:
     return asdict(cache.stats), {tier: dict(vars(ts)) for tier, ts in cache.tier_stats.items()}
 
 
+def _empty_fast_tiers(cache) -> None:
+    """Move every entry out of the per-rank tiers (the node-shared NVMe
+    tier keeps what was staged), so the next wave fetches again."""
+    for pool in (cache.gpu, cache.dram):
+        if pool is not None:
+            for key in list(pool._entries):
+                pool.pop(key)
+
+
 def _same_graph(got, blob) -> bool:
     ref = unpack_graph(blob)
     return got.sample_id == ref.sample_id and all(
@@ -206,10 +215,10 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
 
         yield from demand("cold")
         yield from probes()
-        store.cache.clear()
+        _empty_fast_tiers(store.cache)
         yield from store.prefetch_wave(batches)
         yield from demand("after wave")
-        store.cache.clear()
+        _empty_fast_tiers(store.cache)
         window = WaveWindow(0, (0, len(batches)), batches_of)
         yield from store.prefetch_wave(batches, window=window)
         yield from demand("after node wave")
@@ -416,9 +425,9 @@ def test_node_wave_queue_wait_reaches_the_tenant_metric():
         yield ctx.engine.all_of(procs)
         return {
             t: (
-                s.stats.stage_seconds.get("queue", 0.0),
-                s.stats.prefetch_stage_seconds.get("queue", 0.0),
-                s.stats.n_node_waves,
+                s.store.stats.stage_seconds.get("queue", 0.0),
+                s.store.stats.prefetch_stage_seconds.get("queue", 0.0),
+                s.store.stats.n_node_waves,
             )
             for t, s in sessions.items()
         }

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ChunkLayout, ChunkRegistry, DDStoreConfig, GlobalShuffleSampler, LocalShuffleSampler
+from repro.core import ChunkLayout, ChunkRegistry, DDStoreConfig, GlobalShuffleSampler, LocalShuffleSampler, balanced_partition
 from repro.graphs import AtomicGraph, collate
 from repro.mpi.datatypes import sizeof
 from repro.sim import Engine, QueueStation, FluidStation
@@ -245,7 +245,7 @@ def test_global_shuffle_is_partition_of_prefix(n_samples, n_ranks, epoch, seed):
 def test_local_shuffle_is_shard_permutation(n_samples, n_ranks, rank_seed):
     rank = rank_seed % n_ranks
     s = LocalShuffleSampler(n_samples, n_ranks, rank, seed=3)
-    lo, hi = s.shard_range
+    lo, hi = balanced_partition(n_samples, n_ranks)[rank : rank + 2]
     idx = s.epoch_indices(rank_seed)
     assert idx.size == n_samples // n_ranks
     assert set(idx.tolist()) <= set(range(lo, hi))

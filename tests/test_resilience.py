@@ -70,6 +70,22 @@ def test_options_refuse_non_integers_and_non_finite_timeouts():
     assert DDStoreConfig(4, width=np.int64(2)).n_replicas == 2  # numpy ints are integers
 
 
+@pytest.mark.parametrize("group", ["dataplane", "resilience"])
+def test_on_off_options_refuse_non_bools(group):
+    """An on/off option takes a bool, naming the field otherwise: ``"no"``
+    is truthy and used to switch the option on."""
+    build, flags = {
+        "dataplane": (DataPlaneOptions, ("coalesce", "scheduler", "columnar", "node_fetch")),
+        "resilience": (lambda **kw: ResilienceOptions(timeout_s=1e-3, **kw), ("failover",)),
+    }[group]
+    for name in flags:
+        for bad in ("no", "yes", 0, None):
+            with pytest.raises(TypeError, match=name):
+                build(**{name: bad})
+    # NumPy's bool_ is a bool, as NumPy integers are integers.
+    assert getattr(build(**{flags[0]: np.False_}), flags[0]) is np.False_
+
+
 def test_backoff_schedule_is_exact_and_capped():
     policy = RetryPolicy(timeout_s=1.0)
     assert (RetryPolicy.BACKOFF_S, RetryPolicy.BACKOFF_FACTOR) == (1e-4, 2.0)

@@ -52,7 +52,7 @@ def test_served_session_fetches_then_service_close_closes_it_and_the_store():
         graphs = yield from session.get_samples([3, 17])
         ok = graphs[0].allclose(gen.make(3)) and graphs[1].allclose(gen.make(17))
         service.close()
-        return ok, session.closed, service.store.closed
+        return ok, session.store.closed, service.store.closed
 
     job = run(main)
     for ok, sess_closed, store_closed in job.results:
@@ -66,13 +66,13 @@ def test_session_close_is_idempotent_and_keeps_the_store_open():
         session = service.connect("a")
         session.close()
         session.close()  # double close: a no-op, not an error
-        return session.closed, service.store.closed, service.tenants
+        return session.store.closed, service.store.closed, service.connect("a").name
 
     job = run(main)
-    for sess_closed, store_closed, tenants in job.results:
+    for sess_closed, store_closed, reconnected in job.results:
         assert sess_closed
         assert not store_closed  # closing a session never closes the store
-        assert tenants == ()
+        assert reconnected == "a"  # the closed session freed its name
 
 
 def test_fetch_after_close_raises_store_closed():
@@ -104,7 +104,7 @@ def test_service_close_closes_every_session_and_the_store():
         service = yield from _serve(ctx)
         a, b = service.connect("a"), service.connect("b")
         service.close()
-        return a.closed, b.closed, service.store.closed
+        return a.store.closed, b.store.closed, service.store.closed
 
     job = run(main)
     assert all(r == (True, True, True) for r in job.results)
@@ -158,11 +158,11 @@ def test_full_service_rejects_without_closing_an_idle_tenant():
         try:
             service.connect("c")
         except AdmissionError:
-            return a.closed, b.closed, tuple(sorted(service.tenants))
+            return a.store.closed, b.store.closed
         return None
 
     job = run(main)
-    assert all(r == (False, False, ("a", "b")) for r in job.results)
+    assert all(r == (False, False) for r in job.results)
 
 
 def test_unknown_qos_class_is_a_key_error():
@@ -268,7 +268,7 @@ def test_concurrent_tenants_get_exactly_their_own_bytes():
             for idx, graphs in got
             for i, g in zip(idx, graphs)
         )
-        caches = [sessions[name].cache for name, _ in specs]
+        caches = [sessions[name].store.cache for name, _ in specs]
         distinct = len({id(c) for c in caches}) == len(caches)
         return ok, distinct
 
@@ -294,11 +294,11 @@ def test_cache_partitions_are_private_and_sized_by_policy(dataplane, policy):
         b = service.connect("b", qos="batch")
         yield from a.get_samples([0, 1], decode=False)
         return (
-            a.cache.dram.capacity_bytes,
-            b.cache.dram.capacity_bytes,
-            a.cache is not b.cache,
-            len(b.cache) == 0,  # a's fetches never land in b's partition
-            {service.store.cache.policy, a.cache.policy, b.cache.policy},
+            a.store.cache.dram.capacity_bytes,
+            b.store.cache.dram.capacity_bytes,
+            a.store.cache is not b.store.cache,
+            len(b.store.cache) == 0,  # a's fetches never land in b's partition
+            {service.store.cache.policy, a.store.cache.policy, b.store.cache.policy},
         )
 
     job = run(main)
@@ -315,7 +315,8 @@ def test_tenant_metrics_partition_the_wire_bytes():
         a, b = service.connect("a"), service.connect("b")
         yield from a.get_samples(range(8), decode=False)
         yield from b.get_samples(range(8, 16), decode=False)
-        return a.stats.n_local + a.stats.n_remote, b.stats.n_local + b.stats.n_remote
+        return (a.store.stats.n_local + a.store.stats.n_remote,
+                b.store.stats.n_local + b.store.stats.n_remote)
 
     job, metrics = _observed(main)
     assert all(r == (8, 8) for r in job.results)
@@ -604,10 +605,10 @@ def test_service_reshard_migrates_live_sessions_atomically():
         yield from a.get_samples(range(8), decode=False)
         yield from b.get_samples(range(8, 16), decode=False)
         old_a, old_b = a.store, b.store
-        pre_a, pre_b = a.stats.n_total, b.stats.n_total
+        pre_a, pre_b = a.store.stats.n_total, b.store.stats.n_total
         new = yield from service.reshard(width=2)
 
-        same_stats = a.stats is old_a.stats and b.stats is old_b.stats
+        same_stats = a.store.stats is old_a.stats and b.store.stats is old_b.stats
         same_cache = a.store.cache is old_a.cache
         same_lane = a.lane is a.store._lane and a.lane.tenant == "a"
         old_dead = old_a.closed and old_b.closed
@@ -632,8 +633,8 @@ def test_service_reshard_migrates_live_sessions_atomically():
             old_dead,
             old_raises,
             bytes_ok,
-            a.stats.n_total - pre_a,
-            b.stats.n_total - pre_b,
+            a.store.stats.n_total - pre_a,
+            b.store.stats.n_total - pre_b,
         )
 
     job = run(main)
