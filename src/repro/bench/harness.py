@@ -43,7 +43,7 @@ from ..core.config import _check, _check_flag
 from ..core.loader import SHUFFLES
 from ..gnn import DistributedModel, HydraGNNConfig, PhaseTimes, Trainer
 from ..graphs.datasets import DATASETS
-from ..hardware import get_machine
+from ..hardware import MACHINES, get_machine
 from ..mpi import MPIStats, run_world
 from ..storage import CFFReader, PFFReader, SampleStats, write_cff, write_pff
 from ..storage.formats import _cff_index_path, CFFIndex
@@ -118,6 +118,10 @@ class ExperimentConfig:
     elastic: bool = False  # retune width between epochs from obs signals
 
     def __post_init__(self) -> None:
+        if self.machine not in MACHINES:
+            raise ValueError(
+                f"unknown machine {self.machine!r}; available: {sorted(MACHINES)}"
+            )
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.dataset not in DATASETS:
@@ -249,11 +253,13 @@ def _warm_caches(world, root: str) -> None:
     total_logical = sum(world.vfs.stat(p).logical_size for p in paths)
     if total_logical > capacity_bytes:
         return  # the dataset cannot stay resident (the AISD-scale case)
+    index = None
     for path in paths:
         f = world.vfs.stat(path)
         if path.endswith(".bin") and "data." in path:
             # CFF subfile: warm the blocks its samples actually occupy.
-            index = CFFIndex.from_bytes(world.vfs.stat(_cff_index_path(root)).data)
+            if index is None:
+                index = CFFIndex.from_bytes(world.vfs.stat(_cff_index_path(root)).view())
             k = int(path.rsplit(".", 2)[1])
             sel = index.subfile == k
             block = caches[0].block_bytes

@@ -210,12 +210,17 @@ def nic_table(first: str, runs: Sequence[tuple[str, ExperimentResult]], title: s
 
 
 class TrainView:
-    """Restrict a dataset's sampling to its first ``n_train`` samples."""
+    """Restrict a dataset's sampling to its first ``n_train`` samples.
+
+    A storeless view: its loads run the depth-1 pipeline, row by row."""
+
+    store = None
+    stats_only = columnar = False
+    arena_pool = None
 
     def __init__(self, ds, n_train: int) -> None:
         self.ds = ds
         self.n_samples = n_train
-        self.stats_only = False
 
     def fetch(self, indices):
         return self.ds.fetch(indices)

@@ -21,7 +21,7 @@ from .loader import (
 )
 from .preloader import DataSource, GeneratorSource, PreloadResult, ReaderSource
 from .registry import ChunkRegistry
-from .sampler import GlobalShuffleSampler, LocalShuffleSampler, iter_batches
+from .sampler import epoch_indices, iter_batches
 from .store import DDStore, FETCH_STAGES, FetchStats, StoreClosedError
 
 __all__ = [
@@ -43,8 +43,7 @@ __all__ = [
     "PreloadResult",
     "DDStore",
     "FetchStats",
-    "GlobalShuffleSampler",
-    "LocalShuffleSampler",
+    "epoch_indices",
     "iter_batches",
     "SimDataset",
     "BatchStats",

@@ -30,12 +30,7 @@ from ..graphs import ArenaPool, AtomicGraph, GraphBatch, collate
 from ..mpi import RankContext
 from ..storage import SampleReader, SampleStats
 from .config import _check
-from .sampler import (
-    GlobalShuffleSampler,
-    LocalShuffleSampler,
-    SampledShuffleSampler,
-    iter_batches,
-)
+from .sampler import epoch_indices, iter_batches
 from .store import DDStore
 
 __all__ = [
@@ -86,8 +81,20 @@ class FetchResult:
 
 
 class SimDataset(Protocol):
-    """Index-addressable dataset living in simulation time."""
+    """Index-addressable dataset living in simulation time: everything the
+    loader and :class:`~repro.dataplane.scheduler.EpochScheduler` read.
 
+    ``store`` is the :class:`DDStore` behind the dataset, or ``None`` for
+    a backend without one (the file baselines); the scheduler takes its
+    prefetch depth, cache and byte meter from it.  ``stats_only`` datasets
+    return shape summaries, and a ``columnar`` one assembles each batch in
+    an arena drawn from ``arena_pool`` (``fetch_arena``).
+    """
+
+    store: Optional[DDStore]
+    stats_only: bool
+    columnar: bool
+    arena_pool: Optional[ArenaPool]
     n_samples: int
 
     def fetch(self, indices: Sequence[int]) -> Generator:
@@ -112,11 +119,6 @@ class DDStoreDataset:
         # per-sample graphs (zero-copy scatter path).
         self.columnar = store.config.dataplane.columnar
         self.arena_pool: Optional[ArenaPool] = ArenaPool() if self.columnar else None
-
-    def estimate_nbytes(self, indices: Sequence[int]) -> int:
-        """Packed-payload bytes of a batch (registry lookup; no simulation
-        time) — the scheduler's wave-cut and carried-launch meter."""
-        return self.store.batch_nbytes(indices)
 
     def prefetch(
         self, batch_indices: Sequence[Sequence[int]], window=None
@@ -185,6 +187,10 @@ class FileDataset:
     reads, concurrently (round-robin request dealing, like PyTorch's
     DataLoader workers).
     """
+
+    store = None  # no store: the scheduler runs the depth-1 seed pipeline
+    columnar = False
+    arena_pool = None
 
     def __init__(
         self,
@@ -295,68 +301,52 @@ class DataLoader:
         _check("batch_size", batch_size)
         if steps_per_epoch is not None:
             _check("steps_per_epoch", steps_per_epoch)
+        if dataset.n_samples < ctx.size:
+            raise ValueError(
+                f"cannot shard {dataset.n_samples} samples over {ctx.size} ranks"
+            )
         self.dataset = dataset
         self.ctx = ctx
         self.batch_size = batch_size
+        self.shuffle = shuffle
+        self.seed = seed
         self.steps_per_epoch = steps_per_epoch
-        self._sampler_cls = dict(
-            zip(SHUFFLES, (GlobalShuffleSampler, LocalShuffleSampler, SampledShuffleSampler))
-        )[shuffle]
-        self._seed = seed
-        self.sampler = self._sampler_cls(
-            dataset.n_samples, ctx.size, ctx.rank, seed=seed
-        )
-
-    def dataplane_options(self):
-        """The store's :class:`~repro.core.config.DataPlaneOptions`, or
-        ``None`` for backends without a store (file baselines) — how the
-        trainer discovers its prefetch depth/budget/scheduler knobs."""
-        store = getattr(self.dataset, "store", None)
-        return store.config.dataplane if store is not None else None
-
-    def sample_cache(self):
-        """The store's hot-sample cache (``None`` without a store)."""
-        store = getattr(self.dataset, "store", None)
-        return store.cache if store is not None else None
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
-        return self._batches(self.sampler, epoch)
+        return self._batches(epoch, self.ctx.rank)
 
-    def _batches(self, sampler, epoch: int) -> list[np.ndarray]:
-        batches = list(iter_batches(sampler.epoch_indices(epoch), self.batch_size))
-        return batches[: self.steps_per_epoch]
+    def _batches(self, epoch: int, rank: int) -> list[np.ndarray]:
+        indices = epoch_indices(
+            self.shuffle, self.dataset.n_samples, self.ctx.size, rank, self.seed, epoch
+        )
+        return list(iter_batches(indices, self.batch_size))[: self.steps_per_epoch]
 
     def peer_epoch_batches(self, epoch: int, peer_rank: int) -> list[np.ndarray]:
         """A *peer* rank's batches for an epoch, recomputed locally.
 
-        Every sampler is a pure function of ``(seed, epoch, rank)``, so
+        Every schedule is a pure function of ``(seed, epoch, rank)``, so
         this costs no communication — the determinism node-scope fetch
         aggregation builds on (each rank reconstructs its node peers'
         wave plans from this oracle).
         """
-        if peer_rank == self.ctx.rank:
-            return self.epoch_batches(epoch)
-        peer = self._sampler_cls(
-            self.dataset.n_samples, self.ctx.size, peer_rank, seed=self._seed
-        )
-        return self._batches(peer, epoch)
+        return self._batches(epoch, peer_rank)
 
     def load(self, indices: np.ndarray) -> Generator:
         """Coroutine: fetch + collate one batch; returns :class:`LoadedBatch`."""
         engine = self.ctx.engine
-        if getattr(self.dataset, "columnar", False):
+        if self.dataset.columnar:
             # Columnar fast path: the batch was assembled field-wise in the
             # arena during the fetch, so "batching" is just the view wrap —
             # the per-byte concatenate term disappears (it was paid, more
             # cheaply, inside the scatter stage).
             arena, result = yield from self.dataset.fetch_arena(indices)
             t0 = engine.now
-            if getattr(self.dataset, "stats_only", False):
+            if self.dataset.stats_only:
                 batch = BatchStats(
                     n_graphs=int(arena.node_counts.size),
                     n_nodes=int(arena.ptr[-1]),
                     n_edges=int(arena.edge_ptr[-1]),
-                    nbytes=self.dataset.estimate_nbytes(indices),
+                    nbytes=self.dataset.store.batch_nbytes(indices),
                 )
             else:
                 batch = collate(arena=arena)
@@ -371,7 +361,7 @@ class DataLoader:
             )
         result = yield from self.dataset.fetch(indices)
         t0 = engine.now
-        if getattr(self.dataset, "stats_only", False):
+        if self.dataset.stats_only:
             batch = BatchStats.from_samples(result.graphs)
         else:
             batch = collate(result.graphs)

@@ -1,21 +1,22 @@
-"""Distributed samplers: who trains on which samples, in what order.
+"""Distributed sampling: who trains on which samples, in what order.
 
-Three strategies — the first two from the paper's §2.2:
+:func:`epoch_indices` spells three strategies — the first two from the
+paper's §2.2:
 
-* :class:`GlobalShuffleSampler` — a fresh global permutation every epoch,
-  sliced across ranks.  Maintains model generality (every rank sees fresh
-  data each epoch) but requires fetching arbitrary remote samples: the
-  access pattern DDStore exists to serve.
-* :class:`LocalShuffleSampler` — classic data sharding: each rank owns a
-  static contiguous shard and only shuffles within it.  Cheap (all
-  accesses local) but known to hurt generalisation and to require
-  re-sharding whenever the GPU count changes.
-* :class:`SampledShuffleSampler` — skewed sampling *with replacement*
-  over the global id space, modelling sampling-based mini-batch GNN
-  training (neighbourhood samplers hit hub vertices far more often than
-  leaves).  Every rank draws independently from the same per-epoch
-  hotness ranking, so node-local ranks request heavily overlapping id
-  sets — the reuse-heavy pattern node-scope fetch aggregation dedups.
+* ``"global"`` — a fresh global permutation every epoch, sliced across
+  ranks.  Maintains model generality (every rank sees fresh data each
+  epoch) but requires fetching arbitrary remote samples: the access
+  pattern DDStore exists to serve.
+* ``"local"`` — classic data sharding: each rank owns a static
+  contiguous shard and only shuffles within it.  Cheap (all accesses
+  local) but known to hurt generalisation and to require re-sharding
+  whenever the GPU count changes.
+* ``"sampled"`` — skewed sampling *with replacement* over the global id
+  space, modelling sampling-based mini-batch GNN training (neighbourhood
+  samplers hit hub vertices far more often than leaves).  Every rank
+  draws independently from the same per-epoch hotness ranking, so
+  node-local ranks request heavily overlapping id sets — the reuse-heavy
+  pattern node-scope fetch aggregation dedups.
 
 All three drop the tail so every rank sees the same number of samples
 per epoch, which distributed data parallelism requires for its
@@ -33,110 +34,52 @@ import numpy as np
 from ..sim.rng import stream
 from .chunking import balanced_partition
 
-__all__ = [
-    "GlobalShuffleSampler",
-    "LocalShuffleSampler",
-    "SampledShuffleSampler",
-    "iter_batches",
-]
+__all__ = ["epoch_indices", "iter_batches"]
+
+#: Power of the ``"sampled"`` transform ``id = hot[floor(n * u**SKEW)]``:
+#: above 1 it concentrates mass on the epoch's hot ids, mimicking hub-vertex
+#: reuse in sampling-based GNN workloads.
+SKEW = 4.0
 
 
 @lru_cache(maxsize=16, typed=True)
 def _epoch_permutation(name: str, seed, epoch: int, n_samples: int) -> np.ndarray:
     """One epoch's permutation of the whole dataset: a pure function of its
     arguments, so it is drawn once and shared — read-only — by every rank's
-    sampler and every peer schedule a rank reconstructs, instead of each
+    schedule and every peer schedule a rank reconstructs, instead of each
     permuting the whole dataset again."""
     perm = stream(name, seed, epoch).permutation(n_samples)
     perm.setflags(write=False)
     return perm
 
 
-class GlobalShuffleSampler:
-    """Epoch-seeded global permutation, partitioned evenly across ranks."""
-
-    def __init__(self, n_samples: int, n_ranks: int, rank: int, seed: int = 0) -> None:
-        if not 0 <= rank < n_ranks:
-            raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
-        if n_samples < n_ranks:
-            raise ValueError(
-                f"cannot shard {n_samples} samples over {n_ranks} ranks"
-            )
-        self.n_samples = n_samples
-        self.n_ranks = n_ranks
-        self.rank = rank
-        self.seed = seed
-        self.per_rank = n_samples // n_ranks  # tail dropped
-
-    def epoch_indices(self, epoch: int) -> np.ndarray:
-        """This rank's sample ids for the given epoch (same permutation on
-        every rank thanks to the shared (seed, epoch) RNG key)."""
-        perm = _epoch_permutation("global-shuffle", self.seed, epoch, self.n_samples)
-        lo = self.rank * self.per_rank
-        return perm[lo : lo + self.per_rank]
-
-
-class LocalShuffleSampler:
-    """Static contiguous shard per rank, shuffled locally each epoch."""
-
-    def __init__(self, n_samples: int, n_ranks: int, rank: int, seed: int = 0) -> None:
-        if not 0 <= rank < n_ranks:
-            raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
-        if n_samples < n_ranks:
-            raise ValueError(
-                f"cannot shard {n_samples} samples over {n_ranks} ranks"
-            )
-        self.n_samples = n_samples
-        self.n_ranks = n_ranks
-        self.rank = rank
-        self.seed = seed
+def epoch_indices(
+    shuffle: str, n_samples: int, n_ranks: int, rank: int, seed, epoch: int
+) -> np.ndarray:
+    """Rank ``rank``'s sample ids for ``epoch``: ``n_samples // n_ranks``
+    of them (the tail dropped) under the ``shuffle`` strategy."""
+    if not 0 <= rank < n_ranks:
+        raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
+    per_rank = n_samples // n_ranks
+    if shuffle == "global":
+        # Same permutation on every rank thanks to the shared (seed, epoch)
+        # RNG key; each rank takes its slice.
+        perm = _epoch_permutation("global-shuffle", seed, epoch, n_samples)
+        lo = rank * per_rank
+        return perm[lo : lo + per_rank]
+    if shuffle == "local":
         bounds = balanced_partition(n_samples, n_ranks)
-        self._lo, self._hi = int(bounds[rank]), int(bounds[rank + 1])
-        self.per_rank = n_samples // n_ranks  # equalised with tail drop
-
-    def epoch_indices(self, epoch: int) -> np.ndarray:
-        shard = np.arange(self._lo, self._hi, dtype=np.int64)
-        order = stream("local-shuffle", self.seed, self.rank, epoch).permutation(
-            shard.size
-        )
-        return shard[order][: self.per_rank]
-
-
-class SampledShuffleSampler:
-    """Deterministic skewed sampling with replacement over all samples.
-
-    Each epoch draws a fresh hotness permutation shared by every rank
-    (``stream("sampled-hotness", seed, epoch)``), then each rank maps
-    its own uniform stream through a power transform
-    ``id = hot[floor(n * u**SKEW)]`` — a power above 1 concentrates mass
-    on the epoch's hot ids, mimicking hub-vertex reuse in sampling-based
-    GNN workloads.
-    """
-
-    SKEW = 4.0
-
-    def __init__(self, n_samples: int, n_ranks: int, rank: int, seed: int = 0) -> None:
-        if not 0 <= rank < n_ranks:
-            raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
-        if n_samples < n_ranks:
-            raise ValueError(
-                f"cannot shard {n_samples} samples over {n_ranks} ranks"
-            )
-        self.n_samples = n_samples
-        self.n_ranks = n_ranks
-        self.rank = rank
-        self.seed = seed
-        self.per_rank = n_samples // n_ranks  # equalised with other samplers
-
-    def epoch_indices(self, epoch: int) -> np.ndarray:
-        hot = _epoch_permutation("sampled-hotness", self.seed, epoch, self.n_samples)
-        u = stream("sampled-shuffle", self.seed, epoch, self.rank).random(
-            self.per_rank
-        )
-        pos = np.minimum(
-            (u**self.SKEW * self.n_samples).astype(np.int64), self.n_samples - 1
-        )
+        shard = np.arange(int(bounds[rank]), int(bounds[rank + 1]), dtype=np.int64)
+        order = stream("local-shuffle", seed, rank, epoch).permutation(shard.size)
+        return shard[order][:per_rank]
+    if shuffle == "sampled":
+        # A fresh hotness permutation shared by every rank, through which
+        # each rank maps its own uniform stream.
+        hot = _epoch_permutation("sampled-hotness", seed, epoch, n_samples)
+        u = stream("sampled-shuffle", seed, epoch, rank).random(per_rank)
+        pos = np.minimum((u**SKEW * n_samples).astype(np.int64), n_samples - 1)
         return hot[pos]
+    raise ValueError(f"unknown shuffle {shuffle!r}")
 
 
 def iter_batches(indices: np.ndarray, batch_size: int):

@@ -477,8 +477,10 @@ class DDStore:
         virtual-time charges, header-only wall-clock work; used by large
         performance sweeps), or raw packed ``np.uint8`` payloads, all
         read-only, when ``decode="raw"`` (no deserialisation charged; the
-        resharding path).
+        resharding path).  Any other ``decode`` is a ``TypeError``.
         """
+        if not (isinstance(decode, (bool, np.bool_)) or decode == "raw"):
+            raise TypeError(f'decode must be True, False or "raw", got {decode!r}')
         self._check_open("fetching")
         idx = pipeline.sample_ids(indices)
         if idx.size == 0:

@@ -134,12 +134,16 @@ class EpochScheduler:
             if not sched.finish():             # window ended with the epoch
                 break                          # else: it now serves epoch e+1
 
-    ``options`` defaults to the loader's store-configured
-    :class:`~repro.core.config.DataPlaneOptions` (depth-1, no waves, for
-    storeless backends).  ``epoch`` names the schedule ``batches`` came
-    from (omit it for ad-hoc index chunks); ``epochs`` is the run length
-    — with waves on, the window then carries into every epoch below it
-    and nothing is ever launched for an epoch at or beyond it.
+    Everything it configures comes from one question,
+    ``store = loader.dataset.store``: the prefetch depth, wave scheduling
+    and node fetch (:class:`~repro.core.config.DataPlaneOptions`), the
+    cache, and the byte meter (``store.batch_nbytes``).  A dataset with no
+    store runs the seed's depth-1 pipeline.  The store is read again after
+    a :meth:`drain`, since a reshard swaps it underneath the loader.
+    ``epoch`` names the schedule ``batches`` came from (omit it for ad-hoc
+    index chunks); ``epochs`` is the run length — with waves on, the
+    window then carries into every epoch below it and nothing is ever
+    launched for an epoch at or beyond it.
     """
 
     def __init__(
@@ -148,7 +152,6 @@ class EpochScheduler:
         batches: Sequence[np.ndarray],
         *,
         engine,
-        options=None,
         obs=None,
         track: int = 0,
         epoch: Optional[int] = None,
@@ -158,35 +161,25 @@ class EpochScheduler:
         self.engine = engine
         self.obs = obs
         self.track = track
-        if options is None and hasattr(loader, "dataplane_options"):
-            options = loader.dataplane_options()
+        store = self._store = loader.dataset.store
+        options = store.config.dataplane if store is not None else None
+        cache = self._cache = store.cache if store is not None else None
         self.depth = options.prefetch_depth if options is not None else 1
-        cache = loader.sample_cache() if hasattr(loader, "sample_cache") else None
-        can_wave = (
-            options is not None
-            and options.scheduler
-            and cache is not None
-            and cache.enabled
-            and hasattr(loader.dataset, "prefetch")
-        )
+        can_wave = options is not None and options.scheduler and cache.enabled
         self.waves_enabled = bool(can_wave)
         # Node-scope wave aggregation needs an epoch identity (batches
         # from the deterministic epoch schedule — trainer epochs qualify,
         # ad-hoc index chunks like evaluate()'s do not): node peers'
         # schedules are reconstructed from it locally.
-        self._node_fetch = bool(
-            can_wave and getattr(options, "node_fetch", False) and epoch is not None
-        )
+        self._node_fetch = bool(can_wave and options.node_fetch and epoch is not None)
         self._carry = bool(can_wave and epoch is not None and epochs is not None)
         self._epochs = epochs
-        self._cache = cache
         self._belady = bool(
             cache is not None and cache.enabled and cache.policy == "belady"
         )
         # Byte budget of carried launches: the per-rank fast tiers (see
         # _admit).
         self._cache_cap = cache.fast_capacity_bytes if self._carry else 0
-        self._estimate = getattr(loader.dataset, "estimate_nbytes", None)
 
         # The window: run-absolute batch indices, oldest live epoch first.
         # _segs[0] is the epoch being consumed; later ones are carried.
@@ -204,19 +197,17 @@ class EpochScheduler:
         # from the same pool (depth+1 bounds it across epoch boundaries
         # too) and later epochs only ever grow an arena in place.
         # Pure wall-clock work; the row path has no pool and is untouched.
-        pool = getattr(loader.dataset, "arena_pool", None)
+        pool = loader.dataset.arena_pool
         if pool is not None and first.batches:
-            hint = getattr(loader.dataset, "arena_hint", None)
-            if hint is not None:
-                dims = [hint(batch) for batch in first.batches]
-                pool.warm(
-                    self.depth + 1,
-                    max(d[0] for d in dims),
-                    max(d[1] for d in dims),
-                    max(d[2] for d in dims),
-                    dims[0][3],
-                    dims[0][4],
-                )
+            dims = [loader.dataset.arena_hint(batch) for batch in first.batches]
+            pool.warm(
+                self.depth + 1,
+                max(d[0] for d in dims),
+                max(d[1] for d in dims),
+                max(d[2] for d in dims),
+                dims[0][3],
+                dims[0][4],
+            )
 
     # -- the consuming epoch --------------------------------------------------
     @property
@@ -246,13 +237,15 @@ class EpochScheduler:
         return seg
 
     def _arm(self) -> None:
-        """Hand the loader's current cache the window's unconsumed accesses
-        — at the first launch, and again after a :meth:`drain` (a reshard
-        swaps the store, and its cache, underneath the loader)."""
+        """Re-read the loader's store and hand its cache the window's
+        unconsumed accesses — at the first launch, and again after a
+        :meth:`drain` (a reshard swaps the store, and its cache, underneath
+        the loader)."""
         self._armed = True
+        store = self._store = self.loader.dataset.store
+        cache = self._cache = store.cache if store is not None else None
         if not self._belady:
             return
-        cache = self._cache = self.loader.sample_cache()
         install = cache.set_future
         for seg in self._segs:
             lo = min(max(0, self._consumed + 1 - seg.base), len(seg.batches))
@@ -281,8 +274,7 @@ class EpochScheduler:
     def _batch_bytes(self, seg: _Epoch, step: int) -> int:
         est = seg.nbytes[step]
         if est is None:
-            est = int(self._estimate(seg.batches[step])) if self._estimate else 0
-            seg.nbytes[step] = est
+            est = seg.nbytes[step] = self._store.batch_nbytes(seg.batches[step])
         return est
 
     def _admit(self, seg: _Epoch, step: int) -> bool:
@@ -461,11 +453,9 @@ class EpochScheduler:
             # windows differ by up to the byte gate across ranks) — the
             # abort makes every pending wave self-sufficient before we
             # await it.
-            store = getattr(self.loader.dataset, "store", None)
-            if store is not None:
-                from . import nodeagg
+            from . import nodeagg
 
-                nodeagg.abort(store)
+            nodeagg.abort(self._store)
         n = 0
         for seg in self._segs:
             for step, proc in enumerate(seg.events):

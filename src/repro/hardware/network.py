@@ -32,6 +32,11 @@ from .topology import Cluster
 
 __all__ = ["Interconnect", "RmaTiming"]
 
+#: Sigma of the lognormal service jitter every transfer is scaled by.
+JITTER_SIGMA = 0.18
+# Lognormal location that gives the jitter a mean of 1.0.
+_JITTER_MU = -0.5 * JITTER_SIGMA**2
+
 
 def _int_list(values) -> list:
     """``values`` as a list of Python ints (a list is taken as it is)."""
@@ -64,13 +69,10 @@ class RmaBatchTiming:
 
 
 class Interconnect:
-    def __init__(self, cluster: Cluster, jitter_sigma: float = 0.18, seed: int = 0) -> None:
+    def __init__(self, cluster: Cluster, seed: int = 0) -> None:
         self.cluster = cluster
         self.spec = cluster.spec
-        self.jitter_sigma = jitter_sigma
         self._rng = RngRegistry("interconnect", cluster.spec.name, seed)
-        # Pre-computed lognormal correction so jitter has mean 1.0.
-        self._jitter_mu = -0.5 * jitter_sigma**2
         # Optional fault model (repro.faults): perturbs per-message timing
         # for ranks declared slow or dark.  None = healthy cluster.
         self.faults = None
@@ -84,10 +86,8 @@ class Interconnect:
         return nic.latency_s + np.asarray(nbytes) / nic.bandwidth_Bps
 
     def _jitter(self, origin_rank: int, n: int) -> np.ndarray:
-        if self.jitter_sigma <= 0:
-            return np.ones(n)
         rng = self._rng.get("jitter", origin_rank)
-        return rng.lognormal(mean=self._jitter_mu, sigma=self.jitter_sigma, size=n)
+        return rng.lognormal(mean=_JITTER_MU, sigma=JITTER_SIGMA, size=n)
 
     # -- point-to-point ----------------------------------------------------
     def send_time(self, src_rank: int, dst_rank: int, nbytes: int, arrival: float) -> float:

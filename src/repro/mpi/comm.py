@@ -80,9 +80,7 @@ class World:
 
     One rank runs per GPU, so the rank grid is the machine's: a different
     ranks-per-node is a different machine,
-    ``dataclasses.replace(spec, gpus_per_node=k)``.  ``jitter_sigma`` is
-    the network's lognormal service jitter (0 makes every transfer cost
-    its closed form).
+    ``dataclasses.replace(spec, gpus_per_node=k)``.
     """
 
     def __init__(
@@ -91,12 +89,11 @@ class World:
         n_nodes: int,
         *,
         seed: int = 0,
-        jitter_sigma: float = 0.18,
     ) -> None:
         self.engine = Engine()
         self.machine = machine
         self.cluster = Cluster(self.engine, machine, n_nodes)
-        self.net = Interconnect(self.cluster, jitter_sigma=jitter_sigma, seed=seed)
+        self.net = Interconnect(self.cluster, seed=seed)
         self.pfs = ParallelFileSystem(self.engine, machine.pfs, n_nodes, seed=seed)
         self.vfs = VirtualFS(self.pfs)  # the shared parallel filesystem namespace
         self.n_ranks = self.cluster.n_ranks

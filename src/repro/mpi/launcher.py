@@ -88,7 +88,6 @@ def run_world(
     rank_main: Callable[..., Generator],
     *args: Any,
     seed: int = 0,
-    jitter_sigma: float = 0.18,
     world: Optional[World] = None,
     **kwargs: Any,
 ) -> JobResult:
@@ -99,7 +98,7 @@ def run_world(
     returned; raises the first unhandled per-rank exception.
     """
     if world is None:
-        world = World(machine, n_nodes, seed=seed, jitter_sigma=jitter_sigma)
+        world = World(machine, n_nodes, seed=seed)
     procs = spawn_ranks(world, rank_main, *args, **kwargs)
     done = world.engine.all_of(procs)
     results = world.engine.run(until=done)

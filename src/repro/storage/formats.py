@@ -242,7 +242,9 @@ class CFFIndex:
         )
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CFFIndex":
+    def from_bytes(cls, data) -> "CFFIndex":
+        """Read-only views over the index file's bytes: every reader of one
+        file shares a single host copy of its index."""
         magic, n_subfiles, n = _CFF_INDEX_HEADER.unpack_from(data, 0)
         if magic != _CFF_MAGIC:
             raise ValueError(f"bad CFF index magic {magic!r}")
@@ -252,9 +254,9 @@ class CFFIndex:
         offset = np.frombuffer(data, np.int64, n, off)
         off += 8 * n
         size = np.frombuffer(data, np.int64, n, off)
-        return cls(
-            subfile=subfile.copy(), offset=offset.copy(), size=size.copy(), n_subfiles=n_subfiles
-        )
+        for a in (subfile, offset, size):
+            a.setflags(write=False)
+        return cls(subfile=subfile, offset=offset, size=size, n_subfiles=n_subfiles)
 
 
 def _cff_subfile_path(root: str, k: int) -> str:
@@ -297,7 +299,7 @@ class CFFReader:
         self.root = root
         self.machine = machine
         index_file = vfs.stat(_cff_index_path(root))
-        self.index = CFFIndex.from_bytes(index_file.data)
+        self.index = CFFIndex.from_bytes(index_file.view())
         self.n_samples = self.index.n_samples
         self._subfile_handles = [
             vfs.stat(_cff_subfile_path(root, k)) for k in range(self.index.n_subfiles)

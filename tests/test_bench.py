@@ -90,7 +90,8 @@ def test_write_report_creates_files(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("bad", [
     [(dict(method="zeromq"), ValueError, "method"),
-     (dict(dataset="imagenet"), ValueError, "dataset")],
+     (dict(dataset="imagenet"), ValueError, "dataset"),
+     (dict(machine="bogus"), ValueError, r"machine 'bogus'; available: \['perlmutter'")],
     [(dict(batch_size=0), ValueError, "batch_size"),
      (dict(batch_size=True), TypeError, "batch_size")],
     [(dict(epochs=0), ValueError, "epochs"), (dict(epochs=1.5), TypeError, "epochs")],

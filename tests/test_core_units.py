@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import os
 import re
+import types
 
 import numpy as np
 import pytest
@@ -12,13 +13,12 @@ from repro.core import (
     ChunkLayout,
     ChunkRegistry,
     DataPlaneOptions,
+    DataLoader,
     DDStoreConfig,
-    GlobalShuffleSampler,
-    LocalShuffleSampler,
     balanced_partition,
+    epoch_indices,
     iter_batches,
 )
-from repro.core.sampler import SampledShuffleSampler
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -314,12 +314,40 @@ def test_registry_is_flat_and_read_only():
 # samplers
 # ---------------------------------------------------------------------------
 
+# sha256 of every rank's schedule over the grid in
+# test_global_shuffle_changes_across_epochs, recorded when each shuffle
+# was a sampler class: the function draws the same streams and slices.
+_SCHEDULE_DIGESTS = {
+    "global": "65ebc83c4bc41cb5eedf195aaf9ede000d2d3fc870e887b6e3f2038e84c813c5",
+    "local": "7ae2dc97d41a6675bb38d2ce332bed690e18da402170a9ccc43208660a9e3baf",
+    "sampled": "5640dff6b48e5d682380afce48275dad36a35cb28a287f44deefa5a88487bdd5",
+}
+
+
+class _Samples:
+    """A storeless dataset of ``n_samples`` ids (the loader's schedule
+    reads nothing else)."""
+
+    store = None
+    stats_only = columnar = False
+    arena_pool = None
+
+    def __init__(self, n_samples):
+        self.n_samples = n_samples
+
+
+def _rank(size, rank):
+    return types.SimpleNamespace(size=size, rank=rank)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 @pytest.mark.parametrize("epoch", [0, 1, 5])
 def test_epoch_permutation_is_shared_and_bit_identical(seed, epoch):
     """One permutation per (seed, epoch, n) serves every rank: the slices
     are those of the per-rank permutation the samplers used to draw, and
-    the shared array cannot be written through any of them."""
+    the shared array cannot be written through any of them.  Every rank's
+    loader reconstructs each peer's batches exactly (the node-fetch
+    oracle), under all three shuffles."""
     from repro.sim.rng import stream
 
     n, ranks = 103, 4
@@ -328,7 +356,7 @@ def test_epoch_permutation_is_shared_and_bit_identical(seed, epoch):
     hot = stream("sampled-hotness", seed, epoch).permutation(n)
     bases = set()
     for r in range(ranks):
-        idx = GlobalShuffleSampler(n, ranks, r, seed=seed).epoch_indices(epoch)
+        idx = epoch_indices("global", n, ranks, r, seed, epoch)
         assert idx.dtype == reference.dtype
         assert np.array_equal(idx, reference[r * per_rank : (r + 1) * per_rank])
         assert not idx.flags.writeable and not idx.base.flags.writeable
@@ -337,59 +365,80 @@ def test_epoch_permutation_is_shared_and_bit_identical(seed, epoch):
         bases.add(id(idx.base))
         u = stream("sampled-shuffle", seed, epoch, r).random(per_rank)
         pos = np.minimum((u**4.0 * n).astype(np.int64), n - 1)
-        sampled = SampledShuffleSampler(n, ranks, r, seed=seed).epoch_indices(epoch)
+        sampled = epoch_indices("sampled", n, ranks, r, seed, epoch)
         assert np.array_equal(sampled, hot[pos])
     assert len(bases) == 1  # every rank sliced the same array
+    for shuffle in ("global", "local", "sampled"):
+        loaders = [
+            DataLoader(_Samples(n), _rank(ranks, r), batch_size=4, shuffle=shuffle, seed=seed)
+            for r in range(ranks)
+        ]
+        for loader in loaders:
+            for peer in range(ranks):
+                theirs = loader.peer_epoch_batches(epoch, peer)
+                own = loaders[peer].epoch_batches(epoch)
+                assert len(theirs) == len(own) == per_rank // 4
+                assert all(np.array_equal(a, b) for a, b in zip(theirs, own))
 
 
 def test_global_shuffle_partitions_whole_dataset():
     n, ranks = 100, 4
     all_ids = np.concatenate(
-        [GlobalShuffleSampler(n, ranks, r, seed=1).epoch_indices(0) for r in range(ranks)]
+        [epoch_indices("global", n, ranks, r, 1, 0) for r in range(ranks)]
     )
     assert sorted(all_ids.tolist()) == list(range(100))
 
 
 def test_global_shuffle_changes_across_epochs():
-    s = GlobalShuffleSampler(100, 4, 0, seed=1)
-    e0, e1 = s.epoch_indices(0), s.epoch_indices(1)
+    e0, e1 = (epoch_indices("global", 100, 4, 0, 1, e) for e in (0, 1))
     assert not np.array_equal(e0, e1)
-    assert np.array_equal(e0, GlobalShuffleSampler(100, 4, 0, seed=1).epoch_indices(0))
+    assert np.array_equal(e0, epoch_indices("global", 100, 4, 0, 1, 0))
+    # Every shuffle's schedules are bit-identical to the recorded ones.
+    import hashlib
+
+    for shuffle, digest in _SCHEDULE_DIGESTS.items():
+        h = hashlib.sha256()
+        for n, ranks in ((103, 4), (1000, 8)):
+            for seed in (0, 7, 2024):
+                for epoch in (0, 1, 5):
+                    for r in range(ranks):
+                        idx = epoch_indices(shuffle, n, ranks, r, seed, epoch)
+                        h.update(np.asarray(idx, dtype=np.int64).tobytes())
+        assert h.hexdigest() == digest, shuffle
 
 
 def test_global_shuffle_rank_sees_fresh_data_each_epoch():
     # With global shuffling a rank's epoch sets differ — the generality
     # motivation of the paper.
-    s = GlobalShuffleSampler(1000, 8, 3, seed=0)
-    overlap = np.intersect1d(s.epoch_indices(0), s.epoch_indices(1)).size
-    assert overlap < s.per_rank * 0.5
+    e0, e1 = (epoch_indices("global", 1000, 8, 3, 0, e) for e in (0, 1))
+    overlap = np.intersect1d(e0, e1).size
+    assert overlap < (1000 // 8) * 0.5
 
 
 def test_global_shuffle_tail_dropped():
-    s = GlobalShuffleSampler(103, 4, 0)
-    assert s.per_rank == 25
-    assert s.epoch_indices(0).size == 25
+    assert epoch_indices("global", 103, 4, 0, 0, 0).size == 25
 
 
 def test_local_shuffle_stays_in_shard():
-    s = LocalShuffleSampler(100, 4, 2, seed=0)
     lo, hi = balanced_partition(100, 4)[2:4]
-    idx = s.epoch_indices(5)
+    idx = epoch_indices("local", 100, 4, 2, 0, 5)
     assert idx.min() >= lo and idx.max() < hi
 
 
 def test_local_shuffle_same_shard_every_epoch():
-    s = LocalShuffleSampler(100, 4, 1, seed=0)
-    assert set(s.epoch_indices(0).tolist()) == set(s.epoch_indices(7).tolist())
+    e0, e7 = (epoch_indices("local", 100, 4, 1, 0, e) for e in (0, 7))
+    assert set(e0.tolist()) == set(e7.tolist())
 
 
 def test_sampler_rank_validation():
     with pytest.raises(ValueError):
-        GlobalShuffleSampler(10, 2, 2)
+        epoch_indices("global", 10, 2, 2, 0, 0)
     with pytest.raises(ValueError):
-        LocalShuffleSampler(10, 2, -1)
-    with pytest.raises(ValueError):
-        GlobalShuffleSampler(1, 2, 0)
+        epoch_indices("local", 10, 2, -1, 0, 0)
+    with pytest.raises(ValueError, match="unknown shuffle"):
+        epoch_indices("sorted", 10, 2, 0, 0, 0)
+    with pytest.raises(ValueError, match="cannot shard 1 samples over 2 ranks"):
+        DataLoader(_Samples(1), _rank(2, 0), batch_size=1)
 
 
 def test_iter_batches_drop_last():

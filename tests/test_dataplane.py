@@ -661,6 +661,13 @@ def test_raw_blobs_are_readonly_views_of_the_one_resident_copy():
         yield from ctx.comm.barrier()  # every rank has read and poked at every window
         for r, buf in buffers.items():
             assert np.array_equal(buf, at_create[r])
+        # decode= is True, False (NumPy's bool_ too) or "raw", nothing else:
+        # "RAW" is not a spelling of raw that silently decodes.
+        stats = yield from store.get_samples([lo], decode=np.False_)
+        assert stats[0].n_nodes > 0
+        for bad in ("RAW", 1, None):
+            with pytest.raises(TypeError, match="decode must be"):
+                yield from store.get_samples([lo], decode=bad)
         return True
 
     assert all(run(main).results)

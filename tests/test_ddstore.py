@@ -188,11 +188,12 @@ def test_global_shuffle_epoch_covers_dataset_once():
     # Across ranks, one epoch of global shuffle + DDStore fetch must yield
     # every sample exactly once.
     def main(ctx):
-        from repro.core import GlobalShuffleSampler
+        from repro.core import epoch_indices
 
         store = yield from DDStore.create(ctx.comm, _source(ctx))
-        sampler = GlobalShuffleSampler(32, ctx.size, ctx.rank, seed=3)
-        graphs = yield from store.get_samples(sampler.epoch_indices(0))
+        graphs = yield from store.get_samples(
+            epoch_indices("global", 32, ctx.size, ctx.rank, 3, 0)
+        )
         return [g.sample_id for g in graphs]
 
     job = run(main)

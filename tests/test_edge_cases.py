@@ -198,7 +198,7 @@ def test_rank_context_properties():
 def test_collective_time_reduce_and_gather_paths():
     from repro.hardware import Cluster, Interconnect
 
-    net = Interconnect(Cluster(Engine(), TESTBOX, 2), jitter_sigma=0.0)
+    net = Interconnect(Cluster(Engine(), TESTBOX, 2))
     assert net.collective_time("reduce", 1024, 8) > 0
     assert net.collective_time("gather", 1024, 8) > 0
     assert net.collective_time("scatter", 1024, 8) > 0

@@ -58,7 +58,7 @@ def test_network_hotspot_storm_degrades_single_target():
     # Saturating one node's NIC with a storm slows later gets to the same
     # node but barely affects gets to an idle node.
     cluster = Cluster(Engine(), TESTBOX, n_nodes=4)
-    net = Interconnect(cluster, jitter_sigma=0.0)
+    net = Interconnect(cluster)
     # Storm: 1 MiB gets keep node 1's outbound NIC ~100% utilised (each
     # transfer takes about as long as the issuing CPU's per-get software
     # path, so the link never drains).

@@ -70,7 +70,7 @@ def test_summit_perlmutter_shape():
 # ---------------------------------------------------------------------------
 
 def test_rma_local_faster_than_remote(cluster):
-    net = Interconnect(cluster, jitter_sigma=0.0)
+    net = Interconnect(cluster)
     local = net.rma_get(0, 1, 4096, arrival=0.0)  # same node
     remote = net.rma_get(0, 2, 4096, arrival=0.0)  # different node
     assert not local.remote
@@ -79,7 +79,7 @@ def test_rma_local_faster_than_remote(cluster):
 
 
 def test_rma_batch_shapes_and_serial_issue(cluster):
-    net = Interconnect(cluster, jitter_sigma=0.0)
+    net = Interconnect(cluster)
     targets = np.array([2, 4, 6])
     sizes = np.array([1000, 2000, 3000])
     batch = net.rma_get_batch(0, targets, sizes, arrival=0.0)
@@ -98,7 +98,7 @@ def test_rma_contention_single_target_slower_than_spread(cluster):
     size = 64 * 1024
 
     def run(targets_by_origin):
-        net = Interconnect(Cluster(Engine(), TESTBOX, n_nodes=4), jitter_sigma=0.0)
+        net = Interconnect(Cluster(Engine(), TESTBOX, n_nodes=4))
         worst = 0.0
         for origin, target in targets_by_origin:
             done = net.rma_get_batch(
@@ -128,7 +128,7 @@ def test_rma_shape_mismatch_rejected(cluster):
 def test_rma_jitter_deterministic():
     def run():
         cl = Cluster(Engine(), TESTBOX, n_nodes=4)
-        net = Interconnect(cl, jitter_sigma=0.2, seed=7)
+        net = Interconnect(cl, seed=7)
         return net.rma_get_batch(0, np.full(16, 2), np.full(16, 4096), arrival=0.0)
 
     a, b = run(), run()
@@ -137,21 +137,21 @@ def test_rma_jitter_deterministic():
 
 
 def test_bigger_payload_takes_longer(cluster):
-    net = Interconnect(cluster, jitter_sigma=0.0)
+    net = Interconnect(cluster)
     small = net.rma_get(0, 2, 1_000, arrival=0.0)
     big = net.rma_get(1, 4, 10_000_000, arrival=0.0)
     assert big.latency > small.latency
 
 
 def test_send_time_orders_messages_through_nic(cluster):
-    net = Interconnect(cluster, jitter_sigma=0.0)
+    net = Interconnect(cluster)
     t1 = net.send_time(0, 2, 1_000_000, arrival=0.0)
     t2 = net.send_time(0, 2, 1_000_000, arrival=0.0)
     assert t2 > t1  # second message queues behind the first
 
 
 def test_collective_time_scaling(cluster):
-    net = Interconnect(cluster, jitter_sigma=0.0)
+    net = Interconnect(cluster)
     t64 = net.collective_time("allreduce", 4 * 2**20, 64)
     t512 = net.collective_time("allreduce", 4 * 2**20, 512)
     assert t512 > t64

@@ -8,6 +8,7 @@ import pytest
 
 from repro.faults import RankFaultModel, build_fault_plan, install_faults
 from repro.hardware import TESTBOX, Cluster, Interconnect, get_machine
+from repro.hardware.network import JITTER_SIGMA
 from repro.mpi import (
     LOCK_EXCLUSIVE,
     LOCK_SHARED,
@@ -290,7 +291,7 @@ def test_remote_get_slower_than_local_get():
             return (local_dt, remote_dt)
         return None
 
-    job = run(main, jitter_sigma=0.0)
+    job = run(main)
     local_dt, remote_dt = job.results[0]
     assert local_dt < remote_dt
 
@@ -404,7 +405,8 @@ def replay_rma_script(script: dict) -> dict:
     machine = get_machine(script["machine"])
     seed = script["seed"]
     cluster = Cluster(Engine(), machine, script["n_nodes"])
-    net = Interconnect(cluster, jitter_sigma=script["jitter_sigma"], seed=seed)
+    assert script["jitter_sigma"] == JITTER_SIGMA  # the corpus's network
+    net = Interconnect(cluster, seed=seed)
     priced = []
     for op, *args in script["interconnect"]:
         if op == "faults":

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ChunkLayout, ChunkRegistry, DDStoreConfig, GlobalShuffleSampler, LocalShuffleSampler, balanced_partition
+from repro.core import ChunkLayout, ChunkRegistry, DDStoreConfig, balanced_partition, epoch_indices
 from repro.graphs import AtomicGraph, collate
 from repro.mpi.datatypes import sizeof
 from repro.sim import Engine, QueueStation, FluidStation
@@ -225,7 +225,7 @@ def test_global_shuffle_is_partition_of_prefix(n_samples, n_ranks, epoch, seed):
     if n_samples < n_ranks:
         n_samples = n_ranks
     chunks = [
-        GlobalShuffleSampler(n_samples, n_ranks, r, seed=seed).epoch_indices(epoch)
+        epoch_indices("global", n_samples, n_ranks, r, seed, epoch)
         for r in range(n_ranks)
     ]
     allv = np.concatenate(chunks)
@@ -244,9 +244,8 @@ def test_global_shuffle_is_partition_of_prefix(n_samples, n_ranks, epoch, seed):
 @settings(max_examples=50, deadline=None)
 def test_local_shuffle_is_shard_permutation(n_samples, n_ranks, rank_seed):
     rank = rank_seed % n_ranks
-    s = LocalShuffleSampler(n_samples, n_ranks, rank, seed=3)
     lo, hi = balanced_partition(n_samples, n_ranks)[rank : rank + 2]
-    idx = s.epoch_indices(rank_seed)
+    idx = epoch_indices("local", n_samples, n_ranks, rank, 3, rank_seed)
     assert idx.size == n_samples // n_ranks
     assert set(idx.tolist()) <= set(range(lo, hi))
     assert len(set(idx.tolist())) == idx.size

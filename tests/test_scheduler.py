@@ -38,21 +38,31 @@ def _source(ctx, n=32, seed=0):
 # ---------------------------------------------------------------------------
 
 
-class _StubDataset:
-    def __init__(self, bytes_per_sample=100):
-        self.bytes_per_sample = bytes_per_sample
+class _StubStore:
+    """The store fields the scheduler reads: options and a cache (off)."""
 
-    def estimate_nbytes(self, indices):
-        return self.bytes_per_sample * len(indices)
+    def __init__(self, options):
+        self.config = type("Config", (), {"dataplane": options})()
+        self.cache = SampleCache(0)
+
+
+class _StubDataset:
+    stats_only = columnar = False
+    arena_pool = None
+
+    def __init__(self, store=None):
+        self.store = store
 
 
 class _StubLoader:
-    """Loader double: records when each batch's load coroutine starts."""
+    """Loader double: records when each batch's load coroutine starts.
+    With ``options`` its dataset carries a store configured by them;
+    without, it has none (a file baseline)."""
 
-    def __init__(self, engine, load_time=0.01):
+    def __init__(self, engine, load_time=0.01, options=None):
         self.engine = engine
         self.load_time = load_time
-        self.dataset = _StubDataset()
+        self.dataset = _StubDataset(_StubStore(options) if options else None)
         self.launches: list[tuple[tuple, float]] = []
 
     def load(self, idx):
@@ -95,10 +105,9 @@ def test_depth1_launches_one_batch_ahead():
 
 def test_depth4_launches_initial_window_immediately():
     engine = Engine()
-    loader = _StubLoader(engine)
+    loader = _StubLoader(engine, options=DataPlaneOptions(prefetch_depth=4))
     batches = [np.array([i]) for i in range(6)]
-    opts = DataPlaneOptions(prefetch_depth=4)
-    sched = EpochScheduler(loader, batches, engine=engine, options=opts)
+    sched = EpochScheduler(loader, batches, engine=engine)
     _drive(engine, sched, len(batches))
 
     t0_launches = [b for b, t in loader.launches if t == 0.0]

@@ -248,6 +248,13 @@ def test_cff_write_read_roundtrip(vfs):
         g, done = reader.read_sample(i, node_index=1, arrival=0.0)
         assert g.allclose(gen.make(i))
         assert done > 0
+    # Every reader of one file views the same index bytes, read-only: one
+    # host copy, however many ranks open it.
+    other = CFFReader(vfs, "cff/mol", TESTBOX)
+    assert np.shares_memory(reader.index.offset, other.index.offset)
+    for index in (reader.index, other.index):
+        for arr in (index.subfile, index.offset, index.size):
+            assert not arr.flags.writeable
 
 
 def test_cff_index_roundtrip():
