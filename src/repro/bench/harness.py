@@ -45,7 +45,7 @@ from ..gnn import DistributedModel, HydraGNNConfig, PhaseTimes, Trainer
 from ..graphs.datasets import DATASETS
 from ..hardware import MACHINES, get_machine
 from ..mpi import MPIStats, run_world
-from ..storage import CFFReader, PFFReader, SampleStats, write_cff, write_pff
+from ..storage import CFFImage, CFFReader, PFFReader, SampleStats, pack_graph, write_pff
 from ..storage.formats import _cff_index_path, CFFIndex
 
 __all__ = [
@@ -58,24 +58,38 @@ __all__ = [
 METHODS = ("pff", "cff", "ddstore", "ddstore-p2p", "nvme")
 
 # ---------------------------------------------------------------------------
-# packed-sample cache (samples are deterministic per (dataset, seed, index),
-# so one growing blob list serves every scale point and method)
+# packed-dataset images (samples are deterministic per (dataset, seed, index),
+# so one growing CFF image serves every scale point and method)
 # ---------------------------------------------------------------------------
 
-_BLOB_CACHE: dict[tuple[str, int], list[bytes]] = {}
+# ADIOS subfile count is fixed by the original data-production run (its
+# aggregator count), not by how many ranks later read it — a key reason
+# container reads contend at scale.
+_N_SUBFILES = 8
+_IMAGES: dict[tuple[str, int], CFFImage] = {}
 
 
-def packed_blobs(dataset: str, seed: int, n: int) -> list[bytes]:
-    """First ``n`` packed samples of a registry dataset (cached)."""
-    from ..storage import pack_graph
-
+def _image(dataset: str, seed: int, n: int) -> CFFImage:
+    """The cached CFF image of a registry dataset, holding at least its
+    first ``n`` samples: the one host copy of their bytes.  Growing it
+    packs the new samples and repacks the old ones (a memcpy); views of
+    the old image keep it alive, so they keep their bytes."""
     key = (dataset, seed)
-    blobs = _BLOB_CACHE.setdefault(key, [])
-    if len(blobs) < n:
+    image = _IMAGES.get(key)
+    if image is None or image.n_samples < n:
+        have = image.blobs if image is not None else []
         gen = DATASETS[dataset].make(n, seed)
-        for i in range(len(blobs), n):
-            blobs.append(pack_graph(gen.make(i)))
-    return blobs[:n]
+        fresh = [pack_graph(gen.make(i)) for i in range(len(have), n)]
+        image = _IMAGES[key] = CFFImage.pack(have + fresh, _N_SUBFILES)
+    return image
+
+
+def packed_blobs(dataset: str, seed: int, n: int) -> list[memoryview]:
+    """First ``n`` packed samples of a registry dataset: read-only views of
+    its cached image."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return _image(dataset, seed, n).blobs[:n] if n else []
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +245,7 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _logical_scale(cfg: ExperimentConfig, blobs: list[bytes]) -> float:
+def _logical_scale(cfg: ExperimentConfig, blobs: list) -> float:
     """Make the scaled container *time* like the paper's full-size file."""
     actual = sum(len(b) for b in blobs)
     paper = DATASETS[cfg.dataset].paper_cff_bytes
@@ -280,7 +294,7 @@ def _warm_caches(world, root: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _model_config(cfg: ExperimentConfig, blobs: list[bytes]) -> HydraGNNConfig:
+def _model_config(cfg: ExperimentConfig, blobs: list) -> HydraGNNConfig:
     s0 = SampleStats.from_blob(blobs[0])
     return HydraGNNConfig(
         feature_dim=s0.feature_dim,
@@ -289,20 +303,20 @@ def _model_config(cfg: ExperimentConfig, blobs: list[bytes]) -> HydraGNNConfig:
     )
 
 
-def _rank_main(ctx, cfg: ExperimentConfig, blobs: list[bytes], model_cfg: HydraGNNConfig):
+def _rank_main(
+    ctx, cfg: ExperimentConfig, image: CFFImage, blobs: list, model_cfg: HydraGNNConfig
+):
     machine = ctx.world.machine
     vfs = ctx.world.vfs
     root = f"{cfg.dataset}-{cfg.method}"
 
     # -- stage the dataset on the shared filesystem (untimed setup) --------
     if ctx.rank == 0:
+        # Every staged file is a read-only view of the image: no copy.
         if cfg.method == "pff":
             write_pff(vfs, root, blobs)
         else:  # cff and both ddstore variants preload from a container
-            # ADIOS subfile count is fixed by the original data-production
-            # run (its aggregator count), not by how many ranks later read
-            # it — a key reason container reads contend at scale.
-            write_cff(vfs, root, blobs, n_subfiles=8, logical_scale=_logical_scale(cfg, blobs))
+            image.stage(vfs, root, len(blobs), logical_scale=_logical_scale(cfg, blobs))
         if cfg.warm_page_cache and cfg.method in ("pff", "cff"):
             _warm_caches(ctx.world, root)
     yield from ctx.comm.barrier()
@@ -420,7 +434,9 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
     from ..obs import Observer
 
     gc.collect()  # drop the previous cell's world (VFS files, chunk buffers)
-    blobs = packed_blobs(cfg.dataset, cfg.seed, cfg.resolved_samples())
+    n_samples = cfg.resolved_samples()
+    image = _image(cfg.dataset, cfg.seed, n_samples)
+    blobs = image.blobs[:n_samples]
     machine = get_machine(cfg.machine)
     # Build the world up-front so the observer (and any fault plan) is
     # armed before any rank process issues traffic.
@@ -439,6 +455,7 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         cfg.n_nodes,
         _rank_main,
         cfg,
+        image,
         blobs,
         _model_config(cfg, blobs),
         seed=cfg.seed,

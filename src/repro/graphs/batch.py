@@ -16,6 +16,7 @@ Two ways to build that union:
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,7 +106,9 @@ class BatchArena:
 
     Backing stores are flat ``uint8`` arrays that only ever grow (2x
     headroom on resize), so a recycled arena serves any batch whose field
-    sizes fit without touching the allocator.  ``reset`` shapes typed
+    sizes fit without touching the allocator.  Each lives in its own
+    anonymous ``mmap``, so the pages go back to the OS when the arena is
+    dropped instead of staying in the allocator's free lists.  ``reset`` shapes typed
     views over buffer prefixes for the batch at hand; the fetch layer
     scatters payload bytes into ``field_bytes`` and :meth:`as_batch`
     wraps the views into a :class:`GraphBatch` — no per-sample arrays
@@ -134,7 +137,7 @@ class BatchArena:
     def _backing(self, name: str, nbytes: int) -> np.ndarray:
         store = self._stores[name]
         if store.nbytes < nbytes:
-            store = np.empty(max(nbytes, 2 * store.nbytes), np.uint8)
+            store = np.frombuffer(mmap.mmap(-1, max(nbytes, 2 * store.nbytes)), np.uint8)
             self._stores[name] = store
         return store
 

@@ -5,6 +5,7 @@ The extensions load on first use, from their own modules:
 burst-buffer tier)."""
 
 from .formats import (
+    CFFImage,
     CFFIndex,
     CFFReader,
     PFFReader,
@@ -46,6 +47,7 @@ __all__ = [
     "write_pff",
     "PFFReader",
     "write_cff",
+    "CFFImage",
     "CFFReader",
     "CFFIndex",
 ]

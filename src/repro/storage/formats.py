@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Protocol
+from functools import cached_property
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "write_pff",
     "PFFReader",
     "write_cff",
+    "CFFImage",
     "CFFReader",
     "CFFIndex",
 ]
@@ -267,28 +269,88 @@ def _cff_index_path(root: str) -> str:
     return f"{root}/index.bin"
 
 
+def _subfile_bytes(index: CFFIndex) -> list[int]:
+    """Bytes each subfile of a round-robin ``index`` holds."""
+    return [int(index.size[k :: index.n_subfiles].sum()) for k in range(index.n_subfiles)]
+
+
+class CFFImage:
+    """A CFF dataset packed once into one host buffer: the round-robin
+    subfiles back to back, plus the index that locates every sample.
+
+    Round-robin placement makes every prefix of the dataset a prefix of
+    each subfile at the same offsets (for ``n < n_subfiles``, sample ``i``
+    sits alone at offset 0 of subfile ``i``), so one image serves every
+    dataset size: :meth:`stage` lays the first ``n`` samples out in a
+    :class:`VirtualFS` as read-only views of the subfile prefixes, and only
+    the index is rebuilt.  :attr:`blobs` are views of the same bytes.
+    """
+
+    def __init__(self, data: bytes, index: CFFIndex) -> None:
+        self.data = data
+        self.index = index
+        # Byte offset of each subfile in ``data`` (and the end, last).
+        self._bounds = np.cumsum([0] + _subfile_bytes(index))
+        self._view = memoryview(data).toreadonly()
+
+    @classmethod
+    def pack(cls, blobs, n_subfiles: int) -> "CFFImage":
+        """Sample ``i`` of ``blobs`` goes to subfile ``i % n_subfiles``, as
+        ADIOS aggregators place them; the image is one join of them."""
+        n = len(blobs)
+        n_subfiles = max(1, min(n_subfiles, n))
+        sizes = np.fromiter(map(len, blobs), np.int64, n)
+        subfiles = (np.arange(n) % n_subfiles).astype(np.int32)
+        offsets = np.empty(n, np.int64)
+        for k in range(n_subfiles):
+            offsets[k::n_subfiles] = np.cumsum(sizes[k::n_subfiles]) - sizes[k::n_subfiles]
+        for a in (sizes, subfiles, offsets):
+            a.setflags(write=False)
+        data = b"".join([b for k in range(n_subfiles) for b in blobs[k::n_subfiles]])
+        return cls(data, CFFIndex(subfile=subfiles, offset=offsets, size=sizes,
+                                  n_subfiles=n_subfiles))
+
+    @property
+    def n_samples(self) -> int:
+        return self.index.n_samples
+
+    @cached_property
+    def blobs(self) -> list[memoryview]:
+        """Every packed sample in id order, each a read-only view of the image."""
+        ix = self.index
+        starts = (self._bounds[ix.subfile] + ix.offset).tolist()
+        view = self._view
+        return [view[a : a + size] for a, size in zip(starts, ix.size.tolist())]
+
+    def stage(
+        self, vfs: VirtualFS, root: str, n: Optional[int] = None, *, logical_scale: float
+    ) -> CFFIndex:
+        """Lay the first ``n`` samples (default: all) out under ``root`` as a
+        CFF dataset whose subfiles adopt views of this image (no copy).
+        ``logical_scale`` makes a scaled-down container *time* like the
+        paper's full-size one (see :mod:`repro.storage.vfs`)."""
+        n = self.n_samples if n is None else n
+        if not 0 <= n <= self.n_samples:
+            raise ValueError(f"n must be in [0, {self.n_samples}], got {n}")
+        ix = self.index
+        index = CFFIndex(subfile=ix.subfile[:n], offset=ix.offset[:n], size=ix.size[:n],
+                         n_subfiles=max(1, min(ix.n_subfiles, n)))
+        for k, nbytes in enumerate(_subfile_bytes(index)):
+            base = int(self._bounds[k])
+            vfs.create(
+                _cff_subfile_path(root, k), self._view[base : base + nbytes],
+                logical_scale=logical_scale,
+            )
+        vfs.create(_cff_index_path(root), index.to_bytes())
+        return index
+
+
 def write_cff(
     vfs: VirtualFS, root: str, blobs: list, *, n_subfiles: int, logical_scale: float
 ) -> CFFIndex:
-    """Lay packed ``blobs`` out as a CFF dataset: sample ``i`` goes to
-    subfile ``i % n_subfiles`` (round-robin, like ADIOS aggregators), and
-    each subfile is built by one join the file adopts.  ``logical_scale``
-    makes a scaled-down container *time* like the paper's full-size one
-    (see :mod:`repro.storage.vfs`)."""
-    n = len(blobs)
-    n_subfiles = max(1, min(n_subfiles, n))
-    sizes = np.fromiter(map(len, blobs), np.int64, n)
-    subfiles = (np.arange(n) % n_subfiles).astype(np.int32)
-    offsets = np.empty(n, np.int64)
-    for k in range(n_subfiles):
-        offsets[k::n_subfiles] = np.cumsum(sizes[k::n_subfiles]) - sizes[k::n_subfiles]
-        vfs.create(
-            _cff_subfile_path(root, k), b"".join(blobs[k::n_subfiles]),
-            logical_scale=logical_scale,
-        )
-    index = CFFIndex(subfile=subfiles, offset=offsets, size=sizes, n_subfiles=n_subfiles)
-    vfs.create(_cff_index_path(root), index.to_bytes())
-    return index
+    """Lay packed ``blobs`` out as a CFF dataset: pack a :class:`CFFImage`
+    and stage all of it."""
+    return CFFImage.pack(blobs, n_subfiles).stage(vfs, root, logical_scale=logical_scale)
 
 
 class CFFReader:

@@ -45,7 +45,10 @@ class FileSealed(PermissionError):
 class VirtualFile:
     file_id: int
     path: str
-    data: bytes | bytearray = b""
+    # Whatever buffer ``create`` was handed, adopted as is: ``bytes``, any
+    # read-only buffer (a view into a packed image, which stays its owner)
+    # or a ``bytearray`` that ``append`` may grow until the first read.
+    data: bytes | bytearray | memoryview = b""
     logical_scale: float = 1.0
     # The one read-only view every read slices; set by the first read.
     _view: Optional[memoryview] = field(default=None, repr=False, compare=False)
@@ -97,13 +100,16 @@ class VirtualFS:
     def create(
         self,
         path: str,
-        data: bytes | bytearray = b"",
+        data: bytes | bytearray | memoryview = b"",
         *,
         logical_scale: float = 1.0,
         overwrite: bool = False,
     ) -> VirtualFile:
-        """Create ``path`` holding ``data``, which the file adopts (no copy:
-        the caller must not mutate a ``bytearray`` it hands over)."""
+        """Create ``path`` holding ``data``, which the file adopts (no copy).
+        ``data`` may be any read-only buffer, such as a view of a packed
+        :class:`~repro.storage.CFFImage` the file then shares with every
+        other view of it; the caller must not mutate a ``bytearray`` it
+        hands over."""
         if path in self._files and not overwrite:
             raise FileExists(path)
         if logical_scale < 1.0:

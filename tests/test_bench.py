@@ -21,6 +21,9 @@ from repro.bench import (
 from repro.bench import harness
 from repro.bench.harness import METHODS
 from repro.gnn import HydraGNN
+from repro.hardware import TESTBOX, ParallelFileSystem
+from repro.sim import Engine
+from repro.storage import CFFReader, VirtualFS, write_pff
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +136,36 @@ def test_config_validation(bad):
 
 
 def test_packed_blobs_cached_and_deterministic(monkeypatch):
-    monkeypatch.setattr(harness, "_BLOB_CACHE", {})
+    monkeypatch.setattr(harness, "_IMAGES", {})
     a = packed_blobs("ising", 0, 4)
-    b = packed_blobs("ising", 0, 8)
-    assert b[:4] == a  # prefix stability: growing the cache keeps old blobs
-    c = packed_blobs("ising", 0, 8)
+    before = [bytes(blob) for blob in a]
+    b = packed_blobs("ising", 0, 16)
+    # Prefix stability: growing the image keeps old samples, and a list handed
+    # out before the growth still holds its bytes (its views pin the old image).
+    assert b[:4] == a == before
+    c = packed_blobs("ising", 0, 16)
     assert c == b
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        packed_blobs("ising", 0, -2)  # would slice from the end
+
+    # One host copy: blobs, PFF files and CFF subfiles staged for the whole
+    # image or for a prefix of it (same offsets, or one sample per subfile)
+    # are read-only views of the image's bytes.
+    image = harness._IMAGES[("ising", 0)]
+    vfs = VirtualFS(ParallelFileSystem(Engine(), TESTBOX.pfs, 1))
+    write_pff(vfs, "p", b)
+    image.stage(vfs, "full", logical_scale=1.0)
+    for n, root in ((11, "part"), (5, "few")):
+        assert image.stage(vfs, root, n, logical_scale=1.0).n_subfiles == min(8, n)
+        reader = CFFReader(vfs, root, TESTBOX)
+        assert [reader.read_sample_raw(i, 0, 0.0)[0] for i in range(n)] == b[:n]
+    owner = np.frombuffer(image.data, np.uint8)
+    views = [b[3], vfs.stat(vfs.listdir("p")[3]).data] + [
+        vfs.stat(f"{root}/data.{k}.bin").data for root in ("full", "part", "few") for k in (0, 4)
+    ]
+    for view in views:
+        assert np.shares_memory(np.frombuffer(view, np.uint8), owner)
+        assert view.readonly
 
 
 @pytest.mark.parametrize("method", ["pff", "cff", "ddstore"])

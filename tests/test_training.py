@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.sweep import eval_split, real_trainer
 from repro.core import DataLoader, DDStore, DDStoreDataset, GeneratorSource
 from repro.gnn import (
     AdamW,
@@ -120,10 +121,20 @@ def test_evaluate_returns_finite_loss():
         trainer, _ = yield from _setup(ctx)
         yield from trainer.train_epoch(0)
         val = yield from trainer.evaluate(np.arange(8))
-        return val
+        # The benches' recipe: train on the first ``n_train`` samples through
+        # a storeless ``TrainView``, then score the held-out rest.
+        bench = yield from real_trainer(
+            ctx, IsingGenerator(32, seed=0), _small_cfg(), batch_size=4, lr=1e-3, seed=0,
+            n_train=16,
+        )
+        report = yield from bench.train_epoch(0)
+        held_out = yield from eval_split(ctx, bench, 16, 32)
+        return val, report.n_steps, report.train_loss, held_out
 
     job = run_world(TESTBOX, 2, main)
-    assert all(np.isfinite(v) for v in job.results)
+    for val, n_steps, train_loss, held_out in job.results:
+        assert n_steps == 1  # 16 training samples / 4 ranks / batch 4
+        assert all(np.isfinite(v) for v in (val, train_loss, held_out))
 
 
 def test_evaluate_requires_real_compute():
