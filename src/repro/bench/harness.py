@@ -24,6 +24,11 @@ behaviour matches the paper's full-size datasets (Table 1).
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -68,20 +73,127 @@ METHODS = ("pff", "cff", "ddstore", "ddstore-p2p", "nvme")
 _N_SUBFILES = 8
 _IMAGES: dict[tuple[str, int], CFFImage] = {}
 
+# Fewest new samples worth one more worker: below two such shares an image
+# grows inline, since a fork, a pipe and a reap would cost more than the
+# generation they split.
+_MIN_SHARE = 32
+
 
 def _image(dataset: str, seed: int, n: int) -> CFFImage:
     """The cached CFF image of a registry dataset, holding at least its
     first ``n`` samples: the one host copy of their bytes.  Growing it
-    packs the new samples and repacks the old ones (a memcpy); views of
-    the old image keep it alive, so they keep their bytes."""
+    generates the new samples (:func:`_generate`) and packs a new image
+    behind a copy of the old subfiles; views of the old image keep it
+    alive, so they keep their bytes."""
     key = (dataset, seed)
     image = _IMAGES.get(key)
     if image is None or image.n_samples < n:
-        have = image.blobs if image is not None else []
-        gen = DATASETS[dataset].make(n, seed)
-        fresh = [pack_graph(gen.make(i)) for i in range(len(have), n)]
-        image = _IMAGES[key] = CFFImage.pack(have + fresh, _N_SUBFILES)
+        have = image.n_samples if image is not None else 0
+        fresh = _generate(dataset, seed, have, n)
+        image = _IMAGES[key] = CFFImage.pack(fresh, _N_SUBFILES, base=image)
     return image
+
+
+def _n_workers(n_new: int) -> int:
+    """Processes that generate ``n_new`` samples: one per usable core, each
+    with at least ``_MIN_SHARE`` samples.  One (inline) where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or while another thread is alive,
+    native ones included: a forked child gets a copy of any lock such a
+    thread holds, and where it is a BLAS pool (numpy's default on a
+    multi-core host) two processes each driving one over the same cores
+    run ``eigh`` several times slower than one process alone."""
+    if not hasattr(os, "sched_getaffinity") or _n_threads() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_new // _MIN_SHARE))
+
+
+def _n_threads() -> int:
+    """Threads of this process: the kernel's count, which sees threads that
+    ``threading`` does not (a BLAS pool), where ``/proc`` is mounted."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _generate(dataset: str, seed: int, lo: int, hi: int) -> list:
+    """Packed samples ``[lo, hi)`` of a registry dataset, in id order.
+
+    Every sample is a pure function of ``(dataset, seed, index)``, so the
+    range splits into contiguous shares with no change to the bytes: this
+    process packs the first and a forked child each other one.  A child
+    writes its size table and then its bytes to a pipe, which the parent
+    reads into one buffer.  A failed child makes this raise, naming its
+    range; every child is reaped (killed first, on failure) before return.
+    """
+    gen = DATASETS[dataset].make(hi, seed)
+    k = _n_workers(hi - lo)
+    cuts = [lo + (hi - lo) * j // k for j in range(k + 1)]
+    spans = list(zip(cuts[1:-1], cuts[2:]))  # the children's shares
+    shares = [f"generating {dataset} samples [{a}, {b})" for a, b in spans]
+    pipes, pids = [], []
+    try:
+        for a, b in spans:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb", buffering=0))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(gen, a, b, w, [p.fileno() for p in pipes])
+            finally:
+                os.close(w)
+            pids.append(pid)
+        fresh = [pack_graph(gen.make(i)) for i in range(cuts[0], cuts[1])]
+        sizes = [np.empty(b - a, np.int64) for a, b in spans]
+        for pipe, size, share in zip(pipes, sizes, shares):
+            _read_into(pipe, memoryview(size).cast("B"), share)
+        total = max(1, int(sum(size.sum() for size in sizes)))  # mmap refuses length 0
+        buf = memoryview(mmap.mmap(-1, total, flags=mmap.MAP_PRIVATE))
+        for pipe, size, share in zip(pipes, sizes, shares):
+            ends = np.cumsum(size)
+            _read_into(pipe, buf[: int(ends[-1])], share)
+            fresh += [buf[e - n : e] for e, n in zip(ends.tolist(), size.tolist())]
+            buf = buf[int(ends[-1]) :]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, share in zip(codes, shares):
+        if code:
+            raise RuntimeError(f"{share} failed in a worker (exit code {code})")
+    return fresh
+
+
+def _child(gen, lo: int, hi: int, w: int, inherited: list[int]) -> None:
+    """A forked worker: pack samples ``[lo, hi)``, write their size table and
+    bytes to pipe ``w`` and leave by ``os._exit``, so nothing of the parent's
+    state unwinds here; a failure prints its traceback and exits 1."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        blobs = [pack_graph(gen.make(i)) for i in range(lo, hi)]
+        with open(w, "wb") as pipe:
+            pipe.write(np.fromiter(map(len, blobs), np.int64, hi - lo))
+            pipe.writelines(blobs)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _read_into(pipe, view: memoryview, share: str) -> None:
+    """Fill ``view`` from a worker's pipe; an early end means it failed."""
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise RuntimeError(f"{share} failed in a worker (its output ended early)")
+        view = view[got:]
 
 
 def packed_blobs(dataset: str, seed: int, n: int) -> list[memoryview]:
@@ -245,11 +357,10 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _logical_scale(cfg: ExperimentConfig, blobs: list) -> float:
-    """Make the scaled container *time* like the paper's full-size file."""
-    actual = sum(len(b) for b in blobs)
+def _logical_scale(cfg: ExperimentConfig, nbytes: int) -> float:
+    """Make a scaled container of ``nbytes`` *time* like the paper's full-size file."""
     paper = DATASETS[cfg.dataset].paper_cff_bytes
-    return max(1.0, paper / max(actual, 1))
+    return max(1.0, paper / max(nbytes, 1))
 
 
 def _warm_caches(world, root: str) -> None:
@@ -294,8 +405,8 @@ def _warm_caches(world, root: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _model_config(cfg: ExperimentConfig, blobs: list) -> HydraGNNConfig:
-    s0 = SampleStats.from_blob(blobs[0])
+def _model_config(cfg: ExperimentConfig, image: CFFImage) -> HydraGNNConfig:
+    s0 = SampleStats.from_blob(image.blob(0))
     return HydraGNNConfig(
         feature_dim=s0.feature_dim,
         head_dims=(DATASETS[cfg.dataset].output_dim,),
@@ -304,7 +415,12 @@ def _model_config(cfg: ExperimentConfig, blobs: list) -> HydraGNNConfig:
 
 
 def _rank_main(
-    ctx, cfg: ExperimentConfig, image: CFFImage, blobs: list, model_cfg: HydraGNNConfig
+    ctx,
+    cfg: ExperimentConfig,
+    image: CFFImage,
+    n_samples: int,
+    nbytes: int,
+    model_cfg: HydraGNNConfig,
 ):
     machine = ctx.world.machine
     vfs = ctx.world.vfs
@@ -312,11 +428,12 @@ def _rank_main(
 
     # -- stage the dataset on the shared filesystem (untimed setup) --------
     if ctx.rank == 0:
-        # Every staged file is a read-only view of the image: no copy.
+        # Every staged file is a read-only view of the image: no copy.  Only
+        # PFF, a file per sample, needs a view per sample.
         if cfg.method == "pff":
-            write_pff(vfs, root, blobs)
+            write_pff(vfs, root, image.blobs[:n_samples])
         else:  # cff and both ddstore variants preload from a container
-            image.stage(vfs, root, len(blobs), logical_scale=_logical_scale(cfg, blobs))
+            image.stage(vfs, root, n_samples, logical_scale=_logical_scale(cfg, nbytes))
         if cfg.warm_page_cache and cfg.method in ("pff", "cff"):
             _warm_caches(ctx.world, root)
     yield from ctx.comm.barrier()
@@ -325,7 +442,7 @@ def _rank_main(
     t_setup = ctx.now
     store = None
     if cfg.method == "pff":
-        reader = PFFReader(vfs, root, len(blobs), machine)
+        reader = PFFReader(vfs, root, n_samples, machine)
         dataset = FileDataset(reader, ctx, stats_only=True, n_workers=cfg.n_workers)
     elif cfg.method == "cff":
         reader = CFFReader(vfs, root, machine)
@@ -342,7 +459,7 @@ def _rank_main(
 
             device = NVMeDevice(ctx.engine, machine.nvme, name=f"nvme[{ctx.node_index}]")
             cff = CFFReader(vfs, root, machine)
-            logical = int(sum(len(b) for b in blobs) * _logical_scale(cfg, blobs))
+            logical = int(nbytes * _logical_scale(cfg, nbytes))
             staged, t_done = stage_to_nvme(
                 cff, device, ctx.node_index, ctx.now, logical_bytes=logical
             )
@@ -436,7 +553,6 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
     gc.collect()  # drop the previous cell's world (VFS files, chunk buffers)
     n_samples = cfg.resolved_samples()
     image = _image(cfg.dataset, cfg.seed, n_samples)
-    blobs = image.blobs[:n_samples]
     machine = get_machine(cfg.machine)
     # Build the world up-front so the observer (and any fault plan) is
     # armed before any rank process issues traffic.
@@ -456,8 +572,9 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         _rank_main,
         cfg,
         image,
-        blobs,
-        _model_config(cfg, blobs),
+        n_samples,
+        int(image.index.size[:n_samples].sum()),
+        _model_config(cfg, image),
         seed=cfg.seed,
         world=world,
     )

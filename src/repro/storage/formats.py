@@ -16,6 +16,7 @@ sit here too: :func:`decode_time` (per-sample deserialise) and
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -283,32 +284,48 @@ class CFFImage:
     sits alone at offset 0 of subfile ``i``), so one image serves every
     dataset size: :meth:`stage` lays the first ``n`` samples out in a
     :class:`VirtualFS` as read-only views of the subfile prefixes, and only
-    the index is rebuilt.  :attr:`blobs` are views of the same bytes.
+    the index is rebuilt.  :attr:`blobs` are views of the same bytes.  The
+    buffer is an anonymous ``mmap``, so its pages go back to the OS when the
+    last view of it is dropped; :attr:`data` is a read-only view of it.
     """
 
-    def __init__(self, data: bytes, index: CFFIndex) -> None:
-        self.data = data
+    def __init__(self, data, index: CFFIndex) -> None:
         self.index = index
         # Byte offset of each subfile in ``data`` (and the end, last).
         self._bounds = np.cumsum([0] + _subfile_bytes(index))
-        self._view = memoryview(data).toreadonly()
+        self.data = memoryview(data).toreadonly()[: int(self._bounds[-1])]
 
     @classmethod
-    def pack(cls, blobs, n_subfiles: int) -> "CFFImage":
-        """Sample ``i`` of ``blobs`` goes to subfile ``i % n_subfiles``, as
-        ADIOS aggregators place them; the image is one join of them."""
-        n = len(blobs)
+    def pack(cls, blobs, n_subfiles: int, base: Optional["CFFImage"] = None) -> "CFFImage":
+        """Sample ``i`` goes to subfile ``i % n_subfiles``, as ADIOS aggregators
+        place them.  With a ``base`` image (packed with the same
+        ``n_subfiles``), its samples come first and ``blobs`` follow: each of
+        its subfiles is a prefix of the new one, so it is copied as one block."""
+        old = base.index.size if base is not None else np.empty(0, np.int64)
+        n_old, n = old.size, old.size + len(blobs)
+        if base is not None and base.index.n_subfiles != max(1, min(n_subfiles, n_old)):
+            raise ValueError(f"base image was not packed with n_subfiles={n_subfiles}")
         n_subfiles = max(1, min(n_subfiles, n))
-        sizes = np.fromiter(map(len, blobs), np.int64, n)
+        sizes = np.concatenate([old, np.fromiter(map(len, blobs), np.int64, len(blobs))])
         subfiles = (np.arange(n) % n_subfiles).astype(np.int32)
         offsets = np.empty(n, np.int64)
         for k in range(n_subfiles):
             offsets[k::n_subfiles] = np.cumsum(sizes[k::n_subfiles]) - sizes[k::n_subfiles]
         for a in (sizes, subfiles, offsets):
             a.setflags(write=False)
-        data = b"".join([b for k in range(n_subfiles) for b in blobs[k::n_subfiles]])
-        return cls(data, CFFIndex(subfile=subfiles, offset=offsets, size=sizes,
-                                  n_subfiles=n_subfiles))
+        index = CFFIndex(subfile=subfiles, offset=offsets, size=sizes, n_subfiles=n_subfiles)
+        bounds = np.cumsum([0] + _subfile_bytes(index))
+        # Private (as malloc maps large blocks), not the default shared
+        # mapping, whose shmem pages fault in slower; mmap refuses length 0.
+        data = mmap.mmap(-1, max(1, int(bounds[-1])), flags=mmap.MAP_PRIVATE)
+        if base is not None:
+            for k, nbytes in enumerate(np.diff(base._bounds).tolist()):
+                start, src = int(bounds[k]), int(base._bounds[k])
+                data[start : start + nbytes] = base.data[src : src + nbytes]
+        starts = (bounds[subfiles[n_old:]] + offsets[n_old:]).tolist()
+        for start, blob in zip(starts, blobs):
+            data[start : start + len(blob)] = blob
+        return cls(data, index)
 
     @property
     def n_samples(self) -> int:
@@ -319,8 +336,14 @@ class CFFImage:
         """Every packed sample in id order, each a read-only view of the image."""
         ix = self.index
         starts = (self._bounds[ix.subfile] + ix.offset).tolist()
-        view = self._view
+        view = self.data
         return [view[a : a + size] for a, size in zip(starts, ix.size.tolist())]
+
+    def blob(self, i: int) -> memoryview:
+        """Packed sample ``i``, a read-only view of the image (no list built)."""
+        ix = self.index
+        start = int(self._bounds[ix.subfile[i]] + ix.offset[i])
+        return self.data[start : start + int(ix.size[i])]
 
     def stage(
         self, vfs: VirtualFS, root: str, n: Optional[int] = None, *, logical_scale: float
@@ -338,7 +361,7 @@ class CFFImage:
         for k, nbytes in enumerate(_subfile_bytes(index)):
             base = int(self._bounds[k])
             vfs.create(
-                _cff_subfile_path(root, k), self._view[base : base + nbytes],
+                _cff_subfile_path(root, k), self.data[base : base + nbytes],
                 logical_scale=logical_scale,
             )
         vfs.create(_cff_index_path(root), index.to_bytes())

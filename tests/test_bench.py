@@ -21,9 +21,10 @@ from repro.bench import (
 from repro.bench import harness
 from repro.bench.harness import METHODS
 from repro.gnn import HydraGNN
+from repro.graphs import MoleculeGenerator
 from repro.hardware import TESTBOX, ParallelFileSystem
 from repro.sim import Engine
-from repro.storage import CFFReader, VirtualFS, write_pff
+from repro.storage import CFFImage, CFFReader, VirtualFS, write_pff
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,46 @@ def test_packed_blobs_cached_and_deterministic(monkeypatch):
     for view in views:
         assert np.shares_memory(np.frombuffer(view, np.uint8), owner)
         assert view.readonly
+    empty = CFFImage.pack([], 8)  # mmap refuses length 0
+    assert empty.n_samples == len(empty.data) == 0 and empty.blobs == []
+
+    # Both generation paths build one image, byte for byte, whatever this
+    # host's core count: forked workers (three shares) and inline, each
+    # growing an image twice (the second time behind a copy of the first).
+    def paths(share):
+        monkeypatch.setattr(harness, "_IMAGES", {})
+        monkeypatch.setattr(harness, "_MIN_SHARE", share)
+        monkeypatch.setattr(harness, "_n_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        return harness._n_workers(35)
+
+    images = []
+    for share, workers in ((2, 3), (10**9, 1)):
+        assert paths(share) == workers
+        packed_blobs("aisd", 0, 5)
+        packed_blobs("aisd", 0, 40)
+        images.append(harness._IMAGES[("aisd", 0)])
+    forked, inline = images
+    assert bytes(forked.data) == bytes(inline.data)
+    for field in ("subfile", "offset", "size"):
+        assert np.array_equal(getattr(forked.index, field), getattr(inline.index, field))
+
+    # A worker that fails makes packed_blobs raise, naming its share, and
+    # leaves no child behind.
+    make = MoleculeGenerator.make
+
+    def fail_at_30(self, index):
+        if index == 30:
+            raise RuntimeError("generator failed")
+        return make(self, index)
+
+    paths(2)
+    monkeypatch.setattr(MoleculeGenerator, "make", fail_at_30)
+    with pytest.raises(RuntimeError, match=r"samples \[26, 40\) failed in a worker"):
+        packed_blobs("aisd", 0, 40)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert ("aisd", 0) not in harness._IMAGES
 
 
 @pytest.mark.parametrize("method", ["pff", "cff", "ddstore"])

@@ -60,8 +60,8 @@ def test_logical_scale_targets_paper_bytes():
     blobs = packed_blobs("aisd", 0, 8)
     cfg = ExperimentConfig(machine="perlmutter", n_nodes=1, dataset="aisd",
                            batch_size=2, steps_per_epoch=1)
-    scale = _logical_scale(cfg, blobs)
     actual = sum(len(b) for b in blobs)
+    scale = _logical_scale(cfg, actual)
     assert scale * actual == pytest.approx(60e9, rel=1e-6)  # paper CFF bytes
 
 
