@@ -51,7 +51,7 @@ from ..graphs.datasets import DATASETS
 from ..hardware import MACHINES, get_machine
 from ..mpi import MPIStats, run_world
 from ..storage import CFFImage, CFFReader, PFFReader, SampleStats, pack_graph, write_pff
-from ..storage.formats import _cff_index_path, CFFIndex
+from ..storage.formats import occupied_blocks
 
 __all__ = [
     "ExperimentConfig",
@@ -373,31 +373,14 @@ def _warm_caches(world, root: str) -> None:
     caches = world.pfs.caches
     if not caches:
         return
-    capacity_bytes = caches[0].capacity_blocks * caches[0].block_bytes
-    paths = world.vfs.listdir(root)
-    total_logical = sum(world.vfs.stat(p).logical_size for p in paths)
-    if total_logical > capacity_bytes:
+    block = caches[0].block_bytes
+    occupied = occupied_blocks(world.vfs, root, block)
+    if sum(f.logical_size for f, _ in occupied) > caches[0].capacity_blocks * block:
         return  # the dataset cannot stay resident (the AISD-scale case)
-    index = None
-    for path in paths:
-        f = world.vfs.stat(path)
-        if path.endswith(".bin") and "data." in path:
-            # CFF subfile: warm the blocks its samples actually occupy.
-            if index is None:
-                index = CFFIndex.from_bytes(world.vfs.stat(_cff_index_path(root)).view())
-            k = int(path.rsplit(".", 2)[1])
-            sel = index.subfile == k
-            block = caches[0].block_bytes
-            blocks = np.unique(
-                (index.offset[sel].astype(np.float64) * f.logical_scale).astype(np.int64)
-                // block
-            )
-            for cache in caches:
-                for b in blocks:
-                    cache.prefetch(f.file_id, int(b) * block, 1)
-        else:
-            for cache in caches:
-                cache.prefetch(f.file_id, 0, 1)
+    for f, offsets in occupied:
+        for cache in caches:
+            for offset in offsets:
+                cache.prefetch(f.file_id, offset, 1)
 
 
 # ---------------------------------------------------------------------------

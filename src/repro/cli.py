@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bench import ScaleProfile, current_profile, write_report
+from .bench.experiments import table1_datasets
 from .bench.registry import EXPERIMENTS as REGISTRY
 from .bench.registry import Experiment
 from .core.config import _check
@@ -150,7 +151,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     profile = _profile(args)
     if profile is None:
         return 2
-    text, _data = BENCHES["table1"].driver(profile, sample_n=args.samples)
+    text, _data = table1_datasets(profile, sample_n=args.samples)
     print(text)
     return 0
 

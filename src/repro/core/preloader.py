@@ -26,7 +26,7 @@ and shares it instead.
 
 from __future__ import annotations
 
-from typing import Generator, Protocol, Sequence
+from typing import Callable, Generator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -94,9 +94,15 @@ class PreloadResult:
 
 
 class DataSource(Protocol):
-    """A preload plugin: materialise packed samples for an index range."""
+    """A preload plugin: materialise packed samples for an index range.
+
+    ``read_chunk_raw`` is the bulk reader of the files behind the source
+    (:meth:`~repro.storage.CFFReader.read_chunk_raw`), which a store stages
+    its NVMe tier from, or ``None`` for a source without one.
+    """
 
     n_samples: int
+    read_chunk_raw: Optional[Callable]
 
     def load_chunk(
         self, indices: Sequence[int], node_index: int, engine: Engine
@@ -111,6 +117,7 @@ class ReaderSource:
     def __init__(self, reader: SampleReader) -> None:
         self.reader = reader
         self.n_samples = reader.n_samples
+        self.read_chunk_raw = reader.read_chunk_raw
 
     def load_chunk(
         self, indices: Sequence[int], node_index: int, engine: Engine
@@ -118,9 +125,9 @@ class ReaderSource:
         # The stored format already matches the in-memory layout, so the
         # preloader streams raw packed samples without a decode/re-encode
         # round trip (what the real DDStore's format plugins do).  Readers
-        # exposing a bulk path (CFF) stream the whole contiguous chunk.
+        # with a bulk path (CFF) stream the whole contiguous chunk.
         indices = list(indices)
-        bulk = getattr(self.reader, "read_chunk_raw", None)
+        bulk = self.read_chunk_raw
         if bulk is not None and indices and indices == list(range(indices[0], indices[-1] + 1)):
             blobs, t = bulk(indices[0], indices[-1] + 1, node_index, engine.now)
             yield engine.timeout(max(0.0, t - engine.now))
@@ -136,6 +143,8 @@ class ReaderSource:
 
 class GeneratorSource:
     """Preload by direct synthesis (no filesystem involved)."""
+
+    read_chunk_raw = None
 
     def __init__(self, generator: GraphGenerator, machine: MachineSpec) -> None:
         self.generator = generator

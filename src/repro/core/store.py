@@ -383,11 +383,10 @@ class DDStore:
         staging entirely.
         """
         shard = self.cache.nvme
-        if getattr(shard, "_staged_once", False):
+        if shard.staged:
             return
-        shard._staged_once = True
-        reader = getattr(source, "reader", None)
-        bulk = getattr(reader, "read_chunk_raw", None) if reader is not None else None
+        shard.staged = True
+        bulk = source.read_chunk_raw
         if bulk is None:
             return
         engine = self.comm.engine
@@ -771,6 +770,8 @@ class _StoreSource:
     Transports that cannot serve arbitrary byte spans (two-sided p2p)
     fall back to per-sample fetches.
     """
+
+    read_chunk_raw = None  # no files behind it
 
     def __init__(self, store: DDStore, n_workers: int = 1) -> None:
         self.store = store

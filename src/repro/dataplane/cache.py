@@ -114,8 +114,8 @@ def _adopt(payload: np.ndarray) -> np.ndarray:
 class SampleCache:
     """One tier's pool of packed sample payloads under a byte budget.
 
-    The inserts take an optional ``victims`` list: every entry the byte
-    budget forces out (not pop/refresh) is appended to it as
+    :meth:`put_owned` takes an optional ``victims`` list: every entry the
+    byte budget forces out (not pop/refresh) is appended to it as
     ``(key, payload, is_column)``, so the owning hierarchy demotes them
     itself and the pool never holds a reference back to its owner.
     """
@@ -262,11 +262,11 @@ class SampleCache:
         self.stats.hit_bytes += int(entry.nbytes)
         return entry
 
-    def put_columns(self, key: int, payload: np.ndarray, victims: Optional[list] = None) -> bool:
+    def put_columns(self, key: int, payload: np.ndarray) -> bool:
         """Park a header-stripped column slice under ``key`` (arena mode)."""
-        return self.put_owned(key, _adopt(payload), True, victims)
+        return self.put_owned(key, _adopt(payload), True)
 
-    def put(self, key: int, payload: np.ndarray, victims: Optional[list] = None) -> bool:
+    def put(self, key: int, payload: np.ndarray) -> bool:
         """Insert a payload, evicting entries to fit the byte budget.
 
         Returns False when the cache is disabled or the payload alone
@@ -274,7 +274,7 @@ class SampleCache:
         plane delivers — is parked as it is, a view of its owner's bytes;
         a writable one is copied first.
         """
-        return self.put_owned(key, _adopt(payload), False, victims)
+        return self.put_owned(key, _adopt(payload), False)
 
     def put_owned(
         self, key: int, stored: np.ndarray, column: bool = False, victims: Optional[list] = None
@@ -653,7 +653,7 @@ class TieredCache:
     # -- internals -----------------------------------------------------------
     def _read_batched(self, sizes: list, now: float) -> float:
         """Issue the NVMe reads for ``sizes`` as bounded IO groups (one
-        flash latency per group, ``plan_promotions``' default cap) at
+        flash latency per group, ``MAX_PROMOTION_IO_BYTES`` each) at
         ``now``; returns the wall seconds until the last one lands."""
         from .planner import plan_promotions
 

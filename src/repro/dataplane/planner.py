@@ -277,7 +277,6 @@ class FetchPlanner:
                 Sequence[int] | np.ndarray,
             ]
         ],
-        positions: Optional[Sequence[int] | np.ndarray] = None,
     ) -> FetchPlan:
         """Plan several upcoming batches' requests as one cross-batch window.
 
@@ -285,9 +284,9 @@ class FetchPlanner:
         the window is planned as a single coalescing pass, so byte ranges
         that touch or overlap *across batch boundaries* merge into one wire
         read, and a sample requested by two different batches is fetched
-        once with one scatter slice per requesting position.  ``positions``
-        labels the concatenated requests (default: index within the
-        concatenation) so callers can map payloads back to (batch, slot).
+        once with one scatter slice per requesting position.  A request's
+        position is its index within the concatenation, so callers can map
+        payloads back to (batch, slot).
         """
         if not groups:
             return self.plan((), (), ())
@@ -300,7 +299,7 @@ class FetchPlanner:
         sizes = np.concatenate(
             [np.asarray(g[2], dtype=np.int64).reshape(-1) for g in groups]
         )
-        return self.plan(targets, offsets, sizes, positions=positions)
+        return self.plan(targets, offsets, sizes)
 
     def plan_node_wave(
         self,
@@ -512,21 +511,21 @@ class FetchPlanner:
         return _columns(t[starts][span_of], r_lo, r_hi - r_lo), slices
 
 
-def plan_promotions(
-    sizes: Sequence[int], max_io_bytes: int = 8 << 20
-) -> list[tuple[int, int]]:
+#: Largest batched NVMe promotion submission, in bytes.
+MAX_PROMOTION_IO_BYTES = 8 << 20
+
+
+def plan_promotions(sizes: Sequence[int]) -> list[tuple[int, int]]:
     """Group NVMe promotion requests into bounded batched IO submissions.
 
     ``sizes`` are the per-entry byte counts of the shards to promote, in
     request order.  Returns ``[lo, hi)`` index spans: each span becomes
     one queue-depth>1 submission (:meth:`NVMeDevice.read_many`), paying
     the flash latency once for the whole group while keeping any single
-    submission under ``max_io_bytes`` so one giant promotion cannot
-    monopolise the node-shared device queue.  An entry larger than the
-    cap still gets its own span — it must move somehow.
+    submission under ``MAX_PROMOTION_IO_BYTES`` so one giant promotion
+    cannot monopolise the node-shared device queue.  An entry larger than
+    the cap still gets its own span — it must move somehow.
     """
-    if max_io_bytes < 1:
-        raise ValueError(f"max_io_bytes must be positive, got {max_io_bytes}")
     spans: list[tuple[int, int]] = []
     lo = 0
     acc = 0
@@ -534,7 +533,7 @@ def plan_promotions(
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("negative promotion size")
-        if i > lo and acc + nbytes > max_io_bytes:
+        if i > lo and acc + nbytes > MAX_PROMOTION_IO_BYTES:
             spans.append((lo, i))
             lo = i
             acc = 0

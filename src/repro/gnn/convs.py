@@ -100,12 +100,12 @@ class SAGEConv(Module):
         raise TypeError("use forward_graph(x, edge_index)")
 
 
-def make_conv(conv_type: str, in_dim: int, out_dim: int, *, delta: float = 1.0, rng_key: tuple = ()):
+def make_conv(conv_type: str, in_dim: int, out_dim: int, *, rng_key: tuple = ()):
     """Factory over the supported message-passing policies."""
     from .pna import PNAConv
 
     if conv_type == "pna":
-        return PNAConv(in_dim, out_dim, delta=delta, rng_key=rng_key or ("pna",))
+        return PNAConv(in_dim, out_dim, rng_key=rng_key or ("pna",))
     if conv_type == "gin":
         return GINConv(in_dim, out_dim, rng_key=rng_key or ("gin",))
     if conv_type == "sage":

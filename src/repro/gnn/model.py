@@ -33,7 +33,6 @@ class HydraGNNConfig:
     hidden_dim: int = 200
     n_conv_layers: int = 6
     n_fc_layers: int = 3
-    delta: float = 1.6  # mean log-degree normaliser for PNA scalers
     head_weights: tuple[float, ...] = ()
     conv_type: str = "pna"  # message-passing policy: pna | gin | sage
 
@@ -80,9 +79,7 @@ class HydraGNN(Module):
         from .convs import make_conv
 
         self.convs = [
-            make_conv(
-                config.conv_type, h, h, delta=config.delta, rng_key=key + ("conv", i)
-            )
+            make_conv(config.conv_type, h, h, rng_key=key + ("conv", i))
             for i in range(config.n_conv_layers)
         ]
         self.conv_acts = [ReLU() for _ in range(config.n_conv_layers)]

@@ -10,6 +10,12 @@ from .modules import Param
 
 __all__ = ["AdamW", "ReduceLROnPlateau"]
 
+#: AdamW's moment decay rates and denominator epsilon, torch.optim.AdamW's.
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+#: ReduceLROnPlateau never lowers the learning rate below this.
+MIN_LR = 1e-6
+
 
 class AdamW:
     """AdamW with decoupled weight decay (Loshchilov & Hutter), defaults
@@ -19,20 +25,14 @@ class AdamW:
         self,
         params: Sequence[Param],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 1e-2,
     ) -> None:
         if lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0 <= betas[0] < 1 or not 0 <= betas[1] < 1:
-            raise ValueError("betas must be in [0, 1)")
         self.params = list(params)
         if not self.params:
             raise ValueError("optimiser needs at least one parameter")
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
@@ -44,7 +44,7 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
@@ -56,7 +56,7 @@ class AdamW:
             # Decoupled decay: applied to the weights, not the gradient.
             if self.weight_decay:
                 p.value *= 1.0 - self.lr * self.weight_decay
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 class ReduceLROnPlateau:
@@ -68,7 +68,6 @@ class ReduceLROnPlateau:
         factor: float = 0.5,
         patience: int = 5,
         threshold: float = 1e-4,
-        min_lr: float = 1e-6,
     ) -> None:
         if not 0 < factor < 1:
             raise ValueError("factor must be in (0, 1)")
@@ -76,7 +75,6 @@ class ReduceLROnPlateau:
         self.factor = factor
         self.patience = patience
         self.threshold = threshold
-        self.min_lr = min_lr
         self.best = float("inf")
         self.bad_epochs = 0
         self.lr_history: list[float] = [optimizer.lr]
@@ -90,7 +88,7 @@ class ReduceLROnPlateau:
         else:
             self.bad_epochs += 1
             if self.bad_epochs > self.patience:
-                new_lr = max(self.optimizer.lr * self.factor, self.min_lr)
+                new_lr = max(self.optimizer.lr * self.factor, MIN_LR)
                 if new_lr < self.optimizer.lr:
                     self.optimizer.lr = new_lr
                     reduced = True

@@ -21,10 +21,12 @@ import numpy as np
 
 from .modules import Linear, Module
 
-__all__ = ["PNAConv", "AGGREGATORS", "SCALERS"]
+__all__ = ["PNAConv", "AGGREGATORS", "SCALERS", "DELTA"]
 
 AGGREGATORS = ("mean", "min", "max", "std")
 SCALERS = ("identity", "amplification", "attenuation")
+#: Mean log-degree of the training graphs: the degree scalers' normaliser.
+DELTA = 1.6
 _EPS = 1e-8
 
 
@@ -36,13 +38,11 @@ class PNAConv(Module):
         in_dim: int,
         out_dim: int,
         *,
-        delta: float = 1.0,
         rng_key: tuple = ("pna",),
     ) -> None:
         # Mixing layer input: own state + |aggregators| x |scalers| blocks.
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.delta = delta  # mean log-degree of the training graphs
         mix_in = in_dim * (1 + len(AGGREGATORS) * len(SCALERS))
         self.mix = Linear(mix_in, out_dim, rng_key=rng_key + ("mix",))
         self._cache: Optional[dict] = None
@@ -76,8 +76,8 @@ class PNAConv(Module):
 
         # -- scalers ------------------------------------------------------
         log_deg = np.log(deg + 1.0)
-        amp = (log_deg / self.delta)[:, None]
-        att = (self.delta / np.maximum(log_deg, _EPS))[:, None]
+        amp = (log_deg / DELTA)[:, None]
+        att = (DELTA / np.maximum(log_deg, _EPS))[:, None]
         att = np.where(deg[:, None] > 0, att, 0.0)  # isolated nodes: no signal
         scalers = (np.ones((n, 1)), amp, att)
 

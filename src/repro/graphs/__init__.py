@@ -16,7 +16,7 @@ from .datasets import (
 from .graph import AtomicGraph, GraphStats
 from .ising import IsingGenerator, ising_energy
 from .molecules import MoleculeGenerator, synthetic_gap
-from .spectra import SpectrumGenerator, dftb_surrogate_spectrum, gaussian_smooth_spectrum
+from .spectra import SpectrumGenerator, gaussian_smooth_spectrum
 
 __all__ = [
     "AtomicGraph",
@@ -32,7 +32,6 @@ __all__ = [
     "MoleculeGenerator",
     "synthetic_gap",
     "SpectrumGenerator",
-    "dftb_surrogate_spectrum",
     "gaussian_smooth_spectrum",
     "DATASETS",
     "DatasetSpec",

@@ -25,6 +25,9 @@ __all__ = ["IsingGenerator", "ising_energy", "LATTICE_SIDE", "N_ATOMS"]
 
 LATTICE_SIDE = 5
 N_ATOMS = LATTICE_SIDE**3  # 125, as in the paper
+# Ferromagnetic coupling (J > 0) and external field of the Hamiltonian.
+J = 1.0
+H = 0.1
 _SPIN_VALUES = np.array([-1.0, 1.0], dtype=np.float32)
 
 
@@ -64,39 +67,24 @@ def ising_energy(spins: np.ndarray, pairs: np.ndarray, J: float, H: float) -> fl
 
 
 class IsingGenerator:
-    """Deterministic on-demand generator of Ising samples.
+    """Deterministic on-demand generator of Ising samples on the paper's
+    ``LATTICE_SIDE``^3 lattice, with coupling ``J`` and field ``H``.
 
-    Parameters follow the ferromagnetic convention J > 0.  The energy is
-    standardised by fixed constants (not per-split statistics) so train and
-    test targets live on the same scale.
+    The energy is standardised by fixed constants (not per-split statistics)
+    so train and test targets live on the same scale.
     """
 
     name = "ising"
 
-    def __init__(
-        self,
-        n_samples: int,
-        *,
-        seed: int = 0,
-        J: float = 1.0,
-        H: float = 0.1,
-        side: int = LATTICE_SIDE,
-    ) -> None:
+    def __init__(self, n_samples: int, *, seed: int = 0) -> None:
         if n_samples < 1:
             raise ValueError("n_samples must be positive")
         self.n_samples = n_samples
         self.seed = seed
-        self.J = J
-        self.H = H
-        self.side = side
-        self._positions, self._edge_index, self._pairs = _lattice_topology(side)
+        self._positions, self._edge_index, self._pairs = _lattice_topology(LATTICE_SIDE)
         # E[interaction term] = 0; scale by std of the pair sum for a
         # roughly unit-variance target.
         self._energy_scale = float(np.sqrt(self._pairs.shape[0]) * J)
-
-    @property
-    def n_atoms(self) -> int:
-        return self.side**3
 
     @property
     def output_dim(self) -> int:
@@ -113,8 +101,8 @@ class IsingGenerator:
         if not 0 <= index < self.n_samples:
             raise IndexError(f"sample {index} out of range [0, {self.n_samples})")
         rng = stream("ising", self.seed, index)
-        spins = _SPIN_VALUES.take(rng.integers(0, 2, size=self.n_atoms))
-        energy = ising_energy(spins, self._pairs, self.J, self.H) / self._energy_scale
+        spins = _SPIN_VALUES.take(rng.integers(0, 2, size=N_ATOMS))
+        energy = ising_energy(spins, self._pairs, J, H) / self._energy_scale
         return AtomicGraph.trusted(
             self._positions,
             spins[:, None],

@@ -41,6 +41,21 @@ _FEATURE_ROWS = np.column_stack(
     [np.eye(N_ELEMENTS, dtype=np.float32), _ELEMENT_ELECTRONEG, _ELEMENT_VALENCE]
 )
 
+# Heavy atoms per molecule (paper Table 1: 5 to 71, mean ~52) and the
+# standard deviation of the label noise on the gap.
+MIN_ATOMS = 5
+MAX_ATOMS = 71
+MEAN_ATOMS = 52.0
+TARGET_NOISE = 0.01
+# The size draw's Beta(a, b), whose mean puts MEAN_ATOMS in [MIN_ATOMS, MAX_ATOMS].
+_MEAN_FRAC = (MEAN_ATOMS - MIN_ATOMS) / (MAX_ATOMS - MIN_ATOMS)
+_BETA_A = 4.0 * _MEAN_FRAC
+_BETA_B = 4.0 * (1.0 - _MEAN_FRAC)
+# Skeleton atom i attaches to one of atoms [max(0, i - 8), i).
+_CHILDREN = np.arange(1, MAX_ATOMS)
+_ATTACH_LO = np.maximum(_CHILDREN - 8, 0)
+_CHILDREN.flags.writeable = _ATTACH_LO.flags.writeable = False  # shared by every molecule
+
 
 def synthetic_gap(degrees: np.ndarray, species: np.ndarray, n_rings: int) -> float:
     """A DFT-like HOMO-LUMO gap surrogate.
@@ -62,29 +77,11 @@ class MoleculeGenerator:
 
     name = "aisd-homo-lumo"
 
-    def __init__(
-        self,
-        n_samples: int,
-        *,
-        seed: int = 0,
-        min_atoms: int = 5,
-        max_atoms: int = 71,
-        mean_atoms: float = 52.0,
-        target_noise: float = 0.01,
-    ) -> None:
+    def __init__(self, n_samples: int, *, seed: int = 0) -> None:
         if n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if not 1 <= min_atoms <= mean_atoms <= max_atoms:
-            raise ValueError("need min_atoms <= mean_atoms <= max_atoms")
         self.n_samples = n_samples
         self.seed = seed
-        self.min_atoms = min_atoms
-        self.max_atoms = max_atoms
-        self.mean_atoms = mean_atoms
-        self.target_noise = target_noise
-        # Skeleton atom i attaches to one of atoms [max(0, i - 8), i).
-        self._children = np.arange(1, max_atoms)
-        self._attach_lo = np.maximum(self._children - 8, 0)
 
     @property
     def output_dim(self) -> int:
@@ -99,19 +96,15 @@ class MoleculeGenerator:
 
     # -- structure building -------------------------------------------------
     def _sample_size(self, rng: np.random.Generator) -> int:
-        # Beta-shaped distribution stretched over [min, max] with the
-        # requested mean: matches the paper's skew toward mid-size molecules.
-        lo, hi = self.min_atoms, self.max_atoms
-        mean_frac = (self.mean_atoms - lo) / (hi - lo)
-        a = 4.0 * mean_frac
-        b = 4.0 * (1.0 - mean_frac)
-        return int(round(lo + rng.beta(a, b) * (hi - lo)))
+        # Beta-shaped distribution stretched over [MIN_ATOMS, MAX_ATOMS] with
+        # mean MEAN_ATOMS: matches the paper's skew toward mid-size molecules.
+        return int(round(MIN_ATOMS + rng.beta(_BETA_A, _BETA_B) * (MAX_ATOMS - MIN_ATOMS)))
 
     def make(self, index: int) -> AtomicGraph:
         positions, features, edge_index, species, n_rings, rng = self._structure(index)
         degrees = np.bincount(edge_index[1], minlength=species.size)
         gap = synthetic_gap(degrees, species, n_rings)
-        gap += float(rng.normal(0.0, self.target_noise))
+        gap += float(rng.normal(0.0, TARGET_NOISE))
         y = np.array([gap], dtype=np.float32)
         return AtomicGraph(positions, features, edge_index, y, index)
 
@@ -127,8 +120,8 @@ class MoleculeGenerator:
         # Random bond skeleton: node i>0 attaches to a previous node with a
         # preference for recent atoms (chain-like growth, like SMILES walks).
         # One array-bounds draw consumes the stream exactly as n-1 scalar ones.
-        children = self._children[: n - 1]
-        parents = rng.integers(self._attach_lo[: n - 1], children)
+        children = _CHILDREN[: n - 1]
+        parents = rng.integers(_ATTACH_LO[: n - 1], children)
 
         # Ring closures: ~1 ring per 12 atoms, joining nearby skeleton atoms
         # (none below five atoms, though the count is drawn all the same).

@@ -27,7 +27,7 @@ from ..sim.rng import stream
 from .graph import AtomicGraph
 from .molecules import MoleculeGenerator
 
-__all__ = ["SpectrumGenerator", "dftb_surrogate_spectrum", "gaussian_smooth_spectrum"]
+__all__ = ["SpectrumGenerator", "gaussian_smooth_spectrum"]
 
 N_PEAKS = 50
 ENERGY_MIN_EV = 1.0
@@ -39,22 +39,16 @@ _FAST_SIGMAS = 9.0
 _U = 2.0**-53  # float64 unit roundoff
 
 
-def dftb_surrogate_spectrum(graph: AtomicGraph, n_peaks: int = N_PEAKS) -> tuple[np.ndarray, np.ndarray]:
-    """Peak energies and intensities from a tight-binding caricature.
+def _surrogate_spectrum(
+    edge_index: np.ndarray, node_features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``N_PEAKS`` peak energies and intensities from a tight-binding caricature.
 
     Builds the (dense) graph Laplacian weighted by electronegativity,
     takes its eigendecomposition, and reads excitation energies off the
     low-lying eigenvalue gaps.  Complexity is O(n^3) with n <= 71 —
     a few hundred microseconds per molecule, nearly all of it ``eigh``.
     """
-    return _surrogate_spectrum(graph.edge_index, graph.node_features, n_peaks)
-
-
-def _surrogate_spectrum(
-    edge_index: np.ndarray, node_features: np.ndarray, n_peaks: int
-) -> tuple[np.ndarray, np.ndarray]:
-    if n_peaks < 1:
-        raise ValueError(f"n_peaks must be at least 1, got {n_peaks}")
     n = node_features.shape[0]
     # Laplacian D + onsite/2 - A of the symmetrised, de-duplicated adjacency.
     lap = np.zeros((n, n))
@@ -66,7 +60,7 @@ def _surrogate_spectrum(
     # eigh, not eigvalsh: the values-only driver rounds the last bits differently.
     evals = np.linalg.eigh(lap)[0]
 
-    lo, hi, weights = _transitions(n, n_peaks)
+    lo, hi, weights = _transitions(n)
     peaks = evals[hi] - evals[lo]
     # Map raw gaps into the UV-vis window.
     floor = peaks.min()
@@ -77,10 +71,11 @@ def _surrogate_spectrum(
 
 
 @functools.lru_cache(maxsize=256)
-def _transitions(n: int, n_peaks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """"Occupied -> virtual" level pairs around the middle of an ``n``-level
-    spectrum, and the float32 intensity of each (DESIGN.md, "Generation kernels")."""
-    k = np.arange(n_peaks)
+def _transitions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``N_PEAKS`` "occupied -> virtual" level pairs around the middle of
+    an ``n``-level spectrum, and the float32 intensity of each (DESIGN.md,
+    "Generation kernels")."""
+    k = np.arange(N_PEAKS)
     mid = n // 2
     fold = max(mid, 1)
     lo = np.maximum(mid - 1 - k % fold, 0)
@@ -192,7 +187,6 @@ class SpectrumGenerator:
         mode: str = "discrete",
         grid_size: int = 351,
         seed: int = 0,
-        n_peaks: int = N_PEAKS,
         target_noise: float = 0.0,
     ) -> None:
         if mode not in ("discrete", "smooth"):
@@ -201,11 +195,8 @@ class SpectrumGenerator:
             raise ValueError("smooth mode needs grid_size >= 2")
         if target_noise < 0:
             raise ValueError("target_noise must be non-negative")
-        if n_peaks < 1:
-            raise ValueError(f"n_peaks must be at least 1, got {n_peaks}")
         self.mode = mode
         self.grid_size = grid_size
-        self.n_peaks = n_peaks
         self.seed = seed
         # Label noise (the DFTB labels of the real dataset are themselves
         # approximate); sets an irreducible MSE floor so training exhibits
@@ -222,7 +213,7 @@ class SpectrumGenerator:
 
     @property
     def output_dim(self) -> int:
-        return 2 * self.n_peaks if self.mode == "discrete" else self.grid_size
+        return 2 * N_PEAKS if self.mode == "discrete" else self.grid_size
 
     @property
     def feature_dim(self) -> int:
@@ -234,7 +225,7 @@ class SpectrumGenerator:
     def make(self, index: int) -> AtomicGraph:
         # the molecule without its HOMO-LUMO target, which a spectrum replaces
         positions, features, edge_index, *_ = self._molecules._structure(index)
-        peaks, intens = _surrogate_spectrum(edge_index, features, self.n_peaks)
+        peaks, intens = _surrogate_spectrum(edge_index, features)
         if self.mode == "discrete":
             y = np.concatenate([peaks, intens])
         else:

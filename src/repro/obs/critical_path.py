@@ -44,6 +44,10 @@ TOLERANCE = 0.01
 #: tolerance, so zero-length epochs don't divide by zero.
 _ABS_SLACK_S = 1e-12
 
+#: Largest gap or overlap (virtual seconds) :func:`stage_spans_contiguous`
+#: lets pass between neighbouring stage spans.
+_GAP_S = 1e-9
+
 
 class CriticalPathError(AssertionError):
     """The per-stage attribution does not sum to the measured epoch time."""
@@ -190,14 +194,12 @@ def render_report(report: CriticalPathReport) -> str:
     return "\n".join(lines)
 
 
-def stage_spans_contiguous(
-    spans: Sequence[SpanRecord], track: int, tol: float = 1e-9
-) -> bool:
+def stage_spans_contiguous(spans: Sequence[SpanRecord], track: int) -> bool:
     """True when one track's stage spans tile its epochs without overlap.
 
     A stricter diagnostic than the sum invariant (used by tests): sorted
     stage spans inside each epoch must neither overlap nor leave gaps
-    larger than ``tol`` seconds.
+    larger than ``_GAP_S`` seconds.
     """
     epochs = [s for s in spans if s.cat == EPOCH_CAT and s.track == track]
     stages = sorted(
@@ -205,12 +207,12 @@ def stage_spans_contiguous(
         key=lambda s: s.start,
     )
     for e in epochs:
-        inside = [s for s in stages if s.start >= e.start - tol and s.end <= e.end + tol]
+        inside = [s for s in stages if s.start >= e.start - _GAP_S and s.end <= e.end + _GAP_S]
         cursor = e.start
         for s in inside:
-            if abs(s.start - cursor) > tol:
+            if abs(s.start - cursor) > _GAP_S:
                 return False
             cursor = s.end
-        if abs(cursor - e.end) > tol:
+        if abs(cursor - e.end) > _GAP_S:
             return False
     return True

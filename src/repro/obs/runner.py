@@ -95,20 +95,17 @@ class TracedRun:
         return "\n".join(head) + render_report(self.report)
 
 
-def run_traced(name: str, profile=None, *, config=None) -> TracedRun:
+def run_traced(name: str, profile=None) -> TracedRun:
     """Run one traceable experiment cell with an observer attached.
 
-    ``name`` selects from :data:`TRACEABLE` (``config`` overrides it with
-    an explicit :class:`~repro.bench.harness.ExperimentConfig`).  The
-    returned run's report has already been analyzed but not ``check()``ed
-    — callers decide whether a violated invariant is fatal.
+    ``name`` selects from :data:`TRACEABLE`.  The returned run's report
+    has already been analyzed but not ``check()``ed — callers decide
+    whether a violated invariant is fatal.
     """
     from ..bench.harness import run_experiment
 
-    if config is None:
-        config = traced_config(name, profile)
     observer = Observer(trace=True)
-    result = run_experiment(config, observer=observer)
+    result = run_experiment(traced_config(name, profile), observer=observer)
     chrome = observer.tracer.to_chrome()
     problems = validate_chrome_trace(chrome)
     if problems:

@@ -36,10 +36,6 @@ class SimulationError(RuntimeError):
 class Interrupt(Exception):
     """Thrown into a process when another process interrupts it."""
 
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
 
 class Event:
     """A one-shot occurrence at a point in virtual time.
@@ -157,7 +153,7 @@ class Process(Event):
         init.succeed()
         init.add_callback(self._resume)
 
-    def interrupt(self, cause: Any = None) -> None:
+    def interrupt(self) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             return
@@ -169,7 +165,7 @@ class Process(Event):
                 pass
         self._waiting_on = None
         kick = Event(self.engine, name=("interrupt:{.name}", self))
-        kick.fail(Interrupt(cause))
+        kick.fail(Interrupt())
         kick.add_callback(self._resume)
 
     # -- internal --------------------------------------------------------

@@ -20,7 +20,7 @@ import mmap
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..graphs import AtomicGraph
 from ..hardware import MachineSpec
 from ..sim.rng import BlockDraws, stream
 from .serialization import peek_header, peek_headers, unpack_graph
-from .vfs import VirtualFS
+from .vfs import VirtualFile, VirtualFS
 
 # I/O-library software path (pickle.load / ADIOS inquiry+get) jitter: the
 # lognormal sigma of the observed call-time distribution.
@@ -45,6 +45,7 @@ __all__ = [
     "CFFImage",
     "CFFReader",
     "CFFIndex",
+    "occupied_blocks",
 ]
 
 
@@ -103,9 +104,15 @@ class SampleStats:
 
 
 class SampleReader(Protocol):
-    """Timed random access to one dataset's samples."""
+    """Timed random access to one dataset's samples.
+
+    ``read_chunk_raw`` is the format's bulk sequential read of samples
+    ``[lo, hi)`` (:meth:`CFFReader.read_chunk_raw`), or ``None`` for a
+    format without one.
+    """
 
     n_samples: int
+    read_chunk_raw: Optional[Callable]
 
     def read_sample(
         self, index: int, node_index: int, arrival: float
@@ -181,6 +188,7 @@ class PFFReader:
     root: str
     n_samples: int
     machine: MachineSpec
+    read_chunk_raw = None  # a file per sample: no bulk path
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -366,6 +374,27 @@ class CFFImage:
             )
         vfs.create(_cff_index_path(root), index.to_bytes())
         return index
+
+
+def occupied_blocks(
+    vfs: VirtualFS, root: str, block_bytes: int
+) -> list[tuple[VirtualFile, list[int]]]:
+    """The page-cache blocks a PFF or CFF dataset staged under ``root``
+    occupies, file by file in path order: ``(file, block byte offsets)``.
+    A CFF subfile's are the blocks its samples start in, at the file's
+    logical scale; any other file (a PFF sample, the CFF index) has its first."""
+    subfiles: dict[str, int] = {}
+    if vfs.exists(_cff_index_path(root)):
+        index = CFFIndex.from_bytes(vfs.stat(_cff_index_path(root)).view())
+        subfiles = {_cff_subfile_path(root, k): k for k in range(index.n_subfiles)}
+    occupied = []
+    for path in vfs.listdir(root):
+        f, offsets = vfs.stat(path), [0]
+        if path in subfiles:
+            starts = index.offset[index.subfile == subfiles[path]] * f.logical_scale
+            offsets = (np.unique(starts.astype(np.int64) // block_bytes) * block_bytes).tolist()
+        occupied.append((f, offsets))
+    return occupied
 
 
 def write_cff(

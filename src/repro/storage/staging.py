@@ -31,6 +31,8 @@ __all__ = ["NVMeStagedReader", "NVMeShardStore", "stage_to_nvme"]
 class NVMeStagedReader:
     """Per-node reader over samples resident on the local NVMe."""
 
+    read_chunk_raw = None  # per-sample device reads only
+
     def __init__(
         self,
         blobs: list,  # read-only bytes-likes (CFFReader.read_chunk_raw's views of the files)
@@ -103,6 +105,9 @@ class NVMeShardStore:
         self._entries: "OrderedDict[int, tuple[np.ndarray, bool]]" = OrderedDict()
         self._pinned: set[int] = set()
         self.used_bytes = 0
+        # Whether a store on this node has staged the dataset here: the
+        # first local rank to create one does it, once.
+        self.staged = False
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,5 +1,7 @@
 """Tests for benchmark-internal helpers (sweep values, staging, profiles)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.bench.experiments import _width_sweep_values
 from repro.bench.harness import (
     ExperimentConfig,
     _logical_scale,
+    _warm_caches,
     packed_blobs,
     run_experiment,
 )
@@ -44,7 +47,8 @@ def test_current_profile_env(monkeypatch):
 
 
 def test_stage_helpers_roundtrip_readers():
-    vfs = VirtualFS(ParallelFileSystem(Engine(), TESTBOX.pfs, 1))
+    pfs = ParallelFileSystem(Engine(), TESTBOX.pfs, 2)
+    vfs = VirtualFS(pfs)
     blobs = packed_blobs("ising", 0, 6)
     write_pff(vfs, "p", blobs)
     write_cff(vfs, "c", blobs, n_subfiles=2, logical_scale=2.0)
@@ -54,6 +58,40 @@ def test_stage_helpers_roundtrip_readers():
         a, _ = pff.read_sample_raw(i, 0, 0.0)
         b, _ = cff.read_sample_raw(i, 0, 0.0)
         assert a == b == blobs[i]
+
+    # Warming marks a staged dataset's blocks resident in every node's page
+    # cache, in path order.  A CFF container scaled to 40 MiB (of TESTBOX's
+    # 64 MiB cache) puts its samples in distinct 1 MiB blocks: each subfile
+    # warms the block every one of its samples starts in, the index its first.
+    world = SimpleNamespace(pfs=pfs, vfs=vfs)
+    block = pfs.caches[0].block_bytes
+    scale = 40 * 2**20 / sum(map(len, blobs))
+    write_cff(vfs, "w", blobs, n_subfiles=2, logical_scale=scale)
+    want = []
+    for k in (0, 1):
+        starts = np.cumsum([0] + [len(b) for b in blobs[k::2]])[:-1]
+        fid = vfs.stat(f"w/data.{k}.bin").file_id
+        want += [(fid, b) for b in sorted({int(s * scale) // block for s in starts})]
+    want.append((vfs.stat("w/index.bin").file_id, 0))
+    assert len(want) == 2 * 3 + 1  # every sample starts in a block of its own
+    for cache in pfs.caches:
+        cache.clear()  # of the reads above
+    _warm_caches(world, "w")
+    assert [list(cache._lru) for cache in pfs.caches] == [want, want]
+    # A PFF dataset warms each sample file's first block.
+    for cache in pfs.caches:
+        cache.clear()
+    _warm_caches(world, "p")
+    want = [(vfs.stat(p).file_id, 0) for p in vfs.listdir("p")]
+    assert len(want) == 6
+    assert [list(cache._lru) for cache in pfs.caches] == [want, want]
+    # A dataset whose logical size exceeds the cache cannot stay resident:
+    # it warms nothing.
+    for cache in pfs.caches:
+        cache.clear()
+    write_cff(vfs, "big", blobs, n_subfiles=2, logical_scale=2 * scale)
+    _warm_caches(world, "big")
+    assert [list(cache._lru) for cache in pfs.caches] == [[], []]
 
 
 def test_logical_scale_targets_paper_bytes():

@@ -161,10 +161,11 @@ def test_planner_reproduces_the_frozen_object_planner_corpus(case):
     planner = FetchPlanner(**case["planner"])
     if case["via"] == "plan":
         plan = planner.plan(*case["groups"][0], positions=case["positions"])
-    else:
-        plan = planner.plan_batches(
-            [tuple(group) for group in case["groups"]], positions=case["positions"]
-        )
+    elif case["positions"] is None:
+        plan = planner.plan_batches([tuple(group) for group in case["groups"]])
+    else:  # a window with labelled positions: its requests concatenated, planned as one
+        requests = [np.concatenate(column) for column in zip(*case["groups"])]
+        plan = planner.plan(*requests, positions=case["positions"])
     assert plan.n_requests == case["n_requests"]
     assert plan.reads.tolist() == case["reads"]
     assert plan.slices.tolist() == case["slices"]

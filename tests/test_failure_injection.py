@@ -74,6 +74,7 @@ def test_memory_exhaustion_from_overreplication():
     # fail loudly at preload, not corrupt the run.
     class HugeSource:
         n_samples = 4
+        read_chunk_raw = None
 
         def load_chunk(self, indices, node_index, engine):
             yield engine.timeout(0.0)

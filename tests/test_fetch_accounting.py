@@ -41,6 +41,8 @@ def _source(ctx, n=N):
 class ZeroMixSource:
     """Packed samples where every third one is zero bytes long."""
 
+    read_chunk_raw = None
+
     def __init__(self, n=N):
         self.n_samples = n
         self.sizes = [0 if i % 3 == 0 else 64 for i in range(n)]

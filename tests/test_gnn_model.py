@@ -38,7 +38,7 @@ def test_pna_aggregation_values_mean_max_min():
     # Node 0 receives from nodes 1 (value 2) and 2 (value 4).
     x = np.array([[0.0], [2.0], [4.0]])
     ei = np.array([[1, 2], [0, 0]])
-    conv = PNAConv(1, 1, delta=1.0)
+    conv = PNAConv(1, 1)
     conv.forward_graph(x, ei)
     c = conv._cache
     assert c["mean"][0, 0] == pytest.approx(3.0)

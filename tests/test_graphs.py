@@ -21,10 +21,10 @@ from repro.graphs import (
 )
 from repro.bench import harness
 from repro.bench.harness import packed_blobs
-from repro.graphs import dftb_surrogate_spectrum, molecules, spectra
+from repro.graphs import ising, molecules, spectra
 from repro.graphs.ising import _lattice_topology
 from repro.graphs.molecules import N_ELEMENTS, _ELEMENT_ELECTRONEG, _ELEMENT_PROBS, _ELEMENT_VALENCE
-from repro.graphs.spectra import N_PEAKS, _transitions
+from repro.graphs.spectra import N_PEAKS, _surrogate_spectrum, _transitions
 from repro.sim.rng import stream
 
 
@@ -380,7 +380,7 @@ def test_smooth_spectrum_rejects_bad_input(kwargs, match):
 # ---------------------------------------------------------------------------
 
 # Frozen copies of the per-atom / per-peak loop bodies as they stood at
-# 283ab16, before MoleculeGenerator.make, dftb_surrogate_spectrum and
+# 283ab16, before MoleculeGenerator.make, the surrogate spectrum and
 # IsingGenerator.make were rewritten as array kernels.  Reference only:
 # nothing in src/ calls them.
 
@@ -417,7 +417,7 @@ def _loop_molecule(gen, index):
     if edge_index.size:
         np.add.at(degrees, edge_index[1], 1)
     gap = molecules.synthetic_gap(degrees, species, len(ring_edges))
-    gap += float(rng.normal(0.0, gen.target_noise))
+    gap += float(rng.normal(0.0, molecules.TARGET_NOISE))
     graph = AtomicGraph(
         positions=positions,
         node_features=features,
@@ -455,7 +455,7 @@ def _loop_surrogate_spectrum(graph, n_peaks):
 
 def _loop_spectrum(gen, index):
     mol, _rng = _loop_molecule(gen._molecules, index)
-    peaks, intens = _loop_surrogate_spectrum(mol, gen.n_peaks)
+    peaks, intens = _loop_surrogate_spectrum(mol, N_PEAKS)
     if gen.mode == "discrete":
         y = np.concatenate([peaks, intens])
     else:
@@ -471,10 +471,10 @@ def _loop_spectrum(gen, index):
 
 def _loop_ising(gen, index):
     rng = stream("ising", gen.seed, index)
-    spins = rng.integers(0, 2, size=gen.n_atoms).astype(np.float32) * 2.0 - 1.0
+    spins = rng.integers(0, 2, size=ising.N_ATOMS).astype(np.float32) * 2.0 - 1.0
     pairs = gen._pairs
     interaction = float(np.sum(spins[pairs[:, 0]] * spins[pairs[:, 1]]))
-    energy = (-gen.J * interaction - gen.H * float(spins.sum())) / gen._energy_scale
+    energy = (-ising.J * interaction - ising.H * float(spins.sum())) / gen._energy_scale
     return AtomicGraph(
         positions=gen._positions,
         node_features=spins[:, None],
@@ -553,15 +553,15 @@ def test_surrogate_kernel_matches_the_loop_on_asymmetric_and_looped_graphs():
             edge_index=edges,
             y=np.zeros(1),
         )
-        for n_peaks in (1, 7, N_PEAKS):
-            got, want = dftb_surrogate_spectrum(g, n_peaks), _loop_surrogate_spectrum(g, n_peaks)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-            assert got[0].dtype == got[1].dtype == np.float32
+        got = _surrogate_spectrum(g.edge_index, g.node_features)
+        want = _loop_surrogate_spectrum(g, N_PEAKS)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[0].dtype == got[1].dtype == np.float32
 
 
-@pytest.mark.parametrize("side", [2, 3, 5])
-def test_ising_kernel_matches_the_loop(side):
-    gen = IsingGenerator(16, seed=4, J=0.7, H=0.3, side=side)
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_ising_kernel_matches_the_loop(seed):
+    gen = IsingGenerator(16, seed=seed)
     for index in range(16):
         assert _raw(gen.make(index)) == _raw(_loop_ising(gen, index))
 
@@ -579,7 +579,7 @@ def test_surrogate_intensities_do_not_depend_on_the_overlap_residue():
         lap[g.edge_index[0], g.edge_index[1]] = -1.0
         lap[np.arange(n), np.arange(n)] = 0.5 * g.node_features[:, -2] - lap.sum(axis=1)
         evecs = np.linalg.eigh(lap)[1]
-        lo, hi, _w = _transitions(n, N_PEAKS)
+        lo, hi, _w = _transitions(n)
         assert not np.any(lo == hi)
         worst = max(worst, float(np.abs(np.einsum("ik,ik->k", evecs[:, lo], evecs[:, hi])).max()))
     assert worst < 1e-12
@@ -591,25 +591,34 @@ def test_surrogate_intensities_do_not_depend_on_the_overlap_residue():
     constants = (scale * 0.2).astype(np.float32)
     assert np.array_equal((scale * (0.2 + 1e-9)).astype(np.float32), constants)
     # ... (3) so the kernel ships the fifty constants, permuted by the peak sort.
-    assert np.array_equal(_transitions(40, N_PEAKS)[2], constants)
-    _peaks, intens = dftb_surrogate_spectrum(gen.make(0))
+    assert np.array_equal(_transitions(40)[2], constants)
+    g = gen.make(0)
+    _peaks, intens = _surrogate_spectrum(g.edge_index, g.node_features)
     assert sorted(intens.tolist()) == sorted(constants.tolist())
     # A one-atom "molecule" is the exception: lo == hi, overlap exactly 1.
-    assert np.array_equal(_transitions(1, N_PEAKS)[2], (scale * 1.2).astype(np.float32))
+    assert np.array_equal(_transitions(1)[2], (scale * 1.2).astype(np.float32))
 
 
 def test_n_peaks_must_be_positive_and_tiny_molecules_work():
-    with pytest.raises(ValueError, match="n_peaks"):
-        SpectrumGenerator(4, n_peaks=0)
-    tiny = MoleculeGenerator(40, seed=1, min_atoms=1, mean_atoms=2, max_atoms=4)
-    graphs = [tiny.make(i) for i in range(40)]
-    assert {1, 2, 3} <= {g.n_nodes for g in graphs} <= {1, 2, 3, 4}
-    with pytest.raises(ValueError, match="n_peaks"):
-        dftb_surrogate_spectrum(graphs[0], 0)
-    for g in graphs:  # mid == 0 at one atom; no ring below five
-        assert g.n_edges == 2 * (g.n_nodes - 1)
-        peaks, intens = dftb_surrogate_spectrum(g, 5)
-        assert peaks.shape == intens.shape == (5,)
+    """The generators refuse what they cannot make (the peak count is now
+    the constant N_PEAKS), and the surrogate spectrum of a one- to four-atom
+    molecule is N_PEAKS sorted peaks inside the UV-vis window."""
+    for make in (IsingGenerator, MoleculeGenerator, SpectrumGenerator):
+        with pytest.raises(ValueError, match="n_samples"):
+            make(0)
+        with pytest.raises(IndexError):
+            make(3, seed=1).make(3)
+    with pytest.raises(ValueError, match="grid_size"):
+        SpectrumGenerator(4, mode="smooth", grid_size=1)
+    with pytest.raises(ValueError, match="target_noise"):
+        SpectrumGenerator(4, target_noise=-0.1)
+    assert SpectrumGenerator(4).output_dim == 2 * N_PEAKS
+    for n_atoms in (1, 2, 3, 4):
+        g = _SizedMolecules(10, n_atoms, seed=1).make(9)
+        assert g.n_nodes == n_atoms
+        assert g.n_edges == 2 * (n_atoms - 1)  # mid == 0 at one atom; no ring below five
+        peaks, intens = _surrogate_spectrum(g.edge_index, g.node_features)
+        assert peaks.shape == intens.shape == (N_PEAKS,)
         assert np.all(np.diff(peaks) >= 0) and np.all(intens > 0)
         assert 1.0 <= peaks[0] and peaks[-1] <= 8.0
 

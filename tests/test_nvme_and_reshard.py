@@ -356,6 +356,8 @@ def test_reshard_metric_series_tagged_with_generation():
 class _BlobSource:
     """Raw-bytes source with zero-size samples (degenerate span shapes)."""
 
+    read_chunk_raw = None
+
     def __init__(self, blobs):
         self.blobs = list(blobs)
         self.n_samples = len(self.blobs)

@@ -322,11 +322,11 @@ def test_resilience_trace_shows_retry_attempts():
 def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
     """A carried wave is fetched inside epoch e's span but tagged with the
     epoch it serves (e+1); the trainer stages still tile every epoch."""
-    from repro.bench.harness import ExperimentConfig
+    from repro.bench.harness import ExperimentConfig, run_experiment
 
-    run = run_traced(
-        "carried",
-        config=ExperimentConfig(
+    observer = Observer(trace=True)
+    result = run_experiment(
+        ExperimentConfig(
             machine="perlmutter",
             n_nodes=1,
             dataset="ising",
@@ -338,9 +338,12 @@ def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
             cache_bytes=1 << 20,
             cache_policy="belady",
         ),
+        observer=observer,
     )
-    assert run.report.ok and run.report.max_rel_residual <= 1e-9
-    spans = run.observer.tracer.spans
+    assert validate_chrome_trace(observer.tracer.to_chrome()) == []
+    spans = observer.tracer.spans
+    report = analyze(spans)
+    assert report.ok and report.max_rel_residual <= 1e-9
     for track in sorted({s.track for s in spans}):
         epochs = {
             dict(s.args)["epoch"]: s
@@ -358,10 +361,10 @@ def test_carried_wave_spans_cross_epochs_without_breaking_the_invariant():
             and s.start < epochs[dict(s.args)["epoch"]].start
         ]
         assert served and min(served) >= 1  # fetched ahead of the epoch served
-    m = run.observer.metrics
+    m = observer.metrics
     assert set(m.sum_by("sched.carried_launches", "epoch")) == {1, 2}
     assert set(m.sum_by("sched.waves", "epoch")) == {0, 1, 2}
-    assert sum(m.sum_by("sched.launches", "rank").values()) == run.result.config.n_ranks * 9
+    assert sum(m.sum_by("sched.launches", "rank").values()) == result.config.n_ranks * 9
 
 
 def test_traceable_rows_resolve_to_the_cells_the_experiments_run():

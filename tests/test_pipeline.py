@@ -66,6 +66,8 @@ class ReferenceSource:
     """The trivial reference doubling as the preload plugin: a dict of
     packed bytes, optionally with some ids emptied (zero-size samples)."""
 
+    read_chunk_raw = None
+
     def __init__(self, zero_ids=()):
         self.n_samples = N
         self.blobs = {i: (b"" if i in zero_ids else PACKED[i]) for i in range(N)}

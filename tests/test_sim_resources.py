@@ -271,7 +271,7 @@ def test_event_labels_are_built_on_read():
     proc = eng.process(worker(), name="worker")
     assert repr(newest()) == "<Event 'init:worker' triggered>"
     eng.run(until=1)
-    proc.interrupt("stop")
+    proc.interrupt()
     assert repr(newest()) == "<Event 'interrupt:worker' triggered>"
     assert repr(eng.timeout(1.5)) == "<Timeout 'timeout(1.5)' triggered>"
     assert eng.timeout(2.5e-7).name == "timeout(2.5e-07)"

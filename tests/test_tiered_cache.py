@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CacheOptions, DataPlaneOptions, TierSpec
 from repro.dataplane import SampleCache, TieredCache, plan_promotions
+from repro.dataplane.planner import MAX_PROMOTION_IO_BYTES
 from repro.hardware import NVMeDevice, TEST_NVME, SUMMIT
 from repro.sim import Engine
 from repro.storage.staging import NVMeShardStore
@@ -138,20 +139,19 @@ def test_sample_cache_counts_each_mode_access_once():
 
 
 def test_plan_promotions_bounds_spans():
-    assert plan_promotions([], 100) == []
-    assert plan_promotions([10, 10, 10], 100) == [(0, 3)]
-    assert plan_promotions([60, 60, 60], 100) == [(0, 1), (1, 2), (2, 3)]
-    assert plan_promotions([4, 4], 8) == [(0, 2)]  # filling the cap exactly is one span
-    assert plan_promotions([0, 10], 100) == [(0, 2)]  # an empty entry is no error
-    assert plan_promotions([250], 100) == [(0, 1)]  # oversize gets its own span
-    spans = plan_promotions([40, 40, 40, 40, 40], 100)
+    u = MAX_PROMOTION_IO_BYTES // 8
+    assert plan_promotions([]) == []
+    assert plan_promotions([u, u, u]) == [(0, 3)]
+    assert plan_promotions([5 * u, 5 * u, 5 * u]) == [(0, 1), (1, 2), (2, 3)]
+    assert plan_promotions([4 * u, 4 * u]) == [(0, 2)]  # filling the cap exactly is one span
+    assert plan_promotions([0, u]) == [(0, 2)]  # an empty entry is no error
+    assert plan_promotions([20 * u]) == [(0, 1)]  # oversize gets its own span
+    spans = plan_promotions([3 * u] * 5)
     assert spans == [(0, 2), (2, 4), (4, 5)]
     covered = [i for lo, hi in spans for i in range(lo, hi)]
     assert covered == list(range(5))
     with pytest.raises(ValueError):
-        plan_promotions([10], 0)
-    with pytest.raises(ValueError):
-        plan_promotions([-1], 100)
+        plan_promotions([-1])
 
 
 # ---------------------------------------------------------------------------
