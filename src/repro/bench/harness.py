@@ -404,6 +404,7 @@ def _rank_main(
     n_samples: int,
     nbytes: int,
     model_cfg: HydraGNNConfig,
+    nvme_readers: dict,
 ):
     machine = ctx.world.machine
     vfs = ctx.world.vfs
@@ -435,7 +436,6 @@ def _rank_main(
     elif cfg.method == "nvme":
         # Conventional burst-buffer recipe: every node stages the whole
         # dataset from the PFS to its local SSD once, then reads locally.
-        shared = ctx.world.__dict__.setdefault("_nvme_readers", {})
         if ctx.rank % machine.gpus_per_node == 0:
             from ..hardware.nvme import NVMeDevice
             from ..storage.staging import stage_to_nvme
@@ -446,10 +446,12 @@ def _rank_main(
             staged, t_done = stage_to_nvme(
                 cff, device, ctx.node_index, ctx.now, logical_bytes=logical
             )
-            shared[ctx.node_index] = staged
+            nvme_readers[ctx.node_index] = staged
             yield ctx.engine.timeout(max(0.0, t_done - ctx.now))
         yield from ctx.comm.barrier()
-        dataset = FileDataset(shared[ctx.node_index], ctx, stats_only=True, n_workers=cfg.n_workers)
+        dataset = FileDataset(
+            nvme_readers[ctx.node_index], ctx, stats_only=True, n_workers=cfg.n_workers
+        )
     else:
         reader = CFFReader(vfs, root, machine)
         store_cfg = cfg.ddstore_config()
@@ -558,6 +560,7 @@ def run_experiment(cfg: ExperimentConfig, observer=None) -> ExperimentResult:
         n_samples,
         int(image.index.size[:n_samples].sum()),
         _model_config(cfg, image),
+        {},  # each node's staged NVMe reader (method "nvme"), by node index
         seed=cfg.seed,
         world=world,
     )

@@ -46,31 +46,20 @@ class PreloadResult:
     """One rank's loaded chunk: its packed samples and their size table.
 
     ``sizes`` is the ``(n_local,)`` int64 per-sample byte table.  The bytes
-    are ``pieces``, uint8 arrays whose concatenation is the chunk.  Who owns
-    them: a source that builds ``PreloadResult(buffer=..., sizes=...)``
-    hands over one buffer it made, which a store then owns; one built by
-    :meth:`of_pieces` holds read-only views of bytes their source owns (VFS
-    file, generated blob, an old store's window), and reading ``buffer``
-    concatenates them once into a new buffer — the physical PFS→DRAM copy,
-    which a store's window then owns.  A store reads ``buffer`` only for a
-    chunk's first copy; replicas compare ``pieces`` with it and share it.
+    are ``pieces``, uint8 arrays whose concatenation is the chunk: views of
+    bytes their source owns (VFS file, generated blob, an old store's
+    window).  Reading ``buffer`` concatenates them once into a new buffer
+    — the physical PFS→DRAM copy, which a store's window then owns.  A
+    store reads ``buffer`` only for a chunk's first copy; replicas compare
+    ``pieces`` with it and share it.
     """
 
     __slots__ = ("pieces", "sizes", "_buffer")
 
-    def __init__(self, buffer: np.ndarray, sizes: np.ndarray) -> None:
-        self._buffer = buffer
-        self.pieces = [buffer]
+    def __init__(self, pieces: list, sizes: np.ndarray) -> None:
+        self.pieces = pieces
         self.sizes = sizes
-
-    @classmethod
-    def of_pieces(cls, pieces: list, sizes: np.ndarray) -> "PreloadResult":
-        """A chunk of uint8 ``pieces`` laid back to back only on demand."""
-        result = cls.__new__(cls)
-        result._buffer = None
-        result.pieces = pieces
-        result.sizes = sizes
-        return result
+        self._buffer = None
 
     def adopt(self, buffer: np.ndarray) -> None:
         """Hold ``buffer`` — a copy of this chunk's bytes that a replica
@@ -164,4 +153,4 @@ def _pack_result(blobs: list) -> PreloadResult:
     """The chunk of packed samples ``blobs`` (any ``B``-format buffers, which
     their source keeps owning): one piece per sample, nothing copied yet."""
     sizes = np.fromiter((len(b) for b in blobs), dtype=np.int64, count=len(blobs))
-    return PreloadResult.of_pieces([np.frombuffer(b, dtype=np.uint8) for b in blobs], sizes)
+    return PreloadResult([np.frombuffer(b, dtype=np.uint8) for b in blobs], sizes)

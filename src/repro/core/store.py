@@ -273,6 +273,7 @@ class DDStore:
         engine = comm.engine
         return TieredCache(
             cache_opts,
+            columnar=self.config.dataplane.columnar,
             nvme=shard_store,
             gpu_spec=machine.gpu if cache_opts.tier("gpu") is not None else None,
             dram_hit_base_s=self._local_copy_base,
@@ -784,7 +785,7 @@ class _StoreSource:
         store = self.store
         # An empty chunk pays no get_samples round, on either path.
         if not indices:
-            return PreloadResult.of_pieces([], np.zeros(0, dtype=np.int64))
+            return PreloadResult([], np.zeros(0, dtype=np.int64))
         if not store.transport.supports_coalescing:
             blobs = yield from store.get_samples(
                 list(indices), decode="raw", n_workers=self.n_workers
@@ -793,7 +794,7 @@ class _StoreSource:
             # in the size table — they occupy registry slots even though
             # they contribute no buffer bytes.
             sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
-            return PreloadResult.of_pieces(blobs, sizes)
+            return PreloadResult(blobs, sizes)
 
         lo, hi = indices.start, indices.stop
         reg, bounds = store.registry, store.layout.bounds
@@ -824,8 +825,7 @@ class _StoreSource:
                 [owners[remote] + store._group_base, b_lo[remote], nbytes[remote]], axis=1
             )
             outcome, ladder = yield from pipeline.fetch(store, reads, self.n_workers)
-            for name, n in ladder.items():
-                setattr(store.stats, name, getattr(store.stats, name) + n)
+            pipeline.book(store, ladder)
             for i, payload in zip(remote.tolist(), outcome.payloads):
                 parts[i] = payload
-        return PreloadResult.of_pieces(parts, np.diff(reg.offsets[lo : hi + 1]))
+        return PreloadResult(parts, np.diff(reg.offsets[lo : hi + 1]))

@@ -52,11 +52,7 @@ _NEVER = float("inf")  # next-use distance of an entry the future never touches
 
 @dataclass
 class CacheStats:
-    """Cumulative counters of one cache instance.
-
-    One counter per event: a row :meth:`SampleCache.get` and a columnar
-    :meth:`SampleCache.get_columns` both count in ``hits``/``misses``.
-    """
+    """Cumulative counters of one cache instance (one counter per event)."""
 
     hits: int = 0
     misses: int = 0
@@ -114,10 +110,13 @@ def _adopt(payload: np.ndarray) -> np.ndarray:
 class SampleCache:
     """One tier's pool of packed sample payloads under a byte budget.
 
-    :meth:`put_owned` takes an optional ``victims`` list: every entry the
-    byte budget forces out (not pop/refresh) is appended to it as
-    ``(key, payload, is_column)``, so the owning hierarchy demotes them
-    itself and the pool never holds a reference back to its owner.
+    Every entry is in the one payload format of the owning hierarchy
+    (whole records, or header-stripped columns on a columnar store), so
+    the pool keeps no per-entry format.  :meth:`put_owned` takes an
+    optional ``victims`` list: every entry the byte budget forces out
+    (not pop/refresh) is appended to it as ``(key, payload)``, so the
+    owning hierarchy demotes them itself and the pool never holds a
+    reference back to its owner.
     """
 
     def __init__(self, capacity_bytes: int = 0, policy: str = "lru") -> None:
@@ -132,10 +131,6 @@ class SampleCache:
         self.used_bytes = 0
         self.stats = CacheStats()
         self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        # Keys whose entry holds a header-stripped column payload (arena
-        # mode) rather than a whole packed blob.  Kept as a marker set so
-        # row consumers never misread a column entry and vice versa.
-        self._column_keys: set[int] = set()
         # Belady state: per-key FIFO of future access positions plus the
         # logical clock (position of the access currently being served).
         self._future: dict[int, deque] = {}
@@ -226,7 +221,7 @@ class SampleCache:
         The returned array is the cached storage itself (read-only).
         """
         entry = self._entries.get(key)
-        if entry is None or key in self._column_keys:
+        if entry is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -234,37 +229,14 @@ class SampleCache:
         self.stats.hit_bytes += int(entry.nbytes)
         return entry
 
-    def peek(self, key: int) -> Optional[tuple[np.ndarray, bool]]:
-        """``(payload, is_column)`` for a resident ``key``, else None.
+    def peek(self, key: int) -> Optional[np.ndarray]:
+        """The payload of a resident ``key``, else None.
 
         Stats-silent and recency-neutral: residency probes (the tiered
         cache's tier walk, node-leader duty) must not perturb the
         demand-path hit/miss counters or the eviction order.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return entry, key in self._column_keys
-
-    def get_columns(self, key: int) -> Optional[np.ndarray]:
-        """Header-stripped column payload for ``key``, or None on a miss.
-
-        Only entries parked via :meth:`put_columns` are served; a resident
-        whole-blob entry counts as a miss (its bytes include the record
-        header, which the arena scatter path must never see).
-        """
-        entry = self._entries.get(key)
-        if entry is None or key not in self._column_keys:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        self.stats.hit_bytes += int(entry.nbytes)
-        return entry
-
-    def put_columns(self, key: int, payload: np.ndarray) -> bool:
-        """Park a header-stripped column slice under ``key`` (arena mode)."""
-        return self.put_owned(key, _adopt(payload), True)
+        return self._entries.get(key)
 
     def put(self, key: int, payload: np.ndarray) -> bool:
         """Insert a payload, evicting entries to fit the byte budget.
@@ -274,16 +246,19 @@ class SampleCache:
         plane delivers — is parked as it is, a view of its owner's bytes;
         a writable one is copied first.
         """
-        return self.put_owned(key, _adopt(payload), False)
+        return self.put_owned(key, _adopt(payload))
 
-    def put_owned(
-        self, key: int, stored: np.ndarray, column: bool = False, victims: Optional[list] = None
-    ) -> bool:
+    # A pool holds its hierarchy's one payload format, so the columnar
+    # names are the same operations (kept: the perf ledger wraps them).
+    get_columns = get
+    put_columns = put
+
+    def put_owned(self, key: int, stored: np.ndarray, victims: Optional[list] = None) -> bool:
         """Insert a flat ``uint8`` payload *without copying* and freeze it.
 
         The one insert: tier moves hand the same storage array from tier
-        to tier, and :meth:`put`/:meth:`put_columns` land here once their
-        payload is safe to keep.  The caller cedes ownership — the array
+        to tier, and :meth:`put` lands here once its payload is safe to
+        keep.  The caller cedes ownership — the array
         is made read-only, and the budget is charged its ``nbytes``
         whatever it shares memory with.
         """
@@ -292,34 +267,28 @@ class SampleCache:
         if stored.dtype != np.uint8 or stored.ndim != 1:
             raise ValueError("put_owned requires a flat uint8 payload")
         stored.setflags(write=False)
-        return self._insert(key, stored, column, victims)
+        return self._insert(key, stored, victims)
 
-    def pop(self, key: int) -> Optional[tuple[np.ndarray, bool]]:
-        """Remove and return ``(payload, is_column)``, or None if absent.
+    def pop(self, key: int) -> Optional[np.ndarray]:
+        """Remove and return the payload of ``key``, or None if absent.
 
         A tier *move*, not an eviction: no stats are touched.
         """
         entry = self._entries.pop(key, None)
-        if entry is None:
-            return None
-        column = key in self._column_keys
-        self._column_keys.discard(key)
-        self.used_bytes -= int(entry.nbytes)
-        return entry, column
+        if entry is not None:
+            self.used_bytes -= int(entry.nbytes)
+        return entry
 
-    def _insert(
-        self, key: int, stored: np.ndarray, column: bool, victims: Optional[list]
-    ) -> bool:
+    def _insert(self, key: int, stored: np.ndarray, victims: Optional[list]) -> bool:
         nbytes = stored.nbytes
         capacity = self.capacity_bytes
         if nbytes > capacity:
             return False
-        entries, column_keys, stats = self._entries, self._column_keys, self.stats
+        entries, stats = self._entries, self.stats
         used = self.used_bytes
         old = entries.pop(key, None)
         if old is not None:
             used -= old.nbytes
-            column_keys.discard(key)
         if used + nbytes > capacity:
             lru = self.policy != "belady" or not self._future
             while used + nbytes > capacity:
@@ -328,18 +297,13 @@ class SampleCache:
                 else:
                     victim_key = self._victim()
                     victim = entries.pop(victim_key)
-                victim_column = victim_key in column_keys
-                if victim_column:
-                    column_keys.discard(victim_key)
                 used -= victim.nbytes
                 stats.evictions += 1
                 stats.evicted_bytes += victim.nbytes
                 if victims is not None:
-                    victims.append((victim_key, victim, victim_column))
+                    victims.append((victim_key, victim))
         entries[key] = stored
         self.used_bytes = used + nbytes
-        if column:
-            column_keys.add(key)
         if old is None:
             stats.insertions += 1
         return True
@@ -348,7 +312,10 @@ class SampleCache:
 class TieredCache:
     """GPU-pinned → DRAM → NVMe cache hierarchy (PFS is the miss path).
 
-    The fast tiers (``gpu``, ``dram``) are per-rank :class:`SampleCache`
+    A hierarchy holds one payload format, its store's: whole packed
+    records, or with ``columnar`` the records' header-stripped column
+    bytes (what the arena scatter reads from ``HEADER_NBYTES``).  The
+    fast tiers (``gpu``, ``dram``) are per-rank :class:`SampleCache`
     pools — an *exclusive* pair: an entry lives in one or the other,
     and moves between them by handing over the same storage array
     (:meth:`SampleCache.pop` → :meth:`SampleCache.put_owned`, zero
@@ -380,15 +347,17 @@ class TieredCache:
     already NVMe-resident, a plain exit when Belady knows the entry is
     never used again, and a write-behind to NVMe otherwise (occupying
     the device queue but never charged to the demand path).  Promotions
-    out of NVMe are batched (``read_many``) and the promoted payload is
-    handed to DRAM as a view — no per-sample allocation, which is what
-    lets the arena scatter path stay zero-copy end to end.
+    out of NVMe are batched (``read_many``), and the promoted payload is
+    lifted into the hierarchy's format and handed to DRAM as a view — no
+    per-sample allocation, which is what lets the arena scatter path stay
+    zero-copy end to end.
     """
 
     def __init__(
         self,
         options,  # core.config.CacheOptions (untyped to avoid an import cycle)
         *,
+        columnar: bool = False,
         nvme=None,  # storage.staging.NVMeShardStore | None
         gpu_spec=None,  # hardware.topology.GpuSpec | None
         dram_hit_base_s: float = 0.0,
@@ -403,6 +372,7 @@ class TieredCache:
             raise ValueError("an nvme tier needs an NVMeShardStore")
         self.options = options
         self.policy = options.policy
+        self.columnar = columnar
         self.gpu_spec = gpu_spec
         self.gpu = (
             SampleCache(gpu_tier.capacity_bytes, options.policy)
@@ -461,17 +431,14 @@ class TieredCache:
             pool.advance_to(position)
 
     def put(self, key: int, payload: np.ndarray) -> bool:
-        """Park a wire-fetched whole blob (lands in DRAM)."""
+        """Park one wire-fetched payload (lands in DRAM)."""
         return self.put_many((key,), (payload,)) == 1
 
-    def put_columns(self, key: int, payload: np.ndarray) -> bool:
-        """Park a wire-fetched header-stripped column slice (DRAM)."""
-        return self.put_many((key,), (payload,), column=True) == 1
+    put_columns = put  # one payload format per hierarchy (a perf-ledger name)
 
-    def put_many(self, keys, payloads, column: bool = False) -> int:
-        """Park wire-fetched payloads in DRAM, in order — whole blobs, or
-        header-stripped column slices with ``column=True``.  Returns how
-        many were admitted.
+    def put_many(self, keys, payloads) -> int:
+        """Park wire-fetched payloads, in the hierarchy's format, in DRAM,
+        in order.  Returns how many were admitted.
 
         The one admission loop.  Gated only when an NVMe tier sits below
         (:meth:`_admit_ok`); a hierarchy that ends at DRAM admits every
@@ -490,7 +457,7 @@ class TieredCache:
             if gated and not self._admit_ok(dram, key, int(payload.nbytes)):
                 dropped += 1
                 continue
-            if dram._insert(key, _adopt(payload), column, victims):
+            if dram._insert(key, _adopt(payload), victims):
                 admitted += 1
         if victims:
             self._demote_from_dram(victims)
@@ -500,24 +467,16 @@ class TieredCache:
         return admitted
 
     # -- demand path ---------------------------------------------------------
-    def fast_get(
-        self, key: int, column: bool = False
-    ) -> Optional[tuple[np.ndarray, bool, float]]:
+    def fast_get(self, key: int) -> Optional[tuple[np.ndarray, float]]:
         """Serve ``key`` from a per-rank tier, GPU first.
 
-        Returns ``(payload, has_header, cost_s)`` or None.  A whole blob
-        (header present) serves both modes — the arena path scatters it
-        from offset 0 — while a header-stripped column payload can only
-        serve columnar requests.  The returned array is tier storage
-        (read-only).
+        Returns ``(payload, cost_s)`` or None.  The returned array is tier
+        storage (read-only).
         """
         for name, pool in self._fast:
-            entry = pool.get_columns(key) if column else None
-            has_header = entry is None
-            if has_header:
-                entry = pool.get(key)
-                if entry is None:
-                    continue
+            entry = pool.get(key)
+            if entry is None:
+                continue
             nbytes = int(entry.nbytes)
             ts = self.tier_stats[name]
             ts.hits += 1
@@ -531,29 +490,22 @@ class TieredCache:
             else:
                 # A hit still costs the DRAM copy out of the cache.
                 cost = self.dram_hit_base_s + nbytes / self.dram_hit_Bps
-            return entry, has_header, cost
+            return entry, cost
         return None
 
     def fast_resident(self, key: int) -> bool:
         """Is ``key`` in a per-rank tier (no device IO needed to serve)?"""
         return key in self.dram._entries or (self.gpu is not None and key in self.gpu._entries)
 
-    def peek(self, key: int, column: bool = False) -> Optional[np.ndarray]:
-        """Wire-format payload for ``key`` from a per-rank tier, or None.
+    def peek(self, key: int) -> Optional[np.ndarray]:
+        """Payload for ``key`` from a per-rank tier, or None.
 
         Stats-silent and recency-neutral, so node-leader duty can serve
-        peers without touching the demand-path counters.  Columnar
-        stores want column bytes (a resident whole blob serves by
-        stripping); row stores need the whole blob, header included.
+        peers without touching the demand-path counters.
         """
         for _, pool in self._fast:
-            got = pool.peek(key)
-            if got is None:
-                continue
-            entry, is_column = got
-            if column:
-                return entry if is_column else entry[HEADER_NBYTES:]
-            if not is_column:
+            entry = pool.peek(key)
+            if entry is not None:
                 return entry
         return None
 
@@ -561,49 +513,48 @@ class TieredCache:
         """Record a full-hierarchy miss (the sample goes to the wire)."""
         self.stats.misses += 1
 
-    def nvme_resident(self, key: int, column: bool = False) -> bool:
-        """Is ``key`` promotable from NVMe for this access mode?"""
-        return self.nvme is not None and self.nvme.resident(key, column)
+    def nvme_resident(self, key: int) -> bool:
+        """Is ``key`` promotable from NVMe into this hierarchy's format?"""
+        return self.nvme is not None and self.nvme.resident(key, self.columnar)
 
-    def promote_batch(
-        self, keys: list, now: float, column: bool = False
-    ) -> tuple[dict, float]:
+    def _lift(self, key: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(staged, payload)``: NVMe's bytes for ``key`` and a view of
+        them in the hierarchy's format (a columnar one strips a staged
+        whole record's header)."""
+        staged, has_header = self.nvme.get(key)
+        return staged, staged[HEADER_NBYTES:] if self.columnar and has_header else staged
+
+    def promote_batch(self, keys: list, now: float) -> tuple[dict, float]:
         """Demand-promote NVMe-resident entries.
 
         Issues bounded batched reads (one flash latency per IO group, not
         per sample), parks each payload in DRAM for reuse (Belady-gated,
-        as a view — zero copies), and returns
-        ``({key: (payload, has_header)}, wall_seconds)``.  The caller
-        charges ``wall_seconds`` to the new "promote" fetch stage.
+        as a view — zero copies), and returns ``({key: payload},
+        wall_seconds)``.  The caller charges ``wall_seconds`` to the new
+        "promote" fetch stage.
         """
         if self.nvme is None or not keys:
             return {}, 0.0
-        entries = []
-        for k in keys:
-            payload, has_header = self.nvme.get(int(k))
-            entries.append((int(k), payload, has_header))
+        entries = [(int(k), *self._lift(int(k))) for k in keys]
         wall = self._read_batched([int(p.nbytes) for _, p, _ in entries], now)
         ts = self.tier_stats["nvme"]
         ts.stall_seconds += wall
         results = {}
-        for k, payload, has_header in entries:
-            nbytes = int(payload.nbytes)
+        for k, staged, payload in entries:
+            nbytes = int(staged.nbytes)
             ts.hits += 1
             ts.hit_bytes += nbytes
             ts.promotions += 1
             ts.promoted_bytes += nbytes
             self.stats.hits += 1
             self.stats.hit_bytes += nbytes
-            results[k] = (payload, has_header)
-            park = payload[HEADER_NBYTES:] if (column and has_header) else payload
-            if self._admit_ok(self.dram, k, int(park.nbytes)):
-                self._move_to_dram(k, park, column)
+            results[k] = payload
+            if self._admit_ok(self.dram, k, int(payload.nbytes)):
+                self._move_to_dram(k, payload)
         return results, wall
 
     # -- prefetch path -------------------------------------------------------
-    def stage_up(
-        self, keys: list, now: float, column: bool = False
-    ) -> tuple[int, float]:
+    def stage_up(self, keys: list, now: float) -> tuple[int, float]:
         """Wave prefetch: stage NVMe-resident future-window entries into
         the fast tiers ahead of demand.
 
@@ -616,34 +567,32 @@ class TieredCache:
         picked = []
         for k in keys:
             k = int(k)
-            if self.fast_resident(k) or not self.nvme.resident(k, column):
+            if self.fast_resident(k) or not self.nvme_resident(k):
                 continue
-            payload, has_header = self.nvme.get(k)
-            park = payload[HEADER_NBYTES:] if (column and has_header) else payload
-            if not self._admit_ok(self.dram, k, int(park.nbytes)):
+            staged, payload = self._lift(k)
+            if not self._admit_ok(self.dram, k, int(payload.nbytes)):
                 continue
-            picked.append((k, payload, park))
+            picked.append((k, staged, payload))
         if not picked:
             return 0, 0.0
         wall = self._read_batched([int(p.nbytes) for _, p, _ in picked], now)
         ts = self.tier_stats["nvme"]
-        for k, payload, park in picked:
+        for k, staged, payload in picked:
             ts.promotions += 1
-            ts.promoted_bytes += int(payload.nbytes)
-            self._move_to_dram(k, park, column)
+            ts.promoted_bytes += int(staged.nbytes)
+            self._move_to_dram(k, payload)
         if self.gpu is not None:
             from ..hardware.gpu import pinned_write_time
 
             gpu_ts = self.tier_stats["gpu"]
-            for k, payload, park in picked:
-                if not self._admit_ok(self.gpu, k, int(park.nbytes)):
+            for k, _staged, payload in picked:
+                if not self._admit_ok(self.gpu, k, int(payload.nbytes)):
                     continue
-                popped = self.dram.pop(k)
-                if popped is None:
+                stored = self.dram.pop(k)
+                if stored is None:
                     continue  # DRAM already demoted it; leave it be
-                stored, is_col = popped
                 victims: list = []
-                self.gpu.put_owned(k, stored, is_col, victims)
+                self.gpu.put_owned(k, stored, victims)
                 self._demote_from_gpu(victims)
                 wall += pinned_write_time(self.gpu_spec, int(stored.nbytes))
                 gpu_ts.promotions += 1
@@ -678,20 +627,20 @@ class TieredCache:
             return False
         return incoming < cache._next_use(cache._victim())
 
-    def _move_to_dram(self, key: int, stored: np.ndarray, column: bool) -> None:
+    def _move_to_dram(self, key: int, stored: np.ndarray) -> None:
         """Tier move into DRAM (zero-copy); what it displaces falls below."""
         victims: list = []
-        self.dram.put_owned(key, stored, column, victims)
+        self.dram.put_owned(key, stored, victims)
         self._demote_from_dram(victims)
 
     def _demote_from_gpu(self, victims: list) -> None:
         ts = self.tier_stats["gpu"]
-        for key, payload, is_column in victims:
+        for key, payload in victims:
             ts.demotions += 1
             if self._admit_ok(self.dram, key, int(payload.nbytes)):
-                self._move_to_dram(key, payload, is_column)
+                self._move_to_dram(key, payload)
             else:
-                self._fall_below_dram([(key, payload, is_column)], ts)
+                self._fall_below_dram([(key, payload)], ts)
 
     def _demote_from_dram(self, victims: list) -> None:
         ts = self.tier_stats["dram"]
@@ -699,17 +648,18 @@ class TieredCache:
         self._fall_below_dram(victims, ts)
 
     def _fall_below_dram(self, victims: list, ts: TierStats) -> None:
-        """Let ``(key, payload, is_column)`` victims of a fast tier fall
-        below DRAM, in order, booking each on ``ts``."""
+        """Let ``(key, payload)`` victims of a fast tier fall below DRAM,
+        in order, booking each on ``ts``."""
         nvme, stats, dram = self.nvme, self.stats, self.dram
         horizon = self.policy == "belady" and dram._future
         if nvme is None and not horizon:
             # Nothing below DRAM and no Belady horizon: every victim leaves.
             ts.evictions += len(victims)
             stats.evictions += len(victims)
-            stats.evicted_bytes += sum(payload.nbytes for _, payload, _ in victims)
+            stats.evicted_bytes += sum(payload.nbytes for _, payload in victims)
             return
-        for key, payload, is_column in victims:
+        whole = not self.columnar
+        for key, payload in victims:
             nbytes = payload.nbytes
             if nvme is not None and key in nvme:
                 # Bytes already resident below (pinned stage or an earlier
@@ -721,7 +671,7 @@ class TieredCache:
                 # the known horizon: an NVMe write would be pure waste.
                 ts.evictions += 1
             elif nvme is not None:
-                if nvme.write_behind(key, payload, not is_column, self._now()) is not None:
+                if nvme.write_behind(key, payload, whole, self._now()) is not None:
                     continue  # write-behind queued; bytes stay in the hierarchy
                 ts.dropped += 1
             else:

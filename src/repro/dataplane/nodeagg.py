@@ -212,7 +212,7 @@ class _NodeSink(_ParkSink):
         """Publish what this rank's fast tiers already hold; return the rest."""
         peek, rest = self.h.cache.peek, []
         for k in keys:
-            blob = peek(k, self.columnar)
+            blob = peek(k)
             if blob is None:
                 rest.append(k)
             else:
@@ -284,7 +284,7 @@ def node_wave(h, batch_indices, n_workers: int, window) -> Generator:
     # -- leader duty ---------------------------------------------------------
     wire_keys = sink.offer(plan.led.get(rank, ()))
     n_promoted = 0
-    stage_keys = [k for k in wire_keys if cache.nvme_resident(k, sink.columnar)]
+    stage_keys = [k for k in wire_keys if cache.nvme_resident(k)]
     if stage_keys:
         n_promoted = yield from sink.stage_up(call, stage_keys)
         wire_keys = sink.offer(wire_keys)

@@ -41,7 +41,7 @@ from .cache import TierStats
 from .retry import FetchTimeoutError, fetch_with_retry
 from .transport import FetchOutcome
 
-__all__ = ["assemble", "fetch", "get_rows", "get_arena", "wave"]
+__all__ = ["assemble", "book", "fetch", "get_rows", "get_arena", "wave"]
 
 # Modelled CPU cost of building a fetch plan (numpy sort + merge sweep).
 _PLAN_BASE_S = 1.0e-6
@@ -472,11 +472,21 @@ class _Call:
         )
 
 
+def book(h, counters: dict) -> None:
+    """Book ``counters`` (name → n) of a fetch made outside a demand or
+    wave call — a reshard's bulk reads and their retry ladder — on ``h``'s
+    ``FetchStats`` and its ``ddstore.fetch`` family."""
+    call = _Call(h)
+    for name, n in counters.items():
+        call.count(name, n)
+    call.publish("ddstore.fetch", call.counts.items(), generation=h.generation)
+
+
 # -- resolve -----------------------------------------------------------------
-def _resolve(cache, column: bool, idx, remote, latencies):
+def _resolve(cache, idx, remote, latencies):
     """Sort a demand call's remote positions into fast-tier hits
-    (``(position, payload, has_header)`` triples, plus their summed
-    cost), NVMe promotions (``keys, positions``) and full misses."""
+    (``(position, payload)`` pairs, plus their summed cost), NVMe
+    promotions (``keys, positions``) and full misses."""
     fast_get, on_nvme = cache.fast_get, cache.nvme_resident
     hits: list[tuple] = []
     hit_costs: list[float] = []
@@ -485,20 +495,20 @@ def _resolve(cache, column: bool, idx, remote, latencies):
     cache_time = 0.0
     remote = remote.tolist()
     for p, key in zip(remote, idx[remote].tolist()):
-        hit = fast_get(key, column)
+        hit = fast_get(key)
         if hit is not None:
-            payload, has_header, cost = hit
-            hits.append((p, payload, has_header))
+            payload, cost = hit
+            hits.append((p, payload))
             hit_costs.append(cost)
             cache_time += cost
-        elif on_nvme(key, column):
+        elif on_nvme(key):
             promote[0].append(key)
             promote[1].append(p)
         else:
             cache.count_miss()
             missed.append(p)
     if hits:
-        latencies[[p for p, _, _ in hits]] = hit_costs
+        latencies[[p for p, _ in hits]] = hit_costs
     return hits, cache_time, promote, np.asarray(missed, dtype=np.int64)
 
 
@@ -548,7 +558,7 @@ class _RowSink:
         SAMPLE_ALLOCATIONS.bump(int(positions.size))
 
     def place(self, found) -> None:
-        for p, payload, _has_header in found:
+        for p, payload in found:
             self.blobs[p] = payload
         SAMPLE_ALLOCATIONS.bump(len(found))
 
@@ -559,7 +569,7 @@ class _RowSink:
     def wire(self, plan, outcome, latencies, positions) -> None:
         assemble(plan, outcome, self.blobs, latencies)
         cache = self.h.cache
-        if cache.enabled:
+        if cache.enabled and not cache.columnar:  # whole records park in a row cache only
             blobs = self.blobs
             cache.put_many(self.idx[positions].tolist(), [blobs[p] for p in positions.tolist()])
 
@@ -603,12 +613,10 @@ class _ArenaSink:
             scatter(int(p), 0, nb, buf[off : off + nb], fields)
 
     def place(self, found) -> None:
-        # A whole blob scatters from byte 0 (the map skips the header
-        # itself); column payloads start where the header would end.
+        # Column payloads start where the record header would end.
         scatter, fields = self.smap.scatter, self.fields
-        for p, payload, whole in found:
-            lo = 0 if whole else HEADER_NBYTES
-            scatter(p, lo, lo + int(payload.nbytes), payload, fields)
+        for p, payload in found:
+            scatter(p, HEADER_NBYTES, HEADER_NBYTES + int(payload.nbytes), payload, fields)
 
     def empty(self, positions) -> None:
         pass
@@ -631,7 +639,7 @@ class _ArenaSink:
                 park_keys.append(int(keys[p]))
                 park_payloads.append(_strip_header(piece))
         if cache.enabled:
-            cache.put_many(park_keys, park_payloads, column=True)
+            cache.put_many(park_keys, park_payloads)
         if outcome.latencies is not None:
             segment_max(latencies, position, outcome.latencies[read], single=bool(whole.all()))
 
@@ -646,19 +654,19 @@ class _ArenaSink:
 
 
 class _ParkSink:
-    """Cache park: wave payloads land in the handle's cache in the format
-    its demand path reads back — whole blobs on row stores,
-    header-stripped column bytes on columnar ones."""
+    """Cache park: wave payloads land in the handle's cache in its one
+    format — whole blobs on row stores, header-stripped column bytes on
+    columnar ones."""
 
     def __init__(self, h) -> None:
         self.h = h
-        self.columnar = h.config.dataplane.columnar
+        self.columnar = h.cache.columnar
         self.n_parked = 0
 
     def stage_up(self, call: _Call, keys) -> Generator:
         """Lift NVMe-resident ``keys`` into the fast tiers ahead of demand
         (the wave paths' "promote" stage).  Returns how many moved."""
-        n, wall = self.h.cache.stage_up(keys, call.engine.now, column=self.columnar)
+        n, wall = self.h.cache.stage_up(keys, call.engine.now)
         if wall:
             yield from call.spend("promote", wall, n=n)
         return n
@@ -669,7 +677,7 @@ class _ParkSink:
         return [_strip_header(b) for b in blobs] if self.columnar else blobs
 
     def park(self, keys, payloads) -> None:
-        self.h.cache.put_many(keys, payloads, column=self.columnar)
+        self.h.cache.put_many(keys, payloads)
         self.n_parked += len(keys)
 
     def wire(self, keys, plan, outcome) -> None:
@@ -696,20 +704,22 @@ def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
         local_time = float(copy_times.sum())
 
     # -- remote samples: resolve against the cache -------------------------
+    # A read in the other format than the cache's (a row read of a
+    # columnar store) goes straight to the wire.
     wanted = (~local_mask).nonzero()[0]
     cache_time = 0.0
-    if h.cache.enabled and wanted.size:
+    if h.cache.enabled and sink.column == h.cache.columnar and wanted.size:
         hits, cache_time, (promote_keys, promote_at), wanted = _resolve(
-            h.cache, sink.column, idx, wanted, latencies
+            h.cache, idx, wanted, latencies
         )
         if hits:
             sink.place(hits)
         if promote_keys:
             # One batched NVMe→DRAM read for the whole call.
-            results, wall = h.cache.promote_batch(promote_keys, call.engine.now, column=sink.column)
+            results, wall = h.cache.promote_batch(promote_keys, call.engine.now)
             if wall:
                 yield from call.spend("promote", wall, n=len(promote_keys))
-            sink.place([(p, *results[k]) for p, k in zip(promote_at, promote_keys)])
+            sink.place([(p, results[k]) for p, k in zip(promote_at, promote_keys)])
             latencies[promote_at] = wall
 
     # Zero-size samples need no bytes on the wire, but they are still
@@ -767,14 +777,14 @@ def wave(h, batch_indices, n_workers: int, window) -> Generator:
         return (yield from nodeagg.node_wave(h, batch_indices, n_workers, window))
     call = _Call(h, wave=True)
     sink = _ParkSink(h)
-    resident, on_nvme, columnar = h.cache.fast_resident, h.cache.nvme_resident, sink.columnar
+    resident, on_nvme = h.cache.fast_resident, h.cache.nvme_resident
     groups, keys, stage_keys = [], [], []
     for ids, owners, offsets, sizes in _remote_demand(h, batch_indices, h.group_comm.rank):
         want = []
         for i, key in enumerate(ids.tolist()):
             if resident(key):
                 continue
-            if on_nvme(key, columnar):
+            if on_nvme(key):
                 # Resident one tier down: no wire read needed — stage the
                 # bytes upward ahead of demand instead.
                 stage_keys.append(key)

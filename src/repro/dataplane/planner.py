@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..graphs.graph import field_nbytes
 from ..storage.serialization import HEADER_NBYTES
 
 __all__ = [
@@ -394,10 +395,8 @@ class FetchPlanner:
         e_total = int(eptr[-1])
         # All five candidate segments of every position at once: a (P, 5)
         # table of source spans and destinations, masked where zero-length.
-        pos_nb = 12 * nn
-        feat_nb = 4 * feature_dim * nn
-        edge_nb = 4 * ne
-        y_nb = 4 * output_dim
+        pos_nb, feat_nb, edge_nb, y_nb = field_nbytes(nn, ne, feature_dim, output_dim)
+        edge_nb = edge_nb // 2  # one plane: sources, then targets
         lo0 = np.full(P, HEADER_NBYTES, np.int64)
         lo1 = lo0 + pos_nb
         lo2 = lo1 + feat_nb

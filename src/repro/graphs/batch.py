@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import AtomicGraph
+from .graph import AtomicGraph, field_nbytes
 
 __all__ = [
     "GraphBatch",
@@ -143,12 +143,11 @@ class BatchArena:
 
     def presize(
         self, n_graphs: int, n_nodes: int, n_edges: int, feature_dim: int, output_dim: int
-    ) -> None:
-        """Grow backings for a batch of the given total shape (no views)."""
-        self._backing("positions", 4 * n_nodes * 3)
-        self._backing("node_features", 4 * n_nodes * feature_dim)
-        self._backing("edge_index", 4 * 2 * n_edges)
-        self._backing("y", 4 * n_graphs * output_dim)
+    ) -> dict:
+        """Grow backings for a batch of the given total shape; returns each
+        field's byte prefix for that batch."""
+        sizes = field_nbytes(n_nodes, n_edges, feature_dim, output_dim, n_graphs)
+        return {name: self._backing(name, nb)[:nb] for name, nb in zip(self._FIELDS, sizes)}
 
     def reset(
         self,
@@ -169,22 +168,11 @@ class BatchArena:
         n = int(self.ptr[-1])
         e = int(self.edge_ptr[-1])
         self.sample_ids = np.asarray(sample_ids, np.int64)
-        pos_store = self._backing("positions", 4 * n * 3)
-        feat_store = self._backing("node_features", 4 * n * feature_dim)
-        edge_store = self._backing("edge_index", 4 * 2 * e)
-        y_store = self._backing("y", 4 * b * output_dim)
-        self.positions = pos_store[: 4 * n * 3].view(np.float32).reshape(n, 3)
-        self.node_features = (
-            feat_store[: 4 * n * feature_dim].view(np.float32).reshape(n, feature_dim)
-        )
-        self.edge_index = edge_store[: 4 * 2 * e].view(np.int32).reshape(2, e)
-        self.y = y_store[: 4 * b * output_dim].view(np.float32).reshape(b, output_dim)
-        self.field_bytes = {
-            "positions": pos_store[: 4 * n * 3],
-            "node_features": feat_store[: 4 * n * feature_dim],
-            "edge_index": edge_store[: 4 * 2 * e],
-            "y": y_store[: 4 * b * output_dim],
-        }
+        fields = self.field_bytes = self.presize(b, n, e, feature_dim, output_dim)
+        self.positions = fields["positions"].view(np.float32).reshape(n, 3)
+        self.node_features = fields["node_features"].view(np.float32).reshape(n, feature_dim)
+        self.edge_index = fields["edge_index"].view(np.int32).reshape(2, e)
+        self.y = fields["y"].view(np.float32).reshape(b, output_dim)
         self.node_graph = np.repeat(np.arange(b, dtype=np.int64), self.node_counts)
         self._shifted = False
 

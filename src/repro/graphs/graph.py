@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AtomicGraph", "GraphStats"]
+__all__ = ["AtomicGraph", "GraphStats", "field_nbytes"]
+
+
+def field_nbytes(n_nodes, n_edges, feature_dim, output_dim, n_graphs=1) -> tuple:
+    """Byte sizes of the four fields of ``n_graphs`` samples with
+    ``n_nodes`` nodes and ``n_edges`` edges in all, in packed-record order:
+    positions, node features, edge index, y — 4 bytes an element.
+    Elementwise over array counts."""
+    return 12 * n_nodes, 4 * feature_dim * n_nodes, 8 * n_edges, 4 * output_dim * n_graphs
 
 
 @dataclass

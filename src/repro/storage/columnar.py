@@ -207,11 +207,9 @@ def shard_packed_size(
 def row_field_layout(
     n_nodes: int, n_edges: int, feature_dim: int, output_dim: int
 ) -> dict[str, tuple[int, int]]:
-    """Byte span of each field inside one packed AGRF *row* record.
-
-    The arena planner uses this to split a wire payload into per-field
-    scatter segments without decoding it.
-    """
+    """Byte span of each field inside one packed AGRF *row* record
+    (the arena planner computes the same spans for a whole batch at once,
+    in :meth:`~repro.dataplane.planner.FetchPlanner.plan_arena`)."""
     lo = _ROW_HEADER.size
     spans: dict[str, tuple[int, int]] = {}
     for name, nbytes in (

@@ -27,6 +27,7 @@ import struct
 import numpy as np
 
 from ..graphs import AtomicGraph
+from ..graphs.graph import field_nbytes
 
 __all__ = [
     "pack_graph",
@@ -62,13 +63,7 @@ class CodecError(ValueError):
 
 def packed_size(n_nodes: int, n_edges: int, feature_dim: int, output_dim: int) -> int:
     """Exact byte size of a packed graph with the given shape."""
-    return (
-        _HEADER.size
-        + 4 * (n_nodes * 3)
-        + 4 * (n_nodes * feature_dim)
-        + 4 * (2 * n_edges)
-        + 4 * output_dim
-    )
+    return _HEADER.size + sum(field_nbytes(n_nodes, n_edges, feature_dim, output_dim))
 
 
 def pack_graph(graph: AtomicGraph) -> bytes:

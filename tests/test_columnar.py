@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import DataLoader, DataPlaneOptions, DDStore, DDStoreDataset, GeneratorSource
 from repro.dataplane import ArenaScatterMap, FetchPlanner
-from repro.dataplane.cache import SampleCache
 from repro.graphs import SAMPLE_ALLOCATIONS, ArenaPool, BatchArena, collate
 from repro.graphs.datasets import DATASETS
 from repro.hardware import TESTBOX
@@ -267,20 +266,31 @@ def test_plan_arena_segment_bookkeeping():
 # ---------------------------------------------------------------------------
 
 def test_cache_column_mode_segregates_entries():
-    cache = SampleCache(capacity_bytes=1 << 16)
-    payload = np.arange(64, dtype=np.uint8)
-    assert cache.put_columns(7, payload)
-    # Column entries only serve get_columns, never the row-path get.
-    assert cache.get(7) is None
-    assert np.array_equal(cache.get_columns(7), payload)
-    # Whole-blob entries never serve get_columns.
-    assert cache.put(9, payload)
-    assert cache.get_columns(9) is None
-    assert np.array_equal(cache.get(9), payload)
-    # Refreshing a column key with a whole blob clears the marker.
-    assert cache.put(7, payload)
-    assert cache.get_columns(7) is None
-    assert cache.get(7) is not None
+    """A columnar store's cache holds column payloads only: a row read of
+    the store (``decode="raw"``) neither probes the cache nor parks in it,
+    and still returns the exact packed records."""
+    gen = DATASETS["ising"].make(16, 0)
+
+    def counters(cache):
+        return vars(cache.stats).copy(), {t: vars(s).copy() for t, s in cache.tier_stats.items()}
+
+    def main(ctx):
+        store = yield from DDStore.create(
+            ctx.comm,
+            GeneratorSource(gen, ctx.world.machine),
+            dataplane=DataPlaneOptions(columnar=True, cache_bytes=1 << 20),
+        )
+        ids = list(range(16))
+        yield from store.get_batch_arena(ids, BatchArena())  # parks the remote ids' columns
+        cache = store.cache
+        before, resident = counters(cache), dict(cache.dram._entries)
+        blobs = yield from store.get_samples(ids, decode="raw")
+        same = all(b.tobytes() == pack_graph(gen.make(i)) for i, b in zip(ids, blobs))
+        untouched = counters(cache) == before and dict(cache.dram._entries) == resident
+        return same, untouched, len(resident)
+
+    for same, untouched, n_resident in run_world(TESTBOX, 2, main).results:
+        assert same and untouched and n_resident > 0
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_memory_exhaustion_from_overreplication():
             from repro.core.preloader import PreloadResult
 
             buf = np.zeros(5 * 2**30, dtype=np.uint8)  # > node DRAM
-            return PreloadResult(buffer=buf, sizes=np.array([buf.size // 4] * 4))
+            return PreloadResult([buf], np.array([buf.size // 4] * 4))
 
     def main(ctx):
         try:

@@ -54,8 +54,7 @@ class ZeroMixSource:
         blobs = [self.payload(int(i)) for i in indices]
         yield engine.timeout(1e-6)
         sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
-        buffer = np.concatenate(blobs) if blobs else np.zeros(0, dtype=np.uint8)
-        return PreloadResult(buffer=buffer, sizes=sizes)
+        return PreloadResult(blobs, sizes)
 
 
 class FlakyOnce:

@@ -368,13 +368,7 @@ class _BlobSource:
         yield engine.timeout(1e-6)
         bs = [self.blobs[int(i)] for i in indices]
         sizes = np.fromiter((len(b) for b in bs), dtype=np.int64, count=len(bs))
-        joined = b"".join(bs)
-        buf = (
-            np.frombuffer(joined, dtype=np.uint8).copy()
-            if joined
-            else np.zeros(0, np.uint8)
-        )
-        return PreloadResult(buffer=buf, sizes=sizes)
+        return PreloadResult([np.frombuffer(b, dtype=np.uint8) for b in bs], sizes)
 
 
 def _blobs_from_sizes(sizes):
@@ -431,21 +425,23 @@ def test_reshard_byte_identity_property(sizes):
 # reshard under fault plans: the retry/failover ladder stays engaged
 # ---------------------------------------------------------------------------
 
-def _faulted_reshard(plan_name):
+def _faulted_reshard(plan_name, width=None, new_width=2):
     from repro.core import ResilienceOptions
     from repro.faults import build_fault_plan, install_faults
     from repro.mpi.comm import World
+    from repro.obs import Observer
 
     def main(ctx):
         store = yield from DDStore.create(
             ctx.comm,
             _src(ctx),
+            width=width,
             resilience=ResilienceOptions(
                 timeout_s=1.5e-4, max_retries=2
             ),
         )
         yield from store.get_samples(range(8), decode=False)
-        new = yield from store.reshard(width=2)
+        new = yield from store.reshard(width=new_width)
         graphs = yield from new.get_samples(range(24))
         stats = new.stats  # carries the old generation's fault counters
         yield from new.shutdown()
@@ -453,6 +449,7 @@ def _faulted_reshard(plan_name):
 
     world = World(TESTBOX, 2, seed=0)
     install_faults(world, build_fault_plan(plan_name, 4, seed=0))
+    world.attach_observer(Observer(trace=False))
     return run_world(TESTBOX, 2, main, seed=0, world=world)
 
 
@@ -470,7 +467,11 @@ def test_reshard_under_straggler_engages_retry_ladder():
     # Faults change timing and engage the ladder; bytes stay correct
     # (asserted above).  The final permitted attempt runs unbounded, so
     # a slow peer degrades the reshard instead of failing it.
-    job = _faulted_reshard("straggler-10x")
-    timeouts = sum(t for _g, t, _r, _f in job.results)
-    retries = sum(r for _g, _t, r, _f in job.results)
-    assert timeouts > 0 and retries > 0
+    # Width 2 -> 4: only the reshard's bulk reads have a replica to fail
+    # over to, so every ladder count is the reshard's — and it reaches the
+    # metric registry as well as FetchStats.
+    job = _faulted_reshard("straggler-10x", width=2, new_width=4)
+    totals = [sum(row[i] for row in job.results) for i in (1, 2, 3)]
+    assert totals[0] > 0 and totals[1] > 0
+    booked = job.world.obs.metrics.sum_by("ddstore.fetch", "counter")
+    assert [booked.get(n, 0) for n in ("n_timeouts", "n_retries", "n_failovers")] == totals

@@ -76,8 +76,7 @@ class ReferenceSource:
         blobs = [np.frombuffer(self.blobs[int(i)], np.uint8) for i in indices]
         yield engine.timeout(1e-6)
         sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
-        buffer = np.concatenate(blobs) if blobs else np.zeros(0, dtype=np.uint8)
-        return PreloadResult(buffer=buffer, sizes=sizes)
+        return PreloadResult(blobs, sizes)
 
 
 def _counters(cache) -> tuple:
@@ -191,12 +190,14 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
 
         def probes():
             """Leader peek and wave residency agree with the reference and
-            with each other, stats-silently; a resident id is a demand hit."""
+            with each other, stats-silently; a resident id is a demand hit.
+            Peek hands out the stored entry, so this also checks the cache
+            holds the store's format: column bytes on a columnar store."""
             cache = store.cache
             before = _counters(cache)
             resident = []
             for i in range(N):
-                blob = cache.peek(i, columnar)
+                blob = cache.peek(i)
                 if (blob is not None) != cache.fast_resident(i):
                     problems.append(f"peek and residency disagree on {i}")
                 if blob is not None:

@@ -122,15 +122,16 @@ def test_cache_spellings_do_not_mix():
 
 
 def test_sample_cache_counts_each_mode_access_once():
+    """A pool holds one payload format, so each columnar name is its row
+    twin: every call of either counts exactly one event."""
     cache = SampleCache(capacity_bytes=1 << 20)
     blob = np.arange(64, dtype=np.uint8)
-    cache.put(1, blob)
-    cache.put_columns(2, blob)
-    assert cache.get(1) is not None  # row hit
-    assert cache.get(2) is None  # column entry cannot serve the row path
-    assert cache.get_columns(2) is not None  # columnar hit
-    assert cache.get_columns(1) is None  # whole blob misses the column path
-    assert (cache.stats.hits, cache.stats.misses) == (2, 2)
+    assert cache.put(1, blob) and cache.put_columns(2, blob)
+    assert cache.stats.insertions == 2
+    assert cache.get(1) is not None and cache.get(2) is not None
+    assert cache.get_columns(1) is not None and cache.get_columns(2) is not None
+    assert cache.get(3) is None and cache.get_columns(4) is None
+    assert (cache.stats.hits, cache.stats.misses) == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +224,18 @@ def test_tier_cycles_never_corrupt_bytes(gpu_kib, dram_kib, keys, content_seed):
         _check_budgets(cache)
 
     # Wave stage-up pulls NVMe residents back into the fast tiers.
-    cache.stage_up(sorted(truth), now=0.0, column=False)
+    cache.stage_up(sorted(truth), now=0.0)
     _check_budgets(cache)
 
     for key, expected in truth.items():
         if not _anywhere(cache, key):
             continue  # fully evicted (budget pressure) — a legal outcome
-        served = cache.fast_get(key, column=False)
+        served = cache.fast_get(key)
         if served is None:
-            results, _ = cache.promote_batch([key], now=0.0, column=False)
-            payload, has_header = results[key]
-            assert has_header
+            results, _ = cache.promote_batch([key], now=0.0)
+            payload = results[key]
         else:
-            payload, has_header, _cost = served
-            assert has_header
+            payload, _cost = served
         np.testing.assert_array_equal(
             np.asarray(payload).reshape(-1), expected.reshape(-1)
         )
@@ -261,12 +260,12 @@ def test_four_tier_round_trip_bit_identical(keys, content_seed):
     # inserted key must still be somewhere in the hierarchy.
     for key in truth:
         assert _anywhere(cache, key)
-    cache.stage_up(sorted(truth), now=0.0, column=False)
+    cache.stage_up(sorted(truth), now=0.0)
     for key, expected in truth.items():
-        served = cache.fast_get(key, column=False)
+        served = cache.fast_get(key)
         if served is None:
-            results, _ = cache.promote_batch([key], now=0.0, column=False)
-            payload = results[key][0]
+            results, _ = cache.promote_batch([key], now=0.0)
+            payload = results[key]
         else:
             payload = served[0]
         np.testing.assert_array_equal(
@@ -314,7 +313,7 @@ def test_a_dropped_cache_frees_its_payloads_by_refcount(gpu_kib, nvme_kib):
             assert cache.put(key, _payload_for(key, 0))
         cache.stage_up(list(range(12)), now=0.0)
         assert len(cache.dram) and (cache.gpu is None or len(cache.gpu))
-        payload, _is_column = cache.dram.peek(next(k for k in range(12) if k in cache.dram))
+        payload = cache.dram.peek(next(k for k in range(12) if k in cache.dram))
         dead = weakref.ref(cache), weakref.ref(payload)
         del cache, payload
         assert dead[0]() is None and dead[1]() is None
