@@ -34,6 +34,7 @@ Transports live in :mod:`repro.dataplane`; ``framework`` picks one from
 
 from __future__ import annotations
 
+import copy
 from functools import partial
 from typing import Generator, Optional, Sequence
 
@@ -124,25 +125,24 @@ def _same_bytes(pieces: list, buffer: np.ndarray) -> bool:
 
 
 def _share_chunk(
-    communicator, key: tuple, group: int, n_replicas: int, result: PreloadResult
+    table: dict, key: tuple, group: int, n_replicas: int, result: PreloadResult
 ) -> None:
-    """Give ``result`` the one host buffer of chunk ``key = (create, lo,
-    hi)`` that every replica group of that create shares read-only.
+    """Give ``result`` the one host buffer of chunk ``key = (*store, lo,
+    hi)`` that every replica group of that store shares read-only
+    (``table`` is the world's ``HostShared.chunks``).
 
     The first group to load the chunk builds it (``result.buffer``); each
     later group checks that its pieces hold the same bytes and adopts it
-    without building its own.  The table entry is dropped when the last
-    group has adopted the buffer, so the windows alone keep it alive."""
+    without building its own."""
     if n_replicas == 1:
         return
-    table = communicator.__dict__.setdefault("_ddstore_chunks", {})
     entry = table.get(key)
     if entry is None:
         table[key] = [group, result.sizes, result.buffer, n_replicas - 1]
         return
     owner, sizes, buffer, _ = entry
     if not (np.array_equal(sizes, result.sizes) and _same_bytes(result.pieces, buffer)):
-        _, lo, hi = key
+        *_, lo, hi = key
         raise ValueError(
             f"replica groups {owner} and {group} loaded different bytes for chunk "
             f"[{lo}, {hi}): failover and node fetch need identical replicas"
@@ -171,7 +171,7 @@ class DDStore:
         transport: Transport,
         node_index: int,
         charged_bytes: int,
-        create_id: int,
+        store_key: tuple[int, int],
     ) -> None:
         self.comm = comm
         self.group_comm = group_comm
@@ -232,10 +232,10 @@ class DDStore:
         self._lane = None
         self._tenant: Optional[str] = None
         self._qos: Optional[str] = None
-        # Which of ``comm``'s stores this is, identical on every rank: the
-        # node-fetch rendezvous names the store by it.  Session views
-        # inherit it.
-        self._create_id = create_id
+        # ``(communicator id, create)``, identical on every rank: how the
+        # host-shared tables (``HostShared``) name this store.  Session
+        # views inherit it.
+        self._store_key = store_key
 
     def build_cache(self, cache_opts) -> TieredCache:
         """Assemble the sample cache ``cache_opts`` describes on this rank
@@ -244,7 +244,7 @@ class DDStore:
 
         The NVMe tier is node-shared: all local ranks resolve the same
         :class:`~repro.storage.staging.NVMeShardStore` (and device queue)
-        through a registry on the world object, keyed by node index.
+        through the world's ``HostShared.nvme_stores``, keyed by node index.
         """
         machine = self._machine
         comm = self.comm
@@ -256,9 +256,8 @@ class DDStore:
                     f"machine {machine.name!r} has no node-local NVMe; drop "
                     "the nvme tier from CacheOptions"
                 )
-            world = comm.communicator.world
             node_index = machine.node_of_rank(comm.world_rank)
-            stores = world.__dict__.setdefault("_tier_nvme_stores", {})
+            stores = comm.communicator.world.shared.nvme_stores
             if node_index not in stores:
                 from ..hardware.nvme import NVMeDevice
                 from ..storage.staging import NVMeShardStore
@@ -306,12 +305,10 @@ class DDStore:
         config = DDStoreConfig(
             comm.size, width=width, dataplane=dataplane, resilience=resilience
         )
-        # Every rank's k-th create on ``comm`` is the same collective call:
-        # the ordinal keys the chunk buffers its replica groups share and
-        # the store's node-fetch rendezvous.
-        creates = comm.communicator.__dict__.setdefault("_ddstore_creates", [0] * comm.size)
-        create_id = creates[comm.rank]
-        creates[comm.rank] += 1
+        # Every rank's k-th create on ``comm`` enters the same collective
+        # (the split below) at the same sequence number, so it names this
+        # create on every rank.
+        store_key = (comm.communicator.id, comm.collective_seq)
         group = config.group_of_rank(comm.rank)
         group_comm = yield from comm.split(color=group, key=comm.rank)
         layout = ChunkLayout.build(source.n_samples, config.effective_width)
@@ -319,7 +316,8 @@ class DDStore:
         # Preload this member's chunk (timed filesystem / CPU work).
         lo, hi = layout.chunk_range(group_comm.rank)
         engine = comm.engine
-        node_index = comm.communicator.world.machine.node_of_rank(comm.world_rank)
+        world = comm.communicator.world
+        node_index = world.machine.node_of_rank(comm.world_rank)
         result = yield from source.load_chunk(range(lo, hi), node_index, engine)
 
         # Account the chunk against the node's DRAM (MemoryError here is the
@@ -327,8 +325,8 @@ class DDStore:
         # rank is charged its replica, though the host holds one buffer per
         # distinct chunk.
         buffer_nbytes = result.nbytes
-        comm.communicator.world.cluster.charge_memory(node_index, buffer_nbytes)
-        _share_chunk(comm.communicator, (create_id, lo, hi), group, config.n_replicas, result)
+        world.cluster.charge_memory(node_index, buffer_nbytes)
+        _share_chunk(world.shared.chunks, (*store_key, lo, hi), group, config.n_replicas, result)
 
         # Exchange size tables and build the replicated registry: every
         # member is charged the allgather, the last arrival builds the one
@@ -364,7 +362,7 @@ class DDStore:
             transport=transport,
             node_index=node_index,
             charged_bytes=buffer_nbytes,
-            create_id=create_id,
+            store_key=store_key,
         )
         if store.cache.nvme is not None:
             yield from store._stage_nvme_tier(source, node_index)
@@ -617,8 +615,7 @@ class DDStore:
         Built by :class:`repro.serving.StoreService` — single-job callers
         never need one.
         """
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
+        clone = copy.copy(self)
         clone.stats = FetchStats()
         clone.cache = cache
         clone._cache_base, clone._tier_base = pipeline.counter_marks(cache)
@@ -673,25 +670,34 @@ class DDStore:
         yield from self.comm.barrier()
         self._shutdown_collectives += 1
         self.close()
-        self._assert_no_leaked_grants()
+        self._assert_quiet()
 
-    def _assert_no_leaked_grants(self) -> None:
+    def _assert_quiet(self) -> None:
         """Past the shutdown barrier the job's data plane is quiet, so a DRR
         grant, a queued waiter or an active fetch still found on one of the
-        job's serving arbiters (the per-target registry the serving layer
-        keeps on the world) or on this view's lane has leaked — raise
-        naming it instead of passing silently."""
+        job's serving arbiters or on this view's lane, or a wave entry
+        still open in a node rendezvous of this store, has leaked — raise
+        naming it instead of passing silently.  Then drop the store's
+        rendezvous (``HostShared.coordinators``)."""
         c = self.comm.communicator
-        arbiters = c.world.__dict__.get("_serving_arbiters", {}).get(id(c), {})
+        shared = c.world.shared
+        coords = [key for key in shared.coordinators if key[:2] == self._store_key]
         leaks = [
             f"target {target}: {what}"
-            for target, arbiter in sorted(arbiters.items())
+            for target, arbiter in sorted(shared.arbiters.get(c.id, {}).items())
             for what in arbiter.leaks()
+        ]
+        leaks += [
+            f"node {key[2]}, tenant {key[3]!r}: wave {wave} still open"
+            for key in coords
+            for wave in shared.coordinators[key].entries
         ]
         if self._lane is not None:
             leaks += self._lane.leaks()
         if leaks:
-            raise RuntimeError("DDStore shut down with leaked grants: " + "; ".join(leaks))
+            raise RuntimeError("DDStore shut down with leaks: " + "; ".join(leaks))
+        for key in coords:
+            del shared.coordinators[key]
 
     def close(self) -> None:
         """Release this rank's DRAM accounting and mark the handle closed.

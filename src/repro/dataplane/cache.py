@@ -52,14 +52,12 @@ _NEVER = float("inf")  # next-use distance of an entry the future never touches
 
 @dataclass
 class CacheStats:
-    """Cumulative counters of one cache instance (one counter per event)."""
+    """Cumulative counters of one :class:`TieredCache` (one counter per event)."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    insertions: int = 0
     hit_bytes: int = 0
-    evicted_bytes: int = 0
 
 
 @dataclass
@@ -129,7 +127,6 @@ class SampleCache:
         self.capacity_bytes = int(capacity_bytes)
         self.policy = policy
         self.used_bytes = 0
-        self.stats = CacheStats()
         self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
         # Belady state: per-key FIFO of future access positions plus the
         # logical clock (position of the access currently being served).
@@ -221,20 +218,15 @@ class SampleCache:
         The returned array is the cached storage itself (read-only).
         """
         entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        self.stats.hit_bytes += int(entry.nbytes)
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
     def peek(self, key: int) -> Optional[np.ndarray]:
         """The payload of a resident ``key``, else None.
 
-        Stats-silent and recency-neutral: residency probes (the tiered
-        cache's tier walk, node-leader duty) must not perturb the
-        demand-path hit/miss counters or the eviction order.
+        Recency-neutral: residency probes (the tiered cache's tier walk,
+        node-leader duty) must not perturb the eviction order.
         """
         return self._entries.get(key)
 
@@ -272,7 +264,7 @@ class SampleCache:
     def pop(self, key: int) -> Optional[np.ndarray]:
         """Remove and return the payload of ``key``, or None if absent.
 
-        A tier *move*, not an eviction: no stats are touched.
+        A tier *move*, not an eviction: nothing lands in ``victims``.
         """
         entry = self._entries.pop(key, None)
         if entry is not None:
@@ -284,7 +276,7 @@ class SampleCache:
         capacity = self.capacity_bytes
         if nbytes > capacity:
             return False
-        entries, stats = self._entries, self.stats
+        entries = self._entries
         used = self.used_bytes
         old = entries.pop(key, None)
         if old is not None:
@@ -298,14 +290,10 @@ class SampleCache:
                     victim_key = self._victim()
                     victim = entries.pop(victim_key)
                 used -= victim.nbytes
-                stats.evictions += 1
-                stats.evicted_bytes += victim.nbytes
                 if victims is not None:
                     victims.append((victim_key, victim))
         entries[key] = stored
         self.used_bytes = used + nbytes
-        if old is None:
-            stats.insertions += 1
         return True
 
 
@@ -461,7 +449,6 @@ class TieredCache:
                 admitted += 1
         if victims:
             self._demote_from_dram(victims)
-        self.stats.insertions += admitted
         if dropped:
             self.tier_stats["dram"].dropped += dropped
         return admitted
@@ -656,11 +643,9 @@ class TieredCache:
             # Nothing below DRAM and no Belady horizon: every victim leaves.
             ts.evictions += len(victims)
             stats.evictions += len(victims)
-            stats.evicted_bytes += sum(payload.nbytes for _, payload in victims)
             return
         whole = not self.columnar
         for key, payload in victims:
-            nbytes = payload.nbytes
             if nvme is not None and key in nvme:
                 # Bytes already resident below (pinned stage or an earlier
                 # demotion): dropping the fast copy costs nothing.
@@ -677,4 +662,3 @@ class TieredCache:
             else:
                 ts.evictions += 1
             stats.evictions += 1
-            stats.evicted_bytes += nbytes

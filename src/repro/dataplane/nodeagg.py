@@ -17,9 +17,9 @@ branch):
   :class:`_NodeSink`, the sink that publishes a leader's payloads and
   fans other leaders' in.  Both reuse the pipeline's call accounting,
   park sink and wave demand.
-* :class:`NodeFetchCoordinator` — one per (node, communicator, store,
+* :class:`NodeFetchCoordinator` — one per (communicator, store, node,
   tenant) (:func:`_coordinator_key`), shared by the node's ranks through
-  the world object (the same pattern as the node-shared NVMe tier).  It
+  the world's ``HostShared.coordinators``.  It
   keeps per-wave entries: the node plan (built once by the
   first-arriving rank — every rank still *pays* the modelled plan CPU,
   since in a real deployment each rank recomputes it locally), the
@@ -84,19 +84,17 @@ class _WaveEntry:
 class NodeFetchCoordinator:
     """Node-local wave rendezvous shared by the node's ranks.
 
-    Lives on the world object (single-process simulation: all ranks are
-    coroutines of one engine), keyed by (node, communicator, store,
-    tenant) — see :func:`_coordinator_key`.  All methods are synchronous
-    bookkeeping; virtual time is spent only in the store coroutines that
-    consult it.
+    Lives in the world's ``HostShared.coordinators`` (single-process
+    simulation: all ranks are coroutines of one engine), keyed by
+    (communicator, store, node, tenant) — see :func:`_coordinator_key`.
+    All methods are synchronous bookkeeping; virtual time is spent only
+    in the store coroutines that consult it.
     """
 
     def __init__(self, engine, participants: tuple[int, ...]) -> None:
         self.engine = engine
         self.participants = tuple(sorted(int(p) for p in participants))
         self.entries: dict[tuple, _WaveEntry] = {}
-        # Cumulative, node-scope accounting (for the load-balance metric).
-        self.led_bytes: dict[int, int] = {p: 0 for p in self.participants}
 
     def lookup(self, key: tuple, rank: int) -> Optional[_WaveEntry]:
         entry = self.entries.get(key)
@@ -122,9 +120,6 @@ class NodeFetchCoordinator:
         if entry is None:
             return
         entry.blobs.update(blobs)
-        self.led_bytes[rank] = self.led_bytes.get(rank, 0) + sum(
-            int(b.nbytes) for b in blobs.values()
-        )
         ev = entry.events.get(rank)
         if ev is not None and not ev.triggered:
             ev.succeed()
@@ -157,26 +152,20 @@ class NodeFetchCoordinator:
 def _coordinator_key(h) -> tuple:
     """Which coordinator store handle ``h`` rendezvouses on.
 
-    Keyed per (node, communicator, store, tenant): node-local sessions of
-    one tenant share leader reads, while tenants never share entries —
-    per-tenant byte isolation holds by construction.  The store is named
-    by its create ordinal on the communicator (identical on every rank of
-    the fleet), NOT an object id — each rank holds its own store
-    instance, and the whole point of the registry is that those instances
-    rendezvous on the same coordinator.  A reshard goes through
-    ``DDStore.create``, so every store generation gets a fresh ordinal
-    and its own coordinator.
+    Keyed per (communicator, store, node, tenant) — see
+    ``HostShared.coordinators``: node-local sessions of one tenant share
+    leader reads, while tenants never share entries (per-tenant byte
+    isolation by construction).  Every rank holds its own store instance,
+    so the key names the store by values identical on every rank, never
+    an object id.  Each store generation (a reshard is a create) gets its
+    own coordinator, which its collective ``shutdown`` drops.
     """
-    return (int(h._node_index), id(h.comm.communicator), int(h._create_id), h._tenant)
-
-
-def _coordinators(h) -> dict:
-    return h.comm.communicator.world.__dict__.setdefault("_node_fetch_coords", {})
+    return (*h._store_key, h._node_index, h._tenant)
 
 
 def node_coordinator(h) -> NodeFetchCoordinator:
     """Resolve (or create) the coordinator shared by ``h``'s node ranks."""
-    table, key = _coordinators(h), _coordinator_key(h)
+    table, key = h.comm.communicator.world.shared.coordinators, _coordinator_key(h)
     coord = table.get(key)
     if coord is None:
         machine = h._machine
@@ -192,7 +181,7 @@ def abort(h) -> None:
     """Force-wake node-fetch subscribers of ``h``'s coordinator (the
     scheduler's drain fence — see :meth:`NodeFetchCoordinator.abort`).
     Synchronous bookkeeping; safe to call with no coordinator live."""
-    coord = _coordinators(h).get(_coordinator_key(h))
+    coord = h.comm.communicator.world.shared.coordinators.get(_coordinator_key(h))
     if coord is not None:
         coord.abort()
 

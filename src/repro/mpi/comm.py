@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from ..hardware import Cluster, Interconnect, MachineSpec, ParallelFileSystem
 from ..obs import NULL_OBSERVER
@@ -36,10 +36,16 @@ from ..storage.vfs import VirtualFS
 from .datatypes import reduce_values, sizeof
 from .errors import CollectiveMismatch, MPIError
 
+if TYPE_CHECKING:  # the layers above mpi that own the tables' values
+    from ..dataplane.nodeagg import NodeFetchCoordinator
+    from ..serving.drr import DrrArbiter
+    from ..storage.staging import NVMeShardStore
+
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "World",
+    "HostShared",
     "Communicator",
     "Comm",
     "MPIStats",
@@ -75,6 +81,31 @@ class MPIStats:
         return out
 
 
+@dataclass
+class HostShared:
+    """State all simulated ranks of one world share on the host (real ranks
+    would keep it per node or per job), declared in one place:
+    ``World.shared``.  A store is keyed by ``(Communicator.id, create)``:
+    the id is never reused, and ``create`` is the :attr:`Comm.collective_seq`
+    its ``DDStore.create`` started at."""
+
+    chunks: dict[tuple, list] = field(default_factory=dict)
+    """Replica chunk buffers by ``(*store, lo, hi)``; an entry is dropped
+    when the last replica group adopts its buffer."""
+
+    nvme_stores: dict[int, NVMeShardStore] = field(default_factory=dict)
+    """The NVMe tier by node index; lives as long as the world (a reshard
+    reuses the staged bytes)."""
+
+    coordinators: dict[tuple, NodeFetchCoordinator] = field(default_factory=dict)
+    """Node-fetch rendezvous by ``(*store, node, tenant)``; dropped by the
+    store's collective ``shutdown``, left to the world by a bare ``close``."""
+
+    arbiters: dict[int, dict[int, DrrArbiter]] = field(default_factory=dict)
+    """DRR arbiters by communicator id, then target; live as long as the
+    world (lanes keep them across a reshard's ``migrate``)."""
+
+
 class World:
     """The simulated machine plus the set of ranks running on it.
 
@@ -101,6 +132,7 @@ class World:
         self.comm_world = Communicator(self, list(range(self.n_ranks)), name="COMM_WORLD")
         self.seed = seed
         self.obs = NULL_OBSERVER
+        self.shared = HostShared()
 
     def attach_observer(self, observer) -> None:
         """Wire an :class:`repro.obs.Observer` through every instrumented
@@ -388,6 +420,12 @@ class Comm:
     @property
     def stats(self) -> MPIStats:
         return self._c.stats(self.rank)
+
+    @property
+    def collective_seq(self) -> int:
+        """Sequence number of this rank's next collective here: the same on
+        every rank at one call, since all enter collectives in one order."""
+        return self._c._coll_seq[self.rank]
 
     # -- point to point --------------------------------------------------------
     def isend(self, data: Any, dest: int, tag: int = 0) -> Event:

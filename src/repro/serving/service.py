@@ -130,16 +130,13 @@ class StoreService:
         self.options = options if options is not None else ServingOptions()
         self._sessions: dict[str, TenantSession] = {}
         self._closed = False
-        # Arbiters are per (service-group, target) and shared by all ranks:
-        # every rank's coroutines run in the one engine, so a single
-        # arbiter object can queue and wake waiters world-wide.  The
-        # communicator object is shared by exactly the ranks of this
-        # store's comm, which scopes the registry key.
-        world = store.comm.communicator.world
-        self._arbiters: dict[int, DrrArbiter] = (
-            world.__dict__.setdefault("_serving_arbiters", {})
-            .setdefault(id(store.comm.communicator), {})
-        )
+        # Arbiters are per (communicator, target) and shared by all ranks
+        # (``HostShared.arbiters``): every rank's coroutines run in the one
+        # engine, so a single arbiter object can queue and wake waiters
+        # world-wide.  The communicator is shared by exactly the ranks of
+        # this store's comm, which scopes the table key.
+        c = store.comm.communicator
+        self._arbiters: dict[int, DrrArbiter] = c.world.shared.arbiters.setdefault(c.id, {})
 
     # -- internals ------------------------------------------------------
     def _arbiter_for(self, target: int) -> DrrArbiter:

@@ -197,10 +197,8 @@ def test_cache_hit_miss_accounting():
     assert cache.put(1, payload) is True
     got = cache.get(1)
     assert got is not None and np.array_equal(got, payload)
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-    assert cache.stats.hit_bytes == 16
-    assert cache.used_bytes == 16
+    assert cache.get(2) is None  # a miss inserts nothing
+    assert len(cache) == 1 and cache.used_bytes == 16
 
 
 def test_cache_evicts_lru_under_byte_budget():
@@ -208,10 +206,10 @@ def test_cache_evicts_lru_under_byte_budget():
     cache.put(1, np.zeros(16, np.uint8))
     cache.put(2, np.zeros(16, np.uint8))
     cache.get(1)  # refresh key 1: key 2 is now least recently used
-    cache.put(3, np.zeros(16, np.uint8))
+    victims = []
+    assert cache.put_owned(3, np.zeros(16, np.uint8), victims) is True
     assert 1 in cache and 3 in cache and 2 not in cache
-    assert cache.stats.evictions == 1
-    assert cache.stats.evicted_bytes == 16
+    assert [(k, p.nbytes) for k, p in victims] == [(2, 16)]
     assert cache.used_bytes == 32
 
 
@@ -243,18 +241,18 @@ def test_cache_duplicate_put_refreshes_payload():
     assert cache.put(1, newer) is True
     assert np.array_equal(cache.get(1), newer)
     assert cache.used_bytes == 8
-    assert len(cache) == 1
-    assert cache.stats.insertions == 1  # a refresh is not a new entry
+    assert len(cache) == 1  # a refresh is not a new entry
 
 
 def test_cache_eviction_keeps_stats_invariant():
     cache = SampleCache(capacity_bytes=64)
     cache.put(1, np.zeros(16, np.uint8))
     cache.put(2, np.zeros(8, np.uint8))
-    assert cache.put(3, np.zeros(64, np.uint8)) is True  # forces both out
+    victims = []
+    assert cache.put_owned(3, np.zeros(64, np.uint8), victims) is True  # forces both out
     assert len(cache) == 1 and cache.used_bytes == 64
-    assert cache.stats.insertions - cache.stats.evictions == len(cache)
-    assert cache.stats.evicted_bytes == 24
+    assert [k for k, _ in victims] == [1, 2]  # inserted 3, evicted 2: one left
+    assert sum(p.nbytes for _, p in victims) == 24
     # A pop is a tier move, not an eviction: the cache stays usable.
     assert cache.pop(3) is not None and cache.used_bytes == 0
     assert cache.put(4, np.zeros(4, np.uint8)) is True

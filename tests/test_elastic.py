@@ -282,6 +282,8 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
         def drain():
             drained.append((yield from sched.drain()))
 
+        # Every generation's key in the host-shared tables: each is shut down.
+        generations = [store._store_key]
         sched.start()
         # Consume one batch, leaving the rest of the wave (and deeper
         # launches) in flight...
@@ -290,6 +292,7 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
         # ...then fence and reshard mid-wave.
         yield from drain()
         dataset.store = yield from dataset.store.reshard(width=2)
+        generations.append(dataset.store._store_key)
         got = [first]
         for step in range(1, len(sched.batches)):
             loaded = yield sched.event(step)
@@ -316,18 +319,23 @@ def test_scheduler_drain_mid_wave_then_reshard_resumes_cleanly(node_fetch):
             for j, i in enumerate(idx)
         )
         store = dataset.store
+        generations.append(store._store_key)
         refilled = store.stats.n_prefetch_waves - waves_before
         done = not sched.finish()
         yield from store.shutdown()
-        return drained, carried, width, store.generation, refilled, done, ok
+        return drained, carried, width, store.generation, refilled, done, ok, generations
 
     job = run(main)
-    for drained, carried, width, generation, refilled, done, ok in job.results:
+    for drained, carried, width, generation, refilled, done, ok, gens in job.results:
         assert len(drained) == 2 and all(d > 0 for d in drained)  # both fences had launches to await
         assert carried  # ...the second one only carried ones
         assert width == 1 and generation == 2
         assert refilled > 0  # epoch 1's waves were re-opened on the new store
         assert done  # the window ends with the run
         assert ok  # every sample bit-identical across both width changes
-    for coord in job.world.__dict__.get("_node_fetch_coords", {}).values():
-        assert not coord.entries
+        assert len(set(gens)) == 3
+    # Every replica group adopted its chunks, and each generation's
+    # shutdown dropped its node rendezvous.
+    shared = job.world.shared
+    assert not shared.chunks
+    assert not any(key[:2] in gens for key in shared.coordinators)

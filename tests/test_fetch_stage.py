@@ -284,27 +284,34 @@ def test_a_failing_sub_fetch_releases_exactly_what_it_held():
 
 
 def test_leaked_grants_are_loud_at_close_and_shutdown():
+    from types import SimpleNamespace
+
+    from repro.dataplane.nodeagg import node_coordinator
+
     def main(ctx):
         service = yield from _serve(ctx)
         a = service.connect("a", qos="batch")
         other = (ctx.rank + 1) % ctx.size
         # Simulate the bug class: a grant taken and never given back, by a
-        # fetch that never left its lane.
+        # fetch that never left its lane...
         a.lane.enter()
         yield from a.lane.acquire({other: 123})
+        # ...and a node wave this rank entered but never finished.
+        node_coordinator(a.store).register((0, 1, 2), SimpleNamespace(led={}), ctx.rank)
         yield from ctx.comm.barrier()
         with pytest.raises(RuntimeError) as at_shutdown:
             yield from service.store.shutdown()
         with pytest.raises(RuntimeError) as at_close:
             service.close()
-        return str(at_close.value), str(at_shutdown.value), other, a.store.closed
+        return str(at_close.value), str(at_shutdown.value), other, a.store.closed, a.store._node_index
 
-    for at_close, at_shutdown, other, closed in run_world(TESTBOX, 2, main).results:
+    for at_close, at_shutdown, other, closed, node in run_world(TESTBOX, 2, main).results:
         # Names tenant, class and target; the sessions are closed regardless.
         assert "tenant 'a' (class 'batch')" in at_close
         assert f"123 byte(s) still granted on target {other}" in at_close
         assert "1 fetch(es) still inside the lane" in at_close and closed
         assert f"target {other}: 123 byte(s) in flight in class 'batch'" in at_shutdown
+        assert f"node {node}, tenant 'a': wave (0, 1, 2) still open" in at_shutdown
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
         assert not problems, problems
         assert closed, "a closed handle must raise StoreClosedError from every entry point"
         assert n_node_waves == 1  # phase (c) really took the node path
-    coords = world.__dict__.get("_node_fetch_coords", {})
+    coords = world.shared.coordinators
     assert all(not c.entries for c in coords.values()), "a node rendezvous was left open"
 
 

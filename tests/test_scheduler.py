@@ -412,7 +412,7 @@ def test_carried_window_delivers_identical_batches_and_leaves_nothing_behind(
         if c["arenas"] is not None:
             assert c["arenas"][0] == c["arenas"][1]  # every arena back in its pool
     assert launched and all(p.triggered for p in launched)  # nothing in flight
-    for coord in world.__dict__.get("_node_fetch_coords", {}).values():
+    for coord in world.shared.coordinators.values():
         assert not coord.entries  # every node rendezvous closed
 
 

@@ -123,15 +123,21 @@ def test_cache_spellings_do_not_mix():
 
 def test_sample_cache_counts_each_mode_access_once():
     """A pool holds one payload format, so each columnar name is its row
-    twin: every call of either counts exactly one event."""
+    twin, and the hierarchy above it counts every call of either once."""
     cache = SampleCache(capacity_bytes=1 << 20)
     blob = np.arange(64, dtype=np.uint8)
     assert cache.put(1, blob) and cache.put_columns(2, blob)
-    assert cache.stats.insertions == 2
-    assert cache.get(1) is not None and cache.get(2) is not None
-    assert cache.get_columns(1) is not None and cache.get_columns(2) is not None
+    assert len(cache) == 2 and cache.used_bytes == 128
+    for key in (1, 2):
+        assert cache.get(key) is cache.get_columns(key) is not None
     assert cache.get(3) is None and cache.get_columns(4) is None
-    assert (cache.stats.hits, cache.stats.misses) == (4, 2)
+    tiered = TieredCache(CacheOptions.parse("dram:1m"))
+    assert tiered.put(1, blob) and tiered.put_columns(2, blob)
+    assert len(tiered) == 2
+    assert all(tiered.fast_get(key) is not None for key in (1, 2, 1, 2))
+    assert tiered.fast_get(3) is None
+    tiered.count_miss()
+    assert (tiered.stats.hits, tiered.stats.misses) == (4, 1)
 
 
 # ---------------------------------------------------------------------------
