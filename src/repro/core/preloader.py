@@ -1,4 +1,4 @@
-"""Data preloader: fill one rank's chunk buffer from a data source.
+"""Data preloader: load one rank's chunk from a data source.
 
 Paper §3.2, component 1: "reads data in various formats from a parallel
 file system and loads it into the memory of deep learning applications.
@@ -17,11 +17,10 @@ Both are coroutines: they yield simulation timeouts as the chunk streams
 in, so shared-filesystem queueing stations observe every rank's reads in
 chronological order, and return the chunk's packed samples as pieces (views
 of the bytes the source already holds) plus the per-sample size table the
-registry is built from.  :class:`PreloadResult` lays the pieces back to back
-only when its ``buffer`` is first read — which
-:meth:`~repro.core.store.DDStore.create` does for a chunk's first copy
-alone: every replica of that chunk compares its pieces with the first copy
-and shares it instead.
+registry is built from.  Nothing copies the pieces: the store's window
+exposes them as they are (:class:`~repro.mpi.Pieces`), so on the harness
+path the window views the packed image and the host holds the dataset
+once.  Every replica of a chunk shares the first replica's pieces.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import numpy as np
 
 from ..graphs.datasets import GraphGenerator
 from ..hardware import MachineSpec
+from ..mpi import Pieces
 from ..sim import Engine
 from ..storage import SampleReader, decode_time, pack_graph
 
@@ -45,41 +45,42 @@ _YIELD_EVERY = 8
 class PreloadResult:
     """One rank's loaded chunk: its packed samples and their size table.
 
-    ``sizes`` is the ``(n_local,)`` int64 per-sample byte table.  The bytes
-    are ``pieces``, uint8 arrays whose concatenation is the chunk: views of
-    bytes their source owns (VFS file, generated blob, an old store's
-    window).  Reading ``buffer`` concatenates them once into a new buffer
-    — the physical PFS→DRAM copy, which a store's window then owns.  A
-    store reads ``buffer`` only for a chunk's first copy; replicas compare
-    ``pieces`` with it and share it.
+    ``sizes`` is the ``(n_local,)`` int64 per-sample byte table and
+    ``pieces`` the chunk's bytes as a :class:`~repro.mpi.Pieces` table with
+    one read-only piece per sample, each a view of bytes its source owns
+    (VFS file, generated blob, an old store's window).  Pieces cut
+    otherwise (one per old owner on a reshard, say) are cut again per
+    sample, still without a copy; a sample that straddles two pieces is a
+    ``ValueError``.  The store's window exposes ``pieces`` as they are.
     """
 
-    __slots__ = ("pieces", "sizes", "_buffer")
+    __slots__ = ("pieces", "sizes")
 
-    def __init__(self, pieces: list, sizes: np.ndarray) -> None:
-        self.pieces = pieces
+    def __init__(self, pieces, sizes: np.ndarray) -> None:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        table = pieces if isinstance(pieces, Pieces) else Pieces(pieces)
+        cut = np.diff(table.starts)
+        if cut.size != sizes.size or (cut != sizes).any():
+            if table.size != int(sizes.sum()):
+                raise ValueError(
+                    f"pieces hold {table.size} bytes, the size table {int(sizes.sum())}"
+                )
+            ends = np.cumsum(sizes)
+            samples = table.views((ends - sizes).tolist(), sizes.tolist())
+            if any(isinstance(v, Pieces) for v in samples):
+                raise ValueError("a sample straddles two pieces")
+            table = Pieces(samples)
+        self.pieces = table
         self.sizes = sizes
-        self._buffer = None
 
-    def adopt(self, buffer: np.ndarray) -> None:
-        """Hold ``buffer`` — a copy of this chunk's bytes that a replica
-        already owns — in place of the pieces, which are dropped."""
-        self._buffer = buffer
-        self.pieces = [buffer]
+    def adopt(self, pieces: Pieces) -> None:
+        """Hold ``pieces`` — this chunk's table that a replica already
+        exposes — in place of this one's."""
+        self.pieces = pieces
 
     @property
     def nbytes(self) -> int:
-        return sum(int(p.nbytes) for p in self.pieces)
-
-    @property
-    def buffer(self) -> np.ndarray:
-        """The chunk as one contiguous uint8 buffer (built once, here: one
-        copy of each piece into a buffer ``np.concatenate`` sizes up front)."""
-        if self._buffer is None:
-            pieces = self.pieces
-            self._buffer = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-            self.pieces = [self._buffer]  # the source's views are no longer needed
-        return self._buffer
+        return self.pieces.size
 
 
 class DataSource(Protocol):
@@ -151,6 +152,6 @@ class GeneratorSource:
 
 def _pack_result(blobs: list) -> PreloadResult:
     """The chunk of packed samples ``blobs`` (any ``B``-format buffers, which
-    their source keeps owning): one piece per sample, nothing copied yet."""
-    sizes = np.fromiter((len(b) for b in blobs), dtype=np.int64, count=len(blobs))
-    return PreloadResult([np.frombuffer(b, dtype=np.uint8) for b in blobs], sizes)
+    their source keeps owning): one piece per sample, nothing copied."""
+    pieces = Pieces(blobs)
+    return PreloadResult(pieces, np.diff(pieces.starts))

@@ -1,7 +1,8 @@
 """Data registry: the global index of chunks (paper §3.2, component 2).
 
-After preloading, every group member holds its chunk as one contiguous
-byte buffer of variable-size packed samples.  The registry — replicated on
+After preloading, every group member exposes its chunk as one run of
+variable-size packed samples laid back to back (byte offsets into it,
+though the bytes themselves stay where the source holds them).  The registry — replicated on
 every member after a collective exchange — maps a global sample id to
 ``(owner group-rank, byte offset, byte size)`` so the data loader can
 issue one-sided reads without touching the target process.

@@ -5,14 +5,14 @@ Construction (collective, via :meth:`DDStore.create`):
 1. split the job's ranks into ``N/w`` replica groups of width ``w``
    (``MPI_Comm_split``),
 2. each group member preloads its chunk — a contiguous slice of the global
-   sample range — into one packed byte buffer (data preloader); the host
-   keeps one such buffer per distinct chunk, which the replica groups
-   share read-only after a byte-for-byte check,
+   sample range — as one read-only piece per packed sample, each a view
+   of the bytes its source holds (data preloader); the replica groups of
+   a chunk share the first group's pieces after checking they match,
 3. members exchange per-sample size tables (``MPI_Allgather``) and build
    the replicated :class:`~.registry.ChunkRegistry`,
 4. every member wires the replica group's data plane: the transport
    resolved from ``config.dataplane.framework`` (the paper's ``mpi-rma``
-   exposes the buffer through an RMA window).
+   exposes the pieces through an RMA window).
 
 This module is layout + lifecycle: create/preload, tier assembly,
 session views, failover topology, shutdown/close and reshard.  **The
@@ -86,68 +86,44 @@ def _attach_shape_table(registry: ChunkRegistry, _communicator, shape_rows: list
     )
 
 
-# Replica pieces are checked against a chunk's shared copy about this many
-# bytes at a time, so every temporary (the scratch block, the comparison
-# mask) stays at or below 1 MiB.  Larger ones cost host memory, not just
-# their size: with 2 MiB temporaries `composed` peaked ~120 MB higher,
-# the allocator keeping more freed heap.
-_CHECK_BYTES = 1 << 19
-
-
-def _same_bytes(pieces: list, buffer: np.ndarray) -> bool:
-    """Whether the uint8 ``pieces`` laid back to back equal ``buffer``.
-
-    Consecutive small pieces starting in one ``_CHECK_BYTES`` block of the
-    chunk are gathered into a scratch block and compared in one call; a
-    larger piece is compared in place, block by block."""
-    if not pieces:
-        return buffer.size == 0
-    sizes = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
-    if int(sizes.sum()) != buffer.size:
-        return False
-    starts = np.cumsum(sizes) - sizes
-    big = sizes > _CHECK_BYTES
-    block = starts // _CHECK_BYTES
-    cuts = (np.flatnonzero(big[1:] | big[:-1] | (block[1:] != block[:-1])) + 1).tolist()
-    scratch = np.empty(2 * _CHECK_BYTES, dtype=np.uint8)
-    for i, j in zip([0, *cuts], [*cuts, len(pieces)]):
-        lo = int(starts[i])
-        if big[i]:
-            piece = pieces[i]
-            spans = [(s, piece[s : s + _CHECK_BYTES]) for s in range(0, piece.size, _CHECK_BYTES)]
-        else:
-            n = int(starts[j - 1] + sizes[j - 1]) - lo
-            spans = [(0, np.concatenate(pieces[i:j], out=scratch[:n]))]
-        for s, got in spans:
-            if not np.array_equal(got, buffer[lo + s : lo + s + got.size]):
-                return False
-    return True
+def _same_bytes(mine: list, theirs: list) -> bool:
+    """Whether two chunks' equal-sized per-sample pieces hold the same
+    bytes.  Pieces over the same memory are equal unread — every replica of
+    a harness chunk views the same image bytes — so only pieces at other
+    addresses (a generator's fresh blobs, say) are compared byte by byte."""
+    return all(
+        a is b or a.ctypes.data == b.ctypes.data or np.array_equal(a, b)
+        for a, b in zip(mine, theirs)
+        if a.size
+    )
 
 
 def _share_chunk(
     table: dict, key: tuple, group: int, n_replicas: int, result: PreloadResult
 ) -> None:
-    """Give ``result`` the one host buffer of chunk ``key = (*store, lo,
-    hi)`` that every replica group of that store shares read-only
+    """Give ``result`` the one piece table of chunk ``key = (*store, lo,
+    hi)`` that every replica group of that store exposes
     (``table`` is the world's ``HostShared.chunks``).
 
-    The first group to load the chunk builds it (``result.buffer``); each
-    later group checks that its pieces hold the same bytes and adopts it
-    without building its own."""
+    The first group to load the chunk registers its pieces; each later
+    group checks that its pieces hold the same bytes and adopts the
+    first group's."""
     if n_replicas == 1:
         return
     entry = table.get(key)
     if entry is None:
-        table[key] = [group, result.sizes, result.buffer, n_replicas - 1]
+        table[key] = [group, result.sizes, result.pieces, n_replicas - 1]
         return
-    owner, sizes, buffer, _ = entry
-    if not (np.array_equal(sizes, result.sizes) and _same_bytes(result.pieces, buffer)):
+    owner, sizes, pieces, _ = entry
+    if not (
+        np.array_equal(sizes, result.sizes) and _same_bytes(result.pieces.pieces, pieces.pieces)
+    ):
         *_, lo, hi = key
         raise ValueError(
             f"replica groups {owner} and {group} loaded different bytes for chunk "
             f"[{lo}, {hi}): failover and node fetch need identical replicas"
         )
-    result.adopt(buffer)
+    result.adopt(pieces)
     entry[3] -= 1
     if not entry[3]:
         del table[key]
@@ -322,8 +298,8 @@ class DDStore:
 
         # Account the chunk against the node's DRAM (MemoryError here is the
         # legitimate "width too large for this machine" failure mode): every
-        # rank is charged its replica, though the host holds one buffer per
-        # distinct chunk.
+        # rank is charged its replica, though the host holds its bytes once
+        # (the window views them where the source holds them).
         buffer_nbytes = result.nbytes
         world.cluster.charge_memory(node_index, buffer_nbytes)
         _share_chunk(world.shared.chunks, (*store_key, lo, hi), group, config.n_replicas, result)
@@ -352,7 +328,7 @@ class DDStore:
         # read fail over to rank ``group * width + owner`` of another group.
         plane_comm = yield from comm.dup()
         transport_cls = TRANSPORTS[config.dataplane.framework]
-        transport = yield from transport_cls.setup(plane_comm, result.buffer)
+        transport = yield from transport_cls.setup(plane_comm, result.pieces)
         store = cls(
             comm=comm,
             group_comm=group_comm,
@@ -399,9 +375,7 @@ class DDStore:
     def _local_shape_row(result) -> np.ndarray:
         """Header-sweep this member's chunk into one allgatherable row:
         ``[f_dim, y_dim, sample_ids..., n_nodes..., n_edges...]``."""
-        sizes = result.sizes.tolist()
-        starts = np.cumsum([0] + sizes[:-1]).tolist()
-        rec = peek_headers([result.buffer[o : o + n] for o, n in zip(starts, sizes)])
+        rec = peek_headers(result.pieces.pieces)
         fd, yd = rec["feature_dim"], rec["output_dim"]
         f_dim, y_dim = (int(fd[0]), int(yd[0])) if rec.size else (-1, -1)
         odd = np.flatnonzero((fd != f_dim) | (yd != y_dim))
@@ -774,8 +748,10 @@ class _StoreSource:
     owners' contiguous ranges, so redistribution issues ONE large read
     per overlapped owner (bulk memory-to-memory streaming) instead of one
     read per sample — the same trick the CFF preloader uses on files.
-    Transports that cannot serve arbitrary byte spans (two-sided p2p)
-    fall back to per-sample fetches.
+    Each read comes back as views of the old window's pieces, which
+    :class:`PreloadResult` cuts per sample: the new store exposes the old
+    store's pieces, copying nothing.  Transports that cannot serve
+    arbitrary byte spans (two-sided p2p) fall back to per-sample fetches.
     """
 
     read_chunk_raw = None  # no files behind it

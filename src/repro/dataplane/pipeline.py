@@ -227,15 +227,17 @@ def assemble(plan, outcome, blobs, latencies) -> None:
 
     A sample that arrived in one slice is handed out as a read-only view
     of its read's payload (for the shipped transports itself a view of the
-    owner's buffer) — no copy; one split across reads is stitched into a
-    fresh buffer.
+    owner's piece of it: a read across samples is a ``Pieces`` of views,
+    sliced here per sample, never gathered) — no copy; one split across
+    reads is stitched into a fresh buffer.
     """
     read, position, sample_offset, read_offset, nbytes = plan.slices.T
     if not read.size:
         return
     payloads = outcome.payloads
     for payload in payloads:
-        payload.setflags(write=False)  # a no-op unless a plugin transport returned copies
+        if isinstance(payload, np.ndarray):  # a Pieces is read-only by construction
+            payload.setflags(write=False)  # a no-op unless a plugin transport returned copies
     n_slices = np.bincount(position, minlength=len(blobs))
     whole = n_slices[position] == 1
     stitching = np.count_nonzero(whole) < whole.size
@@ -551,10 +553,10 @@ class _RowSink:
         self.sizes = None  # set by the demand driver once the batch is located
 
     def local(self, positions, buf, offsets) -> None:
-        sizes, blobs = self.sizes, self.blobs
-        for p in positions:
-            off = int(offsets[p])
-            blobs[p] = buf[off : off + int(sizes[p])]
+        blobs = self.blobs
+        views = buf.views(offsets[positions].tolist(), self.sizes[positions].tolist())
+        for p, view in zip(positions.tolist(), views):
+            blobs[p] = view
         SAMPLE_ALLOCATIONS.bump(int(positions.size))
 
     def place(self, found) -> None:
@@ -607,10 +609,10 @@ class _ArenaSink:
         self.sizes = None  # set by the demand driver once the batch is located
 
     def local(self, positions, buf, offsets) -> None:
-        scatter, fields, sizes = self.smap.scatter, self.fields, self.sizes
-        for p in positions:
-            off, nb = int(offsets[p]), int(sizes[p])
-            scatter(int(p), 0, nb, buf[off : off + nb], fields)
+        scatter, fields, sizes = self.smap.scatter, self.fields, self.sizes[positions].tolist()
+        views = buf.views(offsets[positions].tolist(), sizes)
+        for p, nb, view in zip(positions.tolist(), sizes, views):
+            scatter(p, 0, nb, view, fields)
 
     def place(self, found) -> None:
         # Column payloads start where the record header would end.
@@ -694,7 +696,7 @@ def _demand(h, idx, sink, n_workers: int, span: str) -> Generator:
     local_mask = owners == h.group_comm.rank
     latencies = np.zeros(idx.size, dtype=np.float64)
 
-    # -- local samples: straight memcpy out of the own buffer --------------
+    # -- local samples: straight memcpy out of the own pieces --------------
     local = local_mask.nonzero()[0]
     local_time = 0.0
     if local.size:

@@ -96,6 +96,13 @@ def _energy_grid(grid_size: int) -> np.ndarray:
     return grid
 
 
+@functools.lru_cache(maxsize=8)
+def _scratch(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(spectrum, row)`` float64 work buffers of one grid size, reused
+    by every call (the result leaves as a float32 copy)."""
+    return np.empty(grid_size), np.empty(grid_size)
+
+
 def gaussian_smooth_spectrum(
     peaks: np.ndarray,
     intensities: np.ndarray,
@@ -127,8 +134,8 @@ def gaussian_smooth_spectrum(
     if not (np.isfinite(p).all() and np.isfinite(w).all()):
         raise ValueError("peaks and intensities must be finite")
     grid = _energy_grid(grid_size)
-    spectrum = np.zeros(grid_size)  # +0.0, np.sum's start value: never turns into -0.0
-    row = np.empty(grid_size)
+    spectrum, row = _scratch(grid_size)
+    spectrum.fill(0.0)  # +0.0, np.sum's start value: never turns into -0.0
     _accumulate(spectrum, row, grid, p, w, sigma, sigma * _FAST_SIGMAS)
     # The dense sum lies within delta of this one and float32 rounding is
     # monotone: where both ends of that interval round to the same bits, so

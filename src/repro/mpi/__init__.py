@@ -4,7 +4,9 @@ from .comm import ANY_SOURCE, ANY_TAG, Comm, Communicator, MPIStats, World, wait
 from .datatypes import REDUCTIONS, reduce_values, sizeof
 from .errors import CollectiveMismatch, MPIError, RMAError
 from .launcher import JobResult, RankContext, run_world, spawn_ranks
-from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, WinHandle, Window, create_window, freeze_buffer
+from .rma import (
+    LOCK_EXCLUSIVE, LOCK_SHARED, Pieces, WinHandle, Window, create_window, freeze_buffer,
+)
 
 __all__ = [
     "ANY_SOURCE",
@@ -24,6 +26,7 @@ __all__ = [
     "JobResult",
     "run_world",
     "spawn_ranks",
+    "Pieces",
     "Window",
     "WinHandle",
     "create_window",

@@ -90,8 +90,8 @@ class HostShared:
     its ``DDStore.create`` started at."""
 
     chunks: dict[tuple, list] = field(default_factory=dict)
-    """Replica chunk buffers by ``(*store, lo, hi)``; an entry is dropped
-    when the last replica group adopts its buffer."""
+    """Replica chunk piece tables by ``(*store, lo, hi)``; an entry is
+    dropped when the last replica group adopts its table."""
 
     nvme_stores: dict[int, NVMeShardStore] = field(default_factory=dict)
     """The NVMe tier by node index; lives as long as the world (a reshard

@@ -109,10 +109,6 @@ class TenantSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.store.closed else "open"
-        return f"TenantSession({self.name!r}, qos={self.qos!r}, {state})"
-
 
 class StoreService:
     """Owns one replicated store; hands out per-tenant sessions.
@@ -313,9 +309,3 @@ class StoreService:
         self.store.close()
         if leaks:
             raise RuntimeError("StoreService closed with leaked grants: " + "; ".join(leaks))
-
-    def __enter__(self) -> "StoreService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -350,12 +350,13 @@ def test_columnar_cell_decode_budget():
 
 
 def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
-    """Views of the VFS files and the window buffers now live as long as
-    their owners — so the owners must die with the ``World``.  After
-    ``run_experiment`` returns, nothing of that world that holds dataset
-    bytes is reachable: no file, window buffer, cache pool or NVMe shard
-    store (a leak here makes ``peak_rss_mb`` a step function of the repeat
-    count)."""
+    """Views of the VFS files and the window pieces now live as long as
+    their owners — so the owners must die with the ``World``.  Every window
+    piece is a view of the harness's packed image (no window owns dataset
+    bytes), and after ``run_experiment`` returns nothing of that world that
+    holds dataset bytes is reachable: no file, window piece, cache pool or
+    NVMe shard store (a leak here makes ``peak_rss_mb`` a step function of
+    the repeat count)."""
     from repro.dataplane.cache import SampleCache
     from repro.mpi.comm import World
     from repro.mpi.rma import Window
@@ -378,11 +379,14 @@ def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
 
     watch(World, "__init__", lambda self, _out: [self])
     watch(VirtualFS, "create", lambda _self, f: [f])
-    window_bytes = set()  # host addresses of the window buffers
+    tables, on_image = [], []  # distinct piece tables per window; pieces viewing the image
 
     def window_parts(win, _out):
-        window_bytes.update(b.__array_interface__["data"][0] for b in win.buffers.values())
-        return [win, *win.buffers.values()]
+        tables.append(len({id(b) for b in win.buffers.values()}))
+        image = np.frombuffer(harness._IMAGES[("ising", 0)].data, np.uint8)
+        pieces = [p for b in win.buffers.values() for p in b.pieces]
+        on_image.extend(np.shares_memory(p, image) for p in pieces)
+        return [win, *pieces]
 
     watch(Window, "__init__", window_parts)
     watch(SampleCache, "__init__", lambda self, _out: [self])
@@ -409,8 +413,10 @@ def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
     del result
     gc.collect()
     assert len(held) == 5 and len(held["Window.__init__"]) > 12  # everything was watched
-    # Width 4 on 12 ranks: replica groups share one buffer per chunk.
-    assert len(window_bytes) == 4
+    # Width 4 on 12 ranks: replica groups share one piece table per chunk,
+    # and every piece is a view of the image's bytes.
+    assert tables == [4]
+    assert len(on_image) > 12 and all(on_image)
     alive = {what: sum(ref() is not None for ref in refs) for what, refs in held.items()}
     assert not any(alive.values()), alive
 

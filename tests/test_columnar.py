@@ -429,16 +429,12 @@ def test_traced_columnar_run_satisfies_critical_path_invariant():
 
 
 def test_local_shape_row_sweeps_headers_and_rejects_mixed_dims():
-    from types import SimpleNamespace
-
+    from repro.core import PreloadResult
     from repro.graphs import IsingGenerator, MoleculeGenerator
 
     def chunk(graphs):
         blobs = [pack_graph(g) for g in graphs]
-        return SimpleNamespace(
-            sizes=np.array([len(b) for b in blobs], np.int64),
-            buffer=np.frombuffer(b"".join(blobs), np.uint8),
-        )
+        return PreloadResult(blobs, np.array([len(b) for b in blobs], np.int64))
 
     ising = IsingGenerator(3, seed=0)
     graphs = [ising.make(i) for i in range(3)]

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.dataplane import TRANSPORTS, FetchPlanner, RmaTransport, SampleCache
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
-from repro.mpi import run_world
+from repro.mpi import Pieces, run_world
 
 
 def run(fn, n_nodes=2, **kw):
@@ -618,10 +618,10 @@ def test_collective_bytes_count_what_travels():
 
 def test_raw_blobs_are_readonly_views_of_the_one_resident_copy():
     """``get_samples(decode="raw")`` hands every sample out as a read-only
-    view of its owner's window — local, wire and (on the second call)
+    view of its owner's window piece — local, wire and (on the second call)
     cached alike: the zero-copy is real, and safe because nothing can write
     through any handle on those bytes.  Every blob, cache entry and window
-    buffer refuses a write *and* refuses to be made writable; the window
+    piece refuses a write *and* refuses to be made writable; the window
     holds its at-create bytes after the run — including when the batch asks
     for one id twice."""
 
@@ -630,7 +630,8 @@ def test_raw_blobs_are_readonly_views_of_the_one_resident_copy():
             ctx.comm, _source(ctx), dataplane=DataPlaneOptions(cache_bytes=1 << 20)
         )
         buffers = store.transport.win.window.buffers
-        at_create = {r: buf.copy() for r, buf in buffers.items()}
+        assert all(isinstance(buf, Pieces) for buf in buffers.values())
+        at_create = {r: b"".join(p.tobytes() for p in buf.pieces) for r, buf in buffers.items()}
         lo, hi = store.local_range
         ids = [hi % 32, lo, hi % 32, (hi + 1) % 32, (hi + 9) % 32]  # twice, local, coalesced
         owners, offsets, sizes = store.registry.locate_batch(np.asarray(ids))
@@ -638,10 +639,10 @@ def test_raw_blobs_are_readonly_views_of_the_one_resident_copy():
         def check(blobs):
             for blob, owner, off, nb in zip(blobs, owners, offsets, sizes):
                 rank = int(owner) + store._group_base
-                home = buffers[rank]
-                assert np.array_equal(blob, at_create[rank][off : off + nb])
-                assert np.shares_memory(blob, home)
-                assert blob.ctypes.data == home.ctypes.data + off  # *the* bytes, in place
+                piece = buffers[rank].whole[int(off)]  # the sample's piece of the window
+                assert blob.tobytes() == at_create[rank][off : off + nb]
+                assert blob.size == piece.size == nb
+                assert blob.ctypes.data == piece.ctypes.data  # *the* bytes, in place
 
         blobs = yield from store.get_samples(ids, decode="raw")
         check(blobs)
@@ -651,7 +652,8 @@ def test_raw_blobs_are_readonly_views_of_the_one_resident_copy():
         check(again)
         cached = list(store.cache.dram._entries.values())
         assert len(cached) == 3
-        for arr in [*blobs, *again, *cached, *buffers.values()]:
+        pieces = [p for buf in buffers.values() for p in buf.pieces]
+        for arr in [*blobs, *again, *cached, *pieces]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[:] = 0xA0
@@ -659,7 +661,7 @@ def test_raw_blobs_are_readonly_views_of_the_one_resident_copy():
                 arr.setflags(write=True)
         yield from ctx.comm.barrier()  # every rank has read and poked at every window
         for r, buf in buffers.items():
-            assert np.array_equal(buf, at_create[r])
+            assert b"".join(p.tobytes() for p in buf.pieces) == at_create[r]
         # decode= is True, False (NumPy's bool_ too) or "raw", nothing else:
         # "RAW" is not a spelling of raw that silently decodes.
         stats = yield from store.get_samples([lo], decode=np.False_)

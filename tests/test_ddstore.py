@@ -63,11 +63,11 @@ def test_create_width_two_makes_two_replicas():
     # Ranks 0/1 form group 0, ranks 2/3 group 1; both groups hold all 32.
     assert job.results[0][2] == (0, 16)
     assert job.results[2][2] == (0, 16)
-    # The host holds one buffer per distinct chunk, shared by its replicas,
-    # while every rank is still charged (and reports) its own replica.
+    # The host holds one piece table per distinct chunk, shared by its
+    # replicas, while every rank is still charged (and reports) its own.
     bufs = [r[3] for r in job.results]
-    assert np.shares_memory(bufs[0], bufs[2]) and np.shares_memory(bufs[1], bufs[3])
-    assert not np.shares_memory(bufs[0], bufs[1])
+    assert bufs[0] is bufs[2] and bufs[1] is bufs[3]
+    assert not any(np.shares_memory(a, b) for a in bufs[0].pieces for b in bufs[1].pieces)
     assert [r[4] for r in job.results] == [b.nbytes for b in bufs]
     assert job.results[0][4] == job.results[2][4] > 0
 
@@ -263,11 +263,13 @@ def test_preloaded_chunk_is_the_packed_samples_back_to_back(fmt):
         return lo, hi, result, empty
 
     for lo, hi, result, empty in run(main).results:
-        assert result.buffer.dtype == np.uint8 and result.buffer.flags.writeable
-        assert result.buffer.tobytes() == b"".join(packed[lo:hi])
+        # One read-only piece per sample, each that sample's packed bytes.
+        pieces = result.pieces.pieces
+        assert [p.tobytes() for p in pieces] == packed[lo:hi]
+        assert all(p.dtype == np.uint8 and not p.flags.writeable for p in pieces)
         assert result.sizes.dtype == np.int64
         assert result.sizes.tolist() == [len(b) for b in packed[lo:hi]]
-        assert empty.buffer.size == 0 and empty.sizes.size == 0
+        assert empty.nbytes == 0 and empty.sizes.size == 0
 
 
 def test_preload_takes_nonzero_time():

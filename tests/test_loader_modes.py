@@ -165,9 +165,11 @@ def test_reader_source_bulk_and_scalar_paths_agree():
 
     bulk, scalar = run(main).results[0]
     assert np.array_equal(np.sort(bulk.sizes), np.sort(scalar.sizes))
-    # Same total content (order differs: scalar path was reversed).
-    assert bulk.buffer.sum() == scalar.buffer.sum()
-    assert bulk.buffer.size == scalar.buffer.size
+    # Same samples (order differs: scalar path was reversed).
+    assert [p.tobytes() for p in bulk.pieces.pieces] == [
+        p.tobytes() for p in scalar.pieces.pieces[::-1]
+    ]
+    assert bulk.nbytes == scalar.nbytes
 
 
 def test_generator_source_packs_expected_sizes():
@@ -180,14 +182,14 @@ def test_generator_source_packs_expected_sizes():
     res, expected = run(main).results[0]
     assert res.sizes.shape == (3,)
     assert np.all(res.sizes == expected)
-    assert res.buffer.size == 3 * expected
+    assert res.nbytes == 3 * expected
 
 
 def test_empty_chunk_preload():
     def main(ctx):
         src = GeneratorSource(IsingGenerator(8, seed=0), ctx.world.machine)
         res = yield from src.load_chunk([], ctx.node_index, ctx.engine)
-        return res.buffer.size, res.sizes.size
+        return res.nbytes, res.sizes.size
 
     assert run(main).results[0] == (0, 0)
 

@@ -376,10 +376,13 @@ def _blobs_from_sizes(sizes):
 
 
 def _reshard_blobs(sizes, framework):
-    """Reshard a _BlobSource store 4 -> 2 and read everything back raw."""
+    """Reshard a _BlobSource store 4 -> 2 and read everything back raw;
+    also say whether each piece the new window exposes is a source blob's
+    bytes in place (the reshard copies nothing)."""
     from repro.core import DataPlaneOptions
 
     blobs = _blobs_from_sizes(sizes)
+    homes = {np.frombuffer(b, np.uint8).ctypes.data: len(b) for b in blobs if b}
 
     def main(ctx):
         store = yield from DDStore.create(
@@ -390,8 +393,10 @@ def _reshard_blobs(sizes, framework):
         )
         new = yield from store.reshard(width=2)
         got = yield from new.get_samples(range(len(blobs)), decode="raw")
+        pieces = [p for p in new.transport.local_buffer().pieces if p.size]
+        in_place = all(homes.get(p.ctypes.data) == p.size for p in pieces)
         yield from new.shutdown()
-        return [bytes(g.tobytes()) for g in got]
+        return [bytes(g.tobytes()) for g in got], in_place
 
     job = run(main)
     return blobs, job.results
@@ -405,8 +410,9 @@ def test_reshard_paths_byte_identical_with_zero_size_samples(framework):
     # zero-size samples whose spans collapse to nothing.
     sizes = [5, 0, 3, 0, 0, 7, 1, 0, 9, 2, 0, 4, 6, 0, 8, 3]
     blobs, results = _reshard_blobs(sizes, framework)
-    for got in results:
+    for got, in_place in results:
         assert got == blobs
+        assert in_place  # every new window piece views a source blob
 
 
 @settings(max_examples=6, deadline=None)
@@ -417,8 +423,8 @@ def test_reshard_byte_identity_property(sizes):
     # Property over arbitrary size tables (runs on the bulk path; the
     # p2p fallback gets the same tables via the parametrized test above).
     blobs, results = _reshard_blobs(sizes, "mpi-rma")
-    for got in results:
-        assert got == blobs
+    for got, in_place in results:
+        assert got == blobs and in_place
 
 
 # ---------------------------------------------------------------------------

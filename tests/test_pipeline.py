@@ -42,7 +42,7 @@ from repro.dataplane.scheduler import EpochScheduler, WaveWindow
 from repro.faults import FaultPlan, SlowRank, install_faults
 from repro.graphs import SAMPLE_ALLOCATIONS, BatchArena, IsingGenerator
 from repro.hardware import TESTBOX
-from repro.mpi import run_world
+from repro.mpi import Pieces, run_world
 from repro.mpi.comm import World
 from repro.obs import Observer
 from repro.storage import HEADER_NBYTES, CFFReader, pack_graph, unpack_graph, write_cff
@@ -252,7 +252,10 @@ def test_every_sink_matches_the_reference(base, cache, columnar, faults, session
 # ---------------------------------------------------------------------------
 
 def _sha(buf) -> str:
-    return hashlib.sha256(buf).hexdigest()
+    digest = hashlib.sha256()
+    for piece in buf.pieces if isinstance(buf, Pieces) else [buf]:
+        digest.update(piece)
+    return digest.hexdigest()
 
 
 def _resident_digests(ctx, store) -> dict:
@@ -270,10 +273,10 @@ def _refuses_writes(store) -> bool:
     read-only handle: window buffers, cache entries of every tier, NVMe
     shards."""
     cache = store.cache
-    arrays = [store.transport.local_buffer()]
+    arrays = [*store.transport.local_buffer().pieces]
     win = getattr(store.transport, "win", None)
     if win is not None:
-        arrays += win.window.buffers.values()
+        arrays += [piece for buf in win.window.buffers.values() for piece in buf.pieces]
     for _name, pool in cache._fast:
         arrays += pool._entries.values()
     if cache.nvme is not None:
