@@ -24,7 +24,6 @@ behaviour matches the paper's full-size datasets (Table 1).
 
 from __future__ import annotations
 
-import mmap
 import os
 import signal
 import threading
@@ -81,16 +80,14 @@ _MIN_SHARE = 32
 
 def _image(dataset: str, seed: int, n: int) -> CFFImage:
     """The cached CFF image of a registry dataset, holding at least its
-    first ``n`` samples: the one host copy of their bytes.  Growing it
-    generates the new samples (:func:`_generate`) and packs a new image
-    behind a copy of the old subfiles; views of the old image keep it
-    alive, so they keep their bytes."""
+    first ``n`` samples: the one host copy of their bytes.  A growth
+    (:func:`_generate`) appends the new samples to the image's files in
+    place; views cut before it keep their old, shorter mappings, so they
+    keep their bytes, and no old byte is copied."""
     key = (dataset, seed)
     image = _IMAGES.get(key)
     if image is None or image.n_samples < n:
-        have = image.n_samples if image is not None else 0
-        fresh = _generate(dataset, seed, have, n)
-        image = _IMAGES[key] = CFFImage.pack(fresh, _N_SUBFILES, base=image)
+        image = _IMAGES[key] = _generate(dataset, seed, image or CFFImage(_N_SUBFILES), n)
     return image
 
 
@@ -116,16 +113,20 @@ def _n_threads() -> int:
         return threading.active_count()
 
 
-def _generate(dataset: str, seed: int, lo: int, hi: int) -> list:
-    """Packed samples ``[lo, hi)`` of a registry dataset, in id order.
+def _generate(dataset: str, seed: int, image: CFFImage, n: int) -> CFFImage:
+    """``image`` grown to the first ``n`` samples of a registry dataset.
 
     Every sample is a pure function of ``(dataset, seed, index)``, so the
-    range splits into contiguous shares with no change to the bytes: this
-    process packs the first and a forked child each other one.  A child
-    writes its size table and then its bytes to a pipe, which the parent
-    reads into one buffer.  A failed child makes this raise, naming its
-    range; every child is reaped (killed first, on failure) before return.
+    new range splits into contiguous shares with no change to the bytes:
+    this process packs the first and a forked child each other one.  A
+    child writes its size table and then its bytes to a pipe.  With every
+    size table in hand the parent grows the image (:meth:`CFFImage.extend`),
+    writes its own share and reads each child's bytes straight into that
+    child's slots, so no buffer but the parent's own share holds new bytes
+    twice.  A failed child makes this raise, naming its range; every child
+    is reaped (killed first, on failure) before return.
     """
+    lo, hi = image.n_samples, n
     gen = DATASETS[dataset].make(hi, seed)
     k = _n_workers(hi - lo)
     cuts = [lo + (hi - lo) * j // k for j in range(k + 1)]
@@ -143,17 +144,18 @@ def _generate(dataset: str, seed: int, lo: int, hi: int) -> list:
             finally:
                 os.close(w)
             pids.append(pid)
-        fresh = [pack_graph(gen.make(i)) for i in range(cuts[0], cuts[1])]
-        sizes = [np.empty(b - a, np.int64) for a, b in spans]
-        for pipe, size, share in zip(pipes, sizes, shares):
-            _read_into(pipe, memoryview(size).cast("B"), share)
-        total = max(1, int(sum(size.sum() for size in sizes)))  # mmap refuses length 0
-        buf = memoryview(mmap.mmap(-1, total, flags=mmap.MAP_PRIVATE))
-        for pipe, size, share in zip(pipes, sizes, shares):
-            ends = np.cumsum(size)
-            _read_into(pipe, buf[: int(ends[-1])], share)
-            fresh += [buf[e - n : e] for e, n in zip(ends.tolist(), size.tolist())]
-            buf = buf[int(ends[-1]) :]
+        own = [pack_graph(gen.make(i)) for i in range(cuts[0], cuts[1])]
+        sizes = [np.fromiter(map(len, own), np.int64, len(own))]
+        for pipe, (a, b), share in zip(pipes, spans, shares):
+            sizes.append(np.empty(b - a, np.int64))
+            _read_into(pipe, memoryview(sizes[-1]).cast("B"), share)
+        image, slots = image.extend(np.concatenate(sizes))
+        for slot, blob in zip(slots, own):
+            slot[:] = blob
+        del own
+        for pipe, (a, b), share in zip(pipes, spans, shares):
+            for slot in slots[a - lo : b - lo]:
+                _read_into(pipe, slot, share)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -165,7 +167,7 @@ def _generate(dataset: str, seed: int, lo: int, hi: int) -> list:
     for code, share in zip(codes, shares):
         if code:
             raise RuntimeError(f"{share} failed in a worker (exit code {code})")
-    return fresh
+    return image
 
 
 def _child(gen, lo: int, hi: int, w: int, inherited: list[int]) -> None:

@@ -17,6 +17,7 @@ sit here too: :func:`decode_time` (per-sample deserialise) and
 from __future__ import annotations
 
 import mmap
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -283,57 +284,89 @@ def _subfile_bytes(index: CFFIndex) -> list[int]:
     return [int(index.size[k :: index.n_subfiles].sum()) for k in range(index.n_subfiles)]
 
 
+def _round_robin(sizes: np.ndarray, n_subfiles: int) -> CFFIndex:
+    """The index of samples of byte ``sizes`` in id order, placed as ADIOS
+    aggregators place them: sample ``i`` in subfile ``i % n``, right after
+    sample ``i - n``, where ``n`` is ``n_subfiles`` capped at one per sample."""
+    n = max(1, min(n_subfiles, sizes.size))
+    subfile = (np.arange(sizes.size) % n).astype(np.int32)
+    offset = np.empty(sizes.size, np.int64)
+    for k in range(n):
+        offset[k::n] = np.cumsum(sizes[k::n]) - sizes[k::n]
+    for a in (sizes, subfile, offset):
+        a.setflags(write=False)
+    return CFFIndex(subfile=subfile, offset=offset, size=sizes, n_subfiles=n)
+
+
+_NO_BYTES = memoryview(b"")  # an empty subfile's view (mmap refuses length 0)
+
+
 class CFFImage:
-    """A CFF dataset packed once into one host buffer: the round-robin
-    subfiles back to back, plus the index that locates every sample.
+    """A CFF dataset packed into host memory: the round-robin subfiles, each
+    in its own append-only file, plus the index that locates every sample.
 
     Round-robin placement makes every prefix of the dataset a prefix of
     each subfile at the same offsets (for ``n < n_subfiles``, sample ``i``
     sits alone at offset 0 of subfile ``i``), so one image serves every
     dataset size: :meth:`stage` lays the first ``n`` samples out in a
     :class:`VirtualFS` as read-only views of the subfile prefixes, and only
-    the index is rebuilt.  :attr:`blobs` are views of the same bytes.  The
-    buffer is an anonymous ``mmap``, so its pages go back to the OS when the
-    last view of it is dropped; :attr:`data` is a read-only view of it.
+    the index is rebuilt.  For the same reason an image grows in place
+    (:meth:`extend`): old bytes never move, so a growth writes only the new
+    samples, and a view cut before it keeps reading its bytes through the
+    old, shorter mapping.
+
+    :attr:`files` are ``os.memfd_create`` descriptors (no path, nothing
+    written to disk), shared by every image grown from one empty
+    ``CFFImage(n_subfiles)``; they close when the last such image is
+    dropped, and each mapping unmaps when its last view is.
+    :attr:`subfiles` holds a read-only view of each subfile.
     """
 
-    def __init__(self, data, index: CFFIndex) -> None:
-        self.index = index
-        # Byte offset of each subfile in ``data`` (and the end, last).
-        self._bounds = np.cumsum([0] + _subfile_bytes(index))
-        self.data = memoryview(data).toreadonly()[: int(self._bounds[-1])]
+    def __init__(self, n_subfiles: int) -> None:
+        """An empty image whose samples will go round robin to ``n_subfiles`` files."""
+        self.files = [
+            open(os.memfd_create("cff-subfile", os.MFD_CLOEXEC), "r+b", buffering=0)
+            for _ in range(n_subfiles)
+        ]
+        self.subfiles = [_NO_BYTES] * n_subfiles
+        self.index = _round_robin(np.empty(0, np.int64), n_subfiles)
 
     @classmethod
-    def pack(cls, blobs, n_subfiles: int, base: Optional["CFFImage"] = None) -> "CFFImage":
-        """Sample ``i`` goes to subfile ``i % n_subfiles``, as ADIOS aggregators
-        place them.  With a ``base`` image (packed with the same
-        ``n_subfiles``), its samples come first and ``blobs`` follow: each of
-        its subfiles is a prefix of the new one, so it is copied as one block."""
-        old = base.index.size if base is not None else np.empty(0, np.int64)
-        n_old, n = old.size, old.size + len(blobs)
-        if base is not None and base.index.n_subfiles != max(1, min(n_subfiles, n_old)):
-            raise ValueError(f"base image was not packed with n_subfiles={n_subfiles}")
-        n_subfiles = max(1, min(n_subfiles, n))
-        sizes = np.concatenate([old, np.fromiter(map(len, blobs), np.int64, len(blobs))])
-        subfiles = (np.arange(n) % n_subfiles).astype(np.int32)
-        offsets = np.empty(n, np.int64)
-        for k in range(n_subfiles):
-            offsets[k::n_subfiles] = np.cumsum(sizes[k::n_subfiles]) - sizes[k::n_subfiles]
-        for a in (sizes, subfiles, offsets):
-            a.setflags(write=False)
-        index = CFFIndex(subfile=subfiles, offset=offsets, size=sizes, n_subfiles=n_subfiles)
-        bounds = np.cumsum([0] + _subfile_bytes(index))
-        # Private (as malloc maps large blocks), not the default shared
-        # mapping, whose shmem pages fault in slower; mmap refuses length 0.
-        data = mmap.mmap(-1, max(1, int(bounds[-1])), flags=mmap.MAP_PRIVATE)
-        if base is not None:
-            for k, nbytes in enumerate(np.diff(base._bounds).tolist()):
-                start, src = int(bounds[k]), int(base._bounds[k])
-                data[start : start + nbytes] = base.data[src : src + nbytes]
-        starts = (bounds[subfiles[n_old:]] + offsets[n_old:]).tolist()
-        for start, blob in zip(starts, blobs):
-            data[start : start + len(blob)] = blob
-        return cls(data, index)
+    def pack(cls, blobs, n_subfiles: int) -> "CFFImage":
+        """A new image holding packed ``blobs``."""
+        image, slots = cls(n_subfiles).extend(np.fromiter(map(len, blobs), np.int64, len(blobs)))
+        for slot, blob in zip(slots, blobs):
+            slot[:] = blob
+        return image
+
+    def extend(self, sizes) -> tuple["CFFImage", list[memoryview]]:
+        """This image with samples of byte ``sizes`` appended, and one writable
+        slot per new sample, in id order, for the caller to fill: the only
+        writable views of an image.  Each file that grows is lengthened and
+        mapped anew; no old byte is read or written.  Only the newest image
+        of its files may grow: extending an older one would write over its
+        successor's samples."""
+        n_old = self.n_samples
+        index = _round_robin(
+            np.concatenate([self.index.size, np.asarray(sizes, np.int64)]), len(self.files)
+        )
+        lengths = _subfile_bytes(index) + [0] * (len(self.files) - index.n_subfiles)
+        grown = object.__new__(CFFImage)
+        grown.files, grown.subfiles, grown.index = self.files, list(self.subfiles), index
+        writable = {}
+        for k, (f, length) in enumerate(zip(self.files, lengths)):
+            if length > len(self.subfiles[k]):
+                os.ftruncate(f.fileno(), length)
+                writable[k] = memoryview(mmap.mmap(f.fileno(), length))
+                grown.subfiles[k] = writable[k].toreadonly()
+        new = slice(n_old, None)
+        slots = [
+            writable[k][a : a + size]
+            for k, a, size in zip(
+                index.subfile[new].tolist(), index.offset[new].tolist(), index.size[new].tolist()
+            )
+        ]
+        return grown, slots
 
     @property
     def n_samples(self) -> int:
@@ -342,16 +375,17 @@ class CFFImage:
     @cached_property
     def blobs(self) -> list[memoryview]:
         """Every packed sample in id order, each a read-only view of the image."""
-        ix = self.index
-        starts = (self._bounds[ix.subfile] + ix.offset).tolist()
-        view = self.data
-        return [view[a : a + size] for a, size in zip(starts, ix.size.tolist())]
+        ix, views = self.index, self.subfiles
+        return [
+            views[k][a : a + size]
+            for k, a, size in zip(ix.subfile.tolist(), ix.offset.tolist(), ix.size.tolist())
+        ]
 
     def blob(self, i: int) -> memoryview:
         """Packed sample ``i``, a read-only view of the image (no list built)."""
         ix = self.index
-        start = int(self._bounds[ix.subfile[i]] + ix.offset[i])
-        return self.data[start : start + int(ix.size[i])]
+        start = int(ix.offset[i])
+        return self.subfiles[ix.subfile[i]][start : start + int(ix.size[i])]
 
     def stage(
         self, vfs: VirtualFS, root: str, n: Optional[int] = None, *, logical_scale: float
@@ -367,10 +401,8 @@ class CFFImage:
         index = CFFIndex(subfile=ix.subfile[:n], offset=ix.offset[:n], size=ix.size[:n],
                          n_subfiles=max(1, min(ix.n_subfiles, n)))
         for k, nbytes in enumerate(_subfile_bytes(index)):
-            base = int(self._bounds[k])
             vfs.create(
-                _cff_subfile_path(root, k), self.data[base : base + nbytes],
-                logical_scale=logical_scale,
+                _cff_subfile_path(root, k), self.subfiles[k][:nbytes], logical_scale=logical_scale
             )
         vfs.create(_cff_index_path(root), index.to_bytes())
         return index

@@ -106,10 +106,10 @@ class VirtualFS:
         overwrite: bool = False,
     ) -> VirtualFile:
         """Create ``path`` holding ``data``, which the file adopts (no copy).
-        ``data`` may be any read-only buffer, such as a view of a packed
-        :class:`~repro.storage.CFFImage` the file then shares with every
-        other view of it; the caller must not mutate a ``bytearray`` it
-        hands over."""
+        ``data`` may be any read-only buffer, such as a view of one subfile
+        of a packed :class:`~repro.storage.CFFImage`, which the file then
+        shares with every other view of it; the caller must not mutate a
+        ``bytearray`` it hands over."""
         if path in self._files and not overwrite:
             raise FileExists(path)
         if logical_scale < 1.0:

@@ -2,6 +2,8 @@
 
 import gc
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -25,6 +27,28 @@ from repro.graphs import MoleculeGenerator
 from repro.hardware import TESTBOX, ParallelFileSystem
 from repro.sim import Engine
 from repro.storage import CFFImage, CFFReader, VirtualFS, write_pff
+
+
+# Set-up's peak resident set over the image it leaves, in a fresh process.
+# ``VmHWM`` is ``ru_maxrss`` without the part an exec'd child inherits: the
+# resident set of the process it was forked from.
+_GROWTH_PEAK = """
+import hashlib
+from repro.bench import harness
+
+def kb(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field))
+
+harness._image("aisd-ex-discrete", 0, 8)  # the generator's first-use state
+base = kb("VmRSS:")
+for k in range(1, 9):
+    harness._image("aisd-ex-discrete", 0, 8 + 511 * k)
+image = harness._IMAGES[("aisd-ex-discrete", 0)]
+for view in image.subfiles:
+    hashlib.sha256(view)  # every page of the image resident
+print((kb("VmHWM:") - base) * 1024 / sum(map(len, image.subfiles)))
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +164,15 @@ def test_packed_blobs_cached_and_deterministic(monkeypatch):
     monkeypatch.setattr(harness, "_IMAGES", {})
     a = packed_blobs("ising", 0, 4)
     before = [bytes(blob) for blob in a]
+    inodes = [os.fstat(f.fileno()).st_ino for f in harness._IMAGES[("ising", 0)].files]
     b = packed_blobs("ising", 0, 16)
     # Prefix stability: growing the image keeps old samples, and a list handed
-    # out before the growth still holds its bytes (its views pin the old image).
+    # out before the growth still holds its bytes (its views keep the old,
+    # shorter mappings).  A growth copies nothing: each subfile stays the
+    # same file, lengthened in place.
     assert b[:4] == a == before
+    image = harness._IMAGES[("ising", 0)]
+    assert [os.fstat(f.fileno()).st_ino for f in image.files] == inodes
     c = packed_blobs("ising", 0, 16)
     assert c == b
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -151,8 +180,7 @@ def test_packed_blobs_cached_and_deterministic(monkeypatch):
 
     # One host copy: blobs, PFF files and CFF subfiles staged for the whole
     # image or for a prefix of it (same offsets, or one sample per subfile)
-    # are read-only views of the image's bytes.
-    image = harness._IMAGES[("ising", 0)]
+    # are read-only views of the image's subfiles.
     vfs = VirtualFS(ParallelFileSystem(Engine(), TESTBOX.pfs, 1))
     write_pff(vfs, "p", b)
     image.stage(vfs, "full", logical_scale=1.0)
@@ -160,15 +188,27 @@ def test_packed_blobs_cached_and_deterministic(monkeypatch):
         assert image.stage(vfs, root, n, logical_scale=1.0).n_subfiles == min(8, n)
         reader = CFFReader(vfs, root, TESTBOX)
         assert [reader.read_sample_raw(i, 0, 0.0)[0] for i in range(n)] == b[:n]
-    owner = np.frombuffer(image.data, np.uint8)
-    views = [b[3], vfs.stat(vfs.listdir("p")[3]).data] + [
-        vfs.stat(f"{root}/data.{k}.bin").data for root in ("full", "part", "few") for k in (0, 4)
+    owners = [np.frombuffer(view, np.uint8) for view in image.subfiles]
+    views = [(b[3], 3), (vfs.stat(vfs.listdir("p")[3]).data, 3)] + [
+        (vfs.stat(f"{root}/data.{k}.bin").data, k)
+        for root in ("full", "part", "few") for k in (0, 4)
     ]
-    for view in views:
-        assert np.shares_memory(np.frombuffer(view, np.uint8), owner)
+    for view, k in views:
+        assert np.shares_memory(np.frombuffer(view, np.uint8), owners[k])
         assert view.readonly
+    assert all(view.readonly for view in image.subfiles)
     empty = CFFImage.pack([], 8)  # mmap refuses length 0
-    assert empty.n_samples == len(empty.data) == 0 and empty.blobs == []
+    assert empty.n_samples == sum(map(len, empty.subfiles)) == 0 and empty.blobs == []
+
+    # Nor does a growth hold a second buffer: in a fresh interpreter, growing
+    # an image in eight steps and then reading all of it raises the peak
+    # resident set by under 1.3x the image's bytes (repacking behind a copy
+    # read 2x).
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    ratio = subprocess.run(
+        [sys.executable, "-c", _GROWTH_PEAK], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert float(ratio) <= 1.3, ratio
 
     # Both generation paths build one image, byte for byte, whatever this
     # host's core count: forked workers (three shares) and inline, each
@@ -187,7 +227,7 @@ def test_packed_blobs_cached_and_deterministic(monkeypatch):
         packed_blobs("aisd", 0, 40)
         images.append(harness._IMAGES[("aisd", 0)])
     forked, inline = images
-    assert bytes(forked.data) == bytes(inline.data)
+    assert [bytes(s) for s in forked.subfiles] == [bytes(s) for s in inline.subfiles]
     for field in ("subfile", "offset", "size"):
         assert np.array_equal(getattr(forked.index, field), getattr(inline.index, field))
 
@@ -356,7 +396,7 @@ def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
     bytes), and after ``run_experiment`` returns nothing of that world that
     holds dataset bytes is reachable: no file, window piece, cache pool or
     NVMe shard store (a leak here makes ``peak_rss_mb`` a step function of
-    the repeat count)."""
+    the repeat count).  Dropping the image then closes its files."""
     from repro.dataplane.cache import SampleCache
     from repro.mpi.comm import World
     from repro.mpi.rma import Window
@@ -377,15 +417,17 @@ def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
 
         monkeypatch.setattr(cls, method, wrapper)
 
+    monkeypatch.setattr(harness, "_IMAGES", {})
+    open_fds = len(os.listdir("/proc/self/fd"))
     watch(World, "__init__", lambda self, _out: [self])
     watch(VirtualFS, "create", lambda _self, f: [f])
     tables, on_image = [], []  # distinct piece tables per window; pieces viewing the image
 
     def window_parts(win, _out):
         tables.append(len({id(b) for b in win.buffers.values()}))
-        image = np.frombuffer(harness._IMAGES[("ising", 0)].data, np.uint8)
+        image = [np.frombuffer(s, np.uint8) for s in harness._IMAGES[("ising", 0)].subfiles]
         pieces = [p for b in win.buffers.values() for p in b.pieces]
-        on_image.extend(np.shares_memory(p, image) for p in pieces)
+        on_image.extend(any(np.shares_memory(p, s) for s in image) for p in pieces)
         return [win, *pieces]
 
     watch(Window, "__init__", window_parts)
@@ -419,4 +461,8 @@ def test_a_world_releases_every_dataset_byte_at_teardown(monkeypatch):
     assert len(on_image) > 12 and all(on_image)
     alive = {what: sum(ref() is not None for ref in refs) for what, refs in held.items()}
     assert not any(alive.values()), alive
+    assert len(os.listdir("/proc/self/fd")) > open_fds  # the image's memfds
+    harness._IMAGES.clear()
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
