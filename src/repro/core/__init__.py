@@ -19,7 +19,7 @@ from .loader import (
     LoadedBatch,
     SimDataset,
 )
-from .preloader import DataSource, GeneratorSource, PreloadResult, ReaderSource
+from .preloader import DataSource, GeneratorSource, ReaderSource
 from .registry import ChunkRegistry
 from .sampler import epoch_indices, iter_batches
 from .store import DDStore, FETCH_STAGES, FetchStats, StoreClosedError
@@ -40,7 +40,6 @@ __all__ = [
     "DataSource",
     "ReaderSource",
     "GeneratorSource",
-    "PreloadResult",
     "DDStore",
     "FetchStats",
     "epoch_indices",

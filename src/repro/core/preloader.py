@@ -15,19 +15,18 @@ Two plugins are provided:
 
 Both are coroutines: they yield simulation timeouts as the chunk streams
 in, so shared-filesystem queueing stations observe every rank's reads in
-chronological order, and return the chunk's packed samples as pieces (views
-of the bytes the source already holds) plus the per-sample size table the
-registry is built from.  Nothing copies the pieces: the store's window
-exposes them as they are (:class:`~repro.mpi.Pieces`), so on the harness
-path the window views the packed image and the host holds the dataset
-once.  Every replica of a chunk shares the first replica's pieces.
+chronological order, and return the chunk as a :class:`~repro.mpi.Pieces`
+table: one read-only piece per packed sample, each a view of the bytes the
+source already holds, so ``np.diff(chunk.starts)`` is the per-sample size
+table the registry is built from.  Nothing copies the pieces: the store's
+window exposes the table as it is, so on the harness path the window views
+the packed image and the host holds the dataset once.  Every replica of a
+chunk shares the first replica's table.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generator, Optional, Protocol, Sequence
-
-import numpy as np
 
 from ..graphs.datasets import GraphGenerator
 from ..hardware import MachineSpec
@@ -35,52 +34,11 @@ from ..mpi import Pieces
 from ..sim import Engine
 from ..storage import SampleReader, decode_time, pack_graph
 
-__all__ = ["PreloadResult", "DataSource", "ReaderSource", "GeneratorSource"]
+__all__ = ["DataSource", "ReaderSource", "GeneratorSource"]
 
 # Yield back to the engine every this many per-sample reads, bounding how
 # far one rank's analytic queue entries can run ahead of other ranks.
 _YIELD_EVERY = 8
-
-
-class PreloadResult:
-    """One rank's loaded chunk: its packed samples and their size table.
-
-    ``sizes`` is the ``(n_local,)`` int64 per-sample byte table and
-    ``pieces`` the chunk's bytes as a :class:`~repro.mpi.Pieces` table with
-    one read-only piece per sample, each a view of bytes its source owns
-    (VFS file, generated blob, an old store's window).  Pieces cut
-    otherwise (one per old owner on a reshard, say) are cut again per
-    sample, still without a copy; a sample that straddles two pieces is a
-    ``ValueError``.  The store's window exposes ``pieces`` as they are.
-    """
-
-    __slots__ = ("pieces", "sizes")
-
-    def __init__(self, pieces, sizes: np.ndarray) -> None:
-        sizes = np.asarray(sizes, dtype=np.int64)
-        table = pieces if isinstance(pieces, Pieces) else Pieces(pieces)
-        cut = np.diff(table.starts)
-        if cut.size != sizes.size or (cut != sizes).any():
-            if table.size != int(sizes.sum()):
-                raise ValueError(
-                    f"pieces hold {table.size} bytes, the size table {int(sizes.sum())}"
-                )
-            ends = np.cumsum(sizes)
-            samples = table.views((ends - sizes).tolist(), sizes.tolist())
-            if any(isinstance(v, Pieces) for v in samples):
-                raise ValueError("a sample straddles two pieces")
-            table = Pieces(samples)
-        self.pieces = table
-        self.sizes = sizes
-
-    def adopt(self, pieces: Pieces) -> None:
-        """Hold ``pieces`` — this chunk's table that a replica already
-        exposes — in place of this one's."""
-        self.pieces = pieces
-
-    @property
-    def nbytes(self) -> int:
-        return self.pieces.size
 
 
 class DataSource(Protocol):
@@ -97,7 +55,8 @@ class DataSource(Protocol):
     def load_chunk(
         self, indices: Sequence[int], node_index: int, engine: Engine
     ) -> Generator:
-        """Coroutine returning a :class:`PreloadResult`."""
+        """Coroutine returning the chunk: a :class:`~repro.mpi.Pieces`
+        table with one piece per sample of ``indices``."""
         ...
 
 
@@ -121,14 +80,14 @@ class ReaderSource:
         if bulk is not None and indices and indices == list(range(indices[0], indices[-1] + 1)):
             blobs, t = bulk(indices[0], indices[-1] + 1, node_index, engine.now)
             yield engine.timeout(max(0.0, t - engine.now))
-            return _pack_result(blobs)
+            return Pieces(blobs)
         blobs: list[bytes] = []
         for k, i in enumerate(indices):
             blob, t = self.reader.read_sample_raw(int(i), node_index, engine.now)
             blobs.append(blob)
             if (k + 1) % _YIELD_EVERY == 0 or k + 1 == len(indices):
                 yield engine.timeout(max(0.0, t - engine.now))
-        return _pack_result(blobs)
+        return Pieces(blobs)
 
 
 class GeneratorSource:
@@ -147,11 +106,5 @@ class GeneratorSource:
         blobs = [pack_graph(self.generator.make(int(i))) for i in indices]
         cpu = sum(decode_time(self.machine, len(b)) for b in blobs)
         yield engine.timeout(cpu)
-        return _pack_result(blobs)
+        return Pieces(blobs)
 
-
-def _pack_result(blobs: list) -> PreloadResult:
-    """The chunk of packed samples ``blobs`` (any ``B``-format buffers, which
-    their source keeps owning): one piece per sample, nothing copied."""
-    pieces = Pieces(blobs)
-    return PreloadResult(pieces, np.diff(pieces.starts))

@@ -5,14 +5,16 @@ Construction (collective, via :meth:`DDStore.create`):
 1. split the job's ranks into ``N/w`` replica groups of width ``w``
    (``MPI_Comm_split``),
 2. each group member preloads its chunk — a contiguous slice of the global
-   sample range — as one read-only piece per packed sample, each a view
-   of the bytes its source holds (data preloader); the replica groups of
-   a chunk share the first group's pieces after checking they match,
-3. members exchange per-sample size tables (``MPI_Allgather``) and build
+   sample range — as a :class:`~repro.mpi.Pieces` table, one read-only
+   piece per packed sample, each a view of the bytes its source holds
+   (data preloader); the replica groups of a chunk share the first
+   group's table after checking it matches,
+3. members exchange per-sample size tables (``np.diff`` of the table's
+   ``starts``, over ``MPI_Allgather``) and build
    the replicated :class:`~.registry.ChunkRegistry`,
 4. every member wires the replica group's data plane: the transport
    resolved from ``config.dataplane.framework`` (the paper's ``mpi-rma``
-   exposes the pieces through an RMA window).
+   exposes the table through an RMA window).
 
 This module is layout + lifecycle: create/preload, tier assembly,
 session views, failover topology, shutdown/close and reshard.  **The
@@ -51,11 +53,11 @@ from ..dataplane import (
 from ..dataplane.retry import RetryPolicy, TargetHealth
 from ..dataplane.transport import Transport
 from ..graphs import BatchArena
-from ..mpi import Comm
+from ..mpi import Comm, Pieces
 from ..storage import peek_headers
 from .chunking import ChunkLayout
 from .config import DataPlaneOptions, DDStoreConfig, ResilienceOptions
-from .preloader import DataSource, PreloadResult
+from .preloader import DataSource
 from .registry import ChunkRegistry, ShapeTable
 
 __all__ = ["DDStore", "FetchStats", "FETCH_STAGES", "StoreClosedError"]
@@ -99,34 +101,34 @@ def _same_bytes(mine: list, theirs: list) -> bool:
 
 
 def _share_chunk(
-    table: dict, key: tuple, group: int, n_replicas: int, result: PreloadResult
-) -> None:
-    """Give ``result`` the one piece table of chunk ``key = (*store, lo,
-    hi)`` that every replica group of that store exposes
+    table: dict, key: tuple, group: int, n_replicas: int, chunk: Pieces
+) -> Pieces:
+    """The one piece table of chunk ``key = (*store, lo, hi)`` that every
+    replica group of that store exposes, given this group's ``chunk``
     (``table`` is the world's ``HostShared.chunks``).
 
-    The first group to load the chunk registers its pieces; each later
-    group checks that its pieces hold the same bytes and adopts the
-    first group's."""
+    The first group to load the chunk registers its table; each later
+    group checks that its pieces hold the same bytes and gets the first
+    group's."""
     if n_replicas == 1:
-        return
+        return chunk
     entry = table.get(key)
     if entry is None:
-        table[key] = [group, result.sizes, result.pieces, n_replicas - 1]
-        return
-    owner, sizes, pieces, _ = entry
+        table[key] = [group, chunk, n_replicas - 1]
+        return chunk
+    owner, first, _ = entry
     if not (
-        np.array_equal(sizes, result.sizes) and _same_bytes(result.pieces.pieces, pieces.pieces)
+        np.array_equal(first.starts, chunk.starts) and _same_bytes(chunk.pieces, first.pieces)
     ):
         *_, lo, hi = key
         raise ValueError(
             f"replica groups {owner} and {group} loaded different bytes for chunk "
             f"[{lo}, {hi}): failover and node fetch need identical replicas"
         )
-    result.adopt(pieces)
-    entry[3] -= 1
-    if not entry[3]:
+    entry[2] -= 1
+    if not entry[2]:
         del table[key]
+    return first
 
 
 class DDStore:
@@ -294,21 +296,23 @@ class DDStore:
         engine = comm.engine
         world = comm.communicator.world
         node_index = world.machine.node_of_rank(comm.world_rank)
-        result = yield from source.load_chunk(range(lo, hi), node_index, engine)
+        chunk = yield from source.load_chunk(range(lo, hi), node_index, engine)
 
         # Account the chunk against the node's DRAM (MemoryError here is the
         # legitimate "width too large for this machine" failure mode): every
         # rank is charged its replica, though the host holds its bytes once
         # (the window views them where the source holds them).
-        buffer_nbytes = result.nbytes
+        buffer_nbytes = chunk.size
         world.cluster.charge_memory(node_index, buffer_nbytes)
-        _share_chunk(world.shared.chunks, (*store_key, lo, hi), group, config.n_replicas, result)
+        chunk = _share_chunk(
+            world.shared.chunks, (*store_key, lo, hi), group, config.n_replicas, chunk
+        )
 
         # Exchange size tables and build the replicated registry: every
         # member is charged the allgather, the last arrival builds the one
         # host copy the whole replica group shares read-only.
         registry = yield from group_comm.fuse(
-            partial(_build_registry, layout), result.sizes, call_name="MPI_Allgather"
+            partial(_build_registry, layout), np.diff(chunk.starts), call_name="MPI_Allgather"
         )
         if config.dataplane.columnar:
             # The arena scatter path needs every sample's shape *before*
@@ -318,7 +322,7 @@ class DDStore:
             # same create-time collective phase as the size exchange.
             yield from group_comm.fuse(
                 partial(_attach_shape_table, registry),
-                cls._local_shape_row(result),
+                cls._local_shape_row(chunk),
                 call_name="MPI_Allgather",
             )
 
@@ -328,7 +332,7 @@ class DDStore:
         # read fail over to rank ``group * width + owner`` of another group.
         plane_comm = yield from comm.dup()
         transport_cls = TRANSPORTS[config.dataplane.framework]
-        transport = yield from transport_cls.setup(plane_comm, result.pieces)
+        transport = yield from transport_cls.setup(plane_comm, chunk)
         store = cls(
             comm=comm,
             group_comm=group_comm,
@@ -372,10 +376,10 @@ class DDStore:
             yield engine.timeout(done - engine.now)
 
     @staticmethod
-    def _local_shape_row(result) -> np.ndarray:
+    def _local_shape_row(chunk: Pieces) -> np.ndarray:
         """Header-sweep this member's chunk into one allgatherable row:
         ``[f_dim, y_dim, sample_ids..., n_nodes..., n_edges...]``."""
-        rec = peek_headers(result.pieces.pieces)
+        rec = peek_headers(chunk.pieces)
         fd, yd = rec["feature_dim"], rec["output_dim"]
         f_dim, y_dim = (int(fd[0]), int(yd[0])) if rec.size else (-1, -1)
         odd = np.flatnonzero((fd != f_dim) | (yd != y_dim))
@@ -749,8 +753,8 @@ class _StoreSource:
     per overlapped owner (bulk memory-to-memory streaming) instead of one
     read per sample — the same trick the CFF preloader uses on files.
     Each read comes back as views of the old window's pieces, which
-    :class:`PreloadResult` cuts per sample: the new store exposes the old
-    store's pieces, copying nothing.  Transports that cannot serve
+    :meth:`~repro.mpi.Pieces.cut` cuts per sample: the new store exposes
+    the old store's pieces, copying nothing.  Transports that cannot serve
     arbitrary byte spans (two-sided p2p) fall back to per-sample fetches.
     """
 
@@ -767,16 +771,14 @@ class _StoreSource:
         store = self.store
         # An empty chunk pays no get_samples round, on either path.
         if not indices:
-            return PreloadResult([], np.zeros(0, dtype=np.int64))
+            return Pieces([])
         if not store.transport.supports_coalescing:
             blobs = yield from store.get_samples(
                 list(indices), decode="raw", n_workers=self.n_workers
             )
-            # b.size (elements == bytes for uint8) keeps zero-size samples
-            # in the size table — they occupy registry slots even though
-            # they contribute no buffer bytes.
-            sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
-            return PreloadResult(blobs, sizes)
+            # One piece per blob, zero-size ones included: they occupy
+            # registry slots even though they hold no bytes.
+            return Pieces(blobs)
 
         lo, hi = indices.start, indices.stop
         reg, bounds = store.registry, store.layout.bounds
@@ -810,4 +812,4 @@ class _StoreSource:
             pipeline.book(store, ladder)
             for i, payload in zip(remote.tolist(), outcome.payloads):
                 parts[i] = payload
-        return PreloadResult(parts, np.diff(reg.offsets[lo : hi + 1]))
+        return Pieces(parts).cut(np.diff(reg.offsets[lo : hi + 1]))

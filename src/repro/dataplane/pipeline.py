@@ -235,9 +235,6 @@ def assemble(plan, outcome, blobs, latencies) -> None:
     if not read.size:
         return
     payloads = outcome.payloads
-    for payload in payloads:
-        if isinstance(payload, np.ndarray):  # a Pieces is read-only by construction
-            payload.setflags(write=False)  # a no-op unless a plugin transport returned copies
     n_slices = np.bincount(position, minlength=len(blobs))
     whole = n_slices[position] == 1
     stitching = np.count_nonzero(whole) < whole.size
@@ -540,6 +537,11 @@ def _remote_demand(h, batches, group_rank: int):
 
 
 # -- sinks -------------------------------------------------------------------
+#: The row blob of every zero-size sample: read-only like every other blob.
+_EMPTY = np.zeros(0, dtype=np.uint8)
+_EMPTY.setflags(write=False)
+
+
 class _RowSink:
     """Row decode: per-sample blobs, deserialised at the end
     (``decode=False`` → header-only :class:`SampleStats`, ``"raw"`` → the
@@ -566,7 +568,7 @@ class _RowSink:
 
     def empty(self, positions) -> None:
         for p in positions:
-            self.blobs[p] = np.zeros(0, dtype=np.uint8)
+            self.blobs[p] = _EMPTY
 
     def wire(self, plan, outcome, latencies, positions) -> None:
         assemble(plan, outcome, self.blobs, latencies)
@@ -577,8 +579,6 @@ class _RowSink:
 
     def finish(self, call: _Call, latencies, workers: int) -> Generator:
         if self.decode == "raw":
-            for blob in self.blobs:  # one contract wherever a blob came from
-                blob.setflags(write=False)
             return self.blobs
         machine = self.h._machine
         dec = decode_time(machine, self.sizes)  # elementwise: one float per sample

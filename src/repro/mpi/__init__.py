@@ -4,9 +4,7 @@ from .comm import ANY_SOURCE, ANY_TAG, Comm, Communicator, MPIStats, World, wait
 from .datatypes import REDUCTIONS, reduce_values, sizeof
 from .errors import CollectiveMismatch, MPIError, RMAError
 from .launcher import JobResult, RankContext, run_world, spawn_ranks
-from .rma import (
-    LOCK_EXCLUSIVE, LOCK_SHARED, Pieces, WinHandle, Window, create_window, freeze_buffer,
-)
+from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, Pieces, WinHandle, Window, create_window
 
 __all__ = [
     "ANY_SOURCE",
@@ -30,7 +28,6 @@ __all__ = [
     "Window",
     "WinHandle",
     "create_window",
-    "freeze_buffer",
     "LOCK_SHARED",
     "LOCK_EXCLUSIVE",
 ]

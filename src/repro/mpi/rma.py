@@ -18,14 +18,15 @@ prices each read's software path and NIC serves, see
 :mod:`repro.hardware.network`), applies the timeouts, and yields once.
 Lock epochs are taken per target by the caller (:meth:`WinHandle.lock`).
 
-Window memory is written once and then only read.  A window *owns* its
-ranks' buffers and freezes them (``writeable=False``), so a get is a
-read-only view of the target's bytes, not a memcpy; the rare
-:meth:`WinHandle.put` replaces the target's buffer (copy-on-write), which
-keeps every earlier get the snapshot MPI says it is.  A rank's memory is
-one array or a :class:`Pieces` table — arrays laid back to back, each a
-view of bytes someone else already holds (DDStore exposes its chunk as
-one piece per sample, so the host keeps one copy of the dataset).
+A rank's window memory is a :class:`Pieces` table: read-only arrays laid
+back to back, each a view of bytes someone else already holds.  DDStore
+exposes its chunk as one piece per sample, so the host keeps one copy of
+the dataset; a plain array, bytes or a byte count handed to
+:func:`create_window` becomes a one-piece table.  The memory is written
+once and then only read: a get is a read-only view of the target's
+pieces, not a memcpy, and the rare :meth:`WinHandle.put` replaces the
+target's table (copy-on-write), which keeps every earlier get the
+snapshot MPI says it is.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ from ..sim import RWLock
 from .comm import Comm, Communicator
 from .errors import RMAError
 
-__all__ = [
-    "LOCK_SHARED", "LOCK_EXCLUSIVE", "Pieces", "Window", "WinHandle", "create_window",
-    "freeze_buffer",
-]
+__all__ = ["LOCK_SHARED", "LOCK_EXCLUSIVE", "Pieces", "Window", "WinHandle", "create_window"]
 
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
@@ -52,9 +50,11 @@ class Pieces:
 
     ``pieces`` are flat read-only ``uint8`` arrays, ``starts`` their byte
     offsets (``starts[-1] == size``) and ``whole`` maps the offset of each
-    nonempty piece to it.  A slice that is exactly one piece is that piece;
-    one inside a piece is a view of it; one across pieces is a ``Pieces``
-    of views.  Nothing here ever gathers the pieces into one buffer.
+    nonempty piece to it.  A table takes ownership of what it is handed:
+    each piece, and every array it is a view of, is made read-only.  A
+    slice (step 1 only) that is exactly one piece is that piece; one
+    inside a piece is a view of it; one across pieces is a ``Pieces`` of
+    views.  Nothing here ever gathers the pieces into one buffer.
     """
 
     __slots__ = ("pieces", "starts", "whole", "size")
@@ -65,8 +65,23 @@ class Pieces:
             if isinstance(piece, Pieces):
                 flat += piece.pieces
             else:
-                flat.append(freeze_buffer(piece))
+                flat.append(self._freeze(piece))
         self._lay(flat)
+
+    @staticmethod
+    def _freeze(buf: "np.ndarray | bytes") -> np.ndarray:
+        """``buf`` as a flat ``uint8`` view, with that view and every array
+        it is a view of made read-only (so neither can be flipped back)."""
+        if isinstance(buf, (bytes, bytearray, memoryview)):
+            buf = np.frombuffer(buf, dtype=np.uint8)
+        flat = buf if buf.dtype == np.uint8 and buf.ndim == 1 and buf.flags.c_contiguous else (
+            np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
+        )
+        arr = flat
+        while isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+            arr = arr.base
+        return flat
 
     def _lay(self, flat: list) -> "Pieces":
         """Lay the frozen pieces ``flat`` back to back."""
@@ -83,7 +98,9 @@ class Pieces:
         return self.size
 
     def __getitem__(self, key: slice) -> "np.ndarray | Pieces":
-        lo, hi, _ = key.indices(self.size)
+        lo, hi, step = key.indices(self.size)
+        if step != 1:
+            raise ValueError(f"a Pieces slice takes no step (got {step})")
         piece = self.whole.get(lo)
         if piece is not None and piece.size == hi - lo:
             return piece
@@ -109,6 +126,19 @@ class Pieces:
             out.append(piece if piece is not None and piece.size == nb else self[off : off + nb])
         return out
 
+    def cut(self, sizes: np.ndarray) -> "Pieces":
+        """This table cut again into one piece per entry of ``sizes`` (a
+        reshard's spans, one per old owner, into samples): views, nothing
+        copied.  A sample straddling two pieces is a ``ValueError``."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if self.size != int(sizes.sum()):
+            raise ValueError(f"pieces hold {self.size} bytes, the size table {int(sizes.sum())}")
+        ends = np.cumsum(sizes)
+        samples = self.views((ends - sizes).tolist(), sizes.tolist())
+        if any(isinstance(v, Pieces) for v in samples):
+            raise ValueError("a sample straddles two pieces")
+        return Pieces.__new__(Pieces)._lay(samples)
+
 
 _EMPTY = np.zeros(0, dtype=np.uint8)
 _EMPTY.setflags(write=False)
@@ -121,25 +151,14 @@ class Window:
         self.communicator = communicator
         if set(buffers) != set(range(communicator.size)):
             raise RMAError("window requires exactly one buffer per rank")
-        # rank -> its exposed bytes (a frozen array or a Pieces table),
-        # replaced (never written) by put; ``whole`` is the rank's table of
-        # whole pieces by offset, empty for an array.
-        self.buffers: dict[int, "np.ndarray | Pieces"] = {}
-        self.whole: dict[int, dict] = {}
-        for rank, buf in buffers.items():
-            self.expose(rank, buf)
+        # rank -> its exposed Pieces table, replaced (never written) by put.
+        self.buffers: dict[int, Pieces] = buffers
         # comm rank -> world rank, the batched get's pricing key.
         self.world_ranks = [communicator.world_rank(r) for r in range(communicator.size)]
         self.locks = [
             RWLock(communicator.engine, name=f"win-lock[{r}]")
             for r in range(communicator.size)
         ]
-
-    def expose(self, rank: int, buf) -> None:
-        """Make ``buf`` (frozen here) what ``rank`` exposes."""
-        buf = freeze_buffer(buf)
-        self.buffers[rank] = buf
-        self.whole[rank] = buf.whole if isinstance(buf, Pieces) else {}
 
 
 class WinHandle:
@@ -164,9 +183,8 @@ class WinHandle:
         return self._engine
 
     @property
-    def local(self) -> "np.ndarray | Pieces":
-        """This rank's exposed bytes (a read-only uint8 view or a
-        :class:`Pieces` table)."""
+    def local(self) -> Pieces:
+        """This rank's exposed bytes."""
         return self.window.buffers[self.comm.rank]
 
     # -- lock epochs -------------------------------------------------------
@@ -242,8 +260,8 @@ class WinHandle:
         concurrent issuing threads (loader workers).  Returns the payloads
         in request order, each a read-only view of the target's buffer as
         it is now (a later ``put`` replaces that buffer, it never writes it):
-        on a :class:`Pieces` target, a read of exactly one piece is that
-        piece and a read across pieces a ``Pieces`` of views.
+        a read of exactly one piece is that piece, a read inside one a view
+        of it and a read across pieces a ``Pieces`` of views.
         Per-request latencies land in ``last_latencies``.
 
         ``timeout_s`` bounds each get's observed latency: a get that has
@@ -263,10 +281,9 @@ class WinHandle:
         engine = self._engine
 
         # One pass: MPI's semantic checks per get, in issue order, and the
-        # data — views of the frozen target buffers, a whole piece by one
+        # data — views of the frozen target pieces, a whole piece by one
         # dict lookup (most reads are one whole sample).
         n_ranks, held, buffers, world_rank = comm.size, self._held, window.buffers, window.world_ranks
-        whole = window.whole
         world_ranks, payloads, sizes = [], [], []
         for t, off, nb in rows:
             if not 0 <= t < n_ranks:
@@ -279,7 +296,7 @@ class WinHandle:
                     f"get of [{off}, {off + nb}) exceeds window of rank {t} "
                     f"({buf.size} bytes)"
                 )
-            piece = whole[t].get(off)
+            piece = buf.whole.get(off)
             if piece is None or piece.size != nb:
                 piece = buf[off : off + nb]
             payloads.append(piece)
@@ -329,9 +346,9 @@ class WinHandle:
     def put(self, data: np.ndarray | bytes, target: int, offset: int) -> Generator:
         """Write ``data`` into the target's window (requires exclusive lock).
 
-        Copy-on-write: the target's buffer is replaced by an updated copy
-        (a :class:`Pieces` one by a ``Pieces`` with the same piece bounds),
-        so gets issued before the put keep the bytes they were given.
+        Copy-on-write: the target's table is replaced by an updated copy
+        cut at the same piece bounds, so gets issued before the put keep
+        the bytes they were given.
         """
         self._check_target(target)
         held = self._held.get(target)
@@ -360,12 +377,10 @@ class WinHandle:
         )
         yield engine.timeout(max(0.0, timing.completion - issued))
         # Still the target's buffer: this rank holds its exclusive lock.
-        updated = np.concatenate([_EMPTY, *buf.pieces]) if isinstance(buf, Pieces) else buf.copy()
+        updated = np.concatenate([_EMPTY, *buf.pieces])
         updated[offset : offset + payload.size] = payload
-        if isinstance(buf, Pieces):  # re-cut at the old piece bounds
-            ends = buf.starts.tolist()
-            updated = Pieces(updated[a:b] for a, b in zip(ends, ends[1:]))
-        self.window.expose(target, updated)
+        ends = buf.starts.tolist()
+        self.window.buffers[target] = Pieces(updated[a:b] for a, b in zip(ends, ends[1:]))
         comm.stats.record("MPI_Put", engine.now - issued, int(payload.size))
 
     # -- helpers -----------------------------------------------------------
@@ -374,37 +389,22 @@ class WinHandle:
             raise RMAError(f"target rank {target} out of range (size {self.comm.size})")
 
 
-def create_window(comm: Comm, local_buffer: "np.ndarray | Pieces | bytes | int") -> Generator:
+def create_window(comm: Comm, local_buffer: "Pieces | np.ndarray | bytes | int") -> Generator:
     """Collectively create a window (MPI_Win_create).
 
-    ``local_buffer`` is this rank's exposed memory: a NumPy array, a
-    :class:`Pieces` table, raw bytes, or an integer byte count (allocated
-    zeroed).  The window takes ownership: an array (and every array it is
-    a view of) becomes read-only, and only :meth:`WinHandle.put` changes
-    what the window exposes.  Returns this rank's :class:`WinHandle`.
+    ``local_buffer`` is this rank's exposed memory: a :class:`Pieces`
+    table, or a NumPy array, raw bytes or an integer byte count (allocated
+    zeroed), any of which becomes a one-piece table.  The window takes
+    ownership: an array (and every array it is a view of) becomes
+    read-only, and only :meth:`WinHandle.put` changes what the window
+    exposes.  Returns this rank's :class:`WinHandle`.
     """
-    buf = np.zeros(local_buffer, dtype=np.uint8) if isinstance(local_buffer, int) else local_buffer
-    window = yield from comm.fuse(_build_window, buf, call_name="MPI_Win_create")
+    if isinstance(local_buffer, int):
+        local_buffer = np.zeros(local_buffer, dtype=np.uint8)
+    if not isinstance(local_buffer, Pieces):
+        local_buffer = Pieces([local_buffer])
+    window = yield from comm.fuse(_build_window, local_buffer, call_name="MPI_Win_create")
     return WinHandle(window, comm)
-
-
-def freeze_buffer(buf: "np.ndarray | Pieces | bytes") -> "np.ndarray | Pieces":
-    """Take ownership of ``buf``: return it as a flat ``uint8`` view, with
-    that view and every array it is a view of made read-only.  A
-    :class:`Pieces` table is read-only already and comes back as is; so
-    does a flat contiguous ``uint8`` array, frozen."""
-    if isinstance(buf, Pieces):
-        return buf
-    if isinstance(buf, (bytes, bytearray, memoryview)):
-        buf = np.frombuffer(buf, dtype=np.uint8)
-    flat = buf if buf.dtype == np.uint8 and buf.ndim == 1 and buf.flags.c_contiguous else (
-        np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
-    )
-    arr = flat
-    while isinstance(arr, np.ndarray):
-        arr.setflags(write=False)
-        arr = arr.base
-    return flat
 
 
 def _build_window(communicator: Communicator, buffers: list) -> Window:

@@ -143,8 +143,7 @@ class NVMeShardStore:
         for key, blob in zip(keys, blobs):
             if key in self._entries:
                 continue
-            stored = np.frombuffer(blob, dtype=np.uint8)
-            stored.setflags(write=False)  # a no-op for the read-only views bulk reads return
+            stored = np.frombuffer(blob, dtype=np.uint8)  # read-only: bulk reads return views
             nbytes = int(stored.nbytes)
             if nbytes > self.free_bytes:
                 break

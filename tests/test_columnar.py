@@ -429,12 +429,11 @@ def test_traced_columnar_run_satisfies_critical_path_invariant():
 
 
 def test_local_shape_row_sweeps_headers_and_rejects_mixed_dims():
-    from repro.core import PreloadResult
     from repro.graphs import IsingGenerator, MoleculeGenerator
+    from repro.mpi import Pieces
 
     def chunk(graphs):
-        blobs = [pack_graph(g) for g in graphs]
-        return PreloadResult(blobs, np.array([len(b) for b in blobs], np.int64))
+        return Pieces([pack_graph(g) for g in graphs])
 
     ising = IsingGenerator(3, seed=0)
     graphs = [ising.make(i) for i in range(3)]

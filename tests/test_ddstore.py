@@ -264,12 +264,12 @@ def test_preloaded_chunk_is_the_packed_samples_back_to_back(fmt):
 
     for lo, hi, result, empty in run(main).results:
         # One read-only piece per sample, each that sample's packed bytes.
-        pieces = result.pieces.pieces
+        pieces = result.pieces
         assert [p.tobytes() for p in pieces] == packed[lo:hi]
         assert all(p.dtype == np.uint8 and not p.flags.writeable for p in pieces)
-        assert result.sizes.dtype == np.int64
-        assert result.sizes.tolist() == [len(b) for b in packed[lo:hi]]
-        assert empty.nbytes == 0 and empty.sizes.size == 0
+        assert result.starts.dtype == np.int64
+        assert np.diff(result.starts).tolist() == [len(b) for b in packed[lo:hi]]
+        assert empty.nbytes == 0 and empty.starts.tolist() == [0]
 
 
 def test_preload_takes_nonzero_time():

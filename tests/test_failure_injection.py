@@ -78,10 +78,10 @@ def test_memory_exhaustion_from_overreplication():
 
         def load_chunk(self, indices, node_index, engine):
             yield engine.timeout(0.0)
-            from repro.core.preloader import PreloadResult
+            from repro.mpi import Pieces
 
             buf = np.zeros(5 * 2**30, dtype=np.uint8)  # > node DRAM
-            return PreloadResult([buf], np.array([buf.size // 4] * 4))
+            return Pieces([buf]).cut([buf.size // 4] * 4)
 
     def main(ctx):
         try:

@@ -19,13 +19,12 @@ from repro.core import (
     DDStore,
     FetchStats,
     GeneratorSource,
-    PreloadResult,
     ResilienceOptions,
 )
 from repro.dataplane import FetchOutcome, FetchTimeoutError
 from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
-from repro.mpi import run_world
+from repro.mpi import Pieces, run_world
 
 N = 32  # 4 ranks x 8 samples in the default TESTBOX world
 
@@ -53,8 +52,7 @@ class ZeroMixSource:
     def load_chunk(self, indices, node_index, engine):
         blobs = [self.payload(int(i)) for i in indices]
         yield engine.timeout(1e-6)
-        sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
-        return PreloadResult(blobs, sizes)
+        return Pieces(blobs)
 
 
 class FlakyOnce:

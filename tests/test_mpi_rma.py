@@ -170,28 +170,29 @@ def test_put_requires_exclusive_lock():
 
 
 def test_put_roundtrip_visible_to_target():
-    # Over an array window and over a Pieces window: a put into a Pieces
-    # target leaves it a Pieces cut at the same piece bounds.
+    # A window over an int, an array or bytes exposes a one-piece Pieces
+    # table; a put leaves every target a Pieces cut at its old piece bounds.
     def main(ctx):
-        buf = np.zeros(16, dtype=np.uint8)
-        win = yield from create_window(ctx.comm, buf)
         halves = Pieces([np.zeros(6, np.uint8), np.zeros(10, np.uint8)])
-        table = yield from create_window(ctx.comm, halves)
-        yield from win.fence()
+        wins = []
+        for buf in (16, np.zeros(16, dtype=np.uint8), bytes(16), halves):
+            wins.append((yield from create_window(ctx.comm, buf)))
+        yield from wins[0].fence()
         if ctx.rank == 0:
-            for w in (win, table):
+            for w in wins:
                 yield from w.lock(3, LOCK_EXCLUSIVE)
                 yield from w.put(np.arange(16, dtype=np.uint8), 3, 0)
                 yield from w.unlock(3)
-        yield from win.fence()
-        local = table.local
-        assert isinstance(local, Pieces) and local.starts.tolist() == [0, 6, 16]
-        return win.local.copy(), b"".join(local.views([0, 6], [6, 10]))
+        yield from wins[0].fence()
+        tables = [w.local for w in wins]
+        assert all(isinstance(t, Pieces) for t in tables)
+        return [t.starts.tolist() for t in tables], [b"".join(t.pieces) for t in tables]
 
     job = run(main)
-    assert np.array_equal(job.results[3][0], np.arange(16, dtype=np.uint8))
-    assert job.results[3][1] == bytes(range(16))
-    assert np.all(job.results[1][0] == 0) and job.results[1][1] == bytes(16)
+    for rank, data in ((3, bytes(range(16))), (1, bytes(16))):
+        starts, contents = job.results[rank]
+        assert starts == [[0, 16]] * 3 + [[0, 6, 16]]
+        assert contents == [data] * 4
 
 
 def test_get_batch_order_and_contents():
@@ -199,7 +200,8 @@ def test_get_batch_order_and_contents():
     # only.  Over a Pieces window (three "samples" per rank, views of one
     # source blob) a whole-piece read is the piece itself, and a read across
     # pieces — over RMA and over the two-sided transport alike — is sliced
-    # per piece into the pieces themselves, never gathered.
+    # per piece into the pieces themselves, never gathered, and re-cut per
+    # sample into them too.  A slice takes no step.
     from repro.dataplane import P2PTransport
 
     def main(ctx):
@@ -229,6 +231,13 @@ def test_get_batch_order_and_contents():
             assert [p.ctypes.data for p in part.pieces] == [
                 pieces[0].ctypes.data + 2, pieces[1].ctypes.data
             ]
+            with pytest.raises(ValueError, match="step"):
+                span[::2]  # an ndarray would give every other byte
+            cut = span.cut([4, 0, 6, 3, 0])  # zero-size samples, one at the edge
+            assert [p.size for p in cut.pieces] == [4, 0, 6, 3, 0]
+            assert cut.pieces[0] is pieces[0] and cut.pieces[2] is pieces[1]
+            with pytest.raises(ValueError, match="straddles"):
+                span.cut([2, 11])
         yield from ctx.comm.barrier()
         yield from p2p.shutdown()
         return [int(p[0]) for p in out[:3]], win.last_latencies.tolist(), waited
@@ -266,9 +275,10 @@ def test_a_get_is_a_snapshot():
             early = yield from win.get(1, 0, 8)
             yield from win.unlock(1)
             assert not early.flags.writeable
-            assert np.shares_memory(early, win.window.buffers[1])
+            (exposed,) = win.window.buffers[1].pieces  # an array window is one piece
+            assert np.shares_memory(early, exposed)
             with pytest.raises(ValueError, match="read-only"):
-                win.window.buffers[1][:] = 255
+                exposed[:] = 255
             with pytest.raises(ValueError, match="read-only"):
                 early[:] = 255
             with pytest.raises(ValueError, match="read-only"):
@@ -281,7 +291,7 @@ def test_a_get_is_a_snapshot():
             yield from win.lock(1, LOCK_SHARED)
             late = yield from win.get(1, 0, 8)
             yield from win.unlock(1)
-            assert not win.window.buffers[1].flags.writeable
+            assert not any(p.flags.writeable for p in win.window.buffers[1].pieces)
             return early.tolist(), late.tolist()
         return None
 

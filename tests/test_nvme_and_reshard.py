@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DDStore, GeneratorSource, StoreClosedError
 from repro.graphs import IsingGenerator, MoleculeGenerator
 from repro.hardware import NVMeDevice, TEST_NVME, TESTBOX
-from repro.mpi import run_world
+from repro.mpi import Pieces, run_world
 from repro.sim import Engine
 from repro.storage import CFFReader, pack_graph, write_cff
 from repro.storage.staging import stage_to_nvme
@@ -363,12 +363,8 @@ class _BlobSource:
         self.n_samples = len(self.blobs)
 
     def load_chunk(self, indices, node_index, engine):
-        from repro.core.preloader import PreloadResult
-
         yield engine.timeout(1e-6)
-        bs = [self.blobs[int(i)] for i in indices]
-        sizes = np.fromiter((len(b) for b in bs), dtype=np.int64, count=len(bs))
-        return PreloadResult([np.frombuffer(b, dtype=np.uint8) for b in bs], sizes)
+        return Pieces(self.blobs[int(i)] for i in indices)
 
 
 def _blobs_from_sizes(sizes):
@@ -377,7 +373,8 @@ def _blobs_from_sizes(sizes):
 
 def _reshard_blobs(sizes, framework):
     """Reshard a _BlobSource store 4 -> 2 and read everything back raw;
-    also say whether each piece the new window exposes is a source blob's
+    also say whether the new window holds one piece per sample of its
+    chunk (zero-size ones at a chunk edge included), each a source blob's
     bytes in place (the reshard copies nothing)."""
     from repro.core import DataPlaneOptions
 
@@ -393,8 +390,11 @@ def _reshard_blobs(sizes, framework):
         )
         new = yield from store.reshard(width=2)
         got = yield from new.get_samples(range(len(blobs)), decode="raw")
-        pieces = [p for p in new.transport.local_buffer().pieces if p.size]
-        in_place = all(homes.get(p.ctypes.data) == p.size for p in pieces)
+        local = new.transport.local_buffer()
+        lo, hi = new.layout.chunk_range(new.group_comm.rank)
+        in_place = np.diff(local.starts).tolist() == sizes[lo:hi] and all(
+            homes.get(p.ctypes.data) == p.size for p in local.pieces if p.size
+        )
         yield from new.shutdown()
         return [bytes(g.tobytes()) for g in got], in_place
 
@@ -407,12 +407,13 @@ def test_reshard_paths_byte_identical_with_zero_size_samples(framework):
     # mpi-rma redistributes via one bulk span per overlapped owner;
     # p2p cannot serve arbitrary byte spans and takes the per-sample
     # fallback.  Both must reproduce every blob exactly — including the
-    # zero-size samples whose spans collapse to nothing.
+    # zero-size samples whose spans collapse to nothing (an old chunk edge
+    # falls between two of them, and new chunk 0 ends on one).
     sizes = [5, 0, 3, 0, 0, 7, 1, 0, 9, 2, 0, 4, 6, 0, 8, 3]
     blobs, results = _reshard_blobs(sizes, framework)
     for got, in_place in results:
         assert got == blobs
-        assert in_place  # every new window piece views a source blob
+        assert in_place  # one piece per sample, each viewing a source blob
 
 
 @settings(max_examples=6, deadline=None)

@@ -31,7 +31,6 @@ from repro.core import (
     DDStore,
     DDStoreDataset,
     GeneratorSource,
-    PreloadResult,
     ReaderSource,
     ResilienceOptions,
     ServingOptions,
@@ -75,8 +74,7 @@ class ReferenceSource:
     def load_chunk(self, indices, node_index, engine):
         blobs = [np.frombuffer(self.blobs[int(i)], np.uint8) for i in indices]
         yield engine.timeout(1e-6)
-        sizes = np.fromiter((b.size for b in blobs), dtype=np.int64, count=len(blobs))
-        return PreloadResult(blobs, sizes)
+        return Pieces(blobs)
 
 
 def _counters(cache) -> tuple:

@@ -447,8 +447,11 @@ def test_planner_scatter_roundtrip_byte_identical(case, coalesce, fair_interleav
                     else:
                         glued.append((lo, hi))
                 assert glued == _requested_runs(requests, target, buf_len)
-    # Serve every planned read straight out of the per-target buffers.
+    # Serve every planned read out of the per-target buffers as a private
+    # copy, read-only as the Transport contract says every payload is.
     payloads = [buffers[t][off : off + nbytes].copy() for t, off, nbytes in reads]
+    for payload in payloads:
+        payload.setflags(write=False)
     outcome = FetchOutcome(
         payloads=payloads,
         latencies=np.zeros(len(payloads), dtype=np.float64),
