@@ -117,20 +117,20 @@ def _generate(dataset: str, seed: int, image: CFFImage, n: int) -> CFFImage:
     """``image`` grown to the first ``n`` samples of a registry dataset.
 
     Every sample is a pure function of ``(dataset, seed, index)``, so the
-    new range splits into contiguous shares with no change to the bytes:
-    this process packs the first and a forked child each other one.  A
-    child writes its size table and then its bytes to a pipe.  With every
-    size table in hand the parent grows the image (:meth:`CFFImage.extend`),
-    writes its own share and reads each child's bytes straight into that
-    child's slots, so no buffer but the parent's own share holds new bytes
-    twice.  A failed child makes this raise, naming its range; every child
-    is reaped (killed first, on failure) before return.
+    new range splits into contiguous shares with no change to the bytes.
+    One worker packs the whole range in this process; more each get a
+    forked child, which writes its share's size table and then its bytes
+    to a pipe.  With every size table in hand this process grows the image
+    (:meth:`CFFImage.extend`) and reads each child's bytes straight into
+    that child's slots, so no new byte is held twice.  A failed child makes
+    this raise, naming its range; every child is reaped (killed first, on
+    failure) before return.
     """
     lo, hi = image.n_samples, n
     gen = DATASETS[dataset].make(hi, seed)
     k = _n_workers(hi - lo)
     cuts = [lo + (hi - lo) * j // k for j in range(k + 1)]
-    spans = list(zip(cuts[1:-1], cuts[2:]))  # the children's shares
+    spans = list(zip(cuts[:-1], cuts[1:])) if k > 1 else []  # the children's shares
     shares = [f"generating {dataset} samples [{a}, {b})" for a, b in spans]
     pipes, pids = [], []
     try:
@@ -144,7 +144,7 @@ def _generate(dataset: str, seed: int, image: CFFImage, n: int) -> CFFImage:
             finally:
                 os.close(w)
             pids.append(pid)
-        own = [pack_graph(gen.make(i)) for i in range(cuts[0], cuts[1])]
+        own = [pack_graph(gen.make(i)) for i in range(lo, hi)] if k == 1 else []
         sizes = [np.fromiter(map(len, own), np.int64, len(own))]
         for pipe, (a, b), share in zip(pipes, spans, shares):
             sizes.append(np.empty(b - a, np.int64))
@@ -263,6 +263,12 @@ class ExperimentConfig:
             _check(name, getattr(self, name))
         if self.n_samples is not None:
             _check("n_samples", self.n_samples)
+        _check("cache_bytes", self.cache_bytes, 0)
+        if self.tiers is not None and self.cache_bytes:
+            raise ValueError(
+                f"tiers={self.tiers!r} spells the whole hierarchy; it does not mix "
+                f"with cache_bytes={self.cache_bytes}"
+            )
         if self.fault_plan is not None:
             from ..faults import available_fault_plans
 
@@ -288,13 +294,10 @@ class ExperimentConfig:
         """The nested-options DDStore configuration this cell runs with."""
         from ..core import CacheOptions
 
-        # One spelling reaches DataPlaneOptions: tiers (cache_bytes too,
-        # so a cell that sets both is refused) or the DRAM shorthand.
         cache = (
-            dict(cache=CacheOptions.parse(self.tiers, policy=self.cache_policy),
-                 cache_bytes=self.cache_bytes)
-            if self.tiers is not None
-            else dict(cache_bytes=self.cache_bytes, cache_policy=self.cache_policy)
+            CacheOptions.dram_only(self.cache_bytes, self.cache_policy)
+            if self.tiers is None
+            else CacheOptions.parse(self.tiers, policy=self.cache_policy)
         )
         return DDStoreConfig(
             self.n_ranks,
@@ -306,7 +309,7 @@ class ExperimentConfig:
                 scheduler=self.scheduler,
                 node_fetch=self.node_fetch,
                 columnar=self.columnar,
-                **cache,
+                cache=cache,
             ),
             resilience=ResilienceOptions(timeout_s=self.timeout_s, failover=self.failover),
         )

@@ -226,19 +226,16 @@ class DataPlaneOptions:
     pipeline (no epoch-ahead scheduling).
 
     The sample cache has one configuration, :attr:`cache_options` (a
-    :class:`CacheOptions`), and two spellings of it:
+    :class:`CacheOptions`), spelled one of two ways:
 
     * ``cache`` — the :class:`CacheOptions` itself, any hierarchy
-      (GPU-pinned → DRAM → NVMe) with its own ``policy``,
-    * ``cache_bytes`` / ``cache_policy`` — shorthand for the hierarchy
-      that ends at DRAM: ``cache_bytes=N, cache_policy=p`` *is*
-      ``cache=CacheOptions.parse("dram:N", policy=p)`` (``"lru"``, the
-      default, or ``"belady"`` — farthest-reuse eviction against the
-      known epoch access sequence, LRU order until one is supplied), and
-      the default ``cache_bytes=0`` is the cache switched off.
+      (GPU-pinned → DRAM → NVMe) with its own ``policy`` (``"lru"`` or
+      ``"belady"``),
+    * ``cache_bytes=N`` — shorthand for an LRU cache of one ``N``-byte
+      DRAM tier, ``CacheOptions.dram_only(N)``; the default
+      ``cache_bytes=0`` is the cache switched off.
 
-    The spellings do not mix: ``cache=`` with ``cache_bytes > 0`` or a
-    non-default ``cache_policy`` is refused, never half-read.
+    ``cache=`` beside ``cache_bytes > 0`` is refused, never half-read.
 
     The epoch-ahead knobs:
 
@@ -274,7 +271,6 @@ class DataPlaneOptions:
     cache_bytes: int = 0
     prefetch_depth: int = 1
     scheduler: bool = False
-    cache_policy: str = "lru"
     columnar: bool = False
     cache: Optional[CacheOptions] = None
     node_fetch: bool = False
@@ -291,13 +287,12 @@ class DataPlaneOptions:
         if self.cache is not None:
             if not isinstance(self.cache, CacheOptions):
                 raise TypeError(f"cache must be CacheOptions, got {type(self.cache)!r}")
-            if self.cache_bytes or self.cache_policy != "lru":
+            if self.cache_bytes:
                 raise ValueError(
-                    "cache= spells the whole hierarchy, its policy included; "
-                    "it does not mix with cache_bytes/cache_policy, got "
-                    f"cache_bytes={self.cache_bytes}, cache_policy={self.cache_policy!r}"
+                    "cache= spells the whole hierarchy; it does not mix with "
+                    f"cache_bytes, got cache_bytes={self.cache_bytes}"
                 )
-        cache = self.cache_options  # validates cache_policy
+        cache = self.cache_options
         if self.scheduler and not cache.dram_bytes:
             raise ValueError(
                 "scheduler=True parks wave-prefetched samples in the sample "
@@ -324,7 +319,7 @@ class DataPlaneOptions:
         """The sample-cache configuration both spellings resolve to."""
         if self.cache is not None:
             return self.cache
-        return CacheOptions.dram_only(self.cache_bytes, self.cache_policy)
+        return CacheOptions.dram_only(self.cache_bytes)
 
 
 @dataclass(frozen=True)

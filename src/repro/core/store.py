@@ -754,8 +754,8 @@ class _StoreSource:
     read per sample — the same trick the CFF preloader uses on files.
     Each read comes back as views of the old window's pieces, which
     :meth:`~repro.mpi.Pieces.cut` cuts per sample: the new store exposes
-    the old store's pieces, copying nothing.  Transports that cannot serve
-    arbitrary byte spans (two-sided p2p) fall back to per-sample fetches.
+    the old store's pieces, copying nothing.  Both transports serve any
+    byte span, so this is the one path on either.
     """
 
     read_chunk_raw = None  # no files behind it
@@ -769,17 +769,8 @@ class _StoreSource:
         """``indices`` is the new chunk's ``range(lo, hi)`` (what
         :meth:`DDStore.create` hands every source)."""
         store = self.store
-        # An empty chunk pays no get_samples round, on either path.
         if not indices:
             return Pieces([])
-        if not store.transport.supports_coalescing:
-            blobs = yield from store.get_samples(
-                list(indices), decode="raw", n_workers=self.n_workers
-            )
-            # One piece per blob, zero-size ones included: they occupy
-            # registry slots even though they hold no bytes.
-            return Pieces(blobs)
-
         lo, hi = indices.start, indices.stop
         reg, bounds = store.registry, store.layout.bounds
         # One byte span per overlapped old chunk: ``[lo, hi)`` cut at the

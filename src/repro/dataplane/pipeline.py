@@ -95,9 +95,6 @@ def fetch(h, reads, n_streams: int) -> Generator:
     """
     lane, health = h._lane, h._health
     ladder: dict[str, int] = {}
-    if lane is None and not health:
-        # Everything grantable, nothing to steer: one transport call.
-        return (yield from _issue(h, reads, n_streams, ladder)), ladder
     engine = h.comm.engine
     queue_wait = 0.0
     parts = []  # (rows of ``reads``, sub-fetch outcome)

@@ -24,7 +24,7 @@ drives four coordinated optimisations:
    and one RMA lock epoch per target per wave instead of per
    ``get_samples`` call.  Payloads land in the hot-sample cache; the
    wave's per-batch loads chain behind the wave fetch and hit the cache.
-3. **future-fed Belady eviction** — with ``cache_policy="belady"`` the
+3. **future-fed Belady eviction** — with a ``policy="belady"`` cache the
    scheduler installs the flattened access sequence into the cache
    (:meth:`~.cache.TieredCache.set_future`) and advances its logical
    clock as batch loads start, so evictions discard the entry whose next

@@ -51,8 +51,9 @@ class Transport(abc.ABC):
 
     #: the config ``framework`` value selecting this class
     name: ClassVar[str]
-    #: True when arbitrary coalesced byte ranges can be served in bulk;
-    #: False forces the planner into one-read-per-sample mode.
+    #: False puts the planner in one-read-per-sample mode and refuses
+    #: ``node_fetch``.  Every transport serves any byte span either way
+    #: (a reshard reads one span per overlapped old chunk).
     supports_coalescing: ClassVar[bool] = True
 
     @classmethod
@@ -218,8 +219,9 @@ class P2PTransport(Transport):
 
     Every fetch needs the *target's* cooperation, which costs a polling
     delay while the target is busy training — the §3.1 argument for RMA.
-    Reads stay one-per-sample (``supports_coalescing = False``) to match
-    the rejected design's request/reply granularity.
+    Planned reads stay one-per-sample (``supports_coalescing = False``) to
+    match the rejected design's request/reply granularity; the responder
+    still serves any span it is asked for, as a reshard's bulk reads are.
     """
 
     name = "p2p"

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel underlying the DDStore reproduction."""
 
 from .engine import AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout
-from .resources import FluidStation, QueueStation, Request, Resource, RWLock, Store
+from .resources import FluidStation, QueueStation, RWLock
 from .rng import BlockDraws, RngRegistry, derive_seed, stream
 
 __all__ = [
@@ -13,10 +13,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "Resource",
-    "Request",
     "RWLock",
-    "Store",
     "QueueStation",
     "FluidStation",
     "RngRegistry",

@@ -1,69 +1,28 @@
 """Shared-resource primitives for the discrete-event kernel.
 
-Three building blocks used across the simulated machine:
+The three building blocks the simulated machine uses:
 
-* :class:`Resource` — a counted resource with a FIFO wait queue (e.g. the
-  slots of a NIC or a metadata server's service threads).
+* :class:`RWLock` — a reader-writer lock with a FIFO wait queue per
+  class, the model of an MPI RMA window lock.
 * :class:`QueueStation` - an *analytic* single-server FIFO queue that hands
   out completion times in O(1) without creating events, used on hot paths
   (per-sample RMA gets, per-file PFS reads) where creating a heap event per
   request would dominate runtime.  This follows the hpc-parallel guidance of
   vectorising inner loops: batched arrivals are served with one NumPy pass.
-* :class:`Store` — an unbounded FIFO channel of Python objects with
-  blocking ``get``.
+* :class:`FluidStation` — a bucketed fluid queue for links priced
+  batch-at-a-time out of call order (the NICs).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import Engine, Event, SimulationError
 
-__all__ = ["Resource", "Request", "Store", "QueueStation", "FluidStation", "RWLock"]
-
-
-class Request(Event):
-    """Event returned by :meth:`Resource.request`; triggers on acquisition."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.engine, name=("request:{.name}", resource))
-        self.resource = resource
-
-
-class Resource:
-    """A capacity-limited resource with a FIFO queue of waiting requests."""
-
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = "resource") -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._waiters: deque[Request] = deque()
-
-    def request(self) -> Request:
-        req = Request(self)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            req.succeed(self)
-        else:
-            self._waiters.append(req)
-        return req
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            nxt = self._waiters.popleft()
-            nxt.succeed(self)
-        else:
-            self.in_use -= 1
+__all__ = ["QueueStation", "FluidStation", "RWLock"]
 
 
 class RWLock:
@@ -127,33 +86,6 @@ class RWLock:
         while self._wait_readers:
             self.readers += 1
             self._wait_readers.popleft().succeed(self)
-
-
-class Store:
-    """Unbounded FIFO object channel: ``put`` never blocks, ``get`` may."""
-
-    def __init__(self, engine: Engine, name: str = "store") -> None:
-        self.engine = engine
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = Event(self.engine, name=("get:{.name}", self))
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class QueueStation:

@@ -13,7 +13,7 @@ data.  A shard is self-describing and versioned:
     y_dim       u32
     4 x field descriptor:
         field   16s  zero-padded ascii field name
-        codec   16s  zero-padded ascii chunk-codec name
+        codec   16s  zero-padded ascii codec name (always ``raw``)
         enc     u64  encoded payload bytes
         raw     u64  raw payload bytes
     sample_id   i64[n_samples]
@@ -25,18 +25,15 @@ data.  A shard is self-describing and versioned:
                                    indices, stored as two planes)
     y            column payload   (raw: f32[n_samples * y_dim])
 
-Per-field payloads pass through a pluggable *chunk codec* picked from a
-registry (``register_chunk_codec``).  Built-ins: ``raw`` (identity),
-``byteshuffle`` (byte-transpose, a shuffle-filter stand-in), and ``rle``
-(byte run-length, a compression stand-in).  New codecs register under a
-name and old shards keep decoding — the descriptor records what was used.
+Every column is stored ``raw``: the descriptor keeps a codec-name slot,
+and a shard naming any other codec is refused on unpack.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,10 +45,6 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "FIELDS",
-    "ChunkCodec",
-    "register_chunk_codec",
-    "get_chunk_codec",
-    "available_chunk_codecs",
     "ColumnarShard",
     "pack_shard",
     "pack_columns",
@@ -69,116 +62,12 @@ _FIELD_DESC = struct.Struct("<16s16sQQ")  # field name, codec name, enc bytes, r
 #: Column order inside a shard, and field ids used by the arena scatter maps.
 FIELDS = ("positions", "node_features", "edge_index", "y")
 
-_FIELD_ITEMSIZE = {"positions": 4, "node_features": 4, "edge_index": 4, "y": 4}
 _FIELD_DTYPE = {
     "positions": np.float32,
     "node_features": np.float32,
     "edge_index": np.int32,
     "y": np.float32,
 }
-
-# ---------------------------------------------------------------------------
-# chunk codec registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChunkCodec:
-    """A reversible byte transform applied to one field column.
-
-    ``encode``/``decode`` take ``(payload_bytes, itemsize)`` — the itemsize
-    lets shuffle-style filters transpose without guessing the element width.
-    """
-
-    name: str
-    encode: Callable[[bytes, int], bytes]
-    decode: Callable[[bytes, int], bytes]
-
-
-_CHUNK_CODECS: dict[str, ChunkCodec] = {}
-
-
-def register_chunk_codec(codec: ChunkCodec) -> None:
-    """Add a codec to the registry; re-registering a name replaces it."""
-    if not codec.name or len(codec.name.encode("ascii", "replace")) > 16:
-        raise ValueError(f"codec name must be 1-16 ascii bytes, got {codec.name!r}")
-    _CHUNK_CODECS[codec.name] = codec
-
-
-def get_chunk_codec(name: str) -> ChunkCodec:
-    try:
-        return _CHUNK_CODECS[name]
-    except KeyError:
-        raise CodecError(
-            f"unknown chunk codec {name!r}; available: {available_chunk_codecs()}"
-        ) from None
-
-
-def available_chunk_codecs() -> tuple[str, ...]:
-    return tuple(sorted(_CHUNK_CODECS))
-
-
-def _identity(data: bytes, itemsize: int) -> bytes:
-    return data
-
-
-def _byteshuffle_encode(data: bytes, itemsize: int) -> bytes:
-    if itemsize <= 1 or not data:
-        return bytes(data)
-    arr = np.frombuffer(data, np.uint8)
-    if arr.size % itemsize:
-        raise CodecError(f"payload of {arr.size} bytes is not a multiple of itemsize {itemsize}")
-    return np.ascontiguousarray(arr.reshape(-1, itemsize).T).tobytes()
-
-
-def _byteshuffle_decode(data: bytes, itemsize: int) -> bytes:
-    if itemsize <= 1 or not data:
-        return bytes(data)
-    arr = np.frombuffer(data, np.uint8)
-    if arr.size % itemsize:
-        raise CodecError(f"payload of {arr.size} bytes is not a multiple of itemsize {itemsize}")
-    return np.ascontiguousarray(arr.reshape(itemsize, -1).T).tobytes()
-
-
-def _rle_encode(data: bytes, itemsize: int) -> bytes:
-    """Byte run-length encoding: (count u8, value u8) pairs, runs capped at 255."""
-    if not data:
-        return b""
-    arr = np.frombuffer(data, np.uint8)
-    boundaries = np.flatnonzero(np.diff(arr)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [arr.size]))
-    counts = []
-    values = []
-    for s, e in zip(starts, ends):
-        run = int(e - s)
-        v = int(arr[s])
-        while run > 255:
-            counts.append(255)
-            values.append(v)
-            run -= 255
-        counts.append(run)
-        values.append(v)
-    out = np.empty((len(counts), 2), np.uint8)
-    out[:, 0] = counts
-    out[:, 1] = values
-    return out.tobytes()
-
-
-def _rle_decode(data: bytes, itemsize: int) -> bytes:
-    if not data:
-        return b""
-    pairs = np.frombuffer(data, np.uint8)
-    if pairs.size % 2:
-        raise CodecError("truncated RLE stream")
-    pairs = pairs.reshape(-1, 2)
-    return np.repeat(pairs[:, 1], pairs[:, 0]).tobytes()
-
-
-register_chunk_codec(ChunkCodec("raw", _identity, _identity))
-register_chunk_codec(ChunkCodec("byteshuffle", _byteshuffle_encode, _byteshuffle_decode))
-register_chunk_codec(ChunkCodec("rle", _rle_encode, _rle_decode))
-
 
 # ---------------------------------------------------------------------------
 # shard size / layout helpers
@@ -192,7 +81,7 @@ def shard_packed_size(
     feature_dim: int,
     output_dim: int,
 ) -> int:
-    """Exact byte size of a shard when every column uses the ``raw`` codec."""
+    """Exact byte size of a shard."""
     return (
         _SHARD_HEADER.size
         + len(FIELDS) * _FIELD_DESC.size
@@ -228,19 +117,6 @@ def row_field_layout(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_codecs(codecs) -> dict[str, str]:
-    chosen = {name: "raw" for name in FIELDS}
-    if codecs is None:
-        return chosen
-    if isinstance(codecs, str):
-        return {name: codecs for name in FIELDS}
-    unknown = set(codecs) - set(FIELDS)
-    if unknown:
-        raise CodecError(f"unknown fields in codec map: {sorted(unknown)}")
-    chosen.update(codecs)
-    return chosen
-
-
 def pack_columns(
     sample_ids: np.ndarray,
     n_nodes: np.ndarray,
@@ -249,8 +125,6 @@ def pack_columns(
     node_features: np.ndarray,
     edge_index: np.ndarray,
     y: np.ndarray,
-    *,
-    codecs: dict[str, str] | str | None = None,
 ) -> bytes:
     """Serialise already-concatenated columns into one AGRC shard.
 
@@ -278,32 +152,15 @@ def pack_columns(
     if edge_index.shape[1] != total_edges:
         raise CodecError(f"edge_index cols {edge_index.shape[1]} != total edges {total_edges}")
 
-    chosen = _resolve_codecs(codecs)
-    raw_payloads = {
-        "positions": np.ascontiguousarray(positions).tobytes(),
-        "node_features": np.ascontiguousarray(node_features).tobytes(),
-        "edge_index": np.ascontiguousarray(edge_index).tobytes(),
-        "y": np.ascontiguousarray(y).tobytes(),
-    }
-    parts = [
-        _SHARD_HEADER.pack(MAGIC, VERSION, 0, n, f_dim, y_dim),
+    payloads = [
+        np.ascontiguousarray(positions).tobytes(),
+        np.ascontiguousarray(node_features).tobytes(),
+        np.ascontiguousarray(edge_index).tobytes(),
+        np.ascontiguousarray(y).tobytes(),
     ]
-    descs = []
-    payloads = []
-    for name in FIELDS:
-        codec = get_chunk_codec(chosen[name])
-        raw = raw_payloads[name]
-        enc = codec.encode(raw, _FIELD_ITEMSIZE[name])
-        descs.append(
-            _FIELD_DESC.pack(
-                name.encode("ascii").ljust(16, b"\x00"),
-                codec.name.encode("ascii").ljust(16, b"\x00"),
-                len(enc),
-                len(raw),
-            )
-        )
-        payloads.append(enc)
-    parts.extend(descs)
+    parts = [_SHARD_HEADER.pack(MAGIC, VERSION, 0, n, f_dim, y_dim)]
+    for name, raw in zip(FIELDS, payloads):
+        parts.append(_FIELD_DESC.pack(name.encode("ascii"), b"raw", len(raw), len(raw)))
     parts.append(sample_ids.tobytes())
     parts.append(n_nodes.tobytes())
     parts.append(n_edges.tobytes())
@@ -311,11 +168,7 @@ def pack_columns(
     return b"".join(parts)
 
 
-def pack_shard(
-    graphs: Sequence[AtomicGraph] | Iterable[AtomicGraph],
-    *,
-    codecs: dict[str, str] | str | None = None,
-) -> bytes:
+def pack_shard(graphs: Sequence[AtomicGraph] | Iterable[AtomicGraph]) -> bytes:
     """Serialise a sequence of graphs into one columnar shard."""
     graphs = list(graphs)
     if not graphs:
@@ -339,7 +192,6 @@ def pack_shard(
         if int(n_edges.sum())
         else np.zeros((2, 0), np.int32),
         np.stack([g.y for g in graphs], axis=0),
-        codecs=codecs,
     )
 
 
@@ -369,7 +221,6 @@ class ColumnarShard:
     node_features: np.ndarray  # (N_total, f) f32
     edge_index: np.ndarray  # (2, E_total) i32, per-sample local indices
     y: np.ndarray  # (n, y) f32
-    codecs: dict[str, str] = field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
@@ -437,25 +288,18 @@ def unpack_shard(buf) -> ColumnarShard:
         "y": 4 * n * y_dim,
     }
     columns: dict[str, np.ndarray] = {}
-    codecs: dict[str, str] = {}
     for fname, cname, enc_nbytes, raw_nbytes in descs:
-        if raw_nbytes != expected_raw[fname]:
+        if cname != "raw":
+            raise CodecError(f"field {fname!r}: unknown codec {cname!r}; columns are raw")
+        if not enc_nbytes == raw_nbytes == expected_raw[fname]:
             raise CodecError(
-                f"field {fname!r}: descriptor says {raw_nbytes} raw bytes, "
+                f"field {fname!r}: descriptor says {enc_nbytes}/{raw_nbytes} bytes, "
                 f"shapes imply {expected_raw[fname]}"
             )
-        if len(mv) < off + enc_nbytes:
+        if len(mv) < off + raw_nbytes:
             raise CodecError(f"truncated shard: field {fname!r} payload")
-        enc = bytes(mv[off : off + enc_nbytes])
-        off += enc_nbytes
-        raw = get_chunk_codec(cname).decode(enc, _FIELD_ITEMSIZE[fname])
-        if len(raw) != raw_nbytes:
-            raise CodecError(
-                f"field {fname!r}: codec {cname!r} decoded {len(raw)} bytes, "
-                f"expected {raw_nbytes}"
-            )
-        columns[fname] = np.frombuffer(raw, _FIELD_DTYPE[fname])
-        codecs[fname] = cname
+        columns[fname] = np.frombuffer(bytes(mv[off : off + raw_nbytes]), _FIELD_DTYPE[fname])
+        off += raw_nbytes
     return ColumnarShard(
         sample_ids=sample_ids,
         n_nodes=n_nodes,
@@ -466,5 +310,4 @@ def unpack_shard(buf) -> ColumnarShard:
         node_features=columns["node_features"].reshape(total_nodes, f_dim),
         edge_index=columns["edge_index"].reshape(2, total_edges),
         y=columns["y"].reshape(n, y_dim),
-        codecs=codecs,
     )

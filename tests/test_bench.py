@@ -34,20 +34,23 @@ from repro.storage import CFFImage, CFFReader, VirtualFS, write_pff
 # resident set of the process it was forked from.
 _GROWTH_PEAK = """
 import hashlib
+import sys
 from repro.bench import harness
 
 def kb(field):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(field))
 
+steps = int(sys.argv[1])
 harness._image("aisd-ex-discrete", 0, 8)  # the generator's first-use state
+workers = harness._n_workers(4088 // steps)
 base = kb("VmRSS:")
-for k in range(1, 9):
-    harness._image("aisd-ex-discrete", 0, 8 + 511 * k)
+for k in range(1, steps + 1):
+    harness._image("aisd-ex-discrete", 0, 8 + 4088 * k // steps)
 image = harness._IMAGES[("aisd-ex-discrete", 0)]
 for view in image.subfiles:
     hashlib.sha256(view)  # every page of the image resident
-print((kb("VmHWM:") - base) * 1024 / sum(map(len, image.subfiles)))
+print((kb("VmHWM:") - base) * 1024 / sum(map(len, image.subfiles)), workers)
 """
 
 
@@ -201,14 +204,20 @@ def test_packed_blobs_cached_and_deterministic(monkeypatch):
     assert empty.n_samples == sum(map(len, empty.subfiles)) == 0 and empty.blobs == []
 
     # Nor does a growth hold a second buffer: in a fresh interpreter, growing
-    # an image in eight steps and then reading all of it raises the peak
-    # resident set by under 1.3x the image's bytes (repacking behind a copy
-    # read 2x).
+    # an image to 4,096 samples in one step or in eight and then reading all
+    # of it raises the peak resident set by under 1.3x the image's bytes
+    # (repacking behind a copy read 2x; a parent that packed a share of a
+    # one-step growth itself, 1.57x on two cores).  Generated inline, a
+    # growth holds its packed samples once before the image knows their
+    # sizes, so only the eight-step case is bounded there.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    ratio = subprocess.run(
-        [sys.executable, "-c", _GROWTH_PEAK], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert float(ratio) <= 1.3, ratio
+    for steps in ("1", "8"):
+        ratio, workers = subprocess.run(
+            [sys.executable, "-c", _GROWTH_PEAK, steps],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        if steps == "8" or int(workers) > 1:
+            assert float(ratio) <= 1.3, (steps, ratio, workers)
 
     # Both generation paths build one image, byte for byte, whatever this
     # host's core count: forked workers (three shares) and inline, each

@@ -1,6 +1,6 @@
 """Tests for the zero-copy columnar byte path.
 
-Covers the AGRC shard codec and its chunk-codec registry, the batch
+Covers the AGRC shard codec (raw columns only), the batch
 arena / pool, the arena scatter planner, the cache's column mode, and —
 the tentpole invariant — byte-identical GraphBatch tensors between the
 row-decode pipeline and the columnar arena-scatter pipeline over every
@@ -18,11 +18,9 @@ from repro.hardware import TESTBOX
 from repro.mpi import run_world
 from repro.storage import HEADER_NBYTES, CodecError, pack_graph, unpack_graph
 from repro.storage.columnar import (
-    ChunkCodec,
-    available_chunk_codecs,
+    FIELDS,
     pack_shard,
     peek_shard_header,
-    register_chunk_codec,
     row_field_layout,
     shard_packed_size,
     unpack_shard,
@@ -57,33 +55,29 @@ def test_shard_roundtrip_every_generator(name):
         assert shard.graph(i).allclose(g)
 
 
-@pytest.mark.parametrize("codec", ["raw", "byteshuffle", "rle"])
+@pytest.mark.parametrize("codec", ["raw"])  # the one codec a column is stored in
 def test_shard_roundtrip_chunk_codecs(codec):
     graphs = make_graphs(n=3)
-    blob = pack_shard(graphs, codecs=codec)
+    blob = pack_shard(graphs)
+    # Every field descriptor names the codec: field name, then codec name.
+    for name in FIELDS:
+        at = blob.index(name.encode("ascii").ljust(16, b"\x00")) + 16
+        assert blob[at : at + 16] == codec.encode("ascii").ljust(16, b"\x00")
     shard = unpack_shard(blob)
-    assert shard.codecs == {f: codec for f in shard.codecs}
-    for i, g in enumerate(graphs):
-        assert shard.graph(i).allclose(g)
-
-
-def test_shard_per_field_codec_map():
-    graphs = make_graphs(n=3)
-    blob = pack_shard(graphs, codecs={"edge_index": "rle", "positions": "byteshuffle"})
-    shard = unpack_shard(blob)
-    assert shard.codecs["edge_index"] == "rle"
-    assert shard.codecs["positions"] == "byteshuffle"
-    assert shard.codecs["y"] == "raw"
     for i, g in enumerate(graphs):
         assert shard.graph(i).allclose(g)
 
 
 def test_shard_unknown_codec_and_field_raise():
-    graphs = make_graphs(n=2)
-    with pytest.raises(CodecError):
-        pack_shard(graphs, codecs="no-such-codec")
-    with pytest.raises(CodecError):
-        pack_shard(graphs, codecs={"not_a_field": "raw"})
+    """A shard whose descriptor names a codec other than ``raw``, or a
+    field out of :data:`FIELDS`, is refused."""
+    packed = pack_shard(make_graphs(n=2))
+    at = packed.index(b"edge_index".ljust(16, b"\x00"))
+    for lo, name, match in ((at + 16, b"rle", "unknown codec 'rle'"), (at, b"edges", "field order")):
+        blob = bytearray(packed)
+        blob[lo : lo + 16] = name.ljust(16, b"\x00")
+        with pytest.raises(CodecError, match=match):
+            unpack_shard(bytes(blob))
 
 
 def test_shard_header_validation():
@@ -93,28 +87,6 @@ def test_shard_header_validation():
     blob[:4] = b"NOPE"
     with pytest.raises(CodecError):
         unpack_shard(bytes(blob))
-
-
-def test_codec_registry_extension_point():
-    """A new codec registers under a name and old names keep decoding."""
-    xor = ChunkCodec(
-        "xor42",
-        lambda data, itemsize: bytes(b ^ 42 for b in data),
-        lambda data, itemsize: bytes(b ^ 42 for b in data),
-    )
-    register_chunk_codec(xor)
-    try:
-        assert "xor42" in available_chunk_codecs()
-        graphs = make_graphs(n=2)
-        shard = unpack_shard(pack_shard(graphs, codecs="xor42"))
-        for i, g in enumerate(graphs):
-            assert shard.graph(i).allclose(g)
-        # Pre-existing raw shards still decode with the enlarged registry.
-        assert unpack_shard(pack_shard(graphs)).graph(0).allclose(graphs[0])
-    finally:
-        from repro.storage.columnar import _CHUNK_CODECS
-
-        _CHUNK_CODECS.pop("xor42", None)
 
 
 def test_row_field_layout_tiles_record():

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import client
 from repro.core import (
+    CacheOptions,
     DataLoader,
     DataPlaneOptions,
     DDStore,
@@ -61,10 +62,9 @@ def _epoch(ctx, node_fetch, *, columnar=False, cache_policy="lru",
         _source(ctx, n=n),
         width=width,  # 2 = two replica groups: gives the ladder a failover target
         dataplane=DataPlaneOptions(
-            cache_bytes=1 << 20,
+            cache=CacheOptions.dram_only(1 << 20, cache_policy),
             scheduler=True,
             prefetch_depth=depth,
-            cache_policy=cache_policy,
             columnar=columnar,
             node_fetch=node_fetch,
         ),

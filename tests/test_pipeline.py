@@ -9,8 +9,8 @@
   plain stores and session views — and the cache's three residency
   probes (demand hit, stats-silent wave residency, leader peek) against
   the same reference.
-* ``cache_bytes=N, cache_policy=p`` and ``cache=CacheOptions("dram:N",
-  policy=p)`` are one configuration: same batches, stats and virtual time.
+* ``cache_bytes=N`` and ``cache=CacheOptions("dram:N")`` are one
+  configuration: same batches, stats and virtual time.
 * Two accounting regressions the pasted copies of the pipeline had:
   node waves dropped the tenant's DRR queue wait, and wave paths charged
   stages they never traced.
@@ -52,9 +52,9 @@ PACKED = {i: pack_graph(GEN.make(i)) for i in range(N)}
 FIELDS = ("positions", "node_features", "edge_index", "y")
 
 CACHES = {
-    "lru": dict(cache_bytes=1 << 20, cache_policy="lru"),
-    "lru-tight": dict(cache_bytes=6 << 10, cache_policy="lru"),  # forces eviction
-    "belady": dict(cache_bytes=1 << 20, cache_policy="belady"),
+    "lru": dict(cache_bytes=1 << 20),
+    "lru-tight": dict(cache_bytes=6 << 10),  # forces eviction
+    "belady": dict(cache=CacheOptions.dram_only(1 << 20, "belady")),
     "dram": dict(cache=CacheOptions.parse("dram:6k", policy="belady")),
     "dram+nvme": dict(cache=CacheOptions.parse("dram:8k+nvme:4m")),
     "gpu+dram+nvme": dict(cache=CacheOptions.parse("gpu:4k+dram:8k+nvme:4m")),
@@ -370,10 +370,9 @@ def test_nothing_ever_writes_a_dataset_byte(base, columnar, cache, framework, no
         assert unchanged, "a window buffer or VFS file changed after create"
     if not scheduled:  # (a wave's row blobs count too)
         # The counter counts row blobs handed out — views included, one per
-        # sample whether local or wire — and nothing else.  (A p2p reshard
-        # pulls each new chunk through ``get_samples``: two groups x N.)
+        # sample whether local or wire — and nothing else.
         rows = 0 if columnar else 4 * (2 + reshard) * sum(map(len, base))
-        assert SAMPLE_ALLOCATIONS.count == rows + 2 * N * (reshard and framework == "p2p")
+        assert SAMPLE_ALLOCATIONS.count == rows
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +492,12 @@ def test_every_charged_stage_is_traced(columnar):
 @pytest.mark.parametrize("served", [False, True], ids=["store", "served"])
 @pytest.mark.parametrize("scheduler", [False, True], ids=["demand", "waves"])
 @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
-@pytest.mark.parametrize("policy", ["lru", "belady"])
+@pytest.mark.parametrize("policy", ["lru"])  # the one policy the shorthand spells
 def test_the_two_cache_spellings_are_one_configuration(policy, columnar, scheduler, served):
-    """``cache_bytes=N, cache_policy=p`` is ``cache=CacheOptions("dram:N",
-    policy=p)``: byte-identical batches, equal ``FetchStats`` (counters,
-    stage seconds and latencies) and equal virtual elapsed.  The budget holds two batches
-    of a depth-4 wave, so eviction, Belady admission and the wave byte-cap
-    all get exercised."""
+    """``cache_bytes=N`` is ``cache=CacheOptions("dram:N")``: byte-identical
+    batches, equal ``FetchStats`` (counters, stage seconds and latencies)
+    and equal virtual elapsed.  The budget holds two batches of a depth-4
+    wave, so eviction and the wave byte-cap get exercised."""
     nbytes = 64 << 10
 
     def run_with(**cache_kw):
@@ -531,7 +529,7 @@ def test_the_two_cache_spellings_are_one_configuration(policy, columnar, schedul
 
         return run_world(TESTBOX, 2, main, world=World(TESTBOX, 2, seed=0)).results
 
-    shorthand = run_with(cache_bytes=nbytes, cache_policy=policy)
+    shorthand = run_with(cache_bytes=nbytes)
     hierarchy = run_with(cache=CacheOptions.parse(f"dram:{nbytes}", policy=policy))
     assert shorthand == hierarchy
     assert sum(stats[0]["n_cache_hits"] for _seen, stats, _now in shorthand)  # the cache engaged

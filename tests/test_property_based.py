@@ -77,7 +77,6 @@ def columnar_shards(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     N, E = int(n_nodes.sum()), int(n_edges.sum())
-    codec = draw(st.sampled_from(["raw", "byteshuffle", "rle"]))
     return dict(
         sample_ids=rng.integers(0, 2**40, size=n).astype(np.int64),
         n_nodes=n_nodes,
@@ -86,7 +85,6 @@ def columnar_shards(draw):
         node_features=rng.normal(size=(N, f)).astype(np.float32),
         edge_index=rng.integers(0, max(N, 1), size=(2, E)).astype(np.int32),
         y=rng.normal(size=(n, out)).astype(np.float32),
-        codec=codec,
     )
 
 
@@ -95,17 +93,14 @@ def columnar_shards(draw):
 def test_columnar_shard_roundtrip_including_degenerates(case):
     from repro.storage.columnar import pack_columns, shard_packed_size, unpack_shard
 
-    codec = case.pop("codec")
-    blob = pack_columns(**case, codecs=codec)
-    if codec == "raw":
-        # packed_size cross-check only holds for the identity codec.
-        assert len(blob) == shard_packed_size(
-            case["sample_ids"].size,
-            int(case["n_nodes"].sum()),
-            int(case["n_edges"].sum()),
-            case["node_features"].shape[1],
-            case["y"].shape[1],
-        )
+    blob = pack_columns(**case)
+    assert len(blob) == shard_packed_size(
+        case["sample_ids"].size,
+        int(case["n_nodes"].sum()),
+        int(case["n_edges"].sum()),
+        case["node_features"].shape[1],
+        case["y"].shape[1],
+    )
     shard = unpack_shard(blob)
     assert np.array_equal(shard.sample_ids, case["sample_ids"])
     assert np.array_equal(shard.n_nodes, case["n_nodes"])
@@ -116,15 +111,15 @@ def test_columnar_shard_roundtrip_including_degenerates(case):
     assert np.array_equal(shard.y, case["y"])
 
 
-@given(atomic_graphs(), st.sampled_from(["raw", "byteshuffle", "rle"]))
+@given(atomic_graphs())
 @settings(max_examples=40, deadline=None)
-def test_columnar_shard_agrees_with_row_codec(g, codec):
+def test_columnar_shard_agrees_with_row_codec(g):
     # The same graph through both codecs round-trips to the same values;
-    # the raw shard size and the sum of row packed sizes differ only by
+    # the shard size and the sum of row packed sizes differ only by
     # the layout overhead (shard header/descriptors/index vs row headers).
     from repro.storage.columnar import pack_shard, shard_packed_size, unpack_shard
 
-    shard = unpack_shard(pack_shard([g, g], codecs=codec))
+    shard = unpack_shard(pack_shard([g, g]))
     assert shard.graph(0).allclose(unpack_graph(pack_graph(g)))
     assert shard.graph(1).allclose(g)
     raw_size = shard_packed_size(2, 2 * g.n_nodes, 2 * g.n_edges, g.feature_dim, g.output_dim)

@@ -309,7 +309,7 @@ def _run_epochs(ctx, carried, *, columnar, policy, tiered, node_fetch, depth,
     if tiered:
         cache_kw = dict(cache=CacheOptions.parse("gpu:8k+dram:16k+nvme:4m", policy=policy))
     else:
-        cache_kw = dict(cache_bytes=1 << 20, cache_policy=policy)
+        cache_kw = dict(cache=CacheOptions.dram_only(1 << 20, policy))
     store = yield from DDStore.create(
         ctx.comm,
         _source(ctx, n=64),

@@ -280,8 +280,7 @@ def test_concurrent_tenants_get_exactly_their_own_bytes():
     "dataplane, policy",
     [
         (DataPlaneOptions(cache_bytes=1 << 20), "lru"),
-        (DataPlaneOptions(cache_bytes=1 << 20, cache_policy="belady"), "belady"),
-        # The hierarchy carries its own policy; ``cache_policy`` stays "lru".
+        (DataPlaneOptions(cache=CacheOptions.dram_only(1 << 20, "belady")), "belady"),
         (DataPlaneOptions(cache=CacheOptions.parse("dram:1m+nvme:4m", policy="belady")), "belady"),
     ],
     ids=["cache_bytes", "cache_bytes-belady", "cache-belady"],

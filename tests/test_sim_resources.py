@@ -3,60 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import Engine, QueueStation, Resource, RWLock, SimulationError, Store
-
-
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
-
-def test_resource_serialises_users():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    spans = []
-
-    def user(tag):
-        req = res.request()
-        yield req
-        start = eng.now
-        yield eng.timeout(2)
-        res.release()
-        spans.append((tag, start, eng.now))
-
-    for tag in range(3):
-        eng.process(user(tag))
-    eng.run()
-    assert spans == [(0, 0.0, 2.0), (1, 2.0, 4.0), (2, 4.0, 6.0)]
-
-
-def test_resource_capacity_two_overlaps():
-    eng = Engine()
-    res = Resource(eng, capacity=2)
-    finished = []
-
-    def user(tag):
-        yield res.request()
-        yield eng.timeout(2)
-        res.release()
-        finished.append((tag, eng.now))
-
-    for tag in range(4):
-        eng.process(user(tag))
-    eng.run()
-    assert [t for _, t in finished] == [2.0, 2.0, 4.0, 4.0]
-
-
-def test_resource_release_when_idle_raises():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_invalid_capacity():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        Resource(eng, capacity=0)
+from repro.sim import Engine, QueueStation, RWLock, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -148,60 +95,6 @@ def test_rwlock_release_errors():
 
 
 # ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-def test_store_put_then_get():
-    eng = Engine()
-    st = Store(eng)
-    st.put("x")
-    got = []
-
-    def getter():
-        value = yield st.get()
-        got.append(value)
-
-    eng.process(getter())
-    eng.run()
-    assert got == ["x"]
-
-
-def test_store_get_blocks_until_put():
-    eng = Engine()
-    st = Store(eng)
-    got = []
-
-    def getter():
-        value = yield st.get()
-        got.append((value, eng.now))
-
-    def putter():
-        yield eng.timeout(5)
-        st.put("late")
-
-    eng.process(getter())
-    eng.process(putter())
-    eng.run()
-    assert got == [("late", 5.0)]
-
-
-def test_store_fifo_order():
-    eng = Engine()
-    st = Store(eng)
-    for i in range(3):
-        st.put(i)
-    got = []
-
-    def getter():
-        for _ in range(3):
-            got.append((yield st.get()))
-
-    eng.process(getter())
-    eng.run()
-    assert got == [0, 1, 2]
-
-
-# ---------------------------------------------------------------------------
 # QueueStation
 # ---------------------------------------------------------------------------
 
@@ -278,10 +171,9 @@ def test_event_labels_are_built_on_read():
 
     lock = RWLock(eng, name="win[3]")
     assert repr(lock.acquire_exclusive()) == "<Event 'win[3]:exclusive' triggered>"
-    assert repr(lock.acquire_shared()) == "<Event 'win[3]:shared' pending>"
-
-    nic = Resource(eng, capacity=1, name="nic")
-    assert repr(nic.request()) == "<Request 'request:nic' triggered>"
-    assert repr(nic.request()) == "<Request 'request:nic' pending>"
-    assert repr(Store(eng, name="q").get()) == "<Event 'get:q' pending>"
+    shared = lock.acquire_shared()
+    assert repr(shared) == "<Event 'win[3]:shared' pending>"
+    lock.name = "win[4]"  # the label reads the lock's name when it is read
+    lock.release_exclusive()
+    assert repr(shared) == "<Event 'win[4]:shared' triggered>"
     assert repr(eng.event("plain")) == "<Event 'plain' pending>"

@@ -88,9 +88,8 @@ def test_cache_options_rejects_bad_specs():
 
 
 def test_cache_bytes_is_shorthand_for_a_dram_only_hierarchy():
-    for policy in ("lru", "belady"):
-        flat = DataPlaneOptions(cache_bytes=1 << 20, cache_policy=policy)
-        assert flat.cache_options == CacheOptions.parse("dram:1m", policy=policy)
+    flat = DataPlaneOptions(cache_bytes=1 << 20)
+    assert flat.cache_options == CacheOptions.parse("dram:1m") == CacheOptions.dram_only(1 << 20)
     off = DataPlaneOptions().cache_options  # cache-off is the empty hierarchy
     assert off.tiers == () and off.dram_bytes == 0
     cache = CacheOptions.parse("dram:4m")
@@ -99,21 +98,25 @@ def test_cache_bytes_is_shorthand_for_a_dram_only_hierarchy():
 
 
 def test_cache_spellings_do_not_mix():
-    """``cache=`` is the whole hierarchy, its policy included: a shorthand
-    field beside it is refused, never silently dropped."""
+    """``cache=`` is the whole hierarchy, its policy included: the
+    shorthand beside it is refused, never silently dropped."""
     cache = CacheOptions.parse("dram:4m")
     with pytest.raises(ValueError, match="does not mix"):
         DataPlaneOptions(cache_bytes=1 << 20, cache=cache)
-    with pytest.raises(ValueError, match="does not mix"):
-        DataPlaneOptions(cache_policy="belady", cache=cache)
     belady = CacheOptions.parse("dram:4m", policy="belady")
     assert DataPlaneOptions(cache=belady).cache_options.policy == "belady"
     from repro.bench import ExperimentConfig
 
     with pytest.raises(ValueError, match="does not mix"):
         ExperimentConfig(n_nodes=1, tiers="dram:4m", cache_bytes=1 << 20)
+    with pytest.raises(ValueError, match="cache_bytes"):
+        ExperimentConfig(n_nodes=1, cache_bytes=-1)
+    # A cell hands the store one spelling, cache=, whichever fields it sets.
     tiered = ExperimentConfig(n_nodes=1, tiers="dram:4m", cache_policy="belady")
-    assert tiered.ddstore_config().dataplane.cache_options == belady
+    flat = ExperimentConfig(n_nodes=1, cache_bytes=4 << 20, cache_policy="belady")
+    for cfg in (tiered, flat):
+        dataplane = cfg.ddstore_config().dataplane
+        assert dataplane.cache == belady and dataplane.cache_bytes == 0
 
 
 # ---------------------------------------------------------------------------

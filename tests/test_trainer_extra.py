@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CacheOptions,
     DataLoader,
     DataPlaneOptions,
     DDStore,
@@ -134,7 +135,7 @@ def _wave_setup(ctx, epochs=None, real=False):
         ctx.comm,
         src,
         dataplane=DataPlaneOptions(
-            cache_bytes=1 << 20, scheduler=True, prefetch_depth=4, cache_policy="belady"
+            cache=CacheOptions.dram_only(1 << 20, "belady"), scheduler=True, prefetch_depth=4
         ),
     )
     model = HydraGNN(

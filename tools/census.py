@@ -24,7 +24,7 @@ It then parses every module under ``src/repro`` and prints each function
 totals, and the line count of ``src/repro`` (every module's lines).
 A function that ``perf/layers.TARGETS`` wraps is marked ``[perf]``: it
 can only go with a change to the benchmark, so the totals line also
-counts the unpinned ones.  The result lists candidates, not verdicts:
+counts the unpinned functions and their body lines.  The result lists candidates, not verdicts:
 grep each one (a test may be its only caller on purpose) before
 deleting it.
 
@@ -420,7 +420,7 @@ def main() -> int:
         _, cell_modules = run_drives(tmp, [[sys.executable, script]], "cell")
     pinned = perf_pinned()
     total_fns = total_lines = src_lines = 0
-    never_fns = never_lines = never_pinned = 0
+    never_fns = never_lines = never_pinned = pinned_lines = 0
     paper: dict[str, list[int]] = {}  # subpackage -> [entered, imported] body lines
     for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"), recursive=True)):
         found, n_lines = functions(path)
@@ -436,6 +436,7 @@ def main() -> int:
             for line, qual, body in missing:
                 mark = "  [perf]" if (path, qual) in pinned else ""
                 never_pinned += bool(mark)
+                pinned_lines += body if mark else 0
                 print(f"  {line:5d}  {qual}  {body}{mark}")
             never_fns += len(missing)
             never_lines += sum(body for _, _, body in missing)
@@ -446,7 +447,8 @@ def main() -> int:
     print(
         f"never entered: {never_fns} of {total_fns} functions "
         f"({never_fns - never_pinned} not pinned by perf), "
-        f"{never_lines} of {total_lines} body lines"
+        f"{never_lines} of {total_lines} body lines "
+        f"({never_lines - pinned_lines} not pinned by perf)"
     )
     print(f"src/repro: {src_lines} lines")
     print("paper drives: body lines entered of the modules they import")
