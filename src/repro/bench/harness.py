@@ -118,19 +118,31 @@ def _generate(dataset: str, seed: int, image: CFFImage, n: int) -> CFFImage:
 
     Every sample is a pure function of ``(dataset, seed, index)``, so the
     new range splits into contiguous shares with no change to the bytes.
-    One worker packs the whole range in this process; more each get a
-    forked child, which writes its share's size table and then its bytes
-    to a pipe.  With every size table in hand this process grows the image
-    (:meth:`CFFImage.extend`) and reads each child's bytes straight into
-    that child's slots, so no new byte is held twice.  A failed child makes
-    this raise, naming its range; every child is reaped (killed first, on
-    failure) before return.
+    One worker packs the range in this process an eighth at a time and
+    grows the image by each eighth before packing the next: the image's
+    layout does not depend on how its growth is cut, and no more than an
+    eighth is held packed beside it.
+    More workers each get a forked child, which writes its share's size
+    table and then its bytes to a pipe.  With every size table in hand this
+    process grows the image (:meth:`CFFImage.extend`) and reads each
+    child's bytes straight into that child's slots, so no new byte is held
+    twice.  A failed child makes this raise, naming its range; every child
+    is reaped (killed first, on failure) before return.
     """
     lo, hi = image.n_samples, n
     gen = DATASETS[dataset].make(hi, seed)
     k = _n_workers(hi - lo)
+    if k == 1:
+        step = -(-(hi - lo) // 8)
+        for a in range(lo, hi, step):
+            blobs = [pack_graph(gen.make(i)) for i in range(a, min(a + step, hi))]
+            image, slots = image.extend(np.fromiter(map(len, blobs), np.int64, len(blobs)))
+            for slot, blob in zip(slots, blobs):
+                slot[:] = blob
+            del blobs  # before the next eighth is packed
+        return image
     cuts = [lo + (hi - lo) * j // k for j in range(k + 1)]
-    spans = list(zip(cuts[:-1], cuts[1:])) if k > 1 else []  # the children's shares
+    spans = list(zip(cuts[:-1], cuts[1:]))  # the children's shares
     shares = [f"generating {dataset} samples [{a}, {b})" for a, b in spans]
     pipes, pids = [], []
     try:
@@ -144,15 +156,10 @@ def _generate(dataset: str, seed: int, image: CFFImage, n: int) -> CFFImage:
             finally:
                 os.close(w)
             pids.append(pid)
-        own = [pack_graph(gen.make(i)) for i in range(lo, hi)] if k == 1 else []
-        sizes = [np.fromiter(map(len, own), np.int64, len(own))]
+        sizes = np.empty(hi - lo, np.int64)
         for pipe, (a, b), share in zip(pipes, spans, shares):
-            sizes.append(np.empty(b - a, np.int64))
-            _read_into(pipe, memoryview(sizes[-1]).cast("B"), share)
-        image, slots = image.extend(np.concatenate(sizes))
-        for slot, blob in zip(slots, own):
-            slot[:] = blob
-        del own
+            _read_into(pipe, memoryview(sizes[a - lo : b - lo]).cast("B"), share)
+        image, slots = image.extend(sizes)
         for pipe, (a, b), share in zip(pipes, spans, shares):
             for slot in slots[a - lo : b - lo]:
                 _read_into(pipe, slot, share)

@@ -273,6 +273,40 @@ def test_unknown_framework_error_mentions_framework():
         DDStoreConfig(4, dataplane=DataPlaneOptions(framework="carrier-pigeon"))
 
 
+def test_both_transports_serve_any_byte_span():
+    """A reshard's bulk read asks an old owner for one byte span across many
+    samples, on either transport (only planned reads differ: p2p's stay one
+    per sample).  Each returns exactly the owner's bytes for a span inside
+    one sample, across a sample edge, of the whole chunk and of nothing."""
+
+    def _bytes(payload):
+        parts = payload.pieces if isinstance(payload, Pieces) else [payload]
+        return b"".join(p.tobytes() for p in parts)
+
+    for framework in FRAMEWORKS:
+
+        def main(ctx):
+            store = yield from DDStore.create(
+                ctx.comm, _source(ctx), dataplane=DataPlaneOptions(framework=framework)
+            )
+            local = store.transport.local_buffer()
+            target = (store.group_comm.rank + 1) % store.group_comm.size
+            lo, hi = store.layout.chunk_range(target)
+            first = int(store.registry.offsets[lo + 1] - store.registry.offsets[lo])
+            size = int(store.registry.offsets[hi] - store.registry.offsets[lo])
+            spans = [(1, 3), (first - 2, 5), (0, size), (first, 0), (size - 1, 1)]
+            reads = np.array([(target + store._group_base, o, n) for o, n in spans], np.int64)
+            outcome = yield from store.transport.fetch(reads)
+            yield from ctx.comm.barrier()  # every responder stays up until all have read
+            yield from store.shutdown()
+            return target, spans, [_bytes(p) for p in outcome.payloads], _bytes(local)
+
+        results = run(main).results
+        for target, spans, got, _own in results:
+            owned = results[target][3]
+            assert got == [owned[o : o + n] for o, n in spans], framework
+
+
 def test_third_party_transport_pluggable_without_touching_store(monkeypatch):
     """The store names no transport class: a third-party transport swapped
     into the table is the fetch path of every store created afterwards."""

@@ -9,8 +9,9 @@
   plain stores and session views — and the cache's three residency
   probes (demand hit, stats-silent wave residency, leader peek) against
   the same reference.
-* ``cache_bytes=N`` and ``cache=CacheOptions("dram:N")`` are one
-  configuration: same batches, stats and virtual time.
+* ``cache_bytes=N`` (LRU), ``CacheOptions.dram_only(N, p)`` and
+  ``cache=CacheOptions("dram:N", policy=p)`` are one configuration: same
+  batches, stats and virtual time.
 * Two accounting regressions the pasted copies of the pipeline had:
   node waves dropped the tenant's DRR queue wait, and wave paths charged
   stages they never traced.
@@ -300,6 +301,21 @@ def test_nothing_ever_writes_a_dataset_byte(base, columnar, cache, framework, no
     reshard) every window buffer and VFS file still has its at-create
     sha256, every delivered sample equals the reference ``pack_graph``
     bytes, and every sample requested was served exactly once."""
+    _epochs_write_nothing(base, columnar, cache, framework, node_fetch, reshard)
+
+
+@pytest.mark.parametrize("reshard", [False, True], ids=["one-layout", "reshard"])
+@pytest.mark.parametrize("framework", ["mpi-rma", "p2p"])
+@pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
+def test_uncached_epochs_allocate_only_row_blobs(columnar, framework, reshard):
+    """Every combination whose sample-allocation count the property above
+    asserts (no cache), run rather than left to its random draws: a row
+    blob is counted once per sample handed out, a columnar arena counts
+    none, and a reshard on either transport allocates no sample of its own."""
+    _epochs_write_nothing([[0, 3, 5], [7, 1], [2, 2, 6]], columnar, None, framework, False, reshard)
+
+
+def _epochs_write_nothing(base, columnar, cache, framework, node_fetch, reshard):
     ref = ReferenceSource()
     scheduled = cache is not None
 
@@ -492,12 +508,15 @@ def test_every_charged_stage_is_traced(columnar):
 @pytest.mark.parametrize("served", [False, True], ids=["store", "served"])
 @pytest.mark.parametrize("scheduler", [False, True], ids=["demand", "waves"])
 @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
-@pytest.mark.parametrize("policy", ["lru"])  # the one policy the shorthand spells
+@pytest.mark.parametrize("policy", ["lru", "belady"])
 def test_the_two_cache_spellings_are_one_configuration(policy, columnar, scheduler, served):
-    """``cache_bytes=N`` is ``cache=CacheOptions("dram:N")``: byte-identical
-    batches, equal ``FetchStats`` (counters, stage seconds and latencies)
-    and equal virtual elapsed.  The budget holds two batches of a depth-4
-    wave, so eviction and the wave byte-cap get exercised."""
+    """The one-number spelling of a DRAM cache is ``cache=CacheOptions(
+    "dram:N", policy=p)``: byte-identical batches, equal ``FetchStats``
+    (counters, stage seconds and latencies) and equal virtual elapsed.  That
+    spelling is ``cache_bytes=N`` for LRU, and ``CacheOptions.dram_only(N,
+    p)`` (what ``ExperimentConfig(cache_bytes=N, cache_policy=p)`` hands the
+    store) for any policy.  The budget holds two batches of a depth-4 wave,
+    so eviction, Belady admission and the wave byte-cap all get exercised."""
     nbytes = 64 << 10
 
     def run_with(**cache_kw):
@@ -529,7 +548,10 @@ def test_the_two_cache_spellings_are_one_configuration(policy, columnar, schedul
 
         return run_world(TESTBOX, 2, main, world=World(TESTBOX, 2, seed=0)).results
 
-    shorthand = run_with(cache_bytes=nbytes)
+    if policy == "lru":
+        shorthand = run_with(cache_bytes=nbytes)
+    else:
+        shorthand = run_with(cache=CacheOptions.dram_only(nbytes, policy))
     hierarchy = run_with(cache=CacheOptions.parse(f"dram:{nbytes}", policy=policy))
     assert shorthand == hierarchy
     assert sum(stats[0]["n_cache_hits"] for _seen, stats, _now in shorthand)  # the cache engaged
