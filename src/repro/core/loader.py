@@ -16,7 +16,10 @@ Two dataset backends cover the paper's comparison matrix:
 Both deliver identical graphs, which the integration tests verify.  With
 ``stats_only=True`` (what the bench harness passes) either one returns
 shape summaries instead of decoded graphs at the same virtual cost, and
-the loader collates them into a :class:`BatchStats`.
+the loader collates them into a :class:`BatchStats`.  On a columnar
+store that summary is the arena's shape table: the arena copies its
+bytes on the first field read, so a stats-only batch copies none while
+its ``scatter`` stage is charged all the same.
 """
 
 from __future__ import annotations
@@ -335,10 +338,10 @@ class DataLoader:
         """Coroutine: fetch + collate one batch; returns :class:`LoadedBatch`."""
         engine = self.ctx.engine
         if self.dataset.columnar:
-            # Columnar fast path: the batch was assembled field-wise in the
-            # arena during the fetch, so "batching" is just the view wrap —
-            # the per-byte concatenate term disappears (it was paid, more
-            # cheaply, inside the scatter stage).
+            # Columnar fast path: the fetch charged the arena's field-wise
+            # assembly (its scatter stage), so "batching" is just the view
+            # wrap — the per-byte concatenate term disappears.  The bytes
+            # move on the first field read, which a stats batch never makes.
             arena, result = yield from self.dataset.fetch_arena(indices)
             t0 = engine.now
             if self.dataset.stats_only:

@@ -466,13 +466,15 @@ class DDStore:
     def get_batch_arena(
         self, indices: Sequence[int], arena: BatchArena, n_workers: int = 1
     ) -> Generator:
-        """Fetch ``indices`` scattering payload bytes straight into ``arena``.
+        """Fetch ``indices`` into ``arena``: their payload views are
+        recorded on it and scattered straight into its buffers on the
+        first field read.
 
         The columnar hot path: no per-sample ndarray is ever allocated and
         the "decode" stage disappears; in its place one vectorised
         "scatter" pass (segment copies + the edge-index shift) is charged
-        via :func:`~repro.storage.scatter_time`.  Requires the columnar
-        data plane (``DataPlaneOptions(columnar=True)``), which replicates
+        via :func:`~repro.storage.scatter_time`, read or not.  Requires the
+        columnar data plane (``DataPlaneOptions(columnar=True)``), which replicates
         the shape index at create time.  Returns the per-sample latency
         array; the batch itself is read out of ``arena``
         (``collate(arena=...)``).

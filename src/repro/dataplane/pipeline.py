@@ -38,7 +38,9 @@ import numpy as np
 from ..graphs import SAMPLE_ALLOCATIONS, BatchArena
 from ..storage import HEADER_NBYTES, SampleStats, decode_time, scatter_time, unpack_graph
 from .cache import TierStats
+from .planner import arena_segments
 from .retry import FetchTimeoutError, fetch_with_retry
+from .stats import FETCH_COUNTERS
 from .transport import FetchOutcome
 
 __all__ = ["assemble", "book", "fetch", "get_rows", "get_arena", "wave"]
@@ -283,6 +285,8 @@ def _strip_header(blob: np.ndarray) -> np.ndarray:
 
 
 # -- accounting: one call's stages, spans, stats and metrics -----------------
+#: The ``FetchStats`` fields a call's counts are booked to.
+_STATS_COUNTERS = frozenset(FETCH_COUNTERS)
 #: The ``FetchStats`` counters the deltas of :func:`_cache_mark` land in.
 _CACHE_COUNTERS = ("n_cache_hits", "n_cache_misses", "n_cache_evictions", "bytes_cache_hits")
 #: The ``ddstore.tier`` counters, in the order of :func:`_tier_mark`'s values.
@@ -361,9 +365,8 @@ class _Call:
         metrics-only)."""
         if n:
             self.counts[name] = self.counts.get(name, 0) + n
-            fields = self.stats.__dict__
-            if name in fields:
-                fields[name] += n
+            if name in _STATS_COUNTERS:
+                setattr(self.stats, name, getattr(self.stats, name) + n)
 
     def spend(self, stage: str, seconds: float, **args) -> Generator:
         """Wait out ``seconds`` of ``stage`` work, charge it, and record its
@@ -588,40 +591,42 @@ class _RowSink:
 
 
 class _ArenaSink:
-    """Arena scatter: scatter destinations — ``(field, offset)`` pairs in
-    the arena's preallocated buffers — derive from the registry's shape
-    index *before* any bytes move, so local copies, cache hits, promoted
-    shards and wire payloads all land directly in their final batch
-    position.  No per-sample ndarray is ever allocated."""
+    """Arena fill: each sample's bytes — local pieces, cache hits, promoted
+    shards, wire payloads, all read-only views — are recorded on the arena
+    as ``(position, sample_lo, sample_hi, source)``, and the arena copies
+    them to their final batch position on its first field read (through
+    the ``plan_arena`` map its ``reset`` was given).  The ``scatter``
+    stage is charged here, whether or not anything reads the batch.  No
+    per-sample ndarray is ever allocated."""
 
     column = True
 
     def __init__(self, h, idx, arena: BatchArena) -> None:
         shapes = h.registry.shapes
         sids, nn, ne = h.registry.shape_batch(idx)
-        arena.reset(nn, ne, shapes.feature_dim, shapes.output_dim, sids)
+        dims = (shapes.feature_dim, shapes.output_dim)
+        arena.reset(nn, ne, *dims, sids, plan=h.planner.plan_arena)
         self.h, self.idx, self.arena = h, idx, arena
-        self.smap = h.planner.plan_arena(nn, ne, shapes.feature_dim, shapes.output_dim)
-        self.fields = tuple(arena.field_bytes[name] for name in BatchArena._FIELDS)
+        self.n_segments = arena_segments(nn, ne, *dims)
         self.sizes = None  # set by the demand driver once the batch is located
 
     def local(self, positions, buf, offsets) -> None:
-        scatter, fields, sizes = self.smap.scatter, self.fields, self.sizes[positions].tolist()
+        record, sizes = self.arena.record, self.sizes[positions].tolist()
         views = buf.views(offsets[positions].tolist(), sizes)
         for p, nb, view in zip(positions.tolist(), sizes, views):
-            scatter(p, 0, nb, view, fields)
+            record(p, 0, nb, view)
 
     def place(self, found) -> None:
         # Column payloads start where the record header would end.
-        scatter, fields = self.smap.scatter, self.fields
+        record = self.arena.record
         for p, payload in found:
-            scatter(p, HEADER_NBYTES, HEADER_NBYTES + int(payload.nbytes), payload, fields)
+            record(p, HEADER_NBYTES, HEADER_NBYTES + int(payload.nbytes), payload)
 
     def empty(self, positions) -> None:
         pass
 
     def wire(self, plan, outcome, latencies, positions) -> None:
-        scatter, fields = self.smap.scatter, self.fields
+        record = self.arena.record
         cache, keys, payloads = self.h.cache, self.idx, outcome.payloads
         read, position, sample_offset, read_offset, nbytes = plan.slices.T
         # A whole sample in one slice parks its column bytes for future
@@ -633,7 +638,7 @@ class _ArenaSink:
             read_offset.tolist(), nbytes.tolist(), whole.tolist(),
         ):
             piece = payloads[r][lo : lo + nb]
-            scatter(p, at, at + nb, piece, fields)
+            record(p, at, at + nb, piece)
             if one:
                 park_keys.append(int(keys[p]))
                 park_payloads.append(_strip_header(piece))
@@ -643,11 +648,10 @@ class _ArenaSink:
             segment_max(latencies, position, outcome.latencies[read], single=bool(whole.all()))
 
     def finish(self, call: _Call, latencies, workers: int) -> Generator:
-        arena, smap, n = self.arena, self.smap, self.idx.size
-        arena.shift_edges()
-        nbytes = int(self.sizes.sum()) + int(arena.edge_index.nbytes)
-        wait = scatter_time(self.h._machine, nbytes, smap.n_segments) / workers
-        yield from call.spend("scatter", wait, n=int(n), n_segments=smap.n_segments)
+        n, n_segments = self.idx.size, self.n_segments
+        nbytes = int(self.sizes.sum()) + 8 * int(self.arena.edge_ptr[-1])  # + the edge shift
+        wait = scatter_time(self.h._machine, nbytes, n_segments) / workers
+        yield from call.spend("scatter", wait, n=int(n), n_segments=n_segments)
         latencies += wait / n
         return latencies
 

@@ -33,6 +33,7 @@ __all__ = [
     "FetchPlanner",
     "NodeWavePlan",
     "ArenaScatterMap",
+    "arena_segments",
     "plan_promotions",
 ]
 
@@ -49,8 +50,9 @@ class ArenaScatterMap:
     ``field_id``.  A sample contributes up to five segments — positions,
     features, edge sources, edge targets (the two edge planes interleave
     across samples in the arena), and y.  Because destinations are pure
-    functions of the batch's shape table, payload bytes scatter straight
-    off the wire with no per-sample decode or allocation.
+    functions of the batch's shape table, the payload views a fetch
+    recorded on a :class:`~repro.graphs.BatchArena` scatter straight into
+    it, on its first field read, with no per-sample decode or allocation.
 
     Segments are stored CSR-style in four parallel columns bounded by
     ``_ptr`` (one row span per position), as :meth:`FetchPlanner.plan_arena`
@@ -112,6 +114,27 @@ class ArenaScatterMap:
             ]
             written += hi - lo
         return written
+
+
+def _segment_nbytes(nn: np.ndarray, ne: np.ndarray, feature_dim: int, output_dim: int):
+    """Byte length of each sample's five candidate arena segments, a
+    ``(P, 5)`` table in packed-record order: positions, features, edge
+    sources, edge targets, y.  A zero entry is a segment that does not
+    exist."""
+    pos_nb, feat_nb, edge_nb, y_nb = field_nbytes(nn, ne, feature_dim, output_dim)
+    edge_nb = edge_nb // 2  # one plane: sources, then targets
+    return np.stack(
+        [pos_nb, feat_nb, edge_nb, edge_nb, np.full(nn.size, y_nb, np.int64)], axis=1
+    )
+
+
+def arena_segments(node_counts, edge_counts, feature_dim: int, output_dim: int) -> int:
+    """How many segments a batch of this shape scatters through its
+    :class:`ArenaScatterMap` — the count the ``scatter`` stage is charged
+    for, read without building the map."""
+    nn = np.asarray(node_counts, dtype=np.int64)
+    ne = np.asarray(edge_counts, dtype=np.int64)
+    return int(np.count_nonzero(_segment_nbytes(nn, ne, feature_dim, output_dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,12 +399,12 @@ class FetchPlanner:
     ) -> ArenaScatterMap:
         """Compute per-position arena scatter destinations for one batch.
 
-        Destinations derive purely from the batch's shape table (known
-        ahead of the fetch from the registry's shape index), so payloads
-        can be scattered the moment they arrive.  Edge planes: the packed
-        row stores sources then targets contiguously; the arena stores the
-        batch's full source plane then the full target plane, so each
-        sample's edge bytes split into two segments.
+        Destinations derive purely from the batch's shape table (the
+        registry's shape index), so the payloads recorded on an arena
+        scatter without any decode.  Edge planes: the packed row stores
+        sources then targets contiguously; the arena stores the batch's
+        full source plane then the full target plane, so each sample's
+        edge bytes split into two segments.
         """
         nn = np.asarray(node_counts, dtype=np.int64)
         ne = np.asarray(edge_counts, dtype=np.int64)
@@ -395,24 +418,9 @@ class FetchPlanner:
         e_total = int(eptr[-1])
         # All five candidate segments of every position at once: a (P, 5)
         # table of source spans and destinations, masked where zero-length.
-        pos_nb, feat_nb, edge_nb, y_nb = field_nbytes(nn, ne, feature_dim, output_dim)
-        edge_nb = edge_nb // 2  # one plane: sources, then targets
-        lo0 = np.full(P, HEADER_NBYTES, np.int64)
-        lo1 = lo0 + pos_nb
-        lo2 = lo1 + feat_nb
-        lo3 = lo2 + edge_nb
-        lo4 = lo3 + edge_nb
-        src_lo = np.stack([lo0, lo1, lo2, lo3, lo4], axis=1)
-        nb = np.stack(
-            [
-                pos_nb,
-                feat_nb,
-                edge_nb,
-                edge_nb,
-                np.full(P, y_nb, np.int64),
-            ],
-            axis=1,
-        )
+        nb = _segment_nbytes(nn, ne, feature_dim, output_dim)
+        src_lo = HEADER_NBYTES + np.cumsum(nb, axis=1) - nb  # each segment's record offset
+        y_nb = 4 * output_dim
         dest = np.stack(
             [
                 12 * ptr[:-1],

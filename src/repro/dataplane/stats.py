@@ -6,11 +6,11 @@ re-exports both names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-__all__ = ["FETCH_STAGES", "FetchStats"]
+__all__ = ["FETCH_STAGES", "FETCH_COUNTERS", "FetchStats"]
 
 #: The instrumented stages of one fetch call, in pipeline order
 #: ("queue" is the multi-tenant serving layer's DRR/admission wait before
@@ -76,11 +76,7 @@ class FetchStats:
 
     def counters(self) -> dict[str, int]:
         """The integer counters as a dict (for the bench layer)."""
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if name.startswith(("n_", "bytes_"))
-        }
+        return {name: getattr(self, name) for name in FETCH_COUNTERS}
 
     def latency_array(self) -> np.ndarray:
         """Every demand call's per-sample latencies, concatenated."""
@@ -103,3 +99,9 @@ class FetchStats:
             self.add_stage(stage, seconds)
         for stage, seconds in other.prefetch_stage_seconds.items():
             self.add_prefetch_stage(stage, seconds)
+
+
+#: The integer counter fields of :class:`FetchStats`, in declaration order.
+FETCH_COUNTERS = tuple(
+    f.name for f in fields(FetchStats) if f.name.startswith(("n_", "bytes_"))
+)

@@ -9,16 +9,18 @@ Two ways to build that union:
 * the classic **row path** — a list of :class:`AtomicGraph` objects is
   concatenated field by field (one fresh allocation per sample per field);
 * the **arena path** — a :class:`BatchArena` preallocates one flat buffer
-  per field, the fetch layer scatters wire bytes straight into them, and
+  per field; the fetch layer records where each sample's bytes are, the
+  first field read scatters them straight into the buffers, and
   :func:`collate` merely wraps the arena's views into a
-  :class:`GraphBatch` (zero per-sample allocations).
+  :class:`GraphBatch` (zero per-sample allocations).  A reader of the
+  shape table alone (the modelled-compute loader) copies no payload byte.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -101,6 +103,11 @@ class GraphBatch:
         )
 
 
+def _read_through(name: str) -> property:
+    """A field of the batch, copied in on its first read."""
+    return property(lambda self: self._fill()[name], doc=f"The batch's ``{name}`` (read-through).")
+
+
 class BatchArena:
     """Preallocated per-field buffers that one batch is assembled into.
 
@@ -108,31 +115,37 @@ class BatchArena:
     headroom on resize), so a recycled arena serves any batch whose field
     sizes fit without touching the allocator.  Each lives in its own
     anonymous ``mmap``, so the pages go back to the OS when the arena is
-    dropped instead of staying in the allocator's free lists.  ``reset`` shapes typed
-    views over buffer prefixes for the batch at hand; the fetch layer
-    scatters payload bytes into ``field_bytes`` and :meth:`as_batch`
-    wraps the views into a :class:`GraphBatch` — no per-sample arrays
-    anywhere.
+    dropped instead of staying in the allocator's free lists.
+
+    ``reset`` records the batch's shape table (``ptr``, ``edge_ptr``,
+    ``node_counts``, ``sample_ids``, ``node_graph``).  The four fields and
+    ``field_bytes`` are read-through: the first read cuts typed views over
+    buffer prefixes.  A pipeline fill (``reset`` with ``plan=``) copies no
+    byte while it fetches: it :meth:`record`-s where each sample's bytes
+    are, and the first field read runs them through the plan's
+    :class:`~repro.dataplane.planner.ArenaScatterMap` and shifts the
+    edges, so a reader of the shape table alone moves no payload byte.  A
+    hand fill writes ``field_bytes`` itself and calls :meth:`shift_edges`.
+    :meth:`as_batch` wraps the views into a :class:`GraphBatch` — no
+    per-sample arrays anywhere.
     """
 
     _FIELDS = ("positions", "node_features", "edge_index", "y")
+
+    positions = _read_through("positions")
+    node_features = _read_through("node_features")
+    edge_index = _read_through("edge_index")
+    y = _read_through("y")
 
     def __init__(self) -> None:
         self._stores: dict[str, np.ndarray] = {
             name: np.empty(0, np.uint8) for name in self._FIELDS
         }
-        self.node_counts = np.zeros(0, np.int64)
-        self.edge_counts = np.zeros(0, np.int64)
-        self.ptr = np.zeros(1, np.int64)
-        self.edge_ptr = np.zeros(1, np.int64)
-        self.sample_ids = np.zeros(0, np.int64)
+        self.node_counts = self.edge_counts = self.sample_ids = np.zeros(0, np.int64)
+        self.ptr = self.edge_ptr = np.zeros(1, np.int64)
         self.node_graph = np.zeros(0, np.int64)
-        self.positions = np.zeros((0, 3), np.float32)
-        self.node_features = np.zeros((0, 0), np.float32)
-        self.edge_index = np.zeros((2, 0), np.int32)
-        self.y = np.zeros((0, 0), np.float32)
-        self.field_bytes: dict[str, np.ndarray] = {}
-        self._shifted = False
+        self._dims = (0, 0)
+        self.drop_sources()
 
     def _backing(self, name: str, nbytes: int) -> np.ndarray:
         store = self._stores[name]
@@ -156,8 +169,13 @@ class BatchArena:
         feature_dim: int,
         output_dim: int,
         sample_ids: np.ndarray,
+        plan: Optional[Callable] = None,
     ) -> None:
-        """Shape the arena for one batch; previous views become invalid."""
+        """Shape the arena for one batch; previous views become invalid and
+        recorded sources are dropped.  ``plan`` (a
+        :meth:`~repro.dataplane.planner.FetchPlanner.plan_arena`) makes this
+        a pipeline fill: :meth:`record` sources, read back with
+        batch-global edge ids."""
         self.node_counts = np.asarray(node_counts, np.int64)
         self.edge_counts = np.asarray(edge_counts, np.int64)
         b = int(self.node_counts.size)
@@ -165,16 +183,56 @@ class BatchArena:
         np.cumsum(self.node_counts, out=self.ptr[1:])
         self.edge_ptr = np.zeros(b + 1, np.int64)
         np.cumsum(self.edge_counts, out=self.edge_ptr[1:])
-        n = int(self.ptr[-1])
-        e = int(self.edge_ptr[-1])
         self.sample_ids = np.asarray(sample_ids, np.int64)
-        fields = self.field_bytes = self.presize(b, n, e, feature_dim, output_dim)
-        self.positions = fields["positions"].view(np.float32).reshape(n, 3)
-        self.node_features = fields["node_features"].view(np.float32).reshape(n, feature_dim)
-        self.edge_index = fields["edge_index"].view(np.int32).reshape(2, e)
-        self.y = fields["y"].view(np.float32).reshape(b, output_dim)
         self.node_graph = np.repeat(np.arange(b, dtype=np.int64), self.node_counts)
+        self._dims = (feature_dim, output_dim)
+        self.drop_sources()
+        self._plan = plan
+
+    def drop_sources(self) -> None:
+        """Forget the recorded sources, the plan and the cut views (the
+        pool calls this on release, so a pooled arena pins no payload)."""
+        self._plan: Optional[Callable] = None
+        self._sources: list[tuple] = []
+        self._views: Optional[dict] = None
         self._shifted = False
+
+    def record(self, position: int, sample_lo: int, sample_hi: int, src) -> None:
+        """Note that ``src`` holds bytes ``[sample_lo, sample_hi)`` of the
+        packed record of sample ``position``; they are copied in on the
+        first field read, so ``src`` must not change until then: a
+        writable one is a ``ValueError``."""
+        if not memoryview(src).readonly:
+            raise ValueError(f"arena source for position {position} is writable")
+        self._sources.append((position, sample_lo, sample_hi, src))
+
+    def _fill(self) -> dict:
+        """The typed field views, cut on first read; a pipeline fill's
+        recorded sources are copied in and its edges shifted then."""
+        if self._views is None:
+            feature_dim, output_dim = self._dims
+            n, e, b = int(self.ptr[-1]), int(self.edge_ptr[-1]), int(self.node_counts.size)
+            self._bytes = fields = self.presize(b, n, e, feature_dim, output_dim)
+            self._views = {
+                "positions": fields["positions"].view(np.float32).reshape(n, 3),
+                "node_features": fields["node_features"].view(np.float32).reshape(n, feature_dim),
+                "edge_index": fields["edge_index"].view(np.int32).reshape(2, e),
+                "y": fields["y"].view(np.float32).reshape(b, output_dim),
+            }
+            if self._plan is not None:
+                smap = self._plan(self.node_counts, self.edge_counts, feature_dim, output_dim)
+                dest = tuple(fields[name] for name in self._FIELDS)
+                for position, lo, hi, src in self._sources:
+                    smap.scatter(position, lo, hi, src, dest)
+                self._sources = []
+                self.shift_edges()
+        return self._views
+
+    @property
+    def field_bytes(self) -> dict:
+        """Each field's flat ``uint8`` bytes for this batch (read-through)."""
+        self._fill()
+        return self._bytes
 
     def shift_edges(self) -> None:
         """Vectorised edge-index shift to batch-global node ids (idempotent).
@@ -182,12 +240,13 @@ class BatchArena:
         Matches the row collate's per-graph ``edge_index + ptr[i]`` shift
         exactly, so arena batches are byte-identical to row batches.
         """
+        edge_index = self._fill()["edge_index"]
         if self._shifted:
             return
-        if self.edge_index.size:
-            offs = np.repeat(self.ptr[:-1], self.edge_counts).astype(np.int32)
-            np.add(self.edge_index, offs, out=self.edge_index)
         self._shifted = True
+        if edge_index.size:
+            offs = np.repeat(self.ptr[:-1], self.edge_counts).astype(np.int32)
+            np.add(edge_index, offs, out=edge_index)
 
     def as_batch(self) -> GraphBatch:
         """Wrap the arena views into a GraphBatch (no copies)."""
@@ -216,6 +275,7 @@ class ArenaPool:
         return BatchArena()
 
     def release(self, arena: BatchArena) -> None:
+        arena.drop_sources()
         self._free.append(arena)
 
     def warm(
@@ -239,9 +299,9 @@ def collate(
 ) -> GraphBatch:
     """Concatenate graphs into one batch, shifting edge indices.
 
-    With ``arena=`` the fast path runs instead: the batch was already
-    scattered field-wise into the arena, so only the vectorised edge shift
-    and a view-wrapping remain.
+    With ``arena=`` the fast path runs instead: the arena's first field
+    read scatters the batch field-wise into it, so only that, the
+    vectorised edge shift and a view-wrapping remain.
     """
     if arena is not None:
         arena.shift_edges()

@@ -7,11 +7,14 @@ row-decode pipeline and the columnar arena-scatter pipeline over every
 registry workload generator.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import DataLoader, DataPlaneOptions, DDStore, DDStoreDataset, GeneratorSource
 from repro.dataplane import ArenaScatterMap, FetchPlanner
+from repro.dataplane.planner import arena_segments
 from repro.graphs import SAMPLE_ALLOCATIONS, ArenaPool, BatchArena, collate
 from repro.graphs.datasets import DATASETS
 from repro.hardware import TESTBOX
@@ -204,6 +207,20 @@ def test_arena_pool_reuse_and_warm():
     warmed = pool.acquire()
     warmed_bytes = sum(s.nbytes for s in warmed._stores.values())
     assert warmed_bytes >= 4 * (100 * 3 + 100 * 3 + 2 * 300) + 4 * 4 * 2
+    # A pipeline fill copies its sources on first read, so they must not
+    # change until then: a writable one is refused.  Neither a reset nor a
+    # release lets the arena pin what it recorded.
+    warmed.reset([2], [1], 3, 2, [0], plan=FetchPlanner().plan_arena)
+    with pytest.raises(ValueError, match="position 0"):
+        warmed.record(0, 0, 8, np.zeros(8, np.uint8))
+    for drop in (lambda: warmed.reset([2], [1], 3, 2, [0]), lambda: pool.release(warmed)):
+        src = np.zeros(8, np.uint8)
+        src.setflags(write=False)
+        held = weakref.ref(src)
+        warmed.record(0, 0, 8, src)
+        del src
+        drop()
+        assert held() is None
 
 
 def test_plan_arena_segment_bookkeeping():
@@ -215,6 +232,14 @@ def test_plan_arena_segment_bookkeeping():
     # Up to 5 segments per sample (pos, feat, edge src/tgt plane, y);
     # zero-length fields are skipped.
     assert 0 < smap.n_segments <= 5 * len(graphs)
+    # The scatter stage is charged for the same count, read without a map,
+    # also where samples have no nodes, no edges or no feature columns.
+    f_dim, y_dim = graphs[0].feature_dim, graphs[0].output_dim
+    shapes = (((nn, ne), (f_dim, y_dim)), (([5, 0, 3, 0], [6, 0, 0, 2]), (3, 2)),
+              (([4, 0], [0, 0]), (0, 1)))
+    for counts, dims in shapes:
+        want = FetchPlanner().plan_arena(*counts, *dims).n_segments
+        assert arena_segments(*counts, *dims) == want
     # Partial scatter: delivering a sample in two byte-range halves lands
     # the same bytes as one whole-record delivery, and each call returns
     # the bytes it wrote (its share of the payload; the header is skipped).

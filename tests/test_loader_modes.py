@@ -11,13 +11,15 @@ import pytest
 from repro.core import (
     BatchStats,
     DataLoader,
+    DataPlaneOptions,
     DDStore,
     DDStoreDataset,
     FileDataset,
     GeneratorSource,
     ReaderSource,
 )
-from repro.graphs import IsingGenerator, MoleculeGenerator
+from repro.dataplane import ArenaScatterMap
+from repro.graphs import BatchArena, IsingGenerator, MoleculeGenerator, collate
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
 from repro.storage import (
@@ -112,7 +114,7 @@ def test_file_dataset_stats_mode_same_virtual_time(fmt):
         assert (s.n_nodes, s.n_edges) == (g.n_nodes, g.n_edges)
 
 
-def test_ddstore_stats_mode_same_virtual_time():
+def test_ddstore_stats_mode_same_virtual_time(monkeypatch):
     def main(ctx, stats_only):
         src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)
         store = yield from DDStore.create(ctx.comm, src)
@@ -125,6 +127,52 @@ def test_ddstore_stats_mode_same_virtual_time():
     assert t_stats == pytest.approx(t_real, rel=1e-12)
     assert kinds_real == ["AtomicGraph"] * 3
     assert kinds_stats == ["SampleStats"] * 3
+
+    # A columnar store: the arena copies bytes on the first field read, so
+    # a stats-only loader (shape table only) copies none, at the same
+    # virtual cost, and a read gets the row path's bytes.
+    scattered = []
+    scatter = ArenaScatterMap.scatter
+
+    def counted(self, *args):
+        scattered.append(args[0])
+        return scatter(self, *args)
+
+    monkeypatch.setattr(ArenaScatterMap, "scatter", counted)
+    ids = [15, 3, 8]
+
+    def columnar(ctx, stats_only):
+        src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)
+        store = yield from DDStore.create(ctx.comm, src, dataplane=DataPlaneOptions(columnar=True))
+        loader = DataLoader(DDStoreDataset(store, stats_only=stats_only), ctx, batch_size=3)
+        loaded = yield from loader.load(np.array(ids))
+        return ctx.now, type(loaded.batch).__name__
+
+    t_real, kind_real = run(lambda c: columnar(c, False), seed=1).results[0]
+    assert kind_real == "GraphBatch" and scattered
+    scattered.clear()
+    t_stats, kind_stats = run(lambda c: columnar(c, True), seed=1).results[0]
+    assert kind_stats == "BatchStats" and not scattered
+    assert t_stats == t_real
+
+    def read(ctx):
+        src = GeneratorSource(IsingGenerator(16, seed=0), ctx.world.machine)
+        store = yield from DDStore.create(ctx.comm, src, dataplane=DataPlaneOptions(columnar=True))
+        rows = collate((yield from store.get_samples(ids)))
+        arena = BatchArena()
+        yield from store.get_batch_arena(ids, arena)
+        yield from ctx.comm.barrier()
+        fetched_without_copy = not scattered  # on every rank
+        yield from ctx.comm.barrier()
+        arena.shift_edges()  # the first read shifted them already
+        got = collate(arena=arena)
+        same = all(
+            getattr(got, f).tobytes() == getattr(rows, f).tobytes()
+            for f in ("positions", "node_features", "edge_index", "y", "ptr", "sample_ids")
+        )
+        return fetched_without_copy, same
+
+    assert run(read).results == [(True, True)] * 4
 
 
 def test_dataloader_stats_mode_yields_batch_stats():
